@@ -2,15 +2,20 @@
 sparse message packing, BEV warping, attention aggregation and the
 synchronous two-phase exchange round.
 
-Round protocol (lockstep, deterministic):
+`run_round` runs five stages in lockstep over one record per agent:
 
-* phase 1 — agents exchange believed poses and downsampled point clouds;
-  each agent runs cooperative depth generation and local modal fusion;
-* phase 2 — agents broadcast confidence-masked sparse BEV features; each
-  receiver warps them into its own frame and aggregates.
+1. sense — LiDAR and camera capture, LiDAR voxelization;
+2. relative poses — believed relative poses, optionally corrected by
+   matching shared local detections;
+3. phase 1 — agents share downsampled point clouds for depth generation;
+4. perceive — cooperative depth, camera lift, modal fusion, then the
+   confidence mask and the sparse message;
+5. phase 2 / receive — each agent warps its neighbors' messages into its
+   own frame and aggregates them.
 
-Every transmitted scalar is charged to a per-edge ledger, reported both as
-a raw element count and in log2 scale.
+The `RoundLedger` is the only place communication is counted: every
+transmitted scalar is charged there per edge and phase, in the order
+detections, depth, feature.
 """
 
 from __future__ import annotations
@@ -65,24 +70,31 @@ _IMPORTANCE_SHIFT = 1.0
 # Scalars charged per shared detection box (cx, cy, yaw, l, w, score).
 _DETECTION_ELEMENTS = 6
 
+# Phase 1 shares one point per cube of this edge length (m), 3 scalars each.
+_PAYLOAD_CELL = 0.5
+
+_AGG_HEADS = 4
+_CONCAT_SLOTS = 4  # token budget of the concat aggregation ablation
+
+_CAM_FROM_AGENT = invert(DEFAULT_CAMERA_MOUNT)
+_CAM_FROM_LIDAR = compose(_CAM_FROM_AGENT, DEFAULT_LIDAR_MOUNT)
+
 _PRIORITY = np.array([0, 2, 1, 3])  # NORMAL < CAMERA < LIDAR < HYBRID
+
+FUSION_MODES = ("none", "equal", "biased")
+DEPTH_PROJECTIONS = ("no", "ego", "all")
+COLLAB_MODES = ("max", "concat", "attention")
 
 
 @dataclass
 class Message:
-    """One broadcast payload: pose, masked sparse BEV cells, optional cloud."""
+    """One broadcast payload: the sender's pose and its masked sparse BEV cells."""
 
     sender_id: int
     pose: Pose
     indices: np.ndarray  # (K, 2) BEV cell indices
     vectors: np.ndarray  # (K, F) cell features, each row has a nonzero entry
-    depth_points: Optional[np.ndarray] = None
     feature_elements: int = 0
-    depth_elements: int = 0
-
-    @property
-    def volume_elements(self) -> int:
-        return self.feature_elements + self.depth_elements
 
 
 @dataclass(frozen=True)
@@ -112,9 +124,6 @@ class RoundLedger:
             and (receiver is None or r.receiver == receiver)
         )
 
-    def total_log2(self, phase: str | None = None) -> float:
-        return comm_volume_log(self.total(phase))
-
 
 @dataclass
 class WarpResult:
@@ -128,15 +137,11 @@ class AgentRound:
     """Everything one agent produced during a round."""
 
     agent_id: int
-    fused: VoxelGrid
     bev: np.ndarray  # own collapsed BEV feature plane
     aggregated: np.ndarray  # post-collaboration BEV
-    preference: np.ndarray
-    scores: np.ndarray
     mask: np.ndarray
     message: Message
     depth_map: Optional[DepthMap] = None
-    depth_dist: Optional[np.ndarray] = None
     warp_collisions: int = 0
     # per neighbor id: (error of believed rel pose, error of the pose used)
     pose_errors: dict[int, tuple[tuple[float, float], tuple[float, float]]] = field(
@@ -152,23 +157,18 @@ class PipelineConfig:
     bins: DepthBins
     predictor: object = field(default_factory=UniformPredictor)
     mass_threshold: float = 0.05
-    lidar_mount: Pose = DEFAULT_LIDAR_MOUNT
-    camera_mount: Pose = DEFAULT_CAMERA_MOUNT
-    fusion_mode: str = "biased"  # none | equal | biased
-    depth_projection: str = "all"  # no | ego | all
-    collab_mode: str = "attention"  # max | concat | attention
+    fusion_mode: str = "biased"
+    depth_projection: str = "all"
+    collab_mode: str = "attention"
     robust: bool = False
     gate_radius: float = 2.0
-    collaborate: bool = True
-    payload_cell: float = 0.5
-    concat_slots: int = 4
 
     def __post_init__(self):
-        if self.fusion_mode not in ("none", "equal", "biased"):
+        if self.fusion_mode not in FUSION_MODES:
             raise ValueError(f"unknown fusion mode {self.fusion_mode!r}")
-        if self.depth_projection not in ("no", "ego", "all"):
+        if self.depth_projection not in DEPTH_PROJECTIONS:
             raise ValueError(f"unknown depth projection {self.depth_projection!r}")
-        if self.collab_mode not in ("max", "concat", "attention"):
+        if self.collab_mode not in COLLAB_MODES:
             raise ValueError(f"unknown collaboration mode {self.collab_mode!r}")
 
 
@@ -182,15 +182,13 @@ class PipelineParams:
     concat_lin: nnkit.LinearMap
 
 
-def make_pipeline_params(
-    grid: GridSpec, seed: int, agg_heads: int = 4, concat_slots: int = 4
-) -> PipelineParams:
+def make_pipeline_params(grid: GridSpec, seed: int) -> PipelineParams:
     f = grid.bev_channels
     return PipelineParams(
         fusion=make_fusion_params(grid.channels, seed),
         equal_lin=make_equal_params(grid.channels, seed),
-        agg_mha=nnkit.init_mha(f, agg_heads, (seed, 20)),
-        concat_lin=nnkit.init_linear(concat_slots * f, f, (seed, 21)),
+        agg_mha=nnkit.init_mha(f, _AGG_HEADS, (seed, 20)),
+        concat_lin=nnkit.init_linear(_CONCAT_SLOTS * f, f, (seed, 21)),
     )
 
 
@@ -248,30 +246,23 @@ def confidence_mask(scores: np.ndarray, preference: np.ndarray) -> np.ndarray:
 
 
 def pack_message(
-    bev: np.ndarray,
-    mask: np.ndarray,
-    pose: Pose,
-    sender_id: int = 0,
-    depth_payload: Optional[np.ndarray] = None,
+    bev: np.ndarray, mask: np.ndarray, pose: Pose, sender_id: int = 0
 ) -> Message:
     """Sparse-pack the masked BEV cells and tally the transmitted scalars.
 
-    Only mask=1 cells with at least one nonzero scalar are included; the
-    volume ledger counts nonzero feature scalars plus 3 per shared point.
+    Only mask=1 cells with at least one nonzero scalar are included;
+    `feature_elements` counts their nonzero scalars.
     """
     idx = np.argwhere(np.asarray(mask) == 1)
     vecs = np.asarray(bev)[idx[:, 0], idx[:, 1]]
     keep = np.any(vecs != 0.0, axis=1) if vecs.size else np.zeros(0, dtype=bool)
     idx, vecs = idx[keep], vecs[keep]
-    depth_elements = 0 if depth_payload is None else 3 * len(depth_payload)
     return Message(
         sender_id=sender_id,
         pose=pose,
         indices=idx,
         vectors=np.array(vecs),
-        depth_points=depth_payload,
         feature_elements=int(np.count_nonzero(vecs)),
-        depth_elements=depth_elements,
     )
 
 
@@ -329,11 +320,6 @@ def warp_sparse(
     return WarpResult(bev, int(flat.size - uniq.size), dropped)
 
 
-def warp_to_ego(msg: Message, ego_pose: Pose, spec: GridSpec) -> WarpResult:
-    """Warp a received message using the believed poses on both ends."""
-    return warp_sparse(msg.indices, msg.vectors, relative(ego_pose, msg.pose), spec)
-
-
 def aggregate(
     params: nnkit.MhaParams, ego: np.ndarray, warped: Sequence[np.ndarray]
 ) -> np.ndarray:
@@ -383,8 +369,171 @@ def aggregate_concat(
     return lin.apply(np.concatenate(toks, axis=2))
 
 
-def _empty_depth_map(pipe: PipelineConfig, scenario: ScenarioConfig) -> DepthMap:
-    return DepthMap.empty(pipe.bins, scenario.camera.height, scenario.camera.width)
+@dataclass
+class _AgentWork:
+    """One agent's state as the round's stages fill it in."""
+
+    state: AgentState
+    neighbors: tuple[int, ...]
+    lidar_grid: VoxelGrid
+    cloud_sensor: Optional[np.ndarray] = None  # LiDAR hits, sensor frame
+    cloud: Optional[np.ndarray] = None  # the same hits, agent frame
+    images: Optional[tuple[np.ndarray, np.ndarray]] = None  # camera depth, features
+    detections: list = field(default_factory=list)
+    rel: dict[int, Pose] = field(default_factory=dict)  # neighbor -> pose used
+    pose_errors: dict[int, tuple] = field(default_factory=dict)
+    payload: Optional[np.ndarray] = None  # phase 1 cloud, agent frame
+    depth_map: Optional[DepthMap] = None
+    bev: Optional[np.ndarray] = None
+    mask: Optional[np.ndarray] = None
+    message: Optional[Message] = None
+
+
+def _sense(
+    agent: AgentState,
+    neighbors: tuple[int, ...],
+    objects: Sequence[BoxObject],
+    occluders: Sequence[Wall],
+    scenario: ScenarioConfig,
+    pipe: PipelineConfig,
+) -> _AgentWork:
+    """Capture the agent's sensors and voxelize its LiDAR cloud."""
+    if not agent.has_lidar:
+        work = _AgentWork(agent, neighbors, VoxelGrid.empty(pipe.grid))
+    else:
+        pts = simulate_lidar(
+            agent, objects, occluders, scenario.lidar,
+            lidar_rng(scenario.seed, agent.id), DEFAULT_LIDAR_MOUNT,
+        )
+        cloud = transform_points(DEFAULT_LIDAR_MOUNT, pts)
+        work = _AgentWork(
+            agent, neighbors, voxelize_points(cloud, pipe.grid), cloud_sensor=pts, cloud=cloud
+        )
+    if agent.has_camera and pipe.fusion_mode != "none":
+        work.images = simulate_camera(
+            agent, objects, occluders, scenario.camera,
+            DEFAULT_CAMERA_MOUNT, pipe.grid.channels,
+        )
+    return work
+
+
+def _relative_poses(
+    works: dict[int, _AgentWork], pipe: PipelineConfig, ledger: RoundLedger
+) -> None:
+    """Set the relative pose each agent uses per neighbor, and its error.
+
+    With `robust`, connected agents share their local detections and each
+    believed relative pose is corrected by matching them.
+    """
+    if pipe.robust:
+        for w in works.values():
+            if w.neighbors and w.state.has_lidar:
+                w.detections = detect_local(occupancy_from_grid(w.lidar_grid), pipe.grid)
+    for w in works.values():
+        for j in w.neighbors:
+            other = works[j]
+            believed = relative(w.state.believed_pose, other.state.believed_pose)
+            used = believed
+            if pipe.robust:
+                nbr = transform_detections(other.detections, believed)
+                used = correct_relative_pose(believed, w.detections, nbr, pipe.gate_radius)
+                sent = _DETECTION_ELEMENTS * len(other.detections)
+                ledger.add(j, w.state.id, "detections", sent)
+            truth = relative(w.state.true_pose, other.state.true_pose)
+            w.rel[j] = used
+            w.pose_errors[j] = (
+                relative_pose_error(believed, truth),
+                relative_pose_error(used, truth),
+            )
+
+
+def _share_clouds(
+    works: dict[int, _AgentWork], pipe: PipelineConfig, ledger: RoundLedger
+) -> None:
+    """Phase 1: connected LiDAR agents send a downsampled cloud to each neighbor."""
+    if pipe.depth_projection != "all":
+        return
+    for w in works.values():
+        if w.neighbors and w.state.has_lidar:
+            w.payload = downsample_cloud(w.cloud, _PAYLOAD_CELL)
+    for w in works.values():
+        for j in w.neighbors:
+            if works[j].payload is not None:
+                ledger.add(j, w.state.id, "depth", 3 * works[j].payload.shape[0])
+
+
+def _perceive(
+    w: _AgentWork,
+    works: dict[int, _AgentWork],
+    scenario: ScenarioConfig,
+    pipe: PipelineConfig,
+    params: PipelineParams,
+) -> None:
+    """Depth -> lift -> fuse -> collapse, then mask and pack the message."""
+    camera_grid = VoxelGrid.empty(pipe.grid)
+    if w.images is not None:
+        depth_img, feat_img = w.images
+        if pipe.depth_projection != "no" and w.state.has_lidar:
+            cloud_cam = transform_points(_CAM_FROM_LIDAR, w.cloud_sensor)
+            dmap = project_cloud_to_depthmap(cloud_cam, scenario.camera, pipe.bins)
+        else:
+            dmap = DepthMap.empty(pipe.bins, scenario.camera.height, scenario.camera.width)
+        if pipe.depth_projection == "all":
+            shared = [
+                (compose(_CAM_FROM_AGENT, w.rel[j]), works[j].payload)
+                for j in w.neighbors
+                if works[j].payload is not None
+            ]
+            dmap = merge_cooperative(dmap, shared, scenario.camera, pipe.bins)
+        pred = predict_depth(feat_img, depth_img, pipe.predictor, pipe.bins)
+        dist = finalize_distribution(dmap, pred)
+        camera_grid = lift_camera(
+            feat_img, dist, scenario.camera, DEFAULT_CAMERA_MOUNT,
+            pipe.grid, pipe.mass_threshold, pipe.bins.centers(),
+        ).grid
+        w.depth_map = dmap
+    cat = categorize(w.lidar_grid, camera_grid)
+    if pipe.fusion_mode == "equal":
+        fused = fuse_modalities_equal(params.equal_lin, cat)
+    else:
+        fused = fuse_modalities(params.fusion, cat)
+    w.bev = collapse(fused)
+    w.mask = confidence_mask(importance_scores(w.bev), preference_map(fused))
+    w.message = pack_message(w.bev, w.mask, w.state.believed_pose, w.state.id)
+
+
+def _receive(
+    w: _AgentWork,
+    works: dict[int, _AgentWork],
+    pipe: PipelineConfig,
+    params: PipelineParams,
+    ledger: RoundLedger,
+) -> AgentRound:
+    """Phase 2: warp each neighbor's message into this agent's frame and aggregate."""
+    warped = []
+    collisions = 0
+    for j in w.neighbors:
+        msg = works[j].message
+        wr = warp_sparse(msg.indices, msg.vectors, w.rel[j], pipe.grid)
+        warped.append(wr.bev)
+        collisions += wr.collisions
+        ledger.add(j, w.state.id, "feature", msg.feature_elements)
+    if pipe.collab_mode == "attention":
+        agg = aggregate(params.agg_mha, w.bev, warped)
+    elif pipe.collab_mode == "max":
+        agg = aggregate_max(w.bev, warped)
+    else:
+        agg = aggregate_concat(params.concat_lin, w.bev, warped, _CONCAT_SLOTS)
+    return AgentRound(
+        agent_id=w.state.id,
+        bev=w.bev,
+        aggregated=agg,
+        mask=w.mask,
+        message=w.message,
+        depth_map=w.depth_map,
+        warp_collisions=collisions,
+        pose_errors=w.pose_errors,
+    )
 
 
 def run_round(
@@ -401,167 +550,14 @@ def run_round(
     aborting; a single agent simply skips both exchange phases.
     """
     agents = sorted(agents, key=lambda a: a.id)
-    by_id = {a.id: a for a in agents}
-    ledger = RoundLedger()
-    if pipe.collaborate:
-        graph = build_comm_graph(agents, scenario.comm_range)
-    else:
-        graph = {a.id: () for a in agents}
-
-    # --- sensing -------------------------------------------------------
-    clouds_sensor: dict[int, np.ndarray] = {}
-    clouds_agent: dict[int, np.ndarray] = {}
-    cam_images: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    for a in agents:
-        if a.has_lidar:
-            pts = simulate_lidar(
-                a, objects, occluders, scenario.lidar,
-                lidar_rng(scenario.seed, a.id), pipe.lidar_mount,
-            )
-            clouds_sensor[a.id] = pts
-            clouds_agent[a.id] = transform_points(pipe.lidar_mount, pts)
-        if a.has_camera and pipe.fusion_mode != "none":
-            cam_images[a.id] = simulate_camera(
-                a, objects, occluders, scenario.camera,
-                pipe.camera_mount, pipe.grid.channels,
-            )
-
-    lidar_grids = {
-        a.id: (
-            voxelize_points(clouds_agent[a.id], pipe.grid)
-            if a.has_lidar
-            else VoxelGrid.empty(pipe.grid)
-        )
-        for a in agents
+    graph = build_comm_graph(agents, scenario.comm_range)
+    works = {
+        a.id: _sense(a, graph[a.id], objects, occluders, scenario, pipe) for a in agents
     }
-
-    # --- relative poses (and optional correction) -----------------------
-    rel: dict[tuple[int, int], Pose] = {}
-    pose_errors: dict[tuple[int, int], tuple] = {}
-    for a in agents:
-        for j in graph[a.id]:
-            rel[(a.id, j)] = relative(a.believed_pose, by_id[j].believed_pose)
-    if pipe.robust and rel:
-        local_dets = {
-            a.id: (
-                detect_local(occupancy_from_grid(lidar_grids[a.id]), pipe.grid)
-                if a.has_lidar
-                else []
-            )
-            for a in agents
-        }
-        for (i, j), init in list(rel.items()):
-            nbr = transform_detections(local_dets[j], init)
-            rel[(i, j)] = correct_relative_pose(
-                init, local_dets[i], nbr, pipe.gate_radius
-            )
-            ledger.add(j, i, "detections", _DETECTION_ELEMENTS * len(local_dets[j]))
-    for a in agents:
-        for j in graph[a.id]:
-            truth = relative(a.true_pose, by_id[j].true_pose)
-            believed = relative(a.believed_pose, by_id[j].believed_pose)
-            pose_errors[(a.id, j)] = (
-                relative_pose_error(believed, truth),
-                relative_pose_error(rel[(a.id, j)], truth),
-            )
-
-    # --- phase 1: pose + depth payload exchange -------------------------
-    payloads: dict[int, np.ndarray] = {}
-    if pipe.depth_projection == "all":
-        for a in agents:
-            if a.has_lidar:
-                payloads[a.id] = downsample_cloud(clouds_agent[a.id], pipe.payload_cell)
-        for a in agents:
-            for j in graph[a.id]:
-                if j in payloads:
-                    ledger.add(j, a.id, "depth", 3 * payloads[j].shape[0])
-
-    # --- local perception ------------------------------------------------
-    results: dict[int, AgentRound] = {}
-    fused_grids: dict[int, VoxelGrid] = {}
-    bevs: dict[int, np.ndarray] = {}
-    depth_maps: dict[int, Optional[DepthMap]] = {}
-    dists: dict[int, Optional[np.ndarray]] = {}
-    for a in agents:
-        camera_grid = VoxelGrid.empty(pipe.grid)
-        dmap = None
-        dist = None
-        if a.id in cam_images:
-            depth_img, feat_img = cam_images[a.id]
-            cam_from_agent = invert(pipe.camera_mount)
-            if pipe.depth_projection != "no" and a.has_lidar:
-                cloud_cam = transform_points(
-                    compose(cam_from_agent, pipe.lidar_mount), clouds_sensor[a.id]
-                )
-                dmap = project_cloud_to_depthmap(cloud_cam, scenario.camera, pipe.bins)
-            else:
-                dmap = _empty_depth_map(pipe, scenario)
-            if pipe.depth_projection == "all":
-                shared = [
-                    (compose(cam_from_agent, rel[(a.id, j)]), payloads[j])
-                    for j in graph[a.id]
-                    if j in payloads
-                ]
-                dmap = merge_cooperative(dmap, shared, scenario.camera, pipe.bins)
-            pred = predict_depth(feat_img, depth_img, pipe.predictor, pipe.bins)
-            dist = finalize_distribution(dmap, pred)
-            camera_grid = lift_camera(
-                feat_img, dist, scenario.camera, pipe.camera_mount,
-                pipe.grid, pipe.mass_threshold, pipe.bins.centers(),
-            ).grid
-        cat = categorize(lidar_grids[a.id], camera_grid)
-        if pipe.fusion_mode == "equal":
-            fused = fuse_modalities_equal(params.equal_lin, cat)
-        else:
-            fused = fuse_modalities(params.fusion, cat)
-        fused_grids[a.id] = fused
-        bevs[a.id] = collapse(fused)
-        depth_maps[a.id] = dmap
-        dists[a.id] = dist
-
-    # --- phase 2: masked feature broadcast -------------------------------
-    messages: dict[int, Message] = {}
-    masks: dict[int, np.ndarray] = {}
-    prefs: dict[int, np.ndarray] = {}
-    scores_by_agent: dict[int, np.ndarray] = {}
-    for a in agents:
-        pref = preference_map(fused_grids[a.id])
-        scores = importance_scores(bevs[a.id])
-        mask = confidence_mask(scores, pref)
-        messages[a.id] = pack_message(bevs[a.id], mask, a.believed_pose, a.id)
-        prefs[a.id], scores_by_agent[a.id], masks[a.id] = pref, scores, mask
-
-    for a in agents:
-        warped = []
-        collisions = 0
-        for j in graph[a.id]:
-            msg = messages[j]
-            wr = warp_sparse(msg.indices, msg.vectors, rel[(a.id, j)], pipe.grid)
-            warped.append(wr.bev)
-            collisions += wr.collisions
-            ledger.add(j, a.id, "feature", msg.feature_elements)
-        if pipe.collab_mode == "attention":
-            agg = aggregate(params.agg_mha, bevs[a.id], warped)
-        elif pipe.collab_mode == "max":
-            agg = aggregate_max(bevs[a.id], warped)
-        else:
-            agg = aggregate_concat(
-                params.concat_lin, bevs[a.id], warped, pipe.concat_slots
-            )
-        results[a.id] = AgentRound(
-            agent_id=a.id,
-            fused=fused_grids[a.id],
-            bev=bevs[a.id],
-            aggregated=agg,
-            preference=prefs[a.id],
-            scores=scores_by_agent[a.id],
-            mask=masks[a.id],
-            message=messages[a.id],
-            depth_map=depth_maps[a.id],
-            depth_dist=dists[a.id],
-            warp_collisions=collisions,
-            pose_errors={
-                j: pose_errors[(a.id, j)] for j in graph[a.id]
-            },
-        )
-    return results, ledger
+    ledger = RoundLedger()
+    _relative_poses(works, pipe, ledger)
+    _share_clouds(works, pipe, ledger)
+    for w in works.values():
+        _perceive(w, works, scenario, pipe, params)
+    rounds = {aid: _receive(w, works, pipe, params, ledger) for aid, w in works.items()}
+    return rounds, ledger

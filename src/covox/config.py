@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .collab import PipelineConfig
+from .collab import COLLAB_MODES, DEPTH_PROJECTIONS, FUSION_MODES, PipelineConfig
 from .depth import DepthBins, NoisyOraclePredictor, UniformPredictor
 from .geometry import CameraIntrinsics
 from .scene import LidarSpec, ScenarioConfig, Wall
@@ -71,6 +71,13 @@ def _int(tree, path, default=_REQUIRED) -> int:
     value = _get(tree, path, default)
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{path}: expected an integer, got {value!r}")
+    return value
+
+
+def _choice(tree, path, default, choices: tuple[str, ...]) -> str:
+    value = _get(tree, path, default)
+    if value not in choices:
+        raise ConfigError(f"{path}: expected one of {', '.join(choices)}, got {value!r}")
     return value
 
 
@@ -233,9 +240,11 @@ def _load_pipeline(tree) -> PipelineConfig:
             bins=bins,
             predictor=_load_predictor(tree),
             mass_threshold=_number(tree, "pipeline.mass_threshold", 0.05),
-            fusion_mode=_get(tree, "pipeline.fusion", "biased"),
-            depth_projection=_get(tree, "pipeline.depth_projection", "all"),
-            collab_mode=_get(tree, "pipeline.collab", "attention"),
+            fusion_mode=_choice(tree, "pipeline.fusion", "biased", FUSION_MODES),
+            depth_projection=_choice(
+                tree, "pipeline.depth_projection", "all", DEPTH_PROJECTIONS
+            ),
+            collab_mode=_choice(tree, "pipeline.collab", "attention", COLLAB_MODES),
             robust=bool(_get(tree, "pipeline.robust", False)),
             gate_radius=_number(tree, "pipeline.gate_radius", 2.0),
         )

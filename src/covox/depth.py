@@ -86,9 +86,6 @@ class DepthMap:
     def projected_mask(self) -> np.ndarray:
         return np.isin(self.source, _PROJECTED)
 
-    def projected_count(self) -> int:
-        return int(np.count_nonzero(self.projected_mask()))
-
     def copy(self) -> "DepthMap":
         return DepthMap(self.bins, self.bin_idx.copy(), self.source.copy())
 

@@ -64,10 +64,6 @@ def fuse_hybrid_cells(
     return params.lin2.apply(np.concatenate([gate * v_camera, v_lidar], axis=1))
 
 
-def fuse_hybrid_cell(params: FusionParams, v_lidar, v_camera) -> np.ndarray:
-    return fuse_hybrid_cells(params, v_lidar, v_camera)[0]
-
-
 def mask_from_scores(raw_scores: np.ndarray, threshold: float) -> np.ndarray:
     """Binary mask from raw attention scores.
 

@@ -12,7 +12,7 @@ from enum import IntEnum
 
 import numpy as np
 
-from .geometry import CameraIntrinsics, Pose, transform_points, unproject, PixelDepth
+from .geometry import CameraIntrinsics, Pose, pixel_rays, transform_points
 
 # Hard budget on grid allocation; guards against config typos.
 _MAX_ELEMENTS = 1 << 26
@@ -210,16 +210,12 @@ def lift_camera(
     if bin_centers is None or len(bin_centers) != d:
         raise ValueError("bin_centers must give one depth per distribution bin")
 
-    u = np.arange(w, dtype=np.float64)
-    v = np.arange(h, dtype=np.float64)
-    xn = (u - intr.u0) / intr.fx  # (W,)
-    yn = (v - intr.v0) / intr.fy  # (H,)
-    dsc = np.asarray(bin_centers, dtype=np.float64)  # (D,)
+    if (intr.height, intr.width) != (h, w):
+        raise ValueError("camera intrinsics and depth distribution disagree on size")
 
-    pts = np.empty((h, w, d, 3))
-    pts[..., 0] = xn[None, :, None] * dsc[None, None, :]
-    pts[..., 1] = yn[:, None, None] * dsc[None, None, :]
-    pts[..., 2] = dsc[None, None, :]
+    # Unit-depth rays scaled by each bin-center depth: (H, W, D, 3).
+    dsc = np.asarray(bin_centers, dtype=np.float64)
+    pts = pixel_rays(intr)[:, :, None, :] * dsc[None, None, :, None]
     pts = transform_points(cam_pose_in_ego, pts.reshape(-1, 3))
 
     idx, inside = spec.cell_of(pts)
@@ -268,12 +264,7 @@ def collapse(grid: VoxelGrid) -> np.ndarray:
     """Fold the z axis into channels: (nx, ny, nz, C) -> (nx, ny, nz*C).
 
     z slice k occupies the channel block [k*C, (k+1)*C); the operation is
-    lossless (see uncollapse).
+    lossless: reshaping back to (nx, ny, nz, C) restores the features.
     """
     s = grid.spec
     return grid.features.reshape(s.nx, s.ny, s.nz * s.channels).copy()
-
-
-def uncollapse(bev: np.ndarray, spec: GridSpec) -> np.ndarray:
-    """Inverse of collapse; returns the (nx, ny, nz, C) feature volume."""
-    return np.asarray(bev).reshape(spec.nx, spec.ny, spec.nz, spec.channels).copy()

@@ -18,11 +18,17 @@ from covox.collab import (
     preference_map,
     run_round,
     warp_sparse,
-    warp_to_ego,
 )
 from covox.depth import DepthBins, NoisyOraclePredictor
-from covox.geometry import Pose
-from covox.scene import AgentState, BoxObject, ScenarioConfig, generate_scene
+from covox.geometry import Pose, relative, transform_points
+from covox.scene import (
+    DEFAULT_LIDAR_MOUNT,
+    AgentState,
+    ScenarioConfig,
+    generate_scene,
+    lidar_rng,
+    simulate_lidar,
+)
 from covox.voxel import Category, GridSpec, VoxelGrid
 
 GRID = GridSpec((-20.0, 20.0), (-20.0, 20.0), (0.5, 3.7), 64, 64, 8, 8)
@@ -126,7 +132,7 @@ class TestPackMessage:
         bev = rng.standard_normal((GRID.nx, GRID.ny, GRID.bev_channels))
         msg = pack_message(bev, np.zeros((GRID.nx, GRID.ny)), Pose.identity())
         assert msg.indices.shape[0] == 0
-        assert msg.volume_elements == 0
+        assert msg.feature_elements == 0
 
     def test_counts_nonzero_scalars(self):
         bev = np.zeros((GRID.nx, GRID.ny, GRID.bev_channels))
@@ -142,13 +148,6 @@ class TestPackMessage:
         bev[sparse] = rng.standard_normal(int(sparse.sum()))
         msg = pack_message(bev, np.ones((GRID.nx, GRID.ny)), Pose.identity())
         assert msg.feature_elements == np.count_nonzero(bev)
-
-    def test_depth_payload_charged(self, rng):
-        bev = np.zeros((GRID.nx, GRID.ny, GRID.bev_channels))
-        payload = rng.uniform(-5, 5, (11, 3))
-        msg = pack_message(bev, np.zeros((GRID.nx, GRID.ny)), Pose.identity(), 0, payload)
-        assert msg.depth_elements == 33
-        assert msg.volume_elements == 33
 
 
 class TestCommVolumeLog:
@@ -214,12 +213,10 @@ class TestWarp:
         written = int(np.count_nonzero(np.any(res.bev != 0, axis=2)))
         assert written + res.collisions + res.dropped == 4
 
-    def test_warp_to_ego_uses_relative_pose(self, rng):
+    def test_relative_pose_of_equal_believed_poses(self, rng):
         idx, vecs = self._sparse(rng)
-        from covox.collab import Message
-
-        msg = Message(1, Pose.from_planar(5.0, 0.0, 0.0), idx, vecs)
-        res = warp_to_ego(msg, Pose.from_planar(5.0, 0.0, 0.0), GRID)
+        pose = Pose.from_planar(5.0, 0.0, 0.0)
+        res = warp_sparse(idx, vecs, relative(pose, pose), GRID)
         dense = np.zeros_like(res.bev)
         dense[idx[:, 0], idx[:, 1]] = vecs
         assert np.array_equal(res.bev, dense)
@@ -346,3 +343,27 @@ class TestRunRound:
                 agents, objects, (), scn, self._pipe(collab_mode=mode), PARAMS
             )
             assert rounds[0].aggregated.shape == (GRID.nx, GRID.ny, GRID.bev_channels)
+
+    def test_depth_records_charge_shared_clouds(self):
+        scn = ScenarioConfig(seed=9, n_agents=3, n_objects=3)
+        agents, objects = generate_scene(scn)
+        by_id = {a.id: a for a in agents}
+        _, ledger = run_round(agents, objects, (), scn, self._pipe(), PARAMS)
+        depth = [r for r in ledger.records if r.phase == "depth"]
+        assert len(depth) == 6  # every ordered pair of three linked agents
+        for rec in depth:
+            sender = by_id[rec.sender]
+            pts = simulate_lidar(sender, objects, (), scn.lidar, lidar_rng(scn.seed, sender.id))
+            cloud = transform_points(DEFAULT_LIDAR_MOUNT, pts)
+            assert rec.elements == 3 * len(downsample_cloud(cloud, 0.5))
+
+    def test_agent_order_invariant(self):
+        scn = ScenarioConfig(seed=5, n_agents=3, n_objects=4, pose_noise_sigma_xy=0.2)
+        agents, objects = generate_scene(scn)
+        pipe = self._pipe(robust=True)
+        a, ledger_a = run_round(agents, objects, (), scn, pipe, PARAMS)
+        b, ledger_b = run_round(agents[::-1], objects, (), scn, pipe, PARAMS)
+        assert ledger_a.records == ledger_b.records
+        assert list(a) == list(b)
+        for aid in a:
+            assert np.array_equal(a[aid].aggregated, b[aid].aggregated)

@@ -112,7 +112,8 @@ class TestMerge:
             )]
         )
         merged = merge_cooperative(ego, [(Pose.identity(), nbr_cloud)], INTR, BINS)
-        assert merged.projected_count() >= ego.projected_count()
+        n_ego = np.count_nonzero(ego.projected_mask())
+        assert np.count_nonzero(merged.projected_mask()) >= n_ego
         ego_mask = ego.source == DepthSource.EGO_PROJECTED
         assert np.array_equal(merged.bin_idx[ego_mask], ego.bin_idx[ego_mask])
 
@@ -123,8 +124,8 @@ class TestMerge:
         merged = merge_cooperative(
             ego, [(Pose.identity(), cloud_for_pixels(nbr_pixels))], INTR, BINS
         )
-        assert ego.projected_count() == len(ego_pixels)
-        assert merged.projected_count() == len(ego_pixels) + len(nbr_pixels)
+        assert np.count_nonzero(ego.projected_mask()) == len(ego_pixels)
+        assert np.count_nonzero(merged.projected_mask()) == len(ego_pixels) + len(nbr_pixels)
 
 
 class TestPredict:

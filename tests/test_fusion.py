@@ -4,7 +4,6 @@ from covox import nnkit
 from covox.fusion import (
     FusionParams,
     compute_guidance,
-    fuse_hybrid_cell,
     fuse_hybrid_cells,
     fuse_modalities,
     fuse_modalities_equal,
@@ -31,7 +30,7 @@ def biased_params() -> FusionParams:
 class TestHybridCell:
     def test_zero_camera_passes_lidar_only(self, rng):
         v_l = rng.standard_normal(C)
-        out = fuse_hybrid_cell(PARAMS, v_l, np.zeros(C))
+        out = fuse_hybrid_cells(PARAMS, v_l, np.zeros(C))[0]
         expected = PARAMS.lin2.apply(np.concatenate([np.zeros(C), v_l]))
         assert np.allclose(out, expected, atol=1e-12)
 
@@ -40,18 +39,18 @@ class TestHybridCell:
         v_c = rng.standard_normal(C)
         gate = nnkit.relu(params.lin1.apply(np.zeros(C)))  # = relu(bias1)
         expected = params.lin2.apply(np.concatenate([gate * v_c, np.zeros(C)]))
-        assert np.allclose(fuse_hybrid_cell(params, np.zeros(C), v_c), expected)
+        assert np.allclose(fuse_hybrid_cells(params, np.zeros(C), v_c)[0], expected)
 
     def test_zero_both_zero_biases_is_zero(self):
-        out = fuse_hybrid_cell(PARAMS, np.zeros(C), np.zeros(C))
+        out = fuse_hybrid_cells(PARAMS, np.zeros(C), np.zeros(C))[0]
         assert np.allclose(out, 0.0, atol=1e-15)
 
     def test_linear_in_camera_branch(self, rng):
         v_l = rng.standard_normal(C)
         v_c = rng.standard_normal(C)
-        base = fuse_hybrid_cell(PARAMS, v_l, np.zeros(C))
-        single = fuse_hybrid_cell(PARAMS, v_l, v_c) - base
-        double = fuse_hybrid_cell(PARAMS, v_l, 2.0 * v_c) - base
+        base = fuse_hybrid_cells(PARAMS, v_l, np.zeros(C))[0]
+        single = fuse_hybrid_cells(PARAMS, v_l, v_c)[0] - base
+        double = fuse_hybrid_cells(PARAMS, v_l, 2.0 * v_c)[0] - base
         assert np.allclose(double, 2.0 * single, atol=1e-9)
 
     def test_batch_matches_single(self, rng):
@@ -59,7 +58,7 @@ class TestHybridCell:
         v_c = rng.standard_normal((5, C))
         batch = fuse_hybrid_cells(PARAMS, v_l, v_c)
         for k in range(5):
-            assert np.allclose(batch[k], fuse_hybrid_cell(PARAMS, v_l[k], v_c[k]))
+            assert np.allclose(batch[k], fuse_hybrid_cells(PARAMS, v_l[k], v_c[k])[0])
 
 
 class TestGuidance:
@@ -145,9 +144,9 @@ class TestFuseModalities:
         out = fuse_modalities(PARAMS, categorize(lidar, camera))
         for i in range(2):
             for j in range(2):
-                expected = fuse_hybrid_cell(
+                expected = fuse_hybrid_cells(
                     PARAMS, lidar.features[i, j, 0], camera.features[i, j, 0]
-                )
+                )[0]
                 assert np.allclose(out.features[i, j, 0], expected)
                 assert out.category[i, j, 0] == Category.HYBRID
 
