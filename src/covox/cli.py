@@ -13,6 +13,7 @@ import os
 import shutil
 import sys
 import tempfile
+import traceback
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
@@ -220,6 +221,7 @@ def run_experiment(exp: ExperimentSpec) -> int:
                 print(
                     f"trial {trial} (sigma={sigma}) failed: {exc}", file=sys.stderr
                 )
+                traceback.print_exc(file=sys.stderr)
                 continue
             rows.append(outcome.row)
             log_lines.extend(outcome.log_lines)

@@ -74,6 +74,11 @@ _DETECTION_ELEMENTS = 6
 _PAYLOAD_CELL = 0.5
 
 _AGG_HEADS = 4
+# BLAS multiplies a handful of rows with other kernels (gemv for one row,
+# small-matrix kernels for a few) whose rounding differs from the kernel used
+# on a whole grid, so `aggregate` runs at least this many cells to stay
+# bit-identical to attention over every cell.
+_MIN_ATTENTION_CELLS = 64
 _CONCAT_SLOTS = 4  # token budget of the concat aggregation ablation
 
 _CAM_FROM_AGENT = invert(DEFAULT_CAMERA_MOUNT)
@@ -281,7 +286,10 @@ def downsample_cloud(points: np.ndarray, cell: float = 0.5) -> np.ndarray:
     if pts.shape[0] == 0:
         return pts
     keys = np.floor(pts / cell).astype(np.int64)
-    _, first = np.unique(keys, axis=0, return_index=True)
+    lo = keys.min(axis=0)
+    span = keys.max(axis=0) - lo + 1
+    flat = np.ravel_multi_index(tuple((keys - lo).T), tuple(span))
+    _, first = np.unique(flat, return_index=True)
     return pts[np.sort(first)]
 
 
@@ -328,26 +336,39 @@ def aggregate(
     The stack acts as queries, keys and values; the output is the ego
     token's attention result.  All-zero neighbor tokens carry no signal and
     are excluded from the softmax.
+
+    Only the cells with a nonzero token are computed.  Every other cell has
+    the same all-zero stack and so the same result, which is taken from one
+    computed representative.
     """
     ego = np.asarray(ego, dtype=np.float64)
     nx, ny, f = ego.shape
     n_cells = nx * ny
-    tokens = np.stack([ego] + [np.asarray(w, dtype=np.float64) for w in warped])
-    t = tokens.shape[0]
-    flat = tokens.reshape(t, n_cells, f)
-    valid = np.ones((t, n_cells), dtype=bool)
-    if t > 1:
-        valid[1:] = np.any(flat[1:] != 0.0, axis=2)
+    stack = [ego.reshape(n_cells, f)]
+    stack += [np.asarray(w, dtype=np.float64).reshape(n_cells, f) for w in warped]
+    nonzero = np.stack([np.any(tok != 0.0, axis=1) for tok in stack])
+    busy = np.any(nonzero, axis=0)
+    # Busy cells first, then one idle representative and padding.
+    n_cells_run = max(int(np.count_nonzero(busy)) + 1, _MIN_ATTENTION_CELLS)
+    cells = np.argsort(~busy, kind="stable")[:n_cells_run]
+    tokens = np.stack([tok[cells] for tok in stack])
+    t, n = tokens.shape[:2]
+    valid = nonzero[:, cells]
+    valid[0] = True
 
     h, dh = params.n_heads, params.head_dim
-    q = params.wq.apply(flat[0]).reshape(n_cells, h, dh)
-    k = params.wk.apply(flat).reshape(t, n_cells, h, dh)
-    v = params.wv.apply(flat).reshape(t, n_cells, h, dh)
+    q = params.wq.apply(tokens[0]).reshape(n, h, dh)
+    k = params.wk.apply(tokens).reshape(t, n, h, dh)
+    v = params.wv.apply(tokens).reshape(t, n, h, dh)
     scores = np.einsum("chd,tchd->tch", q, k) / np.sqrt(dh)
     scores[~valid] = -np.inf
     weights = nnkit.softmax(scores, axis=0)
-    ctx = np.einsum("tch,tchd->chd", weights, v).reshape(n_cells, f)
-    return params.wo.apply(ctx).reshape(nx, ny, f)
+    ctx = np.einsum("tch,tchd->chd", weights, v).reshape(n, f)
+    result = params.wo.apply(ctx)
+    out = np.empty((n_cells, f))
+    out[...] = result[-1]  # every cell not run is idle, like the last one run
+    out[cells] = result
+    return out.reshape(nx, ny, f)
 
 
 def aggregate_max(ego: np.ndarray, warped: Sequence[np.ndarray]) -> np.ndarray:

@@ -118,7 +118,8 @@ def project_cloud_to_depthmap(
     img = _min_depth_image(cloud, intr, bins)
     hit = np.isfinite(img)
     k, valid = bins.bin_of(img[hit])
-    assert np.all(valid)
+    if not np.all(valid):
+        raise ValueError("project_cloud_to_depthmap: projected depth outside the bin range")
     dmap.bin_idx[hit] = k.astype(np.int16)
     dmap.source[hit] = DepthSource.EGO_PROJECTED
     return dmap
@@ -151,7 +152,8 @@ def merge_cooperative(
     writable = np.isin(merged.source, _WRITABLE)
     write = writable & np.isfinite(best)
     k, valid = bins.bin_of(best[write])
-    assert np.all(valid)
+    if not np.all(valid):
+        raise ValueError("merge_cooperative: projected depth outside the bin range")
     merged.bin_idx[write] = k.astype(np.int16)
     merged.source[write] = DepthSource.NEIGHBOR_PROJECTED
     return merged

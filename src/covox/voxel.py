@@ -7,6 +7,7 @@ Untagged (normal) cells always hold all-zero features.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import IntEnum
 
@@ -180,6 +181,31 @@ def voxelize_points(cloud: np.ndarray, spec: GridSpec) -> VoxelGrid:
     return grid
 
 
+@functools.lru_cache(maxsize=8)
+def _lift_geometry(
+    intr: CameraIntrinsics, pose_matrix: bytes, spec: GridSpec, bin_centers: bytes
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Where each (pixel, depth bin) entry of a distribution lands in the grid.
+
+    Takes the camera pose matrix and the bin-center depths as float64 bytes.
+    Returns the flat indices of the in-grid entries, those of the
+    out-of-grid entries, and the flat cell index of each in-grid entry.
+    The map depends only on these arguments, so it is computed once per
+    combination and shared read-only.
+    """
+    pose = Pose(np.frombuffer(pose_matrix).reshape(4, 4))
+    centers = np.frombuffer(bin_centers)
+    # Unit-depth rays scaled by each bin-center depth: (H, W, D, 3).
+    pts = pixel_rays(intr)[:, :, None, :] * centers[None, None, :, None]
+    idx, in_grid = spec.cell_of(transform_points(pose, pts.reshape(-1, 3)))
+    inside = np.flatnonzero(in_grid)
+    outside = np.flatnonzero(~in_grid)
+    cell = (idx[inside, 0] * spec.ny + idx[inside, 1]) * spec.nz + idx[inside, 2]
+    for arr in (inside, outside, cell):
+        arr.setflags(write=False)
+    return inside, outside, cell
+
+
 def lift_camera(
     features: np.ndarray,
     dist: np.ndarray,
@@ -209,32 +235,36 @@ def lift_camera(
         raise ValueError("feature channels must match the grid channels")
     if bin_centers is None or len(bin_centers) != d:
         raise ValueError("bin_centers must give one depth per distribution bin")
+    bin_centers = np.asarray(bin_centers, dtype=np.float64)
 
     if (intr.height, intr.width) != (h, w):
         raise ValueError("camera intrinsics and depth distribution disagree on size")
 
-    # Unit-depth rays scaled by each bin-center depth: (H, W, D, 3).
-    dsc = np.asarray(bin_centers, dtype=np.float64)
-    pts = pixel_rays(intr)[:, :, None, :] * dsc[None, None, :, None]
-    pts = transform_points(cam_pose_in_ego, pts.reshape(-1, 3))
-
-    idx, inside = spec.cell_of(pts)
+    inside, outside, cell = _lift_geometry(
+        intr, cam_pose_in_ego.matrix.tobytes(), spec, bin_centers.tobytes()
+    )
     mass = dist.reshape(-1)
-    dropped = float(mass[~inside].sum())
+    dropped = float(mass[outside].sum())
 
-    n_cells = spec.nx * spec.ny * spec.nz
-    flat = (idx[inside, 0] * spec.ny + idx[inside, 1]) * spec.nz + idx[inside, 2]
-    cell_mass = np.bincount(flat, weights=mass[inside], minlength=n_cells)
-
-    contrib = (features[:, :, None, :] * dist[..., None]).reshape(-1, spec.channels)
-    feats = np.zeros((n_cells, spec.channels))
-    np.add.at(feats, flat, contrib[inside])
+    # Zero-mass entries add exact zeros; skipping them changes no bit.
+    keep = mass[inside] != 0.0
+    entry, cell = inside[keep], cell[keep]
+    weight = mass[entry]
+    n_cells, c = spec.nx * spec.ny * spec.nz, spec.channels
+    cell_mass = np.bincount(cell, weights=weight, minlength=n_cells)
+    # One bin per (cell, channel); each bin sums its entries in entry order.
+    contrib = features.reshape(h * w, c)[entry // d] * weight[:, None]
+    slot = (cell[:, None] * c + np.arange(c)).reshape(-1)
+    feats = np.bincount(slot, weights=contrib.reshape(-1), minlength=n_cells * c)
 
     tagged = (cell_mass >= mass_threshold) & (cell_mass > 0.0)
-    feats[~tagged] = 0.0
-    grid = VoxelGrid.empty(spec)
-    grid.features[...] = feats.reshape(spec.nx, spec.ny, spec.nz, spec.channels)
-    grid.category.reshape(-1)[tagged] = Category.CAMERA
+    feats.reshape(n_cells, c)[~tagged] = 0.0
+    category = np.where(tagged, Category.CAMERA, Category.NORMAL).astype(np.uint8)
+    grid = VoxelGrid(
+        spec,
+        feats.reshape(spec.nx, spec.ny, spec.nz, c),
+        category.reshape(spec.nx, spec.ny, spec.nz),
+    )
     return LiftResult(grid, cell_mass.reshape(spec.nx, spec.ny, spec.nz), dropped)
 
 

@@ -77,7 +77,9 @@ def test_failed_trial_exits_2(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cli, "run_round", broken)
     code, out = run(tmp_path, experiment_tree())
     assert code == 2
-    assert "sensor fault" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "sensor fault" in err
+    assert "Traceback" in err
     assert csv_lines(out) == [cli.CSV_HEADER]
 
 

@@ -267,11 +267,92 @@ class TestAggregate:
         assert np.allclose(out_cat, PARAMS.concat_lin.apply(stacked))
 
 
+def _dense_aggregate(params, ego, warped):
+    """Reference: attention over every cell's full token stack."""
+    ego = np.asarray(ego, dtype=np.float64)
+    nx, ny, f = ego.shape
+    n_cells = nx * ny
+    tokens = np.stack([ego] + [np.asarray(w, dtype=np.float64) for w in warped])
+    t = tokens.shape[0]
+    flat = tokens.reshape(t, n_cells, f)
+    valid = np.ones((t, n_cells), dtype=bool)
+    if t > 1:
+        valid[1:] = np.any(flat[1:] != 0.0, axis=2)
+    h, dh = params.n_heads, params.head_dim
+    q = params.wq.apply(flat[0]).reshape(n_cells, h, dh)
+    k = params.wk.apply(flat).reshape(t, n_cells, h, dh)
+    v = params.wv.apply(flat).reshape(t, n_cells, h, dh)
+    scores = np.einsum("chd,tchd->tch", q, k) / np.sqrt(dh)
+    scores[~valid] = -np.inf
+    weights = nnkit.softmax(scores, axis=0)
+    ctx = np.einsum("tch,tchd->chd", weights, v).reshape(n_cells, f)
+    return params.wo.apply(ctx).reshape(nx, ny, f)
+
+
+def _sparse_planes(rng, n, shape, density):
+    """`n` BEV planes whose cells are nonzero with probability `density`."""
+    return [
+        rng.standard_normal(shape) * (rng.uniform(size=shape[:2] + (1,)) < density)
+        for _ in range(n)
+    ]
+
+
+class TestAggregateOracle:
+    """`aggregate` computes only cells with a nonzero token; it must give the
+    dense reference's bits for every cell, with and without biases."""
+
+    SHAPE = (16, 16, GRID.bev_channels)
+
+    @pytest.fixture(params=["unbiased", "biased"])
+    def mha(self, request):
+        if request.param == "unbiased":
+            return PARAMS.agg_mha
+        return nnkit.init_mha(GRID.bev_channels, 4, (7, 1), with_bias=True)
+
+    def _check(self, mha, ego, warped):
+        assert np.array_equal(aggregate(mha, ego, warped), _dense_aggregate(mha, ego, warped))
+
+    def test_no_neighbors(self, rng, mha):
+        (ego,) = _sparse_planes(rng, 1, self.SHAPE, 0.3)
+        self._check(mha, ego, [])
+
+    def test_all_zero_neighbor_planes(self, rng, mha):
+        (ego,) = _sparse_planes(rng, 1, self.SHAPE, 0.3)
+        self._check(mha, ego, [np.zeros(self.SHAPE), np.zeros(self.SHAPE)])
+
+    def test_one_active_cell(self, rng, mha):
+        # One busy cell: the fewest rows BLAS can be asked to multiply.
+        ego, nbr = np.zeros(self.SHAPE), np.zeros(self.SHAPE)
+        ego[5, 9] = rng.standard_normal(self.SHAPE[2])
+        nbr[5, 9] = rng.standard_normal(self.SHAPE[2])
+        self._check(mha, ego, [np.zeros(self.SHAPE), nbr])
+
+    def test_every_cell_active(self, rng, mha):
+        ego, nbr = _sparse_planes(rng, 2, self.SHAPE, 1.0)
+        self._check(mha, ego, [nbr])
+
+    def test_random_sparse_stack(self, rng, mha):
+        ego, *warped = _sparse_planes(rng, 8, self.SHAPE, 0.05)
+        self._check(mha, ego, warped)
+
+    def test_grid_smaller_than_padding(self, rng, mha):
+        ego, *warped = _sparse_planes(rng, 3, (3, 2, GRID.bev_channels), 0.5)
+        self._check(mha, ego, warped)
+
+
 def test_downsample_cloud_dedups():
     pts = np.array([[0.1, 0.1, 0.1], [0.2, 0.2, 0.2], [1.7, 0.0, 0.0]])
     out = downsample_cloud(pts, cell=0.5)
     assert out.shape[0] == 2
     assert np.array_equal(out[0], pts[0])  # first point of the cube wins
+
+
+def test_downsample_cloud_matches_row_unique(rng):
+    pts = rng.uniform(-30.0, 30.0, (3000, 3))
+    pts = np.concatenate([pts, pts[rng.integers(0, 3000, 1500)] + 0.01])
+    keys = np.floor(pts / 0.5).astype(np.int64)
+    _, first = np.unique(keys, axis=0, return_index=True)
+    assert np.array_equal(downsample_cloud(pts, 0.5), pts[np.sort(first)])
 
 
 class TestRunRound:

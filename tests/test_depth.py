@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from covox import depth
 from covox.depth import (
     DepthBins,
     DepthMap,
@@ -64,6 +65,24 @@ class TestProjectCloud:
         dmap = project_cloud_to_depthmap(cloud, INTR, BINS)
         k, _ = BINS.bin_of(np.array([5.0]))
         assert dmap.bin_idx[3, 3] == k[0]
+
+
+@pytest.mark.parametrize("stage", ["project_cloud_to_depthmap", "merge_cooperative"])
+def test_out_of_range_depth_raises(monkeypatch, stage):
+    """A projected depth past the last bin is an error, also under `python -O`."""
+    def beyond_last_bin(cloud, intr, bins):
+        img = np.full((intr.height, intr.width), np.inf)
+        img[3, 4] = bins.d_max
+        return img
+
+    monkeypatch.setattr(depth, "_min_depth_image", beyond_last_bin)
+    cloud = cloud_for_pixels([(4, 3, 5.0)])
+    with pytest.raises(ValueError, match=stage):
+        if stage == "project_cloud_to_depthmap":
+            project_cloud_to_depthmap(cloud, INTR, BINS)
+        else:
+            empty = DepthMap.empty(BINS, INTR.height, INTR.width)
+            merge_cooperative(empty, [(Pose.identity(), cloud)], INTR, BINS)
 
 
 class TestMerge:

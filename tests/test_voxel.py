@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from covox.depth import DepthBins
-from covox.geometry import CameraIntrinsics, Pose
+from covox.geometry import CameraIntrinsics, Pose, pixel_rays, transform_points
 from covox.voxel import (
     Category,
     GridSpec,
@@ -112,6 +112,80 @@ class TestLift:
         assert np.all(res.grid.features == 0)
         # The accumulated mass is still measured before thresholding.
         assert abs(res.cell_mass.sum() - 1.0) < 1e-12
+
+
+def _dense_lift_camera(features, dist, intr, cam_pose_in_ego, spec, mass_threshold, bin_centers):
+    """Reference: transform and bin every (pixel, depth bin) entry per call."""
+    dist = np.asarray(dist, dtype=np.float64)
+    h, w, d = dist.shape
+    pts = pixel_rays(intr)[:, :, None, :] * np.asarray(bin_centers)[None, None, :, None]
+    pts = transform_points(cam_pose_in_ego, pts.reshape(-1, 3))
+    idx, inside = spec.cell_of(pts)
+    mass = dist.reshape(-1)
+    dropped = float(mass[~inside].sum())
+    n_cells = spec.nx * spec.ny * spec.nz
+    flat = (idx[inside, 0] * spec.ny + idx[inside, 1]) * spec.nz + idx[inside, 2]
+    cell_mass = np.bincount(flat, weights=mass[inside], minlength=n_cells)
+    contrib = (features[:, :, None, :] * dist[..., None]).reshape(-1, spec.channels)
+    feats = np.zeros((n_cells, spec.channels))
+    np.add.at(feats, flat, contrib[inside])
+    tagged = (cell_mass >= mass_threshold) & (cell_mass > 0.0)
+    feats[~tagged] = 0.0
+    category = np.where(tagged, Category.CAMERA, Category.NORMAL).astype(np.uint8)
+    shape = (spec.nx, spec.ny, spec.nz)
+    return feats.reshape(shape + (spec.channels,)), category.reshape(shape), cell_mass.reshape(shape), dropped
+
+
+class TestLiftOracle:
+    """`lift_camera` caches its pixel-to-cell map and skips zero mass; it must
+    match the per-call dense reference bit for bit."""
+
+    INTR = CameraIntrinsics(8.0, 8.0, 6.0, 5.0, 12, 10)
+    BINS = DepthBins(1.0, 17.0, 8)
+    # The frustum leaves both grids through their sides and far faces.
+    SPECS = (
+        GridSpec((-4.0, 4.0), (-4.0, 4.0), (0.0, 10.0), 8, 8, 10, 4),
+        GridSpec((-3.0, 5.0), (-5.0, 3.0), (-1.0, 12.0), 5, 7, 6, 4),
+    )
+
+    def _mounts(self):
+        c, s = math.cos(0.3), math.sin(0.3)
+        tilted = Pose.from_rt(np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]]), [0.5, -0.3, 1.0])
+        return (Pose.identity(), tilted)
+
+    def _inputs(self, rng):
+        feats = rng.standard_normal((10, 12, 4))
+        dist = rng.uniform(size=(10, 12, 8)) * (rng.uniform(size=(10, 12, 8)) < 0.4)
+        dist /= np.maximum(dist.sum(axis=2, keepdims=True), 1e-12)
+        return feats, dist
+
+    def _check(self, feats, dist, pose, spec, threshold):
+        centers = self.BINS.centers()
+        res = lift_camera(feats, dist, self.INTR, pose, spec, threshold, centers)
+        ref_feats, ref_cat, ref_mass, ref_dropped = _dense_lift_camera(
+            feats, dist, self.INTR, pose, spec, threshold, centers
+        )
+        assert np.array_equal(res.grid.features, ref_feats)
+        assert np.array_equal(res.grid.category, ref_cat)
+        assert np.array_equal(res.cell_mass, ref_mass)
+        assert res.dropped_mass == ref_dropped
+        return res
+
+    def test_zero_mass_and_out_of_grid_mass(self, rng):
+        feats, dist = self._inputs(rng)
+        assert np.any(dist == 0.0)
+        res = self._check(feats, dist, Pose.identity(), self.SPECS[0], 0.05)
+        assert res.dropped_mass > 0.0
+        assert res.grid.count(Category.CAMERA) > 0
+
+    def test_mounts_and_grids_share_one_process(self, rng):
+        # Two rounds over every (grid, mount): a cached map reused for the
+        # wrong grid or mount would break the match.
+        for _ in range(2):
+            for spec in self.SPECS:
+                for pose in self._mounts():
+                    feats, dist = self._inputs(rng)
+                    self._check(feats, dist, pose, spec, 0.05)
 
 
 class TestCategorize:
