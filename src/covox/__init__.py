@@ -6,7 +6,7 @@ runner that measures detection quality and communication volume under
 sensor dropout and pose noise.
 """
 
-from .geometry import CameraIntrinsics, PixelDepth, Pose
+from .geometry import CameraIntrinsics, Pose
 from .scene import AgentState, BoxObject, LidarSpec, ScenarioConfig, Wall
 from .depth import DepthBins, DepthMap, NoisyOraclePredictor, UniformPredictor
 from .voxel import Category, GridSpec, VoxelGrid
@@ -29,7 +29,6 @@ __all__ = [
     "NoisyOraclePredictor",
     "PipelineConfig",
     "PipelineParams",
-    "PixelDepth",
     "Pose",
     "ScenarioConfig",
     "UniformPredictor",

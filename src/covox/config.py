@@ -1,10 +1,15 @@
 """Experiment configuration: a YAML key/value tree mapped onto the scenario,
-pipeline and experiment dataclasses, with field-path error reporting."""
+pipeline and experiment dataclasses, with field-path error reporting.
+
+Each YAML section is one table of key -> (constructor argument, parser). A
+key missing from the file is left out of the call, so the dataclass default
+applies."""
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -44,214 +49,233 @@ class ExperimentSpec:
             raise ConfigError("experiment.trials: need at least one trial")
 
 
-_REQUIRED = object()
+@contextmanager
+def _at(path: str):
+    """Report any TypeError or ValueError raised inside as a ConfigError at `path`."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
-def _get(tree: dict, path: str, default=_REQUIRED):
-    node = tree
-    walked = []
-    for key in path.split("."):
-        walked.append(key)
-        if not isinstance(node, dict) or key not in node:
-            if default is not _REQUIRED:
-                return default
-            raise ConfigError(f"{'.'.join(walked)}: missing required field")
-        node = node[key]
-    return node
+def _scalar(kinds: tuple[type, ...], what: str):
+    """A value of one of `kinds`, as kinds[0]; a YAML bool only if bool is one."""
+
+    def parse(value, path):
+        if not isinstance(value, kinds) or (isinstance(value, bool) and bool not in kinds):
+            raise TypeError(f"expected {what}, got {value!r}")
+        return kinds[0](value)
+
+    return parse
 
 
-def _number(tree, path, default=_REQUIRED) -> float:
-    value = _get(tree, path, default)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{path}: expected a number, got {value!r}")
-    return float(value)
+_number = _scalar((float, int), "a number")
+_int = _scalar((int,), "an integer")
+_bool = _scalar((bool,), "true or false")
+_str = _scalar((str,), "a string")
 
 
-def _int(tree, path, default=_REQUIRED) -> int:
-    value = _get(tree, path, default)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{path}: expected an integer, got {value!r}")
-    return value
-
-
-def _choice(tree, path, default, choices: tuple[str, ...]) -> str:
-    value = _get(tree, path, default)
-    if value not in choices:
-        raise ConfigError(f"{path}: expected one of {', '.join(choices)}, got {value!r}")
-    return value
-
-
-def _pair(tree, path, default=_REQUIRED) -> tuple[float, float]:
-    value = _get(tree, path, default)
-    if isinstance(value, tuple):
+def _choice(*options: str):
+    def parse(value, path):
+        if value not in options:
+            raise ValueError(f"expected one of {', '.join(options)}, got {value!r}")
         return value
-    if not isinstance(value, list) or len(value) != 2:
-        raise ConfigError(f"{path}: expected [low, high]")
-    return float(value[0]), float(value[1])
+
+    return parse
 
 
-def _load_walls(tree) -> tuple[Wall, ...]:
-    raw = _get(tree, "scenario.occluders", [])
-    if raw is None:
-        return ()
-    walls = []
-    for k, item in enumerate(raw):
-        prefix = f"scenario.occluders[{k}]"
-        if not isinstance(item, dict):
-            raise ConfigError(f"{prefix}: expected a mapping")
-        try:
-            walls.append(
-                Wall(
-                    p1=tuple(_pair(item, "p1")),
-                    p2=tuple(_pair(item, "p2")),
-                    height=_number(item, "height"),
-                    z0=_number(item, "z0", 0.0),
-                )
-            )
-        except (ValueError, ConfigError) as exc:
-            raise ConfigError(f"{prefix}: {exc}") from exc
-    return tuple(walls)
+def _numbers(count: int | None, what: str):
+    """A list of `count` numbers (any length when None), as a tuple of floats."""
+
+    def parse(value, path):
+        if not isinstance(value, list) or count not in (None, len(value)):
+            raise TypeError(f"expected {what}, got {value!r}")
+        return tuple(_number(v, path) for v in value)
+
+    return parse
 
 
-def _load_dropout(tree) -> dict[int, tuple[str, ...]]:
-    raw = _get(tree, "scenario.dropout", {})
-    if raw is None:
+_pair = _numbers(2, "[low, high]")
+
+
+def _agent_ids(value, path):
+    if value == "all":
+        return value
+    if not isinstance(value, list):
+        raise TypeError(f"expected 'all' or a list of agent ids, got {value!r}")
+    return tuple(_int(v, path) for v in value)
+
+
+def _out_dir(value, path):
+    return resolve_out_dir(_str(value, path))
+
+
+def _mapping(value) -> dict:
+    """A section's YAML mapping; a bare `key:` (null) reads as an empty one."""
+    if value is None:
         return {}
+    if not isinstance(value, dict):
+        raise TypeError(f"expected a mapping, got {value!r}")
+    return value
+
+
+def _section(build, fields: dict, defaults=None, required=()):
+    """Parser for a YAML mapping. `fields` maps each allowed key to (argument
+    of `build`, parser); a `None` argument merges the parsed mapping into this
+    section's. `defaults` are YAML values for absent keys. Every parser takes
+    (YAML value, its path) and raises TypeError or ValueError for a bad value;
+    the caller adds the path through `_at`."""
+
+    def parse(value, path):
+        tree = {**(defaults or {}), **_mapping(value)}
+        for key in required:
+            if key not in tree:
+                raise ConfigError(f"{path}.{key}: missing required field")
+        kwargs = {}
+        for key, item in tree.items():
+            sub = f"{path}.{key}" if path else str(key)
+            if key not in fields:
+                raise ConfigError(f"{sub}: unknown key, expected one of {', '.join(fields)}")
+            name, parse_item = fields[key]
+            with _at(sub):
+                parsed = parse_item(item, sub)
+            if name is None:
+                kwargs.update(parsed)
+            else:
+                kwargs[name] = parsed
+        return build(**kwargs)
+
+    return parse
+
+
+def _dropout(value, path):
     out = {}
-    for key, sensors in raw.items():
-        try:
-            aid = int(key)
-        except (TypeError, ValueError):
-            raise ConfigError(f"scenario.dropout.{key}: agent id must be an integer")
-        if not isinstance(sensors, list) or not all(
-            s in ("lidar", "camera") for s in sensors
-        ):
-            raise ConfigError(
-                f"scenario.dropout.{key}: expected a list drawn from [lidar, camera]"
-            )
-        out[aid] = tuple(sensors)
+    for key, sensors in _mapping(value).items():
+        with _at(f"{path}.{key}"):
+            if isinstance(key, bool) or not str(key).isdigit():
+                raise ValueError("agent id must be an integer")
+            if not isinstance(sensors, list) or not all(
+                s in ("lidar", "camera") for s in sensors
+            ):
+                raise ValueError("expected a list drawn from [lidar, camera]")
+            out[int(key)] = tuple(sensors)
     return out
 
 
-def _load_lidar(tree) -> LidarSpec:
-    sub = _get(tree, "scenario.lidar", {})
-    if "elevations_deg" in sub:
-        el = sub["elevations_deg"]
-        try:
-            angles = tuple(
-                np.deg2rad(
-                    np.linspace(float(el["start"]), float(el["stop"]), int(el["count"]))
-                )
-            )
-        except (KeyError, TypeError, ValueError):
-            raise ConfigError(
-                "scenario.lidar.elevations_deg: expected {start, stop, count}"
-            )
-    else:
-        angles = LidarSpec().elevation_angles
-    return LidarSpec(
-        n_azimuth=_int({"lidar": sub}, "lidar.n_azimuth", LidarSpec().n_azimuth),
-        elevation_angles=angles,
-        max_range=_number({"lidar": sub}, "lidar.max_range", LidarSpec().max_range),
-        range_noise_sigma=_number({"lidar": sub}, "lidar.range_noise_sigma", 0.0),
-    )
+def _camera(width, height, u0=None, v0=None, **focal):
+    u0 = width / 2.0 if u0 is None else u0
+    v0 = height / 2.0 if v0 is None else v0
+    return CameraIntrinsics(u0=u0, v0=v0, width=width, height=height, **focal)
 
 
-def _load_camera(tree) -> CameraIntrinsics:
-    sub = {"camera": _get(tree, "scenario.camera", {})}
-    width = _int(sub, "camera.width", 96)
-    height = _int(sub, "camera.height", 64)
-    return CameraIntrinsics(
-        fx=_number(sub, "camera.fx", 70.0),
-        fy=_number(sub, "camera.fy", 70.0),
-        u0=_number(sub, "camera.u0", width / 2.0),
-        v0=_number(sub, "camera.v0", height / 2.0),
-        width=width,
-        height=height,
-    )
+def _elevations(start, stop, count):
+    return tuple(np.deg2rad(np.linspace(start, stop, count)))
 
 
-def _load_predictor(tree):
-    sub = _get(tree, "pipeline.predictor", {"kind": "uniform"})
-    kind = sub.get("kind", "uniform") if isinstance(sub, dict) else sub
-    if kind == "uniform":
-        return UniformPredictor()
-    if kind == "noisy_oracle":
-        return NoisyOraclePredictor(
-            sigma_bins=_number({"p": sub}, "p.sigma_bins", 1.0),
-            blur_radius=_int({"p": sub}, "p.blur_radius", 0),
-        )
-    raise ConfigError(f"pipeline.predictor.kind: unknown predictor {kind!r}")
+_PREDICTORS = {"uniform": UniformPredictor, "noisy_oracle": NoisyOraclePredictor}
 
 
-def _load_grid(tree) -> GridSpec:
-    sub = {"grid": _get(tree, "pipeline.grid", {})}
-    try:
-        return GridSpec(
-            x_range=_pair(sub, "grid.x", (-20.0, 20.0)),
-            y_range=_pair(sub, "grid.y", (-20.0, 20.0)),
-            z_range=_pair(sub, "grid.z", (0.5, 3.7)),
-            nx=_int(sub, "grid.nx", 64),
-            ny=_int(sub, "grid.ny", 64),
-            nz=_int(sub, "grid.nz", 8),
-            channels=_int(sub, "grid.channels", 8),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"pipeline.grid: {exc}") from exc
+def _predictor(kind="uniform", **params):
+    return _PREDICTORS[kind](**params)
 
 
-def _load_scenario(tree) -> ScenarioConfig:
-    area_raw = _get(tree, "scenario.area", [-20.0, 20.0, -20.0, 20.0])
-    if not isinstance(area_raw, list) or len(area_raw) != 4:
-        raise ConfigError("scenario.area: expected [x_min, x_max, y_min, y_max]")
-    try:
-        return ScenarioConfig(
-            seed=_int(tree, "scenario.seed", 0),
-            n_agents=_int(tree, "scenario.n_agents", 2),
-            area=tuple(float(v) for v in area_raw),
-            n_objects=_int(tree, "scenario.n_objects", 6),
-            occluders=_load_walls(tree),
-            lidar=_load_lidar(tree),
-            camera=_load_camera(tree),
-            comm_range=_number(tree, "scenario.comm_range", 40.0),
-            dropout=_load_dropout(tree),
-            pose_noise_sigma_xy=_number(tree, "scenario.pose_noise.sigma_xy", 0.0),
-            pose_noise_sigma_yaw=_number(tree, "scenario.pose_noise.sigma_yaw", 0.0),
-        )
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(f"scenario: {exc}") from exc
+_WALL = _section(Wall, {
+    "p1": ("p1", _pair),
+    "p2": ("p2", _pair),
+    "height": ("height", _number),
+    "z0": ("z0", _number),
+}, required=("p1", "p2", "height"))
 
 
-def _load_pipeline(tree) -> PipelineConfig:
-    bins_sub = {"bins": _get(tree, "pipeline.bins", {})}
-    try:
-        bins = DepthBins(
-            d_min=_number(bins_sub, "bins.d_min", 1.0),
-            d_max=_number(bins_sub, "bins.d_max", 33.0),
-            n_bins=_int(bins_sub, "bins.count", 16),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"pipeline.bins: {exc}") from exc
-    try:
-        return PipelineConfig(
-            grid=_load_grid(tree),
-            bins=bins,
-            predictor=_load_predictor(tree),
-            mass_threshold=_number(tree, "pipeline.mass_threshold", 0.05),
-            fusion_mode=_choice(tree, "pipeline.fusion", "biased", FUSION_MODES),
-            depth_projection=_choice(
-                tree, "pipeline.depth_projection", "all", DEPTH_PROJECTIONS
-            ),
-            collab_mode=_choice(tree, "pipeline.collab", "attention", COLLAB_MODES),
-            robust=bool(_get(tree, "pipeline.robust", False)),
-            gate_radius=_number(tree, "pipeline.gate_radius", 2.0),
-        )
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(f"pipeline: {exc}") from exc
+def _walls(value, path):
+    if value is None:
+        return ()
+    if not isinstance(value, list):
+        raise TypeError(f"expected a list of walls, got {value!r}")
+    walls = []
+    for k, item in enumerate(value):
+        with _at(f"{path}[{k}]"):
+            walls.append(_WALL(item, f"{path}[{k}]"))
+    return tuple(walls)
+
+
+_LIDAR = _section(LidarSpec, {
+    "n_azimuth": ("n_azimuth", _int),
+    "elevations_deg": ("elevation_angles", _section(_elevations, {
+        "start": ("start", _number),
+        "stop": ("stop", _number),
+        "count": ("count", _int),
+    }, required=("start", "stop", "count"))),
+    "max_range": ("max_range", _number),
+    "range_noise_sigma": ("range_noise_sigma", _number),
+})
+
+_CAMERA = _section(
+    _camera,
+    {key: (key, _number) for key in ("fx", "fy", "u0", "v0")}
+    | {key: (key, _int) for key in ("width", "height")},
+    defaults={"fx": 70.0, "fy": 70.0, "width": 96, "height": 64},
+)
+
+_SCENARIO = _section(ScenarioConfig, {
+    "seed": ("seed", _int),
+    "n_agents": ("n_agents", _int),
+    "area": ("area", _numbers(4, "[x_min, x_max, y_min, y_max]")),
+    "n_objects": ("n_objects", _int),
+    "occluders": ("occluders", _walls),
+    "lidar": ("lidar", _LIDAR),
+    "camera": ("camera", _CAMERA),
+    "comm_range": ("comm_range", _number),
+    "dropout": ("dropout", _dropout),
+    "pose_noise": (None, _section(dict, {
+        "sigma_xy": ("pose_noise_sigma_xy", _number),
+        "sigma_yaw": ("pose_noise_sigma_yaw", _number),
+    })),
+})
+
+_GRID = _section(
+    GridSpec,
+    {axis: (f"{axis}_range", _pair) for axis in "xyz"}
+    | {key: (key, _int) for key in ("nx", "ny", "nz", "channels")},
+    defaults={"x": [-20.0, 20.0], "y": [-20.0, 20.0], "z": [0.5, 3.7],
+              "nx": 64, "ny": 64, "nz": 8, "channels": 8},
+)
+
+_PIPELINE = _section(PipelineConfig, {
+    "grid": ("grid", _GRID),
+    "bins": ("bins", _section(DepthBins, {
+        "d_min": ("d_min", _number),
+        "d_max": ("d_max", _number),
+        "count": ("n_bins", _int),
+    }, defaults={"d_min": 1.0, "d_max": 33.0, "count": 16})),
+    "predictor": ("predictor", _section(_predictor, {
+        "kind": ("kind", _choice(*_PREDICTORS)),
+        "sigma_bins": ("sigma_bins", _number),
+        "blur_radius": ("blur_radius", _int),
+    })),
+    "mass_threshold": ("mass_threshold", _number),
+    "fusion": ("fusion_mode", _choice(*FUSION_MODES)),
+    "depth_projection": ("depth_projection", _choice(*DEPTH_PROJECTIONS)),
+    "collab": ("collab_mode", _choice(*COLLAB_MODES)),
+    "robust": ("robust", _bool),
+    "gate_radius": ("gate_radius", _number),
+}, defaults={"grid": {}, "bins": {}})
+
+_EXPERIMENT = _section(ExperimentSpec, {
+    "experiment": (None, _section(dict, {
+        "mode": ("mode", _choice(*MODES)),
+        "trials": ("trials", _int),
+        "out": ("out_dir", _out_dir),
+        "params_seed": ("params_seed", _int),
+        "missing_agents": ("missing_agents", _agent_ids),
+        "noise_sigmas": ("noise_sigmas", _numbers(None, "a list of numbers")),
+        "render": ("render", _bool),
+    }, defaults={"out": "runs/out"})),  # the output root applies to the default too
+    "scenario": ("scenario", _SCENARIO),
+    "pipeline": ("pipeline", _PIPELINE),
+}, defaults={"experiment": {}, "scenario": {}, "pipeline": {}})
 
 
 def resolve_out_dir(raw: str) -> Path:
@@ -274,32 +298,7 @@ def load_experiment(path) -> ExperimentSpec:
         tree = yaml.safe_load(raw)
     except yaml.YAMLError as exc:
         raise ConfigError(f"{path}: invalid YAML: {exc}") from exc
-    if tree is None:
-        tree = {}
-    if not isinstance(tree, dict):
-        raise ConfigError(f"{path}: top level must be a mapping")
-
-    missing = _get(tree, "experiment.missing_agents", "all")
-    if missing != "all":
-        if not isinstance(missing, list) or not all(isinstance(v, int) for v in missing):
-            raise ConfigError(
-                "experiment.missing_agents: expected 'all' or a list of agent ids"
-            )
-        missing = tuple(missing)
-    sigmas = _get(tree, "experiment.noise_sigmas", [0.0, 0.2, 0.4, 0.6])
-    if not isinstance(sigmas, list) or not all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) for v in sigmas
-    ):
-        raise ConfigError("experiment.noise_sigmas: expected a list of numbers")
-
-    return ExperimentSpec(
-        scenario=_load_scenario(tree),
-        pipeline=_load_pipeline(tree),
-        mode=_get(tree, "experiment.mode", "full"),
-        trials=_int(tree, "experiment.trials", 1),
-        out_dir=resolve_out_dir(_get(tree, "experiment.out", "runs/out")),
-        params_seed=_int(tree, "experiment.params_seed", 2024),
-        missing_agents=missing,
-        noise_sigmas=tuple(float(v) for v in sigmas),
-        render=bool(_get(tree, "experiment.render", True)),
-    )
+    with _at(str(path)):
+        if tree is not None and not isinstance(tree, dict):
+            raise ValueError("top level must be a mapping")
+        return _EXPERIMENT(tree, "")

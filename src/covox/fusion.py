@@ -91,8 +91,8 @@ def guidance_raw_scores(
             rng.choice(queries.shape[0], size=params.max_tokens, replace=False)
         )
         queries = queries[pick]
-    _, attn = nnkit.mha(params.guidance_mha, queries, camera_cells, camera_cells)
-    return attn.max(axis=0)
+    weights = nnkit.attention_weights(params.guidance_mha, queries, camera_cells)
+    return weights.mean(axis=0).max(axis=0)
 
 
 def compute_guidance(

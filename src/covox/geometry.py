@@ -15,7 +15,6 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -125,32 +124,8 @@ class CameraIntrinsics:
             raise ValueError("image size must be at least 1x1")
 
 
-class PixelDepth(NamedTuple):
-    """Integer pixel plus the metric depth observed there."""
-
-    u: int
-    v: int
-    d: float
-
-
 def _round_half_away(x):
     return np.copysign(np.floor(np.abs(x) + 0.5), x)
-
-
-def project(intr: CameraIntrinsics, cam_pt: np.ndarray) -> Optional[PixelDepth]:
-    """Project a camera-frame point to an integer pixel.
-
-    Returns None when the point is behind the camera (z <= 0) or the rounded
-    pixel falls outside [0, W) x [0, H).
-    """
-    x, y, z = np.asarray(cam_pt, dtype=np.float64)
-    if z <= 0.0:
-        return None
-    u = _round_half_away(intr.fx * x / z + intr.u0)
-    v = _round_half_away(intr.fy * y / z + intr.v0)
-    if not (0 <= u < intr.width and 0 <= v < intr.height):
-        return None
-    return PixelDepth(int(u), int(v), float(z))
 
 
 def project_points(intr: CameraIntrinsics, cam_pts: np.ndarray):
@@ -169,13 +144,6 @@ def project_points(intr: CameraIntrinsics, cam_pts: np.ndarray):
     idx = np.flatnonzero(keep)
     pix = np.stack([u[idx], v[idx]], axis=1).astype(np.int64)
     return pix, z[idx], idx
-
-
-def unproject(intr: CameraIntrinsics, px: PixelDepth) -> np.ndarray:
-    """Invert the projection for a pixel-center ray at the given depth."""
-    x = (px.u - intr.u0) * px.d / intr.fx
-    y = (px.v - intr.v0) * px.d / intr.fy
-    return np.array([x, y, float(px.d)])
 
 
 def pixel_rays(intr: CameraIntrinsics) -> np.ndarray:

@@ -113,6 +113,22 @@ def split_heads(x: np.ndarray, n_heads: int) -> np.ndarray:
     return np.moveaxis(x, -2, -3)
 
 
+def attention_weights(params: MhaParams, queries: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Per-head scaled dot-product softmax weights, shape (H, Nq, Nk).
+
+    queries: (Nq, D); keys: (Nk, D) with Nk >= 1.
+    """
+    queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
+    keys = np.atleast_2d(np.asarray(keys, dtype=np.float64))
+    if keys.shape[0] == 0:
+        raise EmptyKeySet("attention requires at least one key")
+    h = params.n_heads
+    q = split_heads(params.wq.apply(queries), h)  # (H, Nq, dh)
+    k = split_heads(params.wk.apply(keys), h)  # (H, Nk, dh)
+    scores = q @ np.swapaxes(k, -1, -2) / np.sqrt(params.head_dim)  # (H, Nq, Nk)
+    return softmax(scores, axis=-1)
+
+
 def mha(params: MhaParams, queries: np.ndarray, keys: np.ndarray, values: np.ndarray):
     """Scaled dot-product multi-head attention.
 
@@ -120,22 +136,12 @@ def mha(params: MhaParams, queries: np.ndarray, keys: np.ndarray, values: np.nda
     Returns (outputs (Nq, D), attn (Nq, Nk)) where attn is the head-mean
     attention weight matrix.
     """
-    queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-    keys = np.atleast_2d(np.asarray(keys, dtype=np.float64))
+    weights = attention_weights(params, queries, keys)
     values = np.atleast_2d(np.asarray(values, dtype=np.float64))
-    if keys.shape[0] == 0:
-        raise EmptyKeySet("attention requires at least one key")
-    if keys.shape[0] != values.shape[0]:
+    if weights.shape[-1] != values.shape[0]:
         raise ValueError("keys and values must pair up")
-
-    h = params.n_heads
-    q = split_heads(params.wq.apply(queries), h)  # (H, Nq, dh)
-    k = split_heads(params.wk.apply(keys), h)  # (H, Nk, dh)
-    v = split_heads(params.wv.apply(values), h)
-
-    scores = q @ np.swapaxes(k, -1, -2) / np.sqrt(params.head_dim)  # (H, Nq, Nk)
-    weights = softmax(scores, axis=-1)
+    v = split_heads(params.wv.apply(values), params.n_heads)
     ctx = weights @ v  # (H, Nq, dh)
-    ctx = np.moveaxis(ctx, 0, 1).reshape(queries.shape[0], params.dim)
+    ctx = np.moveaxis(ctx, 0, 1).reshape(weights.shape[1], params.dim)
     out = params.wo.apply(ctx)
     return out, weights.mean(axis=0)

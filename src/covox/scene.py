@@ -79,10 +79,6 @@ class BoxObject:
         if min(self.extent) <= 0:
             raise ValueError("box extent components must be positive")
 
-    @property
-    def footprint_radius(self) -> float:
-        return float(np.hypot(self.extent[0], self.extent[1]) / 2.0)
-
 
 @dataclass(frozen=True)
 class LidarSpec:

@@ -1,3 +1,6 @@
+import os
+
+import pytest
 import yaml
 
 from covox import cli
@@ -98,3 +101,28 @@ def test_command_line_overrides(tmp_path):
     rows = csv_lines(out)[1:]
     assert len(rows) == 1
     assert rows[0].split(",")[2] == "11"
+
+
+def test_non_mapping_dropout_exits_1_and_names_the_path(tmp_path, capsys):
+    tree = experiment_tree()
+    tree["scenario"]["dropout"] = [1]
+    code, out = run(tmp_path, tree)
+    assert code == 1
+    assert "scenario.dropout" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_failed_write_keeps_previous_metrics(tmp_path, monkeypatch):
+    code, out = run(tmp_path, experiment_tree())
+    assert code == 0
+    before = (out / "metrics.csv").read_bytes()
+
+    def refuse(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(OSError, match="disk full"):
+        # One trial in place of two: the new file would differ from the old one.
+        run(tmp_path, experiment_tree(), "--trials", "1")
+    assert (out / "metrics.csv").read_bytes() == before
+    assert not list(out.glob(".metrics.csv.*"))

@@ -13,7 +13,7 @@ from covox.depth import (
     predict_depth,
     project_cloud_to_depthmap,
 )
-from covox.geometry import CameraIntrinsics, PixelDepth, Pose, unproject
+from covox.geometry import CameraIntrinsics, Pose
 
 BINS = DepthBins(1.0, 33.0, 16)
 INTR = CameraIntrinsics(50.0, 50.0, 16.0, 12.0, 32, 24)
@@ -21,7 +21,8 @@ INTR = CameraIntrinsics(50.0, 50.0, 16.0, 12.0, 32, 24)
 
 def cloud_for_pixels(pixel_depths):
     """Build a camera-frame cloud that projects exactly onto given pixels."""
-    return np.array([unproject(INTR, PixelDepth(u, v, d)) for u, v, d in pixel_depths])
+    u, v, d = np.asarray(pixel_depths, dtype=np.float64).reshape(-1, 3).T
+    return np.stack([(u - INTR.u0) * d / INTR.fx, (v - INTR.v0) * d / INTR.fy, d], axis=1)
 
 
 class TestBins:

@@ -8,6 +8,7 @@ from covox.fusion import (
     fuse_modalities,
     fuse_modalities_equal,
     make_equal_params,
+    guidance_raw_scores,
     make_fusion_params,
     mask_from_scores,
 )
@@ -103,6 +104,15 @@ class TestGuidance:
         a = compute_guidance(p, lidar, camera)
         b = compute_guidance(p, lidar, camera)
         assert np.array_equal(a, b)
+
+    def test_raw_scores_match_full_attention(self, rng):
+        for params in (PARAMS, biased_params()):
+            for n_lidar, n_camera in ((1, 1), (5, 9), (40, 3)):
+                lidar = rng.standard_normal((n_lidar, C))
+                camera = rng.standard_normal((n_camera, C))
+                _, attn = nnkit.mha(params.guidance_mha, lidar, camera, camera)
+                scores = guidance_raw_scores(params, lidar, camera)
+                assert np.array_equal(scores, attn.max(axis=0))
 
 
 def _tagged_grids(rng):

@@ -1,25 +1,56 @@
 import numpy as np
 import pytest
 
+from typing import NamedTuple, Optional
+
 from covox.geometry import (
     CameraIntrinsics,
     InvalidPoseError,
-    PixelDepth,
     Pose,
     compose,
     invert,
     planar_parts,
-    project,
     project_points,
     relative,
     transform_points,
-    unproject,
 )
 
 from conftest import random_pose
 
 
 INTR = CameraIntrinsics(fx=100.0, fy=80.0, u0=32.0, v0=24.0, width=64, height=48)
+
+
+class PixelDepth(NamedTuple):
+    """Integer pixel plus the metric depth observed there."""
+
+    u: int
+    v: int
+    d: float
+
+
+def _round_half_away(x):
+    return np.copysign(np.floor(np.abs(x) + 0.5), x)
+
+
+def project(intr: CameraIntrinsics, cam_pt: np.ndarray) -> Optional[PixelDepth]:
+    """Scalar oracle for `project_points`: one camera-frame point to an integer
+    pixel, rounded half away from zero; None behind the camera or off the image."""
+    x, y, z = np.asarray(cam_pt, dtype=np.float64)
+    if z <= 0.0:
+        return None
+    u = _round_half_away(intr.fx * x / z + intr.u0)
+    v = _round_half_away(intr.fy * y / z + intr.v0)
+    if not (0 <= u < intr.width and 0 <= v < intr.height):
+        return None
+    return PixelDepth(int(u), int(v), float(z))
+
+
+def unproject(intr: CameraIntrinsics, px: PixelDepth) -> np.ndarray:
+    """Invert the projection for a pixel-center ray at the given depth."""
+    x = (px.u - intr.u0) * px.d / intr.fx
+    y = (px.v - intr.v0) * px.d / intr.fy
+    return np.array([x, y, float(px.d)])
 
 
 class TestPose:

@@ -61,7 +61,7 @@ class TestGenerateScene:
         agents, objects = generate_scene(cfg)
         assert len({a.id for a in agents}) == 5
         spots = [(a.true_pose.translation, 1.5) for a in agents]
-        spots += [((*o.center, 0.0), o.footprint_radius) for o in objects]
+        spots += [((*o.center, 0.0), np.hypot(*o.extent[:2]) / 2.0) for o in objects]
         for i in range(len(spots)):
             for j in range(i + 1, len(spots)):
                 (pa, ra), (pb, rb) = spots[i], spots[j]
