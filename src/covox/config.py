@@ -77,6 +77,13 @@ _bool = _scalar((bool,), "true or false")
 _str = _scalar((str,), "a string")
 
 
+def _non_negative(value, path):
+    number = _number(value, path)
+    if not number >= 0.0:
+        raise ValueError(f"expected a non-negative number, got {value!r}")
+    return number
+
+
 def _choice(*options: str):
     def parse(value, path):
         if value not in options:
@@ -86,18 +93,24 @@ def _choice(*options: str):
     return parse
 
 
-def _numbers(count: int | None, what: str):
-    """A list of `count` numbers (any length when None), as a tuple of floats."""
+def _numbers(count: int | None, what: str, item=_number):
+    """A list of `count` numbers (any length when None), each read by `item`,
+    as a tuple of floats."""
 
     def parse(value, path):
         if not isinstance(value, list) or count not in (None, len(value)):
             raise TypeError(f"expected {what}, got {value!r}")
-        return tuple(_number(v, path) for v in value)
+        return tuple(item(v, path) for v in value)
 
     return parse
 
 
 _pair = _numbers(2, "[low, high]")
+
+
+def _depth_projection(value, path):
+    # YAML 1.1 reads the unquoted value `no` as false.
+    return _choice(*DEPTH_PROJECTIONS)("no" if value is False else value, path)
 
 
 def _agent_ids(value, path):
@@ -209,7 +222,7 @@ _LIDAR = _section(LidarSpec, {
         "count": ("count", _int),
     }, required=("start", "stop", "count"))),
     "max_range": ("max_range", _number),
-    "range_noise_sigma": ("range_noise_sigma", _number),
+    "range_noise_sigma": ("range_noise_sigma", _non_negative),
 })
 
 _CAMERA = _section(
@@ -230,8 +243,8 @@ _SCENARIO = _section(ScenarioConfig, {
     "comm_range": ("comm_range", _number),
     "dropout": ("dropout", _dropout),
     "pose_noise": (None, _section(dict, {
-        "sigma_xy": ("pose_noise_sigma_xy", _number),
-        "sigma_yaw": ("pose_noise_sigma_yaw", _number),
+        "sigma_xy": ("pose_noise_sigma_xy", _non_negative),
+        "sigma_yaw": ("pose_noise_sigma_yaw", _non_negative),
     })),
 })
 
@@ -257,7 +270,7 @@ _PIPELINE = _section(PipelineConfig, {
     })),
     "mass_threshold": ("mass_threshold", _number),
     "fusion": ("fusion_mode", _choice(*FUSION_MODES)),
-    "depth_projection": ("depth_projection", _choice(*DEPTH_PROJECTIONS)),
+    "depth_projection": ("depth_projection", _depth_projection),
     "collab": ("collab_mode", _choice(*COLLAB_MODES)),
     "robust": ("robust", _bool),
     "gate_radius": ("gate_radius", _number),
@@ -270,7 +283,7 @@ _EXPERIMENT = _section(ExperimentSpec, {
         "out": ("out_dir", _out_dir),
         "params_seed": ("params_seed", _int),
         "missing_agents": ("missing_agents", _agent_ids),
-        "noise_sigmas": ("noise_sigmas", _numbers(None, "a list of numbers")),
+        "noise_sigmas": ("noise_sigmas", _numbers(None, "a list of numbers", _non_negative)),
         "render": ("render", _bool),
     }, defaults={"out": "runs/out"})),  # the output root applies to the default too
     "scenario": ("scenario", _SCENARIO),

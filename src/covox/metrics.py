@@ -87,22 +87,46 @@ def _by_descending_score(dets: Sequence[Detection]) -> list[int]:
     return list(np.argsort(-scores, kind="stable"))
 
 
+def _may_overlap(dets: Sequence[Detection], gts: Sequence[Detection]) -> np.ndarray:
+    """(len(dets), len(gts)) flags: the boxes' circumscribed circles meet.
+
+    A box lies inside the circle of radius hypot(l, w) / 2 about its center,
+    so boxes whose circles do not meet are disjoint. rotated_iou gives them
+    0.0, or a rounding sliver below 1e-12 where edges are collinear or
+    corners touch.
+    """
+    def circles(boxes):
+        arr = np.array([(*b.center, *b.extent) for b in boxes], dtype=np.float64)
+        arr = arr.reshape(-1, 4)
+        return arr[:, :2], np.hypot(arr[:, 2], arr[:, 3]) / 2.0
+
+    (dc, dr), (gc, gr) = circles(dets), circles(gts)
+    gap = dc[:, None, :] - gc[None, :, :]
+    return np.hypot(gap[..., 0], gap[..., 1]) <= dr[:, None] + gr[None, :]
+
+
 def match_detections(
     dets: Sequence[Detection], gts: Sequence[Detection], iou_thresh: float
 ):
     """Greedy matching in descending score order; each gt is used once.
 
     Returns (tp flags aligned with the sorted order, sorted order indices).
+    Only pairs whose circumscribed circles meet are scored. Any other pair
+    has an IoU of at most a 1e-12 rounding sliver, so for every threshold
+    above that the result equals scoring all pairs.
     """
+    if not (0.0 < iou_thresh < 1.0):
+        raise ValueError("iou_thresh must lie in (0, 1)")
     order = _by_descending_score(dets)
+    near = _may_overlap(dets, gts)
     taken = [False] * len(gts)
     tp = np.zeros(len(dets), dtype=bool)
     for rank, di in enumerate(order):
         best_iou, best_j = 0.0, -1
-        for j, gt in enumerate(gts):
+        for j in np.flatnonzero(near[di]).tolist():
             if taken[j]:
                 continue
-            iou = rotated_iou(dets[di], gt)
+            iou = rotated_iou(dets[di], gts[j])
             if iou >= iou_thresh and iou > best_iou:
                 best_iou, best_j = iou, j
         if best_j >= 0:
@@ -115,9 +139,9 @@ def pr_curve(
     dets: Sequence[Detection], gts: Sequence[Detection], iou_thresh: float
 ) -> list[tuple[float, float]]:
     """(recall, precision) after each detection, descending score."""
-    if not dets or not gts:
-        return []
     tp, _ = match_detections(dets, gts, iou_thresh)
+    if not gts:
+        return []
     cum_tp = np.cumsum(tp)
     ranks = np.arange(1, len(dets) + 1)
     recall = cum_tp / len(gts)
@@ -129,11 +153,9 @@ def average_precision(
     dets: Sequence[Detection], gts: Sequence[Detection], iou_thresh: float
 ) -> float:
     """Area under the precision envelope over recall (all-point)."""
-    if not (0.0 < iou_thresh < 1.0):
-        raise ValueError("iou_thresh must lie in (0, 1)")
-    if not gts or not dets:
-        return 0.0
     curve = pr_curve(dets, gts, iou_thresh)
+    if not curve:
+        return 0.0
     recall = np.array([r for r, _ in curve])
     precision = np.array([p for _, p in curve])
     # Precision envelope: best precision achievable at recall >= r.
@@ -150,9 +172,5 @@ def recall_at(
     dets: Sequence[Detection], gts: Sequence[Detection], iou_thresh: float
 ) -> float:
     """Fraction of ground-truth boxes matched by any detection."""
-    if not gts:
-        return 0.0
-    if not dets:
-        return 0.0
     tp, _ = match_detections(dets, gts, iou_thresh)
-    return float(tp.sum() / len(gts))
+    return float(tp.sum() / len(gts)) if gts else 0.0

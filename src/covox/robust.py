@@ -9,7 +9,6 @@ composed onto the initial relative pose estimate.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -71,19 +70,18 @@ def _convex_hull(points: np.ndarray) -> np.ndarray:
         return pts
 
     def half(seq):
-        chain: list[np.ndarray] = []
-        for p in seq:
+        chain: list[list[float]] = []
+        for px, py in seq:
             while len(chain) >= 2:
-                a, b = chain[-1] - chain[-2], p - chain[-2]
-                if a[0] * b[1] - a[1] * b[0] > 0:
+                (ax, ay), (bx, by) = chain[-2], chain[-1]
+                if (bx - ax) * (py - ay) - (by - ay) * (px - ax) > 0:
                     break
                 chain.pop()
-            chain.append(p)
+            chain.append([px, py])
         return chain
 
-    lower = half(pts)
-    upper = half(pts[::-1])
-    hull = np.array(lower[:-1] + upper[:-1])
+    seq = pts.tolist()
+    hull = np.array(half(seq)[:-1] + half(seq[::-1])[:-1])
     return hull if hull.shape[0] >= 3 else pts
 
 
@@ -98,23 +96,28 @@ def _min_area_rect(points: np.ndarray):
     if hull.shape[0] == 1:
         return hull[0], 0.0, (0.0, 0.0)
     if hull.shape[0] == 2:
-        edges = [hull[1] - hull[0]]
+        edges = hull[1:] - hull[:1]
     else:
-        edges = list(np.diff(np.vstack([hull, hull[:1]]), axis=0))
+        edges = np.diff(np.vstack([hull, hull[:1]]), axis=0)
 
-    best = None
-    for e in edges:
-        theta = np.arctan2(e[1], e[0])
-        c, s = np.cos(-theta), np.sin(-theta)
-        rot = np.array([[c, -s], [s, c]])
-        local = hull @ rot.T
-        lo, hi = local.min(axis=0), local.max(axis=0)
-        area = float(np.prod(hi - lo))
-        if best is None or area < best[0] - 1e-12:
-            center_local = (lo + hi) / 2.0
-            center = rot.T @ center_local
-            best = (area, center, theta, tuple(hi - lo))
-    _, center, theta, (ex, ey) = best
+    # The hull rotated onto every edge direction at once: local[k] is
+    # hull @ rots[k].T. Each rots[k] is C-contiguous like a literal 2x2, so
+    # the products take the same BLAS path and round alike.
+    thetas = np.arctan2(edges[:, 1], edges[:, 0])
+    c, s = np.cos(-thetas), np.sin(-thetas)
+    rots = np.empty((len(thetas), 2, 2))
+    rots[:, 0, 0] = rots[:, 1, 1] = c
+    rots[:, 0, 1], rots[:, 1, 0] = -s, s
+    local = hull @ rots.transpose(0, 2, 1)
+    lo, hi = local.min(axis=1), local.max(axis=1)
+    areas = np.prod(hi - lo, axis=1).tolist()
+    k = 0
+    for i, area in enumerate(areas):
+        if area < areas[k] - 1e-12:
+            k = i
+    center = rots[k].T @ ((lo[k] + hi[k]) / 2.0)
+    theta = thetas[k]
+    ex, ey = hi[k] - lo[k]
     if ex >= ey:
         length, width, yaw = ex, ey, theta
     else:
@@ -124,30 +127,32 @@ def _min_area_rect(points: np.ndarray):
 
 
 def _connected_components(mask: np.ndarray):
-    """8-connected components of a boolean grid, in scan order."""
+    """8-connected components of a boolean grid, in scan order.
+
+    Breadth-first from each unvisited set cell, over Python lists: `todo`
+    holds the set cells not yet reached, and each component's cells list is
+    also its queue."""
     mask = np.asarray(mask, dtype=bool)
-    labels = np.full(mask.shape, -1, dtype=np.int32)
+    nx, ny = mask.shape
+    todo = mask.tolist()
     comps: list[np.ndarray] = []
-    for sx, sy in zip(*np.nonzero(mask)):
-        if labels[sx, sy] >= 0:
+    for sx, sy in zip(*(axis.tolist() for axis in np.nonzero(mask))):
+        if not todo[sx][sy]:
             continue
-        label = len(comps)
-        queue = deque([(sx, sy)])
-        labels[sx, sy] = label
-        cells = []
-        while queue:
-            x, y = queue.popleft()
-            cells.append((x, y))
+        todo[sx][sy] = False
+        cells = [(sx, sy)]
+        head = 0
+        while head < len(cells):
+            x, y = cells[head]
+            head += 1
             for nx_ in (x - 1, x, x + 1):
+                if not 0 <= nx_ < nx:
+                    continue
+                row = todo[nx_]
                 for ny_ in (y - 1, y, y + 1):
-                    if (
-                        0 <= nx_ < mask.shape[0]
-                        and 0 <= ny_ < mask.shape[1]
-                        and mask[nx_, ny_]
-                        and labels[nx_, ny_] < 0
-                    ):
-                        labels[nx_, ny_] = label
-                        queue.append((nx_, ny_))
+                    if 0 <= ny_ < ny and row[ny_]:
+                        row[ny_] = False
+                        cells.append((nx_, ny_))
         comps.append(np.array(cells, dtype=np.int64))
     return comps
 
@@ -216,19 +221,27 @@ def _greedy_matches(
     neighbor_dets: Sequence[Detection],
     gate_radius: float,
 ):
-    """Pair detections by proximity; higher-scored ego boxes choose first."""
+    """Pair detections by proximity; higher-scored ego boxes choose first.
+
+    Among equally distant neighbours the lowest index wins."""
+    if not ego_dets or not neighbor_dets:
+        return []
     ego_order = sorted(range(len(ego_dets)), key=lambda i: -ego_dets[i].score)
-    free = set(range(len(neighbor_dets)))
+    ego = np.array([d.center for d in ego_dets], dtype=np.float64)
+    nbr = np.array([d.center for d in neighbor_dets], dtype=np.float64)
+    gap = nbr[None, :, :] - ego[:, None, :]
+    # The dot product np.linalg.norm takes, as (1, 2) @ (2, 1) products: a
+    # sum of squares rounds differently (BLAS fuses multiply-adds), which
+    # could move a tie or a pair at the gate.
+    dists = np.sqrt((gap[..., None, :] @ gap[..., :, None])[..., 0, 0]).tolist()
+    free = list(range(len(neighbor_dets)))
     pairs = []
     for i in ego_order:
         if not free:
             break
-        e = np.asarray(ego_dets[i].center)
-        cand = min(
-            free, key=lambda j: float(np.linalg.norm(np.asarray(neighbor_dets[j].center) - e))
-        )
-        dist = float(np.linalg.norm(np.asarray(neighbor_dets[cand].center) - e))
-        if dist <= gate_radius:
+        row = dists[i]
+        cand = min(free, key=row.__getitem__)
+        if row[cand] <= gate_radius:
             pairs.append((i, cand))
             free.remove(cand)
     return pairs

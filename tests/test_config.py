@@ -146,6 +146,40 @@ class TestField:
         assert str(info.value).startswith(f"{path}:"), str(info.value)
 
 
+# Noise sigmas that load when negative would fail every trial at run time.
+# (YAML path, zero value, negative value)
+NON_NEGATIVE = [
+    ("scenario.pose_noise.sigma_xy", 0, -0.5),
+    ("scenario.pose_noise.sigma_yaw", 0, -0.5),
+    ("scenario.lidar.range_noise_sigma", 0, -0.5),
+    ("experiment.noise_sigmas", [0, 0.2], [0.2, -0.5]),
+]
+
+
+@pytest.mark.parametrize("path, zero, negative", NON_NEGATIVE, ids=[row[0] for row in NON_NEGATIVE])
+def test_negative_sigma_names_full_path(tmp_path, path, zero, negative):
+    load(tmp_path, tree_with(path, zero))
+    with pytest.raises(ConfigError) as info:
+        load(tmp_path, tree_with(path, negative))
+    assert str(info.value).startswith(f"{path}:"), str(info.value)
+
+
+def test_nan_sigma_is_rejected(tmp_path):
+    with pytest.raises(ConfigError) as info:
+        load(tmp_path, tree_with("scenario.pose_noise.sigma_xy", float("nan")))
+    assert str(info.value).startswith("scenario.pose_noise.sigma_xy:"), str(info.value)
+
+
+def test_unquoted_depth_projection_no(tmp_path):
+    cfg = tmp_path / "exp.yaml"
+    cfg.write_text("pipeline:\n  depth_projection: no\n")
+    assert load_experiment(cfg).pipeline.depth_projection == "no"
+    cfg.write_text("pipeline:\n  depth_projection: true\n")
+    with pytest.raises(ConfigError) as info:
+        load_experiment(cfg)
+    assert str(info.value).startswith("pipeline.depth_projection:"), str(info.value)
+
+
 SECTIONS = [
     "experiment",
     "scenario",

@@ -5,8 +5,11 @@ from hypothesis import strategies as st
 
 from covox.metrics import (
     Detection,
+    _by_descending_score,
+    _may_overlap,
     average_precision,
     clip_polygon,
+    match_detections,
     polygon_area,
     pr_curve,
     recall_at,
@@ -16,6 +19,79 @@ from covox.metrics import (
 
 def box(cx, cy, yaw=0.0, l=1.0, w=1.0, score=1.0):
     return Detection(center=(cx, cy), yaw=yaw, extent=(l, w), score=score)
+
+
+def all_pairs_match(dets, gts, iou_thresh):
+    """Oracle: greedy matching that scores every det x gt pair."""
+    order = _by_descending_score(dets)
+    taken = [False] * len(gts)
+    tp = np.zeros(len(dets), dtype=bool)
+    for rank, di in enumerate(order):
+        best_iou, best_j = 0.0, -1
+        for j, gt in enumerate(gts):
+            if taken[j]:
+                continue
+            iou = rotated_iou(dets[di], gt)
+            if iou >= iou_thresh and iou > best_iou:
+                best_iou, best_j = iou, j
+        if best_j >= 0:
+            taken[best_j] = True
+            tp[rank] = True
+    return tp, order
+
+
+def radius(b):
+    return float(np.hypot(*b.extent)) / 2.0
+
+
+def placed_near(gt, phi, gap, corner, l, w, yaw, score):
+    """A box whose circumscribed circle sits `gap` (relative to the summed
+    radii) beyond tangency with gt's, in direction phi. With `corner` the
+    direction is that of one of gt's corners and the new box points a corner
+    back at it, the layout where near-tangent circles bring boxes closest."""
+    r = float(np.hypot(l, w)) / 2.0
+    dist = (radius(gt) + r) * (1.0 + gap)
+    if corner:
+        phi = gt.yaw + np.arctan2(gt.extent[1], gt.extent[0])
+        yaw = phi + np.pi - np.arctan2(w, l)
+    center = (gt.center[0] + dist * np.cos(phi), gt.center[1] + dist * np.sin(phi))
+    return Detection(center, yaw, (l, w), score)
+
+
+# Largest IoU rotated_iou gives boxes that do not overlap (rounding).
+SLIVER = 1e-12
+
+yaws = st.floats(-np.pi, np.pi)
+sizes = st.floats(0.2, 5.0)
+scores = st.sampled_from([0.2, 0.5, 0.5, 0.9])  # repeats give tied scores
+gaps = st.sampled_from([-0.3, -1e-3, -1e-6, -1e-12, 0.0, 1e-15, 1e-12, 1e-9, 1e-6, 0.2])
+
+
+@st.composite
+def box_sets(draw):
+    gts = [
+        Detection(
+            (draw(st.floats(-8, 8)), draw(st.floats(-8, 8))),
+            draw(yaws), (draw(sizes), draw(sizes)), draw(scores),
+        )
+        for _ in range(draw(st.integers(0, 15)))
+    ]
+    dets = []
+    for _ in range(draw(st.integers(0, 15))):
+        l, w, yaw, score = draw(sizes), draw(sizes), draw(yaws), draw(scores)
+        if gts and draw(st.booleans()):
+            gt = gts[draw(st.integers(0, len(gts) - 1))]
+            if draw(st.booleans()):
+                dets.append(placed_near(gt, draw(yaws), draw(gaps), draw(st.booleans()),
+                                        l, w, yaw, score))
+            else:  # a jittered copy, so that real matches happen
+                dx, dy = draw(st.floats(-0.5, 0.5)), draw(st.floats(-0.5, 0.5))
+                dets.append(Detection((gt.center[0] + dx, gt.center[1] + dy),
+                                      gt.yaw + draw(st.floats(-0.3, 0.3)), gt.extent, score))
+        else:
+            dets.append(Detection((draw(st.floats(-8, 8)), draw(st.floats(-8, 8))),
+                                  yaw, (l, w), score))
+    return dets, gts
 
 
 class TestRotatedIou:
@@ -145,3 +221,67 @@ class TestPrCurveAndRecall:
         dets = [box(0, 0, score=0.9)]
         assert recall_at(dets, gts, 0.5) == 0.5
         assert recall_at([], gts, 0.5) == 0.0
+
+
+class TestMatchingPrefilter:
+    @given(box_sets(), st.sampled_from([0.3, 0.5, 0.7]))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_all_pairs_oracle(self, boxes, thresh):
+        dets, gts = boxes
+        tp, order = match_detections(dets, gts, thresh)
+        tp_ref, order_ref = all_pairs_match(dets, gts, thresh)
+        assert np.array_equal(tp, tp_ref)
+        assert order == order_ref
+
+    @given(box_sets())
+    @settings(max_examples=200, deadline=None)
+    def test_prefilter_keeps_every_overlapping_pair(self, boxes):
+        dets, gts = boxes
+        near = _may_overlap(dets, gts)
+        assert near.shape == (len(dets), len(gts))
+        for i, d in enumerate(dets):
+            for j, g in enumerate(gts):
+                if rotated_iou(d, g) > SLIVER:
+                    assert near[i, j]
+
+    @given(
+        st.floats(-30, 30), st.floats(-30, 30), yaws, sizes, sizes,
+        yaws, st.sampled_from([0.0, 1e-16, 1e-12, 1e-6, 0.5]), st.booleans(),
+        st.sampled_from([None, 0.0, np.pi / 2]), yaws, sizes, sizes,
+    )
+    @settings(max_examples=400, deadline=None)
+    # clip_polygon divides by ~0 on collinear edges; the sliver is checked.
+    @pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_disjoint_circumscribed_circles_give_no_overlap(
+        self, cx, cy, yaw_a, l_a, w_a, phi, gap, corner, turn, yaw_b, l_b, w_b
+    ):
+        """Boxes whose circles do not meet get an IoU of 0.0, up to a
+        rounding sliver where corners nearly touch or where an edge of one
+        box is collinear with an edge of the other: a `turn` puts a copy of
+        a on a's long (0) or short (pi/2) axis."""
+        a = Detection((cx, cy), yaw_a, (l_a, w_a))
+        if turn is not None:
+            phi, corner, yaw_b, (l_b, w_b) = yaw_a + turn, False, yaw_a, a.extent
+        b = placed_near(a, phi, gap, corner, l_b, w_b, yaw_b, 1.0)
+        dist = np.hypot(b.center[0] - a.center[0], b.center[1] - a.center[1])
+        if dist > radius(a) + radius(b):
+            assert not _may_overlap([a], [b])[0, 0]
+            assert 0.0 <= rotated_iou(a, b) < SLIVER
+            assert 0.0 <= rotated_iou(b, a) < SLIVER
+
+    def test_empty_inputs(self):
+        tp, order = match_detections([], [box(0, 0)], 0.5)
+        assert tp.shape == (0,) and order == []
+        tp, order = match_detections([box(0, 0), box(1, 1, score=2.0)], [], 0.5)
+        assert not tp.any() and order == [1, 0]
+
+    @pytest.mark.parametrize("thresh", [0.0, 1.0, 1.5, -0.2])
+    def test_recall_at_rejects_threshold(self, thresh):
+        with pytest.raises(ValueError):
+            recall_at([box(0, 0)], [box(0, 0)], thresh)
+
+    @pytest.mark.parametrize("thresh", [0.0, 1.0, 1.5, -0.2])
+    def test_pr_curve_rejects_threshold(self, thresh):
+        with pytest.raises(ValueError):
+            pr_curve([box(0, 0)], [box(0, 0)], thresh)

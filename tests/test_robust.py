@@ -1,10 +1,18 @@
+from collections import deque
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from covox.geometry import Pose, invert, planar_parts
 from covox.metrics import Detection, rotated_iou
 from covox.robust import (
     NoiseModel,
+    _connected_components,
+    _convex_hull,
+    _greedy_matches,
+    _min_area_rect,
     correct_relative_pose,
     detect_local,
     fit_planar_alignment,
@@ -16,6 +24,210 @@ from covox.robust import (
 from covox.voxel import GridSpec, voxelize_points
 
 GRID = GridSpec((-20.0, 20.0), (-20.0, 20.0), (0.0, 4.0), 64, 64, 4, 8)
+
+
+# Oracles: the per-edge, per-cell and per-pair implementations over numpy
+# scalars that the batched and list-based ones in covox.robust must
+# reproduce bit for bit.
+
+
+def convex_hull_of_arrays(points):
+    pts = np.unique(np.asarray(points, dtype=np.float64), axis=0)
+    if pts.shape[0] <= 2:
+        return pts
+
+    def half(seq):
+        chain = []
+        for p in seq:
+            while len(chain) >= 2:
+                a, b = chain[-1] - chain[-2], p - chain[-2]
+                if a[0] * b[1] - a[1] * b[0] > 0:
+                    break
+                chain.pop()
+            chain.append(p)
+        return chain
+
+    hull = np.array(half(pts)[:-1] + half(pts[::-1])[:-1])
+    return hull if hull.shape[0] >= 3 else pts
+
+
+def min_area_rect_per_edge(points):
+    pts = np.asarray(points, dtype=np.float64)
+    hull = convex_hull_of_arrays(pts)
+    if hull.shape[0] == 1:
+        return hull[0], 0.0, (0.0, 0.0)
+    if hull.shape[0] == 2:
+        edges = [hull[1] - hull[0]]
+    else:
+        edges = list(np.diff(np.vstack([hull, hull[:1]]), axis=0))
+    best = None
+    for e in edges:
+        theta = np.arctan2(e[1], e[0])
+        c, s = np.cos(-theta), np.sin(-theta)
+        rot = np.array([[c, -s], [s, c]])
+        local = hull @ rot.T
+        lo, hi = local.min(axis=0), local.max(axis=0)
+        area = float(np.prod(hi - lo))
+        if best is None or area < best[0] - 1e-12:
+            best = (area, rot.T @ ((lo + hi) / 2.0), theta, tuple(hi - lo))
+    _, center, theta, (ex, ey) = best
+    if ex >= ey:
+        length, width, yaw = ex, ey, theta
+    else:
+        length, width, yaw = ey, ex, theta + np.pi / 2.0
+    yaw = (yaw + np.pi / 2.0) % np.pi - np.pi / 2.0
+    return center, float(yaw), (float(length), float(width))
+
+
+def components_by_label_array(mask):
+    mask = np.asarray(mask, dtype=bool)
+    labels = np.full(mask.shape, -1, dtype=np.int32)
+    comps = []
+    for sx, sy in zip(*np.nonzero(mask)):
+        if labels[sx, sy] >= 0:
+            continue
+        label = len(comps)
+        queue = deque([(sx, sy)])
+        labels[sx, sy] = label
+        cells = []
+        while queue:
+            x, y = queue.popleft()
+            cells.append((x, y))
+            for nx_ in (x - 1, x, x + 1):
+                for ny_ in (y - 1, y, y + 1):
+                    if (
+                        0 <= nx_ < mask.shape[0]
+                        and 0 <= ny_ < mask.shape[1]
+                        and mask[nx_, ny_]
+                        and labels[nx_, ny_] < 0
+                    ):
+                        labels[nx_, ny_] = label
+                        queue.append((nx_, ny_))
+        comps.append(np.array(cells, dtype=np.int64))
+    return comps
+
+
+def greedy_matches_per_pair(ego_dets, neighbor_dets, gate_radius):
+    ego_order = sorted(range(len(ego_dets)), key=lambda i: -ego_dets[i].score)
+    free = set(range(len(neighbor_dets)))
+    pairs = []
+    for i in ego_order:
+        if not free:
+            break
+        e = np.asarray(ego_dets[i].center)
+        cand = min(
+            free, key=lambda j: float(np.linalg.norm(np.asarray(neighbor_dets[j].center) - e))
+        )
+        dist = float(np.linalg.norm(np.asarray(neighbor_dets[cand].center) - e))
+        if dist <= gate_radius:
+            pairs.append((i, cand))
+            free.remove(cand)
+    return pairs
+
+
+def assert_same_rect(points):
+    hull, ref_hull = _convex_hull(points), convex_hull_of_arrays(points)
+    assert hull.dtype == ref_hull.dtype and hull.shape == ref_hull.shape
+    assert hull.tobytes() == ref_hull.tobytes()
+    center, yaw, extent = _min_area_rect(points)
+    ref_center, ref_yaw, ref_extent = min_area_rect_per_edge(points)
+    assert center.tobytes() == np.asarray(ref_center).tobytes()
+    assert center.dtype == np.asarray(ref_center).dtype
+    assert (yaw, extent) == (ref_yaw, ref_extent)
+
+
+def assert_same_components(mask):
+    comps, ref = _connected_components(mask), components_by_label_array(mask)
+    assert len(comps) == len(ref)
+    for got, want in zip(comps, ref):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
+
+
+class TestDetectorOracles:
+    @given(
+        st.integers(1, 64), st.integers(1, 64), st.floats(0.0, 1.0),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_components_match_label_array_bfs(self, nx, ny, density, seed):
+        mask = np.random.default_rng(seed).uniform(size=(nx, ny)) < density
+        assert_same_components(mask)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 7), (7, 1), (64, 64)])
+    def test_components_of_full_and_empty_masks(self, shape):
+        assert_same_components(np.ones(shape, dtype=bool))
+        assert_same_components(np.zeros(shape, dtype=bool))
+
+    def test_components_touching_every_border(self):
+        mask = np.zeros((9, 9), dtype=bool)
+        mask[0, :] = mask[:, 0] = mask[8, 3:] = mask[4:, 8] = True
+        mask[4, 4] = mask[5, 5] = mask[2, 6] = True
+        assert_same_components(mask)
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.floats(0.01, 100.0))
+    @settings(max_examples=150, deadline=None)
+    def test_rect_matches_per_edge_loop(self, seed, n, scale):
+        rng = np.random.default_rng(seed)
+        pts = rng.normal(0.0, scale, (n, 2))
+        assert_same_rect(pts)
+        assert_same_rect(np.round(pts))  # grid-like sets with equal-area edges
+        assert_same_rect(np.vstack([pts, pts[: n // 2]]))  # duplicate points
+
+    @pytest.mark.parametrize(
+        "points",
+        [
+            [[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [3.5, 3.5]],  # collinear, diagonal
+            [[0.0, 2.0], [1.0, 2.0], [5.0, 2.0]],  # one row
+            [[3.0, -1.0], [3.0, 4.0], [3.0, 0.5]],  # one column
+            [[1.0, 1.0], [1.0, 1.0]],  # one point, twice
+            [[0.0, 0.0], [2.0, 1.0]],  # two points
+            [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [0.0, 0.0]],  # square
+        ],
+    )
+    def test_rect_degenerate_sets(self, points):
+        assert_same_rect(np.array(points))
+
+    def test_rect_on_grid_cell_rows(self):
+        for ny in range(1, 6):
+            cells = [(x, y) for x in range(4) for y in range(ny)]
+            assert_same_rect(GRID.bev_cell_centers(*np.array(cells).T))
+
+    @staticmethod
+    def _dets(centers, scores=None):
+        scores = scores or [1.0] * len(centers)
+        return [Detection(tuple(c), 0.0, (4.0, 2.0), s) for c, s in zip(centers, scores)]
+
+    def test_greedy_ties_pick_lowest_index(self):
+        ego = self._dets([(0.0, 0.0), (0.0, 0.0)], [0.5, 0.5])
+        nbr = self._dets([(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)])
+        pairs = _greedy_matches(ego, nbr, 2.0)
+        assert pairs == greedy_matches_per_pair(ego, nbr, 2.0) == [(0, 0), (1, 1)]
+
+    def test_greedy_empty_inputs(self):
+        some = self._dets([(0.0, 0.0)])
+        for ego, nbr in [([], []), (some, []), ([], some)]:
+            assert _greedy_matches(ego, nbr, 2.0) == greedy_matches_per_pair(ego, nbr, 2.0) == []
+
+    def test_greedy_gate_equal_to_norm_is_inside(self, rng):
+        """A gate equal to np.linalg.norm of the gap admits the pair, also
+        where a sum of squares would round the distance up past the gate."""
+        for _ in range(300):
+            e, n = rng.normal(0.0, 3.0, (2, 2))
+            gate = float(np.linalg.norm(n - e))
+            assert _greedy_matches(self._dets([e]), self._dets([n]), gate) == [(0, 0)]
+
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 8), st.integers(0, 8))
+    @settings(max_examples=150, deadline=None)
+    def test_greedy_matches_per_pair_oracle(self, seed, n_ego, n_nbr):
+        rng = np.random.default_rng(seed)
+        # Integer centers and repeated scores give many exact distance ties.
+        ego = self._dets(rng.integers(-3, 4, (n_ego, 2)).astype(float).tolist(),
+                         rng.choice([0.3, 0.6], n_ego).tolist())
+        nbr = self._dets(rng.normal(0.0, 2.0, (n_nbr, 2)).tolist())
+        nbr += self._dets(rng.integers(-3, 4, (n_nbr, 2)).astype(float).tolist())
+        for gate in (0.5, 1.0, 2.0, 10.0):
+            assert _greedy_matches(ego, nbr, gate) == greedy_matches_per_pair(ego, nbr, gate)
 
 
 class TestPerturbPose:
