@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .collab import AgentRound, RoundLedger, comm_volume_log, make_pipeline_params, run_round
+from .collab import AgentRound, comm_volume_log, dense_ratio, make_pipeline_params, run_round
 from .config import MODES, ConfigError, ExperimentSpec, load_experiment, resolve_out_dir
 from .geometry import invert
 from .metrics import Detection, average_precision, recall_at
@@ -31,7 +31,7 @@ from .scene import AgentState, BoxObject, ScenarioConfig, generate_scene
 CSV_HEADER = (
     "mode,trial,seed,sigma_xy,n_agents,ap50,ap70,recall50,"
     "feature_elements,depth_elements,detection_elements,total_elements,"
-    "comm_log2,pose_err_before,pose_err_after,warp_collisions"
+    "comm_log2,dense_ratio,pose_err_before,pose_err_after,warp_collisions"
 )
 
 
@@ -115,6 +115,7 @@ def run_trial(exp: ExperimentSpec, trial: int, sigma_xy: float | None, params) -
     detections = ledger.total("detections")
     total = feature + depth + detections
     collisions = sum(r.warp_collisions for r in rounds.values())
+    edges = sum(len(r.pose_errors) for r in rounds.values())
 
     row = ",".join(
         [
@@ -131,6 +132,7 @@ def run_trial(exp: ExperimentSpec, trial: int, sigma_xy: float | None, params) -
             str(detections),
             str(total),
             _fmt(comm_volume_log(total)),
+            _fmt(dense_ratio(edges, exp.pipeline.grid, total)),
             _fmt(float(np.mean(errs_before)) if errs_before else 0.0),
             _fmt(float(np.mean(errs_after)) if errs_after else 0.0),
             str(collisions),

@@ -7,7 +7,10 @@ synchronous two-phase exchange round.
 1. sense — LiDAR and camera capture, LiDAR voxelization;
 2. relative poses — believed relative poses, optionally corrected by
    matching shared local detections;
-3. phase 1 — agents share downsampled point clouds for depth generation;
+3. phase 1 — each agent that runs cooperative depth sends each LiDAR
+   neighbor a request carrying the pose it projects that neighbor with,
+   and the neighbor replies with the points of its downsampled cloud that
+   the requester's depth map would keep, in the requester's camera frame;
 4. perceive — cooperative depth, camera lift, modal fusion, then the
    confidence mask and the sparse message;
 5. phase 2 / receive — each agent warps its neighbors' messages into its
@@ -15,7 +18,9 @@ synchronous two-phase exchange round.
 
 The `RoundLedger` is the only place communication is counted: every
 transmitted scalar is charged there per edge and phase, in the order
-detections, depth, feature.
+detections, depth, feature.  A `depth` record is either a request (the
+receiver's planar pose for the edge, 3 scalars, receiver to neighbor) or
+the neighbor's reply to it (3 scalars per point).
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ from .depth import (
     UniformPredictor,
     finalize_distribution,
     merge_cooperative,
+    nearest_per_pixel,
     predict_depth,
     project_cloud_to_depthmap,
 )
@@ -72,6 +78,8 @@ _DETECTION_ELEMENTS = 6
 
 # Phase 1 shares one point per cube of this edge length (m), 3 scalars each.
 _PAYLOAD_CELL = 0.5
+# A phase-1 request carries the requester's planar pose (x, y, yaw).
+_REQUEST_ELEMENTS = 3
 
 _AGG_HEADS = 4
 # BLAS multiplies a handful of rows with other kernels (gemv for one row,
@@ -133,6 +141,7 @@ class RoundLedger:
 @dataclass
 class WarpResult:
     bev: np.ndarray
+    cells: np.ndarray  # flat indices of the written cells, ascending
     collisions: int
     dropped: int
 
@@ -280,6 +289,19 @@ def comm_volume_log(total_elements: int) -> float:
     return float(np.log2(total_elements))
 
 
+def dense_ratio(directed_edges: int, grid: GridSpec, total_elements: int) -> float:
+    """The paper's saving: the scalars a dense exchange would send (the whole
+    nx x ny x nz x C volume per directed edge) over the scalars sent.
+
+    0.0 when nothing is sent, which covers a round without edges.
+    """
+    if directed_edges < 0 or total_elements < 0:
+        raise ValueError("edge and element counts cannot be negative")
+    if total_elements == 0:
+        return 0.0
+    return directed_edges * grid.nx * grid.ny * grid.bev_channels / total_elements
+
+
 def downsample_cloud(points: np.ndarray, cell: float = 0.5) -> np.ndarray:
     """Voxel-dedup filter: keep the first point per `cell`-sized cube."""
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
@@ -304,9 +326,10 @@ def warp_sparse(
     """
     f = spec.bev_channels
     bev = np.zeros((spec.nx, spec.ny, f))
+    no_cells = np.zeros(0, dtype=np.int64)
     indices = np.asarray(indices).reshape(-1, 2)
     if indices.shape[0] == 0:
-        return WarpResult(bev, 0, 0)
+        return WarpResult(bev, no_cells, 0, 0)
     vectors = np.asarray(vectors, dtype=np.float64).reshape(-1, f)
     centers = spec.bev_cell_centers(indices[:, 0], indices[:, 1])
     x, y, yaw = planar_parts(rel_pose)
@@ -319,23 +342,27 @@ def warp_sparse(
     dropped = int(np.count_nonzero(~inb))
     ix, iy, vecs = ix[inb], iy[inb], vectors[inb]
     if ix.size == 0:
-        return WarpResult(bev, 0, dropped)
+        return WarpResult(bev, no_cells, 0, dropped)
     flat = ix * spec.ny + iy
     # Later writer wins: keep the last arrival targeting each cell.
     uniq, first_in_rev = np.unique(flat[::-1], return_index=True)
     last = flat.size - 1 - first_in_rev
     bev.reshape(-1, f)[uniq] = vecs[last]
-    return WarpResult(bev, int(flat.size - uniq.size), dropped)
+    return WarpResult(bev, uniq, int(flat.size - uniq.size), dropped)
 
 
 def aggregate(
-    params: nnkit.MhaParams, ego: np.ndarray, warped: Sequence[np.ndarray]
+    params: nnkit.MhaParams,
+    ego: np.ndarray,
+    warped: Sequence[np.ndarray],
+    written: Sequence[np.ndarray],
 ) -> np.ndarray:
     """Attention aggregation over the per-cell token stack [ego, neighbors...].
 
     The stack acts as queries, keys and values; the output is the ego
     token's attention result.  All-zero neighbor tokens carry no signal and
-    are excluded from the softmax.
+    are excluded from the softmax.  `written[k]` holds the flat indices of
+    exactly the nonzero cells of `warped[k]` (`WarpResult.cells`).
 
     Only the cells with a nonzero token are computed.  Every other cell has
     the same all-zero stack and so the same result, which is taken from one
@@ -346,7 +373,10 @@ def aggregate(
     n_cells = nx * ny
     stack = [ego.reshape(n_cells, f)]
     stack += [np.asarray(w, dtype=np.float64).reshape(n_cells, f) for w in warped]
-    nonzero = np.stack([np.any(tok != 0.0, axis=1) for tok in stack])
+    nonzero = np.zeros((len(stack), n_cells), dtype=bool)
+    nonzero[0] = np.any(stack[0] != 0.0, axis=1)
+    for row, cells in zip(nonzero[1:], written):
+        row[cells] = True
     busy = np.any(nonzero, axis=0)
     # Busy cells first, then one idle representative and padding.
     n_cells_run = max(int(np.count_nonzero(busy)) + 1, _MIN_ATTENTION_CELLS)
@@ -403,7 +433,8 @@ class _AgentWork:
     detections: list = field(default_factory=list)
     rel: dict[int, Pose] = field(default_factory=dict)  # neighbor -> pose used
     pose_errors: dict[int, tuple] = field(default_factory=dict)
-    payload: Optional[np.ndarray] = None  # phase 1 cloud, agent frame
+    payload: Optional[np.ndarray] = None  # downsampled cloud, agent frame
+    shared: list[np.ndarray] = field(default_factory=list)  # replies, camera frame
     depth_map: Optional[DepthMap] = None
     bev: Optional[np.ndarray] = None
     mask: Optional[np.ndarray] = None
@@ -469,23 +500,41 @@ def _relative_poses(
 
 
 def _share_clouds(
-    works: dict[int, _AgentWork], pipe: PipelineConfig, ledger: RoundLedger
+    works: dict[int, _AgentWork],
+    scenario: ScenarioConfig,
+    pipe: PipelineConfig,
+    ledger: RoundLedger,
 ) -> None:
-    """Phase 1: connected LiDAR agents send a downsampled cloud to each neighbor."""
+    """Phase 1: each agent with camera images requests depth points from
+    each LiDAR neighbor.
+
+    The request carries the pose the receiver projects that neighbor with.
+    The neighbor downsamples its cloud once, on the first request, and
+    replies with the points the receiver's depth map keeps: those nearest
+    at a pixel of its image, below d_max.  They are sent in the receiver's
+    camera frame, so the receiver's map is the one the whole cloud gives.
+    """
     if pipe.depth_projection != "all":
         return
     for w in works.values():
-        if w.neighbors and w.state.has_lidar:
-            w.payload = downsample_cloud(w.cloud, _PAYLOAD_CELL)
-    for w in works.values():
+        if w.images is None:
+            continue
         for j in w.neighbors:
-            if works[j].payload is not None:
-                ledger.add(j, w.state.id, "depth", 3 * works[j].payload.shape[0])
+            sender = works[j]
+            if not sender.state.has_lidar:
+                continue
+            if sender.payload is None:
+                sender.payload = downsample_cloud(sender.cloud, _PAYLOAD_CELL)
+            ledger.add(w.state.id, j, "depth", _REQUEST_ELEMENTS)
+            cam = transform_points(compose(_CAM_FROM_AGENT, w.rel[j]), sender.payload)
+            _, _, rows = nearest_per_pixel(cam, scenario.camera, pipe.bins)
+            reply = cam[np.sort(rows)]
+            ledger.add(j, w.state.id, "depth", 3 * reply.shape[0])
+            w.shared.append(reply)
 
 
 def _perceive(
     w: _AgentWork,
-    works: dict[int, _AgentWork],
     scenario: ScenarioConfig,
     pipe: PipelineConfig,
     params: PipelineParams,
@@ -500,12 +549,7 @@ def _perceive(
         else:
             dmap = DepthMap.empty(pipe.bins, scenario.camera.height, scenario.camera.width)
         if pipe.depth_projection == "all":
-            shared = [
-                (compose(_CAM_FROM_AGENT, w.rel[j]), works[j].payload)
-                for j in w.neighbors
-                if works[j].payload is not None
-            ]
-            dmap = merge_cooperative(dmap, shared, scenario.camera, pipe.bins)
+            dmap = merge_cooperative(dmap, w.shared, scenario.camera, pipe.bins)
         pred = predict_depth(feat_img, depth_img, pipe.predictor, pipe.bins)
         dist = finalize_distribution(dmap, pred)
         camera_grid = lift_camera(
@@ -531,16 +575,17 @@ def _receive(
     ledger: RoundLedger,
 ) -> AgentRound:
     """Phase 2: warp each neighbor's message into this agent's frame and aggregate."""
-    warped = []
+    warped, written = [], []
     collisions = 0
     for j in w.neighbors:
         msg = works[j].message
         wr = warp_sparse(msg.indices, msg.vectors, w.rel[j], pipe.grid)
         warped.append(wr.bev)
+        written.append(wr.cells)  # each packed row has a nonzero scalar
         collisions += wr.collisions
         ledger.add(j, w.state.id, "feature", msg.feature_elements)
     if pipe.collab_mode == "attention":
-        agg = aggregate(params.agg_mha, w.bev, warped)
+        agg = aggregate(params.agg_mha, w.bev, warped, written)
     elif pipe.collab_mode == "max":
         agg = aggregate_max(w.bev, warped)
     else:
@@ -577,8 +622,8 @@ def run_round(
     }
     ledger = RoundLedger()
     _relative_poses(works, pipe, ledger)
-    _share_clouds(works, pipe, ledger)
+    _share_clouds(works, scenario, pipe, ledger)
     for w in works.values():
-        _perceive(w, works, scenario, pipe, params)
+        _perceive(w, scenario, pipe, params)
     rounds = {aid: _receive(w, works, pipe, params, ledger) for aid, w in works.items()}
     return rounds, ledger

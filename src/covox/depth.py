@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import CameraIntrinsics, Pose, project_points, transform_points
+from .geometry import CameraIntrinsics, project_points
 
 
 class DepthSource(IntEnum):
@@ -90,19 +90,35 @@ class DepthMap:
         return DepthMap(self.bins, self.bin_idx.copy(), self.source.copy())
 
 
+def nearest_per_pixel(cloud: np.ndarray, intr: CameraIntrinsics, bins: DepthBins):
+    """The points of a camera-frame cloud that a depth map keeps.
+
+    These are the points that project into the image with a depth below
+    d_max and are the nearest at their pixel, the lowest row on a tie.
+    Returns (flat pixel index, depth, row) with one entry per hit pixel,
+    in pixel order.
+    """
+    pts = np.asarray(cloud, dtype=np.float64).reshape(-1, 3)
+    pix, depth, rows = project_points(intr, pts)
+    keep = depth < bins.d_max  # beyond the last bin counts as no projection
+    pix, depth, rows = pix[keep], depth[keep], rows[keep]
+    flat = pix[:, 1] * intr.width + pix[:, 0]
+    nearest = np.full(intr.height * intr.width, np.inf)
+    np.minimum.at(nearest, flat, depth)
+    ties = np.flatnonzero(depth == nearest[flat])
+    first = np.full(nearest.size, rows.size)
+    np.minimum.at(first, flat[ties], ties)
+    pick = first[first < rows.size]
+    return flat[pick], depth[pick], rows[pick]
+
+
 def _min_depth_image(
     cloud: np.ndarray, intr: CameraIntrinsics, bins: DepthBins
 ) -> np.ndarray:
     """Per-pixel minimum projected depth of a camera-frame cloud (inf = none)."""
     img = np.full(intr.height * intr.width, np.inf)
-    pts = np.asarray(cloud, dtype=np.float64).reshape(-1, 3)
-    if pts.shape[0] == 0:
-        return img.reshape(intr.height, intr.width)
-    pix, depth, _ = project_points(intr, pts)
-    keep = depth < bins.d_max  # beyond the last bin counts as no projection
-    pix, depth = pix[keep], depth[keep]
-    flat = pix[:, 1] * intr.width + pix[:, 0]
-    np.minimum.at(img, flat, depth)
+    flat, depth, _ = nearest_per_pixel(cloud, intr, bins)
+    img[flat] = depth
     return img.reshape(intr.height, intr.width)
 
 
@@ -127,28 +143,23 @@ def project_cloud_to_depthmap(
 
 def merge_cooperative(
     ego_map: DepthMap,
-    neighbor_clouds: Sequence[tuple[Pose, np.ndarray]],
+    neighbor_clouds: Sequence[np.ndarray],
     intr: CameraIntrinsics,
     bins: DepthBins,
 ) -> DepthMap:
     """Fill gaps in the ego map with depths projected from neighbor clouds.
 
-    Each entry pairs a pose mapping the neighbor cloud into the ego camera
-    frame with the cloud itself.  Shared depths only ever land on pixels
-    that are absent or predicted; pixels projected from the ego cloud are
-    authoritative and stay untouched.  Conflicts among neighbors resolve by
-    the same minimum rule as ego projection.
+    Each neighbor cloud is already in the ego camera frame.  Shared depths
+    only ever land on pixels that are absent or predicted; pixels projected
+    from the ego cloud are authoritative and stay untouched.  Conflicts
+    among neighbors resolve by the same minimum rule as ego projection.
     """
     merged = ego_map.copy()
     if not neighbor_clouds:
         return merged
-    best = np.full(ego_map.shape, np.inf)
-    for pose, cloud in neighbor_clouds:
-        pts = np.asarray(cloud, dtype=np.float64).reshape(-1, 3)
-        if pts.shape[0] == 0:
-            continue
-        img = _min_depth_image(transform_points(pose, pts), intr, bins)
-        best = np.minimum(best, img)
+    # The minimum over all neighbors' points is the minimum of their minima.
+    clouds = [np.asarray(c, dtype=np.float64).reshape(-1, 3) for c in neighbor_clouds]
+    best = _min_depth_image(np.concatenate(clouds), intr, bins)
     writable = np.isin(merged.source, _WRITABLE)
     write = writable & np.isfinite(best)
     k, valid = bins.bin_of(best[write])

@@ -60,8 +60,12 @@ def clip_polygon(subject: np.ndarray, clipper: np.ndarray) -> np.ndarray:
         for cur in inputs:
             cur_in = _cross2(edge, cur - a) >= 0
             if cur_in != prev_in:
+                # Where an edge of the subject is collinear with this edge,
+                # the sides disagree only by rounding: the denominator can
+                # be 0 and t can leave [0, 1], so it is clamped to the segment.
                 denom = _cross2(edge, cur - prev)
-                t = _cross2(edge, a - prev) / denom
+                t = _cross2(edge, a - prev) / denom if denom else 0.0
+                t = min(max(t, 0.0), 1.0)
                 output.append(prev + t * (cur - prev))
             if cur_in:
                 output.append(cur)
@@ -70,7 +74,15 @@ def clip_polygon(subject: np.ndarray, clipper: np.ndarray) -> np.ndarray:
 
 
 def rotated_iou(a: Detection, b: Detection) -> float:
-    """Intersection-over-union of two oriented rectangles."""
+    """Intersection-over-union of two oriented rectangles.
+
+    Boxes whose circumscribed circles do not meet are disjoint and get 0.0
+    without clipping, which could leave a rounding sliver where corners
+    nearly touch.
+    """
+    reach = np.hypot(*a.extent) / 2.0 + np.hypot(*b.extent) / 2.0
+    if np.hypot(a.center[0] - b.center[0], a.center[1] - b.center[1]) > reach:
+        return 0.0
     ca, cb = a.corners(), b.corners()
     inter = polygon_area(clip_polygon(ca, cb))
     area_a = a.extent[0] * a.extent[1]
@@ -91,9 +103,8 @@ def _may_overlap(dets: Sequence[Detection], gts: Sequence[Detection]) -> np.ndar
     """(len(dets), len(gts)) flags: the boxes' circumscribed circles meet.
 
     A box lies inside the circle of radius hypot(l, w) / 2 about its center,
-    so boxes whose circles do not meet are disjoint. rotated_iou gives them
-    0.0, or a rounding sliver below 1e-12 where edges are collinear or
-    corners touch.
+    so boxes whose circles do not meet are disjoint, and rotated_iou gives
+    them 0.0.
     """
     def circles(boxes):
         arr = np.array([(*b.center, *b.extent) for b in boxes], dtype=np.float64)
@@ -111,9 +122,8 @@ def match_detections(
     """Greedy matching in descending score order; each gt is used once.
 
     Returns (tp flags aligned with the sorted order, sorted order indices).
-    Only pairs whose circumscribed circles meet are scored. Any other pair
-    has an IoU of at most a 1e-12 rounding sliver, so for every threshold
-    above that the result equals scoring all pairs.
+    Only pairs whose circumscribed circles meet are scored; any other pair
+    has an IoU of 0.0, so the result equals scoring all pairs.
     """
     if not (0.0 < iou_thresh < 1.0):
         raise ValueError("iou_thresh must lie in (0, 1)")

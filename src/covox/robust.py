@@ -65,7 +65,16 @@ def occupancy_from_bev(bev: np.ndarray) -> np.ndarray:
 
 def _convex_hull(points: np.ndarray) -> np.ndarray:
     """Andrew's monotone chain; returns hull vertices in CCW order."""
-    pts = np.unique(np.asarray(points, dtype=np.float64), axis=0)
+    pts = np.asarray(points, dtype=np.float64).reshape(-1, 2)
+    if np.any((pts == 0.0) & np.signbit(pts)):
+        # Which of -0.0 and 0.0 survives is up to np.unique's unstable sort.
+        pts = np.unique(pts, axis=0)
+    else:
+        # Rows in lexicographic order without repeats, as np.unique gives.
+        pts = pts[np.lexsort(pts.T[::-1])]
+        new_row = np.ones(len(pts), dtype=bool)
+        np.any(pts[1:] != pts[:-1], axis=1, out=new_row[1:])
+        pts = pts[new_row]
     if pts.shape[0] <= 2:
         return pts
 

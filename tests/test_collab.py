@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from covox import nnkit
+from covox import collab, depth, nnkit
 from covox.collab import (
     PipelineConfig,
     aggregate,
@@ -11,6 +11,7 @@ from covox.collab import (
     column_preference,
     comm_volume_log,
     confidence_mask,
+    dense_ratio,
     downsample_cloud,
     importance_scores,
     make_pipeline_params,
@@ -19,9 +20,10 @@ from covox.collab import (
     run_round,
     warp_sparse,
 )
-from covox.depth import DepthBins, NoisyOraclePredictor
-from covox.geometry import Pose, relative, transform_points
+from covox.depth import DepthBins, NoisyOraclePredictor, nearest_per_pixel
+from covox.geometry import Pose, compose, invert, project_points, relative, transform_points
 from covox.scene import (
+    DEFAULT_CAMERA_MOUNT,
     DEFAULT_LIDAR_MOUNT,
     AgentState,
     ScenarioConfig,
@@ -161,6 +163,23 @@ class TestCommVolumeLog:
             comm_volume_log(-1)
 
 
+class TestDenseRatio:
+    def test_dense_volume_per_directed_edge(self):
+        per_edge = GRID.nx * GRID.ny * GRID.nz * GRID.channels
+        assert dense_ratio(2, GRID, per_edge) == 2.0
+        assert dense_ratio(1, GRID, 1024) == 256.0
+
+    def test_nothing_sent_is_zero(self):
+        assert dense_ratio(0, GRID, 0) == 0.0  # no edges
+        assert dense_ratio(6, GRID, 0) == 0.0  # edges, but every message empty
+
+    def test_negative_rejected(self):
+        with pytest.raises(ValueError):
+            dense_ratio(-1, GRID, 10)
+        with pytest.raises(ValueError):
+            dense_ratio(1, GRID, -10)
+
+
 class TestWarp:
     def _sparse(self, rng, k=40):
         idx = np.unique(rng.integers(5, 60, (k, 2)), axis=0)
@@ -174,6 +193,21 @@ class TestWarp:
         dense[idx[:, 0], idx[:, 1]] = vecs
         assert np.array_equal(res.bev, dense)
         assert res.collisions == 0 and res.dropped == 0
+
+    @pytest.mark.parametrize("pose", [(0.0, 0.0, 0.0), (3.1, -2.0, 0.4), (30.0, -30.0, 2.2)])
+    def test_cells_are_the_written_cells(self, rng, pose):
+        idx, vecs = self._sparse(rng, k=400)
+        res = warp_sparse(idx, vecs, Pose.from_planar(*pose), GRID)
+        written = np.flatnonzero(np.any(res.bev.reshape(-1, GRID.bev_channels) != 0, axis=1))
+        assert np.array_equal(res.cells, written)
+
+    def test_no_cells_when_nothing_lands(self, rng):
+        idx, vecs = self._sparse(rng)
+        for res in (
+            warp_sparse(idx[:0], vecs[:0], Pose.identity(), GRID),
+            warp_sparse(idx, vecs, Pose.from_translation(500.0, 0.0), GRID),
+        ):
+            assert res.cells.shape == (0,)
 
     def test_one_pitch_translation_shifts_indices(self, rng):
         idx, vecs = self._sparse(rng)
@@ -222,11 +256,16 @@ class TestWarp:
         assert np.array_equal(res.bev, dense)
 
 
+def _with_cells(planes):
+    """(planes, flat indices of each plane's nonzero cells), as `aggregate` takes them."""
+    return planes, [np.flatnonzero(np.any(p.reshape(-1, p.shape[2]) != 0, axis=1)) for p in planes]
+
+
 class TestAggregate:
     def test_no_neighbors_matches_single_token_mha(self, rng):
         bev = np.zeros((4, 4, 64))
         bev[rng.uniform(size=(4, 4)) < 0.5] = rng.standard_normal(64)
-        out = aggregate(PARAMS.agg_mha, bev, [])
+        out = aggregate(PARAMS.agg_mha, bev, [], [])
         for i in range(4):
             for j in range(4):
                 ref, _ = nnkit.mha(
@@ -236,26 +275,26 @@ class TestAggregate:
 
     def test_identical_neighbor_equals_single(self, rng):
         bev = rng.standard_normal((4, 4, 64))
-        out_pair = aggregate(PARAMS.agg_mha, bev, [bev.copy()])
-        out_single = aggregate(PARAMS.agg_mha, bev, [])
+        out_pair = aggregate(PARAMS.agg_mha, bev, *_with_cells([bev.copy()]))
+        out_single = aggregate(PARAMS.agg_mha, bev, [], [])
         assert np.allclose(out_pair, out_single, atol=1e-9)
 
     def test_zero_neighbor_excluded_bit_exact(self, rng):
         bev = rng.standard_normal((6, 6, 64))
-        out_zero = aggregate(PARAMS.agg_mha, bev, [np.zeros_like(bev)])
-        out_none = aggregate(PARAMS.agg_mha, bev, [])
+        out_zero = aggregate(PARAMS.agg_mha, bev, *_with_cells([np.zeros_like(bev)]))
+        out_none = aggregate(PARAMS.agg_mha, bev, [], [])
         assert np.array_equal(out_zero, out_none)
 
     def test_neighbor_signal_reaches_empty_ego_cell(self, rng):
         bev = np.zeros((4, 4, 64))
         nbr = np.zeros((4, 4, 64))
         nbr[2, 2] = rng.standard_normal(64)
-        out = aggregate(PARAMS.agg_mha, bev, [nbr])
+        out = aggregate(PARAMS.agg_mha, bev, *_with_cells([nbr]))
         assert np.linalg.norm(out[2, 2]) > 0
 
     def test_shape_preserved(self, rng):
         bev = rng.standard_normal((5, 7, 64))
-        assert aggregate(PARAMS.agg_mha, bev, [bev]).shape == bev.shape
+        assert aggregate(PARAMS.agg_mha, bev, *_with_cells([bev])).shape == bev.shape
 
     def test_max_and_concat_variants(self, rng):
         bev = rng.standard_normal((4, 4, 64))
@@ -310,7 +349,8 @@ class TestAggregateOracle:
         return nnkit.init_mha(GRID.bev_channels, 4, (7, 1), with_bias=True)
 
     def _check(self, mha, ego, warped):
-        assert np.array_equal(aggregate(mha, ego, warped), _dense_aggregate(mha, ego, warped))
+        got = aggregate(mha, ego, *_with_cells(warped))
+        assert np.array_equal(got, _dense_aggregate(mha, ego, warped))
 
     def test_no_neighbors(self, rng, mha):
         (ego,) = _sparse_planes(rng, 1, self.SHAPE, 0.3)
@@ -431,12 +471,22 @@ class TestRunRound:
         by_id = {a.id: a for a in agents}
         _, ledger = run_round(agents, objects, (), scn, self._pipe(), PARAMS)
         depth = [r for r in ledger.records if r.phase == "depth"]
-        assert len(depth) == 6  # every ordered pair of three linked agents
-        for rec in depth:
-            sender = by_id[rec.sender]
+        # Every ordered pair of three linked agents: a request, then its reply.
+        assert len(depth) == 12
+        for request, reply in zip(depth[::2], depth[1::2]):
+            assert request.elements == 3
+            assert (reply.sender, reply.receiver) == (request.receiver, request.sender)
+            receiver, sender = by_id[reply.receiver], by_id[reply.sender]
             pts = simulate_lidar(sender, objects, (), scn.lidar, lidar_rng(scn.seed, sender.id))
-            cloud = transform_points(DEFAULT_LIDAR_MOUNT, pts)
-            assert rec.elements == 3 * len(downsample_cloud(cloud, 0.5))
+            cloud = downsample_cloud(transform_points(DEFAULT_LIDAR_MOUNT, pts), 0.5)
+            cam_from_sender = compose(
+                invert(DEFAULT_CAMERA_MOUNT),
+                relative(receiver.believed_pose, sender.believed_pose),
+            )
+            _, _, rows = nearest_per_pixel(
+                transform_points(cam_from_sender, cloud), scn.camera, BINS
+            )
+            assert 0 < reply.elements == 3 * len(rows) < 3 * len(cloud)
 
     def test_agent_order_invariant(self):
         scn = ScenarioConfig(seed=5, n_agents=3, n_objects=4, pose_noise_sigma_xy=0.2)
@@ -448,3 +498,122 @@ class TestRunRound:
         assert list(a) == list(b)
         for aid in a:
             assert np.array_equal(a[aid].aggregated, b[aid].aggregated)
+
+
+def _min_depth_image_by_minimum_at(cloud, intr, bins):
+    """Reference: scatter every projected depth with np.minimum.at."""
+    img = np.full(intr.height * intr.width, np.inf)
+    pix, dist, _ = project_points(intr, np.asarray(cloud, dtype=np.float64).reshape(-1, 3))
+    keep = dist < bins.d_max
+    np.minimum.at(img, pix[keep, 1] * intr.width + pix[keep, 0], dist[keep])
+    return img.reshape(intr.height, intr.width)
+
+
+def _share_whole_clouds(works, scenario, pipe, ledger):
+    """Reference phase 1: every connected LiDAR agent sends its whole
+    downsampled cloud to every neighbor, which moves it into its camera
+    frame with the pose it uses for that neighbor."""
+    if pipe.depth_projection != "all":
+        return
+    for w in works.values():
+        if w.neighbors and w.state.has_lidar:
+            w.payload = downsample_cloud(w.cloud, 0.5)
+    for w in works.values():
+        for j in w.neighbors:
+            cloud = works[j].payload
+            if cloud is None:
+                continue
+            ledger.add(j, w.state.id, "depth", 3 * cloud.shape[0])
+            if w.images is not None:
+                cam_from_sender = compose(invert(DEFAULT_CAMERA_MOUNT), w.rel[j])
+                w.shared.append(transform_points(cam_from_sender, cloud))
+
+
+def _chain_scene():
+    """Three agents in a line, each linked only to the next."""
+    scn = ScenarioConfig(seed=3, n_agents=1, n_objects=6, area=(-20.0, 60.0, -20.0, 20.0),
+                         comm_range=30.0)
+    _, objects = generate_scene(scn)
+    agents = [agent_at(0, 0.0, 0.0), agent_at(1, 25.0, 2.0, 3.0), agent_at(2, 50.0, -1.0, 0.5)]
+    return scn, agents, objects
+
+
+ORACLE_CASES = {
+    "base": (dict(seed=9, n_agents=3, n_objects=4), {}),
+    "robust": (dict(seed=9, n_agents=3, n_objects=4), dict(robust=True)),
+    "noisy_poses": (dict(seed=5, n_agents=3, n_objects=5, pose_noise_sigma_xy=0.4,
+                         pose_noise_sigma_yaw=0.04), {}),
+    "noisy_poses_robust": (dict(seed=12, n_agents=3, n_objects=6, pose_noise_sigma_xy=0.3),
+                           dict(robust=True)),
+    "camera_dropout": (dict(seed=9, n_agents=3, n_objects=4, dropout={0: ("camera",)}), {}),
+    "lidar_dropout": (dict(seed=9, n_agents=3, n_objects=4, dropout={1: ("lidar",)}),
+                      dict(robust=True)),
+    "one_agent": (dict(seed=4, n_agents=1, n_objects=3), {}),
+    "chain": (None, {}),
+    "five_agents_equal_max": (dict(seed=21, n_agents=5, n_objects=6, pose_noise_sigma_xy=0.2),
+                              dict(fusion_mode="equal", collab_mode="max", robust=True)),
+    "no_fusion": (dict(seed=9, n_agents=3, n_objects=4), dict(fusion_mode="none")),
+}
+
+
+class TestPhaseOneOracle:
+    """Phase 1 sends each receiver only the points its depth map keeps. The
+    reference sends whole downsampled clouds and projects them with
+    np.minimum.at; every depth map and BEV must come out bit for bit the
+    same, and every reply no larger than the whole cloud."""
+
+    @pytest.fixture(params=sorted(ORACLE_CASES))
+    def case(self, request):
+        scenario_kw, pipe_kw = ORACLE_CASES[request.param]
+        if scenario_kw is None:
+            scn, agents, objects = _chain_scene()
+        else:
+            scn = ScenarioConfig(**scenario_kw)
+            agents, objects = generate_scene(scn)
+        pipe = PipelineConfig(
+            grid=GRID, bins=BINS, predictor=NoisyOraclePredictor(1.0, 1), **pipe_kw
+        )
+        return agents, objects, scn, pipe
+
+    def _runs(self, case, monkeypatch):
+        agents, objects, scn, pipe = case
+        got = run_round(agents, objects, (), scn, pipe, PARAMS)
+        with monkeypatch.context() as m:
+            m.setattr(collab, "_share_clouds", _share_whole_clouds)
+            m.setattr(depth, "_min_depth_image", _min_depth_image_by_minimum_at)
+            want = run_round(agents, objects, (), scn, pipe, PARAMS)
+        return got, want, agents
+
+    def test_rounds_bit_identical(self, case, monkeypatch):
+        (rounds, _), (ref, _), _ = self._runs(case, monkeypatch)
+        assert list(rounds) == list(ref)
+        for aid, r in rounds.items():
+            if ref[aid].depth_map is None:
+                assert r.depth_map is None
+            else:
+                assert np.array_equal(r.depth_map.bin_idx, ref[aid].depth_map.bin_idx)
+                assert np.array_equal(r.depth_map.source, ref[aid].depth_map.source)
+            for name in ("bev", "aggregated", "mask"):
+                assert np.array_equal(getattr(r, name), getattr(ref[aid], name)), name
+            assert np.array_equal(r.message.vectors, ref[aid].message.vectors)
+
+    def test_ledger_against_whole_clouds(self, case, monkeypatch):
+        (_, ledger), (_, ref), agents = self._runs(case, monkeypatch)
+        others = [r for r in ledger.records if r.phase != "depth"]
+        assert others == [r for r in ref.records if r.phase != "depth"]
+        whole = {(r.sender, r.receiver): r.elements for r in ref.records if r.phase == "depth"}
+        cameras = {a.id for a in agents if a.has_camera}
+        lidars = {a.id for a in agents if a.has_lidar}
+        depth_records = [r for r in ledger.records if r.phase == "depth"]
+        requests, replies = depth_records[::2], depth_records[1::2]
+        for request, reply in zip(requests, replies):
+            assert request.elements == 3
+            assert (reply.sender, reply.receiver) == (request.receiver, request.sender)
+            assert reply.elements <= whole[reply.sender, reply.receiver]
+        # Exactly one request per edge that has a payload to ask for, and
+        # none from a receiver without camera images.
+        fused = case[3].fusion_mode != "none"
+        expected = sorted(
+            (rx, tx) for tx, rx in whole if rx in cameras and tx in lidars and fused
+        )
+        assert sorted((r.sender, r.receiver) for r in requests) == expected

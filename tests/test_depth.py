@@ -10,10 +10,11 @@ from covox.depth import (
     UniformPredictor,
     finalize_distribution,
     merge_cooperative,
+    nearest_per_pixel,
     predict_depth,
     project_cloud_to_depthmap,
 )
-from covox.geometry import CameraIntrinsics, Pose
+from covox.geometry import CameraIntrinsics, project_points
 
 BINS = DepthBins(1.0, 33.0, 16)
 INTR = CameraIntrinsics(50.0, 50.0, 16.0, 12.0, 32, 24)
@@ -68,6 +69,43 @@ class TestProjectCloud:
         assert dmap.bin_idx[3, 3] == k[0]
 
 
+class TestNearestPerPixel:
+    def test_nearest_wins_and_lowest_row_breaks_ties(self):
+        cloud = cloud_for_pixels(
+            [(5, 7, 3.0), (5, 7, 1.5), (2, 2, 4.0), (5, 7, 1.5), (9, 1, 40.0), (2, 2, 4.0)]
+        )
+        flat, dist, rows = nearest_per_pixel(cloud, INTR, BINS)
+        assert flat.tolist() == [2 * INTR.width + 2, 7 * INTR.width + 5]
+        assert dist.tolist() == [4.0, 1.5]
+        assert rows.tolist() == [2, 1]  # (9, 1) lies beyond d_max
+
+    def test_keeps_the_minimum_depth_image(self, rng):
+        # Many points per pixel, exact depth ties, points off the image and
+        # beyond d_max.
+        n = 3000
+        pixels = np.stack([rng.integers(-3, 36, n), rng.integers(-3, 28, n),
+                           rng.choice([2.0, 5.5, 9.0, 31.0, 40.0], n)], axis=1)
+        cloud = cloud_for_pixels(pixels) * rng.choice([1.0, 1.0 + 1e-9], (n, 1))
+        flat, dist, rows = nearest_per_pixel(cloud, INTR, BINS)
+        assert len(np.unique(flat)) == len(flat)
+
+        pix, dist_all, rows_all = project_points(INTR, cloud)
+        within = dist_all < BINS.d_max
+        flat_all = (pix[:, 1] * INTR.width + pix[:, 0])[within]
+        dist_all, rows_all = dist_all[within], rows_all[within]
+        want = np.full(INTR.height * INTR.width, np.inf)
+        np.minimum.at(want, flat_all, dist_all)
+        got = np.full(INTR.height * INTR.width, np.inf)
+        got[flat] = dist
+        assert np.array_equal(got, want)
+        for f, row in zip(flat.tolist(), rows.tolist()):
+            assert row == rows_all[(flat_all == f) & (dist_all == want[f])].min()
+
+    def test_empty_cloud(self):
+        flat, dist, rows = nearest_per_pixel(np.zeros((0, 3)), INTR, BINS)
+        assert flat.shape == dist.shape == rows.shape == (0,)
+
+
 @pytest.mark.parametrize("stage", ["project_cloud_to_depthmap", "merge_cooperative"])
 def test_out_of_range_depth_raises(monkeypatch, stage):
     """A projected depth past the last bin is an error, also under `python -O`."""
@@ -83,14 +121,14 @@ def test_out_of_range_depth_raises(monkeypatch, stage):
             project_cloud_to_depthmap(cloud, INTR, BINS)
         else:
             empty = DepthMap.empty(BINS, INTR.height, INTR.width)
-            merge_cooperative(empty, [(Pose.identity(), cloud)], INTR, BINS)
+            merge_cooperative(empty, [cloud], INTR, BINS)
 
 
 class TestMerge:
     def test_ego_pixels_untouched(self):
         ego = project_cloud_to_depthmap(cloud_for_pixels([(5, 5, 10.0)]), INTR, BINS)
         neighbor = cloud_for_pixels([(5, 5, 3.0)])
-        merged = merge_cooperative(ego, [(Pose.identity(), neighbor)], INTR, BINS)
+        merged = merge_cooperative(ego, [neighbor], INTR, BINS)
         k, _ = BINS.bin_of(np.array([10.0]))
         assert merged.bin_idx[5, 5] == k[0]
         assert merged.source[5, 5] == DepthSource.EGO_PROJECTED
@@ -104,7 +142,7 @@ class TestMerge:
     def test_neighbor_fills_absent(self):
         ego = DepthMap.empty(BINS, INTR.height, INTR.width)
         neighbor = cloud_for_pixels([(2, 2, 6.0)])
-        merged = merge_cooperative(ego, [(Pose.identity(), neighbor)], INTR, BINS)
+        merged = merge_cooperative(ego, [neighbor], INTR, BINS)
         k, _ = BINS.bin_of(np.array([6.0]))
         assert merged.bin_idx[2, 2] == k[0]
         assert merged.source[2, 2] == DepthSource.NEIGHBOR_PROJECTED
@@ -113,9 +151,7 @@ class TestMerge:
         ego = DepthMap.empty(BINS, INTR.height, INTR.width)
         n1 = cloud_for_pixels([(2, 2, 9.0)])
         n2 = cloud_for_pixels([(2, 2, 5.0)])
-        merged = merge_cooperative(
-            ego, [(Pose.identity(), n1), (Pose.identity(), n2)], INTR, BINS
-        )
+        merged = merge_cooperative(ego, [n1, n2], INTR, BINS)
         k, _ = BINS.bin_of(np.array([5.0]))
         assert merged.bin_idx[2, 2] == k[0]
 
@@ -131,7 +167,7 @@ class TestMerge:
                 rng.integers(0, 32, 60), rng.integers(0, 24, 60), rng.uniform(2, 30, 60)
             )]
         )
-        merged = merge_cooperative(ego, [(Pose.identity(), nbr_cloud)], INTR, BINS)
+        merged = merge_cooperative(ego, [nbr_cloud], INTR, BINS)
         n_ego = np.count_nonzero(ego.projected_mask())
         assert np.count_nonzero(merged.projected_mask()) >= n_ego
         ego_mask = ego.source == DepthSource.EGO_PROJECTED
@@ -141,9 +177,7 @@ class TestMerge:
         ego_pixels = [(u, v, 5.0) for u in range(0, 16) for v in range(0, 8)]
         nbr_pixels = [(u, v, 7.0) for u in range(16, 32) for v in range(8, 16)]
         ego = project_cloud_to_depthmap(cloud_for_pixels(ego_pixels), INTR, BINS)
-        merged = merge_cooperative(
-            ego, [(Pose.identity(), cloud_for_pixels(nbr_pixels))], INTR, BINS
-        )
+        merged = merge_cooperative(ego, [cloud_for_pixels(nbr_pixels)], INTR, BINS)
         assert np.count_nonzero(ego.projected_mask()) == len(ego_pixels)
         assert np.count_nonzero(merged.projected_mask()) == len(ego_pixels) + len(nbr_pixels)
 

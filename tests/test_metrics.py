@@ -57,10 +57,6 @@ def placed_near(gt, phi, gap, corner, l, w, yaw, score):
     center = (gt.center[0] + dist * np.cos(phi), gt.center[1] + dist * np.sin(phi))
     return Detection(center, yaw, (l, w), score)
 
-
-# Largest IoU rotated_iou gives boxes that do not overlap (rounding).
-SLIVER = 1e-12
-
 yaws = st.floats(-np.pi, np.pi)
 sizes = st.floats(0.2, 5.0)
 scores = st.sampled_from([0.2, 0.5, 0.5, 0.9])  # repeats give tied scores
@@ -101,6 +97,15 @@ class TestRotatedIou:
 
     def test_disjoint_boxes(self):
         assert rotated_iou(box(0, 0), box(5, 5)) == 0.0
+
+    def test_corners_nearly_touching(self):
+        # Clipping leaves three nearly equal vertices, and the shoelace sum
+        # at coordinates ~20 a 1e-14 area; the boxes' circles do not meet.
+        a = Detection((8.59042826941294, -19.58608805542159), 0.2500489067040368,
+                      (2.3960123157460025, 0.4546562740004104))
+        b = Detection((11.298235877394017, -18.319318387779685), 2.4742523238713225,
+                      (1.5902813648598224, 3.1628812379934255))
+        assert rotated_iou(a, b) == 0.0 and rotated_iou(b, a) == 0.0
 
     def test_half_overlap_unit_squares(self):
         iou = rotated_iou(box(0, 0), box(0.5, 0))
@@ -153,6 +158,35 @@ class TestPolygonOps:
         a = np.array([[2, 2], [3, 2], [3, 3], [2, 3]], dtype=float)
         b = np.array([[0, 0], [1, 0], [1, 1], [0, 1]], dtype=float)
         assert clip_polygon(a, b).shape[0] == 0
+
+    # Disjoint boxes with an edge of one collinear with an edge of the other.
+    # The clip used to divide by ~0 there and put a vertex far off the
+    # subject, for an IoU of 3.3e-17 in place of 0.0.
+    COLLINEAR = (
+        Detection((1.306082156351531, 0.7135159339553883), 0.5, (0.5, 0.5)),
+        Detection((0, 0), 0.5, (1.1753233310131732, 0.5)),
+    )
+    # Equal boxes side by side: the shared edge zeroed the denominator.
+    TOUCHING = (
+        Detection((-0.05707662003021707, 4.906793631068826), 0.5, (2.0, 2.0)),
+        Detection((-1.9, 3.9), 0.5, (2.0, 2.0)),
+    )
+
+    def test_clip_collinear_disjoint_boxes_is_empty(self):
+        a, b = self.COLLINEAR
+        assert clip_polygon(a.corners(), b.corners()).shape[0] == 0
+        assert clip_polygon(b.corners(), a.corners()).shape[0] == 0
+        assert rotated_iou(a, b) == 0.0 and rotated_iou(b, a) == 0.0
+
+    def test_clip_vertices_stay_on_the_subject(self):
+        for a, b in (self.COLLINEAR, self.TOUCHING):
+            for subject, clipper in ((a, b), (b, a)):
+                corners = subject.corners()
+                out = clip_polygon(corners, clipper.corners())
+                assert np.all(np.isfinite(out))
+                assert np.all(out >= corners.min(axis=0) - 1e-12)
+                assert np.all(out <= corners.max(axis=0) + 1e-12)
+                assert polygon_area(out) < 1e-12
 
 
 class TestAveragePrecision:
@@ -241,7 +275,7 @@ class TestMatchingPrefilter:
         assert near.shape == (len(dets), len(gts))
         for i, d in enumerate(dets):
             for j, g in enumerate(gts):
-                if rotated_iou(d, g) > SLIVER:
+                if rotated_iou(d, g) > 0.0:
                     assert near[i, j]
 
     @given(
@@ -250,16 +284,13 @@ class TestMatchingPrefilter:
         st.sampled_from([None, 0.0, np.pi / 2]), yaws, sizes, sizes,
     )
     @settings(max_examples=400, deadline=None)
-    # clip_polygon divides by ~0 on collinear edges; the sliver is checked.
-    @pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_disjoint_circumscribed_circles_give_no_overlap(
         self, cx, cy, yaw_a, l_a, w_a, phi, gap, corner, turn, yaw_b, l_b, w_b
     ):
-        """Boxes whose circles do not meet get an IoU of 0.0, up to a
-        rounding sliver where corners nearly touch or where an edge of one
-        box is collinear with an edge of the other: a `turn` puts a copy of
-        a on a's long (0) or short (pi/2) axis."""
+        """Boxes whose circles do not meet get an IoU of exactly 0.0, also
+        where corners nearly touch or where an edge of one box is collinear
+        with an edge of the other: a `turn` puts a copy of a on a's long (0)
+        or short (pi/2) axis."""
         a = Detection((cx, cy), yaw_a, (l_a, w_a))
         if turn is not None:
             phi, corner, yaw_b, (l_b, w_b) = yaw_a + turn, False, yaw_a, a.extent
@@ -267,8 +298,8 @@ class TestMatchingPrefilter:
         dist = np.hypot(b.center[0] - a.center[0], b.center[1] - a.center[1])
         if dist > radius(a) + radius(b):
             assert not _may_overlap([a], [b])[0, 0]
-            assert 0.0 <= rotated_iou(a, b) < SLIVER
-            assert 0.0 <= rotated_iou(b, a) < SLIVER
+            assert rotated_iou(a, b) == 0.0
+            assert rotated_iou(b, a) == 0.0
 
     def test_empty_inputs(self):
         tp, order = match_detections([], [box(0, 0)], 0.5)
