@@ -42,7 +42,6 @@ class TrialOutcome:
     rounds: dict[int, AgentRound]
     agents: list[AgentState]
     objects: list[BoxObject]
-    scenario: ScenarioConfig
 
 
 def _fmt(value: float) -> str:
@@ -153,7 +152,7 @@ def run_trial(exp: ExperimentSpec, trial: int, sigma_xy: float | None, params) -
         )
         for rec_ in ledger.records
     ]
-    return TrialOutcome(row, log_lines, rounds, agents, objects, scenario)
+    return TrialOutcome(row, log_lines, rounds, agents, objects)
 
 
 def render_outputs(outcome: TrialOutcome, grid, out_dir: Path) -> list[Path]:

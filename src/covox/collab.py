@@ -6,7 +6,8 @@ synchronous two-phase exchange round.
 
 1. sense — LiDAR and camera capture, LiDAR voxelization;
 2. relative poses — believed relative poses, optionally corrected by
-   matching shared local detections;
+   matching shared local detections.  Believed poses are read from the
+   agent states: they are not sent in any message and not charged;
 3. phase 1 — each agent that runs cooperative depth sends each LiDAR
    neighbor a request carrying the pose it projects that neighbor with,
    and the neighbor replies with the points of its downsampled cloud that
@@ -92,8 +93,6 @@ _CONCAT_SLOTS = 4  # token budget of the concat aggregation ablation
 _CAM_FROM_AGENT = invert(DEFAULT_CAMERA_MOUNT)
 _CAM_FROM_LIDAR = compose(_CAM_FROM_AGENT, DEFAULT_LIDAR_MOUNT)
 
-_PRIORITY = np.array([0, 2, 1, 3])  # NORMAL < CAMERA < LIDAR < HYBRID
-
 FUSION_MODES = ("none", "equal", "biased")
 DEPTH_PROJECTIONS = ("no", "ego", "all")
 COLLAB_MODES = ("max", "concat", "attention")
@@ -101,13 +100,15 @@ COLLAB_MODES = ("max", "concat", "attention")
 
 @dataclass
 class Message:
-    """One broadcast payload: the sender's pose and its masked sparse BEV cells."""
+    """One broadcast payload: the sender's masked sparse BEV cells.
 
-    sender_id: int
-    pose: Pose
+    It carries no pose: a receiver reads the sender's believed pose from the
+    agent states, and the ledger charges only `feature_elements`.
+    """
+
     indices: np.ndarray  # (K, 2) BEV cell indices
     vectors: np.ndarray  # (K, F) cell features, each row has a nonzero entry
-    feature_elements: int = 0
+    feature_elements: int
 
 
 @dataclass(frozen=True)
@@ -129,13 +130,8 @@ class RoundLedger:
     def add(self, sender: int, receiver: int, phase: str, elements: int) -> None:
         self.records.append(EdgeRecord(sender, receiver, phase, int(elements)))
 
-    def total(self, phase: str | None = None, receiver: int | None = None) -> int:
-        return sum(
-            r.elements
-            for r in self.records
-            if (phase is None or r.phase == phase)
-            and (receiver is None or r.receiver == receiver)
-        )
+    def total(self, phase: str) -> int:
+        return sum(r.elements for r in self.records if r.phase == phase)
 
 
 @dataclass
@@ -150,7 +146,6 @@ class WarpResult:
 class AgentRound:
     """Everything one agent produced during a round."""
 
-    agent_id: int
     bev: np.ndarray  # own collapsed BEV feature plane
     aggregated: np.ndarray  # post-collaboration BEV
     mask: np.ndarray
@@ -226,20 +221,10 @@ def build_comm_graph(
     return graph
 
 
-def column_preference(grid: VoxelGrid) -> np.ndarray:
-    """Preferred category per BEV column: hybrid > lidar > camera > normal."""
-    prio = _PRIORITY[grid.category].max(axis=2)
-    lookup = np.array(
-        [Category.NORMAL, Category.CAMERA, Category.LIDAR, Category.HYBRID],
-        dtype=np.uint8,
-    )
-    return lookup[prio]
-
-
 def preference_map(grid: VoxelGrid) -> np.ndarray:
-    """Per-column transmission threshold: 0 for hybrid-preferred cells
+    """Per-column transmission threshold: 0 for columns with a hybrid cell
     (always worth sharing), 0.5 for everything else."""
-    return np.where(column_preference(grid) == Category.HYBRID, 0.0, 0.5)
+    return np.where(np.any(grid.category == Category.HYBRID, axis=2), 0.0, 0.5)
 
 
 def importance_scores(bev: np.ndarray) -> np.ndarray:
@@ -259,9 +244,7 @@ def confidence_mask(scores: np.ndarray, preference: np.ndarray) -> np.ndarray:
     return (scores > preference).astype(np.uint8)
 
 
-def pack_message(
-    bev: np.ndarray, mask: np.ndarray, pose: Pose, sender_id: int = 0
-) -> Message:
+def pack_message(bev: np.ndarray, mask: np.ndarray) -> Message:
     """Sparse-pack the masked BEV cells and tally the transmitted scalars.
 
     Only mask=1 cells with at least one nonzero scalar are included;
@@ -272,8 +255,6 @@ def pack_message(
     keep = np.any(vecs != 0.0, axis=1) if vecs.size else np.zeros(0, dtype=bool)
     idx, vecs = idx[keep], vecs[keep]
     return Message(
-        sender_id=sender_id,
-        pose=pose,
         indices=idx,
         vectors=np.array(vecs),
         feature_elements=int(np.count_nonzero(vecs)),
@@ -302,7 +283,7 @@ def dense_ratio(directed_edges: int, grid: GridSpec, total_elements: int) -> flo
     return directed_edges * grid.nx * grid.ny * grid.bev_channels / total_elements
 
 
-def downsample_cloud(points: np.ndarray, cell: float = 0.5) -> np.ndarray:
+def downsample_cloud(points: np.ndarray, cell: float) -> np.ndarray:
     """Voxel-dedup filter: keep the first point per `cell`-sized cube."""
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     if pts.shape[0] == 0:
@@ -410,12 +391,12 @@ def aggregate_max(ego: np.ndarray, warped: Sequence[np.ndarray]) -> np.ndarray:
 
 
 def aggregate_concat(
-    lin: nnkit.LinearMap, ego: np.ndarray, warped: Sequence[np.ndarray], slots: int
+    lin: nnkit.LinearMap, ego: np.ndarray, warped: Sequence[np.ndarray]
 ) -> np.ndarray:
     """Ablation baseline: channel-concatenate a fixed token budget + linear."""
     toks = [np.asarray(ego, dtype=np.float64)]
-    toks += [np.asarray(w, dtype=np.float64) for w in warped[: slots - 1]]
-    while len(toks) < slots:
+    toks += [np.asarray(w, dtype=np.float64) for w in warped[: _CONCAT_SLOTS - 1]]
+    while len(toks) < _CONCAT_SLOTS:
         toks.append(np.zeros_like(toks[0]))
     return lin.apply(np.concatenate(toks, axis=2))
 
@@ -454,8 +435,7 @@ def _sense(
         work = _AgentWork(agent, neighbors, VoxelGrid.empty(pipe.grid))
     else:
         pts = simulate_lidar(
-            agent, objects, occluders, scenario.lidar,
-            lidar_rng(scenario.seed, agent.id), DEFAULT_LIDAR_MOUNT,
+            agent, objects, occluders, scenario.lidar, lidar_rng(scenario.seed, agent.id)
         )
         cloud = transform_points(DEFAULT_LIDAR_MOUNT, pts)
         work = _AgentWork(
@@ -463,8 +443,7 @@ def _sense(
         )
     if agent.has_camera and pipe.fusion_mode != "none":
         work.images = simulate_camera(
-            agent, objects, occluders, scenario.camera,
-            DEFAULT_CAMERA_MOUNT, pipe.grid.channels,
+            agent, objects, occluders, scenario.camera, pipe.grid.channels
         )
     return work
 
@@ -564,7 +543,7 @@ def _perceive(
         fused = fuse_modalities(params.fusion, cat)
     w.bev = collapse(fused)
     w.mask = confidence_mask(importance_scores(w.bev), preference_map(fused))
-    w.message = pack_message(w.bev, w.mask, w.state.believed_pose, w.state.id)
+    w.message = pack_message(w.bev, w.mask)
 
 
 def _receive(
@@ -589,9 +568,8 @@ def _receive(
     elif pipe.collab_mode == "max":
         agg = aggregate_max(w.bev, warped)
     else:
-        agg = aggregate_concat(params.concat_lin, w.bev, warped, _CONCAT_SLOTS)
+        agg = aggregate_concat(params.concat_lin, w.bev, warped)
     return AgentRound(
-        agent_id=w.state.id,
         bev=w.bev,
         aggregated=agg,
         mask=w.mask,

@@ -19,13 +19,8 @@ from .geometry import CameraIntrinsics, project_points
 
 class DepthSource(IntEnum):
     ABSENT = 0
-    PREDICTED = 1
-    EGO_PROJECTED = 2
-    NEIGHBOR_PROJECTED = 3
-
-
-_PROJECTED = (DepthSource.EGO_PROJECTED, DepthSource.NEIGHBOR_PROJECTED)
-_WRITABLE = (DepthSource.ABSENT, DepthSource.PREDICTED)
+    EGO_PROJECTED = 1
+    NEIGHBOR_PROJECTED = 2
 
 
 @dataclass(frozen=True)
@@ -84,7 +79,7 @@ class DepthMap:
         return self.bin_idx.shape
 
     def projected_mask(self) -> np.ndarray:
-        return np.isin(self.source, _PROJECTED)
+        return self.source != DepthSource.ABSENT
 
     def copy(self) -> "DepthMap":
         return DepthMap(self.bins, self.bin_idx.copy(), self.source.copy())
@@ -150,9 +145,9 @@ def merge_cooperative(
     """Fill gaps in the ego map with depths projected from neighbor clouds.
 
     Each neighbor cloud is already in the ego camera frame.  Shared depths
-    only ever land on pixels that are absent or predicted; pixels projected
-    from the ego cloud are authoritative and stay untouched.  Conflicts
-    among neighbors resolve by the same minimum rule as ego projection.
+    only ever land on absent pixels; pixels projected from the ego cloud are
+    authoritative and stay untouched.  Conflicts among neighbors resolve by
+    the same minimum rule as ego projection.
     """
     merged = ego_map.copy()
     if not neighbor_clouds:
@@ -160,8 +155,7 @@ def merge_cooperative(
     # The minimum over all neighbors' points is the minimum of their minima.
     clouds = [np.asarray(c, dtype=np.float64).reshape(-1, 3) for c in neighbor_clouds]
     best = _min_depth_image(np.concatenate(clouds), intr, bins)
-    writable = np.isin(merged.source, _WRITABLE)
-    write = writable & np.isfinite(best)
+    write = (merged.source == DepthSource.ABSENT) & np.isfinite(best)
     k, valid = bins.bin_of(best[write])
     if not np.all(valid):
         raise ValueError("merge_cooperative: projected depth outside the bin range")

@@ -17,6 +17,8 @@ import numpy as np
 from . import nnkit
 from .voxel import Category, CategorizedGrid, VoxelGrid
 
+_GUIDANCE_HEADS = 2
+
 
 @dataclass(frozen=True)
 class FusionParams:
@@ -34,19 +36,11 @@ class FusionParams:
             raise ValueError("output transform must accept the concat pair")
 
 
-def make_fusion_params(
-    channels: int,
-    seed: int,
-    n_heads: int = 2,
-    guidance_threshold: float = 0.5,
-    max_tokens: int = 512,
-) -> FusionParams:
+def make_fusion_params(channels: int, seed: int) -> FusionParams:
     return FusionParams(
         lin1=nnkit.init_linear(channels, channels, (seed, 10)),
         lin2=nnkit.init_linear(2 * channels, channels, (seed, 11)),
-        guidance_mha=nnkit.init_mha(channels, n_heads, (seed, 12)),
-        guidance_threshold=guidance_threshold,
-        max_tokens=max_tokens,
+        guidance_mha=nnkit.init_mha(channels, _GUIDANCE_HEADS, (seed, 12)),
         sample_seed=seed,
     )
 

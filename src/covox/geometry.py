@@ -56,10 +56,6 @@ class Pose:
         return self.matrix[:3, 3]
 
     @staticmethod
-    def identity() -> "Pose":
-        return Pose(np.eye(4))
-
-    @staticmethod
     def from_rt(rotation: np.ndarray, translation) -> "Pose":
         m = np.eye(4)
         m[:3, :3] = rotation

@@ -32,12 +32,17 @@ class Detection:
 
 
 def polygon_area(poly: np.ndarray) -> float:
-    """Shoelace area of a simple polygon (absolute value)."""
+    """Shoelace area of a simple polygon (absolute value).
+
+    The sum runs over vertices taken relative to the first one, so a
+    degenerate polygon far from the origin, such as the line segment two
+    edge-sharing boxes clip to, gives 0.0 rather than a rounding sliver.
+    """
     p = np.asarray(poly, dtype=np.float64)
     if p.shape[0] < 3:
         return 0.0
-    x, y = p[:, 0], p[:, 1]
-    return float(abs(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))) / 2.0)
+    d = p[1:] - p[0]
+    return float(abs(np.dot(d[:-1, 0], d[1:, 1]) - np.dot(d[:-1, 1], d[1:, 0])) / 2.0)
 
 
 def _cross2(a: np.ndarray, b: np.ndarray) -> float:

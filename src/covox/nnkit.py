@@ -57,8 +57,9 @@ def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     return e / np.sum(e, axis=axis, keepdims=True)
 
 
-def init_linear(n_in: int, n_out: int, seed, with_bias: bool = False) -> LinearMap:
-    """Seeded linear map with entries uniform in (-1, 1) / sqrt(n_in).
+def init_linear(n_in: int, n_out: int, seed) -> LinearMap:
+    """Seeded linear map with weights uniform in (-1, 1) / sqrt(n_in) and a
+    zero bias.
 
     `seed` may be an int or a tuple of ints (used to derive independent
     streams per component).
@@ -68,8 +69,7 @@ def init_linear(n_in: int, n_out: int, seed, with_bias: bool = False) -> LinearM
     rng = np.random.default_rng(seed)
     scale = 1.0 / np.sqrt(n_in)
     w = rng.uniform(-1.0, 1.0, size=(n_out, n_in)) * scale
-    b = rng.uniform(-1.0, 1.0, size=n_out) * scale if with_bias else np.zeros(n_out)
-    return LinearMap(w, b)
+    return LinearMap(w, np.zeros(n_out))
 
 
 @dataclass(frozen=True)
@@ -97,12 +97,12 @@ class MhaParams:
         return self.dim // self.n_heads
 
 
-def init_mha(dim: int, n_heads: int, seed, with_bias: bool = False) -> MhaParams:
+def init_mha(dim: int, n_heads: int, seed) -> MhaParams:
     if isinstance(seed, (tuple, list)):
         base = tuple(seed)
     else:
         base = (int(seed),)
-    lins = [init_linear(dim, dim, base + (k,), with_bias=with_bias) for k in range(4)]
+    lins = [init_linear(dim, dim, base + (k,)) for k in range(4)]
     return MhaParams(n_heads, *lins)
 
 
@@ -127,21 +127,3 @@ def attention_weights(params: MhaParams, queries: np.ndarray, keys: np.ndarray) 
     k = split_heads(params.wk.apply(keys), h)  # (H, Nk, dh)
     scores = q @ np.swapaxes(k, -1, -2) / np.sqrt(params.head_dim)  # (H, Nq, Nk)
     return softmax(scores, axis=-1)
-
-
-def mha(params: MhaParams, queries: np.ndarray, keys: np.ndarray, values: np.ndarray):
-    """Scaled dot-product multi-head attention.
-
-    queries: (Nq, D); keys/values: (Nk, D) with Nk >= 1.
-    Returns (outputs (Nq, D), attn (Nq, Nk)) where attn is the head-mean
-    attention weight matrix.
-    """
-    weights = attention_weights(params, queries, keys)
-    values = np.atleast_2d(np.asarray(values, dtype=np.float64))
-    if weights.shape[-1] != values.shape[0]:
-        raise ValueError("keys and values must pair up")
-    v = split_heads(params.wv.apply(values), params.n_heads)
-    ctx = weights @ v  # (H, Nq, dh)
-    ctx = np.moveaxis(ctx, 0, 1).reshape(weights.shape[1], params.dim)
-    out = params.wo.apply(ctx)
-    return out, weights.mean(axis=0)

@@ -18,6 +18,9 @@ from .geometry import Pose, compose, planar_parts
 from .metrics import Detection
 from .voxel import GridSpec, VoxelGrid
 
+_REL_THRESHOLD = 0.15
+_MIN_CELLS = 2
+
 
 @dataclass(frozen=True)
 class NoiseModel:
@@ -25,22 +28,17 @@ class NoiseModel:
 
     sigma_xy: float = 0.0
     sigma_yaw: float = 0.0
-    seed: int = 0
 
     def __post_init__(self):
         if self.sigma_xy < 0 or self.sigma_yaw < 0:
             raise ValueError("noise sigmas must be non-negative")
 
 
-def perturb_pose(
-    pose: Pose, noise: NoiseModel, rng: np.random.Generator | None = None
-) -> Pose:
+def perturb_pose(pose: Pose, noise: NoiseModel, rng: np.random.Generator) -> Pose:
     """Perturb x, y and yaw; z, roll and pitch stay untouched.
 
     With all sigmas zero the result is bit-identical to the input.
     """
-    if rng is None:
-        rng = np.random.default_rng(noise.seed)
     dx = rng.normal(0.0, noise.sigma_xy)
     dy = rng.normal(0.0, noise.sigma_xy)
     dyaw = rng.normal(0.0, noise.sigma_yaw)
@@ -166,17 +164,13 @@ def _connected_components(mask: np.ndarray):
     return comps
 
 
-def detect_local(
-    bev_occupancy: np.ndarray,
-    spec: GridSpec,
-    rel_threshold: float = 0.15,
-    min_cells: int = 2,
-) -> list[Detection]:
+def detect_local(bev_occupancy: np.ndarray, spec: GridSpec) -> list[Detection]:
     """Heuristic box detector on a BEV occupancy map.
 
-    Cells above rel_threshold * max(occupancy) are grouped into 8-connected
-    components; each component yields the minimum-area oriented rectangle of
-    its cell centers, inflated by one cell pitch to undo center shrinkage.
+    Cells above _REL_THRESHOLD * max(occupancy) are grouped into 8-connected
+    components of at least _MIN_CELLS cells; each component yields the
+    minimum-area oriented rectangle of its cell centers, inflated by one cell
+    pitch to undo center shrinkage.
     The score is a bounded transform of the component's mean occupancy.
     """
     occ = np.asarray(bev_occupancy, dtype=np.float64)
@@ -185,11 +179,11 @@ def detect_local(
     peak = occ.max(initial=0.0)
     if peak <= 0.0:
         return []
-    mask = occ > rel_threshold * peak
+    mask = occ > _REL_THRESHOLD * peak
     pitch = (spec.dx + spec.dy) / 2.0
     dets = []
     for cells in _connected_components(mask):
-        if cells.shape[0] < min_cells:
+        if cells.shape[0] < _MIN_CELLS:
             continue
         centers = spec.bev_cell_centers(cells[:, 0], cells[:, 1])
         center, yaw, (length, width) = _min_area_rect(centers)

@@ -273,7 +273,6 @@ def raycast(
     objects: Sequence[BoxObject],
     occluders: Sequence[Wall],
     max_range: float = np.inf,
-    include_ground: bool = True,
 ):
     """First-hit distances for a bundle of rays from one origin.
 
@@ -282,13 +281,8 @@ def raycast(
     of the direction vector), kind is one of the HIT_* classes.
     """
     dirs = np.asarray(dirs, dtype=np.float64).reshape(-1, 3)
-    best = np.full(dirs.shape[0], np.inf)
-    kind = np.full(dirs.shape[0], HIT_NONE, dtype=np.uint8)
-    if include_ground:
-        t = _ray_ground_t(origin, dirs)
-        closer = t < best
-        best[closer] = t[closer]
-        kind[closer] = HIT_GROUND
+    best = _ray_ground_t(origin, dirs)
+    kind = np.where(best < np.inf, HIT_GROUND, HIT_NONE).astype(np.uint8)
     for wall in occluders:
         t = _ray_wall_t(origin, dirs, wall)
         closer = t < best
@@ -323,7 +317,6 @@ def simulate_lidar(
     occluders: Sequence[Wall],
     spec: LidarSpec,
     rng: np.random.Generator,
-    mount: Pose = DEFAULT_LIDAR_MOUNT,
 ) -> np.ndarray:
     """Spin the LiDAR once; returns hit points (N, 3) in the sensor frame.
 
@@ -333,7 +326,7 @@ def simulate_lidar(
     """
     if not agent.has_lidar:
         raise SensorAbsent(f"agent {agent.id} carries no lidar")
-    sensor = compose(agent.true_pose, mount)
+    sensor = compose(agent.true_pose, DEFAULT_LIDAR_MOUNT)
     dirs_local = lidar_directions(spec)
     dirs_world = dirs_local @ sensor.rotation.T
     t, kind = raycast(
@@ -349,7 +342,6 @@ def simulate_camera(
     objects: Sequence[BoxObject],
     occluders: Sequence[Wall],
     intr: CameraIntrinsics,
-    mount: Pose = DEFAULT_CAMERA_MOUNT,
     channels: int = 8,
 ):
     """Render ground-truth depth plus a deterministic per-pixel feature image.
@@ -362,7 +354,7 @@ def simulate_camera(
         raise SensorAbsent(f"agent {agent.id} carries no camera")
     if channels < _N_HIT_CLASSES + 2:
         raise ValueError("feature image needs at least 6 channels")
-    cam = compose(agent.true_pose, mount)
+    cam = compose(agent.true_pose, DEFAULT_CAMERA_MOUNT)
     dirs_cam = pixel_rays(intr).reshape(-1, 3)
     dirs_world = dirs_cam @ cam.rotation.T
     t, kind = raycast(cam.translation, dirs_world, objects, occluders)

@@ -118,9 +118,6 @@ class VoxelGrid:
             np.zeros((spec.nx, spec.ny, spec.nz), dtype=np.uint8),
         )
 
-    def count(self, cat: Category) -> int:
-        return int(np.count_nonzero(self.category == cat))
-
 
 @dataclass
 class CategorizedGrid:
@@ -213,7 +210,7 @@ def lift_camera(
     cam_pose_in_ego: Pose,
     spec: GridSpec,
     mass_threshold: float,
-    bin_centers: np.ndarray | None = None,
+    bin_centers: np.ndarray,
 ) -> LiftResult:
     """Splat image features into the grid along per-pixel depth distributions.
 
@@ -233,7 +230,7 @@ def lift_camera(
         raise ValueError("feature image and depth distribution disagree on size")
     if features.shape[2] != spec.channels:
         raise ValueError("feature channels must match the grid channels")
-    if bin_centers is None or len(bin_centers) != d:
+    if len(bin_centers) != d:
         raise ValueError("bin_centers must give one depth per distribution bin")
     bin_centers = np.asarray(bin_centers, dtype=np.float64)
 

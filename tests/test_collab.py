@@ -8,7 +8,6 @@ from covox.collab import (
     aggregate_concat,
     aggregate_max,
     build_comm_graph,
-    column_preference,
     comm_volume_log,
     confidence_mask,
     dense_ratio,
@@ -32,6 +31,8 @@ from covox.scene import (
     simulate_lidar,
 )
 from covox.voxel import Category, GridSpec, VoxelGrid
+
+from conftest import biased_mha, mha
 
 GRID = GridSpec((-20.0, 20.0), (-20.0, 20.0), (0.5, 3.7), 64, 64, 8, 8)
 BINS = DepthBins(1.0, 33.0, 16)
@@ -73,16 +74,10 @@ class TestPreference:
     def test_hybrid_column_zero_threshold(self):
         grid = self._grid_with_column([Category.HYBRID, Category.CAMERA, Category.NORMAL])
         assert preference_map(grid)[0, 0] == 0.0
-        assert column_preference(grid)[0, 0] == Category.HYBRID
 
     def test_lidar_column_half_threshold(self):
         grid = self._grid_with_column([Category.LIDAR, Category.NORMAL, Category.NORMAL])
         assert preference_map(grid)[0, 0] == 0.5
-        assert column_preference(grid)[0, 0] == Category.LIDAR
-
-    def test_lidar_beats_camera(self):
-        grid = self._grid_with_column([Category.CAMERA, Category.LIDAR, Category.NORMAL])
-        assert column_preference(grid)[0, 0] == Category.LIDAR
 
     def test_all_normal(self):
         grid = self._grid_with_column([Category.NORMAL] * 3)
@@ -132,7 +127,7 @@ class TestConfidenceMask:
 class TestPackMessage:
     def test_zero_mask_empty(self, rng):
         bev = rng.standard_normal((GRID.nx, GRID.ny, GRID.bev_channels))
-        msg = pack_message(bev, np.zeros((GRID.nx, GRID.ny)), Pose.identity())
+        msg = pack_message(bev, np.zeros((GRID.nx, GRID.ny)))
         assert msg.indices.shape[0] == 0
         assert msg.feature_elements == 0
 
@@ -141,14 +136,14 @@ class TestPackMessage:
         bev[3, 4, [0, 7, 20]] = 1.5
         mask = np.zeros((GRID.nx, GRID.ny))
         mask[3, 4] = 1
-        msg = pack_message(bev, mask, Pose.identity())
+        msg = pack_message(bev, mask)
         assert msg.feature_elements == 3
 
     def test_full_mask_equals_l0(self, rng):
         bev = np.zeros((GRID.nx, GRID.ny, GRID.bev_channels))
         sparse = rng.uniform(size=bev.shape) < 0.01
         bev[sparse] = rng.standard_normal(int(sparse.sum()))
-        msg = pack_message(bev, np.ones((GRID.nx, GRID.ny)), Pose.identity())
+        msg = pack_message(bev, np.ones((GRID.nx, GRID.ny)))
         assert msg.feature_elements == np.count_nonzero(bev)
 
 
@@ -188,7 +183,7 @@ class TestWarp:
 
     def test_identity_densifies_losslessly(self, rng):
         idx, vecs = self._sparse(rng)
-        res = warp_sparse(idx, vecs, Pose.identity(), GRID)
+        res = warp_sparse(idx, vecs, Pose(np.eye(4)), GRID)
         dense = np.zeros((GRID.nx, GRID.ny, GRID.bev_channels))
         dense[idx[:, 0], idx[:, 1]] = vecs
         assert np.array_equal(res.bev, dense)
@@ -204,7 +199,7 @@ class TestWarp:
     def test_no_cells_when_nothing_lands(self, rng):
         idx, vecs = self._sparse(rng)
         for res in (
-            warp_sparse(idx[:0], vecs[:0], Pose.identity(), GRID),
+            warp_sparse(idx[:0], vecs[:0], Pose(np.eye(4)), GRID),
             warp_sparse(idx, vecs, Pose.from_translation(500.0, 0.0), GRID),
         ):
             assert res.cells.shape == (0,)
@@ -232,7 +227,7 @@ class TestWarp:
         assert np.all(res.bev[0, 1] == 1.0) and np.all(res.bev[0, 2] == 2.0)
         # Genuine collision: scale down so two cells map into one.
         tiny = GridSpec((-2, 2), (-2, 2), (0, 1), 2, 2, 1, 8)
-        res2 = warp_sparse(np.array([[0, 0], [0, 1]]), vecs, Pose.identity(), tiny)
+        res2 = warp_sparse(np.array([[0, 0], [0, 1]]), vecs, Pose(np.eye(4)), tiny)
         assert res2.collisions == 0
         wide = np.array([[0, 0], [1, 0]])
         res3 = warp_sparse(
@@ -268,7 +263,7 @@ class TestAggregate:
         out = aggregate(PARAMS.agg_mha, bev, [], [])
         for i in range(4):
             for j in range(4):
-                ref, _ = nnkit.mha(
+                ref, _ = mha(
                     PARAMS.agg_mha, bev[i, j][None], bev[i, j][None], bev[i, j][None]
                 )
                 assert np.allclose(out[i, j], ref[0], atol=1e-12)
@@ -301,7 +296,7 @@ class TestAggregate:
         nbr = rng.standard_normal((4, 4, 64))
         out_max = aggregate_max(bev, [nbr])
         assert np.array_equal(out_max, np.maximum(bev, nbr))
-        out_cat = aggregate_concat(PARAMS.concat_lin, bev, [nbr], slots=4)
+        out_cat = aggregate_concat(PARAMS.concat_lin, bev, [nbr])
         stacked = np.concatenate([bev, nbr, np.zeros_like(bev), np.zeros_like(bev)], axis=2)
         assert np.allclose(out_cat, PARAMS.concat_lin.apply(stacked))
 
@@ -346,7 +341,7 @@ class TestAggregateOracle:
     def mha(self, request):
         if request.param == "unbiased":
             return PARAMS.agg_mha
-        return nnkit.init_mha(GRID.bev_channels, 4, (7, 1), with_bias=True)
+        return biased_mha(PARAMS.agg_mha, (7, 1))
 
     def _check(self, mha, ego, warped):
         got = aggregate(mha, ego, *_with_cells(warped))
@@ -409,7 +404,6 @@ class TestRunRound:
         agents, objects = generate_scene(scn)
         rounds, ledger = run_round(agents, objects, (), scn, self._pipe(), PARAMS)
         assert ledger.records == []
-        assert ledger.total() == 0
         assert rounds[0].aggregated.shape == (GRID.nx, GRID.ny, GRID.bev_channels)
 
     def test_two_agents_exchange(self):
@@ -426,7 +420,7 @@ class TestRunRound:
         agents, objects = generate_scene(scn)
         rounds, _ = run_round(agents, objects, (), scn, self._pipe(), PARAMS)
         for r in rounds.values():
-            full = pack_message(r.bev, np.ones_like(r.mask), Pose.identity())
+            full = pack_message(r.bev, np.ones_like(r.mask))
             assert r.message.feature_elements <= full.feature_elements
 
     def test_camera_dropout_participates(self):
@@ -617,3 +611,42 @@ class TestPhaseOneOracle:
             (rx, tx) for tx, rx in whole if rx in cameras and tx in lidars and fused
         )
         assert sorted((r.sender, r.receiver) for r in requests) == expected
+
+
+SWEEP_GRID = GridSpec((-20.0, 20.0), (-20.0, 20.0), (0.5, 3.7), 32, 32, 4, 8)
+SWEEP_PARAMS = make_pipeline_params(SWEEP_GRID, seed=2024)
+
+
+@pytest.fixture(scope="module")
+def sweep_scene():
+    scn = ScenarioConfig(seed=6, n_agents=3, n_objects=6, comm_range=60.0, pose_noise_sigma_xy=0.2)
+    agents, objects = generate_scene(scn)
+    return scn, agents, objects
+
+
+@pytest.mark.parametrize("robust", [False, True])
+@pytest.mark.parametrize("collab_mode", collab.COLLAB_MODES)
+@pytest.mark.parametrize("depth_projection", collab.DEPTH_PROJECTIONS)
+@pytest.mark.parametrize("fusion_mode", collab.FUSION_MODES)
+def test_mode_sweep_keeps_round_invariants(sweep_scene, fusion_mode, depth_projection,
+                                           collab_mode, robust):
+    """Every (fusion, depth projection, collab, robust) combination gives a
+    finite BEV per agent and a ledger that charges exactly what was sent."""
+    scn, agents, objects = sweep_scene
+    pipe = PipelineConfig(
+        grid=SWEEP_GRID, bins=BINS, predictor=NoisyOraclePredictor(1.0, 1),
+        fusion_mode=fusion_mode, depth_projection=depth_projection,
+        collab_mode=collab_mode, robust=robust,
+    )
+    rounds, ledger = run_round(agents, objects, (), scn, pipe, SWEEP_PARAMS)
+    shape = (SWEEP_GRID.nx, SWEEP_GRID.ny, SWEEP_GRID.bev_channels)
+    for r in rounds.values():
+        assert r.aggregated.shape == shape
+        assert np.all(np.isfinite(r.aggregated))
+    sent = sum(rounds[j].message.feature_elements for r in rounds.values() for j in r.pose_errors)
+    assert ledger.total("feature") == sent
+    phases = ("detections", "depth", "feature")
+    assert sum(r.elements for r in ledger.records) == sum(ledger.total(p) for p in phases)
+    used = {r.phase for r in ledger.records}
+    assert ("depth" in used) == (depth_projection == "all" and fusion_mode != "none")
+    assert ("detections" in used) == robust

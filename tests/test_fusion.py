@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 
 from covox import nnkit
@@ -14,6 +16,8 @@ from covox.fusion import (
 )
 from covox.voxel import Category, GridSpec, VoxelGrid, categorize
 
+from conftest import biased, mha
+
 C = 8
 SPEC = GridSpec((-4.0, 4.0), (-4.0, 4.0), (0.0, 2.0), 8, 8, 2, C)
 PARAMS = make_fusion_params(C, seed=42)
@@ -22,8 +26,8 @@ PARAMS = make_fusion_params(C, seed=42)
 def biased_params() -> FusionParams:
     """Params with nonzero biases, to exercise the bias terms explicitly."""
     return FusionParams(
-        lin1=nnkit.init_linear(C, C, (1, 0), with_bias=True),
-        lin2=nnkit.init_linear(2 * C, C, (1, 1), with_bias=True),
+        lin1=biased(nnkit.init_linear(C, C, (1, 0)), (1, 3)),
+        lin2=biased(nnkit.init_linear(2 * C, C, (1, 1)), (1, 4)),
         guidance_mha=nnkit.init_mha(C, 2, (1, 2)),
     )
 
@@ -82,23 +86,13 @@ class TestGuidance:
         camera = rng.standard_normal((30, C))
         masks = []
         for thr in (0.2, 0.5, 0.8):
-            p = FusionParams(
-                lin1=PARAMS.lin1,
-                lin2=PARAMS.lin2,
-                guidance_mha=PARAMS.guidance_mha,
-                guidance_threshold=thr,
-            )
+            p = replace(PARAMS, guidance_threshold=thr)
             masks.append(compute_guidance(p, lidar, camera))
         assert np.all(masks[1] <= masks[0])
         assert np.all(masks[2] <= masks[1])
 
     def test_subsampling_cap_is_deterministic(self, rng):
-        p = FusionParams(
-            lin1=PARAMS.lin1,
-            lin2=PARAMS.lin2,
-            guidance_mha=PARAMS.guidance_mha,
-            max_tokens=16,
-        )
+        p = replace(PARAMS, max_tokens=16)
         lidar = rng.standard_normal((100, C))
         camera = rng.standard_normal((10, C))
         a = compute_guidance(p, lidar, camera)
@@ -110,7 +104,7 @@ class TestGuidance:
             for n_lidar, n_camera in ((1, 1), (5, 9), (40, 3)):
                 lidar = rng.standard_normal((n_lidar, C))
                 camera = rng.standard_normal((n_camera, C))
-                _, attn = nnkit.mha(params.guidance_mha, lidar, camera, camera)
+                _, attn = mha(params.guidance_mha, lidar, camera, camera)
                 scores = guidance_raw_scores(params, lidar, camera)
                 assert np.array_equal(scores, attn.max(axis=0))
 

@@ -178,6 +178,15 @@ class TestPolygonOps:
         assert clip_polygon(b.corners(), a.corners()).shape[0] == 0
         assert rotated_iou(a, b) == 0.0 and rotated_iou(b, a) == 0.0
 
+    def test_edge_sharing_boxes_have_zero_iou(self):
+        # The boxes share a long edge and the clip is that segment, with
+        # coordinates near 3; a shoelace over absolute coordinates gave it
+        # an area of 3.6e-15, for an IoU of 1.8e-15.
+        a = Detection((2.9, 2.9), 1.0471975511965976, (0.5, 2.0))
+        b = Detection((3.15, 3.333012701892219), 1.0471975511965976, (0.5, 2.0))
+        assert polygon_area(clip_polygon(a.corners(), b.corners())) == 0.0
+        assert rotated_iou(a, b) == 0.0 and rotated_iou(b, a) == 0.0
+
     def test_clip_vertices_stay_on_the_subject(self):
         for a, b in (self.COLLINEAR, self.TOUCHING):
             for subject, clipper in ((a, b), (b, a)):

@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 
 from covox import nnkit
 
+from conftest import mha
+
 
 class TestInit:
     def test_same_seed_identical(self):
@@ -19,10 +21,9 @@ class TestInit:
         assert np.any(a.weight != b.weight)
 
     def test_magnitude_bound(self):
-        lin = nnkit.init_linear(16, 16, 3, with_bias=True)
-        bound = 6.0 / np.sqrt(16)
-        assert np.all(np.abs(lin.weight) <= bound)
-        assert np.all(np.abs(lin.bias) <= bound)
+        lin = nnkit.init_linear(16, 16, 3)
+        assert np.all(np.abs(lin.weight) <= 1.0 / np.sqrt(16))
+        assert np.all(lin.bias == 0.0)
 
     def test_rejects_bad_dims(self):
         with pytest.raises(ValueError):
@@ -61,7 +62,7 @@ class TestMha:
         q = rng.standard_normal((3, 8))
         key = rng.standard_normal(8)
         keys = np.tile(key, (5, 1))
-        _, attn = nnkit.mha(params, q, keys, keys)
+        _, attn = mha(params, q, keys, keys)
         assert np.allclose(attn, 1.0 / 5.0, atol=1e-12)
 
     def test_single_key(self, rng):
@@ -69,7 +70,7 @@ class TestMha:
         q = rng.standard_normal((4, 8))
         k = rng.standard_normal((1, 8))
         v = rng.standard_normal((1, 8))
-        out, attn = nnkit.mha(params, q, k, v)
+        out, attn = mha(params, q, k, v)
         assert np.array_equal(attn, np.ones((4, 1)))
         # With one key the output is the projected value, independent of q.
         expected = params.wo.apply(params.wv.apply(v))
@@ -80,9 +81,9 @@ class TestMha:
         q = rng.standard_normal((5, 12))
         k = rng.standard_normal((7, 12))
         v = rng.standard_normal((7, 12))
-        out, attn = nnkit.mha(params, q, k, v)
+        out, attn = mha(params, q, k, v)
         perm = rng.permutation(7)
-        out_p, attn_p = nnkit.mha(params, q, k[perm], v[perm])
+        out_p, attn_p = mha(params, q, k[perm], v[perm])
         assert np.max(np.abs(out - out_p)) < 1e-9
         assert np.max(np.abs(attn[:, perm] - attn_p)) < 1e-9
 
@@ -90,10 +91,10 @@ class TestMha:
         params = nnkit.init_mha(8, 4, 2)
         q = rng.standard_normal((6, 8))
         k = rng.standard_normal((9, 8))
-        _, attn = nnkit.mha(params, q, k, k)
+        _, attn = mha(params, q, k, k)
         assert np.allclose(attn.sum(axis=1), 1.0, atol=1e-6)
 
     def test_empty_keys_rejected(self, rng):
         params = nnkit.init_mha(8, 2, 0)
         with pytest.raises(nnkit.EmptyKeySet):
-            nnkit.mha(params, rng.standard_normal((2, 8)), np.zeros((0, 8)), np.zeros((0, 8)))
+            mha(params, rng.standard_normal((2, 8)), np.zeros((0, 8)), np.zeros((0, 8)))

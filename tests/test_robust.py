@@ -250,7 +250,7 @@ class TestPerturbPose:
         assert np.array_equal(a.matrix, b.matrix)
 
     def test_sample_std(self):
-        pose = Pose.identity()
+        pose = Pose(np.eye(4))
         noise = NoiseModel(0.4, 0.0)
         rng = np.random.default_rng(5)
         xs = np.array(
@@ -366,7 +366,7 @@ class TestCorrectRelativePose:
     def test_translation_offset_recovered(self, rng):
         centers = rng.uniform(-15, 15, (6, 2))
         t = np.array([0.8, -0.5])
-        init = Pose.identity()
+        init = Pose(np.eye(4))
         out = correct_relative_pose(
             init, self._dets(centers), self._dets(centers + t), gate_radius=2.0
         )
@@ -382,7 +382,7 @@ class TestCorrectRelativePose:
         assert np.array_equal(out.matrix, init.matrix)
 
     def test_out_of_gate_ignored(self):
-        init = Pose.identity()
+        init = Pose(np.eye(4))
         ego = self._dets([(0, 0), (10, 0)])
         nbr = self._dets([(0, 5), (10, 5)])  # 5 m away, outside the 2 m gate
         out = correct_relative_pose(init, ego, nbr, gate_radius=2.0)

@@ -89,7 +89,7 @@ class TestGenerateScene:
             generate_scene(cfg)
 
     def test_agent_needs_a_sensor(self):
-        pose = Pose.identity()
+        pose = Pose(np.eye(4))
         with pytest.raises(ValueError):
             AgentState(0, pose, pose, has_lidar=False, has_camera=False)
 
