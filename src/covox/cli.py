@@ -26,7 +26,7 @@ from .geometry import invert
 from .metrics import Detection, average_precision, recall_at
 from .render import depth_map_gray, mask_image, render_bev, write_pgm16, write_ppm
 from .robust import detect_local, occupancy_from_bev, transform_detections
-from .scene import AgentState, BoxObject, ScenarioConfig, generate_scene
+from .scene import AgentState, BoxObject, generate_scene
 
 CSV_HEADER = (
     "mode,trial,seed,sigma_xy,n_agents,ap50,ap70,recall50,"
@@ -80,24 +80,11 @@ def evaluate_round(rounds, agents, objects, grid):
     return sum(ap50s) / n, sum(ap70s) / n, sum(recs) / n
 
 
-def _dropout_for_mode(exp: ExperimentSpec, scenario: ScenarioConfig):
-    if exp.mode not in ("camera_missing", "lidar_missing"):
-        return scenario.dropout
-    sensor = "camera" if exp.mode == "camera_missing" else "lidar"
-    targets = (
-        range(scenario.n_agents) if exp.missing_agents == "all" else exp.missing_agents
-    )
-    dropout = {k: tuple(v) for k, v in scenario.dropout.items()}
-    for aid in targets:
-        dropout[aid] = tuple(sorted(set(dropout.get(aid, ())) | {sensor}))
-    return dropout
-
-
 def run_trial(exp: ExperimentSpec, trial: int, sigma_xy: float | None, params) -> TrialOutcome:
     scenario = replace(
         exp.scenario,
         seed=exp.scenario.seed + trial,
-        dropout=_dropout_for_mode(exp, exp.scenario),
+        dropout=exp.sensor_dropout(),
     )
     if sigma_xy is not None:
         scenario = replace(scenario, pose_noise_sigma_xy=sigma_xy)

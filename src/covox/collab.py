@@ -529,7 +529,7 @@ def _perceive(
             dmap = DepthMap.empty(pipe.bins, scenario.camera.height, scenario.camera.width)
         if pipe.depth_projection == "all":
             dmap = merge_cooperative(dmap, w.shared, scenario.camera, pipe.bins)
-        pred = predict_depth(feat_img, depth_img, pipe.predictor, pipe.bins)
+        pred = predict_depth(depth_img, pipe.predictor, pipe.bins)
         dist = finalize_distribution(dmap, pred)
         camera_grid = lift_camera(
             feat_img, dist, scenario.camera, DEFAULT_CAMERA_MOUNT,

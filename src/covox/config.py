@@ -24,6 +24,7 @@ from .voxel import GridSpec
 OUT_ROOT_ENV = "COVOX_OUT_ROOT"
 
 MODES = ("full", "camera_missing", "lidar_missing", "noise_sweep")
+_MISSING_SENSOR = {"camera_missing": "camera", "lidar_missing": "lidar"}
 
 
 class ConfigError(ValueError):
@@ -47,6 +48,34 @@ class ExperimentSpec:
             raise ConfigError(f"experiment.mode: unknown mode {self.mode!r}")
         if self.trials < 1:
             raise ConfigError("experiment.trials: need at least one trial")
+        n = self.scenario.n_agents
+        for aid in self.scenario.dropout:
+            if not 0 <= aid < n:
+                raise ConfigError(f"scenario.dropout.{aid}: no agent {aid} among {n} agents")
+        if self.mode in _MISSING_SENSOR and self.missing_agents != "all":
+            for aid in self.missing_agents:
+                if not 0 <= aid < n:
+                    raise ConfigError(f"experiment.missing_agents: no agent {aid} among {n} agents")
+        for aid, sensors in self.sensor_dropout().items():
+            if set(sensors) >= {"lidar", "camera"}:
+                why = "an agent must keep at least one sensor"
+                if set(self.scenario.dropout.get(aid, ())) != set(sensors):
+                    why = f"experiment.mode {self.mode} drops the other sensor of this agent too"
+                raise ConfigError(f"scenario.dropout.{aid}: {why}")
+
+    def sensor_dropout(self) -> dict[int, tuple[str, ...]]:
+        """The sensors each agent lacks: the scenario's dropout, plus the
+        mode's missing sensor on its missing agents."""
+        dropout = {k: tuple(v) for k, v in self.scenario.dropout.items()}
+        if self.mode not in _MISSING_SENSOR:
+            return dropout
+        sensor = _MISSING_SENSOR[self.mode]
+        targets = (
+            range(self.scenario.n_agents) if self.missing_agents == "all" else self.missing_agents
+        )
+        for aid in targets:
+            dropout[aid] = tuple(sorted(set(dropout.get(aid, ())) | {sensor}))
+        return dropout
 
 
 @contextmanager

@@ -173,11 +173,12 @@ class UniformPredictor:
 class NoisyOraclePredictor:
     """Surrogate depth head: the true bin blurred spatially and across bins.
 
-    sigma_bins is the std (in bins) of the Gaussian applied along the bin
-    axis; blur_radius is the half-width of a spatial box blur applied first.
-    Both at zero reproduce the exact ground-truth one-hot.  Pixels whose
-    true depth lies beyond the bin range (sky, far background) peak at the
-    farthest bin, the closest representable statement.
+    blur_radius is the half-width of a spatial box blur over the one-hot
+    true bins; sigma_bins is the std (in bins) of a Gaussian then applied
+    along the bin axis.  Both at zero reproduce the exact ground-truth
+    one-hot.  Pixels whose true depth lies beyond the bin range (sky, far
+    background) count as the farthest bin, the closest representable
+    statement.
     """
 
     sigma_bins: float = 1.0
@@ -188,45 +189,33 @@ class NoisyOraclePredictor:
             raise ValueError("noise parameters must be non-negative")
 
 
-def _box_blur_2d(vol: np.ndarray, radius: int) -> np.ndarray:
-    """Mean filter over a (2r+1)^2 window, edge windows renormalised."""
-    if radius == 0:
-        return vol
-    h, w = vol.shape[:2]
-    out = np.zeros_like(vol)
-    norm = np.zeros((h, w))
-    for dy in range(-radius, radius + 1):
-        for dx in range(-radius, radius + 1):
-            ys = slice(max(0, dy), h + min(0, dy))
-            yd = slice(max(0, -dy), h + min(0, -dy))
-            xs = slice(max(0, dx), w + min(0, dx))
-            xd = slice(max(0, -dx), w + min(0, -dx))
-            out[yd, xd] += vol[ys, xs]
-            norm[yd, xd] += 1.0
-    return out / norm.reshape(h, w, *([1] * (vol.ndim - 2)))
-
-
-def _bin_gaussian_kernel(sigma: float, n_bins: int) -> np.ndarray:
+def _bin_gaussian_table(sigma: float, n_bins: int) -> np.ndarray:
+    """(D, D) table whose row k is the discrete Gaussian around bin k,
+    truncated at 4 sigma and zero past the bin range (not renormalised)."""
     if sigma == 0:
-        return np.array([1.0])
+        return np.eye(n_bins)
     half = min(n_bins - 1, int(np.ceil(4 * sigma)))
     k = np.arange(-half, half + 1, dtype=np.float64)
-    g = np.exp(-0.5 * (k / sigma) ** 2)
-    return g / g.sum()
+    with np.errstate(over="ignore"):  # a tiny sigma leaves only the centre
+        g = np.exp(-0.5 * (k / sigma) ** 2)
+    g /= g.sum()
+    offset = np.arange(n_bins)[:, None] - np.arange(n_bins)[None, :] + half
+    inside = (offset >= 0) & (offset <= 2 * half)
+    return np.where(inside, g[np.clip(offset, 0, 2 * half)], 0.0)
 
 
-def predict_depth(
-    feature_image: np.ndarray,
-    true_depth_image: np.ndarray,
-    predictor,
-    bins: DepthBins,
-) -> np.ndarray:
+def predict_depth(true_depth_image: np.ndarray, predictor, bins: DepthBins) -> np.ndarray:
     """Surrogate per-pixel depth distribution, shape (H, W, D).
 
-    UniformPredictor ignores its inputs.  NoisyOraclePredictor starts from
-    the one-hot ground-truth bin (the farthest bin where the true depth is
-    out of range), box-blurs spatially, then convolves along the bin axis
-    with a discrete Gaussian and renormalises.  Fully deterministic.
+    UniformPredictor gives every pixel the uniform distribution.
+    NoisyOraclePredictor gives each pixel the normalised row of: the
+    one-hot true bin (the farthest bin where the true depth is out of
+    range), box-blurred over the pixel's (2r+1)^2 window clipped to the
+    image, then convolved along the bin axis with a zero-padded discrete
+    Gaussian.  Both steps are linear and the normalisation cancels the
+    blur's 1/count, so this is computed as the window's per-bin pixel
+    counts (exact integers) times the (D, D) Gaussian table.  Fully
+    deterministic.
     """
     h, w = np.asarray(true_depth_image).shape
     d = bins.n_bins
@@ -237,36 +226,29 @@ def predict_depth(
 
     k, valid = bins.bin_of(true_depth_image)
     k = np.where(valid, k, d - 1)
-    vol = np.zeros((h, w, d))
-    ys, xs = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
-    vol[ys, xs, k] = 1.0
-
-    vol = _box_blur_2d(vol, predictor.blur_radius)
-    kern = _bin_gaussian_kernel(predictor.sigma_bins, d)
-    if kern.size > 1:
-        half = kern.size // 2
-        padded = np.concatenate(
-            [np.zeros((h, w, half)), vol, np.zeros((h, w, half))], axis=2
-        )
-        vol = np.stack(
-            [padded[:, :, i : i + d] * kern[i] for i in range(kern.size)], axis=0
-        ).sum(axis=0)
-    vol /= vol.sum(axis=2, keepdims=True)
-    return vol
+    r = predictor.blur_radius
+    onehot = np.zeros((h + 2 * r, w + 2 * r, d), dtype=np.int32)  # zero-padded
+    np.put_along_axis(onehot[r : r + h, r : r + w], k[:, :, None], 1, axis=2)
+    rows = sum(onehot[i : i + h] for i in range(2 * r + 1))
+    counts = sum(rows[:, j : j + w] for j in range(2 * r + 1))
+    table = _bin_gaussian_table(predictor.sigma_bins, d)
+    vol = counts.reshape(h * w, d).astype(np.float64) @ table
+    vol /= vol.sum(axis=1, keepdims=True)
+    return vol.reshape(h, w, d)
 
 
 def finalize_distribution(dmap: DepthMap, predicted: np.ndarray) -> np.ndarray:
     """Blend projections and prediction into the final (H, W, D) distribution.
 
     Projected pixels become exact one-hots at their bin; the rest take the
-    predicted row (renormalised).
+    predicted row as given (rows must already sum to one).  The prediction
+    is copied, not modified.
     """
     h, w = dmap.shape
     d = dmap.bins.n_bins
     if predicted.shape != (h, w, d):
         raise ValueError("prediction shape does not match the depth map")
     out = np.array(predicted, dtype=np.float64)
-    out /= out.sum(axis=2, keepdims=True)
     proj = dmap.projected_mask()
     out[proj] = 0.0
     ys, xs = np.nonzero(proj)

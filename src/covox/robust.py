@@ -26,8 +26,8 @@ _MIN_CELLS = 2
 class NoiseModel:
     """Planar Gaussian pose noise (translation in meters, yaw in radians)."""
 
-    sigma_xy: float = 0.0
-    sigma_yaw: float = 0.0
+    sigma_xy: float
+    sigma_yaw: float
 
     def __post_init__(self):
         if self.sigma_xy < 0 or self.sigma_yaw < 0:

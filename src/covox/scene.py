@@ -9,6 +9,7 @@ and per-agent sensor noise each consume their own counter-based stream.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -205,12 +206,17 @@ def lidar_rng(seed: int, agent_id: int) -> np.random.Generator:
     return np.random.default_rng((seed, _STREAM_LIDAR, agent_id))
 
 
-def _ray_box_t(origin, dirs, box: BoxObject) -> np.ndarray:
-    """Slab-method entry distance per ray (inf where the box is missed)."""
+def _ray_box_t(origin, dirs, box: BoxObject, rays: np.ndarray) -> np.ndarray:
+    """Slab-method entry distance of each ray in `rays` (inf where the box
+    is missed).
+
+    The box-frame directions come from one product over every ray, sliced
+    afterwards, so a ray's distance does not depend on which rays are asked.
+    """
     c, s = np.cos(box.yaw), np.sin(box.yaw)
     rot = np.array([[c, s, 0.0], [-s, c, 0.0], [0.0, 0.0, 1.0]])  # world -> box
     o = rot @ (np.asarray(origin, dtype=np.float64) - np.array([*box.center, 0.0]))
-    d = np.asarray(dirs, dtype=np.float64) @ rot.T
+    d = (dirs @ rot.T)[rays]
     lo = np.array([-box.extent[0] / 2, -box.extent[1] / 2, 0.0])
     hi = np.array([box.extent[0] / 2, box.extent[1] / 2, box.extent[2]])
 
@@ -231,6 +237,56 @@ def _ray_box_t(origin, dirs, box: BoxObject) -> np.ndarray:
         far = np.minimum(far, a_far)
     hit = (near <= far) & (near > _EPS)
     return np.where(hit, near, np.inf)
+
+
+class _AzimuthFan:
+    """A ray bundle sorted by world azimuth, to find the rays that can reach
+    a box without testing the others.
+
+    A ray meets a ground-standing box only if its horizontal direction meets
+    the circle circumscribing the box's footprint.  The slab test treats a
+    direction component below _EPS as zero, which turns a ray by at most
+    _EPS / (horizontal length) radians, so rays shorter than _STEEP
+    horizontally are always candidates and every angular window is widened
+    by _CULL_ANGLE > _EPS / _STEEP; _CULL_PAD absorbs rounding in position.
+    """
+
+    _STEEP = 1e-6
+    _CULL_ANGLE = 1e-5
+    _CULL_PAD = 1e-6
+
+    def __init__(self, dirs: np.ndarray):
+        self.n = dirs.shape[0]
+        flat = np.hypot(dirs[:, 0], dirs[:, 1]) >= self._STEEP
+        idx = np.flatnonzero(flat)
+        az = np.arctan2(dirs[idx, 1], dirs[idx, 0])
+        order = np.argsort(az, kind="stable")
+        self.az = az[order]
+        self.rays = idx[order]
+        self.steep = np.flatnonzero(~flat)
+
+    def toward(self, origin, box: BoxObject) -> np.ndarray:
+        """Indices of every ray from `origin` that can hit `box`, and some
+        that cannot: all rays when the origin is inside the box's circle."""
+        dx = box.center[0] - float(origin[0])
+        dy = box.center[1] - float(origin[1])
+        dist = math.hypot(dx, dy)
+        radius = math.hypot(box.extent[0], box.extent[1]) / 2.0 + self._CULL_PAD
+        if dist <= radius:
+            return np.arange(self.n)
+        half = math.asin(radius / dist) + self._CULL_ANGLE
+        bearing = math.atan2(dy, dx)
+        lo, hi = bearing - half, bearing + half
+        spans = [(max(lo, -math.pi), min(hi, math.pi))]
+        if lo < -math.pi:
+            spans.append((lo + 2.0 * math.pi, math.pi))
+        if hi > math.pi:
+            spans.append((-math.pi, hi - 2.0 * math.pi))
+        parts = [
+            self.rays[np.searchsorted(self.az, a, "left") : np.searchsorted(self.az, b, "right")]
+            for a, b in spans
+        ]
+        return np.concatenate([*parts, self.steep])
 
 
 def _ray_wall_t(origin, dirs, wall: Wall) -> np.ndarray:
@@ -278,7 +334,10 @@ def raycast(
 
     Returns (t, kind): t is the scalar along each direction (inf = no hit
     within max_range; directions need not be unit length, so t is in units
-    of the direction vector), kind is one of the HIT_* classes.
+    of the direction vector), kind is one of the HIT_* classes.  The ground
+    and every wall are tested on all rays; each box only on the rays whose
+    azimuth can reach it.  Surfaces are taken in that order, a later one
+    winning only when strictly closer.
     """
     dirs = np.asarray(dirs, dtype=np.float64).reshape(-1, 3)
     best = _ray_ground_t(origin, dirs)
@@ -288,11 +347,15 @@ def raycast(
         closer = t < best
         best[closer] = t[closer]
         kind[closer] = HIT_WALL
+    fan = _AzimuthFan(dirs) if objects else None
     for box in objects:
-        t = _ray_box_t(origin, dirs, box)
-        closer = t < best
-        best[closer] = t[closer]
-        kind[closer] = HIT_OBJECT
+        rays = fan.toward(origin, box)
+        if rays.size == 0:
+            continue
+        t = _ray_box_t(origin, dirs, box, rays)
+        closer = t < best[rays]
+        best[rays[closer]] = t[closer]
+        kind[rays[closer]] = HIT_OBJECT
     out_of_range = best > max_range
     best[out_of_range] = np.inf
     kind[out_of_range] = HIT_NONE
@@ -342,7 +405,7 @@ def simulate_camera(
     objects: Sequence[BoxObject],
     occluders: Sequence[Wall],
     intr: CameraIntrinsics,
-    channels: int = 8,
+    channels: int,
 ):
     """Render ground-truth depth plus a deterministic per-pixel feature image.
 

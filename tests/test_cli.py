@@ -112,6 +112,30 @@ def test_non_mapping_dropout_exits_1_and_names_the_path(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "mode, dropout, path",
+    [
+        ("lidar_missing", {1: ["camera"]}, "scenario.dropout.1"),
+        ("full", {1: ["camera", "lidar"]}, "scenario.dropout.1"),
+        ("full", {3: ["camera"]}, "scenario.dropout.3"),
+    ],
+)
+def test_unrunnable_dropout_exits_1_and_names_the_path(tmp_path, capsys, mode, dropout, path):
+    tree = experiment_tree(mode=mode)
+    tree["scenario"]["dropout"] = dropout
+    code, out = run(tmp_path, tree)
+    assert code == 1
+    assert f"config error: {path}:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_mode_override_is_checked_against_the_dropout(tmp_path, capsys):
+    code, out = run(tmp_path, experiment_tree(), "--mode", "lidar_missing")
+    assert code == 1
+    assert "config error: scenario.dropout.1:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_failed_write_keeps_previous_metrics(tmp_path, monkeypatch):
     code, out = run(tmp_path, experiment_tree())
     assert code == 0

@@ -252,6 +252,39 @@ def test_malformed_inputs_raise_config_error(tmp_path, path, value):
     assert str(info.value).startswith(f"{path}:"), str(info.value)
 
 
+# Sensor sets no agent can run with; each used to fail every trial at run
+# time, or to be ignored.  (experiment section, scenario section, YAML path)
+UNRUNNABLE_DROPOUT = [
+    ({"mode": "lidar_missing"}, {"n_agents": 3, "dropout": {1: ["camera"]}}, "scenario.dropout.1"),
+    ({"mode": "camera_missing", "missing_agents": [1]}, {"n_agents": 3, "dropout": {1: ["lidar"]}},
+     "scenario.dropout.1"),
+    ({}, {"n_agents": 3, "dropout": {1: ["camera", "lidar"]}}, "scenario.dropout.1"),
+    ({}, {"n_agents": 3, "dropout": {3: ["camera"]}}, "scenario.dropout.3"),
+    ({"mode": "lidar_missing", "missing_agents": [0, 3]}, {"n_agents": 3}, "experiment.missing_agents"),
+]
+
+
+@pytest.mark.parametrize(
+    "experiment, scenario, path", UNRUNNABLE_DROPOUT, ids=[row[2] for row in UNRUNNABLE_DROPOUT]
+)
+def test_unrunnable_dropout_is_a_load_error(tmp_path, experiment, scenario, path):
+    with pytest.raises(ConfigError) as info:
+        load(tmp_path, {"experiment": experiment, "scenario": scenario})
+    assert str(info.value).startswith(f"{path}:"), str(info.value)
+
+
+def test_mode_dropout_merges_with_the_scenario(tmp_path):
+    tree = {
+        "experiment": {"mode": "camera_missing", "missing_agents": [0, 1]},
+        "scenario": {"n_agents": 3, "dropout": {1: ["camera"], 2: ["lidar"]}},
+    }
+    spec = load(tmp_path, tree)
+    assert spec.sensor_dropout() == {0: ("camera",), 1: ("camera",), 2: ("lidar",)}
+    # missing_agents names agents only where the mode drops a sensor.
+    spec = load(tmp_path, {"experiment": {"missing_agents": [7]}, "scenario": {"n_agents": 3}})
+    assert spec.sensor_dropout() == {}
+
+
 @pytest.mark.parametrize("key", ["p1", "p2", "height"])
 def test_wall_required_fields(tmp_path, key):
     tree = copy.deepcopy(BASE)

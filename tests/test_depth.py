@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from covox import depth
 from covox.depth import (
@@ -185,13 +187,13 @@ class TestMerge:
 class TestPredict:
     def test_uniform(self):
         depth = np.full((4, 4), np.inf)
-        dist = predict_depth(None, depth, UniformPredictor(), DepthBins(1, 9, 4))
+        dist = predict_depth(depth, UniformPredictor(), DepthBins(1, 9, 4))
         assert np.allclose(dist, 0.25)
 
     def test_degenerate_oracle_is_exact(self):
         bins = DepthBins(1.0, 9.0, 4)
         depth = np.array([[2.0, 4.5], [7.0, 8.5]])
-        dist = predict_depth(None, depth, NoisyOraclePredictor(0.0, 0), bins)
+        dist = predict_depth(depth, NoisyOraclePredictor(0.0, 0), bins)
         k, _ = bins.bin_of(depth)
         for i in range(2):
             for j in range(2):
@@ -202,13 +204,13 @@ class TestPredict:
     def test_out_of_range_peaks_at_last_bin(self):
         bins = DepthBins(1.0, 9.0, 4)
         depth = np.full((2, 2), np.inf)
-        dist = predict_depth(None, depth, NoisyOraclePredictor(0.0, 0), bins)
+        dist = predict_depth(depth, NoisyOraclePredictor(0.0, 0), bins)
         assert np.allclose(dist[..., -1], 1.0)
 
     def test_sigma_keeps_true_bin_dominant(self):
         bins = DepthBins(1.0, 33.0, 16)
         depth = np.full((3, 3), 14.0)
-        dist = predict_depth(None, depth, NoisyOraclePredictor(1.0, 0), bins)
+        dist = predict_depth(depth, NoisyOraclePredictor(1.0, 0), bins)
         k, _ = bins.bin_of(np.array([14.0]))
         assert np.all(np.argmax(dist, axis=2) == k[0])
         top = dist[..., k[0]]
@@ -217,9 +219,95 @@ class TestPredict:
 
     def test_rows_normalised(self, rng):
         depth = rng.uniform(1, 40, (6, 6))
-        dist = predict_depth(None, depth, NoisyOraclePredictor(1.5, 2), BINS)
+        dist = predict_depth(depth, NoisyOraclePredictor(1.5, 2), BINS)
         assert np.allclose(dist.sum(axis=2), 1.0, atol=1e-6)
         assert np.all(dist >= 0)
+
+
+def _box_blur_2d(vol, radius):
+    """Mean filter over a (2r+1)^2 window, edge windows renormalised."""
+    if radius == 0:
+        return vol
+    h, w = vol.shape[:2]
+    out = np.zeros_like(vol)
+    norm = np.zeros((h, w))
+    for dy in range(-radius, radius + 1):
+        for dx in range(-radius, radius + 1):
+            # Stops clamp at 0: a shift wider than the image overlaps nothing.
+            ys = slice(max(0, dy), max(0, h + min(0, dy)))
+            yd = slice(max(0, -dy), max(0, h + min(0, -dy)))
+            xs = slice(max(0, dx), max(0, w + min(0, dx)))
+            xd = slice(max(0, -dx), max(0, w + min(0, -dx)))
+            out[yd, xd] += vol[ys, xs]
+            norm[yd, xd] += 1.0
+    return out / norm.reshape(h, w, *([1] * (vol.ndim - 2)))
+
+
+def _bin_gaussian_kernel(sigma, n_bins):
+    if sigma == 0:
+        return np.array([1.0])
+    half = min(n_bins - 1, int(np.ceil(4 * sigma)))
+    k = np.arange(-half, half + 1, dtype=np.float64)
+    with np.errstate(over="ignore"):  # a tiny sigma leaves only the centre
+        g = np.exp(-0.5 * (k / sigma) ** 2)
+    return g / g.sum()
+
+
+def oracle_noisy_predict(true_depth_image, predictor, bins):
+    """NoisyOraclePredictor as first written: a one-hot volume, box-blurred
+    as a mean over shifted copies, then a stack of shifted copies of the
+    zero-padded bin axis weighted by the Gaussian, then renormalised."""
+    h, w = true_depth_image.shape
+    d = bins.n_bins
+    k, valid = bins.bin_of(true_depth_image)
+    k = np.where(valid, k, d - 1)
+    vol = np.zeros((h, w, d))
+    ys, xs = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
+    vol[ys, xs, k] = 1.0
+    vol = _box_blur_2d(vol, predictor.blur_radius)
+    kern = _bin_gaussian_kernel(predictor.sigma_bins, d)
+    if kern.size > 1:
+        half = kern.size // 2
+        padded = np.concatenate([np.zeros((h, w, half)), vol, np.zeros((h, w, half))], axis=2)
+        vol = np.stack([padded[:, :, i : i + d] * kern[i] for i in range(kern.size)]).sum(axis=0)
+    vol /= vol.sum(axis=2, keepdims=True)
+    return vol
+
+
+@st.composite
+def depth_cases(draw):
+    """A depth image (some pixels inf, below d_min or past d_max), its bins
+    and a predictor; images may be smaller than the blur window."""
+    n_bins = draw(st.integers(2, 32))
+    bins = DepthBins(1.0, 1.0 + n_bins * draw(st.floats(0.25, 2.0)), n_bins)
+    h, w = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    values = st.one_of(
+        st.floats(0.0, bins.d_max * 1.5),
+        st.sampled_from([np.inf, bins.d_min, bins.d_max, 0.5 * bins.d_min]),
+    )
+    img = np.array(draw(st.lists(values, min_size=h * w, max_size=h * w))).reshape(h, w)
+    if draw(st.booleans()):  # one surface: rows concentrate on a few bins
+        img[:] = img.flat[0]
+    sigma = draw(st.one_of(st.just(0.0), st.floats(0.0, 3.0)))
+    return img, NoisyOraclePredictor(sigma, draw(st.integers(0, 3))), bins
+
+
+class TestPredictOracle:
+    @given(depth_cases())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_blur_then_convolve(self, case):
+        img, predictor, bins = case
+        dist = predict_depth(img, predictor, bins)
+        expected = oracle_noisy_predict(img, predictor, bins)
+        assert dist.shape == expected.shape
+        assert np.max(np.abs(dist - expected)) <= 1e-15
+
+    def test_image_smaller_than_window(self):
+        img = np.array([[2.0, 30.0]])
+        dist = predict_depth(img, NoisyOraclePredictor(0.0, 3), BINS)
+        k, _ = BINS.bin_of(img)
+        assert np.array_equal(dist[0, 0], dist[0, 1])
+        assert dist[0, 0, k[0, 0]] == dist[0, 0, k[0, 1]] == 0.5
 
 
 class TestFinalize:
