@@ -53,6 +53,7 @@ from .geometry import Pose, compose, invert, planar_parts, relative, transform_p
 from .robust import (
     correct_relative_pose,
     detect_local,
+    occupancy_from_bev,
     occupancy_from_grid,
     relative_pose_error,
     transform_detections,
@@ -233,7 +234,7 @@ def importance_scores(bev: np.ndarray) -> np.ndarray:
     All-zero cells score sigma(-1) ~ 0.269; scores always lie in (0, 1).
     """
     bev = np.asarray(bev, dtype=np.float64)
-    level = np.linalg.norm(bev, axis=2) / np.sqrt(bev.shape[2])
+    level = occupancy_from_bev(bev) / np.sqrt(bev.shape[2])
     return 1.0 / (1.0 + np.exp(-(_IMPORTANCE_GAIN * level - _IMPORTANCE_SHIFT)))
 
 
@@ -297,20 +298,30 @@ def downsample_cloud(points: np.ndarray, cell: float) -> np.ndarray:
 
 
 def warp_sparse(
-    indices: np.ndarray, vectors: np.ndarray, rel_pose: Pose, spec: GridSpec
+    indices: np.ndarray,
+    vectors: np.ndarray,
+    rel_pose: Pose,
+    spec: GridSpec,
+    out: np.ndarray,
 ) -> WarpResult:
     """Resample sparse sender cells into the receiver's BEV lattice.
 
     Cell centers are mapped through the planar part of the relative pose and
     written to the containing destination cell; on collision the later entry
     wins (collisions are counted), out-of-grid cells are dropped.
+
+    The cells are written into `out`, an (nx, ny, F) plane that must be all
+    zero, which the result returns as `bev`.  Only the rows listed in
+    `cells` are written, so clearing `out[cells]` afterwards makes the plane
+    all zero again for the next message.
     """
     f = spec.bev_channels
-    bev = np.zeros((spec.nx, spec.ny, f))
+    if out.shape != (spec.nx, spec.ny, f):
+        raise ValueError("out plane does not match the grid spec")
     no_cells = np.zeros(0, dtype=np.int64)
     indices = np.asarray(indices).reshape(-1, 2)
     if indices.shape[0] == 0:
-        return WarpResult(bev, no_cells, 0, 0)
+        return WarpResult(out, no_cells, 0, 0)
     vectors = np.asarray(vectors, dtype=np.float64).reshape(-1, f)
     centers = spec.bev_cell_centers(indices[:, 0], indices[:, 1])
     x, y, yaw = planar_parts(rel_pose)
@@ -323,13 +334,13 @@ def warp_sparse(
     dropped = int(np.count_nonzero(~inb))
     ix, iy, vecs = ix[inb], iy[inb], vectors[inb]
     if ix.size == 0:
-        return WarpResult(bev, no_cells, 0, dropped)
+        return WarpResult(out, no_cells, 0, dropped)
     flat = ix * spec.ny + iy
     # Later writer wins: keep the last arrival targeting each cell.
     uniq, first_in_rev = np.unique(flat[::-1], return_index=True)
     last = flat.size - 1 - first_in_rev
-    bev.reshape(-1, f)[uniq] = vecs[last]
-    return WarpResult(bev, uniq, int(flat.size - uniq.size), dropped)
+    out[uniq // spec.ny, uniq % spec.ny] = vecs[last]
+    return WarpResult(out, uniq, int(flat.size - uniq.size), dropped)
 
 
 def aggregate(
@@ -407,7 +418,7 @@ class _AgentWork:
 
     state: AgentState
     neighbors: tuple[int, ...]
-    lidar_grid: VoxelGrid
+    lidar_grid: Optional[VoxelGrid]  # released once fused
     cloud_sensor: Optional[np.ndarray] = None  # LiDAR hits, sensor frame
     cloud: Optional[np.ndarray] = None  # the same hits, agent frame
     images: Optional[tuple[np.ndarray, np.ndarray]] = None  # camera depth, features
@@ -542,6 +553,9 @@ def _perceive(
     else:
         fused = fuse_modalities(params.fusion, cat)
     w.bev = collapse(fused)
+    # Nothing reads the LiDAR grid after fusion; releasing it here keeps it
+    # out of phase 2's peak memory.
+    w.lidar_grid = None
     w.mask = confidence_mask(importance_scores(w.bev), preference_map(fused))
     w.message = pack_message(w.bev, w.mask)
 
@@ -552,13 +566,19 @@ def _receive(
     pipe: PipelineConfig,
     params: PipelineParams,
     ledger: RoundLedger,
+    planes: np.ndarray,
 ) -> AgentRound:
-    """Phase 2: warp each neighbor's message into this agent's frame and aggregate."""
+    """Phase 2: warp each neighbor's message into this agent's frame and aggregate.
+
+    Neighbor k is warped into `planes[k]`, which must be all zero; the rows
+    written are cleared again before returning, so one stack of planes
+    serves every receiver of the round.
+    """
     warped, written = [], []
     collisions = 0
-    for j in w.neighbors:
+    for plane, j in zip(planes, w.neighbors):
         msg = works[j].message
-        wr = warp_sparse(msg.indices, msg.vectors, w.rel[j], pipe.grid)
+        wr = warp_sparse(msg.indices, msg.vectors, w.rel[j], pipe.grid, plane)
         warped.append(wr.bev)
         written.append(wr.cells)  # each packed row has a nonzero scalar
         collisions += wr.collisions
@@ -569,6 +589,8 @@ def _receive(
         agg = aggregate_max(w.bev, warped)
     else:
         agg = aggregate_concat(params.concat_lin, w.bev, warped)
+    for plane, cells in zip(warped, written):
+        plane.reshape(-1, plane.shape[2])[cells] = 0.0
     return AgentRound(
         bev=w.bev,
         aggregated=agg,
@@ -603,5 +625,10 @@ def run_round(
     _share_clouds(works, scenario, pipe, ledger)
     for w in works.values():
         _perceive(w, scenario, pipe, params)
-    rounds = {aid: _receive(w, works, pipe, params, ledger) for aid, w in works.items()}
+    g = pipe.grid
+    degree = max((len(w.neighbors) for w in works.values()), default=0)
+    planes = np.zeros((degree, g.nx, g.ny, g.bev_channels))
+    rounds = {
+        aid: _receive(w, works, pipe, params, ledger, planes) for aid, w in works.items()
+    }
     return rounds, ledger

@@ -107,6 +107,25 @@ def compute_guidance(
     return mask_from_scores(raw, params.guidance_threshold)
 
 
+def _tagged_rows(cat: CategorizedGrid):
+    """Flat indices of the LIDAR, CAMERA and HYBRID cells, each ascending:
+    the order boolean indexing with the per-tag masks gives."""
+    flat = cat.category.reshape(-1)
+    tagged = np.flatnonzero(flat)
+    tags = flat[tagged]
+    return (
+        tagged[tags == Category.LIDAR],
+        tagged[tags == Category.CAMERA],
+        tagged[tags == Category.HYBRID],
+    )
+
+
+def _cell_rows(cat: CategorizedGrid):
+    """(lidar, camera) branch features as (cells, C) arrays."""
+    c = cat.spec.channels
+    return cat.lidar.reshape(-1, c), cat.camera.reshape(-1, c)
+
+
 def fuse_modalities(params: FusionParams, cat: CategorizedGrid) -> VoxelGrid:
     """Apply the full biased per-cell fusion routine to a categorized grid.
 
@@ -116,27 +135,21 @@ def fuse_modalities(params: FusionParams, cat: CategorizedGrid) -> VoxelGrid:
     """
     out = VoxelGrid.empty(cat.spec)
     out.category[...] = cat.category
+    feats = out.features.reshape(-1, cat.spec.channels)
+    lidar, camera = _cell_rows(cat)
+    lidar_rows, camera_rows, hybrid_rows = _tagged_rows(cat)
 
-    lidar_mask = cat.category == Category.LIDAR
-    out.features[lidar_mask] = cat.lidar[lidar_mask]
-
-    hybrid_mask = cat.category == Category.HYBRID
-    if np.any(hybrid_mask):
-        out.features[hybrid_mask] = fuse_hybrid_cells(
-            params, cat.lidar[hybrid_mask], cat.camera[hybrid_mask]
+    feats[lidar_rows] = lidar[lidar_rows]
+    if hybrid_rows.size:
+        feats[hybrid_rows] = fuse_hybrid_cells(
+            params, lidar[hybrid_rows], camera[hybrid_rows]
         )
-
-    camera_mask = cat.category == Category.CAMERA
-    if np.any(camera_mask):
-        guidance_pool = cat.lidar[lidar_mask | hybrid_mask]
-        keep = compute_guidance(params, guidance_pool, cat.camera[camera_mask])
-        cam_idx = np.argwhere(camera_mask)
-        kept = cam_idx[keep == 1]
-        dropped = cam_idx[keep == 0]
-        out.features[kept[:, 0], kept[:, 1], kept[:, 2]] = cat.camera[
-            kept[:, 0], kept[:, 1], kept[:, 2]
-        ]
-        out.category[dropped[:, 0], dropped[:, 1], dropped[:, 2]] = Category.NORMAL
+    if camera_rows.size:
+        guidance_pool = lidar[np.union1d(lidar_rows, hybrid_rows)]
+        keep = compute_guidance(params, guidance_pool, camera[camera_rows])
+        kept = camera_rows[keep == 1]
+        feats[kept] = camera[kept]
+        out.category.reshape(-1)[camera_rows[keep == 0]] = Category.NORMAL
     return out
 
 
@@ -149,14 +162,12 @@ def fuse_modalities_equal(lin: nnkit.LinearMap, cat: CategorizedGrid) -> VoxelGr
     """Ablation: hybrid cells fuse symmetrically, nothing is filtered."""
     out = VoxelGrid.empty(cat.spec)
     out.category[...] = cat.category
-    lidar_mask = cat.category == Category.LIDAR
-    out.features[lidar_mask] = cat.lidar[lidar_mask]
-    camera_mask = cat.category == Category.CAMERA
-    out.features[camera_mask] = cat.camera[camera_mask]
-    hybrid_mask = cat.category == Category.HYBRID
-    if np.any(hybrid_mask):
-        pair = np.concatenate(
-            [cat.lidar[hybrid_mask], cat.camera[hybrid_mask]], axis=1
-        )
-        out.features[hybrid_mask] = lin.apply(pair)
+    feats = out.features.reshape(-1, cat.spec.channels)
+    lidar, camera = _cell_rows(cat)
+    lidar_rows, camera_rows, hybrid_rows = _tagged_rows(cat)
+    feats[lidar_rows] = lidar[lidar_rows]
+    feats[camera_rows] = camera[camera_rows]
+    if hybrid_rows.size:
+        pair = np.concatenate([lidar[hybrid_rows], camera[hybrid_rows]], axis=1)
+        feats[hybrid_rows] = lin.apply(pair)
     return out

@@ -14,11 +14,13 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 _POSE_TOL = 1e-9
+_BOTTOM_ROW = [0.0, 0.0, 0.0, 1.0]
 
 
 class InvalidPoseError(ValueError):
@@ -35,14 +37,28 @@ class Pose:
         m = np.array(self.matrix, dtype=np.float64)
         if m.shape != (4, 4):
             raise InvalidPoseError(f"pose matrix must be 4x4, got {m.shape}")
-        if not np.all(np.isfinite(m)):
+        # The checks run on Python floats: numpy's per-call overhead on a 4x4
+        # matrix costs several times the arithmetic, and every compose,
+        # invert and relative builds a Pose.
+        rows = m.tolist()
+        if not all(map(math.isfinite, rows[0] + rows[1] + rows[2] + rows[3])):
             raise InvalidPoseError("pose matrix has non-finite entries")
-        if not np.array_equal(m[3], np.array([0.0, 0.0, 0.0, 1.0])):
+        if rows[3] != _BOTTOM_ROW:
             raise InvalidPoseError("bottom row must be exactly (0, 0, 0, 1)")
-        r = m[:3, :3]
-        if np.max(np.abs(r.T @ r - np.eye(3))) > _POSE_TOL:
+        (a, b, c, _), (d, e, f, _), (g, h, i, _) = rows[:3]
+        # |R^T R - I|, entry by entry; the Gram matrix is symmetric.
+        gram_error = max(
+            abs(a * a + d * d + g * g - 1.0),
+            abs(b * b + e * e + h * h - 1.0),
+            abs(c * c + f * f + i * i - 1.0),
+            abs(a * b + d * e + g * h),
+            abs(a * c + d * f + g * i),
+            abs(b * c + e * f + h * i),
+        )
+        if gram_error > _POSE_TOL:
             raise InvalidPoseError("rotation block is not orthonormal")
-        if abs(np.linalg.det(r) - 1.0) > _POSE_TOL:
+        det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+        if abs(det - 1.0) > _POSE_TOL:
             raise InvalidPoseError("rotation block must have determinant +1")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)

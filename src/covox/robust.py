@@ -57,8 +57,19 @@ def occupancy_from_grid(grid: VoxelGrid) -> np.ndarray:
 
 
 def occupancy_from_bev(bev: np.ndarray) -> np.ndarray:
-    """Occupancy proxy for an opaque BEV feature plane: per-cell L2 norm."""
-    return np.linalg.norm(np.asarray(bev, dtype=np.float64), axis=2)
+    """Occupancy proxy for an opaque BEV feature plane: per-cell L2 norm.
+
+    Only cells with a nonzero scalar are reduced; the norm of every other
+    cell is exactly 0, and a per-row reduction gives each row the same bits
+    whichever other rows it runs with.
+    """
+    bev = np.asarray(bev, dtype=np.float64)
+    nx, ny, f = bev.shape
+    rows = bev.reshape(nx * ny, f)
+    busy = np.flatnonzero((rows != 0.0).any(axis=1))
+    occ = np.zeros(nx * ny)
+    occ[busy] = np.linalg.norm(rows[busy], axis=1)
+    return occ.reshape(nx, ny)
 
 
 def _convex_hull(points: np.ndarray) -> np.ndarray:

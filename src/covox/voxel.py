@@ -121,7 +121,11 @@ class VoxelGrid:
 
 @dataclass
 class CategorizedGrid:
-    """Per-cell modality tags with both branch features kept side by side."""
+    """Per-cell modality tags with both branch features kept side by side.
+
+    `lidar` and `camera` are the branch grids' own feature arrays, not
+    copies: read them, never write to them.
+    """
 
     spec: GridSpec
     lidar: np.ndarray  # (nx, ny, nz, C)
@@ -255,7 +259,10 @@ def lift_camera(
     feats = np.bincount(slot, weights=contrib.reshape(-1), minlength=n_cells * c)
 
     tagged = (cell_mass >= mass_threshold) & (cell_mass > 0.0)
-    feats.reshape(n_cells, c)[~tagged] = 0.0
+    # Cells that no entry reached already hold exact zeros.
+    reached = np.zeros(n_cells, dtype=bool)
+    reached[cell] = True
+    feats.reshape(n_cells, c)[reached & ~tagged] = 0.0
     category = np.where(tagged, Category.CAMERA, Category.NORMAL).astype(np.uint8)
     grid = VoxelGrid(
         spec,
@@ -269,7 +276,8 @@ def categorize(lidar_grid: VoxelGrid, camera_grid: VoxelGrid) -> CategorizedGrid
     """Merge the two branch grids into one tagged grid.
 
     HYBRID where both branches contributed, LIDAR / CAMERA where exactly one
-    did, NORMAL otherwise.
+    did, NORMAL otherwise.  The result shares the branch grids' feature
+    arrays; callers must not write to them.
     """
     if lidar_grid.spec != camera_grid.spec:
         raise SpecMismatch("cannot categorize grids with different specs")
@@ -280,10 +288,7 @@ def categorize(lidar_grid: VoxelGrid, camera_grid: VoxelGrid) -> CategorizedGrid
     category[has_c] = Category.CAMERA
     category[has_l & has_c] = Category.HYBRID
     return CategorizedGrid(
-        lidar_grid.spec,
-        lidar_grid.features.copy(),
-        camera_grid.features.copy(),
-        category,
+        lidar_grid.spec, lidar_grid.features, camera_grid.features, category
     )
 
 
@@ -292,6 +297,8 @@ def collapse(grid: VoxelGrid) -> np.ndarray:
 
     z slice k occupies the channel block [k*C, (k+1)*C); the operation is
     lossless: reshaping back to (nx, ny, nz, C) restores the features.
+    The result is a view of the grid's features, so a write to one shows in
+    the other.
     """
     s = grid.spec
-    return grid.features.reshape(s.nx, s.ny, s.nz * s.channels).copy()
+    return grid.features.reshape(s.nx, s.ny, s.nz * s.channels)

@@ -175,6 +175,11 @@ class TestDenseRatio:
             dense_ratio(1, GRID, -10)
 
 
+def warp_into_zeros(indices, vectors, rel_pose, spec):
+    return warp_sparse(indices, vectors, rel_pose, spec,
+                       np.zeros((spec.nx, spec.ny, spec.bev_channels)))
+
+
 class TestWarp:
     def _sparse(self, rng, k=40):
         idx = np.unique(rng.integers(5, 60, (k, 2)), axis=0)
@@ -183,7 +188,7 @@ class TestWarp:
 
     def test_identity_densifies_losslessly(self, rng):
         idx, vecs = self._sparse(rng)
-        res = warp_sparse(idx, vecs, Pose(np.eye(4)), GRID)
+        res = warp_into_zeros(idx, vecs, Pose(np.eye(4)), GRID)
         dense = np.zeros((GRID.nx, GRID.ny, GRID.bev_channels))
         dense[idx[:, 0], idx[:, 1]] = vecs
         assert np.array_equal(res.bev, dense)
@@ -192,28 +197,28 @@ class TestWarp:
     @pytest.mark.parametrize("pose", [(0.0, 0.0, 0.0), (3.1, -2.0, 0.4), (30.0, -30.0, 2.2)])
     def test_cells_are_the_written_cells(self, rng, pose):
         idx, vecs = self._sparse(rng, k=400)
-        res = warp_sparse(idx, vecs, Pose.from_planar(*pose), GRID)
+        res = warp_into_zeros(idx, vecs, Pose.from_planar(*pose), GRID)
         written = np.flatnonzero(np.any(res.bev.reshape(-1, GRID.bev_channels) != 0, axis=1))
         assert np.array_equal(res.cells, written)
 
     def test_no_cells_when_nothing_lands(self, rng):
         idx, vecs = self._sparse(rng)
         for res in (
-            warp_sparse(idx[:0], vecs[:0], Pose(np.eye(4)), GRID),
-            warp_sparse(idx, vecs, Pose.from_translation(500.0, 0.0), GRID),
+            warp_into_zeros(idx[:0], vecs[:0], Pose(np.eye(4)), GRID),
+            warp_into_zeros(idx, vecs, Pose.from_translation(500.0, 0.0), GRID),
         ):
             assert res.cells.shape == (0,)
 
     def test_one_pitch_translation_shifts_indices(self, rng):
         idx, vecs = self._sparse(rng)
-        res = warp_sparse(idx, vecs, Pose.from_translation(GRID.dx, 0.0), GRID)
+        res = warp_into_zeros(idx, vecs, Pose.from_translation(GRID.dx, 0.0), GRID)
         got = np.argwhere(np.any(res.bev != 0, axis=2))
         expected = idx + np.array([1, 0])
         assert set(map(tuple, got.tolist())) == set(map(tuple, expected.tolist()))
 
     def test_far_sender_all_dropped(self, rng):
         idx, vecs = self._sparse(rng)
-        res = warp_sparse(idx, vecs, Pose.from_translation(500.0, 0.0), GRID)
+        res = warp_into_zeros(idx, vecs, Pose.from_translation(500.0, 0.0), GRID)
         assert np.all(res.bev == 0)
         assert res.dropped == idx.shape[0]
 
@@ -223,14 +228,14 @@ class TestWarp:
         vecs = np.stack([np.full(8, 1.0), np.full(8, 2.0)])
         # Rotate 90 deg so both source cells land in one destination? Use a
         # shift of one pitch along y instead: cell (0,1) -> (0,2), (0,0) -> (0,1).
-        res = warp_sparse(idx, vecs, Pose.from_translation(0.0, spec.dy), spec)
+        res = warp_into_zeros(idx, vecs, Pose.from_translation(0.0, spec.dy), spec)
         assert np.all(res.bev[0, 1] == 1.0) and np.all(res.bev[0, 2] == 2.0)
         # Genuine collision: scale down so two cells map into one.
         tiny = GridSpec((-2, 2), (-2, 2), (0, 1), 2, 2, 1, 8)
-        res2 = warp_sparse(np.array([[0, 0], [0, 1]]), vecs, Pose(np.eye(4)), tiny)
+        res2 = warp_into_zeros(np.array([[0, 0], [0, 1]]), vecs, Pose(np.eye(4)), tiny)
         assert res2.collisions == 0
         wide = np.array([[0, 0], [1, 0]])
-        res3 = warp_sparse(
+        res3 = warp_into_zeros(
             wide, vecs, Pose.from_planar(0.0, 0.0, 0.0), tiny
         )
         assert res3.collisions == 0
@@ -238,14 +243,14 @@ class TestWarp:
     def test_collisions_counted_under_rotation(self, rng):
         idx = np.array([[10, 10], [10, 11], [10, 12], [11, 10]])
         vecs = rng.standard_normal((4, GRID.bev_channels))
-        res = warp_sparse(idx, vecs, Pose.from_planar(30.0, -30.0, 2.2), GRID)
+        res = warp_into_zeros(idx, vecs, Pose.from_planar(30.0, -30.0, 2.2), GRID)
         written = int(np.count_nonzero(np.any(res.bev != 0, axis=2)))
         assert written + res.collisions + res.dropped == 4
 
     def test_relative_pose_of_equal_believed_poses(self, rng):
         idx, vecs = self._sparse(rng)
         pose = Pose.from_planar(5.0, 0.0, 0.0)
-        res = warp_sparse(idx, vecs, relative(pose, pose), GRID)
+        res = warp_into_zeros(idx, vecs, relative(pose, pose), GRID)
         dense = np.zeros_like(res.bev)
         dense[idx[:, 0], idx[:, 1]] = vecs
         assert np.array_equal(res.bev, dense)

@@ -1,0 +1,450 @@
+"""The stages between voxelization and aggregation touch only the cells that
+hold data.  The references here are the dense versions they replace: they
+copy, mask and scan whole grids and warp every message into a fresh zero
+plane.  Every stage, and every trial end to end, must match them bit for bit.
+"""
+
+import json
+import runpy
+from dataclasses import replace
+from pathlib import Path
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from covox import cli, collab
+from covox.collab import (
+    AgentRound,
+    PipelineConfig,
+    aggregate,
+    aggregate_concat,
+    aggregate_max,
+    build_comm_graph,
+    importance_scores,
+    make_pipeline_params,
+    run_round,
+    warp_sparse,
+)
+from covox.config import load_experiment
+from covox.depth import DepthBins, NoisyOraclePredictor
+from covox.fusion import (
+    compute_guidance,
+    fuse_hybrid_cells,
+    fuse_modalities,
+    fuse_modalities_equal,
+    make_equal_params,
+    make_fusion_params,
+)
+from covox.geometry import Pose, planar_parts
+from covox.robust import occupancy_from_bev
+from covox.scene import AgentState, BoxObject, LidarSpec, ScenarioConfig
+from covox.voxel import (
+    Category,
+    CategorizedGrid,
+    GridSpec,
+    LiftResult,
+    VoxelGrid,
+    categorize,
+    collapse,
+)
+
+from test_voxel import _dense_lift_camera
+
+# --- dense references --------------------------------------------------------
+
+
+def categorize_copying(lidar_grid, camera_grid):
+    has_l = lidar_grid.category == Category.LIDAR
+    has_c = camera_grid.category == Category.CAMERA
+    category = np.zeros_like(lidar_grid.category)
+    category[has_l] = Category.LIDAR
+    category[has_c] = Category.CAMERA
+    category[has_l & has_c] = Category.HYBRID
+    return CategorizedGrid(
+        lidar_grid.spec, lidar_grid.features.copy(), camera_grid.features.copy(), category
+    )
+
+
+def collapse_copying(grid):
+    s = grid.spec
+    return grid.features.reshape(s.nx, s.ny, s.nz * s.channels).copy()
+
+
+def fuse_modalities_masked(params, cat):
+    out = VoxelGrid.empty(cat.spec)
+    out.category[...] = cat.category
+    lidar_mask = cat.category == Category.LIDAR
+    out.features[lidar_mask] = cat.lidar[lidar_mask]
+    hybrid_mask = cat.category == Category.HYBRID
+    if np.any(hybrid_mask):
+        out.features[hybrid_mask] = fuse_hybrid_cells(
+            params, cat.lidar[hybrid_mask], cat.camera[hybrid_mask]
+        )
+    camera_mask = cat.category == Category.CAMERA
+    if np.any(camera_mask):
+        guidance_pool = cat.lidar[lidar_mask | hybrid_mask]
+        keep = compute_guidance(params, guidance_pool, cat.camera[camera_mask])
+        cam_idx = np.argwhere(camera_mask)
+        kept = cam_idx[keep == 1]
+        dropped = cam_idx[keep == 0]
+        out.features[kept[:, 0], kept[:, 1], kept[:, 2]] = cat.camera[
+            kept[:, 0], kept[:, 1], kept[:, 2]
+        ]
+        out.category[dropped[:, 0], dropped[:, 1], dropped[:, 2]] = Category.NORMAL
+    return out
+
+
+def fuse_modalities_equal_masked(lin, cat):
+    out = VoxelGrid.empty(cat.spec)
+    out.category[...] = cat.category
+    lidar_mask = cat.category == Category.LIDAR
+    out.features[lidar_mask] = cat.lidar[lidar_mask]
+    camera_mask = cat.category == Category.CAMERA
+    out.features[camera_mask] = cat.camera[camera_mask]
+    hybrid_mask = cat.category == Category.HYBRID
+    if np.any(hybrid_mask):
+        pair = np.concatenate([cat.lidar[hybrid_mask], cat.camera[hybrid_mask]], axis=1)
+        out.features[hybrid_mask] = lin.apply(pair)
+    return out
+
+
+def occupancy_from_bev_dense(bev):
+    return np.linalg.norm(np.asarray(bev, dtype=np.float64), axis=2)
+
+
+def importance_scores_dense(bev):
+    bev = np.asarray(bev, dtype=np.float64)
+    level = np.linalg.norm(bev, axis=2) / np.sqrt(bev.shape[2])
+    return 1.0 / (1.0 + np.exp(-(collab._IMPORTANCE_GAIN * level - collab._IMPORTANCE_SHIFT)))
+
+
+def warp_sparse_fresh(indices, vectors, rel_pose, spec):
+    f = spec.bev_channels
+    bev = np.zeros((spec.nx, spec.ny, f))
+    no_cells = np.zeros(0, dtype=np.int64)
+    indices = np.asarray(indices).reshape(-1, 2)
+    if indices.shape[0] == 0:
+        return collab.WarpResult(bev, no_cells, 0, 0)
+    vectors = np.asarray(vectors, dtype=np.float64).reshape(-1, f)
+    centers = spec.bev_cell_centers(indices[:, 0], indices[:, 1])
+    x, y, yaw = planar_parts(rel_pose)
+    c, s = np.cos(yaw), np.sin(yaw)
+    px = c * centers[:, 0] - s * centers[:, 1] + x
+    py = s * centers[:, 0] + c * centers[:, 1] + y
+    ix = np.floor((px - spec.x_range[0]) / spec.dx).astype(np.int64)
+    iy = np.floor((py - spec.y_range[0]) / spec.dy).astype(np.int64)
+    inb = (ix >= 0) & (ix < spec.nx) & (iy >= 0) & (iy < spec.ny)
+    dropped = int(np.count_nonzero(~inb))
+    ix, iy, vecs = ix[inb], iy[inb], vectors[inb]
+    if ix.size == 0:
+        return collab.WarpResult(bev, no_cells, 0, dropped)
+    flat = ix * spec.ny + iy
+    uniq, first_in_rev = np.unique(flat[::-1], return_index=True)
+    last = flat.size - 1 - first_in_rev
+    bev.reshape(-1, f)[uniq] = vecs[last]
+    return collab.WarpResult(bev, uniq, int(flat.size - uniq.size), dropped)
+
+
+def receive_fresh(w, works, pipe, params, ledger, planes):
+    """Phase 2 with a fresh zero plane per neighbor; `planes` is ignored."""
+    warped, written = [], []
+    collisions = 0
+    for j in w.neighbors:
+        msg = works[j].message
+        wr = warp_sparse_fresh(msg.indices, msg.vectors, w.rel[j], pipe.grid)
+        warped.append(wr.bev)
+        written.append(wr.cells)
+        collisions += wr.collisions
+        ledger.add(j, w.state.id, "feature", msg.feature_elements)
+    if pipe.collab_mode == "attention":
+        agg = aggregate(params.agg_mha, w.bev, warped, written)
+    elif pipe.collab_mode == "max":
+        agg = aggregate_max(w.bev, warped)
+    else:
+        agg = aggregate_concat(params.concat_lin, w.bev, warped)
+    return AgentRound(
+        bev=w.bev,
+        aggregated=agg,
+        mask=w.mask,
+        message=w.message,
+        depth_map=w.depth_map,
+        warp_collisions=collisions,
+        pose_errors=w.pose_errors,
+    )
+
+
+def lift_camera_dense(features, dist, intr, cam_pose_in_ego, spec, mass_threshold, bin_centers):
+    feats, category, mass, dropped = _dense_lift_camera(
+        features, dist, intr, cam_pose_in_ego, spec, mass_threshold, bin_centers
+    )
+    return LiftResult(VoxelGrid(spec, feats, category), mass, dropped)
+
+
+def use_dense_pipeline(m):
+    """Swap every sparse stage of a round and of its scoring for its reference."""
+    m.setattr(collab, "lift_camera", lift_camera_dense)
+    m.setattr(collab, "categorize", categorize_copying)
+    m.setattr(collab, "fuse_modalities", fuse_modalities_masked)
+    m.setattr(collab, "fuse_modalities_equal", fuse_modalities_equal_masked)
+    m.setattr(collab, "collapse", collapse_copying)
+    m.setattr(collab, "importance_scores", importance_scores_dense)
+    m.setattr(collab, "_receive", receive_fresh)
+    m.setattr(cli, "occupancy_from_bev", occupancy_from_bev_dense)
+
+
+def assert_rounds_equal(got, want):
+    assert list(got) == list(want)
+    for aid, r in got.items():
+        ref = want[aid]
+        for name in ("bev", "aggregated", "mask"):
+            assert np.array_equal(getattr(r, name), getattr(ref, name)), (aid, name)
+        assert np.array_equal(r.message.indices, ref.message.indices)
+        assert np.array_equal(r.message.vectors, ref.message.vectors)
+        assert r.message.feature_elements == ref.message.feature_elements
+        assert (r.depth_map is None) == (ref.depth_map is None)
+        if r.depth_map is not None:
+            assert np.array_equal(r.depth_map.bin_idx, ref.depth_map.bin_idx)
+            assert np.array_equal(r.depth_map.source, ref.depth_map.source)
+        assert r.warp_collisions == ref.warp_collisions
+        assert r.pose_errors == ref.pose_errors
+
+
+# --- stage by stage, on generated sparse grids --------------------------------
+
+DENSITIES = st.sampled_from([0.0, 0.05, 0.3, 1.0])
+
+
+def branch_grids(seed, shape, channels, p_lidar, p_camera):
+    """A LiDAR and a camera branch grid tagged with the given densities;
+    untagged cells hold zeros, as the branches leave them."""
+    rng = np.random.default_rng(seed)
+    spec = GridSpec((-3.0, 3.0), (-3.0, 3.0), (0.0, 2.0), *shape, channels)
+    grids = []
+    for p, tag in ((p_lidar, Category.LIDAR), (p_camera, Category.CAMERA)):
+        grid = VoxelGrid.empty(spec)
+        on = rng.uniform(size=grid.category.shape) < p
+        grid.category[on] = tag
+        grid.features[on] = rng.standard_normal((int(on.sum()), channels))
+        grids.append(grid)
+    return grids
+
+
+GRID_ARGS = dict(
+    seed=st.integers(0, 2**32 - 1),
+    shape=st.tuples(st.integers(1, 7), st.integers(1, 7), st.integers(1, 3)),
+    channels=st.sampled_from([2, 4, 8]),
+    p_lidar=DENSITIES,
+    p_camera=DENSITIES,
+)
+# Empty, all-camera, no-LiDAR and all-hybrid grids.
+EDGE_GRIDS = [(0.0, 0.0), (0.0, 1.0), (0.0, 0.3), (1.0, 1.0)]
+
+
+def with_edge_grids(**extra):
+    def decorate(test):
+        for p_lidar, p_camera in EDGE_GRIDS:
+            test = example(seed=3, shape=(5, 4, 2), channels=8, p_lidar=p_lidar,
+                           p_camera=p_camera, **extra)(test)
+        return test
+    return decorate
+
+
+class TestStagesMatchDenseReferences:
+    @with_edge_grids()
+    @given(**GRID_ARGS)
+    @settings(max_examples=60, deadline=None)
+    def test_categorize_shares_branch_features(self, seed, shape, channels, p_lidar, p_camera):
+        lidar, camera = branch_grids(seed, shape, channels, p_lidar, p_camera)
+        got = categorize(lidar, camera)
+        want = categorize_copying(lidar, camera)
+        assert np.array_equal(got.category, want.category)
+        assert got.lidar is lidar.features and got.camera is camera.features
+
+    @with_edge_grids(max_tokens=3)
+    @given(max_tokens=st.sampled_from([512, 3]), **GRID_ARGS)
+    @settings(max_examples=60, deadline=None)
+    def test_fusion_matches_mask_based(self, seed, shape, channels, p_lidar, p_camera, max_tokens):
+        lidar, camera = branch_grids(seed, shape, channels, p_lidar, p_camera)
+        params = replace(make_fusion_params(channels, seed=7), max_tokens=max_tokens)
+        lin = make_equal_params(channels, seed=7)
+        for got, want in (
+            (fuse_modalities(params, categorize(lidar, camera)),
+             fuse_modalities_masked(params, categorize_copying(lidar, camera))),
+            (fuse_modalities_equal(lin, categorize(lidar, camera)),
+             fuse_modalities_equal_masked(lin, categorize_copying(lidar, camera))),
+        ):
+            assert np.array_equal(got.features, want.features)
+            assert np.array_equal(got.category, want.category)
+
+    @with_edge_grids()
+    @given(**GRID_ARGS)
+    @settings(max_examples=30, deadline=None)
+    def test_collapse_is_a_view_of_the_copy(self, seed, shape, channels, p_lidar, p_camera):
+        grid, _ = branch_grids(seed, shape, channels, p_lidar, p_camera)
+        bev = collapse(grid)
+        assert np.array_equal(bev, collapse_copying(grid))
+        assert np.shares_memory(bev, grid.features)
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        shape=st.tuples(st.integers(1, 9), st.integers(1, 9), st.integers(1, 70)),
+        density=DENSITIES,
+        special=st.sampled_from([0.0, -0.0, 1e-200, 1e200, np.inf]),
+    )
+    @example(seed=0, shape=(4, 4, 8), density=0.0, special=0.0)
+    @settings(max_examples=80, deadline=None)
+    def test_norms_match_dense(self, seed, shape, density, special):
+        rng = np.random.default_rng(seed)
+        bev = np.zeros(shape)
+        rows = bev.reshape(-1, shape[2])
+        on = rng.uniform(size=rows.shape[0]) < density
+        rows[on] = rng.standard_normal((int(on.sum()), shape[2]))
+        # A row of the special value: signed zeros, squares that underflow
+        # or overflow, infinities.
+        rows[rng.integers(rows.shape[0])] = special
+        with np.errstate(over="ignore"):
+            assert np.array_equal(occupancy_from_bev(bev), occupancy_from_bev_dense(bev))
+            assert np.array_equal(importance_scores(bev), importance_scores_dense(bev))
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(0, 80),
+        pose=st.tuples(st.floats(-30.0, 30.0), st.floats(-30.0, 30.0), st.floats(-3.2, 3.2)),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_warp_into_out_matches_fresh_plane(self, seed, n, pose):
+        spec = GridSpec((-8.0, 8.0), (-8.0, 8.0), (0.0, 2.0), 12, 12, 2, 3)
+        rng = np.random.default_rng(seed)
+        idx = rng.integers(0, 12, (n, 2))
+        vecs = rng.standard_normal((n, spec.bev_channels))
+        rel = Pose.from_planar(*pose)
+        want = warp_sparse_fresh(idx, vecs, rel, spec)
+        out = np.zeros((spec.nx, spec.ny, spec.bev_channels))
+        got = warp_sparse(idx, vecs, rel, spec, out)
+        assert np.array_equal(got.bev, want.bev)
+        assert np.array_equal(got.cells, want.cells)
+        assert (got.collisions, got.dropped) == (want.collisions, want.dropped)
+        assert got.bev is out
+        out.reshape(-1, spec.bev_channels)[got.cells] = 0.0
+        assert not np.any(out)
+
+    def test_warp_rejects_a_plane_of_another_shape(self):
+        spec = GridSpec((-8.0, 8.0), (-8.0, 8.0), (0.0, 2.0), 12, 12, 2, 3)
+        with pytest.raises(ValueError, match="out plane"):
+            warp_sparse(np.zeros((1, 2), dtype=int), np.ones((1, 6)), Pose(np.eye(4)), spec,
+                        np.zeros((12, 11, 6)))
+
+
+# --- whole trials ---------------------------------------------------------------
+
+BENCH_RUN = Path(__file__).resolve().parent.parent / "bench" / "run.py"
+
+
+@pytest.fixture(scope="module")
+def bench_run():
+    return SimpleNamespace(**runpy.run_path(str(BENCH_RUN), run_name="covox_bench_run"))
+
+
+# Scenario seeds 0-3 (trials 0-3 of base seed 0) and 7919.
+SEED_TRIALS = ((0, 0), (0, 1), (0, 2), (0, 3), (7919, 0))
+
+
+@pytest.mark.parametrize("collab_mode", collab.COLLAB_MODES)
+@pytest.mark.parametrize("workload", ["fleet8", "lidar4"])
+def test_trials_match_dense_pipeline(bench_run, tmp_path, monkeypatch, workload, collab_mode):
+    """The benchmark's workload shapes under every collaboration mode: CSV
+    rows, message logs and every AgentRound array equal the dense pipeline's."""
+    for seed, trial in SEED_TRIALS:
+        config = bench_run.experiment_config(bench_run.WORKLOADS[workload], seed)
+        config["pipeline"]["collab"] = collab_mode
+        path = tmp_path / f"{workload}-{seed}.json"
+        path.write_text(json.dumps(config))
+        exp = load_experiment(path)
+        params = make_pipeline_params(exp.pipeline.grid, exp.params_seed)
+        got = cli.run_trial(exp, trial, None, params)
+        with monkeypatch.context() as m:
+            use_dense_pipeline(m)
+            want = cli.run_trial(exp, trial, None, params)
+        assert got.row == want.row
+        assert got.log_lines == want.log_lines
+        assert_rounds_equal(got.rounds, want.rounds)
+
+
+# --- reuse of the phase-2 planes ------------------------------------------------
+
+GRID = GridSpec((-20.0, 20.0), (-20.0, 20.0), (0.5, 3.7), 64, 64, 8, 8)
+PARAMS = make_pipeline_params(GRID, seed=2024)
+
+
+def _agent(aid, x, y):
+    pose = Pose.from_planar(x, y, 0.0)
+    return AgentState(aid, pose, pose)
+
+
+def reuse_scene():
+    """Five LiDAR agents whose phase 2 reuses planes across receivers.
+
+    With a 30 m range agent 0 has three neighbors, agent 1 one and agents
+    2-4 two each.  Agent 4 sees nothing, so its message is empty.  Agent 1's
+    message lies wholly outside agent 0's grid and agent 0's wholly outside
+    agent 1's; agent 4 gets nothing in its grid from either neighbor.
+    """
+    scn = ScenarioConfig(seed=1, n_agents=5, n_objects=0, comm_range=30.0,
+                         lidar=LidarSpec(max_range=15.0))
+    agents = [_agent(0, 0.0, 0.0), _agent(1, 28.0, 0.0), _agent(2, 0.0, 25.0),
+              _agent(3, -25.0, 0.0), _agent(4, -25.0, 25.0)]
+    objects = [
+        BoxObject(0, (3.0, 13.0), 0.3, (4.0, 1.8, 1.6)),
+        BoxObject(1, (-13.0, 2.0), -0.2, (4.0, 1.8, 1.6)),
+        BoxObject(2, (41.0, 0.0), 0.1, (4.0, 1.8, 1.6)),
+    ]
+    return scn, agents, objects
+
+
+@pytest.mark.parametrize("collab_mode", collab.COLLAB_MODES)
+def test_reused_planes_carry_no_stale_rows(monkeypatch, collab_mode):
+    scn, agents, objects = reuse_scene()
+    pipe = PipelineConfig(grid=GRID, bins=DepthBins(1.0, 33.0, 16),
+                          predictor=NoisyOraclePredictor(1.0, 1), fusion_mode="none",
+                          depth_projection="no", collab_mode=collab_mode)
+    degrees = {len(n) for n in build_comm_graph(agents, scn.comm_range).values()}
+    assert degrees == {1, 2, 3}
+
+    calls = []
+
+    def checked_warp(indices, vectors, rel_pose, spec, out):
+        assert not np.any(out), "a plane arrived with stale rows"
+        result = warp_sparse(indices, vectors, rel_pose, spec, out)
+        calls.append((len(indices), result.cells.size))
+        return result
+
+    with monkeypatch.context() as m:
+        m.setattr(collab, "warp_sparse", checked_warp)
+        got, _ = run_round(agents, objects, (), scn, pipe, PARAMS)
+    assert (0, 0) in calls  # an empty message
+    assert any(sent > 0 and landed == 0 for sent, landed in calls)  # one wholly outside
+    assert any(landed > 0 for _, landed in calls)
+
+    with monkeypatch.context() as m:
+        use_dense_pipeline(m)
+        want, _ = run_round(agents, objects, (), scn, pipe, PARAMS)
+    assert_rounds_equal(got, want)
+
+
+def test_second_round_leaves_the_first_unchanged():
+    scn, agents, objects = reuse_scene()
+    pipe = PipelineConfig(grid=GRID, bins=DepthBins(1.0, 33.0, 16),
+                          predictor=NoisyOraclePredictor(1.0, 1), collab_mode="max")
+    first, _ = run_round(agents, objects, (), scn, pipe, PARAMS)
+    kept = {
+        aid: [np.copy(a) for a in (r.aggregated, r.bev, r.message.indices, r.message.vectors)]
+        for aid, r in first.items()
+    }
+    moved = [_agent(a.id, *(np.array(planar_parts(a.true_pose)[:2]) + 3.0)) for a in agents]
+    run_round(moved, objects, (), scn, pipe, PARAMS)
+    for aid, r in first.items():
+        now = (r.aggregated, r.bev, r.message.indices, r.message.vectors)
+        assert all(np.array_equal(a, b) for a, b in zip(now, kept[aid]))

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from typing import NamedTuple, Optional
 
@@ -15,7 +17,7 @@ from covox.geometry import (
     transform_points,
 )
 
-from conftest import random_pose
+from conftest import random_pose, random_rotation
 
 
 INTR = CameraIntrinsics(fx=100.0, fy=80.0, u0=32.0, v0=24.0, width=64, height=48)
@@ -91,6 +93,81 @@ class TestPose:
         x, y, yaw = planar_parts(pose)
         assert (x, y) == (3.0, -2.0)
         assert abs(yaw - 0.7) < 1e-12
+
+
+def _pose_error_by_numpy(matrix) -> Optional[str]:
+    """Reference validator: the pose checks written with numpy on the 4x4
+    matrix and LAPACK's determinant.  Returns the message of the first check
+    that fails, or None for a valid pose."""
+    m = np.array(matrix, dtype=np.float64)
+    if m.shape != (4, 4):
+        return f"pose matrix must be 4x4, got {m.shape}"
+    if not np.all(np.isfinite(m)):
+        return "pose matrix has non-finite entries"
+    if not np.array_equal(m[3], np.array([0.0, 0.0, 0.0, 1.0])):
+        return "bottom row must be exactly (0, 0, 0, 1)"
+    r = m[:3, :3]
+    if np.max(np.abs(r.T @ r - np.eye(3))) > 1e-9:
+        return "rotation block is not orthonormal"
+    if abs(np.linalg.det(r) - 1.0) > 1e-9:
+        return "rotation block must have determinant +1"
+    return None
+
+
+def _pose_error(matrix) -> Optional[str]:
+    try:
+        Pose(matrix)
+    except InvalidPoseError as exc:
+        return str(exc)
+    return None
+
+
+POSE_KINDS = ("rigid", "planar", "perturbed_1e-7", "perturbed_1e-11", "reflected",
+              "non_finite", "bad_bottom_row")
+
+
+class TestPoseValidationOracle:
+    """Pose checks its matrix on Python floats; it must accept and reject
+    exactly the matrices the numpy validator does, for the same reason."""
+
+    @staticmethod
+    def _matrix(kind: str, seed: int) -> np.ndarray:
+        rng = np.random.default_rng(seed)
+        m = np.eye(4)
+        if kind == "planar":
+            m[:3, :3] = Pose.from_planar(0.0, 0.0, rng.uniform(-np.pi, np.pi)).rotation
+        else:
+            m[:3, :3] = random_rotation(rng)
+        m[:3, 3] = rng.uniform(-50.0, 50.0, 3)
+        if kind.startswith("perturbed"):
+            scale = float(kind.split("_")[1])
+            m[:3, :3] += scale * rng.standard_normal((3, 3))
+        elif kind == "reflected":
+            m[:3, rng.integers(3)] *= -1.0
+        elif kind == "non_finite":
+            m[rng.integers(4), rng.integers(4)] = rng.choice([np.nan, np.inf, -np.inf])
+        elif kind == "bad_bottom_row":
+            m[3, rng.integers(4)] += rng.choice([1e-12, -0.5, 2.0])
+        return m
+
+    @given(kind=st.sampled_from(POSE_KINDS), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_same_verdict_as_numpy_validator(self, kind, seed):
+        m = self._matrix(kind, seed)
+        expected = _pose_error_by_numpy(m)
+        assert _pose_error(m) == expected
+        if kind in ("rigid", "planar", "perturbed_1e-11"):
+            assert expected is None
+        else:
+            assert expected is not None
+
+    def test_negative_zero_bottom_row_is_valid(self):
+        m = np.eye(4)
+        m[3, :3] = -0.0
+        assert _pose_error(m) is None and _pose_error_by_numpy(m) is None
+
+    def test_wrong_shape(self):
+        assert _pose_error(np.eye(3)) == _pose_error_by_numpy(np.eye(3))
 
 
 class TestTransformPoints:
