@@ -296,6 +296,8 @@ def _ray_wall_t(origin, dirs, wall: Wall) -> np.ndarray:
     n = np.array([-edge[1], edge[0], 0.0])
     o = np.asarray(origin, dtype=np.float64)
     d = np.asarray(dirs, dtype=np.float64)
+    if not edge @ edge:  # zero-length wall: no face for any ray to hit
+        return np.full(len(d), np.inf)
     denom = d @ n
     moving = np.abs(denom) > _EPS
     t = np.where(

@@ -345,6 +345,15 @@ class TestRaycastOracle:
         assert np.array_equal(t, t_ref)
         assert np.array_equal(kind, kind_ref)
 
+    def test_zero_length_wall_is_never_hit(self):
+        """A wall whose ends coincide has no face: every ray misses it."""
+        origin = np.array([0.0, 0.0, 1.0])
+        dirs = np.concatenate([_AWKWARD_RAYS, [[1.0, 0.0, 0.0], [0.0, 1.0, -0.5]]])
+        t = scene._ray_wall_t(origin, dirs, Wall((0.0, 0.0), (0.0, 0.0), 1.0))
+        assert np.all(t == np.inf)
+        _, kind = raycast(origin, dirs, [], [Wall((1.0, 0.0), (1.0, 0.0), 2.0)])
+        assert not np.any(kind == scene.HIT_WALL)
+
     @pytest.mark.parametrize("seed", range(6))
     def test_camera_and_lidar_bundles_in_generated_scenes(self, seed):
         """Every agent's real bundles, with boxes behind and beside its camera."""
