@@ -23,7 +23,7 @@ import numpy as np
 from .collab import AgentRound, comm_volume_log, dense_ratio, make_pipeline_params, run_round
 from .config import MODES, ConfigError, ExperimentSpec, load_experiment, resolve_out_dir
 from .geometry import invert
-from .metrics import Detection, average_precision, recall_at
+from .metrics import Detection, average_precision, iou_table, recall_at
 from .render import depth_map_gray, mask_image, render_bev, write_pgm16, write_ppm
 from .robust import detect_local, occupancy_from_bev, transform_detections
 from .scene import AgentState, BoxObject, generate_scene
@@ -68,14 +68,18 @@ def _gt_in_view(agent: AgentState, objects, grid) -> list[Detection]:
 
 
 def evaluate_round(rounds, agents, objects, grid):
-    """Mean detection metrics across agents, each scored in its own frame."""
+    """Mean detection metrics across agents, each scored in its own frame.
+
+    Each agent's det x gt IoUs are computed once and shared by every score.
+    """
     ap50s, ap70s, recs = [], [], []
     for agent in agents:
         dets = detect_local(occupancy_from_bev(rounds[agent.id].aggregated), grid)
         gts = _gt_in_view(agent, objects, grid)
-        ap50s.append(average_precision(dets, gts, 0.5) if gts else 0.0)
-        ap70s.append(average_precision(dets, gts, 0.7) if gts else 0.0)
-        recs.append(recall_at(dets, gts, 0.5) if gts else 0.0)
+        ious = iou_table(dets, gts)
+        ap50s.append(average_precision(dets, ious, 0.5))
+        ap70s.append(average_precision(dets, ious, 0.7))
+        recs.append(recall_at(dets, ious, 0.5))
     n = max(1, len(agents))
     return sum(ap50s) / n, sum(ap70s) / n, sum(recs) / n
 

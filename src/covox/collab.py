@@ -393,11 +393,19 @@ def aggregate(
     return out.reshape(nx, ny, f)
 
 
-def aggregate_max(ego: np.ndarray, warped: Sequence[np.ndarray]) -> np.ndarray:
-    """Ablation baseline: elementwise max over the token stack."""
+def aggregate_max(
+    ego: np.ndarray, warped: Sequence[np.ndarray], written: Sequence[np.ndarray]
+) -> np.ndarray:
+    """Ablation baseline: elementwise max over the token stack [ego, neighbors...].
+
+    As in `aggregate`, all-zero neighbor tokens carry no signal and take no
+    part, so only the cells in `written[k]`, the nonzero cells of
+    `warped[k]`, are compared.
+    """
     out = np.array(ego, dtype=np.float64)
-    for w in warped:
-        out = np.maximum(out, w)
+    rows = out.reshape(-1, out.shape[2])
+    for w, cells in zip(warped, written):
+        rows[cells] = np.maximum(rows[cells], w.reshape(rows.shape)[cells])
     return out
 
 
@@ -586,7 +594,7 @@ def _receive(
     if pipe.collab_mode == "attention":
         agg = aggregate(params.agg_mha, w.bev, warped, written)
     elif pipe.collab_mode == "max":
-        agg = aggregate_max(w.bev, warped)
+        agg = aggregate_max(w.bev, warped, written)
     else:
         agg = aggregate_concat(params.concat_lin, w.bev, warped)
     for plane, cells in zip(warped, written):

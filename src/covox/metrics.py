@@ -121,54 +121,66 @@ def _may_overlap(dets: Sequence[Detection], gts: Sequence[Detection]) -> np.ndar
     return np.hypot(gap[..., 0], gap[..., 1]) <= dr[:, None] + gr[None, :]
 
 
-def match_detections(
-    dets: Sequence[Detection], gts: Sequence[Detection], iou_thresh: float
-):
+def iou_table(dets: Sequence[Detection], gts: Sequence[Detection]) -> np.ndarray:
+    """(len(dets), len(gts)) rotated IoUs of every det x gt pair.
+
+    Only pairs whose circumscribed circles meet are scored; any other pair
+    has an IoU of 0.0, so the table equals scoring all pairs.
+    """
+    ious = np.zeros((len(dets), len(gts)))
+    for i, j in zip(*np.nonzero(_may_overlap(dets, gts))):
+        ious[i, j] = rotated_iou(dets[i], gts[j])
+    return ious
+
+
+def match_detections(dets: Sequence[Detection], ious: np.ndarray, iou_thresh: float):
     """Greedy matching in descending score order; each gt is used once.
 
-    Returns (tp flags aligned with the sorted order, sorted order indices).
-    Only pairs whose circumscribed circles meet are scored; any other pair
-    has an IoU of 0.0, so the result equals scoring all pairs.
+    `ious` is the `iou_table` of `dets` against the gts.  Each detection
+    takes the free gt of highest IoU at or above the threshold, the lowest
+    index among equal IoUs.  Returns (tp flags aligned with the sorted
+    order, sorted order indices).
     """
     if not (0.0 < iou_thresh < 1.0):
         raise ValueError("iou_thresh must lie in (0, 1)")
+    if ious.ndim != 2 or ious.shape[0] != len(dets):
+        raise ValueError("ious must be a (len(dets), len(gts)) table")
     order = _by_descending_score(dets)
-    near = _may_overlap(dets, gts)
-    taken = [False] * len(gts)
+    free = np.ones(ious.shape[1], dtype=bool)
     tp = np.zeros(len(dets), dtype=bool)
+    if not free.size:
+        return tp, order
     for rank, di in enumerate(order):
-        best_iou, best_j = 0.0, -1
-        for j in np.flatnonzero(near[di]).tolist():
-            if taken[j]:
-                continue
-            iou = rotated_iou(dets[di], gts[j])
-            if iou >= iou_thresh and iou > best_iou:
-                best_iou, best_j = iou, j
-        if best_j >= 0:
-            taken[best_j] = True
+        # Taken gts read 0.0, below any threshold; argmax takes the first
+        # of equal maxima.
+        row = np.where(free, ious[di], 0.0)
+        j = int(np.argmax(row))
+        if row[j] >= iou_thresh:
+            free[j] = False
             tp[rank] = True
     return tp, order
 
 
 def pr_curve(
-    dets: Sequence[Detection], gts: Sequence[Detection], iou_thresh: float
+    dets: Sequence[Detection], ious: np.ndarray, iou_thresh: float
 ) -> list[tuple[float, float]]:
     """(recall, precision) after each detection, descending score."""
-    tp, _ = match_detections(dets, gts, iou_thresh)
-    if not gts:
+    tp, _ = match_detections(dets, ious, iou_thresh)
+    n_gts = ious.shape[1]
+    if not n_gts:
         return []
     cum_tp = np.cumsum(tp)
     ranks = np.arange(1, len(dets) + 1)
-    recall = cum_tp / len(gts)
+    recall = cum_tp / n_gts
     precision = cum_tp / ranks
     return list(zip(recall.tolist(), precision.tolist()))
 
 
 def average_precision(
-    dets: Sequence[Detection], gts: Sequence[Detection], iou_thresh: float
+    dets: Sequence[Detection], ious: np.ndarray, iou_thresh: float
 ) -> float:
     """Area under the precision envelope over recall (all-point)."""
-    curve = pr_curve(dets, gts, iou_thresh)
+    curve = pr_curve(dets, ious, iou_thresh)
     if not curve:
         return 0.0
     recall = np.array([r for r, _ in curve])
@@ -183,9 +195,8 @@ def average_precision(
     return float(ap)
 
 
-def recall_at(
-    dets: Sequence[Detection], gts: Sequence[Detection], iou_thresh: float
-) -> float:
+def recall_at(dets: Sequence[Detection], ious: np.ndarray, iou_thresh: float) -> float:
     """Fraction of ground-truth boxes matched by any detection."""
-    tp, _ = match_detections(dets, gts, iou_thresh)
-    return float(tp.sum() / len(gts)) if gts else 0.0
+    tp, _ = match_detections(dets, ious, iou_thresh)
+    n_gts = ious.shape[1]
+    return float(tp.sum() / n_gts) if n_gts else 0.0

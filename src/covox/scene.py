@@ -241,14 +241,15 @@ def _ray_box_t(origin, dirs, box: BoxObject, rays: np.ndarray) -> np.ndarray:
 
 class _AzimuthFan:
     """A ray bundle sorted by world azimuth, to find the rays that can reach
-    a box without testing the others.
+    a box or a wall without testing the others.
 
-    A ray meets a ground-standing box only if its horizontal direction meets
-    the circle circumscribing the box's footprint.  The slab test treats a
-    direction component below _EPS as zero, which turns a ray by at most
-    _EPS / (horizontal length) radians, so rays shorter than _STEEP
-    horizontally are always candidates and every angular window is widened
-    by _CULL_ANGLE > _EPS / _STEEP; _CULL_PAD absorbs rounding in position.
+    A ray meets a ground-standing box or a vertical wall only if its
+    horizontal direction meets the circle circumscribing the box's footprint
+    or the wall's segment.  The box slab test treats a direction component
+    below _EPS as zero, which turns a ray by at most _EPS / (horizontal
+    length) radians, so rays shorter than _STEEP horizontally are always
+    candidates and every angular window is widened by _CULL_ANGLE >
+    _EPS / _STEEP; _CULL_PAD absorbs rounding in position.
     """
 
     _STEEP = 1e-6
@@ -265,13 +266,14 @@ class _AzimuthFan:
         self.rays = idx[order]
         self.steep = np.flatnonzero(~flat)
 
-    def toward(self, origin, box: BoxObject) -> np.ndarray:
-        """Indices of every ray from `origin` that can hit `box`, and some
-        that cannot: all rays when the origin is inside the box's circle."""
-        dx = box.center[0] - float(origin[0])
-        dy = box.center[1] - float(origin[1])
+    def toward(self, origin, center, radius: float) -> np.ndarray:
+        """Indices of every ray from `origin` that can meet the planar circle
+        (`center`, `radius`), and some that cannot: all rays when the origin
+        is inside the circle."""
+        dx = center[0] - float(origin[0])
+        dy = center[1] - float(origin[1])
         dist = math.hypot(dx, dy)
-        radius = math.hypot(box.extent[0], box.extent[1]) / 2.0 + self._CULL_PAD
+        radius += self._CULL_PAD
         if dist <= radius:
             return np.arange(self.n)
         half = math.asin(radius / dist) + self._CULL_ANGLE
@@ -289,16 +291,22 @@ class _AzimuthFan:
         return np.concatenate([*parts, self.steep])
 
 
-def _ray_wall_t(origin, dirs, wall: Wall) -> np.ndarray:
-    """First intersection with an opaque vertical rectangle (inf = miss)."""
+def _ray_wall_t(origin, dirs, wall: Wall, rays: np.ndarray) -> np.ndarray:
+    """First intersection of each ray in `rays` with an opaque vertical
+    rectangle (inf = miss).
+
+    The normal components come from one product over every ray, sliced
+    afterwards, and the along-edge product runs on at least two rows, so a
+    ray's distance does not depend on which rays are asked.
+    """
     p1 = np.array(wall.p1, dtype=np.float64)
     edge = np.array(wall.p2, dtype=np.float64) - p1
     n = np.array([-edge[1], edge[0], 0.0])
     o = np.asarray(origin, dtype=np.float64)
-    d = np.asarray(dirs, dtype=np.float64)
     if not edge @ edge:  # zero-length wall: no face for any ray to hit
-        return np.full(len(d), np.inf)
-    denom = d @ n
+        return np.full(len(rays), np.inf)
+    d = dirs[rays]
+    denom = (dirs @ n)[rays]
     moving = np.abs(denom) > _EPS
     t = np.where(
         moving,
@@ -306,7 +314,10 @@ def _ray_wall_t(origin, dirs, wall: Wall) -> np.ndarray:
         np.inf,
     )
     q = o + np.where(np.isfinite(t), t, 0.0)[:, None] * d
-    along = ((q[:, :2] - p1) @ edge) / (edge @ edge)
+    rel = q[:, :2] - p1
+    if len(rel) == 1:  # a one-row product takes numpy's dot path, which rounds differently
+        rel = np.repeat(rel, 2, axis=0)
+    along = (rel @ edge)[: len(q)] / (edge @ edge)
     ok = (
         moving
         & (t > _EPS)
@@ -337,27 +348,29 @@ def raycast(
     Returns (t, kind): t is the scalar along each direction (inf = no hit
     within max_range; directions need not be unit length, so t is in units
     of the direction vector), kind is one of the HIT_* classes.  The ground
-    and every wall are tested on all rays; each box only on the rays whose
+    is tested on all rays; each wall and each box only on the rays whose
     azimuth can reach it.  Surfaces are taken in that order, a later one
     winning only when strictly closer.
     """
     dirs = np.asarray(dirs, dtype=np.float64).reshape(-1, 3)
     best = _ray_ground_t(origin, dirs)
     kind = np.where(best < np.inf, HIT_GROUND, HIT_NONE).astype(np.uint8)
-    for wall in occluders:
-        t = _ray_wall_t(origin, dirs, wall)
-        closer = t < best
-        best[closer] = t[closer]
-        kind[closer] = HIT_WALL
-    fan = _AzimuthFan(dirs) if objects else None
-    for box in objects:
-        rays = fan.toward(origin, box)
-        if rays.size == 0:
-            continue
-        t = _ray_box_t(origin, dirs, box, rays)
+    fan = _AzimuthFan(dirs) if objects or occluders else None
+
+    def nearer(rays, t, cls):
         closer = t < best[rays]
         best[rays[closer]] = t[closer]
-        kind[rays[closer]] = HIT_OBJECT
+        kind[rays[closer]] = cls
+
+    for wall in occluders:
+        mid = ((wall.p1[0] + wall.p2[0]) / 2.0, (wall.p1[1] + wall.p2[1]) / 2.0)
+        rays = fan.toward(origin, mid, math.dist(wall.p1, wall.p2) / 2.0)
+        if rays.size:
+            nearer(rays, _ray_wall_t(origin, dirs, wall, rays), HIT_WALL)
+    for box in objects:
+        rays = fan.toward(origin, box.center, math.hypot(box.extent[0], box.extent[1]) / 2.0)
+        if rays.size:
+            nearer(rays, _ray_box_t(origin, dirs, box, rays), HIT_OBJECT)
     out_of_range = best > max_range
     best[out_of_range] = np.inf
     kind[out_of_range] = HIT_NONE

@@ -1,9 +1,13 @@
 import os
 
+import numpy as np
 import pytest
 import yaml
 
-from covox import cli
+from covox import cli, metrics
+from covox.collab import make_pipeline_params, run_round
+from covox.config import load_experiment
+from covox.scene import generate_scene
 
 
 def experiment_tree(**experiment):
@@ -150,3 +154,49 @@ def test_failed_write_keeps_previous_metrics(tmp_path, monkeypatch):
         run(tmp_path, experiment_tree(), "--trials", "1")
     assert (out / "metrics.csv").read_bytes() == before
     assert not list(out.glob(".metrics.csv.*"))
+
+
+def test_evaluate_round_scores_each_near_pair_once(tmp_path, monkeypatch):
+    """AP50, AP70 and recall50 share one IoU table per agent: each det x gt
+    pair whose circles meet is scored once, and no other pair is."""
+    tree = {
+        "experiment": {"mode": "full", "trials": 1, "render": False},
+        "scenario": {"seed": 0, "n_agents": 4, "n_objects": 12},
+        "pipeline": {"fusion": "none", "depth_projection": "no", "collab": "max"},
+    }
+    cfg = tmp_path / "lidar.yaml"
+    cfg.write_text(yaml.safe_dump(tree))
+    exp = load_experiment(cfg)
+    agents, objects = generate_scene(exp.scenario)
+    params = make_pipeline_params(exp.pipeline.grid, exp.params_seed)
+    rounds, _ = run_round(agents, objects, (), exp.scenario, exp.pipeline, params)
+
+    boxes, calls = [], []
+    detect, gt_in_view, iou = cli.detect_local, cli._gt_in_view, metrics.rotated_iou
+
+    def detect_spy(occupancy, grid):
+        boxes.append([detect(occupancy, grid)])
+        return boxes[-1][0]
+
+    def gt_spy(agent, objects, grid):
+        boxes[-1].append(gt_in_view(agent, objects, grid))
+        return boxes[-1][1]
+
+    def iou_spy(a, b):
+        calls.append((len(boxes) - 1, id(a), id(b)))
+        return iou(a, b)
+
+    monkeypatch.setattr(cli, "detect_local", detect_spy)
+    monkeypatch.setattr(cli, "_gt_in_view", gt_spy)
+    monkeypatch.setattr(metrics, "rotated_iou", iou_spy)
+    cli.evaluate_round(rounds, agents, objects, exp.pipeline.grid)
+
+    assert len(boxes) == len(agents)
+    near = {
+        (k, id(dets[i]), id(gts[j]))
+        for k, (dets, gts) in enumerate(boxes)
+        for i, j in zip(*np.nonzero(metrics._may_overlap(dets, gts)))
+    }
+    assert near, "the scene gives no near pair to score"
+    assert len(calls) == len(set(calls))
+    assert set(calls) == near

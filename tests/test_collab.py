@@ -299,7 +299,7 @@ class TestAggregate:
     def test_max_and_concat_variants(self, rng):
         bev = rng.standard_normal((4, 4, 64))
         nbr = rng.standard_normal((4, 4, 64))
-        out_max = aggregate_max(bev, [nbr])
+        out_max = aggregate_max(bev, [nbr], [np.arange(16)])  # nbr wrote every cell
         assert np.array_equal(out_max, np.maximum(bev, nbr))
         out_cat = aggregate_concat(PARAMS.concat_lin, bev, [nbr])
         stacked = np.concatenate([bev, nbr, np.zeros_like(bev), np.zeros_like(bev)], axis=2)

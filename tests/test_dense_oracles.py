@@ -1,7 +1,8 @@
 """The stages between voxelization and aggregation touch only the cells that
 hold data.  The references here are the dense versions they replace: they
-copy, mask and scan whole grids and warp every message into a fresh zero
-plane.  Every stage, and every trial end to end, must match them bit for bit.
+copy, mask and scan whole grids, warp every message into a fresh zero
+plane and take the max aggregation over whole planes.  Every stage, and
+every trial end to end, must match them bit for bit.
 """
 
 import json
@@ -148,6 +149,14 @@ def warp_sparse_fresh(indices, vectors, rel_pose, spec):
     return collab.WarpResult(bev, uniq, int(flat.size - uniq.size), dropped)
 
 
+def aggregate_max_dense(ego, warped):
+    """Max over every cell's token stack [ego, neighbors...], an all-zero
+    (unsent) neighbor token counting as -inf."""
+    tokens = [np.asarray(ego, dtype=np.float64)]
+    tokens += [np.where(np.any(w != 0.0, axis=2, keepdims=True), w, -np.inf) for w in warped]
+    return np.max(np.stack(tokens), axis=0)
+
+
 def receive_fresh(w, works, pipe, params, ledger, planes):
     """Phase 2 with a fresh zero plane per neighbor; `planes` is ignored."""
     warped, written = [], []
@@ -162,7 +171,7 @@ def receive_fresh(w, works, pipe, params, ledger, planes):
     if pipe.collab_mode == "attention":
         agg = aggregate(params.agg_mha, w.bev, warped, written)
     elif pipe.collab_mode == "max":
-        agg = aggregate_max(w.bev, warped)
+        agg = aggregate_max_dense(w.bev, warped)
     else:
         agg = aggregate_concat(params.concat_lin, w.bev, warped)
     return AgentRound(
@@ -330,6 +339,40 @@ class TestStagesMatchDenseReferences:
         assert got.bev is out
         out.reshape(-1, spec.bev_channels)[got.cells] = 0.0
         assert not np.any(out)
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        shape=st.tuples(st.integers(1, 9), st.integers(1, 9), st.integers(1, 8)),
+        n_neighbors=st.integers(0, 4),
+        density=DENSITIES,
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_max_matches_dense(self, seed, shape, n_neighbors, density):
+        rng = np.random.default_rng(seed)
+        ego = rng.standard_normal(shape)
+        ego[rng.uniform(size=shape[:2]) < 0.3] = 0.0
+        warped, written = [], []
+        for _ in range(n_neighbors):
+            plane = np.zeros(shape)
+            on = rng.uniform(size=shape[:2]) < density
+            plane[on] = rng.standard_normal((int(on.sum()), shape[2]))
+            warped.append(plane)
+            written.append(np.flatnonzero(on))
+        assert np.array_equal(aggregate_max(ego, warped, written), aggregate_max_dense(ego, warped))
+
+    def test_max_keeps_negative_ego_scalars_no_neighbor_wrote(self):
+        """A neighbor's unsent cells are no signal: they must not lift the
+        ego's negative scalars to 0."""
+        rng = np.random.default_rng(5)
+        ego = -rng.uniform(0.5, 1.0, (4, 5, 6))
+        plane = np.zeros_like(ego)
+        plane[1, 2] = rng.standard_normal(6)
+        out = aggregate_max(ego, [plane], [np.array([1 * 5 + 2])])
+        assert np.array_equal(out[1, 2], np.maximum(ego[1, 2], plane[1, 2]))
+        untouched = np.ones((4, 5), dtype=bool)
+        untouched[1, 2] = False
+        assert np.array_equal(out[untouched], ego[untouched])
+        assert np.all(out[untouched] < 0.0)
 
     def test_warp_rejects_a_plane_of_another_shape(self):
         spec = GridSpec((-8.0, 8.0), (-8.0, 8.0), (0.0, 2.0), 12, 12, 2, 3)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from covox.metrics import (
@@ -9,6 +9,7 @@ from covox.metrics import (
     _may_overlap,
     average_precision,
     clip_polygon,
+    iou_table,
     match_detections,
     polygon_area,
     pr_curve,
@@ -19,6 +20,10 @@ from covox.metrics import (
 
 def box(cx, cy, yaw=0.0, l=1.0, w=1.0, score=1.0):
     return Detection(center=(cx, cy), yaw=yaw, extent=(l, w), score=score)
+
+
+def ap(dets, gts, iou_thresh):
+    return average_precision(dets, iou_table(dets, gts), iou_thresh)
 
 
 def all_pairs_match(dets, gts, iou_thresh):
@@ -38,6 +43,62 @@ def all_pairs_match(dets, gts, iou_thresh):
             taken[best_j] = True
             tp[rank] = True
     return tp, order
+
+
+# Scoring as the parent wrote it: each threshold matches the boxes afresh and
+# scores every near pair itself.
+
+
+def match_per_threshold(dets, gts, iou_thresh):
+    if not (0.0 < iou_thresh < 1.0):
+        raise ValueError("iou_thresh must lie in (0, 1)")
+    order = _by_descending_score(dets)
+    near = _may_overlap(dets, gts)
+    taken = [False] * len(gts)
+    tp = np.zeros(len(dets), dtype=bool)
+    for rank, di in enumerate(order):
+        best_iou, best_j = 0.0, -1
+        for j in np.flatnonzero(near[di]).tolist():
+            if taken[j]:
+                continue
+            iou = rotated_iou(dets[di], gts[j])
+            if iou >= iou_thresh and iou > best_iou:
+                best_iou, best_j = iou, j
+        if best_j >= 0:
+            taken[best_j] = True
+            tp[rank] = True
+    return tp, order
+
+
+def pr_curve_per_threshold(dets, gts, iou_thresh):
+    tp, _ = match_per_threshold(dets, gts, iou_thresh)
+    if not gts:
+        return []
+    cum_tp = np.cumsum(tp)
+    ranks = np.arange(1, len(dets) + 1)
+    recall = cum_tp / len(gts)
+    precision = cum_tp / ranks
+    return list(zip(recall.tolist(), precision.tolist()))
+
+
+def average_precision_per_threshold(dets, gts, iou_thresh):
+    curve = pr_curve_per_threshold(dets, gts, iou_thresh)
+    if not curve:
+        return 0.0
+    recall = np.array([r for r, _ in curve])
+    precision = np.array([p for _, p in curve])
+    envelope = np.maximum.accumulate(precision[::-1])[::-1]
+    prev_r = 0.0
+    ap = 0.0
+    for r, p in zip(recall, envelope):
+        ap += (r - prev_r) * p
+        prev_r = r
+    return float(ap)
+
+
+def recall_at_per_threshold(dets, gts, iou_thresh):
+    tp, _ = match_per_threshold(dets, gts, iou_thresh)
+    return float(tp.sum() / len(gts)) if gts else 0.0
 
 
 def radius(b):
@@ -202,20 +263,20 @@ class TestAveragePrecision:
     def test_perfect_detections(self):
         gts = [box(0, 0), box(5, 5)]
         dets = [box(0, 0, score=0.9), box(5, 5, score=0.8)]
-        assert average_precision(dets, gts, 0.5) == 1.0
+        assert ap(dets, gts, 0.5) == 1.0
 
     def test_no_detections(self):
-        assert average_precision([], [box(0, 0)], 0.5) == 0.0
+        assert ap([], [box(0, 0)], 0.5) == 0.0
 
     def test_correct_first_gives_full_ap(self):
         gts = [box(0, 0)]
         dets = [box(0, 0, score=0.9), box(5, 5, score=0.8)]
-        assert average_precision(dets, gts, 0.5) == 1.0
+        assert ap(dets, gts, 0.5) == 1.0
 
     def test_correct_second_gives_half_ap(self):
         gts = [box(0, 0)]
         dets = [box(5, 5, score=0.9), box(0, 0, score=0.8)]
-        assert average_precision(dets, gts, 0.5) == 0.5
+        assert ap(dets, gts, 0.5) == 0.5
 
     def test_threshold_ordering_random_sets(self, rng):
         for _ in range(100):
@@ -235,35 +296,35 @@ class TestAveragePrecision:
                     )
             for _ in range(int(rng.integers(0, 4))):
                 dets.append(box(*rng.uniform(-8, 8, 2), 0.0, 2.0, 1.0, float(rng.uniform(0.1, 1.0))))
-            ap50 = average_precision(dets, gts, 0.5)
-            ap70 = average_precision(dets, gts, 0.7)
+            ap50 = ap(dets, gts, 0.5)
+            ap70 = ap(dets, gts, 0.7)
             assert 0.0 <= ap70 <= ap50 <= 1.0
 
     def test_invalid_threshold(self):
         with pytest.raises(ValueError):
-            average_precision([], [], 1.0)
+            ap([], [], 1.0)
 
     def test_score_ties_break_by_insertion_order(self):
         gts = [box(0, 0)]
         hit_first = [box(0, 0, score=0.5), box(9, 9, score=0.5)]
         miss_first = [box(9, 9, score=0.5), box(0, 0, score=0.5)]
-        assert average_precision(hit_first, gts, 0.5) == 1.0
-        assert average_precision(miss_first, gts, 0.5) == 0.5
+        assert ap(hit_first, gts, 0.5) == 1.0
+        assert ap(miss_first, gts, 0.5) == 0.5
 
 
 class TestPrCurveAndRecall:
     def test_recall_non_decreasing(self, rng):
         gts = [box(*rng.uniform(-5, 5, 2)) for _ in range(4)]
         dets = [box(*rng.uniform(-5, 5, 2), score=float(rng.uniform())) for _ in range(10)]
-        curve = pr_curve(dets, gts, 0.3)
+        curve = pr_curve(dets, iou_table(dets, gts), 0.3)
         recalls = [r for r, _ in curve]
         assert recalls == sorted(recalls)
 
     def test_recall_at(self):
         gts = [box(0, 0), box(5, 5)]
         dets = [box(0, 0, score=0.9)]
-        assert recall_at(dets, gts, 0.5) == 0.5
-        assert recall_at([], gts, 0.5) == 0.0
+        assert recall_at(dets, iou_table(dets, gts), 0.5) == 0.5
+        assert recall_at([], iou_table([], gts), 0.5) == 0.0
 
 
 class TestMatchingPrefilter:
@@ -271,7 +332,7 @@ class TestMatchingPrefilter:
     @settings(max_examples=300, deadline=None)
     def test_matches_all_pairs_oracle(self, boxes, thresh):
         dets, gts = boxes
-        tp, order = match_detections(dets, gts, thresh)
+        tp, order = match_detections(dets, iou_table(dets, gts), thresh)
         tp_ref, order_ref = all_pairs_match(dets, gts, thresh)
         assert np.array_equal(tp, tp_ref)
         assert order == order_ref
@@ -311,17 +372,58 @@ class TestMatchingPrefilter:
             assert rotated_iou(b, a) == 0.0
 
     def test_empty_inputs(self):
-        tp, order = match_detections([], [box(0, 0)], 0.5)
+        tp, order = match_detections([], iou_table([], [box(0, 0)]), 0.5)
         assert tp.shape == (0,) and order == []
-        tp, order = match_detections([box(0, 0), box(1, 1, score=2.0)], [], 0.5)
+        dets = [box(0, 0), box(1, 1, score=2.0)]
+        tp, order = match_detections(dets, iou_table(dets, []), 0.5)
         assert not tp.any() and order == [1, 0]
 
     @pytest.mark.parametrize("thresh", [0.0, 1.0, 1.5, -0.2])
     def test_recall_at_rejects_threshold(self, thresh):
         with pytest.raises(ValueError):
-            recall_at([box(0, 0)], [box(0, 0)], thresh)
+            recall_at([box(0, 0)], np.ones((1, 1)), thresh)
 
     @pytest.mark.parametrize("thresh", [0.0, 1.0, 1.5, -0.2])
     def test_pr_curve_rejects_threshold(self, thresh):
         with pytest.raises(ValueError):
-            pr_curve([box(0, 0)], [box(0, 0)], thresh)
+            pr_curve([box(0, 0)], np.ones((1, 1)), thresh)
+
+    @pytest.mark.parametrize(
+        "ious",
+        [np.ones((2, 1)), np.ones((0, 1)), np.ones(1), np.ones((1, 1, 1)), np.float64(1.0)],
+    )
+    def test_match_rejects_a_table_of_another_shape(self, ious):
+        with pytest.raises(ValueError, match="table"):
+            match_detections([box(0, 0)], ious, 0.5)
+
+
+class TestScoresFromOneTable:
+    """Every score computed from one IoU table equals the parent's scoring,
+    which matched the boxes afresh at each threshold."""
+
+    @given(box_sets(), st.sampled_from([0.3, 0.5, 0.7]))
+    @example(([], []), 0.5)
+    @example(([], [box(0, 0)]), 0.5)
+    @example(([box(0, 0), box(1, 1, score=2.0)], []), 0.5)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_per_threshold_oracle(self, boxes, thresh):
+        dets, gts = boxes
+        ious = iou_table(dets, gts)
+        assert ious.shape == (len(dets), len(gts))
+        tp, order = match_detections(dets, ious, thresh)
+        tp_ref, order_ref = match_per_threshold(dets, gts, thresh)
+        assert np.array_equal(tp, tp_ref) and order == order_ref
+        assert pr_curve(dets, ious, thresh) == pr_curve_per_threshold(dets, gts, thresh)
+        assert average_precision(dets, ious, thresh) == average_precision_per_threshold(
+            dets, gts, thresh
+        )
+        assert recall_at(dets, ious, thresh) == recall_at_per_threshold(dets, gts, thresh)
+
+    @given(box_sets())
+    @settings(max_examples=100, deadline=None)
+    def test_table_equals_scoring_every_pair(self, boxes):
+        dets, gts = boxes
+        ious = iou_table(dets, gts)
+        for i, d in enumerate(dets):
+            for j, g in enumerate(gts):
+                assert ious[i, j] == rotated_iou(d, g)

@@ -268,12 +268,41 @@ def oracle_ray_box_t(origin, dirs, box):
     return np.where(hit, near, np.inf)
 
 
+def oracle_ray_wall_t(origin, dirs, wall):
+    """First intersection of every ray with an opaque vertical rectangle."""
+    p1 = np.array(wall.p1, dtype=np.float64)
+    edge = np.array(wall.p2, dtype=np.float64) - p1
+    n = np.array([-edge[1], edge[0], 0.0])
+    o = np.asarray(origin, dtype=np.float64)
+    d = np.asarray(dirs, dtype=np.float64)
+    if not edge @ edge:
+        return np.full(len(d), np.inf)
+    denom = d @ n
+    moving = np.abs(denom) > scene._EPS
+    t = np.where(
+        moving,
+        ((np.array([*p1, 0.0]) - o) @ n) / np.where(moving, denom, 1.0),
+        np.inf,
+    )
+    q = o + np.where(np.isfinite(t), t, 0.0)[:, None] * d
+    along = ((q[:, :2] - p1) @ edge) / (edge @ edge)
+    ok = (
+        moving
+        & (t > scene._EPS)
+        & (along >= 0.0)
+        & (along <= 1.0)
+        & (q[:, 2] >= wall.z0)
+        & (q[:, 2] <= wall.z0 + wall.height)
+    )
+    return np.where(ok, t, np.inf)
+
+
 def oracle_raycast(origin, dirs, objects, occluders, max_range=np.inf):
-    """raycast as first written: every box tested on every ray."""
+    """raycast as first written: every wall and every box tested on every ray."""
     dirs = np.asarray(dirs, dtype=np.float64).reshape(-1, 3)
     best = scene._ray_ground_t(origin, dirs)
     kind = np.where(best < np.inf, scene.HIT_GROUND, scene.HIT_NONE).astype(np.uint8)
-    hits = [(scene._ray_wall_t(origin, dirs, w), scene.HIT_WALL) for w in occluders]
+    hits = [(oracle_ray_wall_t(origin, dirs, w), scene.HIT_WALL) for w in occluders]
     hits += [(oracle_ray_box_t(origin, dirs, b), scene.HIT_OBJECT) for b in objects]
     for t, cls in hits:
         closer = t < best
@@ -302,12 +331,35 @@ def _box_corners(box):
     ]
 
 
+def _wall_corners(wall):
+    return [(*p, z) for p in (wall.p1, wall.p2) for z in (wall.z0, wall.z0 + wall.height)]
+
+
+def _ray_scene_wall(draw, origin, coord):
+    """A wall anywhere, one whose circle holds the origin, or one across the
+    -x axis from the origin (straddling azimuth +-pi)."""
+    where = draw(st.sampled_from(["anywhere", "around", "behind_x"]))
+    if where == "anywhere":
+        p1, p2 = (draw(coord), draw(coord)), (draw(coord), draw(coord))
+    elif where == "around":
+        mx, my = origin[0] + draw(st.floats(-1.0, 1.0)), origin[1] + draw(st.floats(-1.0, 1.0))
+        half, phi = draw(st.floats(1.5, 8.0)), draw(st.floats(-np.pi, np.pi))
+        dx, dy = half * np.cos(phi), half * np.sin(phi)
+        p1, p2 = (mx + dx, my + dy), (mx - dx, my - dy)
+    else:
+        x = origin[0] - draw(st.floats(1.0, 15.0))
+        p1 = (x + draw(st.floats(-1.0, 1.0)), origin[1] - draw(st.floats(0.05, 6.0)))
+        p2 = (x + draw(st.floats(-1.0, 1.0)), origin[1] + draw(st.floats(0.05, 6.0)))
+    return Wall(p1, p2, draw(st.floats(0.5, 4.0)), draw(st.sampled_from([0.0, 0.5])))
+
+
 @st.composite
 def ray_scenes(draw):
-    """An origin, a ray bundle and boxes around it.  Boxes sit anywhere, with
-    the origin inside their circle, or across the -x axis from the origin
-    (straddling azimuth +-pi); rays include the awkward set above, rays
-    through every box corner and random ones of any length and direction."""
+    """An origin, a ray bundle and boxes and walls around it.  Boxes and
+    walls sit anywhere, with the origin inside their circle, or across the
+    -x axis from the origin (straddling azimuth +-pi); rays include the
+    awkward set above, rays through every box and wall corner and random
+    ones of any length and direction."""
     coord = st.floats(-12.0, 12.0)
     origin = np.array([draw(coord), draw(coord), draw(st.floats(0.05, 3.0))])
     boxes = []
@@ -321,15 +373,13 @@ def ray_scenes(draw):
             center = (origin[0] - draw(st.floats(2.0, 15.0)), origin[1] + draw(st.floats(-0.5, 0.5)))
         extent = (draw(st.floats(0.2, 5.0)), draw(st.floats(0.2, 3.0)), draw(st.floats(0.3, 2.5)))
         boxes.append(BoxObject(oid, center, draw(st.floats(-np.pi, np.pi)), extent))
-    walls = [
-        Wall((draw(coord), draw(coord)), (draw(coord), draw(coord)), draw(st.floats(0.5, 4.0)))
-        for _ in range(draw(st.integers(0, 2)))
-    ]
+    walls = [_ray_scene_wall(draw, origin, coord) for _ in range(draw(st.integers(0, 3)))]
     seed = draw(st.integers(0, 2**32 - 1))
     rng = np.random.default_rng(seed)
     random_rays = rng.standard_normal((draw(st.integers(0, 300)), 3))
     random_rays *= rng.uniform(0.01, 10.0, (len(random_rays), 1))
-    corner_rays = [np.subtract(p, origin) for b in boxes for p in _box_corners(b)]
+    corners = [p for b in boxes for p in _box_corners(b)] + [p for w in walls for p in _wall_corners(w)]
+    corner_rays = [np.subtract(p, origin) for p in corners]
     dirs = np.concatenate([_AWKWARD_RAYS, random_rays, np.reshape(corner_rays, (-1, 3))])
     max_range = draw(st.one_of(st.just(np.inf), st.floats(0.5, 30.0)))
     return origin, dirs, boxes, walls, max_range
@@ -349,10 +399,50 @@ class TestRaycastOracle:
         """A wall whose ends coincide has no face: every ray misses it."""
         origin = np.array([0.0, 0.0, 1.0])
         dirs = np.concatenate([_AWKWARD_RAYS, [[1.0, 0.0, 0.0], [0.0, 1.0, -0.5]]])
-        t = scene._ray_wall_t(origin, dirs, Wall((0.0, 0.0), (0.0, 0.0), 1.0))
+        t = scene._ray_wall_t(origin, dirs, Wall((0.0, 0.0), (0.0, 0.0), 1.0), np.arange(len(dirs)))
         assert np.all(t == np.inf)
         _, kind = raycast(origin, dirs, [], [Wall((1.0, 0.0), (1.0, 0.0), 2.0)])
         assert not np.any(kind == scene.HIT_WALL)
+
+    def test_walls_across_pi_and_around_the_sensor(self):
+        """Walls culled by azimuth: one across the -x axis from the sensor,
+        hit on both sides of azimuth +-pi, and one whose circle holds the
+        sensor, which is tested on every ray."""
+        origin = np.array([1.0, -2.0, 1.5])
+        walls = [
+            Wall((-7.0, -2.5), (-6.0, -1.5), 2.0),
+            Wall((-3.0, -5.0), (5.0, 3.0), 3.0),
+            Wall((8.0, -2.0), (8.0, 2.0), 2.5, z0=0.5),
+        ]
+        spec = LidarSpec(n_azimuth=720, elevation_angles=(-0.3, -0.05, 0.0, 0.2))
+        corners = [np.subtract(p, origin) for w in walls for p in _wall_corners(w)]
+        dirs = np.concatenate([scene.lidar_directions(spec), _AWKWARD_RAYS, corners])
+        t, kind = raycast(origin, dirs, [], walls)
+        t_ref, kind_ref = oracle_raycast(origin, dirs, [], walls)
+        assert np.array_equal(t, t_ref)
+        assert np.array_equal(kind, kind_ref)
+        az = np.arctan2(dirs[:, 1], dirs[:, 0])
+        on_wall = kind == scene.HIT_WALL
+        assert np.any(on_wall & (az > 3.1)) and np.any(on_wall & (az < -3.1))
+        for wall in walls:
+            alone, _ = raycast(origin, dirs, [], [wall])
+            assert np.any(alone < np.inf)
+
+    def test_wall_end_ray_alone_in_its_window(self):
+        """A ray aimed at a wall's end is the only ray in the wall's window.
+        Its along-edge coordinate rounds past 1 in a product over two or
+        more rows, but to exactly 1 in a one-row product."""
+        origin = np.array([4.3, 7.7, 1.5])
+        wall = Wall((-4.7, -3.9), (-8.9, 4.3), 2.0)
+        end = np.array([-8.9, 4.3, 1.0]) - origin
+        dirs = np.array([end, -end])
+        mid = ((wall.p1[0] + wall.p2[0]) / 2.0, (wall.p1[1] + wall.p2[1]) / 2.0)
+        radius = np.hypot(wall.p2[0] - wall.p1[0], wall.p2[1] - wall.p1[1]) / 2.0
+        assert scene._AzimuthFan(dirs).toward(origin, mid, radius).tolist() == [0]
+        t, kind = raycast(origin, dirs, [], [wall])
+        t_ref, kind_ref = oracle_raycast(origin, dirs, [], [wall])
+        assert np.array_equal(t, t_ref)
+        assert np.array_equal(kind, kind_ref)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_camera_and_lidar_bundles_in_generated_scenes(self, seed):
