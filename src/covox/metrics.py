@@ -45,36 +45,36 @@ def polygon_area(poly: np.ndarray) -> float:
     return float(abs(np.dot(d[:-1, 0], d[1:, 1]) - np.dot(d[:-1, 1], d[1:, 0])) / 2.0)
 
 
-def _cross2(a: np.ndarray, b: np.ndarray) -> float:
-    return a[0] * b[1] - a[1] * b[0]
-
-
 def clip_polygon(subject: np.ndarray, clipper: np.ndarray) -> np.ndarray:
-    """Sutherland-Hodgman clip of `subject` against a convex CCW `clipper`."""
-    output = [np.asarray(p, dtype=np.float64) for p in subject]
-    clipper = np.asarray(clipper, dtype=np.float64)
-    n = clipper.shape[0]
+    """Sutherland-Hodgman clip of `subject` against a convex CCW `clipper`.
+
+    Runs over Python floats.  Each step is one IEEE operation, so the
+    vertices are bit for bit those of the same steps on numpy 2-vectors.
+    """
+    output = np.asarray(subject, dtype=np.float64).tolist()
+    clipper = np.asarray(clipper, dtype=np.float64).tolist()
+    n = len(clipper)
     for i in range(n):
         if not output:
             break
-        a, b = clipper[i], clipper[(i + 1) % n]
-        edge = b - a
+        (ax, ay), (bx, by) = clipper[i], clipper[(i + 1) % n]
+        ex, ey = bx - ax, by - ay
         inputs, output = output, []
-        prev = inputs[-1]
-        prev_in = _cross2(edge, prev - a) >= 0
-        for cur in inputs:
-            cur_in = _cross2(edge, cur - a) >= 0
+        px, py = inputs[-1]
+        prev_in = ex * (py - ay) - ey * (px - ax) >= 0
+        for cx, cy in inputs:
+            cur_in = ex * (cy - ay) - ey * (cx - ax) >= 0
             if cur_in != prev_in:
                 # Where an edge of the subject is collinear with this edge,
                 # the sides disagree only by rounding: the denominator can
                 # be 0 and t can leave [0, 1], so it is clamped to the segment.
-                denom = _cross2(edge, cur - prev)
-                t = _cross2(edge, a - prev) / denom if denom else 0.0
+                denom = ex * (cy - py) - ey * (cx - px)
+                t = (ex * (ay - py) - ey * (ax - px)) / denom if denom else 0.0
                 t = min(max(t, 0.0), 1.0)
-                output.append(prev + t * (cur - prev))
+                output.append([px + t * (cx - px), py + t * (cy - py)])
             if cur_in:
-                output.append(cur)
-            prev, prev_in = cur, cur_in
+                output.append([cx, cy])
+            px, py, prev_in = cx, cy, cur_in
     return np.array(output) if output else np.zeros((0, 2))
 
 

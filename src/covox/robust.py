@@ -72,20 +72,15 @@ def occupancy_from_bev(bev: np.ndarray) -> np.ndarray:
     return occ.reshape(nx, ny)
 
 
-def _convex_hull(points: np.ndarray) -> np.ndarray:
-    """Andrew's monotone chain; returns hull vertices in CCW order."""
-    pts = np.asarray(points, dtype=np.float64).reshape(-1, 2)
-    if np.any((pts == 0.0) & np.signbit(pts)):
-        # Which of -0.0 and 0.0 survives is up to np.unique's unstable sort.
-        pts = np.unique(pts, axis=0)
-    else:
-        # Rows in lexicographic order without repeats, as np.unique gives.
-        pts = pts[np.lexsort(pts.T[::-1])]
-        new_row = np.ones(len(pts), dtype=bool)
-        np.any(pts[1:] != pts[:-1], axis=1, out=new_row[1:])
-        pts = pts[new_row]
-    if pts.shape[0] <= 2:
-        return pts
+def _convex_hull(points: list) -> np.ndarray:
+    """Andrew's monotone chain; returns hull vertices in CCW order.
+
+    `points` are (x, y) pairs in lexicographic order without repeats, as
+    detect_local lists a component's cell centres.  Fewer than three points,
+    or points on one line, come back as an array of the points.
+    """
+    if len(points) <= 2:
+        return np.array(points)
 
     def half(seq):
         chain: list[list[float]] = []
@@ -98,19 +93,18 @@ def _convex_hull(points: np.ndarray) -> np.ndarray:
             chain.append([px, py])
         return chain
 
-    seq = pts.tolist()
-    hull = np.array(half(seq)[:-1] + half(seq[::-1])[:-1])
-    return hull if hull.shape[0] >= 3 else pts
+    hull = half(points)[:-1] + half(points[::-1])[:-1]
+    return np.array(hull if len(hull) >= 3 else points)
 
 
-def _min_area_rect(points: np.ndarray):
-    """Minimum-area oriented rectangle over 2D points.
+def _min_area_rect(points: list):
+    """Minimum-area oriented rectangle over 2D points, given as _convex_hull
+    takes them.
 
     Returns (center (2,), yaw, (length, width)) with length >= width and
     yaw of the long axis normalised to [-pi/2, pi/2).
     """
-    pts = np.asarray(points, dtype=np.float64)
-    hull = _convex_hull(pts)
+    hull = _convex_hull(points)
     if hull.shape[0] == 1:
         return hull[0], 0.0, (0.0, 0.0)
     if hull.shape[0] == 2:
@@ -144,34 +138,37 @@ def _min_area_rect(points: np.ndarray):
     return center, float(yaw), (float(length), float(width))
 
 
-def _connected_components(mask: np.ndarray):
+def _connected_components(mask: np.ndarray) -> list[list[int]]:
     """8-connected components of a boolean grid, in scan order.
 
-    Breadth-first from each unvisited set cell, over Python lists: `todo`
-    holds the set cells not yet reached, and each component's cells list is
-    also its queue."""
+    Each component lists its cells breadth-first from its first cell, each
+    cell given by its position in the scan order of the set cells (the order
+    of np.nonzero).  The search runs over Python lists: `todo` holds each
+    set cell's position until the cell is reached, and -1 after.
+    """
     mask = np.asarray(mask, dtype=bool)
     nx, ny = mask.shape
-    todo = mask.tolist()
-    comps: list[np.ndarray] = []
+    todo = np.full(mask.shape, -1, dtype=np.int64)
+    todo[mask] = np.arange(np.count_nonzero(mask))
+    todo = todo.tolist()
+    comps: list[list[int]] = []
     for sx, sy in zip(*(axis.tolist() for axis in np.nonzero(mask))):
-        if not todo[sx][sy]:
+        if todo[sx][sy] < 0:
             continue
-        todo[sx][sy] = False
-        cells = [(sx, sy)]
-        head = 0
-        while head < len(cells):
-            x, y = cells[head]
-            head += 1
+        members = [todo[sx][sy]]
+        todo[sx][sy] = -1
+        queue = [(sx, sy)]
+        for x, y in queue:
             for nx_ in (x - 1, x, x + 1):
                 if not 0 <= nx_ < nx:
                     continue
                 row = todo[nx_]
                 for ny_ in (y - 1, y, y + 1):
-                    if 0 <= ny_ < ny and row[ny_]:
-                        row[ny_] = False
-                        cells.append((nx_, ny_))
-        comps.append(np.array(cells, dtype=np.int64))
+                    if 0 <= ny_ < ny and row[ny_] >= 0:
+                        members.append(row[ny_])
+                        row[ny_] = -1
+                        queue.append((nx_, ny_))
+        comps.append(members)
     return comps
 
 
@@ -183,6 +180,8 @@ def detect_local(bev_occupancy: np.ndarray, spec: GridSpec) -> list[Detection]:
     minimum-area oriented rectangle of its cell centers, inflated by one cell
     pitch to undo center shrinkage.
     The score is a bounded transform of the component's mean occupancy.
+    Cell centres and occupancies are read once per map, in scan order, which
+    is also the lexicographic order of the centres.
     """
     occ = np.asarray(bev_occupancy, dtype=np.float64)
     if occ.shape != (spec.nx, spec.ny):
@@ -192,13 +191,15 @@ def detect_local(bev_occupancy: np.ndarray, spec: GridSpec) -> list[Detection]:
         return []
     mask = occ > _REL_THRESHOLD * peak
     pitch = (spec.dx + spec.dy) / 2.0
+    centers = spec.bev_cell_centers(*np.nonzero(mask)).tolist()
+    values = occ[mask].tolist()
     dets = []
-    for cells in _connected_components(mask):
-        if cells.shape[0] < _MIN_CELLS:
+    for members in _connected_components(mask):
+        if len(members) < _MIN_CELLS:
             continue
-        centers = spec.bev_cell_centers(cells[:, 0], cells[:, 1])
-        center, yaw, (length, width) = _min_area_rect(centers)
-        score = float(1.0 - np.exp(-occ[cells[:, 0], cells[:, 1]].mean()))
+        center, yaw, (length, width) = _min_area_rect([centers[k] for k in sorted(members)])
+        # np.mean sums pairwise, so its terms keep the breadth-first order.
+        score = float(1.0 - np.exp(-np.mean([values[k] for k in members])))
         dets.append(
             Detection(
                 center=(float(center[0]), float(center[1])),

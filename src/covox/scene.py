@@ -206,39 +206,6 @@ def lidar_rng(seed: int, agent_id: int) -> np.random.Generator:
     return np.random.default_rng((seed, _STREAM_LIDAR, agent_id))
 
 
-def _ray_box_t(origin, dirs, box: BoxObject, rays: np.ndarray) -> np.ndarray:
-    """Slab-method entry distance of each ray in `rays` (inf where the box
-    is missed).
-
-    The box-frame directions come from one product over every ray, sliced
-    afterwards, so a ray's distance does not depend on which rays are asked.
-    """
-    c, s = np.cos(box.yaw), np.sin(box.yaw)
-    rot = np.array([[c, s, 0.0], [-s, c, 0.0], [0.0, 0.0, 1.0]])  # world -> box
-    o = rot @ (np.asarray(origin, dtype=np.float64) - np.array([*box.center, 0.0]))
-    d = (dirs @ rot.T)[rays]
-    lo = np.array([-box.extent[0] / 2, -box.extent[1] / 2, 0.0])
-    hi = np.array([box.extent[0] / 2, box.extent[1] / 2, box.extent[2]])
-
-    near = np.full(d.shape[0], -np.inf)
-    far = np.full(d.shape[0], np.inf)
-    for ax in range(3):
-        da = d[:, ax]
-        moving = np.abs(da) > _EPS
-        with np.errstate(divide="ignore"):
-            t1 = (lo[ax] - o[ax]) / np.where(moving, da, 1.0)
-            t2 = (hi[ax] - o[ax]) / np.where(moving, da, 1.0)
-        a_near = np.minimum(t1, t2)
-        a_far = np.maximum(t1, t2)
-        inside = lo[ax] <= o[ax] <= hi[ax]
-        a_near = np.where(moving, a_near, -np.inf if inside else np.inf)
-        a_far = np.where(moving, a_far, np.inf if inside else -np.inf)
-        near = np.maximum(near, a_near)
-        far = np.minimum(far, a_far)
-    hit = (near <= far) & (near > _EPS)
-    return np.where(hit, near, np.inf)
-
-
 class _AzimuthFan:
     """A ray bundle sorted by world azimuth, to find the rays that can reach
     a box or a wall without testing the others.
@@ -289,6 +256,55 @@ class _AzimuthFan:
             for a, b in spans
         ]
         return np.concatenate([*parts, self.steep])
+
+
+def _ray_box_t(origin, dirs, objects: Sequence[BoxObject], fan: _AzimuthFan):
+    """Slab-method entry distances of every box's candidate rays.
+
+    Returns (rays, t): the candidate ray of each (box, ray) pair, boxes in
+    order, and its entry distance into that box (inf where it misses).  Each
+    box multiplies only its candidate rays into its frame, at least two rows
+    at a time: numpy sends a one-row product through BLAS gemv, which rounds
+    differently from the gemm of a larger bundle, so a ray's box-frame
+    direction does not depend on which rays are asked.  The slab test then
+    runs once over every pair, one axis per row.
+    """
+    origin = np.asarray(origin, dtype=np.float64)
+    rays, frame_dirs, frame_origins, lo, hi = [], [], [], [], []
+    for box in objects:
+        cand = fan.toward(origin, box.center, math.hypot(box.extent[0], box.extent[1]) / 2.0)
+        if not cand.size:
+            continue
+        c, s = np.cos(box.yaw), np.sin(box.yaw)
+        rot = np.array([[c, s, 0.0], [-s, c, 0.0], [0.0, 0.0, 1.0]])  # world -> box
+        rows = cand if cand.size > 1 else np.repeat(cand, 2)
+        rays.append(cand)
+        frame_dirs.append((dirs.take(rows, axis=0) @ rot.T)[: cand.size])
+        frame_origins.append(rot @ (origin - np.array([*box.center, 0.0])))
+        lo.append((-box.extent[0] / 2, -box.extent[1] / 2, 0.0))
+        hi.append((box.extent[0] / 2, box.extent[1] / 2, box.extent[2]))
+    if not rays:
+        return np.zeros(0, dtype=np.intp), np.zeros(0)
+    o, lo, hi = np.array(frame_origins), np.array(lo), np.array(hi)
+    # Rows are axes and columns (box, ray) pairs.  A ray parallel to a slab
+    # stays inside it for good or never enters it.
+    counts = [len(r) for r in rays]
+    to_lo, to_hi, near = (
+        np.repeat(v.T, counts, axis=1)
+        for v in (lo - o, hi - o, np.where((lo <= o) & (o <= hi), -np.inf, np.inf))
+    )
+    far = -near
+    d = np.concatenate(frame_dirs).T
+    moving = np.abs(d) > _EPS
+    step = np.where(moving, d, 1.0)
+    t1 = np.divide(to_lo, step, out=to_lo)
+    t2 = np.divide(to_hi, step, out=to_hi)
+    np.minimum(t1, t2, out=near, where=moving)
+    np.maximum(t1, t2, out=far, where=moving)
+    near = np.maximum(np.maximum(near[0], near[1]), near[2])
+    far = np.minimum(np.minimum(far[0], far[1]), far[2])
+    hit = (near <= far) & (near > _EPS)
+    return np.concatenate(rays), np.where(hit, near, np.inf)
 
 
 def _ray_wall_t(origin, dirs, wall: Wall, rays: np.ndarray) -> np.ndarray:
@@ -348,9 +364,9 @@ def raycast(
     Returns (t, kind): t is the scalar along each direction (inf = no hit
     within max_range; directions need not be unit length, so t is in units
     of the direction vector), kind is one of the HIT_* classes.  The ground
-    is tested on all rays; each wall and each box only on the rays whose
-    azimuth can reach it.  Surfaces are taken in that order, a later one
-    winning only when strictly closer.
+    is tested on all rays and each wall on the rays whose azimuth can reach
+    it; the boxes share one slab test over every box's such rays.  Surfaces
+    are taken in that order, a later one winning only when strictly closer.
     """
     dirs = np.asarray(dirs, dtype=np.float64).reshape(-1, 3)
     best = _ray_ground_t(origin, dirs)
@@ -367,10 +383,15 @@ def raycast(
         rays = fan.toward(origin, mid, math.dist(wall.p1, wall.p2) / 2.0)
         if rays.size:
             nearer(rays, _ray_wall_t(origin, dirs, wall, rays), HIT_WALL)
-    for box in objects:
-        rays = fan.toward(origin, box.center, math.hypot(box.extent[0], box.extent[1]) / 2.0)
-        if rays.size:
-            nearer(rays, _ray_box_t(origin, dirs, box, rays), HIT_OBJECT)
+    if objects:
+        # Boxes tested after the walls win only when strictly closer, so each
+        # ray keeps the least of its box distances if it beats the rest.
+        rays, t = _ray_box_t(origin, dirs, objects, fan)
+        box_best = np.full(len(dirs), np.inf)
+        np.minimum.at(box_best, rays, t)
+        closer = box_best < best
+        best[closer] = box_best[closer]
+        kind[closer] = HIT_OBJECT
     out_of_range = best > max_range
     best[out_of_range] = np.inf
     kind[out_of_range] = HIT_NONE

@@ -2,7 +2,9 @@
 hold data.  The references here are the dense versions they replace: they
 copy, mask and scan whole grids, warp every message into a fresh zero
 plane and take the max aggregation over whole planes.  Every stage, and
-every trial end to end, must match them bit for bit.
+every trial end to end, must match them bit for bit.  Whole trials must also
+match the box path as it ran box by box: the ray cast, the detector's hull
+and the IoU clip.
 """
 
 import json
@@ -16,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from covox import cli, collab
+from covox import cli, collab, metrics, robust, scene
 from covox.collab import (
     AgentRound,
     PipelineConfig,
@@ -52,6 +54,9 @@ from covox.voxel import (
     collapse,
 )
 
+from test_metrics import clip_polygon_of_vectors
+from test_robust import convex_hull_lexsort, detect_local_per_component
+from test_scene import raycast_per_box
 from test_voxel import _dense_lift_camera
 
 # --- dense references --------------------------------------------------------
@@ -410,6 +415,35 @@ def test_trials_match_dense_pipeline(bench_run, tmp_path, monkeypatch, workload,
         got = cli.run_trial(exp, trial, None, params)
         with monkeypatch.context() as m:
             use_dense_pipeline(m)
+            want = cli.run_trial(exp, trial, None, params)
+        assert got.row == want.row
+        assert got.log_lines == want.log_lines
+        assert_rounds_equal(got.rounds, want.rounds)
+
+
+def use_parent_box_path(m):
+    """Swap the batched box path for its parent: boxes ray-cast one at a
+    time, a hull that sorts each component's centres itself, and the clip
+    on numpy 2-vectors."""
+    m.setattr(scene, "raycast", raycast_per_box)
+    m.setattr(robust, "_convex_hull", convex_hull_lexsort)
+    m.setattr(collab, "detect_local", detect_local_per_component)
+    m.setattr(cli, "detect_local", detect_local_per_component)
+    m.setattr(metrics, "clip_polygon", clip_polygon_of_vectors)
+
+
+@pytest.mark.parametrize("workload", ["fleet8", "lidar4"])
+def test_trials_match_parent_box_path(bench_run, tmp_path, monkeypatch, workload):
+    """CSV rows, message logs and every AgentRound array equal those of the
+    per-box ray cast, the sorting hull and the vector clip."""
+    for seed, trial in ((0, 0), (0, 1), (7919, 0), (7919, 1)):
+        path = tmp_path / f"{workload}-{seed}.json"
+        path.write_text(json.dumps(bench_run.experiment_config(bench_run.WORKLOADS[workload], seed)))
+        exp = load_experiment(path)
+        params = make_pipeline_params(exp.pipeline.grid, exp.params_seed)
+        got = cli.run_trial(exp, trial, None, params)
+        with monkeypatch.context() as m:
+            use_parent_box_path(m)
             want = cli.run_trial(exp, trial, None, params)
         assert got.row == want.row
         assert got.log_lines == want.log_lines

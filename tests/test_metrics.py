@@ -101,6 +101,43 @@ def recall_at_per_threshold(dets, gts, iou_thresh):
     return float(tp.sum() / len(gts)) if gts else 0.0
 
 
+def clip_polygon_of_vectors(subject, clipper):
+    """The parent clip: the same Sutherland-Hodgman steps on numpy 2-vectors."""
+
+    def cross2(a, b):
+        return a[0] * b[1] - a[1] * b[0]
+
+    output = [np.asarray(p, dtype=np.float64) for p in subject]
+    clipper = np.asarray(clipper, dtype=np.float64)
+    n = clipper.shape[0]
+    for i in range(n):
+        if not output:
+            break
+        a, b = clipper[i], clipper[(i + 1) % n]
+        edge = b - a
+        inputs, output = output, []
+        prev = inputs[-1]
+        prev_in = cross2(edge, prev - a) >= 0
+        for cur in inputs:
+            cur_in = cross2(edge, cur - a) >= 0
+            if cur_in != prev_in:
+                denom = cross2(edge, cur - prev)
+                t = cross2(edge, a - prev) / denom if denom else 0.0
+                t = min(max(t, 0.0), 1.0)
+                output.append(prev + t * (cur - prev))
+            if cur_in:
+                output.append(cur)
+            prev, prev_in = cur, cur_in
+    return np.array(output) if output else np.zeros((0, 2))
+
+
+def assert_clip_matches_vectors(subject, clipper):
+    got, want = clip_polygon(subject, clipper), clip_polygon_of_vectors(subject, clipper)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    return got
+
+
 def radius(b):
     return float(np.hypot(*b.extent)) / 2.0
 
@@ -257,6 +294,37 @@ class TestPolygonOps:
                 assert np.all(out >= corners.min(axis=0) - 1e-12)
                 assert np.all(out <= corners.max(axis=0) + 1e-12)
                 assert polygon_area(out) < 1e-12
+
+
+class TestClipMatchesVectors:
+    @given(box_sets())
+    @settings(max_examples=200, deadline=None)
+    def test_box_pairs(self, boxes):
+        dets, gts = boxes
+        for d in dets:
+            for g in gts:
+                assert_clip_matches_vectors(d.corners(), g.corners())
+
+    @pytest.mark.parametrize(
+        "subject",
+        [
+            [[1.0, -0.5], [2.0, -0.5], [2.0, 0.5], [1.0, 0.5]],  # an edge on x = 1
+            [[1.0, 0.0], [2.0, 1.5], [0.0, 1.5]],  # a vertex on x = 1, the rest across y = 1
+            [[0.0, -1.0], [1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]],  # every vertex on an edge
+            [[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]],  # the clipper itself
+            [[0.5, 1.0], [0.5, 2.0], [-0.5, 2.0]],  # one vertex on y = 1, outside otherwise
+        ],
+    )
+    def test_subject_vertex_on_a_clip_edge(self, subject):
+        clipper = np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])
+        assert_clip_matches_vectors(np.array(subject), clipper)
+        assert_clip_matches_vectors(clipper, np.array(subject))
+
+    def test_rotated_corner_on_an_edge(self):
+        a = box(0.0, 0.0, 0.0, 2.0, 2.0)
+        b = Detection((1.0 + np.sqrt(0.5), 0.0), np.pi / 4, (1.0, 1.0))
+        for subject, clipper in ((a, b), (b, a)):
+            assert_clip_matches_vectors(subject.corners(), clipper.corners())
 
 
 class TestAveragePrecision:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from covox import robust
 from covox.geometry import Pose, invert, planar_parts
 from covox.metrics import Detection, rotated_iou
 from covox.robust import (
@@ -107,6 +108,69 @@ def components_by_label_array(mask):
     return comps
 
 
+# The parent detector: a hull that sorts and de-duplicates its own points, fed
+# each component's centres in breadth-first order.
+
+
+def convex_hull_lexsort(points):
+    pts = np.asarray(points, dtype=np.float64).reshape(-1, 2)
+    if np.any((pts == 0.0) & np.signbit(pts)):
+        # Which of -0.0 and 0.0 survives is up to np.unique's unstable sort.
+        pts = np.unique(pts, axis=0)
+    else:
+        # Rows in lexicographic order without repeats, as np.unique gives.
+        pts = pts[np.lexsort(pts.T[::-1])]
+        new_row = np.ones(len(pts), dtype=bool)
+        np.any(pts[1:] != pts[:-1], axis=1, out=new_row[1:])
+        pts = pts[new_row]
+    if pts.shape[0] <= 2:
+        return pts
+
+    def half(seq):
+        chain = []
+        for px, py in seq:
+            while len(chain) >= 2:
+                (ax, ay), (bx, by) = chain[-2], chain[-1]
+                if (bx - ax) * (py - ay) - (by - ay) * (px - ax) > 0:
+                    break
+                chain.pop()
+            chain.append([px, py])
+        return chain
+
+    seq = pts.tolist()
+    hull = np.array(half(seq)[:-1] + half(seq[::-1])[:-1])
+    return hull if hull.shape[0] >= 3 else pts
+
+
+def detect_local_per_component(bev_occupancy, spec):
+    """Needs robust._convex_hull patched to convex_hull_lexsort, which takes
+    the centres in any order."""
+    occ = np.asarray(bev_occupancy, dtype=np.float64)
+    if occ.shape != (spec.nx, spec.ny):
+        raise ValueError("occupancy shape does not match the grid spec")
+    peak = occ.max(initial=0.0)
+    if peak <= 0.0:
+        return []
+    mask = occ > robust._REL_THRESHOLD * peak
+    pitch = (spec.dx + spec.dy) / 2.0
+    dets = []
+    for cells in components_by_label_array(mask):
+        if cells.shape[0] < robust._MIN_CELLS:
+            continue
+        centers = spec.bev_cell_centers(cells[:, 0], cells[:, 1])
+        center, yaw, (length, width) = robust._min_area_rect(centers)
+        score = float(1.0 - np.exp(-occ[cells[:, 0], cells[:, 1]].mean()))
+        dets.append(
+            Detection(
+                center=(float(center[0]), float(center[1])),
+                yaw=yaw,
+                extent=(length + pitch, width + pitch),
+                score=score,
+            )
+        )
+    return dets
+
+
 def greedy_matches_per_pair(ego_dets, neighbor_dets, gate_radius):
     ego_order = sorted(range(len(ego_dets)), key=lambda i: -ego_dets[i].score)
     free = set(range(len(neighbor_dets)))
@@ -126,10 +190,13 @@ def greedy_matches_per_pair(ego_dets, neighbor_dets, gate_radius):
 
 
 def assert_same_rect(points):
-    hull, ref_hull = _convex_hull(points), convex_hull_of_arrays(points)
+    # The hull takes its points in lexicographic order without repeats.
+    ordered = np.unique(np.asarray(points, dtype=np.float64), axis=0).tolist()
+    hull, ref_hull = _convex_hull(ordered), convex_hull_of_arrays(points)
     assert hull.dtype == ref_hull.dtype and hull.shape == ref_hull.shape
     assert hull.tobytes() == ref_hull.tobytes()
-    center, yaw, extent = _min_area_rect(points)
+    assert hull.tobytes() == convex_hull_lexsort(points).tobytes()
+    center, yaw, extent = _min_area_rect(ordered)
     ref_center, ref_yaw, ref_extent = min_area_rect_per_edge(points)
     assert center.tobytes() == np.asarray(ref_center).tobytes()
     assert center.dtype == np.asarray(ref_center).dtype
@@ -137,7 +204,9 @@ def assert_same_rect(points):
 
 
 def assert_same_components(mask):
-    comps, ref = _connected_components(mask), components_by_label_array(mask)
+    scan = np.argwhere(mask)
+    comps = [scan[members] for members in _connected_components(mask)]
+    ref = components_by_label_array(mask)
     assert len(comps) == len(ref)
     for got, want in zip(comps, ref):
         assert got.dtype == want.dtype and got.shape == want.shape
@@ -198,6 +267,46 @@ class TestDetectorOracles:
         for ny in range(1, 6):
             cells = [(x, y) for x in range(4) for y in range(ny)]
             assert_same_rect(GRID.bev_cell_centers(*np.array(cells).T))
+
+    @staticmethod
+    def assert_same_detections(occ, spec=GRID):
+        dets = detect_local(occ, spec)
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(robust, "_convex_hull", convex_hull_lexsort)
+            want = detect_local_per_component(occ, spec)
+        assert dets == want
+        return dets
+
+    @given(
+        st.integers(1, 40), st.integers(1, 40), st.floats(0.0, 0.6),
+        st.integers(0, 2**32 - 1), st.booleans(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_detections_match_parent_detector(self, nx, ny, density, seed, counts):
+        """Random maps, with point counts (many tied values) or real values."""
+        rng = np.random.default_rng(seed)
+        spec = GridSpec((-7.0, 9.0), (-3.0, 3.0), (0.0, 1.0), nx, ny, 1, 1)
+        on = rng.uniform(size=(nx, ny)) < density
+        values = rng.integers(1, 9, (nx, ny)) if counts else rng.exponential(1.0, (nx, ny))
+        self.assert_same_detections(np.where(on, values, 0.0), spec)
+
+    @pytest.mark.parametrize(
+        "cells",
+        [
+            [(3, 3), (3, 4)],  # two cells in a row
+            [(3, 3), (4, 4)],  # two cells on a diagonal
+            [(5, y) for y in range(2, 9)],  # one row
+            [(x, 6) for x in range(1, 7)],  # one column
+            [(x, x) for x in range(2, 8)],  # one diagonal
+            [(x, 10 - x) for x in range(2, 8)],  # the other diagonal
+            [(2, 2), (2, 3), (2, 4), (3, 2), (4, 2)],  # an L, found from its corner
+        ],
+    )
+    def test_two_cell_and_collinear_components(self, cells):
+        occ = np.zeros((GRID.nx, GRID.ny))
+        for k, (x, y) in enumerate(cells):
+            occ[x, y] = 1.0 + 0.1 * k  # breadth-first and scan order differ
+        assert len(self.assert_same_detections(occ)) == 1
 
     @staticmethod
     def _dets(centers, scores=None):

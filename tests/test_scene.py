@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -314,6 +316,72 @@ def oracle_raycast(origin, dirs, objects, occluders, max_range=np.inf):
     return best, kind
 
 
+# The parent ray caster: each box slab-tested alone on its candidate rays,
+# its box-frame directions sliced from one product over every ray, and the
+# boxes taken one after another.
+
+
+def ray_box_t_sliced(origin, dirs, box, rays):
+    c, s = np.cos(box.yaw), np.sin(box.yaw)
+    rot = np.array([[c, s, 0.0], [-s, c, 0.0], [0.0, 0.0, 1.0]])  # world -> box
+    o = rot @ (np.asarray(origin, dtype=np.float64) - np.array([*box.center, 0.0]))
+    d = (dirs @ rot.T)[rays]
+    lo = np.array([-box.extent[0] / 2, -box.extent[1] / 2, 0.0])
+    hi = np.array([box.extent[0] / 2, box.extent[1] / 2, box.extent[2]])
+    near = np.full(d.shape[0], -np.inf)
+    far = np.full(d.shape[0], np.inf)
+    for ax in range(3):
+        da = d[:, ax]
+        moving = np.abs(da) > scene._EPS
+        with np.errstate(divide="ignore"):
+            t1 = (lo[ax] - o[ax]) / np.where(moving, da, 1.0)
+            t2 = (hi[ax] - o[ax]) / np.where(moving, da, 1.0)
+        a_near = np.minimum(t1, t2)
+        a_far = np.maximum(t1, t2)
+        inside = lo[ax] <= o[ax] <= hi[ax]
+        a_near = np.where(moving, a_near, -np.inf if inside else np.inf)
+        a_far = np.where(moving, a_far, np.inf if inside else -np.inf)
+        near = np.maximum(near, a_near)
+        far = np.minimum(far, a_far)
+    hit = (near <= far) & (near > scene._EPS)
+    return np.where(hit, near, np.inf)
+
+
+def raycast_per_box(origin, dirs, objects, occluders, max_range=np.inf):
+    dirs = np.asarray(dirs, dtype=np.float64).reshape(-1, 3)
+    best = scene._ray_ground_t(origin, dirs)
+    kind = np.where(best < np.inf, scene.HIT_GROUND, scene.HIT_NONE).astype(np.uint8)
+    fan = scene._AzimuthFan(dirs) if objects or occluders else None
+
+    def nearer(rays, t, cls):
+        closer = t < best[rays]
+        best[rays[closer]] = t[closer]
+        kind[rays[closer]] = cls
+
+    for wall in occluders:
+        mid = ((wall.p1[0] + wall.p2[0]) / 2.0, (wall.p1[1] + wall.p2[1]) / 2.0)
+        rays = fan.toward(origin, mid, math.dist(wall.p1, wall.p2) / 2.0)
+        if rays.size:
+            nearer(rays, scene._ray_wall_t(origin, dirs, wall, rays), scene.HIT_WALL)
+    for box in objects:
+        rays = fan.toward(origin, box.center, math.hypot(box.extent[0], box.extent[1]) / 2.0)
+        if rays.size:
+            nearer(rays, ray_box_t_sliced(origin, dirs, box, rays), scene.HIT_OBJECT)
+    out_of_range = best > max_range
+    best[out_of_range] = np.inf
+    kind[out_of_range] = scene.HIT_NONE
+    return best, kind
+
+
+def assert_matches_oracles(origin, dirs, boxes, walls, max_range=np.inf):
+    t, kind = raycast(origin, dirs, boxes, walls, max_range)
+    for oracle in (oracle_raycast, raycast_per_box):
+        t_ref, kind_ref = oracle(origin, dirs, boxes, walls, max_range)
+        assert np.array_equal(t, t_ref), oracle.__name__
+        assert np.array_equal(kind, kind_ref), oracle.__name__
+    return t, kind
+
+
 # Rays the azimuth cull must not lose: straight up and down, nearly vertical,
 # and horizontal along -x, where the azimuth is +pi or -pi by the sign of y.
 _AWKWARD_RAYS = np.array([
@@ -389,11 +457,7 @@ class TestRaycastOracle:
     @given(ray_scenes())
     @settings(max_examples=400, deadline=None)
     def test_random_scenes_match_every_box_on_every_ray(self, case):
-        origin, dirs, boxes, walls, max_range = case
-        t, kind = raycast(origin, dirs, boxes, walls, max_range)
-        t_ref, kind_ref = oracle_raycast(origin, dirs, boxes, walls, max_range)
-        assert np.array_equal(t, t_ref)
-        assert np.array_equal(kind, kind_ref)
+        assert_matches_oracles(*case)
 
     def test_zero_length_wall_is_never_hit(self):
         """A wall whose ends coincide has no face: every ray misses it."""
@@ -444,6 +508,50 @@ class TestRaycastOracle:
         assert np.array_equal(t, t_ref)
         assert np.array_equal(kind, kind_ref)
 
+    def test_box_reached_by_one_ray(self):
+        """The box's window holds one ray.  Its box-frame direction from a
+        one-row product rounds differently from the two-row product of the
+        whole bundle, which moves its entry distance by one ulp."""
+        origin = np.array([0.1, 4.5, 1.5])
+        box = BoxObject(0, (9.0, -3.8), -0.46, (4.8, 1.9, 1.6))
+        ray = np.array([8.95, -8.77, -0.7])
+        dirs = np.array([ray, -ray])
+        radius = np.hypot(box.extent[0], box.extent[1]) / 2.0
+        assert scene._AzimuthFan(dirs).toward(origin, box.center, radius).tolist() == [0]
+        _, kind = assert_matches_oracles(origin, dirs, [box], [])
+        assert kind[0] == scene.HIT_OBJECT
+
+    def test_box_across_pi(self):
+        """A box across the -x axis from the sensor is hit on both sides of
+        azimuth +-pi."""
+        origin = np.array([1.0, -2.0, 1.5])
+        boxes = [BoxObject(0, (-7.0, -2.0), 0.3, (4.0, 2.0, 1.6)),
+                 BoxObject(1, (4.0, 3.0), -1.0, (4.4, 1.9, 1.5))]
+        spec = LidarSpec(n_azimuth=720, elevation_angles=(-0.3, -0.05, 0.0, 0.2))
+        corners = [np.subtract(p, origin) for b in boxes for p in _box_corners(b)]
+        dirs = np.concatenate([scene.lidar_directions(spec), _AWKWARD_RAYS, corners])
+        _, kind = assert_matches_oracles(origin, dirs, boxes, [])
+        az = np.arctan2(dirs[:, 1], dirs[:, 0])
+        on_box = kind == scene.HIT_OBJECT
+        assert np.any(on_box & (az > 3.1)) and np.any(on_box & (az < -3.1))
+
+    def test_boxes_tied_on_a_ray(self):
+        """Two boxes share the plane of their near faces and a third repeats
+        the first, so the rays through the faces enter them at the same t,
+        in front of a wall."""
+        origin = np.array([0.0, 0.0, 1.0])
+        boxes = [BoxObject(0, (6.0, 0.0), 0.0, (2.0, 2.0, 1.5)),
+                 BoxObject(1, (7.0, 0.0), 0.0, (4.0, 1.0, 1.0)),
+                 BoxObject(2, (6.0, 0.0), 0.0, (2.0, 2.0, 1.5))]
+        walls = [Wall((8.5, -3.0), (8.5, 3.0), 2.0)]
+        y, z = np.meshgrid(np.linspace(-1.2, 1.2, 25), np.linspace(-1.0, 0.6, 9))
+        dirs = np.stack([np.full(y.size, 5.0), y.ravel(), z.ravel()], axis=1)
+        t, kind = assert_matches_oracles(origin, dirs, boxes, walls)
+        alone = [raycast(origin, dirs, [b], walls)[0] for b in boxes[:2]]
+        tied = (alone[0] == alone[1]) & (kind == scene.HIT_OBJECT)
+        assert np.any(tied)
+        assert np.array_equal(t[tied], np.full(np.count_nonzero(tied), 1.0))
+
     @pytest.mark.parametrize("seed", range(6))
     def test_camera_and_lidar_bundles_in_generated_scenes(self, seed):
         """Every agent's real bundles, with boxes behind and beside its camera."""
@@ -458,7 +566,4 @@ class TestRaycastOracle:
                 sensor = compose(agent.true_pose, mount)
                 dirs = local @ sensor.rotation.T
                 for max_range in (np.inf, cfg.lidar.max_range, 8.0):
-                    t, kind = raycast(sensor.translation, dirs, boxes, walls, max_range)
-                    t_ref, kind_ref = oracle_raycast(sensor.translation, dirs, boxes, walls, max_range)
-                    assert np.array_equal(t, t_ref)
-                    assert np.array_equal(kind, kind_ref)
+                    assert_matches_oracles(sensor.translation, dirs, boxes, walls, max_range)
