@@ -6,6 +6,11 @@ runner that measures detection quality and communication volume under
 sensor dropout and pose noise.
 """
 
+from . import _heap
+
+# Before anything allocates: see _heap for why trials need fixed thresholds.
+_heap.fix_thresholds()
+
 from .geometry import CameraIntrinsics, Pose
 from .scene import AgentState, BoxObject, LidarSpec, ScenarioConfig, Wall
 from .depth import DepthBins, DepthMap, NoisyOraclePredictor, UniformPredictor

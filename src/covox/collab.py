@@ -358,30 +358,55 @@ def aggregate(
 
     Only the cells with a nonzero token are computed.  Every other cell has
     the same all-zero stack and so the same result, which is taken from one
-    computed representative.
+    computed representative.  Of the computed cells, Q projects the ego's
+    rows, and K and V one stacked matrix of the ego's rows and the rows each
+    neighbor wrote.  The slot of a token no neighbor sent holds the bias,
+    which is what its zero row projects to; its softmax weight is zero.
+    Only the `written` rows of `warped` are read: the planes stay an
+    argument because the trace counts their tokens.
     """
     ego = np.asarray(ego, dtype=np.float64)
     nx, ny, f = ego.shape
     n_cells = nx * ny
-    stack = [ego.reshape(n_cells, f)]
-    stack += [np.asarray(w, dtype=np.float64).reshape(n_cells, f) for w in warped]
-    nonzero = np.zeros((len(stack), n_cells), dtype=bool)
-    nonzero[0] = np.any(stack[0] != 0.0, axis=1)
+    ego_rows = ego.reshape(n_cells, f)
+    t = len(warped) + 1
+    nonzero = np.zeros((t, n_cells), dtype=bool)
+    nonzero[0] = np.any(ego_rows != 0.0, axis=1)
     for row, cells in zip(nonzero[1:], written):
         row[cells] = True
     busy = np.any(nonzero, axis=0)
     # Busy cells first, then one idle representative and padding.
     n_cells_run = max(int(np.count_nonzero(busy)) + 1, _MIN_ATTENTION_CELLS)
     cells = np.argsort(~busy, kind="stable")[:n_cells_run]
-    tokens = np.stack([tok[cells] for tok in stack])
-    t, n = tokens.shape[:2]
+    n = cells.size
     valid = nonzero[:, cells]
     valid[0] = True
+    slot = np.empty(n_cells, dtype=np.intp)
+    slot[cells] = np.arange(n)
 
+    planes = (np.asarray(w, dtype=np.float64).reshape(n_cells, f) for w in warped)
+    sent = [ego_rows[cells]] + [plane[c] for plane, c in zip(planes, written)]
+    stacked = np.concatenate(sent)
+    if n < _MIN_ATTENTION_CELLS:
+        # A grid this small runs every cell.  Project n rows per BLAS call,
+        # as attention over every cell does token by token, so that each
+        # row meets the kernel it would meet there.
+        stacked = np.concatenate([stacked, np.zeros((-stacked.shape[0] % n, f))])
+        stacked = stacked.reshape(-1, n, f)
     h, dh = params.n_heads, params.head_dim
-    q = params.wq.apply(tokens[0]).reshape(n, h, dh)
-    k = params.wk.apply(tokens).reshape(t, n, h, dh)
-    v = params.wv.apply(tokens).reshape(t, n, h, dh)
+    q = params.wq.apply(sent[0]).reshape(n, h, dh)
+    kv = []
+    for lin in (params.wk, params.wv):
+        rows = lin.apply(stacked).reshape(-1, f)
+        proj = np.empty((t, n, f))
+        proj[...] = lin.bias
+        proj[0] = rows[:n]
+        start = n
+        for token, c in enumerate(written, 1):
+            proj[token, slot[c]] = rows[start:start + c.size]
+            start += c.size
+        kv.append(proj.reshape(t, n, h, dh))
+    k, v = kv
     scores = np.einsum("chd,tchd->tch", q, k) / np.sqrt(dh)
     scores[~valid] = -np.inf
     weights = nnkit.softmax(scores, axis=0)
@@ -537,8 +562,13 @@ def _perceive(
     pipe: PipelineConfig,
     params: PipelineParams,
 ) -> None:
-    """Depth -> lift -> fuse -> collapse, then mask and pack the message."""
-    camera_grid = VoxelGrid.empty(pipe.grid)
+    """Depth -> lift -> fuse -> collapse, then mask and pack the message.
+
+    An agent without camera images fuses nothing: its LiDAR grid is its
+    fused grid.  That is exact, because categorizing against an empty camera
+    grid gives the LiDAR tags and both fusions copy LIDAR cells unchanged.
+    """
+    fused = w.lidar_grid
     if w.images is not None:
         depth_img, feat_img = w.images
         if pipe.depth_projection != "no" and w.state.has_lidar:
@@ -555,14 +585,15 @@ def _perceive(
             pipe.grid, pipe.mass_threshold, pipe.bins.centers(),
         ).grid
         w.depth_map = dmap
-    cat = categorize(w.lidar_grid, camera_grid)
-    if pipe.fusion_mode == "equal":
-        fused = fuse_modalities_equal(params.equal_lin, cat)
-    else:
-        fused = fuse_modalities(params.fusion, cat)
+        cat = categorize(w.lidar_grid, camera_grid)
+        if pipe.fusion_mode == "equal":
+            fused = fuse_modalities_equal(params.equal_lin, cat)
+        else:
+            fused = fuse_modalities(params.fusion, cat)
     w.bev = collapse(fused)
-    # Nothing reads the LiDAR grid after fusion; releasing it here keeps it
-    # out of phase 2's peak memory.
+    # Nothing reads the LiDAR grid as such after fusion.  Dropping the
+    # reference here keeps a camera agent's LiDAR grid out of phase 2's peak
+    # memory; a LiDAR-only agent's grid lives on as the storage of `w.bev`.
     w.lidar_grid = None
     w.mask = confidence_mask(importance_scores(w.bev), preference_map(fused))
     w.message = pack_message(w.bev, w.mask)

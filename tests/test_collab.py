@@ -1,5 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from covox import collab, depth, nnkit
 from covox.collab import (
@@ -378,6 +382,53 @@ class TestAggregateOracle:
     def test_grid_smaller_than_padding(self, rng, mha):
         ego, *warped = _sparse_planes(rng, 3, (3, 2, GRID.bev_channels), 0.5)
         self._check(mha, ego, warped)
+
+
+WRITES = st.sampled_from(["none", "one", "some", "all"])
+
+
+def _written_plane(rng, shape, writes):
+    """A neighbor plane in which no cell, one cell, a random subset or every
+    cell was written."""
+    plane = np.zeros(shape)
+    on = np.zeros(shape[:2], dtype=bool)
+    if writes == "one":
+        on[rng.integers(shape[0]), rng.integers(shape[1])] = True
+    elif writes == "some":
+        on = rng.uniform(size=shape[:2]) < 0.2
+    elif writes == "all":
+        on[...] = True
+    plane[on] = rng.standard_normal((int(on.sum()), shape[2]))
+    return plane
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    shape=st.tuples(st.integers(1, 12), st.integers(1, 12)),
+    ego_density=st.sampled_from([0.0, 0.05, 0.5, 1.0]),
+    writes=st.lists(WRITES, max_size=4),
+)
+@example(seed=1, shape=(9, 9), ego_density=0.0, writes=["none", "one", "all"])
+@example(seed=2, shape=(12, 12), ego_density=0.0, writes=[])
+@example(seed=3, shape=(2, 3), ego_density=0.0, writes=["one", "none"])
+@settings(max_examples=80, deadline=None)
+def test_aggregate_matches_dense_with_biases(seed, shape, ego_density, writes):
+    """Only the ego's run cells and the rows neighbors wrote are projected;
+    with a bias in every map, the result must still be the dense stack's
+    bits, on small and large grids alike."""
+    rng = np.random.default_rng(seed)
+    base = PARAMS.agg_mha
+    params = replace(base, **{
+        name: replace(lin, bias=rng.uniform(-1.0, 1.0, lin.n_out))
+        for name, lin in (("wq", base.wq), ("wk", base.wk), ("wv", base.wv), ("wo", base.wo))
+    })
+    shape = shape + (GRID.bev_channels,)
+    ego = np.zeros(shape)
+    busy = rng.uniform(size=shape[:2]) < ego_density
+    ego[busy] = rng.standard_normal((int(busy.sum()), shape[2]))
+    warped = [_written_plane(rng, shape, w) for w in writes]
+    got = aggregate(params, ego, *_with_cells(warped))
+    assert np.array_equal(got, _dense_aggregate(params, ego, warped))
 
 
 def test_downsample_cloud_dedups():

@@ -4,7 +4,8 @@ copy, mask and scan whole grids, warp every message into a fresh zero
 plane and take the max aggregation over whole planes.  Every stage, and
 every trial end to end, must match them bit for bit.  Whole trials must also
 match the box path as it ran box by box: the ray cast, the detector's hull
-and the IoU clip.
+and the IoU clip; and the perceive stage and the attention aggregation as
+they ran on whole grids and whole token stacks.
 """
 
 import json
@@ -18,7 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from covox import cli, collab, metrics, robust, scene
+from covox import cli, collab, metrics, nnkit, robust, scene
 from covox.collab import (
     AgentRound,
     PipelineConfig,
@@ -32,7 +33,7 @@ from covox.collab import (
     warp_sparse,
 )
 from covox.config import load_experiment
-from covox.depth import DepthBins, NoisyOraclePredictor
+from covox.depth import DepthBins, DepthMap, NoisyOraclePredictor
 from covox.fusion import (
     compute_guidance,
     fuse_hybrid_cells,
@@ -448,6 +449,106 @@ def test_trials_match_parent_box_path(bench_run, tmp_path, monkeypatch, workload
         assert got.row == want.row
         assert got.log_lines == want.log_lines
         assert_rounds_equal(got.rounds, want.rounds)
+
+
+def perceive_every_grid(w, scenario, pipe, params):
+    """`_perceive` with a zero camera grid for every agent without camera
+    images, which it then categorizes and fuses like any other."""
+    camera_grid = VoxelGrid.empty(pipe.grid)
+    if w.images is not None:
+        depth_img, feat_img = w.images
+        if pipe.depth_projection != "no" and w.state.has_lidar:
+            cloud_cam = collab.transform_points(collab._CAM_FROM_LIDAR, w.cloud_sensor)
+            dmap = collab.project_cloud_to_depthmap(cloud_cam, scenario.camera, pipe.bins)
+        else:
+            dmap = DepthMap.empty(pipe.bins, scenario.camera.height, scenario.camera.width)
+        if pipe.depth_projection == "all":
+            dmap = collab.merge_cooperative(dmap, w.shared, scenario.camera, pipe.bins)
+        pred = collab.predict_depth(depth_img, pipe.predictor, pipe.bins)
+        dist = collab.finalize_distribution(dmap, pred)
+        camera_grid = collab.lift_camera(
+            feat_img, dist, scenario.camera, scene.DEFAULT_CAMERA_MOUNT,
+            pipe.grid, pipe.mass_threshold, pipe.bins.centers(),
+        ).grid
+        w.depth_map = dmap
+    cat = collab.categorize(w.lidar_grid, camera_grid)
+    if pipe.fusion_mode == "equal":
+        fused = collab.fuse_modalities_equal(params.equal_lin, cat)
+    else:
+        fused = collab.fuse_modalities(params.fusion, cat)
+    w.bev = collab.collapse(fused)
+    w.lidar_grid = None
+    w.mask = collab.confidence_mask(collab.importance_scores(w.bev), collab.preference_map(fused))
+    w.message = collab.pack_message(w.bev, w.mask)
+
+
+def aggregate_token_stack(params, ego, warped, written):
+    """`aggregate` projecting Q, K and V on the whole token stack of the
+    cells it runs, unsent neighbor tokens included."""
+    ego = np.asarray(ego, dtype=np.float64)
+    nx, ny, f = ego.shape
+    n_cells = nx * ny
+    stack = [ego.reshape(n_cells, f)]
+    stack += [np.asarray(w, dtype=np.float64).reshape(n_cells, f) for w in warped]
+    nonzero = np.zeros((len(stack), n_cells), dtype=bool)
+    nonzero[0] = np.any(stack[0] != 0.0, axis=1)
+    for row, cells in zip(nonzero[1:], written):
+        row[cells] = True
+    busy = np.any(nonzero, axis=0)
+    n_cells_run = max(int(np.count_nonzero(busy)) + 1, collab._MIN_ATTENTION_CELLS)
+    cells = np.argsort(~busy, kind="stable")[:n_cells_run]
+    tokens = np.stack([tok[cells] for tok in stack])
+    t, n = tokens.shape[:2]
+    valid = nonzero[:, cells]
+    valid[0] = True
+    h, dh = params.n_heads, params.head_dim
+    q = params.wq.apply(tokens[0]).reshape(n, h, dh)
+    k = params.wk.apply(tokens).reshape(t, n, h, dh)
+    v = params.wv.apply(tokens).reshape(t, n, h, dh)
+    scores = np.einsum("chd,tchd->tch", q, k) / np.sqrt(dh)
+    scores[~valid] = -np.inf
+    weights = nnkit.softmax(scores, axis=0)
+    ctx = np.einsum("tch,tchd->chd", weights, v).reshape(n, f)
+    result = params.wo.apply(ctx)
+    out = np.empty((n_cells, f))
+    out[...] = result[-1]
+    out[cells] = result
+    return out.reshape(nx, ny, f)
+
+
+def trial_config(bench_run, name, seed):
+    """A bench workload's config, or fleet8's with a mix of camera and
+    LiDAR-only agents (agents 1, 4 and 6 lack a camera, agent 2 its LiDAR),
+    or fleet8's with the equal fusion."""
+    config = bench_run.experiment_config(
+        bench_run.WORKLOADS["lidar4" if name == "lidar4" else "fleet8"], seed
+    )
+    if name == "camera_missing":
+        config["experiment"].update(mode="camera_missing", missing_agents=[1, 4, 6])
+        config["scenario"]["dropout"] = {"2": ["lidar"]}
+    elif name == "fusion_equal":
+        config["pipeline"]["fusion"] = "equal"
+    return config
+
+
+@pytest.mark.parametrize("seed", [0, 7919])
+@pytest.mark.parametrize("name", ["lidar4", "fleet8", "camera_missing", "fusion_equal"])
+def test_trials_match_every_grid_and_token(bench_run, tmp_path, monkeypatch, name, seed):
+    """CSV rows, message logs and every AgentRound array equal those of a
+    perceive stage that fuses a zero camera grid into every camera-less
+    agent and an aggregation that projects the whole token stack."""
+    path = tmp_path / f"{name}-{seed}.json"
+    path.write_text(json.dumps(trial_config(bench_run, name, seed)))
+    exp = load_experiment(path)
+    params = make_pipeline_params(exp.pipeline.grid, exp.params_seed)
+    got = cli.run_trial(exp, 0, None, params)
+    with monkeypatch.context() as m:
+        m.setattr(collab, "_perceive", perceive_every_grid)
+        m.setattr(collab, "aggregate", aggregate_token_stack)
+        want = cli.run_trial(exp, 0, None, params)
+    assert got.row == want.row
+    assert got.log_lines == want.log_lines
+    assert_rounds_equal(got.rounds, want.rounds)
 
 
 # --- reuse of the phase-2 planes ------------------------------------------------
