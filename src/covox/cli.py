@@ -74,7 +74,8 @@ def evaluate_round(rounds, agents, objects, grid):
     """
     ap50s, ap70s, recs = [], [], []
     for agent in agents:
-        dets = detect_local(occupancy_from_bev(rounds[agent.id].aggregated), grid)
+        result = rounds[agent.id]
+        dets = detect_local(occupancy_from_bev(result.aggregated, result.cells), grid)
         gts = _gt_in_view(agent, objects, grid)
         ious = iou_table(dets, gts)
         ap50s.append(average_precision(dets, ious, 0.5))
@@ -164,7 +165,7 @@ def render_outputs(outcome: TrialOutcome, grid, out_dir: Path) -> list[Path]:
             written.append(
                 write_pgm16(out_dir / f"{tag}_depth.pgm", depth_map_gray(result.depth_map))
             )
-        occ = occupancy_from_bev(result.aggregated)
+        occ = occupancy_from_bev(result.aggregated, result.cells)
         dets = detect_local(occ, grid)
         gts = _gt_in_view(agent, outcome.objects, grid)
         written.append(

@@ -149,6 +149,7 @@ class AgentRound:
 
     bev: np.ndarray  # own collapsed BEV feature plane
     aggregated: np.ndarray  # post-collaboration BEV
+    cells: np.ndarray  # flat indices of the nonzero cells of `aggregated`, ascending
     mask: np.ndarray
     message: Message
     depth_map: Optional[DepthMap] = None
@@ -228,13 +229,14 @@ def preference_map(grid: VoxelGrid) -> np.ndarray:
     return np.where(np.any(grid.category == Category.HYBRID, axis=2), 0.0, 0.5)
 
 
-def importance_scores(bev: np.ndarray) -> np.ndarray:
+def importance_scores(bev: np.ndarray, cells: np.ndarray) -> np.ndarray:
     """Surrogate classification head: logistic in the cell's RMS feature size.
 
-    All-zero cells score sigma(-1) ~ 0.269; scores always lie in (0, 1).
+    `cells` holds the flat indices of the nonzero cells of `bev`.  All-zero
+    cells score sigma(-1) ~ 0.269; scores always lie in (0, 1).
     """
     bev = np.asarray(bev, dtype=np.float64)
-    level = occupancy_from_bev(bev) / np.sqrt(bev.shape[2])
+    level = occupancy_from_bev(bev, cells) / np.sqrt(bev.shape[2])
     return 1.0 / (1.0 + np.exp(-(_IMPORTANCE_GAIN * level - _IMPORTANCE_SHIFT)))
 
 
@@ -348,13 +350,15 @@ def aggregate(
     ego: np.ndarray,
     warped: Sequence[np.ndarray],
     written: Sequence[np.ndarray],
+    ego_cells: np.ndarray,
 ) -> np.ndarray:
     """Attention aggregation over the per-cell token stack [ego, neighbors...].
 
     The stack acts as queries, keys and values; the output is the ego
     token's attention result.  All-zero neighbor tokens carry no signal and
     are excluded from the softmax.  `written[k]` holds the flat indices of
-    exactly the nonzero cells of `warped[k]` (`WarpResult.cells`).
+    exactly the nonzero cells of `warped[k]` (`WarpResult.cells`), and
+    `ego_cells` those of `ego`.
 
     Only the cells with a nonzero token are computed.  Every other cell has
     the same all-zero stack and so the same result, which is taken from one
@@ -371,7 +375,7 @@ def aggregate(
     ego_rows = ego.reshape(n_cells, f)
     t = len(warped) + 1
     nonzero = np.zeros((t, n_cells), dtype=bool)
-    nonzero[0] = np.any(ego_rows != 0.0, axis=1)
+    nonzero[0, ego_cells] = True
     for row, cells in zip(nonzero[1:], written):
         row[cells] = True
     busy = np.any(nonzero, axis=0)
@@ -462,6 +466,7 @@ class _AgentWork:
     shared: list[np.ndarray] = field(default_factory=list)  # replies, camera frame
     depth_map: Optional[DepthMap] = None
     bev: Optional[np.ndarray] = None
+    cells: Optional[np.ndarray] = None  # flat indices of the nonzero cells of `bev`
     mask: Optional[np.ndarray] = None
     message: Optional[Message] = None
 
@@ -567,6 +572,10 @@ def _perceive(
     An agent without camera images fuses nothing: its LiDAR grid is its
     fused grid.  That is exact, because categorizing against an empty camera
     grid gives the LiDAR tags and both fusions copy LIDAR cells unchanged.
+
+    The BEV's nonzero cells are found once, as `w.cells`, and travel with
+    it.  Untagged voxels of the fused grid hold zeros, so only the columns
+    with a tagged voxel can be nonzero; their rows are checked one by one.
     """
     fused = w.lidar_grid
     if w.images is not None:
@@ -591,12 +600,40 @@ def _perceive(
         else:
             fused = fuse_modalities(params.fusion, cat)
     w.bev = collapse(fused)
+    w.cells = _nonzero_rows(w.bev, fused.tagged_columns())
     # Nothing reads the LiDAR grid as such after fusion.  Dropping the
     # reference here keeps a camera agent's LiDAR grid out of phase 2's peak
     # memory; a LiDAR-only agent's grid lives on as the storage of `w.bev`.
     w.lidar_grid = None
-    w.mask = confidence_mask(importance_scores(w.bev), preference_map(fused))
+    w.mask = confidence_mask(importance_scores(w.bev, w.cells), preference_map(fused))
     w.message = pack_message(w.bev, w.mask)
+
+
+def _nonzero_rows(plane: np.ndarray, candidates: np.ndarray) -> np.ndarray:
+    """The candidate cells (flat indices, ascending) whose row of the
+    (nx, ny, F) `plane` holds a nonzero scalar."""
+    rows = plane.reshape(-1, plane.shape[2])[candidates]
+    return candidates[np.any(rows != 0.0, axis=1)]
+
+
+def _aggregated_cells(
+    agg: np.ndarray, ego_cells: np.ndarray, written: Sequence[np.ndarray]
+) -> np.ndarray:
+    """Flat indices of the nonzero cells of an aggregated plane, ascending.
+
+    Only the ego's nonzero cells and the cells neighbors wrote are checked
+    one by one.  Every aggregator gives each other cell the output of an
+    all-zero token stack, so one such idle cell stands for them all; if it
+    is nonzero, every cell is checked.
+    """
+    rows = agg.reshape(-1, agg.shape[2])
+    idle = np.ones(rows.shape[0], dtype=bool)
+    for cells in (ego_cells, *written):
+        idle[cells] = False
+    first_idle = int(np.argmax(idle))
+    if idle[first_idle] and np.any(rows[first_idle] != 0.0):
+        return _nonzero_rows(agg, np.arange(rows.shape[0]))
+    return _nonzero_rows(agg, np.flatnonzero(~idle))
 
 
 def _receive(
@@ -623,16 +660,18 @@ def _receive(
         collisions += wr.collisions
         ledger.add(j, w.state.id, "feature", msg.feature_elements)
     if pipe.collab_mode == "attention":
-        agg = aggregate(params.agg_mha, w.bev, warped, written)
+        agg = aggregate(params.agg_mha, w.bev, warped, written, w.cells)
     elif pipe.collab_mode == "max":
         agg = aggregate_max(w.bev, warped, written)
     else:
         agg = aggregate_concat(params.concat_lin, w.bev, warped)
-    for plane, cells in zip(warped, written):
-        plane.reshape(-1, plane.shape[2])[cells] = 0.0
+    cells = _aggregated_cells(agg, w.cells, written)
+    for plane, written_cells in zip(warped, written):
+        plane.reshape(-1, plane.shape[2])[written_cells] = 0.0
     return AgentRound(
         bev=w.bev,
         aggregated=agg,
+        cells=cells,
         mask=w.mask,
         message=w.message,
         depth_map=w.depth_map,

@@ -52,35 +52,42 @@ def perturb_pose(pose: Pose, noise: NoiseModel, rng: np.random.Generator) -> Pos
 
 
 def occupancy_from_grid(grid: VoxelGrid) -> np.ndarray:
-    """Column occupancy (nx, ny): the point-count channel summed over z."""
-    return grid.features[:, :, :, 0].sum(axis=2)
+    """Column occupancy (nx, ny): channel 0, log(1 + point count) in a
+    voxelized LiDAR grid, summed over z.
+
+    Only the columns holding a tagged voxel are summed; untagged voxels hold
+    zeros, so every other column sums to exactly 0.
+    """
+    s = grid.spec
+    columns = grid.tagged_columns()
+    occ = np.zeros(s.nx * s.ny)
+    occ[columns] = grid.features.reshape(s.nx * s.ny, s.nz, s.channels)[columns, :, 0].sum(axis=1)
+    return occ.reshape(s.nx, s.ny)
 
 
-def occupancy_from_bev(bev: np.ndarray) -> np.ndarray:
+def occupancy_from_bev(bev: np.ndarray, cells: np.ndarray) -> np.ndarray:
     """Occupancy proxy for an opaque BEV feature plane: per-cell L2 norm.
 
-    Only cells with a nonzero scalar are reduced; the norm of every other
-    cell is exactly 0, and a per-row reduction gives each row the same bits
-    whichever other rows it runs with.
+    `cells` holds the flat indices of the plane's nonzero cells.  Only they
+    are reduced; the norm of every other cell is exactly 0, and a per-row
+    reduction gives each row the same bits whichever other rows it runs with.
     """
     bev = np.asarray(bev, dtype=np.float64)
     nx, ny, f = bev.shape
-    rows = bev.reshape(nx * ny, f)
-    busy = np.flatnonzero((rows != 0.0).any(axis=1))
     occ = np.zeros(nx * ny)
-    occ[busy] = np.linalg.norm(rows[busy], axis=1)
+    occ[cells] = np.linalg.norm(bev.reshape(nx * ny, f)[cells], axis=1)
     return occ.reshape(nx, ny)
 
 
-def _convex_hull(points: list) -> np.ndarray:
+def _convex_hull(points: list) -> list:
     """Andrew's monotone chain; returns hull vertices in CCW order.
 
-    `points` are (x, y) pairs in lexicographic order without repeats, as
+    `points` are [x, y] pairs in lexicographic order without repeats, as
     detect_local lists a component's cell centres.  Fewer than three points,
-    or points on one line, come back as an array of the points.
+    or points on one line, come back as they are.
     """
     if len(points) <= 2:
-        return np.array(points)
+        return points
 
     def half(seq):
         chain: list[list[float]] = []
@@ -94,82 +101,97 @@ def _convex_hull(points: list) -> np.ndarray:
         return chain
 
     hull = half(points)[:-1] + half(points[::-1])[:-1]
-    return np.array(hull if len(hull) >= 3 else points)
+    return hull if len(hull) >= 3 else points
 
 
-def _min_area_rect(points: list):
-    """Minimum-area oriented rectangle over 2D points, given as _convex_hull
-    takes them.
+def _min_area_rects(hulls: list) -> list:
+    """Minimum-area oriented rectangle of each hull, as _convex_hull gives
+    them (two or more vertices).
 
-    Returns (center (2,), yaw, (length, width)) with length >= width and
-    yaw of the long axis normalised to [-pi/2, pi/2).
+    Returns (center (2,), yaw, (length, width)) per hull, with length >=
+    width and yaw of the long axis normalised to [-pi/2, pi/2).  A
+    two-vertex hull is one edge; any other closes on its first vertex.
+
+    The hulls run as one batch, each padded to the longest by repeating its
+    first vertex, so that the edges after its own are zero.  One stacked
+    product rotates each hull onto every one of its edges.  It runs through
+    BLAS, which fuses multiply-adds, so a rotation written out elementwise
+    would round differently.
     """
-    hull = _convex_hull(points)
-    if hull.shape[0] == 1:
-        return hull[0], 0.0, (0.0, 0.0)
-    if hull.shape[0] == 2:
-        edges = hull[1:] - hull[:1]
-    else:
-        edges = np.diff(np.vstack([hull, hull[:1]]), axis=0)
-
-    # The hull rotated onto every edge direction at once: local[k] is
-    # hull @ rots[k].T. Each rots[k] is C-contiguous like a literal 2x2, so
-    # the products take the same BLAS path and round alike.
-    thetas = np.arctan2(edges[:, 1], edges[:, 0])
+    n, longest = len(hulls), max(len(h) for h in hulls)
+    pad = [xy for h in hulls for vertex in h + h[:1] * (longest - len(h)) for xy in vertex]
+    pad = np.array(pad).reshape(n, longest, 2)
+    edges = np.roll(pad, -1, axis=1) - pad
+    thetas = np.arctan2(edges[..., 1], edges[..., 0])  # (n, E)
     c, s = np.cos(-thetas), np.sin(-thetas)
-    rots = np.empty((len(thetas), 2, 2))
-    rots[:, 0, 0] = rots[:, 1, 1] = c
-    rots[:, 0, 1], rots[:, 1, 0] = -s, s
-    local = hull @ rots.transpose(0, 2, 1)
-    lo, hi = local.min(axis=1), local.max(axis=1)
-    areas = np.prod(hi - lo, axis=1).tolist()
-    k = 0
-    for i, area in enumerate(areas):
-        if area < areas[k] - 1e-12:
-            k = i
-    center = rots[k].T @ ((lo[k] + hi[k]) / 2.0)
-    theta = thetas[k]
-    ex, ey = hi[k] - lo[k]
-    if ex >= ey:
-        length, width, yaw = ex, ey, theta
-    else:
-        length, width, yaw = ey, ex, theta + np.pi / 2.0
-    yaw = (yaw + np.pi / 2.0) % np.pi - np.pi / 2.0
-    return center, float(yaw), (float(length), float(width))
+    rots = np.empty((n, longest, 2, 2))
+    rots[..., 0, 0] = rots[..., 1, 1] = c
+    rots[..., 0, 1], rots[..., 1, 0] = -s, s
+    # Column pair (2e, 2e + 1) of a hull's right factor is edge e's rotation, transposed.
+    local = pad @ rots.transpose(0, 3, 1, 2).reshape(n, 2, 2 * longest)
+    local = local.reshape(n, longest, longest, 2)  # (n, V, E, 2)
+    lo, hi = local.min(axis=1), local.max(axis=1)  # (n, E, 2)
+    extent = hi - lo
+    best = []
+    for hull, areas in zip(hulls, (extent[..., 0] * extent[..., 1]).tolist()):
+        k = 0
+        for e, area in enumerate(areas[: 1 if len(hull) == 2 else len(hull)]):
+            if area < areas[k] - 1e-12:
+                k = e
+        best.append(k)
+    own = np.arange(n)
+    lo, hi, extent, thetas, rots = (a[own, best] for a in (lo, hi, extent, thetas, rots))
+    centers = (rots.transpose(0, 2, 1) @ ((lo + hi) / 2.0)[:, :, None])[:, :, 0]
+    ex, ey = extent[:, 0], extent[:, 1]
+    along = ex >= ey
+    yaws = np.where(along, thetas, thetas + np.pi / 2.0)
+    yaws = (yaws + np.pi / 2.0) % np.pi - np.pi / 2.0
+    lengths, widths = np.where(along, ex, ey), np.where(along, ey, ex)
+    return list(zip(centers, yaws.tolist(), zip(lengths.tolist(), widths.tolist())))
 
 
-def _connected_components(mask: np.ndarray) -> list[list[int]]:
-    """8-connected components of a boolean grid, in scan order.
+def _connected_components(cells: list, width: int) -> list[list[int]]:
+    """8-connected components of a set of grid cells, in scan order.
 
-    Each component lists its cells breadth-first from its first cell, each
-    cell given by its position in the scan order of the set cells (the order
-    of np.nonzero).  The search runs over Python lists: `todo` holds each
-    set cell's position until the cell is reached, and -1 after.
+    `cells` are the set cells' flat positions, in scan order, on the grid
+    padded by one empty cell on every side; `width` is the padded row
+    length, so that no neighbour offset wraps onto another row.  Each
+    component lists its cells breadth-first from its first cell, each cell
+    given by its index in `cells`.
     """
-    mask = np.asarray(mask, dtype=bool)
-    nx, ny = mask.shape
-    todo = np.full(mask.shape, -1, dtype=np.int64)
-    todo[mask] = np.arange(np.count_nonzero(mask))
-    todo = todo.tolist()
+    todo = dict(zip(cells, range(len(cells))))
+    steps = (-width - 1, -width, -width + 1, -1, 1, width - 1, width, width + 1)
     comps: list[list[int]] = []
-    for sx, sy in zip(*(axis.tolist() for axis in np.nonzero(mask))):
-        if todo[sx][sy] < 0:
+    for start in cells:
+        first = todo.pop(start, None)
+        if first is None:
             continue
-        members = [todo[sx][sy]]
-        todo[sx][sy] = -1
-        queue = [(sx, sy)]
-        for x, y in queue:
-            for nx_ in (x - 1, x, x + 1):
-                if not 0 <= nx_ < nx:
-                    continue
-                row = todo[nx_]
-                for ny_ in (y - 1, y, y + 1):
-                    if 0 <= ny_ < ny and row[ny_] >= 0:
-                        members.append(row[ny_])
-                        row[ny_] = -1
-                        queue.append((nx_, ny_))
+        members = [first]
+        queue = [start]
+        for cell in queue:
+            for step in steps:
+                k = todo.pop(cell + step, None)
+                if k is not None:
+                    members.append(k)
+                    queue.append(cell + step)
         comps.append(members)
     return comps
+
+
+def _component_hull(members: list, rows: list, centers: list) -> list:
+    """Hull of a component's cell centres, from the first and last cell of
+    each of its grid rows; a cell between them lies on their segment.  When
+    those cells alone are collinear, the hull comes from every cell."""
+    order = sorted(members)
+    ends = [
+        k for prev, k, nxt in zip([None] + order, order, order[1:] + [None])
+        if prev is None or nxt is None or rows[prev] != rows[k] or rows[nxt] != rows[k]
+    ]
+    points = [centers[k] for k in ends]
+    hull = _convex_hull(points)
+    if hull is points and len(ends) < len(order):
+        return _convex_hull([centers[k] for k in order])
+    return hull
 
 
 def detect_local(bev_occupancy: np.ndarray, spec: GridSpec) -> list[Detection]:
@@ -181,7 +203,8 @@ def detect_local(bev_occupancy: np.ndarray, spec: GridSpec) -> list[Detection]:
     pitch to undo center shrinkage.
     The score is a bounded transform of the component's mean occupancy.
     Cell centres and occupancies are read once per map, in scan order, which
-    is also the lexicographic order of the centres.
+    is also the lexicographic order of the centres, and the rectangles of a
+    map are fitted in one batch.
     """
     occ = np.asarray(bev_occupancy, dtype=np.float64)
     if occ.shape != (spec.nx, spec.ny):
@@ -190,25 +213,33 @@ def detect_local(bev_occupancy: np.ndarray, spec: GridSpec) -> list[Detection]:
     if peak <= 0.0:
         return []
     mask = occ > _REL_THRESHOLD * peak
+    xs, ys = np.nonzero(mask)
+    width = spec.ny + 2
+    comps = [
+        members
+        for members in _connected_components(((xs + 1) * width + ys + 1).tolist(), width)
+        if len(members) >= _MIN_CELLS
+    ]
+    if not comps:
+        return []
+    rows, centers = xs.tolist(), spec.bev_cell_centers(xs, ys).tolist()
+    rects = _min_area_rects([_component_hull(m, rows, centers) for m in comps])
+    # Each mean is numpy's pairwise sum of the component's values in
+    # breadth-first order, as np.mean takes them.
+    sizes = np.array([len(m) for m in comps])
+    values = np.split(occ[mask][np.concatenate(comps)], np.cumsum(sizes[:-1]))
+    sums = np.array([np.add.reduce(part) for part in values])
+    scores = (1.0 - np.exp(-(sums / sizes))).tolist()
     pitch = (spec.dx + spec.dy) / 2.0
-    centers = spec.bev_cell_centers(*np.nonzero(mask)).tolist()
-    values = occ[mask].tolist()
-    dets = []
-    for members in _connected_components(mask):
-        if len(members) < _MIN_CELLS:
-            continue
-        center, yaw, (length, width) = _min_area_rect([centers[k] for k in sorted(members)])
-        # np.mean sums pairwise, so its terms keep the breadth-first order.
-        score = float(1.0 - np.exp(-np.mean([values[k] for k in members])))
-        dets.append(
-            Detection(
-                center=(float(center[0]), float(center[1])),
-                yaw=yaw,
-                extent=(length + pitch, width + pitch),
-                score=score,
-            )
+    return [
+        Detection(
+            center=(float(center[0]), float(center[1])),
+            yaw=yaw,
+            extent=(length + pitch, breadth + pitch),
+            score=score,
         )
-    return dets
+        for (center, yaw, (length, breadth)), score in zip(rects, scores)
+    ]
 
 
 def fit_planar_alignment(src: np.ndarray, dst: np.ndarray):

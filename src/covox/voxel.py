@@ -110,6 +110,12 @@ class VoxelGrid:
         if self.category.shape != (s.nx, s.ny, s.nz):
             raise ValueError("category array does not match the grid spec")
 
+    def tagged_columns(self) -> np.ndarray:
+        """Flat (x, y) indices, ascending, of the columns holding a tagged
+        cell: every other column holds only zeros."""
+        s = self.spec
+        return np.flatnonzero(self.category.reshape(s.nx * s.ny, s.nz).any(axis=1))
+
     @staticmethod
     def empty(spec: GridSpec) -> "VoxelGrid":
         return VoxelGrid(

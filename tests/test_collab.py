@@ -96,21 +96,21 @@ class TestPreference:
 
 class TestImportance:
     def test_zero_cell_value(self):
-        scores = importance_scores(np.zeros((2, 2, 64)))
+        scores = importance_scores(np.zeros((2, 2, 64)), np.zeros(0, dtype=int))
         assert np.allclose(scores, 0.26894, atol=1e-5)
 
     def test_monotone_in_norm(self, rng):
         v = rng.standard_normal(64)
-        small = importance_scores(v[None, None, :] * 0.5)
-        large = importance_scores(v[None, None, :] * 5.0)
+        small = importance_scores(v[None, None, :] * 0.5, np.array([0]))
+        large = importance_scores(v[None, None, :] * 5.0, np.array([0]))
         assert large[0, 0] > small[0, 0]
 
     def test_range_open_unit(self, rng):
         bev = rng.standard_normal((8, 8, 64)) * 5
-        scores = importance_scores(bev)
+        scores = importance_scores(bev, nonzero_cells(bev))
         assert np.all(scores > 0.0) and np.all(scores < 1.0)
         # Extreme norms saturate to 1.0 in float64 but never exceed it.
-        assert importance_scores(np.full((1, 1, 64), 1e9))[0, 0] <= 1.0
+        assert importance_scores(np.full((1, 1, 64), 1e9), np.array([0]))[0, 0] <= 1.0
 
 
 class TestConfidenceMask:
@@ -119,7 +119,7 @@ class TestConfidenceMask:
         assert mask[0, 0] == 1
 
     def test_zero_cell_with_zero_threshold(self):
-        scores = importance_scores(np.zeros((1, 1, 64)))
+        scores = importance_scores(np.zeros((1, 1, 64)), np.zeros(0, dtype=int))
         mask = confidence_mask(scores, np.zeros((1, 1)))
         assert mask[0, 0] == 1
 
@@ -260,16 +260,24 @@ class TestWarp:
         assert np.array_equal(res.bev, dense)
 
 
-def _with_cells(planes):
-    """(planes, flat indices of each plane's nonzero cells), as `aggregate` takes them."""
-    return planes, [np.flatnonzero(np.any(p.reshape(-1, p.shape[2]) != 0, axis=1)) for p in planes]
+def nonzero_cells(plane):
+    """Flat indices of the nonzero cells of an (nx, ny, F) plane, by a scan
+    of the whole plane."""
+    plane = np.asarray(plane)
+    return np.flatnonzero(np.any(plane.reshape(-1, plane.shape[2]) != 0, axis=1))
+
+
+def _with_cells(ego, planes):
+    """(planes, each plane's nonzero cells, the ego's nonzero cells), as
+    `aggregate` takes them after the ego plane."""
+    return planes, [nonzero_cells(p) for p in planes], nonzero_cells(ego)
 
 
 class TestAggregate:
     def test_no_neighbors_matches_single_token_mha(self, rng):
         bev = np.zeros((4, 4, 64))
         bev[rng.uniform(size=(4, 4)) < 0.5] = rng.standard_normal(64)
-        out = aggregate(PARAMS.agg_mha, bev, [], [])
+        out = aggregate(PARAMS.agg_mha, bev, *_with_cells(bev, []))
         for i in range(4):
             for j in range(4):
                 ref, _ = mha(
@@ -279,26 +287,26 @@ class TestAggregate:
 
     def test_identical_neighbor_equals_single(self, rng):
         bev = rng.standard_normal((4, 4, 64))
-        out_pair = aggregate(PARAMS.agg_mha, bev, *_with_cells([bev.copy()]))
-        out_single = aggregate(PARAMS.agg_mha, bev, [], [])
+        out_pair = aggregate(PARAMS.agg_mha, bev, *_with_cells(bev, [bev.copy()]))
+        out_single = aggregate(PARAMS.agg_mha, bev, *_with_cells(bev, []))
         assert np.allclose(out_pair, out_single, atol=1e-9)
 
     def test_zero_neighbor_excluded_bit_exact(self, rng):
         bev = rng.standard_normal((6, 6, 64))
-        out_zero = aggregate(PARAMS.agg_mha, bev, *_with_cells([np.zeros_like(bev)]))
-        out_none = aggregate(PARAMS.agg_mha, bev, [], [])
+        out_zero = aggregate(PARAMS.agg_mha, bev, *_with_cells(bev, [np.zeros_like(bev)]))
+        out_none = aggregate(PARAMS.agg_mha, bev, *_with_cells(bev, []))
         assert np.array_equal(out_zero, out_none)
 
     def test_neighbor_signal_reaches_empty_ego_cell(self, rng):
         bev = np.zeros((4, 4, 64))
         nbr = np.zeros((4, 4, 64))
         nbr[2, 2] = rng.standard_normal(64)
-        out = aggregate(PARAMS.agg_mha, bev, *_with_cells([nbr]))
+        out = aggregate(PARAMS.agg_mha, bev, *_with_cells(bev, [nbr]))
         assert np.linalg.norm(out[2, 2]) > 0
 
     def test_shape_preserved(self, rng):
         bev = rng.standard_normal((5, 7, 64))
-        assert aggregate(PARAMS.agg_mha, bev, *_with_cells([bev])).shape == bev.shape
+        assert aggregate(PARAMS.agg_mha, bev, *_with_cells(bev, [bev])).shape == bev.shape
 
     def test_max_and_concat_variants(self, rng):
         bev = rng.standard_normal((4, 4, 64))
@@ -353,7 +361,7 @@ class TestAggregateOracle:
         return biased_mha(PARAMS.agg_mha, (7, 1))
 
     def _check(self, mha, ego, warped):
-        got = aggregate(mha, ego, *_with_cells(warped))
+        got = aggregate(mha, ego, *_with_cells(ego, warped))
         assert np.array_equal(got, _dense_aggregate(mha, ego, warped))
 
     def test_no_neighbors(self, rng, mha):
@@ -427,7 +435,7 @@ def test_aggregate_matches_dense_with_biases(seed, shape, ego_density, writes):
     busy = rng.uniform(size=shape[:2]) < ego_density
     ego[busy] = rng.standard_normal((int(busy.sum()), shape[2]))
     warped = [_written_plane(rng, shape, w) for w in writes]
-    got = aggregate(params, ego, *_with_cells(warped))
+    got = aggregate(params, ego, *_with_cells(ego, warped))
     assert np.array_equal(got, _dense_aggregate(params, ego, warped))
 
 

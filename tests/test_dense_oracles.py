@@ -1,11 +1,12 @@
-"""The stages between voxelization and aggregation touch only the cells that
+"""The stages between voxelization and detection touch only the cells that
 hold data.  The references here are the dense versions they replace: they
 copy, mask and scan whole grids, warp every message into a fresh zero
-plane and take the max aggregation over whole planes.  Every stage, and
-every trial end to end, must match them bit for bit.  Whole trials must also
-match the box path as it ran box by box: the ray cast, the detector's hull
-and the IoU clip; and the perceive stage and the attention aggregation as
-they ran on whole grids and whole token stacks.
+plane, take the max aggregation over whole planes and find nonzero cells by
+scanning whole planes.  Every stage, and every trial end to end, must match
+them bit for bit.  Whole trials must also match the box path as it ran box
+by box: the ray cast, the detector's components and rectangles and the IoU
+clip; and the perceive stage and the attention aggregation as they ran on
+whole grids and whole token stacks.
 """
 
 import json
@@ -19,7 +20,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from covox import cli, collab, metrics, nnkit, robust, scene
+from covox import cli, collab, metrics, nnkit, scene
 from covox.collab import (
     AgentRound,
     PipelineConfig,
@@ -43,8 +44,8 @@ from covox.fusion import (
     make_fusion_params,
 )
 from covox.geometry import Pose, planar_parts
-from covox.robust import occupancy_from_bev
-from covox.scene import AgentState, BoxObject, LidarSpec, ScenarioConfig
+from covox.robust import occupancy_from_bev, occupancy_from_grid
+from covox.scene import AgentState, BoxObject, LidarSpec, ScenarioConfig, generate_scene
 from covox.voxel import (
     Category,
     CategorizedGrid,
@@ -55,8 +56,10 @@ from covox.voxel import (
     collapse,
 )
 
+from conftest import biased, biased_mha
+from test_collab import nonzero_cells
 from test_metrics import clip_polygon_of_vectors
-from test_robust import convex_hull_lexsort, detect_local_per_component
+from test_robust import detect_local_per_component
 from test_scene import raycast_per_box
 from test_voxel import _dense_lift_camera
 
@@ -118,11 +121,17 @@ def fuse_modalities_equal_masked(lin, cat):
     return out
 
 
-def occupancy_from_bev_dense(bev):
+def occupancy_from_bev_dense(bev, cells=None):
+    """Every cell's norm; `cells` is not read."""
     return np.linalg.norm(np.asarray(bev, dtype=np.float64), axis=2)
 
 
-def importance_scores_dense(bev):
+def occupancy_from_grid_dense(grid):
+    return grid.features[:, :, :, 0].sum(axis=2)
+
+
+def importance_scores_dense(bev, cells=None):
+    """Every cell's score; `cells` is not read."""
     bev = np.asarray(bev, dtype=np.float64)
     level = np.linalg.norm(bev, axis=2) / np.sqrt(bev.shape[2])
     return 1.0 / (1.0 + np.exp(-(collab._IMPORTANCE_GAIN * level - collab._IMPORTANCE_SHIFT)))
@@ -175,7 +184,7 @@ def receive_fresh(w, works, pipe, params, ledger, planes):
         collisions += wr.collisions
         ledger.add(j, w.state.id, "feature", msg.feature_elements)
     if pipe.collab_mode == "attention":
-        agg = aggregate(params.agg_mha, w.bev, warped, written)
+        agg = aggregate(params.agg_mha, w.bev, warped, written, nonzero_cells(w.bev))
     elif pipe.collab_mode == "max":
         agg = aggregate_max_dense(w.bev, warped)
     else:
@@ -183,6 +192,7 @@ def receive_fresh(w, works, pipe, params, ledger, planes):
     return AgentRound(
         bev=w.bev,
         aggregated=agg,
+        cells=nonzero_cells(agg),
         mask=w.mask,
         message=w.message,
         depth_map=w.depth_map,
@@ -207,6 +217,7 @@ def use_dense_pipeline(m):
     m.setattr(collab, "collapse", collapse_copying)
     m.setattr(collab, "importance_scores", importance_scores_dense)
     m.setattr(collab, "_receive", receive_fresh)
+    m.setattr(collab, "occupancy_from_grid", occupancy_from_grid_dense)
     m.setattr(cli, "occupancy_from_bev", occupancy_from_bev_dense)
 
 
@@ -214,7 +225,7 @@ def assert_rounds_equal(got, want):
     assert list(got) == list(want)
     for aid, r in got.items():
         ref = want[aid]
-        for name in ("bev", "aggregated", "mask"):
+        for name in ("bev", "aggregated", "cells", "mask"):
             assert np.array_equal(getattr(r, name), getattr(ref, name)), (aid, name)
         assert np.array_equal(r.message.indices, ref.message.indices)
         assert np.array_equal(r.message.vectors, ref.message.vectors)
@@ -320,9 +331,10 @@ class TestStagesMatchDenseReferences:
         # A row of the special value: signed zeros, squares that underflow
         # or overflow, infinities.
         rows[rng.integers(rows.shape[0])] = special
+        cells = nonzero_cells(bev)
         with np.errstate(over="ignore"):
-            assert np.array_equal(occupancy_from_bev(bev), occupancy_from_bev_dense(bev))
-            assert np.array_equal(importance_scores(bev), importance_scores_dense(bev))
+            assert np.array_equal(occupancy_from_bev(bev, cells), occupancy_from_bev_dense(bev))
+            assert np.array_equal(importance_scores(bev, cells), importance_scores_dense(bev))
 
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -387,6 +399,110 @@ class TestStagesMatchDenseReferences:
                         np.zeros((12, 11, 6)))
 
 
+# --- nonzero cells carried with the planes -------------------------------------
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    shape=st.tuples(st.integers(1, 7), st.integers(1, 7)),
+    nz=st.sampled_from([1, 8, 9, 17]),
+    density=DENSITIES,
+)
+@example(seed=5, shape=(3, 4), nz=9, density=1.0)
+@example(seed=6, shape=(3, 4), nz=17, density=1.0)
+@settings(max_examples=80, deadline=None)
+def test_occupancy_from_grid_matches_dense(seed, shape, nz, density):
+    """The z-sum over the tagged columns only.  Values span 16 orders of
+    magnitude, so a sum taken in another order than numpy's, which unrolls
+    runs of 8 or more, gives other bits."""
+    rng = np.random.default_rng(seed)
+    spec = GridSpec((-3.0, 3.0), (-3.0, 3.0), (0.0, 2.0), *shape, nz, 5)
+    grid = VoxelGrid.empty(spec)
+    on = rng.uniform(size=grid.category.shape) < density
+    grid.category[on] = Category.LIDAR
+    scale = 10.0 ** rng.integers(-8, 9, (int(on.sum()), 1))
+    grid.features[on] = rng.uniform(0.0, 1.0, (int(on.sum()), 5)) * scale
+    assert np.array_equal(occupancy_from_grid(grid), occupancy_from_grid_dense(grid))
+
+
+SMALL_GRID = GridSpec((-20.0, 20.0), (-20.0, 20.0), (0.5, 3.7), 24, 24, 4, 8)
+
+
+@pytest.mark.parametrize("bias", ["unbiased", "biased"])
+@pytest.mark.parametrize("collab_mode", collab.COLLAB_MODES)
+@given(seed=st.integers(0, 2**16), n_agents=st.integers(1, 3))
+@example(seed=3, n_agents=1)
+@settings(max_examples=8, deadline=None)
+def test_round_cells_are_the_nonzero_cells(collab_mode, bias, seed, n_agents):
+    """Each BEV's cells and each AgentRound's `cells` are the nonzero cells
+    of their planes.  Biased maps give every idle cell the same nonzero
+    output; one agent has no neighbors."""
+    params = make_pipeline_params(SMALL_GRID, 2024)
+    if bias == "biased":
+        params = replace(params, agg_mha=biased_mha(params.agg_mha, (seed, 1)),
+                         concat_lin=biased(params.concat_lin, (seed, 2)))
+    pipe = PipelineConfig(grid=SMALL_GRID, bins=DepthBins(1.0, 33.0, 16),
+                          predictor=NoisyOraclePredictor(1.0, 1), fusion_mode="none",
+                          depth_projection="no", collab_mode=collab_mode)
+    scn = ScenarioConfig(seed=seed, n_agents=n_agents, n_objects=6, comm_range=60.0)
+    agents, objects = generate_scene(scn)
+    perceive = collab._perceive
+    bevs = []
+
+    def checked_perceive(w, *args):
+        perceive(w, *args)
+        bevs.append(w.bev)
+        assert np.array_equal(w.cells, nonzero_cells(w.bev))
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(collab, "_perceive", checked_perceive)
+        rounds, _ = run_round(agents, objects, (), scn, pipe, params)
+    assert len(bevs) == n_agents and any(r.cells.size for r in rounds.values())
+    for r in rounds.values():
+        assert np.array_equal(r.cells, nonzero_cells(r.aggregated))
+        if bias == "biased" and collab_mode != "max":
+            assert r.cells.size == SMALL_GRID.nx * SMALL_GRID.ny
+
+
+def test_max_of_nonzero_tokens_can_be_a_zero_cell():
+    """Ego and neighbor rows that are both nonzero can max to a zero row,
+    which the round's cells must leave out."""
+    ego = np.zeros((2, 3, 2))
+    ego[0, 1] = (0.0, -1.0)
+    plane = np.zeros_like(ego)
+    plane[0, 1] = (-1.0, 0.0)
+    plane[1, 2] = (0.5, 0.0)
+    written = [np.array([1, 5])]
+    agg = aggregate_max(ego, [plane], written)
+    assert not np.any(agg[0, 1])
+    assert np.array_equal(collab._aggregated_cells(agg, np.array([1]), written), [5])
+
+
+@pytest.mark.parametrize("name", ["lidar4", "fleet8", "camera_missing", "fusion_equal"])
+def test_untagged_cells_hold_zeros(bench_run, tmp_path, name):
+    """`_perceive` looks for a BEV's nonzero cells only in columns with a
+    tagged voxel.  That is exact only while every untagged voxel of a fused
+    grid holds zeros, under each fusion: none, biased and equal, and a mix
+    of camera and LiDAR-only agents."""
+    grids = []
+
+    def checked_collapse(grid):
+        grids.append(grid)
+        assert not np.any(grid.features[grid.category == Category.NORMAL])
+        return collapse(grid)
+
+    for seed in (0, 7919):
+        path = tmp_path / f"{name}-{seed}.json"
+        path.write_text(json.dumps(trial_config(bench_run, name, seed)))
+        exp = load_experiment(path)
+        params = make_pipeline_params(exp.pipeline.grid, exp.params_seed)
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(collab, "collapse", checked_collapse)
+            cli.run_trial(exp, 0, None, params)
+    assert len(grids) == 2 * exp.scenario.n_agents
+    assert all(np.any(g.category != Category.NORMAL) for g in grids)
+
+
 # --- whole trials ---------------------------------------------------------------
 
 BENCH_RUN = Path(__file__).resolve().parent.parent / "bench" / "run.py"
@@ -424,10 +540,10 @@ def test_trials_match_dense_pipeline(bench_run, tmp_path, monkeypatch, workload,
 
 def use_parent_box_path(m):
     """Swap the batched box path for its parent: boxes ray-cast one at a
-    time, a hull that sorts each component's centres itself, and the clip
-    on numpy 2-vectors."""
+    time, a detector that labels components on an array and fits each
+    rectangle on its own with a hull that sorts the centres itself, and the
+    clip on numpy 2-vectors."""
     m.setattr(scene, "raycast", raycast_per_box)
-    m.setattr(robust, "_convex_hull", convex_hull_lexsort)
     m.setattr(collab, "detect_local", detect_local_per_component)
     m.setattr(cli, "detect_local", detect_local_per_component)
     m.setattr(metrics, "clip_polygon", clip_polygon_of_vectors)
@@ -477,14 +593,18 @@ def perceive_every_grid(w, scenario, pipe, params):
     else:
         fused = collab.fuse_modalities(params.fusion, cat)
     w.bev = collab.collapse(fused)
+    w.cells = nonzero_cells(w.bev)
     w.lidar_grid = None
-    w.mask = collab.confidence_mask(collab.importance_scores(w.bev), collab.preference_map(fused))
+    w.mask = collab.confidence_mask(
+        collab.importance_scores(w.bev, w.cells), collab.preference_map(fused)
+    )
     w.message = collab.pack_message(w.bev, w.mask)
 
 
-def aggregate_token_stack(params, ego, warped, written):
+def aggregate_token_stack(params, ego, warped, written, ego_cells=None):
     """`aggregate` projecting Q, K and V on the whole token stack of the
-    cells it runs, unsent neighbor tokens included."""
+    cells it runs, unsent neighbor tokens included; it scans the ego plane
+    for its nonzero cells and does not read `ego_cells`."""
     ego = np.asarray(ego, dtype=np.float64)
     nx, ny, f = ego.shape
     n_cells = nx * ny

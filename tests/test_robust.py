@@ -13,7 +13,7 @@ from covox.robust import (
     _connected_components,
     _convex_hull,
     _greedy_matches,
-    _min_area_rect,
+    _min_area_rects,
     correct_relative_pose,
     detect_local,
     fit_planar_alignment,
@@ -28,8 +28,8 @@ GRID = GridSpec((-20.0, 20.0), (-20.0, 20.0), (0.0, 4.0), 64, 64, 4, 8)
 
 
 # Oracles: the per-edge, per-cell and per-pair implementations over numpy
-# scalars that the batched and list-based ones in covox.robust must
-# reproduce bit for bit.
+# scalars, and the per-component detector, that the batched and list-based
+# ones in covox.robust must reproduce bit for bit.
 
 
 def convex_hull_of_arrays(points):
@@ -78,6 +78,68 @@ def min_area_rect_per_edge(points):
         length, width, yaw = ey, ex, theta + np.pi / 2.0
     yaw = (yaw + np.pi / 2.0) % np.pi - np.pi / 2.0
     return center, float(yaw), (float(length), float(width))
+
+
+def min_area_rect_parent(points):
+    """One component's rectangle: its hull rotated onto every hull edge in
+    one (E, H, 2) product, then the first edge of least area."""
+    hull = convex_hull_lexsort(points)
+    if hull.shape[0] == 1:
+        return hull[0], 0.0, (0.0, 0.0)
+    if hull.shape[0] == 2:
+        edges = hull[1:] - hull[:1]
+    else:
+        edges = np.diff(np.vstack([hull, hull[:1]]), axis=0)
+    thetas = np.arctan2(edges[:, 1], edges[:, 0])
+    c, s = np.cos(-thetas), np.sin(-thetas)
+    rots = np.empty((len(thetas), 2, 2))
+    rots[:, 0, 0] = rots[:, 1, 1] = c
+    rots[:, 0, 1], rots[:, 1, 0] = -s, s
+    local = hull @ rots.transpose(0, 2, 1)
+    lo, hi = local.min(axis=1), local.max(axis=1)
+    areas = np.prod(hi - lo, axis=1).tolist()
+    k = 0
+    for i, area in enumerate(areas):
+        if area < areas[k] - 1e-12:
+            k = i
+    center = rots[k].T @ ((lo[k] + hi[k]) / 2.0)
+    theta = thetas[k]
+    ex, ey = hi[k] - lo[k]
+    if ex >= ey:
+        length, width, yaw = ex, ey, theta
+    else:
+        length, width, yaw = ey, ex, theta + np.pi / 2.0
+    yaw = (yaw + np.pi / 2.0) % np.pi - np.pi / 2.0
+    return center, float(yaw), (float(length), float(width))
+
+
+def connected_components_parent(mask):
+    """The breadth-first search over the mask as nested lists, each set
+    cell holding its scan position until reached and -1 after."""
+    mask = np.asarray(mask, dtype=bool)
+    nx, ny = mask.shape
+    todo = np.full(mask.shape, -1, dtype=np.int64)
+    todo[mask] = np.arange(np.count_nonzero(mask))
+    todo = todo.tolist()
+    comps = []
+    for sx, sy in zip(*(axis.tolist() for axis in np.nonzero(mask))):
+        if todo[sx][sy] < 0:
+            continue
+        members = [todo[sx][sy]]
+        todo[sx][sy] = -1
+        queue = [(sx, sy)]
+        for x, y in queue:
+            for nx_ in (x - 1, x, x + 1):
+                if not 0 <= nx_ < nx:
+                    continue
+                row = todo[nx_]
+                for ny_ in (y - 1, y, y + 1):
+                    if 0 <= ny_ < ny and row[ny_] >= 0:
+                        members.append(row[ny_])
+                        row[ny_] = -1
+                        queue.append((nx_, ny_))
+        comps.append(members)
+    return comps
 
 
 def components_by_label_array(mask):
@@ -143,8 +205,8 @@ def convex_hull_lexsort(points):
 
 
 def detect_local_per_component(bev_occupancy, spec):
-    """Needs robust._convex_hull patched to convex_hull_lexsort, which takes
-    the centres in any order."""
+    """Each component's rectangle fitted on its own, from its centres in
+    breadth-first order, by a hull that sorts them itself."""
     occ = np.asarray(bev_occupancy, dtype=np.float64)
     if occ.shape != (spec.nx, spec.ny):
         raise ValueError("occupancy shape does not match the grid spec")
@@ -158,7 +220,7 @@ def detect_local_per_component(bev_occupancy, spec):
         if cells.shape[0] < robust._MIN_CELLS:
             continue
         centers = spec.bev_cell_centers(cells[:, 0], cells[:, 1])
-        center, yaw, (length, width) = robust._min_area_rect(centers)
+        center, yaw, (length, width) = min_area_rect_parent(centers)
         score = float(1.0 - np.exp(-occ[cells[:, 0], cells[:, 1]].mean()))
         dets.append(
             Detection(
@@ -189,23 +251,53 @@ def greedy_matches_per_pair(ego_dets, neighbor_dets, gate_radius):
     return pairs
 
 
+def assert_same_rects(got, want):
+    assert len(got) == len(want)
+    for (center, yaw, extent), (ref_center, ref_yaw, ref_extent) in zip(got, want):
+        ref_center = np.asarray(ref_center)
+        assert center.dtype == ref_center.dtype
+        assert center.tobytes() == ref_center.tobytes()
+        assert (yaw, extent) == (ref_yaw, ref_extent)
+
+
 def assert_same_rect(points):
     # The hull takes its points in lexicographic order without repeats.
     ordered = np.unique(np.asarray(points, dtype=np.float64), axis=0).tolist()
-    hull, ref_hull = _convex_hull(ordered), convex_hull_of_arrays(points)
+    hull, ref_hull = np.array(_convex_hull(ordered)), convex_hull_of_arrays(points)
     assert hull.dtype == ref_hull.dtype and hull.shape == ref_hull.shape
     assert hull.tobytes() == ref_hull.tobytes()
     assert hull.tobytes() == convex_hull_lexsort(points).tobytes()
-    center, yaw, extent = _min_area_rect(ordered)
-    ref_center, ref_yaw, ref_extent = min_area_rect_per_edge(points)
-    assert center.tobytes() == np.asarray(ref_center).tobytes()
-    assert center.dtype == np.asarray(ref_center).dtype
-    assert (yaw, extent) == (ref_yaw, ref_extent)
+    want = min_area_rect_per_edge(points)
+    assert_same_rects([min_area_rect_parent(ordered)], [want])
+    if len(ordered) >= 2:  # a component has two cells or more
+        assert_same_rects(_min_area_rects([_convex_hull(ordered)]), [want])
+
+
+def hull_input(points):
+    """`points` as _convex_hull takes them: lexicographic order, no repeats."""
+    return np.unique(np.asarray(points, dtype=np.float64), axis=0).tolist()
+
+
+def assert_same_batch(point_sets):
+    """The rectangles of one batch equal those fitted one set at a time."""
+    ordered = [hull_input(points) for points in point_sets]
+    got = _min_area_rects([_convex_hull(points) for points in ordered])
+    assert_same_rects(got, [min_area_rect_parent(points) for points in ordered])
+
+
+def components_of(mask):
+    """_connected_components of a boolean grid, called as detect_local calls it."""
+    xs, ys = np.nonzero(mask)
+    width = mask.shape[1] + 2
+    return _connected_components(((xs + 1) * width + ys + 1).tolist(), width)
 
 
 def assert_same_components(mask):
+    mask = np.asarray(mask, dtype=bool)
+    got = components_of(mask)
+    assert got == connected_components_parent(mask)
     scan = np.argwhere(mask)
-    comps = [scan[members] for members in _connected_components(mask)]
+    comps = [scan[members] for members in got]
     ref = components_by_label_array(mask)
     assert len(comps) == len(ref)
     for got, want in zip(comps, ref):
@@ -271,10 +363,7 @@ class TestDetectorOracles:
     @staticmethod
     def assert_same_detections(occ, spec=GRID):
         dets = detect_local(occ, spec)
-        with pytest.MonkeyPatch.context() as m:
-            m.setattr(robust, "_convex_hull", convex_hull_lexsort)
-            want = detect_local_per_component(occ, spec)
-        assert dets == want
+        assert dets == detect_local_per_component(occ, spec)
         return dets
 
     @given(
@@ -307,6 +396,93 @@ class TestDetectorOracles:
         for k, (x, y) in enumerate(cells):
             occ[x, y] = 1.0 + 0.1 * k  # breadth-first and scan order differ
         assert len(self.assert_same_detections(occ)) == 1
+
+    @given(
+        st.lists(st.tuples(st.integers(0, 2**32 - 1), st.integers(2, 40), st.booleans()),
+                 min_size=1, max_size=12),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_batch_matches_one_set_at_a_time(self, sets):
+        """Hulls of different lengths padded into one batch: round point
+        sets (hulls of up to 40 vertices) mixed with random and grid-like ones."""
+        point_sets = []
+        for seed, n, round_ in sets:
+            rng = np.random.default_rng(seed)
+            if round_:
+                angles = np.sort(rng.uniform(0.0, 2.0 * np.pi, n))
+                pts = 5.0 * np.stack([np.cos(angles), np.sin(angles)], axis=1)
+            else:
+                pts = np.round(rng.normal(0.0, 3.0, (n, 2)), int(rng.integers(0, 3)))
+            if len(hull_input(pts)) >= 2:
+                point_sets.append(pts + rng.normal(0.0, 20.0, 2))
+        if point_sets:
+            assert_same_batch(point_sets)
+
+    @pytest.mark.parametrize("n", [20, 21, 33, 64])
+    def test_rect_of_hulls_with_many_vertices(self, n):
+        rng = np.random.default_rng(n)
+        angles = np.sort(rng.uniform(0.0, 2.0 * np.pi, n))
+        pts = rng.uniform(1.0, 9.0) * np.stack([np.cos(angles), np.sin(angles)], axis=1)
+        assert len(_convex_hull(hull_input(pts))) >= 20
+        assert_same_rect(pts)
+        assert_same_batch([pts, pts[:3], pts[:2] + 1.0])
+
+    @given(st.integers(1, 40), st.integers(1, 40), st.floats(0.0, 0.8), st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_row_end_hull_equals_hull_of_every_cell(self, nx, ny, density, seed):
+        mask = np.random.default_rng(seed).uniform(size=(nx, ny)) < density
+        xs, ys = np.nonzero(mask)
+        rows, centers = xs.tolist(), GRID.bev_cell_centers(xs, ys).tolist()
+        for members in components_of(mask):
+            want = _convex_hull([centers[k] for k in sorted(members)])
+            assert robust._component_hull(members, rows, centers) == want
+
+    @pytest.mark.parametrize("radius, vertices", [(3.5, 9), (11.3, 18), (15.0, 22), (25.0, 30)])
+    def test_round_components(self, radius, vertices):
+        """Lattice discs, whose row-end hulls have up to 30 vertices."""
+        x, y = np.mgrid[: GRID.nx, : GRID.ny]
+        disc = np.hypot(x - 30.2, y - 31.7) <= radius
+        (members,) = components_of(disc)
+        xs, ys = np.nonzero(disc)
+        hull = robust._component_hull(members, xs.tolist(), GRID.bev_cell_centers(xs, ys).tolist())
+        assert len(hull) == vertices
+        assert len(self.assert_same_detections(disc * (1.0 + 0.01 * x))) == 1
+
+    @pytest.mark.parametrize("along", ["row", "column"])
+    def test_one_row_and_one_column_components_of_every_length(self, along):
+        for fixed in (0, 17, GRID.nx - 1):
+            for length in range(1, GRID.ny + 1):
+                occ = np.zeros((GRID.nx, GRID.ny))
+                if along == "row":
+                    occ[fixed, GRID.ny - length:] = 1.0
+                else:
+                    occ[:length, fixed] = 1.0
+                assert len(self.assert_same_detections(occ)) == (length >= 2)
+
+    def test_components_on_each_grid_border(self):
+        rng = np.random.default_rng(11)
+        occ = np.zeros((GRID.nx, GRID.ny))
+        last_x, last_y = GRID.nx - 1, GRID.ny - 1
+        occ[0, 5:12] = occ[1, 7:9] = 1.0  # top edge
+        occ[last_x, 40:45] = occ[last_x - 1, 41] = 1.0  # bottom edge
+        occ[20:31, 0] = occ[25, 1] = 1.0  # left edge
+        occ[50:54, last_y] = occ[52:57, last_y - 1] = 1.0  # right edge
+        occ[0, 0] = occ[1, 1] = 1.0  # a corner, diagonally
+        occ[last_x - 2:, last_y - 2:] = 1.0  # the opposite corner
+        occ[0, last_y] = occ[last_x, 0] = 1.0  # the other corners, one cell each
+        occ *= rng.uniform(0.5, 1.0, occ.shape)
+        assert len(self.assert_same_detections(occ)) == 6
+
+    def test_maps_with_no_or_one_component(self):
+        occ = np.zeros((GRID.nx, GRID.ny))
+        assert self.assert_same_detections(occ) == []
+        occ[10, 10] = 2.0  # one component, below the size floor
+        assert self.assert_same_detections(occ) == []
+        occ[9:12, 11] = 1.0
+        assert len(self.assert_same_detections(occ)) == 1
+        occ[30, 30] = 0.1  # below the relative threshold: still one component
+        assert len(self.assert_same_detections(occ)) == 1
+        assert components_of(np.zeros((3, 4), dtype=bool)) == []
 
     @staticmethod
     def _dets(centers, scores=None):
