@@ -43,6 +43,7 @@ from .depth import (
     project_cloud_to_depthmap,
 )
 from .fusion import (
+    _GUIDANCE_HEADS,
     FusionParams,
     fuse_modalities,
     fuse_modalities_equal,
@@ -137,7 +138,6 @@ class RoundLedger:
 
 @dataclass
 class WarpResult:
-    bev: np.ndarray
     cells: np.ndarray  # flat indices of the written cells, ascending
     collisions: int
     dropped: int
@@ -181,6 +181,15 @@ class PipelineConfig:
             raise ValueError(f"unknown depth projection {self.depth_projection!r}")
         if self.collab_mode not in COLLAB_MODES:
             raise ValueError(f"unknown collaboration mode {self.collab_mode!r}")
+        # Camera features take 6 channels; the fusion and aggregation heads
+        # must divide the channels they attend over.
+        g = self.grid
+        if g.channels < 6 or g.channels % _GUIDANCE_HEADS:
+            raise ValueError(f"grid.channels must be at least 6 and a multiple of "
+                             f"{_GUIDANCE_HEADS}, got {g.channels}")
+        if g.bev_channels % _AGG_HEADS:
+            raise ValueError(f"grid.nz x grid.channels must be a multiple of "
+                             f"{_AGG_HEADS}, got {g.nz} x {g.channels}")
 
 
 @dataclass(frozen=True)
@@ -313,9 +322,9 @@ def warp_sparse(
     wins (collisions are counted), out-of-grid cells are dropped.
 
     The cells are written into `out`, an (nx, ny, F) plane that must be all
-    zero, which the result returns as `bev`.  Only the rows listed in
-    `cells` are written, so clearing `out[cells]` afterwards makes the plane
-    all zero again for the next message.
+    zero.  Only the rows listed in the result's `cells` are written, so
+    clearing `out[cells]` afterwards makes the plane all zero again for the
+    next message.
     """
     f = spec.bev_channels
     if out.shape != (spec.nx, spec.ny, f):
@@ -323,7 +332,7 @@ def warp_sparse(
     no_cells = np.zeros(0, dtype=np.int64)
     indices = np.asarray(indices).reshape(-1, 2)
     if indices.shape[0] == 0:
-        return WarpResult(out, no_cells, 0, 0)
+        return WarpResult(no_cells, 0, 0)
     vectors = np.asarray(vectors, dtype=np.float64).reshape(-1, f)
     centers = spec.bev_cell_centers(indices[:, 0], indices[:, 1])
     x, y, yaw = planar_parts(rel_pose)
@@ -336,13 +345,13 @@ def warp_sparse(
     dropped = int(np.count_nonzero(~inb))
     ix, iy, vecs = ix[inb], iy[inb], vectors[inb]
     if ix.size == 0:
-        return WarpResult(out, no_cells, 0, dropped)
+        return WarpResult(no_cells, 0, dropped)
     flat = ix * spec.ny + iy
     # Later writer wins: keep the last arrival targeting each cell.
     uniq, first_in_rev = np.unique(flat[::-1], return_index=True)
     last = flat.size - 1 - first_in_rev
     out[uniq // spec.ny, uniq % spec.ny] = vecs[last]
-    return WarpResult(out, uniq, int(flat.size - uniq.size), dropped)
+    return WarpResult(uniq, int(flat.size - uniq.size), dropped)
 
 
 def aggregate(
@@ -360,14 +369,13 @@ def aggregate(
     exactly the nonzero cells of `warped[k]` (`WarpResult.cells`), and
     `ego_cells` those of `ego`.
 
-    Only the cells with a nonzero token are computed.  Every other cell has
-    the same all-zero stack and so the same result, which is taken from one
-    computed representative.  Of the computed cells, Q projects the ego's
-    rows, and K and V one stacked matrix of the ego's rows and the rows each
-    neighbor wrote.  The slot of a token no neighbor sent holds the bias,
-    which is what its zero row projects to; its softmax weight is zero.
-    Only the `written` rows of `warped` are read: the planes stay an
-    argument because the trace counts their tokens.
+    Only the cells with a nonzero token are computed; the bias-free maps
+    take every other cell's all-zero stack to a zero output.  Of the
+    computed cells, Q projects the ego's rows, and K and V one stacked
+    matrix of the ego's rows and the rows each neighbor wrote; the slot of a
+    token no neighbor sent holds zeros and gets zero softmax weight.  Only
+    the `written` rows of `warped` are read: the planes stay an argument
+    because the trace counts their tokens.
     """
     ego = np.asarray(ego, dtype=np.float64)
     nx, ny, f = ego.shape
@@ -379,8 +387,8 @@ def aggregate(
     for row, cells in zip(nonzero[1:], written):
         row[cells] = True
     busy = np.any(nonzero, axis=0)
-    # Busy cells first, then one idle representative and padding.
-    n_cells_run = max(int(np.count_nonzero(busy)) + 1, _MIN_ATTENTION_CELLS)
+    # Busy cells first, then idle padding.
+    n_cells_run = max(int(np.count_nonzero(busy)), _MIN_ATTENTION_CELLS)
     cells = np.argsort(~busy, kind="stable")[:n_cells_run]
     n = cells.size
     valid = nonzero[:, cells]
@@ -402,8 +410,7 @@ def aggregate(
     kv = []
     for lin in (params.wk, params.wv):
         rows = lin.apply(stacked).reshape(-1, f)
-        proj = np.empty((t, n, f))
-        proj[...] = lin.bias
+        proj = np.zeros((t, n, f))
         proj[0] = rows[:n]
         start = n
         for token, c in enumerate(written, 1):
@@ -416,8 +423,7 @@ def aggregate(
     weights = nnkit.softmax(scores, axis=0)
     ctx = np.einsum("tch,tchd->chd", weights, v).reshape(n, f)
     result = params.wo.apply(ctx)
-    out = np.empty((n_cells, f))
-    out[...] = result[-1]  # every cell not run is idle, like the last one run
+    out = np.zeros((n_cells, f))
     out[cells] = result
     return out.reshape(nx, ny, f)
 
@@ -621,19 +627,14 @@ def _aggregated_cells(
 ) -> np.ndarray:
     """Flat indices of the nonzero cells of an aggregated plane, ascending.
 
-    Only the ego's nonzero cells and the cells neighbors wrote are checked
-    one by one.  Every aggregator gives each other cell the output of an
-    all-zero token stack, so one such idle cell stands for them all; if it
-    is nonzero, every cell is checked.
+    Every aggregator gives a cell with an all-zero token stack a zero
+    output, so only the ego's nonzero cells and the cells neighbors wrote
+    can be nonzero; their rows are checked one by one.
     """
-    rows = agg.reshape(-1, agg.shape[2])
-    idle = np.ones(rows.shape[0], dtype=bool)
+    busy = np.zeros(agg.shape[0] * agg.shape[1], dtype=bool)
     for cells in (ego_cells, *written):
-        idle[cells] = False
-    first_idle = int(np.argmax(idle))
-    if idle[first_idle] and np.any(rows[first_idle] != 0.0):
-        return _nonzero_rows(agg, np.arange(rows.shape[0]))
-    return _nonzero_rows(agg, np.flatnonzero(~idle))
+        busy[cells] = True
+    return _nonzero_rows(agg, np.flatnonzero(busy))
 
 
 def _receive(
@@ -650,12 +651,12 @@ def _receive(
     written are cleared again before returning, so one stack of planes
     serves every receiver of the round.
     """
-    warped, written = [], []
+    warped = list(planes[: len(w.neighbors)])
+    written = []
     collisions = 0
-    for plane, j in zip(planes, w.neighbors):
+    for plane, j in zip(warped, w.neighbors):
         msg = works[j].message
         wr = warp_sparse(msg.indices, msg.vectors, w.rel[j], pipe.grid, plane)
-        warped.append(wr.bev)
         written.append(wr.cells)  # each packed row has a nonzero scalar
         collisions += wr.collisions
         ledger.add(j, w.state.id, "feature", msg.feature_elements)

@@ -4,6 +4,10 @@ All weights are frozen seeded values (no training loop); the pipeline's
 behaviour is a pure function of the seeds.  Initialisation uses numpy's
 PCG64 counter-based generator, so the drawn doubles are bit-identical
 across runs and platforms.
+
+Every linear map is bias-free, so it maps an all-zero input to an all-zero
+output.  The sparse stages rely on that: they skip the cells whose tokens
+are all zero, because those cells' results are zero too.
 """
 
 from __future__ import annotations
@@ -20,17 +24,12 @@ class EmptyKeySet(ValueError):
 @dataclass(frozen=True)
 class LinearMap:
     weight: np.ndarray  # (out, in)
-    bias: np.ndarray  # (out,)
 
     def __post_init__(self):
         w = np.asarray(self.weight, dtype=np.float64)
-        b = np.asarray(self.bias, dtype=np.float64)
-        if w.ndim != 2 or b.shape != (w.shape[0],):
-            raise ValueError("weight must be (out, in) with matching bias")
-        if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
-            raise ValueError("parameters must be finite")
+        if w.ndim != 2 or not np.all(np.isfinite(w)):
+            raise ValueError("weight must be a finite (out, in) matrix")
         object.__setattr__(self, "weight", w)
-        object.__setattr__(self, "bias", b)
 
     @property
     def n_in(self) -> int:
@@ -41,8 +40,9 @@ class LinearMap:
         return self.weight.shape[0]
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """x @ W.T + b on the last axis; leading axes are batch."""
-        return np.asarray(x, dtype=np.float64) @ self.weight.T + self.bias
+        """x @ W.T on the last axis; leading axes are batch.  There is no
+        bias: an all-zero input gives an all-zero output."""
+        return np.asarray(x, dtype=np.float64) @ self.weight.T
 
 
 def relu(x: np.ndarray) -> np.ndarray:
@@ -58,8 +58,7 @@ def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
 
 
 def init_linear(n_in: int, n_out: int, seed) -> LinearMap:
-    """Seeded linear map with weights uniform in (-1, 1) / sqrt(n_in) and a
-    zero bias.
+    """Seeded linear map with weights uniform in (-1, 1) / sqrt(n_in).
 
     `seed` may be an int or a tuple of ints (used to derive independent
     streams per component).
@@ -69,7 +68,7 @@ def init_linear(n_in: int, n_out: int, seed) -> LinearMap:
     rng = np.random.default_rng(seed)
     scale = 1.0 / np.sqrt(n_in)
     w = rng.uniform(-1.0, 1.0, size=(n_out, n_in)) * scale
-    return LinearMap(w, np.zeros(n_out))
+    return LinearMap(w)
 
 
 @dataclass(frozen=True)

@@ -71,7 +71,6 @@ class Wall:
 class BoxObject:
     """Ground-standing oriented box; extent is (length, width, height)."""
 
-    object_id: int
     center: tuple[float, float]
     yaw: float
     extent: tuple[float, float, float]
@@ -163,7 +162,7 @@ def generate_scene(cfg: ScenarioConfig) -> tuple[list[AgentState], list[BoxObjec
     obj_rng = np.random.default_rng((cfg.seed, _STREAM_OBJECTS))
     objects: list[BoxObject] = []
     taken: list[tuple[float, float, float]] = []
-    for oid in range(cfg.n_objects):
+    for _ in range(cfg.n_objects):
         length = obj_rng.uniform(3.6, 5.0)
         width = obj_rng.uniform(1.7, 2.2)
         height = obj_rng.uniform(1.4, 1.9)
@@ -171,7 +170,7 @@ def generate_scene(cfg: ScenarioConfig) -> tuple[list[AgentState], list[BoxObjec
         radius = float(np.hypot(length, width) / 2.0)
         x, y, used = _sample_free_spot(obj_rng, cfg.area, radius, taken, budget)
         budget -= used - 1
-        objects.append(BoxObject(oid, (x, y), yaw, (length, width, height)))
+        objects.append(BoxObject((x, y), yaw, (length, width, height)))
         taken.append((x, y, radius))
 
     agent_rng = np.random.default_rng((cfg.seed, _STREAM_AGENTS))

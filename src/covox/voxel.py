@@ -142,7 +142,6 @@ class CategorizedGrid:
 @dataclass
 class LiftResult:
     grid: VoxelGrid
-    cell_mass: np.ndarray  # (nx, ny, nz) accumulated probability mass
     dropped_mass: float  # mass whose splat target fell outside the grid
 
 
@@ -275,7 +274,7 @@ def lift_camera(
         feats.reshape(spec.nx, spec.ny, spec.nz, c),
         category.reshape(spec.nx, spec.ny, spec.nz),
     )
-    return LiftResult(grid, cell_mass.reshape(spec.nx, spec.ny, spec.nz), dropped)
+    return LiftResult(grid, dropped)
 
 
 def categorize(lidar_grid: VoxelGrid, camera_grid: VoxelGrid) -> CategorizedGrid:

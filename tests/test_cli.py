@@ -77,6 +77,20 @@ def test_bad_type_exits_1_and_names_the_path(tmp_path, capsys):
     assert "scenario.n_agents" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "grid, field",
+    [({"channels": 7}, "grid.channels"), ({"nz": 3, "channels": 6}, "grid.nz")],
+    ids=["channels=7", "nz=3,channels=6"],
+)
+def test_unbuildable_grid_exits_1_and_names_the_field(tmp_path, capsys, grid, field):
+    tree = experiment_tree()
+    tree["pipeline"]["grid"] = grid
+    code, out = run(tmp_path, tree)
+    assert code == 1
+    assert f"config error: pipeline: {field}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_failed_trial_exits_2(tmp_path, monkeypatch, capsys):
     def broken(*args, **kwargs):
         raise RuntimeError("sensor fault")

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import yaml
 
-from covox.collab import PipelineConfig
+from covox.collab import PipelineConfig, make_pipeline_params
 from covox.config import OUT_ROOT_ENV, ConfigError, ExperimentSpec, load_experiment
 from covox.depth import DepthBins, NoisyOraclePredictor, UniformPredictor
 from covox.geometry import CameraIntrinsics
@@ -64,7 +64,7 @@ FIELDS = [
     ("pipeline.grid.nx", 32, "pipeline.grid.nx", 32, "x"),
     ("pipeline.grid.ny", 16, "pipeline.grid.ny", 16, 16.0),
     ("pipeline.grid.nz", 4, "pipeline.grid.nz", 4, None),
-    ("pipeline.grid.channels", 4, "pipeline.grid.channels", 4, "x"),
+    ("pipeline.grid.channels", 12, "pipeline.grid.channels", 12, "x"),
     ("pipeline.bins.d_min", 2, "pipeline.bins.d_min", 2.0, "x"),
     ("pipeline.bins.d_max", 40, "pipeline.bins.d_max", 40.0, "x"),
     ("pipeline.bins.count", 8, "pipeline.bins.n_bins", 8, 8.5),
@@ -308,6 +308,34 @@ def test_constructor_checks_name_their_section(tmp_path):
     with pytest.raises(ConfigError) as info:
         load(tmp_path, tree_with("experiment.trials", 0))
     assert str(info.value).startswith("experiment.trials:")
+
+
+# Grids the pipeline cannot build weights or camera features for; each used
+# to fail with a traceback or fail every trial.  (grid section, field named)
+UNBUILDABLE_GRIDS = [
+    ({"channels": 4}, "grid.channels"),
+    ({"channels": 7}, "grid.channels"),
+    ({"nz": 1, "channels": 6}, "grid.nz"),
+    ({"nz": 3, "channels": 6}, "grid.nz"),
+]
+
+
+def grid_id(grid):
+    return ",".join(f"{key}={value}" for key, value in grid.items())
+
+
+@pytest.mark.parametrize("grid, field", UNBUILDABLE_GRIDS, ids=[grid_id(row[0]) for row in UNBUILDABLE_GRIDS])
+def test_unbuildable_grid_is_a_load_error(tmp_path, grid, field):
+    with pytest.raises(ConfigError) as info:
+        load(tmp_path, {"pipeline": {"grid": grid}})
+    assert str(info.value).startswith(f"pipeline: {field}"), str(info.value)
+
+
+@pytest.mark.parametrize("grid", [{"nz": 2, "channels": 6}, {"nz": 1, "channels": 8}], ids=grid_id)
+def test_smallest_grids_build_their_params(tmp_path, grid):
+    spec = load(tmp_path, {"pipeline": {"grid": grid}})
+    params = make_pipeline_params(spec.pipeline.grid, 0)
+    assert params.agg_mha.dim == spec.pipeline.grid.bev_channels
 
 
 def test_empty_file_gives_the_defaults(tmp_path):

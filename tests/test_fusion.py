@@ -2,9 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from covox import nnkit
 from covox.fusion import (
-    FusionParams,
     compute_guidance,
     fuse_hybrid_cells,
     fuse_modalities,
@@ -16,20 +14,11 @@ from covox.fusion import (
 )
 from covox.voxel import Category, GridSpec, VoxelGrid, categorize
 
-from conftest import biased, mha
+from conftest import mha
 
 C = 8
 SPEC = GridSpec((-4.0, 4.0), (-4.0, 4.0), (0.0, 2.0), 8, 8, 2, C)
 PARAMS = make_fusion_params(C, seed=42)
-
-
-def biased_params() -> FusionParams:
-    """Params with nonzero biases, to exercise the bias terms explicitly."""
-    return FusionParams(
-        lin1=biased(nnkit.init_linear(C, C, (1, 0)), (1, 3)),
-        lin2=biased(nnkit.init_linear(2 * C, C, (1, 1)), (1, 4)),
-        guidance_mha=nnkit.init_mha(C, 2, (1, 2)),
-    )
 
 
 class TestHybridCell:
@@ -38,13 +27,6 @@ class TestHybridCell:
         out = fuse_hybrid_cells(PARAMS, v_l, np.zeros(C))[0]
         expected = PARAMS.lin2.apply(np.concatenate([np.zeros(C), v_l]))
         assert np.allclose(out, expected, atol=1e-12)
-
-    def test_zero_lidar_with_biases_gives_output_bias(self, rng):
-        params = biased_params()
-        v_c = rng.standard_normal(C)
-        gate = nnkit.relu(params.lin1.apply(np.zeros(C)))  # = relu(bias1)
-        expected = params.lin2.apply(np.concatenate([gate * v_c, np.zeros(C)]))
-        assert np.allclose(fuse_hybrid_cells(params, np.zeros(C), v_c)[0], expected)
 
     def test_zero_both_zero_biases_is_zero(self):
         out = fuse_hybrid_cells(PARAMS, np.zeros(C), np.zeros(C))[0]
@@ -100,7 +82,7 @@ class TestGuidance:
         assert np.array_equal(a, b)
 
     def test_raw_scores_match_full_attention(self, rng):
-        for params in (PARAMS, biased_params()):
+        for params in (PARAMS, make_fusion_params(C, seed=1)):
             for n_lidar, n_camera in ((1, 1), (5, 9), (40, 3)):
                 lidar = rng.standard_normal((n_lidar, C))
                 camera = rng.standard_normal((n_camera, C))

@@ -13,7 +13,6 @@ class TestInit:
         a = nnkit.init_linear(8, 4, 7)
         b = nnkit.init_linear(8, 4, 7)
         assert np.array_equal(a.weight, b.weight)
-        assert np.array_equal(a.bias, b.bias)
 
     def test_different_seed_differs(self):
         a = nnkit.init_linear(8, 4, 7)
@@ -23,7 +22,6 @@ class TestInit:
     def test_magnitude_bound(self):
         lin = nnkit.init_linear(16, 16, 3)
         assert np.all(np.abs(lin.weight) <= 1.0 / np.sqrt(16))
-        assert np.all(lin.bias == 0.0)
 
     def test_rejects_bad_dims(self):
         with pytest.raises(ValueError):

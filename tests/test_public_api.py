@@ -1,11 +1,15 @@
-"""Every public function, class and method in covox has a caller in the
-program: a name that only the tests use is dead code or belongs in tests/.
+"""Every public function, class, method and class field in covox has a
+reader in the program: a name that only the tests use is dead code or
+belongs in tests/.
 
 References are read from the AST of src/covox and bench/: a name counts as
 used where it is loaded as a name or an attribute, or imported, anywhere
-outside its own definition.  Names match by spelling alone, so the check
-can miss an unused method that shares a name with a used one.  A name with
-no such use needs an entry in ALLOWED that says why it stays.
+outside its own definition.  A field (an annotated name in a class body,
+such as a dataclass field) counts as used only where it is loaded as an
+attribute outside its own declaration line.  Names match by spelling alone,
+so the check can miss an unused method or field that shares a name with a
+used one.  A name with no such use needs an entry in ALLOWED that says why
+it stays.
 """
 
 import ast
@@ -32,6 +36,17 @@ def _public_definitions(path: Path):
             for item in node.body:
                 if isinstance(item, kinds):
                     yield item.name, item.lineno, item.end_lineno
+
+
+def _public_fields(path: Path):
+    """(class name, field name, line) of each public annotated name in the
+    body of a top-level class."""
+    for node in ast.parse(path.read_text(), filename=str(path)).body:
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if (isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+                        and not item.target.id.startswith("_")):
+                    yield node.name, item.target.id, item.lineno
 
 
 def _references(path: Path):
@@ -63,3 +78,20 @@ def test_every_public_name_has_a_caller_in_the_program():
                 unused.append(f"{path.relative_to(ROOT)}:{first} {name}")
     assert not unused, "public names without a caller in src/covox or bench/:\n" + "\n".join(unused)
     assert all(reason.strip() for reason in ALLOWED.values()), "an ALLOWED entry gives no reason"
+
+
+def test_every_public_field_is_read_in_the_program():
+    reads = {
+        (path, node.attr, node.lineno)
+        for path in PROGRAM
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    unread = [
+        f"{path.relative_to(ROOT)}:{line} {cls}.{name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for cls, name, line in _public_fields(path)
+        if name not in ALLOWED
+        and not any(attr == name and (where, at) != (path, line) for where, attr, at in reads)
+    ]
+    assert not unread, "public fields never read in src/covox or bench/:\n" + "\n".join(unread)

@@ -104,7 +104,7 @@ class TestGenerateScene:
 class TestSimulateLidar:
     def test_box_front_face_range(self):
         spec = LidarSpec(n_azimuth=4, elevation_angles=(0.0,), max_range=30.0)
-        box = BoxObject(0, (5.0, 0.0), 0.0, (1.0, 1.0, 3.0))
+        box = BoxObject((5.0, 0.0), 0.0, (1.0, 1.0, 3.0))
         pts = simulate_lidar(still_agent(), [box], [], spec, lidar_rng(0, 0))
         assert pts.shape[0] == 1  # only the +x ray hits
         assert abs(np.linalg.norm(pts[0]) - 4.5) < 1e-9
@@ -117,7 +117,7 @@ class TestSimulateLidar:
     def test_occluded_object_unhit(self):
         spec = LidarSpec(n_azimuth=360, elevation_angles=(0.0, -0.05), max_range=40.0)
         wall = Wall((3.0, -4.0), (3.0, 4.0), 4.0)
-        box = BoxObject(0, (8.0, 0.0), 0.0, (2.0, 2.0, 3.0))
+        box = BoxObject((8.0, 0.0), 0.0, (2.0, 2.0, 3.0))
         pts = simulate_lidar(still_agent(), [box], [wall], spec, lidar_rng(0, 0))
         world = transform_points(DEFAULT_LIDAR_MOUNT, pts)
         # Ground and wall returns are fine; no point may lie on the box.
@@ -135,7 +135,7 @@ class TestSimulateLidar:
 
     def test_zero_noise_points_on_surfaces(self):
         spec = LidarSpec(n_azimuth=90, elevation_angles=(-0.3, -0.1, 0.0), max_range=40.0)
-        box = BoxObject(0, (6.0, 1.0), 0.4, (3.0, 2.0, 2.0))
+        box = BoxObject((6.0, 1.0), 0.4, (3.0, 2.0, 2.0))
         agent = still_agent(yaw=0.2)
         pts = simulate_lidar(agent, [box], [], spec, lidar_rng(0, 0))
         world = transform_points(compose(agent.true_pose, DEFAULT_LIDAR_MOUNT), pts)
@@ -154,7 +154,7 @@ class TestSimulateLidar:
 
     def test_reproducible(self):
         spec = LidarSpec(range_noise_sigma=0.05)
-        box = BoxObject(0, (6.0, 0.0), 0.0, (3.0, 2.0, 2.0))
+        box = BoxObject((6.0, 0.0), 0.0, (3.0, 2.0, 2.0))
         a = simulate_lidar(still_agent(), [box], [], spec, lidar_rng(3, 0))
         b = simulate_lidar(still_agent(), [box], [], spec, lidar_rng(3, 0))
         assert np.array_equal(a, b)
@@ -184,7 +184,7 @@ class TestSimulateCamera:
         assert np.all(feats[:, :, 2] == 1.0)
 
     def test_object_edge_discontinuity(self):
-        box = BoxObject(0, (8.0, 0.0), 0.0, (2.0, 2.0, 3.0))
+        box = BoxObject((8.0, 0.0), 0.0, (2.0, 2.0, 3.0))
         depth, _ = simulate_camera(still_agent(), [box], [], INTR, 8)
         row = depth[32]
         both_finite = np.isfinite(row[:-1]) & np.isfinite(row[1:])
@@ -200,7 +200,7 @@ class TestSimulateCamera:
         assert abs(depth[0, 0] - 10.0) < 1e-9
 
     def test_feature_channels(self):
-        box = BoxObject(0, (8.0, 0.0), 0.0, (4.0, 4.0, 3.0))
+        box = BoxObject((8.0, 0.0), 0.0, (4.0, 4.0, 3.0))
         depth, feats = simulate_camera(still_agent(), [box], [], INTR, 8)
         v, u = 32, 48  # principal pixel looks straight at the box face
         assert feats[v, u, 3] == 1.0  # object one-hot
@@ -222,7 +222,7 @@ def test_camera_lidar_depth_agreement():
     offset between the lidar ray and the pixel-center ray can straddle an
     object edge, which is a property of the scene, not an inconsistency.
     """
-    box = BoxObject(0, (7.0, 0.5), 0.3, (3.5, 2.0, 2.5))
+    box = BoxObject((7.0, 0.5), 0.3, (3.5, 2.0, 2.5))
     wall = Wall((12.0, -6.0), (12.0, 6.0), 4.0)
     agent = still_agent()
     spec = LidarSpec(n_azimuth=240, elevation_angles=tuple(np.deg2rad([-8, -4, 0, 2])))
@@ -431,7 +431,7 @@ def ray_scenes(draw):
     coord = st.floats(-12.0, 12.0)
     origin = np.array([draw(coord), draw(coord), draw(st.floats(0.05, 3.0))])
     boxes = []
-    for oid in range(draw(st.integers(0, 6))):
+    for _ in range(draw(st.integers(0, 6))):
         where = draw(st.sampled_from(["anywhere", "around", "behind_x"]))
         if where == "anywhere":
             center = (draw(coord), draw(coord))
@@ -440,7 +440,7 @@ def ray_scenes(draw):
         else:
             center = (origin[0] - draw(st.floats(2.0, 15.0)), origin[1] + draw(st.floats(-0.5, 0.5)))
         extent = (draw(st.floats(0.2, 5.0)), draw(st.floats(0.2, 3.0)), draw(st.floats(0.3, 2.5)))
-        boxes.append(BoxObject(oid, center, draw(st.floats(-np.pi, np.pi)), extent))
+        boxes.append(BoxObject(center, draw(st.floats(-np.pi, np.pi)), extent))
     walls = [_ray_scene_wall(draw, origin, coord) for _ in range(draw(st.integers(0, 3)))]
     seed = draw(st.integers(0, 2**32 - 1))
     rng = np.random.default_rng(seed)
@@ -513,7 +513,7 @@ class TestRaycastOracle:
         one-row product rounds differently from the two-row product of the
         whole bundle, which moves its entry distance by one ulp."""
         origin = np.array([0.1, 4.5, 1.5])
-        box = BoxObject(0, (9.0, -3.8), -0.46, (4.8, 1.9, 1.6))
+        box = BoxObject((9.0, -3.8), -0.46, (4.8, 1.9, 1.6))
         ray = np.array([8.95, -8.77, -0.7])
         dirs = np.array([ray, -ray])
         radius = np.hypot(box.extent[0], box.extent[1]) / 2.0
@@ -525,8 +525,8 @@ class TestRaycastOracle:
         """A box across the -x axis from the sensor is hit on both sides of
         azimuth +-pi."""
         origin = np.array([1.0, -2.0, 1.5])
-        boxes = [BoxObject(0, (-7.0, -2.0), 0.3, (4.0, 2.0, 1.6)),
-                 BoxObject(1, (4.0, 3.0), -1.0, (4.4, 1.9, 1.5))]
+        boxes = [BoxObject((-7.0, -2.0), 0.3, (4.0, 2.0, 1.6)),
+                 BoxObject((4.0, 3.0), -1.0, (4.4, 1.9, 1.5))]
         spec = LidarSpec(n_azimuth=720, elevation_angles=(-0.3, -0.05, 0.0, 0.2))
         corners = [np.subtract(p, origin) for b in boxes for p in _box_corners(b)]
         dirs = np.concatenate([scene.lidar_directions(spec), _AWKWARD_RAYS, corners])
@@ -540,9 +540,9 @@ class TestRaycastOracle:
         the first, so the rays through the faces enter them at the same t,
         in front of a wall."""
         origin = np.array([0.0, 0.0, 1.0])
-        boxes = [BoxObject(0, (6.0, 0.0), 0.0, (2.0, 2.0, 1.5)),
-                 BoxObject(1, (7.0, 0.0), 0.0, (4.0, 1.0, 1.0)),
-                 BoxObject(2, (6.0, 0.0), 0.0, (2.0, 2.0, 1.5))]
+        boxes = [BoxObject((6.0, 0.0), 0.0, (2.0, 2.0, 1.5)),
+                 BoxObject((7.0, 0.0), 0.0, (4.0, 1.0, 1.0)),
+                 BoxObject((6.0, 0.0), 0.0, (2.0, 2.0, 1.5))]
         walls = [Wall((8.5, -3.0), (8.5, 3.0), 2.0)]
         y, z = np.meshgrid(np.linspace(-1.2, 1.2, 25), np.linspace(-1.0, 0.6, 9))
         dirs = np.stack([np.full(y.size, 5.0), y.ravel(), z.ravel()], axis=1)

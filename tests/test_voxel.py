@@ -99,19 +99,26 @@ class TestLift:
         feats = rng.uniform(0, 1, (h, w, 8))
         dist = rng.uniform(0, 1, (h, w, 8))
         dist /= dist.sum(axis=2, keepdims=True)
-        res = lift_camera(feats, dist, intr, Pose(np.eye(4)), spec, 0.0, bins.centers())
-        total = res.cell_mass.sum() + res.dropped_mass
-        assert abs(total - h * w) < 1e-9
+        args = (feats, dist, intr, Pose(np.eye(4)), spec, 0.0, bins.centers())
+        res = lift_camera(*args)
+        _, _, mass, dropped = _dense_lift_camera(*args)
+        assert res.dropped_mass == dropped
+        assert abs(mass.sum() + res.dropped_mass - h * w) < 1e-9
+        # With no threshold every cell that gained mass is tagged.
+        assert np.array_equal(res.grid.category == Category.CAMERA, mass > 0.0)
 
     def test_subthreshold_cells_zeroed(self, rng):
         spec, bins, feats, dist = self._one_pixel_setup(4)
         feats[0, 0] = 1.0
         dist[0, 0, :] = 0.25
-        res = lift_camera(feats, dist, self.INTR, Pose(np.eye(4)), spec, 0.3, bins.centers())
+        args = (feats, dist, self.INTR, Pose(np.eye(4)), spec, 0.3, bins.centers())
+        res = lift_camera(*args)
         assert np.count_nonzero(res.grid.category == Category.CAMERA) == 0
         assert np.all(res.grid.features == 0)
-        # The accumulated mass is still measured before thresholding.
-        assert abs(res.cell_mass.sum() - 1.0) < 1e-12
+        # The whole mass landed in the grid, each cell below the threshold.
+        _, _, mass, dropped = _dense_lift_camera(*args)
+        assert res.dropped_mass == dropped == 0.0
+        assert abs(mass.sum() - 1.0) < 1e-12 and np.all(mass < 0.3)
 
 
 def _dense_lift_camera(features, dist, intr, cam_pose_in_ego, spec, mass_threshold, bin_centers):
@@ -162,12 +169,11 @@ class TestLiftOracle:
     def _check(self, feats, dist, pose, spec, threshold):
         centers = self.BINS.centers()
         res = lift_camera(feats, dist, self.INTR, pose, spec, threshold, centers)
-        ref_feats, ref_cat, ref_mass, ref_dropped = _dense_lift_camera(
+        ref_feats, ref_cat, _, ref_dropped = _dense_lift_camera(
             feats, dist, self.INTR, pose, spec, threshold, centers
         )
         assert np.array_equal(res.grid.features, ref_feats)
         assert np.array_equal(res.grid.category, ref_cat)
-        assert np.array_equal(res.cell_mass, ref_mass)
         assert res.dropped_mass == ref_dropped
         return res
 
