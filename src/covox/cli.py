@@ -85,6 +85,22 @@ def evaluate_round(rounds, agents, objects, grid):
     return sum(ap50s) / n, sum(ap70s) / n, sum(recs) / n
 
 
+def _log_lines(trial: int, mode: str, records) -> list[str]:
+    """One JSON line per ledger record, keys sorted, as `json.dumps` writes
+    them; `log2` is `comm_volume_log` of the record's elements."""
+    elements = np.array([r.elements for r in records], dtype=np.int64)
+    log2 = np.zeros(elements.size)
+    np.log2(elements, out=log2, where=elements > 0)
+    mode = json.dumps(mode)
+    phases = {phase: json.dumps(phase) for phase in {r.phase for r in records}}
+    return [
+        f'{{"elements": {r.elements}, "log2": {value!r}, "mode": {mode}, '
+        f'"phase": {phases[r.phase]}, "receiver": {r.receiver}, "sender": {r.sender}, '
+        f'"trial": {trial}}}'
+        for r, value in zip(records, log2.tolist())
+    ]
+
+
 def run_trial(exp: ExperimentSpec, trial: int, sigma_xy: float | None, params) -> TrialOutcome:
     scenario = replace(
         exp.scenario,
@@ -129,21 +145,7 @@ def run_trial(exp: ExperimentSpec, trial: int, sigma_xy: float | None, params) -
             str(collisions),
         ]
     )
-    log_lines = [
-        json.dumps(
-            {
-                "trial": trial,
-                "mode": exp.mode,
-                "sender": rec_.sender,
-                "receiver": rec_.receiver,
-                "phase": rec_.phase,
-                "elements": rec_.elements,
-                "log2": rec_.log2,
-            },
-            sort_keys=True,
-        )
-        for rec_ in ledger.records
-    ]
+    log_lines = _log_lines(trial, exp.mode, ledger.records)
     return TrialOutcome(row, log_lines, rounds, agents, objects)
 
 

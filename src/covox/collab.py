@@ -6,16 +6,20 @@ synchronous two-phase exchange round.
 
 1. sense — LiDAR and camera capture, LiDAR voxelization;
 2. relative poses — believed relative poses, optionally corrected by
-   matching shared local detections.  Believed poses are read from the
-   agent states: they are not sent in any message and not charged;
+   matching the local detections that two LiDAR agents share.  Believed
+   poses are read from the agent states: they are not sent in any message
+   and not charged;
 3. phase 1 — each agent that runs cooperative depth sends each LiDAR
    neighbor a request carrying the pose it projects that neighbor with,
    and the neighbor replies with the points of its downsampled cloud that
-   the requester's depth map would keep, in the requester's camera frame;
+   the requester's depth map would keep, in the requester's camera frame.
+   A sender answers all of its requesters in one pass;
 4. perceive — cooperative depth, camera lift, modal fusion, then the
    confidence mask and the sparse message;
-5. phase 2 / receive — each agent warps its neighbors' messages into its
-   own frame and aggregates them.
+5. phase 2 / receive — each agent warps all of its neighbors' messages
+   into its own frame in one pass and aggregates them.  Attention reads
+   Q, K and V from one projection per round of every agent's nonzero BEV
+   rows.
 
 The `RoundLedger` is the only place communication is counted: every
 transmitted scalar is charged there per edge and phase, in the order
@@ -50,11 +54,10 @@ from .fusion import (
     make_equal_params,
     make_fusion_params,
 )
-from .geometry import Pose, compose, invert, planar_parts, relative, transform_points
+from .geometry import Pose, compose, invert, planar_parts, transform_points
 from .robust import (
     correct_relative_pose,
     detect_local,
-    occupancy_from_bev,
     occupancy_from_grid,
     relative_pose_error,
     transform_detections,
@@ -120,10 +123,6 @@ class EdgeRecord:
     phase: str  # "depth" | "feature" | "detections"
     elements: int
 
-    @property
-    def log2(self) -> float:
-        return comm_volume_log(self.elements)
-
 
 @dataclass
 class RoundLedger:
@@ -138,9 +137,20 @@ class RoundLedger:
 
 @dataclass
 class WarpResult:
-    cells: np.ndarray  # flat indices of the written cells, ascending
+    cells: list[np.ndarray]  # per plane: flat indices of the written cells, ascending
+    rows: list[np.ndarray]  # per plane: the message row written to each of those cells
     collisions: int
     dropped: int
+
+
+@dataclass
+class Tokens:
+    """Attention's Q, K and V of a round's token rows, one row each, and a
+    zero row last: the projection of a slot that holds no token."""
+
+    q: np.ndarray
+    k: np.ndarray
+    v: np.ndarray
 
 
 @dataclass
@@ -232,21 +242,35 @@ def build_comm_graph(
     return graph
 
 
-def preference_map(grid: VoxelGrid) -> np.ndarray:
+def preference_map(grid: VoxelGrid, columns: np.ndarray) -> np.ndarray:
     """Per-column transmission threshold: 0 for columns with a hybrid cell
-    (always worth sharing), 0.5 for everything else."""
-    return np.where(np.any(grid.category == Category.HYBRID, axis=2), 0.0, 0.5)
+    (always worth sharing), 0.5 for everything else.
+
+    `columns` holds the grid's tagged columns (`VoxelGrid.tagged_columns`);
+    no other column can hold a hybrid cell.
+    """
+    s = grid.spec
+    hybrid = np.any(grid.category.reshape(s.nx * s.ny, s.nz)[columns] == Category.HYBRID, axis=1)
+    pref = np.full(s.nx * s.ny, 0.5)
+    pref[columns[hybrid]] = 0.0
+    return pref.reshape(s.nx, s.ny)
 
 
 def importance_scores(bev: np.ndarray, cells: np.ndarray) -> np.ndarray:
     """Surrogate classification head: logistic in the cell's RMS feature size.
 
-    `cells` holds the flat indices of the nonzero cells of `bev`.  All-zero
-    cells score sigma(-1) ~ 0.269; scores always lie in (0, 1).
+    `cells` holds the flat indices of the nonzero cells of `bev`; only they
+    are scored one by one.  Every other cell scores sigma(-1) ~ 0.269, the
+    score of a zero row.  Scores always lie in (0, 1).
     """
     bev = np.asarray(bev, dtype=np.float64)
-    level = occupancy_from_bev(bev, cells) / np.sqrt(bev.shape[2])
-    return 1.0 / (1.0 + np.exp(-(_IMPORTANCE_GAIN * level - _IMPORTANCE_SHIFT)))
+    nx, ny, f = bev.shape
+    level = np.zeros(cells.size + 1)  # the last entry is the zero row's
+    level[:-1] = np.linalg.norm(bev.reshape(nx * ny, f)[cells], axis=1) / np.sqrt(f)
+    score = 1.0 / (1.0 + np.exp(-(_IMPORTANCE_GAIN * level - _IMPORTANCE_SHIFT)))
+    scores = np.full(nx * ny, score[-1])
+    scores[cells] = score[:-1]
+    return scores.reshape(nx, ny)
 
 
 def confidence_mask(scores: np.ndarray, preference: np.ndarray) -> np.ndarray:
@@ -256,19 +280,20 @@ def confidence_mask(scores: np.ndarray, preference: np.ndarray) -> np.ndarray:
     return (scores > preference).astype(np.uint8)
 
 
-def pack_message(bev: np.ndarray, mask: np.ndarray) -> Message:
+def pack_message(bev: np.ndarray, mask: np.ndarray, cells: np.ndarray) -> Message:
     """Sparse-pack the masked BEV cells and tally the transmitted scalars.
 
-    Only mask=1 cells with at least one nonzero scalar are included;
-    `feature_elements` counts their nonzero scalars.
+    `cells` holds the flat indices of the nonzero cells of `bev`, ascending.
+    Only those with mask=1 are included, in that order; `feature_elements`
+    counts their nonzero scalars.
     """
-    idx = np.argwhere(np.asarray(mask) == 1)
-    vecs = np.asarray(bev)[idx[:, 0], idx[:, 1]]
-    keep = np.any(vecs != 0.0, axis=1) if vecs.size else np.zeros(0, dtype=bool)
-    idx, vecs = idx[keep], vecs[keep]
+    bev = np.asarray(bev)
+    nx, ny, f = bev.shape
+    sent = cells[np.asarray(mask).reshape(nx * ny)[cells] == 1]
+    vecs = bev.reshape(nx * ny, f)[sent]
     return Message(
-        indices=idx,
-        vectors=np.array(vecs),
+        indices=np.stack([sent // ny, sent % ny], axis=1),
+        vectors=vecs,
         feature_elements=int(np.count_nonzero(vecs)),
     )
 
@@ -309,49 +334,78 @@ def downsample_cloud(points: np.ndarray, cell: float) -> np.ndarray:
 
 
 def warp_sparse(
-    indices: np.ndarray,
-    vectors: np.ndarray,
-    rel_pose: Pose,
+    messages: Sequence[Message],
+    rel_poses: Sequence[Pose],
     spec: GridSpec,
     out: np.ndarray,
 ) -> WarpResult:
-    """Resample sparse sender cells into the receiver's BEV lattice.
+    """Resample each message's sparse cells into the receiver's BEV lattice.
 
-    Cell centers are mapped through the planar part of the relative pose and
-    written to the containing destination cell; on collision the later entry
-    wins (collisions are counted), out-of-grid cells are dropped.
+    Message k's cell centers are mapped through the planar part of
+    `rel_poses[k]` and written to the containing cell of plane `out[k]`; on
+    collision the later entry wins (collisions are counted), out-of-grid
+    cells are dropped.  All messages go in one pass, keyed on plane x cell.
 
-    The cells are written into `out`, an (nx, ny, F) plane that must be all
-    zero.  Only the rows listed in the result's `cells` are written, so
-    clearing `out[cells]` afterwards makes the plane all zero again for the
-    next message.
+    `out` is a stack of (nx, ny, F) planes, at least one per message, that
+    must be all zero.  Only the cells listed in the result's `cells` are
+    written, so clearing them afterwards makes the stack all zero again for
+    the next receiver.
     """
     f = spec.bev_channels
-    if out.shape != (spec.nx, spec.ny, f):
-        raise ValueError("out plane does not match the grid spec")
-    no_cells = np.zeros(0, dtype=np.int64)
-    indices = np.asarray(indices).reshape(-1, 2)
-    if indices.shape[0] == 0:
-        return WarpResult(no_cells, 0, 0)
-    vectors = np.asarray(vectors, dtype=np.float64).reshape(-1, f)
+    if out.shape[1:] != (spec.nx, spec.ny, f) or out.shape[0] < len(messages):
+        raise ValueError("out planes do not match the grid spec")
+    if not messages:
+        return WarpResult([], [], 0, 0)
+    n_cells = spec.nx * spec.ny
+    sizes = [m.indices.shape[0] for m in messages]
+    starts = np.cumsum([0] + sizes)
+    indices = np.concatenate([m.indices.reshape(-1, 2) for m in messages])
+    plane = np.repeat(np.arange(len(messages)), sizes)
+    x, y, yaw = np.array([planar_parts(p) for p in rel_poses]).T
+    # cos and sin of each yaw on its own, as a single message takes them.
+    c = np.array([np.cos(a) for a in yaw])
+    s = np.array([np.sin(a) for a in yaw])
+    c, s, x, y = (a[plane] for a in (c, s, x, y))
     centers = spec.bev_cell_centers(indices[:, 0], indices[:, 1])
-    x, y, yaw = planar_parts(rel_pose)
-    c, s = np.cos(yaw), np.sin(yaw)
     px = c * centers[:, 0] - s * centers[:, 1] + x
     py = s * centers[:, 0] + c * centers[:, 1] + y
     ix = np.floor((px - spec.x_range[0]) / spec.dx).astype(np.int64)
     iy = np.floor((py - spec.y_range[0]) / spec.dy).astype(np.int64)
-    inb = (ix >= 0) & (ix < spec.nx) & (iy >= 0) & (iy < spec.ny)
-    dropped = int(np.count_nonzero(~inb))
-    ix, iy, vecs = ix[inb], iy[inb], vectors[inb]
-    if ix.size == 0:
-        return WarpResult(no_cells, 0, dropped)
-    flat = ix * spec.ny + iy
-    # Later writer wins: keep the last arrival targeting each cell.
-    uniq, first_in_rev = np.unique(flat[::-1], return_index=True)
-    last = flat.size - 1 - first_in_rev
-    out[uniq // spec.ny, uniq % spec.ny] = vecs[last]
-    return WarpResult(uniq, int(flat.size - uniq.size), dropped)
+    inside = np.flatnonzero((ix >= 0) & (ix < spec.nx) & (iy >= 0) & (iy < spec.ny))
+    key = plane[inside] * n_cells + ix[inside] * spec.ny + iy[inside]
+    # Later writer wins: keep the last arrival targeting each plane cell.
+    uniq, first_in_rev = np.unique(key[::-1], return_index=True)
+    src = inside[key.size - 1 - first_in_rev]
+    if uniq.size:
+        vectors = np.concatenate([m.vectors.reshape(-1, f) for m in messages])
+        out.reshape(-1, f)[uniq] = vectors[src]
+    bounds = np.searchsorted(uniq, np.arange(1, len(messages)) * n_cells)
+    cells = [u - k * n_cells for k, u in enumerate(np.split(uniq, bounds))]
+    rows = [r - starts[k] for k, r in enumerate(np.split(src, bounds))]
+    return WarpResult(cells, rows, int(key.size - uniq.size), int(ix.size - inside.size))
+
+
+def project_tokens(params: nnkit.MhaParams, rows: np.ndarray, n_cells: int) -> Tokens:
+    """Q, K and V of `rows`, the token rows of a round on grids of
+    `n_cells` cells.
+
+    BLAS multiplies a handful of rows with other kernels (gemv for one row,
+    small-matrix kernels for a few) whose rounding differs from the kernel
+    used on a whole grid.  So at least `_MIN_ATTENTION_CELLS` rows are
+    projected, padded with zero rows, and a grid under that many cells
+    projects them `n_cells` rows per BLAS call, as attention over every
+    cell of it does token by token.  Each row then gets the bits that
+    attention over every cell gives it.  The zero row that `Tokens` ends
+    with is one of the padding rows.
+    """
+    n, f = rows.shape
+    block = n_cells if n_cells < _MIN_ATTENTION_CELLS else max(n + 1, _MIN_ATTENTION_CELLS)
+    padded = np.zeros((-(-(n + 1) // block), block, f))  # one BLAS call per block
+    padded.reshape(-1, f)[:n] = rows
+    q, k, v = (lin.apply(padded).reshape(-1, f)[: n + 1] for lin in (params.wq, params.wk, params.wv))
+    for proj in (q, k, v):
+        proj[n] = 0.0  # +0.0, whatever sign BLAS gives a zero row
+    return Tokens(q, k, v)
 
 
 def aggregate(
@@ -360,6 +414,9 @@ def aggregate(
     warped: Sequence[np.ndarray],
     written: Sequence[np.ndarray],
     ego_cells: np.ndarray,
+    tokens: Tokens,
+    ego_rows: np.ndarray,
+    sources: Sequence[np.ndarray],
 ) -> np.ndarray:
     """Attention aggregation over the per-cell token stack [ego, neighbors...].
 
@@ -369,55 +426,41 @@ def aggregate(
     exactly the nonzero cells of `warped[k]` (`WarpResult.cells`), and
     `ego_cells` those of `ego`.
 
+    Q, K and V come projected in `tokens` (`project_tokens`): row
+    `ego_rows[i]` is the token of cell `ego_cells[i]`, and row
+    `sources[k][i]` the token neighbor k wrote to cell `written[k][i]`.
     Only the cells with a nonzero token are computed; the bias-free maps
-    take every other cell's all-zero stack to a zero output.  Of the
-    computed cells, Q projects the ego's rows, and K and V one stacked
-    matrix of the ego's rows and the rows each neighbor wrote; the slot of a
-    token no neighbor sent holds zeros and gets zero softmax weight.  Only
-    the `written` rows of `warped` are read: the planes stay an argument
-    because the trace counts their tokens.
+    take every other cell's all-zero stack to a zero output.  The slot of a
+    token no neighbor sent reads the zero row of `tokens` and gets zero
+    softmax weight.  Of `ego` only the shape is read, and `warped` is not
+    read at all: the planes stay arguments because the trace counts their
+    tokens.
     """
-    ego = np.asarray(ego, dtype=np.float64)
-    nx, ny, f = ego.shape
+    nx, ny, f = np.shape(ego)
     n_cells = nx * ny
-    ego_rows = ego.reshape(n_cells, f)
     t = len(warped) + 1
-    nonzero = np.zeros((t, n_cells), dtype=bool)
-    nonzero[0, ego_cells] = True
-    for row, cells in zip(nonzero[1:], written):
-        row[cells] = True
-    busy = np.any(nonzero, axis=0)
-    # Busy cells first, then idle padding.
+    busy = np.zeros(n_cells, dtype=bool)
+    for c in (ego_cells, *written):
+        busy[c] = True
+    # Busy cells first, then idle padding, so that the output projection
+    # multiplies as many rows as `project_tokens` does.
     n_cells_run = max(int(np.count_nonzero(busy)), _MIN_ATTENTION_CELLS)
     cells = np.argsort(~busy, kind="stable")[:n_cells_run]
     n = cells.size
-    valid = nonzero[:, cells]
-    valid[0] = True
     slot = np.empty(n_cells, dtype=np.intp)
     slot[cells] = np.arange(n)
+    empty = tokens.q.shape[0] - 1  # the zero row
+    index = np.full((t, n), empty)
+    index[0, slot[ego_cells]] = ego_rows
+    for token, c, src in zip(range(1, t), written, sources):
+        index[token, slot[c]] = src
+    valid = index != empty
+    valid[0] = True
 
-    planes = (np.asarray(w, dtype=np.float64).reshape(n_cells, f) for w in warped)
-    sent = [ego_rows[cells]] + [plane[c] for plane, c in zip(planes, written)]
-    stacked = np.concatenate(sent)
-    if n < _MIN_ATTENTION_CELLS:
-        # A grid this small runs every cell.  Project n rows per BLAS call,
-        # as attention over every cell does token by token, so that each
-        # row meets the kernel it would meet there.
-        stacked = np.concatenate([stacked, np.zeros((-stacked.shape[0] % n, f))])
-        stacked = stacked.reshape(-1, n, f)
     h, dh = params.n_heads, params.head_dim
-    q = params.wq.apply(sent[0]).reshape(n, h, dh)
-    kv = []
-    for lin in (params.wk, params.wv):
-        rows = lin.apply(stacked).reshape(-1, f)
-        proj = np.zeros((t, n, f))
-        proj[0] = rows[:n]
-        start = n
-        for token, c in enumerate(written, 1):
-            proj[token, slot[c]] = rows[start:start + c.size]
-            start += c.size
-        kv.append(proj.reshape(t, n, h, dh))
-    k, v = kv
+    q = tokens.q[index[0]].reshape(n, h, dh)
+    k = tokens.k[index].reshape(t, n, h, dh)
+    v = tokens.v[index].reshape(t, n, h, dh)
     scores = np.einsum("chd,tchd->tch", q, k) / np.sqrt(dh)
     scores[~valid] = -np.inf
     weights = nnkit.softmax(scores, axis=0)
@@ -468,13 +511,14 @@ class _AgentWork:
     detections: list = field(default_factory=list)
     rel: dict[int, Pose] = field(default_factory=dict)  # neighbor -> pose used
     pose_errors: dict[int, tuple] = field(default_factory=dict)
-    payload: Optional[np.ndarray] = None  # downsampled cloud, agent frame
     shared: list[np.ndarray] = field(default_factory=list)  # replies, camera frame
     depth_map: Optional[DepthMap] = None
     bev: Optional[np.ndarray] = None
     cells: Optional[np.ndarray] = None  # flat indices of the nonzero cells of `bev`
     mask: Optional[np.ndarray] = None
     message: Optional[Message] = None
+    token_rows: Optional[np.ndarray] = None  # round token row of each of `cells`
+    sent_rows: Optional[np.ndarray] = None  # round token row of each message row
 
 
 def _sense(
@@ -508,24 +552,33 @@ def _relative_poses(
 ) -> None:
     """Set the relative pose each agent uses per neighbor, and its error.
 
-    With `robust`, connected agents share their local detections and each
-    believed relative pose is corrected by matching them.
+    With `robust`, connected LiDAR agents share their local detections and
+    each believed relative pose between two of them is corrected by
+    matching them.  An agent without LiDAR has no detections to send or to
+    match against, so its edges send none.  Each agent's believed and true
+    poses are inverted once, not once per edge.
     """
+    lidar = {aid for aid, w in works.items() if w.state.has_lidar}
     if pipe.robust:
         for w in works.values():
-            if w.neighbors and w.state.has_lidar:
+            if w.state.id in lidar and lidar.intersection(w.neighbors):
                 w.detections = detect_local(occupancy_from_grid(w.lidar_grid), pipe.grid)
+    inverse = {
+        aid: (invert(w.state.believed_pose), invert(w.state.true_pose))
+        for aid, w in works.items()
+    }
     for w in works.values():
+        inv_believed, inv_true = inverse[w.state.id]
         for j in w.neighbors:
             other = works[j]
-            believed = relative(w.state.believed_pose, other.state.believed_pose)
+            believed = compose(inv_believed, other.state.believed_pose)
             used = believed
-            if pipe.robust:
+            if pipe.robust and {w.state.id, j} <= lidar:
                 nbr = transform_detections(other.detections, believed)
                 used = correct_relative_pose(believed, w.detections, nbr, pipe.gate_radius)
                 sent = _DETECTION_ELEMENTS * len(other.detections)
                 ledger.add(j, w.state.id, "detections", sent)
-            truth = relative(w.state.true_pose, other.state.true_pose)
+            truth = compose(inv_true, other.state.true_pose)
             w.rel[j] = used
             w.pose_errors[j] = (
                 relative_pose_error(believed, truth),
@@ -543,28 +596,41 @@ def _share_clouds(
     each LiDAR neighbor.
 
     The request carries the pose the receiver projects that neighbor with.
-    The neighbor downsamples its cloud once, on the first request, and
-    replies with the points the receiver's depth map keeps: those nearest
-    at a pixel of its image, below d_max.  They are sent in the receiver's
-    camera frame, so the receiver's map is the one the whole cloud gives.
+    The neighbor downsamples its cloud once and replies with the points the
+    receiver's depth map keeps: those nearest at a pixel of its image,
+    below d_max.  They are sent in the receiver's camera frame, so the
+    receiver's map is the one the whole cloud gives.
+
+    A neighbor answers all of its requests in one pass: it stacks the
+    payload in each requester's camera frame, projects the stack once and
+    keeps the nearest point per (requester, pixel).  Requests, replies and
+    `shared` keep the order of the requests.
     """
     if pipe.depth_projection != "all":
         return
-    for w in works.values():
-        if w.images is None:
-            continue
-        for j in w.neighbors:
-            sender = works[j]
-            if not sender.state.has_lidar:
-                continue
-            if sender.payload is None:
-                sender.payload = downsample_cloud(sender.cloud, _PAYLOAD_CELL)
-            ledger.add(w.state.id, j, "depth", _REQUEST_ELEMENTS)
-            cam = transform_points(compose(_CAM_FROM_AGENT, w.rel[j]), sender.payload)
-            _, _, rows = nearest_per_pixel(cam, scenario.camera, pipe.bins)
-            reply = cam[np.sort(rows)]
-            ledger.add(j, w.state.id, "depth", 3 * reply.shape[0])
-            w.shared.append(reply)
+    requests = [
+        (w, j) for w in works.values() if w.images is not None
+        for j in w.neighbors if works[j].state.has_lidar
+    ]
+    by_sender: dict[int, list[_AgentWork]] = {}
+    for w, j in requests:
+        by_sender.setdefault(j, []).append(w)
+    replies = {}
+    for j, requesters in by_sender.items():
+        payload = downsample_cloud(works[j].cloud, _PAYLOAD_CELL)
+        cams = np.concatenate([
+            transform_points(compose(_CAM_FROM_AGENT, w.rel[j]), payload) for w in requesters
+        ])
+        _, _, rows = nearest_per_pixel(cams, scenario.camera, pipe.bins, views=len(requesters))
+        rows = np.sort(rows)
+        bounds = np.searchsorted(rows, np.arange(1, len(requesters)) * payload.shape[0])
+        for w, part in zip(requesters, np.split(rows, bounds)):
+            replies[w.state.id, j] = cams[part]
+    for w, j in requests:
+        reply = replies[w.state.id, j]
+        ledger.add(w.state.id, j, "depth", _REQUEST_ELEMENTS)
+        ledger.add(j, w.state.id, "depth", 3 * reply.shape[0])
+        w.shared.append(reply)
 
 
 def _perceive(
@@ -579,9 +645,11 @@ def _perceive(
     fused grid.  That is exact, because categorizing against an empty camera
     grid gives the LiDAR tags and both fusions copy LIDAR cells unchanged.
 
-    The BEV's nonzero cells are found once, as `w.cells`, and travel with
-    it.  Untagged voxels of the fused grid hold zeros, so only the columns
-    with a tagged voxel can be nonzero; their rows are checked one by one.
+    The fused grid's tagged columns are found once: only they can hold a
+    hybrid cell, and, because untagged voxels hold zeros, only their BEV
+    rows can be nonzero.  Those rows are checked one by one, and the BEV's
+    nonzero cells travel with it as `w.cells`; the importance scores and
+    the message read only them.
     """
     fused = w.lidar_grid
     if w.images is not None:
@@ -606,13 +674,14 @@ def _perceive(
         else:
             fused = fuse_modalities(params.fusion, cat)
     w.bev = collapse(fused)
-    w.cells = _nonzero_rows(w.bev, fused.tagged_columns())
+    columns = fused.tagged_columns()
+    w.cells = _nonzero_rows(w.bev, columns)
     # Nothing reads the LiDAR grid as such after fusion.  Dropping the
     # reference here keeps a camera agent's LiDAR grid out of phase 2's peak
     # memory; a LiDAR-only agent's grid lives on as the storage of `w.bev`.
     w.lidar_grid = None
-    w.mask = confidence_mask(importance_scores(w.bev, w.cells), preference_map(fused))
-    w.message = pack_message(w.bev, w.mask)
+    w.mask = confidence_mask(importance_scores(w.bev, w.cells), preference_map(fused, columns))
+    w.message = pack_message(w.bev, w.mask, w.cells)
 
 
 def _nonzero_rows(plane: np.ndarray, candidates: np.ndarray) -> np.ndarray:
@@ -637,6 +706,22 @@ def _aggregated_cells(
     return _nonzero_rows(agg, np.flatnonzero(busy))
 
 
+def _project_round_tokens(
+    works: dict[int, _AgentWork], grid: GridSpec, params: nnkit.MhaParams
+) -> Tokens:
+    """Q, K and V of every agent's nonzero BEV rows, projected once per
+    round.  Sets each agent's `token_rows` and `sent_rows`: a message row is
+    a nonzero BEV row, so it has a token row too."""
+    blocks, start = [], 0
+    for w in works.values():
+        blocks.append(w.bev.reshape(-1, grid.bev_channels)[w.cells])
+        w.token_rows = np.arange(start, start + w.cells.size)
+        start += w.cells.size
+        sent = w.message.indices[:, 0] * grid.ny + w.message.indices[:, 1]
+        w.sent_rows = w.token_rows[np.searchsorted(w.cells, sent)]
+    return project_tokens(params, np.concatenate(blocks), grid.nx * grid.ny)
+
+
 def _receive(
     w: _AgentWork,
     works: dict[int, _AgentWork],
@@ -644,24 +729,27 @@ def _receive(
     params: PipelineParams,
     ledger: RoundLedger,
     planes: np.ndarray,
+    tokens: Optional[Tokens],
 ) -> AgentRound:
-    """Phase 2: warp each neighbor's message into this agent's frame and aggregate.
+    """Phase 2: warp the neighbors' messages into this agent's frame, in one
+    pass, and aggregate them.
 
     Neighbor k is warped into `planes[k]`, which must be all zero; the rows
     written are cleared again before returning, so one stack of planes
-    serves every receiver of the round.
+    serves every receiver of the round.  Attention reads the round's
+    `tokens` (`_project_round_tokens`) and not the planes; the planes still
+    receive the rows because the trace counts tokens from them.
     """
-    warped = list(planes[: len(w.neighbors)])
-    written = []
-    collisions = 0
-    for plane, j in zip(warped, w.neighbors):
-        msg = works[j].message
-        wr = warp_sparse(msg.indices, msg.vectors, w.rel[j], pipe.grid, plane)
-        written.append(wr.cells)  # each packed row has a nonzero scalar
-        collisions += wr.collisions
+    messages = [works[j].message for j in w.neighbors]
+    warp = warp_sparse(messages, [w.rel[j] for j in w.neighbors], pipe.grid, planes)
+    for j, msg in zip(w.neighbors, messages):
         ledger.add(j, w.state.id, "feature", msg.feature_elements)
+    warped = list(planes[: len(messages)])
+    written = warp.cells  # each packed row has a nonzero scalar
     if pipe.collab_mode == "attention":
-        agg = aggregate(params.agg_mha, w.bev, warped, written, w.cells)
+        sources = [works[j].sent_rows[rows] for j, rows in zip(w.neighbors, warp.rows)]
+        agg = aggregate(params.agg_mha, w.bev, warped, written, w.cells, tokens, w.token_rows,
+                        sources)
     elif pipe.collab_mode == "max":
         agg = aggregate_max(w.bev, warped, written)
     else:
@@ -676,7 +764,7 @@ def _receive(
         mask=w.mask,
         message=w.message,
         depth_map=w.depth_map,
-        warp_collisions=collisions,
+        warp_collisions=warp.collisions,
         pose_errors=w.pose_errors,
     )
 
@@ -705,9 +793,13 @@ def run_round(
     for w in works.values():
         _perceive(w, scenario, pipe, params)
     g = pipe.grid
+    tokens = None
+    if pipe.collab_mode == "attention":
+        tokens = _project_round_tokens(works, g, params.agg_mha)
     degree = max((len(w.neighbors) for w in works.values()), default=0)
     planes = np.zeros((degree, g.nx, g.ny, g.bev_channels))
     rounds = {
-        aid: _receive(w, works, pipe, params, ledger, planes) for aid, w in works.items()
+        aid: _receive(w, works, pipe, params, ledger, planes, tokens)
+        for aid, w in works.items()
     }
     return rounds, ledger

@@ -85,26 +85,32 @@ class DepthMap:
         return DepthMap(self.bins, self.bin_idx.copy(), self.source.copy())
 
 
-def nearest_per_pixel(cloud: np.ndarray, intr: CameraIntrinsics, bins: DepthBins):
+def nearest_per_pixel(
+    cloud: np.ndarray, intr: CameraIntrinsics, bins: DepthBins, views: int = 1
+):
     """The points of a camera-frame cloud that a depth map keeps.
 
     These are the points that project into the image with a depth below
     d_max and are the nearest at their pixel, the lowest row on a tie.
-    Returns (flat pixel index, depth, row) with one entry per hit pixel,
-    in pixel order.
+    `cloud` may stack `views` clouds of equal length, each for a depth map
+    of its own: a point of view k then keys pixel p as k * H * W + p.
+    Returns (key, depth, row) with one entry per hit key, in key order.
     """
     pts = np.asarray(cloud, dtype=np.float64).reshape(-1, 3)
     pix, depth, rows = project_points(intr, pts)
     keep = depth < bins.d_max  # beyond the last bin counts as no projection
     pix, depth, rows = pix[keep], depth[keep], rows[keep]
-    flat = pix[:, 1] * intr.width + pix[:, 0]
-    nearest = np.full(intr.height * intr.width, np.inf)
-    np.minimum.at(nearest, flat, depth)
-    ties = np.flatnonzero(depth == nearest[flat])
+    n_pixels = intr.height * intr.width
+    key = pix[:, 1] * intr.width + pix[:, 0]
+    if views > 1:
+        key += rows // (pts.shape[0] // views) * n_pixels
+    nearest = np.full(views * n_pixels, np.inf)
+    np.minimum.at(nearest, key, depth)
+    ties = np.flatnonzero(depth == nearest[key])
     first = np.full(nearest.size, rows.size)
-    np.minimum.at(first, flat[ties], ties)
+    np.minimum.at(first, key[ties], ties)
     pick = first[first < rows.size]
-    return flat[pick], depth[pick], rows[pick]
+    return key[pick], depth[pick], rows[pick]
 
 
 def _min_depth_image(

@@ -101,11 +101,6 @@ def invert(pose: Pose) -> Pose:
     return Pose.from_rt(r, -r @ pose.translation)
 
 
-def relative(a: Pose, b: Pose) -> Pose:
-    """Transform mapping b-frame coordinates into a-frame: a^-1 . b."""
-    return compose(invert(a), b)
-
-
 def planar_parts(pose: Pose) -> tuple[float, float, float]:
     """Extract (x, y, yaw) of the pose, ignoring z / roll / pitch."""
     m = pose.matrix
@@ -113,8 +108,16 @@ def planar_parts(pose: Pose) -> tuple[float, float, float]:
 
 
 def transform_points(pose: Pose, pts: np.ndarray) -> np.ndarray:
-    """Apply R.p + t to one (3,) point or an (N, 3) array of points."""
+    """Apply R.p + t to one (3,) point or an (N, 3) array of points.
+
+    A point gets the same bits whichever batch it is in.  BLAS multiplies a
+    single row with gemv, which rounds differently from the gemm that two
+    or more rows take, so a lone point is multiplied as a pair.
+    """
     pts = np.asarray(pts, dtype=np.float64)
+    rows = pts.reshape(-1, 3)
+    if rows.shape[0] == 1:
+        return (np.repeat(rows, 2, axis=0) @ pose.rotation.T + pose.translation)[0].reshape(pts.shape)
     return pts @ pose.rotation.T + pose.translation
 
 

@@ -1,3 +1,4 @@
+import json
 import os
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 import yaml
 
 from covox import cli, metrics
-from covox.collab import make_pipeline_params, run_round
+from covox.collab import EdgeRecord, comm_volume_log, make_pipeline_params, run_round
 from covox.config import load_experiment
 from covox.scene import generate_scene
 
@@ -111,6 +112,36 @@ def test_rerun_is_byte_identical(tmp_path):
     assert code_a == code_b == 0
     for name in ("metrics.csv", "messages.log"):
         assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+def log_lines_by_json(trial, mode, records):
+    """Reference: `json.dumps` of each record's dict, keys sorted."""
+    return [
+        json.dumps(
+            {"trial": trial, "mode": mode, "sender": r.sender, "receiver": r.receiver,
+             "phase": r.phase, "elements": r.elements, "log2": comm_volume_log(r.elements)},
+            sort_keys=True,
+        )
+        for r in records
+    ]
+
+
+def test_log_lines_match_json_dumps():
+    """The message log is formatted without `json.dumps` per record; its
+    bytes, log2 included, must be the ones `json.dumps` writes, for element
+    counts from 0 to 2**40 and every phase."""
+    rng = np.random.default_rng(0)
+    elements = np.concatenate([
+        np.arange(0, 20_000), rng.integers(0, 2**40, 5_000), 2 ** np.arange(41),
+    ])
+    phases = ("detections", "depth", "feature")
+    records = [
+        EdgeRecord(int(k % 9), int(k % 7), phases[k % 3], int(e))
+        for k, e in enumerate(elements)
+    ]
+    for mode in ("full", "camera_missing"):
+        assert cli._log_lines(11, mode, records) == log_lines_by_json(11, mode, records)
+    assert cli._log_lines(0, "full", []) == []
 
 
 def test_command_line_overrides(tmp_path):

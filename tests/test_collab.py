@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from covox import collab, depth, nnkit
 from covox.collab import (
+    Message,
     PipelineConfig,
     aggregate,
     aggregate_concat,
@@ -20,11 +21,12 @@ from covox.collab import (
     make_pipeline_params,
     pack_message,
     preference_map,
+    project_tokens,
     run_round,
     warp_sparse,
 )
 from covox.depth import DepthBins, NoisyOraclePredictor, nearest_per_pixel
-from covox.geometry import Pose, compose, invert, project_points, relative, transform_points
+from covox.geometry import Pose, compose, invert, project_points, transform_points
 from covox.scene import (
     DEFAULT_CAMERA_MOUNT,
     DEFAULT_LIDAR_MOUNT,
@@ -77,21 +79,21 @@ class TestPreference:
 
     def test_hybrid_column_zero_threshold(self):
         grid = self._grid_with_column([Category.HYBRID, Category.CAMERA, Category.NORMAL])
-        assert preference_map(grid)[0, 0] == 0.0
+        assert preference_map(grid, grid.tagged_columns())[0, 0] == 0.0
 
     def test_lidar_column_half_threshold(self):
         grid = self._grid_with_column([Category.LIDAR, Category.NORMAL, Category.NORMAL])
-        assert preference_map(grid)[0, 0] == 0.5
+        assert preference_map(grid, grid.tagged_columns())[0, 0] == 0.5
 
     def test_all_normal(self):
         grid = self._grid_with_column([Category.NORMAL] * 3)
-        assert preference_map(grid)[0, 0] == 0.5
+        assert preference_map(grid, grid.tagged_columns())[0, 0] == 0.5
 
     def test_uniform_when_no_hybrid(self):
         grid = VoxelGrid.empty(GRID)
         grid.category[:10, :10, 0] = Category.LIDAR
         grid.category[20:30, 20:30, 1] = Category.CAMERA
-        assert np.all(preference_map(grid) == 0.5)
+        assert np.all(preference_map(grid, grid.tagged_columns()) == 0.5)
 
 
 class TestImportance:
@@ -131,7 +133,7 @@ class TestConfidenceMask:
 class TestPackMessage:
     def test_zero_mask_empty(self, rng):
         bev = rng.standard_normal((GRID.nx, GRID.ny, GRID.bev_channels))
-        msg = pack_message(bev, np.zeros((GRID.nx, GRID.ny)))
+        msg = pack_message(bev, np.zeros((GRID.nx, GRID.ny)), nonzero_cells(bev))
         assert msg.indices.shape[0] == 0
         assert msg.feature_elements == 0
 
@@ -140,14 +142,14 @@ class TestPackMessage:
         bev[3, 4, [0, 7, 20]] = 1.5
         mask = np.zeros((GRID.nx, GRID.ny))
         mask[3, 4] = 1
-        msg = pack_message(bev, mask)
+        msg = pack_message(bev, mask, nonzero_cells(bev))
         assert msg.feature_elements == 3
 
     def test_full_mask_equals_l0(self, rng):
         bev = np.zeros((GRID.nx, GRID.ny, GRID.bev_channels))
         sparse = rng.uniform(size=bev.shape) < 0.01
         bev[sparse] = rng.standard_normal(int(sparse.sum()))
-        msg = pack_message(bev, np.ones((GRID.nx, GRID.ny)))
+        msg = pack_message(bev, np.ones((GRID.nx, GRID.ny)), nonzero_cells(bev))
         assert msg.feature_elements == np.count_nonzero(bev)
 
 
@@ -179,10 +181,16 @@ class TestDenseRatio:
             dense_ratio(1, GRID, -10)
 
 
+def as_message(indices, vectors, spec):
+    vectors = np.asarray(vectors, dtype=np.float64).reshape(-1, spec.bev_channels)
+    return Message(np.asarray(indices).reshape(-1, 2), vectors, int(np.count_nonzero(vectors)))
+
+
 def warp_into_zeros(indices, vectors, rel_pose, spec):
-    """The written plane and the WarpResult of warping into a zero plane."""
-    out = np.zeros((spec.nx, spec.ny, spec.bev_channels))
-    return out, warp_sparse(indices, vectors, rel_pose, spec, out)
+    """The written plane and the WarpResult of warping one message into a
+    zero plane."""
+    out = np.zeros((1, spec.nx, spec.ny, spec.bev_channels))
+    return out[0], warp_sparse([as_message(indices, vectors, spec)], [rel_pose], spec, out)
 
 
 class TestWarp:
@@ -204,7 +212,8 @@ class TestWarp:
         idx, vecs = self._sparse(rng, k=400)
         bev, res = warp_into_zeros(idx, vecs, Pose.from_planar(*pose), GRID)
         written = np.flatnonzero(np.any(bev.reshape(-1, GRID.bev_channels) != 0, axis=1))
-        assert np.array_equal(res.cells, written)
+        assert np.array_equal(res.cells[0], written)
+        assert np.array_equal(bev.reshape(-1, GRID.bev_channels)[written], vecs[res.rows[0]])
 
     def test_no_cells_when_nothing_lands(self, rng):
         idx, vecs = self._sparse(rng)
@@ -212,7 +221,7 @@ class TestWarp:
             warp_into_zeros(idx[:0], vecs[:0], Pose(np.eye(4)), GRID),
             warp_into_zeros(idx, vecs, Pose.from_translation(500.0, 0.0), GRID),
         ):
-            assert res.cells.shape == (0,)
+            assert res.cells[0].shape == (0,) and res.rows[0].shape == (0,)
 
     def test_one_pitch_translation_shifts_indices(self, rng):
         idx, vecs = self._sparse(rng)
@@ -255,7 +264,7 @@ class TestWarp:
     def test_relative_pose_of_equal_believed_poses(self, rng):
         idx, vecs = self._sparse(rng)
         pose = Pose.from_planar(5.0, 0.0, 0.0)
-        bev, _ = warp_into_zeros(idx, vecs, relative(pose, pose), GRID)
+        bev, _ = warp_into_zeros(idx, vecs, compose(invert(pose), pose), GRID)
         dense = np.zeros_like(bev)
         dense[idx[:, 0], idx[:, 1]] = vecs
         assert np.array_equal(bev, dense)
@@ -268,17 +277,29 @@ def nonzero_cells(plane):
     return np.flatnonzero(np.any(plane.reshape(-1, plane.shape[2]) != 0, axis=1))
 
 
-def _with_cells(ego, planes):
-    """(planes, each plane's nonzero cells, the ego's nonzero cells), as
-    `aggregate` takes them after the ego plane."""
-    return planes, [nonzero_cells(p) for p in planes], nonzero_cells(ego)
+def aggregate_planes(params, ego, warped, others=()):
+    """`aggregate` over an ego plane and neighbor planes, with Q, K and V
+    projected as a round projects them: once, on one stack of the nonzero
+    rows of every plane, between the rows of the `others` planes (agents
+    outside this receiver's neighborhood)."""
+    ego = np.asarray(ego, dtype=np.float64)
+    nx, ny, f = ego.shape
+    planes = [ego, *warped, *others]
+    cells = [nonzero_cells(p) for p in planes]
+    blocks = [p.reshape(-1, f)[c] for p, c in zip(planes, cells)]
+    order = list(range(len(planes)))[::-1]  # the ego's rows last, others' first
+    starts = dict(zip(order, np.cumsum([0] + [blocks[i].shape[0] for i in order])))
+    tokens = project_tokens(params, np.concatenate([blocks[i] for i in order]), nx * ny)
+    rows = [starts[i] + np.arange(c.size) for i, c in enumerate(cells)]
+    n = len(warped) + 1
+    return aggregate(params, ego, list(warped), cells[1:n], cells[0], tokens, rows[0], rows[1:n])
 
 
 class TestAggregate:
     def test_no_neighbors_matches_single_token_mha(self, rng):
         bev = np.zeros((4, 4, 64))
         bev[rng.uniform(size=(4, 4)) < 0.5] = rng.standard_normal(64)
-        out = aggregate(PARAMS.agg_mha, bev, *_with_cells(bev, []))
+        out = aggregate_planes(PARAMS.agg_mha, bev, [])
         for i in range(4):
             for j in range(4):
                 ref, _ = mha(
@@ -288,26 +309,26 @@ class TestAggregate:
 
     def test_identical_neighbor_equals_single(self, rng):
         bev = rng.standard_normal((4, 4, 64))
-        out_pair = aggregate(PARAMS.agg_mha, bev, *_with_cells(bev, [bev.copy()]))
-        out_single = aggregate(PARAMS.agg_mha, bev, *_with_cells(bev, []))
+        out_pair = aggregate_planes(PARAMS.agg_mha, bev, [bev.copy()])
+        out_single = aggregate_planes(PARAMS.agg_mha, bev, [])
         assert np.allclose(out_pair, out_single, atol=1e-9)
 
     def test_zero_neighbor_excluded_bit_exact(self, rng):
         bev = rng.standard_normal((6, 6, 64))
-        out_zero = aggregate(PARAMS.agg_mha, bev, *_with_cells(bev, [np.zeros_like(bev)]))
-        out_none = aggregate(PARAMS.agg_mha, bev, *_with_cells(bev, []))
+        out_zero = aggregate_planes(PARAMS.agg_mha, bev, [np.zeros_like(bev)])
+        out_none = aggregate_planes(PARAMS.agg_mha, bev, [])
         assert np.array_equal(out_zero, out_none)
 
     def test_neighbor_signal_reaches_empty_ego_cell(self, rng):
         bev = np.zeros((4, 4, 64))
         nbr = np.zeros((4, 4, 64))
         nbr[2, 2] = rng.standard_normal(64)
-        out = aggregate(PARAMS.agg_mha, bev, *_with_cells(bev, [nbr]))
+        out = aggregate_planes(PARAMS.agg_mha, bev, [nbr])
         assert np.linalg.norm(out[2, 2]) > 0
 
     def test_shape_preserved(self, rng):
         bev = rng.standard_normal((5, 7, 64))
-        assert aggregate(PARAMS.agg_mha, bev, *_with_cells(bev, [bev])).shape == bev.shape
+        assert aggregate_planes(PARAMS.agg_mha, bev, [bev]).shape == bev.shape
 
     def test_max_and_concat_variants(self, rng):
         bev = rng.standard_normal((4, 4, 64))
@@ -360,7 +381,7 @@ class TestAggregateOracle:
         return request.param
 
     def _check(self, mha, ego, warped):
-        got = aggregate(mha, ego, *_with_cells(ego, warped))
+        got = aggregate_planes(mha, ego, warped)
         assert np.array_equal(got, _dense_aggregate(mha, ego, warped))
 
     def test_no_neighbors(self, rng, mha):
@@ -414,15 +435,19 @@ def _written_plane(rng, shape, writes):
     shape=st.tuples(st.integers(1, 12), st.integers(1, 12)),
     ego_density=st.sampled_from([0.0, 0.05, 0.5, 1.0]),
     writes=st.lists(WRITES, max_size=4),
+    others=st.lists(WRITES, max_size=3),
 )
-@example(seed=1, shape=(9, 9), ego_density=0.0, writes=["none", "one", "all"])
-@example(seed=2, shape=(12, 12), ego_density=0.0, writes=[])
-@example(seed=3, shape=(2, 3), ego_density=0.0, writes=["one", "none"])
+@example(seed=1, shape=(9, 9), ego_density=0.0, writes=["none", "one", "all"], others=[])
+@example(seed=2, shape=(12, 12), ego_density=0.0, writes=[], others=[])
+@example(seed=3, shape=(2, 3), ego_density=0.0, writes=["one", "none"], others=["all"])
+@example(seed=4, shape=(1, 1), ego_density=1.0, writes=["all"], others=["all", "all"])
+@example(seed=5, shape=(8, 8), ego_density=0.05, writes=["one"], others=[])
 @settings(max_examples=80, deadline=None)
-def test_aggregate_matches_dense_for_any_writes(seed, shape, ego_density, writes):
-    """Only the ego's run cells and the rows neighbors wrote are projected;
-    the result must still be the dense stack's bits, on small and large
-    grids alike, whether no, one, some or every cell was written."""
+def test_aggregate_matches_dense_for_any_writes(seed, shape, ego_density, writes, others):
+    """Q, K and V are projected once per round, on a stack of the nonzero
+    rows of every agent, the receiver's, its neighbors' and others'; the
+    result must still be the dense stack's bits, on grids of 1 to 144 cells
+    alike, whether no, one, some or every cell was written."""
     rng = np.random.default_rng(seed)
     params = PARAMS.agg_mha
     shape = shape + (GRID.bev_channels,)
@@ -430,7 +455,8 @@ def test_aggregate_matches_dense_for_any_writes(seed, shape, ego_density, writes
     busy = rng.uniform(size=shape[:2]) < ego_density
     ego[busy] = rng.standard_normal((int(busy.sum()), shape[2]))
     warped = [_written_plane(rng, shape, w) for w in writes]
-    got = aggregate(params, ego, *_with_cells(ego, warped))
+    rest = [_written_plane(rng, shape, w) for w in others]
+    got = aggregate_planes(params, ego, warped, rest)
     assert np.array_equal(got, _dense_aggregate(params, ego, warped))
 
 
@@ -459,12 +485,13 @@ def test_cells_with_an_all_zero_stack_aggregate_to_zero(params_seed, seed, shape
     ego = np.zeros(shape)
     on = rng.uniform(size=shape[:2]) < ego_density
     ego[on] = rng.standard_normal((int(on.sum()), shape[2]))
-    warped, written, ego_cells = _with_cells(ego, [_written_plane(rng, shape, w) for w in writes])
+    warped = [_written_plane(rng, shape, w) for w in writes]
+    written = [nonzero_cells(p) for p in warped]
     idle = np.ones(shape[0] * shape[1], dtype=bool)
-    for cells in (ego_cells, *written):
+    for cells in (nonzero_cells(ego), *written):
         idle[cells] = False
     for agg in (
-        aggregate(params.agg_mha, ego, warped, written, ego_cells),
+        aggregate_planes(params.agg_mha, ego, warped),
         aggregate_max(ego, warped, written),
         aggregate_concat(params.concat_lin, ego, warped),
     ):
@@ -516,7 +543,7 @@ class TestRunRound:
         agents, objects = generate_scene(scn)
         rounds, _ = run_round(agents, objects, (), scn, self._pipe(), PARAMS)
         for r in rounds.values():
-            full = pack_message(r.bev, np.ones_like(r.mask))
+            full = pack_message(r.bev, np.ones_like(r.mask), nonzero_cells(r.bev))
             assert r.message.feature_elements <= full.feature_elements
 
     def test_camera_dropout_participates(self):
@@ -546,6 +573,50 @@ class TestRunRound:
         errs = rounds[0].pose_errors
         assert errs and all(len(v) == 2 for v in errs.values())
 
+    def test_detections_travel_only_between_lidar_agents(self):
+        """An agent without LiDAR has no detections to send and none to
+        match against: no detections record names it, and the edge keeps
+        its believed pose."""
+        scn = ScenarioConfig(seed=3, n_agents=3, n_objects=6, pose_noise_sigma_xy=0.3,
+                             dropout={1: ("lidar",)})
+        agents, objects = generate_scene(scn)
+        rounds, ledger = run_round(agents, objects, (), scn, self._pipe(robust=True), PARAMS)
+        sent = {(r.sender, r.receiver) for r in ledger.records if r.phase == "detections"}
+        assert sent == {(0, 2), (2, 0)}
+        for a, b in ((0, 1), (1, 0), (1, 2), (2, 1)):
+            before, after = rounds[a].pose_errors[b]
+            assert before == after
+
+    def test_exchange_runs_per_agent(self, monkeypatch):
+        """Attention mode makes one warp per receiver, one reply projection
+        per LiDAR agent with a camera requester and one Q, K and V
+        projection per round."""
+        scn = ScenarioConfig(seed=5, n_agents=4, n_objects=5,
+                             dropout={0: ("camera",), 2: ("lidar",)})
+        agents, objects = generate_scene(scn)
+        calls = {"warp": 0, "reply": 0}
+        applied = []
+        warp, nearest, apply = collab.warp_sparse, collab.nearest_per_pixel, nnkit.LinearMap.apply
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        def recording_apply(lin, x):
+            applied.append(lin)
+            return apply(lin, x)
+
+        monkeypatch.setattr(collab, "warp_sparse", counting("warp", warp))
+        monkeypatch.setattr(collab, "nearest_per_pixel", counting("reply", nearest))
+        monkeypatch.setattr(nnkit.LinearMap, "apply", recording_apply)
+        rounds, _ = run_round(agents, objects, (), scn, self._pipe(), PARAMS)
+        mha = PARAMS.agg_mha
+        names = {id(mha.wq): "q", id(mha.wk): "k", id(mha.wv): "v", id(mha.wo): "o"}
+        assert calls == {"warp": 4, "reply": 3}  # LiDAR agents 0, 1 and 3
+        assert [names[id(lin)] for lin in applied if id(lin) in names] == list("qkvoooo")
+
     def test_collab_modes_run(self):
         scn = self._cfg()
         agents, objects = generate_scene(scn)
@@ -571,7 +642,7 @@ class TestRunRound:
             cloud = downsample_cloud(transform_points(DEFAULT_LIDAR_MOUNT, pts), 0.5)
             cam_from_sender = compose(
                 invert(DEFAULT_CAMERA_MOUNT),
-                relative(receiver.believed_pose, sender.believed_pose),
+                compose(invert(receiver.believed_pose), sender.believed_pose),
             )
             _, _, rows = nearest_per_pixel(
                 transform_points(cam_from_sender, cloud), scn.camera, BINS
@@ -605,12 +676,13 @@ def _share_whole_clouds(works, scenario, pipe, ledger):
     frame with the pose it uses for that neighbor."""
     if pipe.depth_projection != "all":
         return
-    for w in works.values():
-        if w.neighbors and w.state.has_lidar:
-            w.payload = downsample_cloud(w.cloud, 0.5)
+    payloads = {
+        aid: downsample_cloud(w.cloud, 0.5)
+        for aid, w in works.items() if w.neighbors and w.state.has_lidar
+    }
     for w in works.values():
         for j in w.neighbors:
-            cloud = works[j].payload
+            cloud = payloads.get(j)
             if cloud is None:
                 continue
             ledger.add(j, w.state.id, "depth", 3 * cloud.shape[0])

@@ -1,12 +1,14 @@
 """The stages between voxelization and detection touch only the cells that
-hold data.  The references here are the dense versions they replace: they
-copy, mask and scan whole grids, warp every message into a fresh zero
-plane, take the max aggregation over whole planes and find nonzero cells by
-scanning whole planes.  Every stage, and every trial end to end, must match
-them bit for bit.  Whole trials must also match the box path as it ran box
-by box: the ray cast, the detector's components and rectangles and the IoU
-clip; and the perceive stage and the attention aggregation as they ran on
-whole grids and whole token stacks.
+hold data, and the exchange runs per agent, not per edge.  The references
+here are the versions they replace: they copy, mask and scan whole grids,
+score, mask and pack every cell, answer each phase-1 request on its own,
+warp every message on its own into a fresh zero plane, run attention on
+whole token stacks, take the max aggregation over whole planes and find
+nonzero cells by scanning whole planes.  Every stage, and every trial end
+to end, must match them bit for bit.  Whole trials must also match the box
+path as it ran box by box: the ray cast, the detector's components and
+rectangles and the IoU clip; and the perceive stage as it ran on whole
+grids.
 """
 
 import json
@@ -24,7 +26,6 @@ from covox import cli, collab, metrics, nnkit, scene
 from covox.collab import (
     AgentRound,
     PipelineConfig,
-    aggregate,
     aggregate_concat,
     aggregate_max,
     build_comm_graph,
@@ -43,7 +44,8 @@ from covox.fusion import (
     make_equal_params,
     make_fusion_params,
 )
-from covox.geometry import Pose, planar_parts
+from covox.depth import nearest_per_pixel
+from covox.geometry import Pose, compose, planar_parts
 from covox.robust import occupancy_from_bev, occupancy_from_grid
 from covox.scene import AgentState, BoxObject, LidarSpec, ScenarioConfig, generate_scene
 from covox.voxel import (
@@ -136,15 +138,16 @@ def importance_scores_dense(bev, cells=None):
     return 1.0 / (1.0 + np.exp(-(collab._IMPORTANCE_GAIN * level - collab._IMPORTANCE_SHIFT)))
 
 
-def warp_sparse_fresh(indices, vectors, rel_pose, spec):
-    """The written plane and the WarpResult, from a fresh zero plane."""
+def warp_message_fresh(message, rel_pose, spec):
+    """One message warped on its own into a fresh zero plane: the plane and
+    the WarpResult of that plane alone."""
     f = spec.bev_channels
     bev = np.zeros((spec.nx, spec.ny, f))
     no_cells = np.zeros(0, dtype=np.int64)
-    indices = np.asarray(indices).reshape(-1, 2)
+    indices = np.asarray(message.indices).reshape(-1, 2)
     if indices.shape[0] == 0:
-        return bev, collab.WarpResult(no_cells, 0, 0)
-    vectors = np.asarray(vectors, dtype=np.float64).reshape(-1, f)
+        return bev, collab.WarpResult([no_cells], [no_cells], 0, 0)
+    vectors = np.asarray(message.vectors, dtype=np.float64).reshape(-1, f)
     centers = spec.bev_cell_centers(indices[:, 0], indices[:, 1])
     x, y, yaw = planar_parts(rel_pose)
     c, s = np.cos(yaw), np.sin(yaw)
@@ -154,14 +157,51 @@ def warp_sparse_fresh(indices, vectors, rel_pose, spec):
     iy = np.floor((py - spec.y_range[0]) / spec.dy).astype(np.int64)
     inb = (ix >= 0) & (ix < spec.nx) & (iy >= 0) & (iy < spec.ny)
     dropped = int(np.count_nonzero(~inb))
-    ix, iy, vecs = ix[inb], iy[inb], vectors[inb]
-    if ix.size == 0:
-        return bev, collab.WarpResult(no_cells, 0, dropped)
-    flat = ix * spec.ny + iy
+    rows = np.flatnonzero(inb)
+    if rows.size == 0:
+        return bev, collab.WarpResult([no_cells], [no_cells], 0, dropped)
+    flat = ix[rows] * spec.ny + iy[rows]
     uniq, first_in_rev = np.unique(flat[::-1], return_index=True)
-    last = flat.size - 1 - first_in_rev
-    bev.reshape(-1, f)[uniq] = vecs[last]
-    return bev, collab.WarpResult(uniq, int(flat.size - uniq.size), dropped)
+    last = rows[flat.size - 1 - first_in_rev]
+    bev.reshape(-1, f)[uniq] = vectors[last]
+    return bev, collab.WarpResult([uniq], [last], int(flat.size - uniq.size), dropped)
+
+
+def preference_map_dense(grid, columns=None):
+    """Every column's threshold; `columns` is not read."""
+    return np.where(np.any(grid.category == Category.HYBRID, axis=2), 0.0, 0.5)
+
+
+def pack_message_dense(bev, mask, cells=None):
+    """Every masked cell, then its nonzero rows; `cells` is not read."""
+    idx = np.argwhere(np.asarray(mask) == 1)
+    vecs = np.asarray(bev)[idx[:, 0], idx[:, 1]]
+    keep = np.any(vecs != 0.0, axis=1) if vecs.size else np.zeros(0, dtype=bool)
+    idx, vecs = idx[keep], vecs[keep]
+    return collab.Message(idx, np.array(vecs), int(np.count_nonzero(vecs)))
+
+
+def share_clouds_per_edge(works, scenario, pipe, ledger):
+    """Phase 1 with each request answered on its own: a projection and a
+    nearest-point search per edge."""
+    if pipe.depth_projection != "all":
+        return
+    payloads = {}
+    for w in works.values():
+        if w.images is None:
+            continue
+        for j in w.neighbors:
+            sender = works[j]
+            if not sender.state.has_lidar:
+                continue
+            if j not in payloads:
+                payloads[j] = collab.downsample_cloud(sender.cloud, collab._PAYLOAD_CELL)
+            ledger.add(w.state.id, j, "depth", collab._REQUEST_ELEMENTS)
+            cam = collab.transform_points(compose(collab._CAM_FROM_AGENT, w.rel[j]), payloads[j])
+            _, _, rows = nearest_per_pixel(cam, scenario.camera, pipe.bins)
+            reply = cam[np.sort(rows)]
+            ledger.add(j, w.state.id, "depth", 3 * reply.shape[0])
+            w.shared.append(reply)
 
 
 def aggregate_max_dense(ego, warped):
@@ -172,19 +212,20 @@ def aggregate_max_dense(ego, warped):
     return np.max(np.stack(tokens), axis=0)
 
 
-def receive_fresh(w, works, pipe, params, ledger, planes):
-    """Phase 2 with a fresh zero plane per neighbor; `planes` is ignored."""
+def receive_fresh(w, works, pipe, params, ledger, planes, tokens):
+    """Phase 2 with each message warped on its own into a fresh zero plane
+    and attention on whole token stacks; `planes` and `tokens` are ignored."""
     warped, written = [], []
     collisions = 0
     for j in w.neighbors:
         msg = works[j].message
-        plane, wr = warp_sparse_fresh(msg.indices, msg.vectors, w.rel[j], pipe.grid)
+        plane, wr = warp_message_fresh(msg, w.rel[j], pipe.grid)
         warped.append(plane)
-        written.append(wr.cells)
+        written.append(wr.cells[0])
         collisions += wr.collisions
         ledger.add(j, w.state.id, "feature", msg.feature_elements)
     if pipe.collab_mode == "attention":
-        agg = aggregate(params.agg_mha, w.bev, warped, written, nonzero_cells(w.bev))
+        agg = aggregate_token_stack(params.agg_mha, w.bev, warped, written)
     elif pipe.collab_mode == "max":
         agg = aggregate_max_dense(w.bev, warped)
     else:
@@ -216,6 +257,9 @@ def use_dense_pipeline(m):
     m.setattr(collab, "fuse_modalities_equal", fuse_modalities_equal_masked)
     m.setattr(collab, "collapse", collapse_copying)
     m.setattr(collab, "importance_scores", importance_scores_dense)
+    m.setattr(collab, "preference_map", preference_map_dense)
+    m.setattr(collab, "pack_message", pack_message_dense)
+    m.setattr(collab, "_share_clouds", share_clouds_per_edge)
     m.setattr(collab, "_receive", receive_fresh)
     m.setattr(collab, "occupancy_from_grid", occupancy_from_grid_dense)
     m.setattr(cli, "occupancy_from_bev", occupancy_from_bev_dense)
@@ -338,23 +382,39 @@ class TestStagesMatchDenseReferences:
 
     @given(
         seed=st.integers(0, 2**32 - 1),
-        n=st.integers(0, 80),
-        pose=st.tuples(st.floats(-30.0, 30.0), st.floats(-30.0, 30.0), st.floats(-3.2, 3.2)),
+        sizes=st.lists(st.integers(0, 80), max_size=5),
+        poses=st.lists(
+            st.tuples(st.floats(-30.0, 30.0), st.floats(-30.0, 30.0), st.floats(-3.2, 3.2)),
+            max_size=5,
+        ),
     )
+    @example(seed=1, sizes=[], poses=[])
+    @example(seed=2, sizes=[40, 0, 40], poses=[(3.1, -2.0, 0.4), (0.0, 0.0, 0.0), (500.0, 0.0, 0.0)])
     @settings(max_examples=80, deadline=None)
-    def test_warp_into_out_matches_fresh_plane(self, seed, n, pose):
+    def test_warp_into_out_matches_fresh_plane(self, seed, sizes, poses):
+        """Messages warped in one pass into a stack of planes, one more
+        plane than messages, give each plane what its message alone gives a
+        fresh zero plane; clearing the listed cells empties the stack."""
         spec = GridSpec((-8.0, 8.0), (-8.0, 8.0), (0.0, 2.0), 12, 12, 2, 3)
         rng = np.random.default_rng(seed)
-        idx = rng.integers(0, 12, (n, 2))
-        vecs = rng.standard_normal((n, spec.bev_channels))
-        rel = Pose.from_planar(*pose)
-        want_plane, want = warp_sparse_fresh(idx, vecs, rel, spec)
-        out = np.zeros((spec.nx, spec.ny, spec.bev_channels))
-        got = warp_sparse(idx, vecs, rel, spec, out)
-        assert np.array_equal(out, want_plane)
-        assert np.array_equal(got.cells, want.cells)
-        assert (got.collisions, got.dropped) == (want.collisions, want.dropped)
-        out.reshape(-1, spec.bev_channels)[got.cells] = 0.0
+        msgs = [
+            collab.Message(rng.integers(0, 12, (n, 2)), rng.standard_normal((n, spec.bev_channels)), 0)
+            for n in sizes
+        ]
+        rels = [Pose.from_planar(*pose) for pose in poses[: len(msgs)]]
+        msgs = msgs[: len(rels)]
+        out = np.zeros((len(msgs) + 1, spec.nx, spec.ny, spec.bev_channels))
+        got = warp_sparse(msgs, rels, spec, out)
+        want = [warp_message_fresh(m, rel, spec) for m, rel in zip(msgs, rels)]
+        assert len(got.cells) == len(got.rows) == len(msgs)
+        for k, (plane, one) in enumerate(want):
+            assert np.array_equal(out[k], plane)
+            assert np.array_equal(got.cells[k], one.cells[0])
+            assert np.array_equal(got.rows[k], one.rows[0])
+        assert got.collisions == sum(one.collisions for _, one in want)
+        assert got.dropped == sum(one.dropped for _, one in want)
+        for plane, cells in zip(out, got.cells):
+            plane.reshape(-1, spec.bev_channels)[cells] = 0.0
         assert not np.any(out)
 
     @given(
@@ -393,9 +453,43 @@ class TestStagesMatchDenseReferences:
 
     def test_warp_rejects_a_plane_of_another_shape(self):
         spec = GridSpec((-8.0, 8.0), (-8.0, 8.0), (0.0, 2.0), 12, 12, 2, 3)
-        with pytest.raises(ValueError, match="out plane"):
-            warp_sparse(np.zeros((1, 2), dtype=int), np.ones((1, 6)), Pose(np.eye(4)), spec,
-                        np.zeros((12, 11, 6)))
+        msg = collab.Message(np.zeros((1, 2), dtype=int), np.ones((1, 6)), 6)
+        for msgs, out in (
+            ([msg], np.zeros((1, 12, 11, 6))),
+            ([msg], np.zeros((1, 12, 12, 5))),
+            ([msg, msg], np.zeros((1, 12, 12, 6))),  # fewer planes than messages
+        ):
+            with pytest.raises(ValueError, match="out planes"):
+                warp_sparse(msgs, [Pose(np.eye(4))] * len(msgs), spec, out)
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        shape=st.tuples(st.integers(1, 9), st.integers(1, 9), st.integers(1, 8)),
+        density=DENSITIES,
+        mask_density=DENSITIES,
+        p_hybrid=DENSITIES,
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_mask_path_matches_dense(self, seed, shape, density, mask_density, p_hybrid):
+        """The preference map reads only tagged columns and the message
+        packs only nonzero cells; both must equal the whole-grid scans."""
+        rng = np.random.default_rng(seed)
+        bev = np.zeros(shape)
+        on = rng.uniform(size=shape[:2]) < density
+        bev[on] = rng.standard_normal((int(on.sum()), shape[2]))
+        bev[on & (rng.uniform(size=shape[:2]) < 0.2)] = -0.0
+        mask = (rng.uniform(size=shape[:2]) < mask_density).astype(np.uint8)
+        got = collab.pack_message(bev, mask, nonzero_cells(bev))
+        want = pack_message_dense(bev, mask)
+        assert np.array_equal(got.indices, want.indices) and got.indices.dtype == want.indices.dtype
+        assert np.array_equal(got.vectors, want.vectors)
+        assert got.feature_elements == want.feature_elements
+        spec = GridSpec((-3.0, 3.0), (-3.0, 3.0), (0.0, 2.0), shape[0], shape[1], 3, 2)
+        grid = VoxelGrid.empty(spec)
+        grid.category[rng.uniform(size=grid.category.shape) < density] = Category.LIDAR
+        grid.category[rng.uniform(size=grid.category.shape) < p_hybrid] = Category.HYBRID
+        assert np.array_equal(collab.preference_map(grid, grid.tagged_columns()),
+                              preference_map_dense(grid))
 
 
 # --- nonzero cells carried with the planes -------------------------------------
@@ -512,12 +606,13 @@ SEED_TRIALS = ((0, 0), (0, 1), (0, 2), (0, 3), (7919, 0))
 
 
 @pytest.mark.parametrize("collab_mode", collab.COLLAB_MODES)
-@pytest.mark.parametrize("workload", ["fleet8", "lidar4"])
+@pytest.mark.parametrize("workload", ["fleet8", "lidar4", "camera_missing"])
 def test_trials_match_dense_pipeline(bench_run, tmp_path, monkeypatch, workload, collab_mode):
-    """The benchmark's workload shapes under every collaboration mode: CSV
-    rows, message logs and every AgentRound array equal the dense pipeline's."""
+    """The benchmark's workload shapes, and fleet8's with camera-less and
+    LiDAR-less agents, under every collaboration mode: CSV rows, message
+    logs and every AgentRound array equal the dense, per-edge pipeline's."""
     for seed, trial in SEED_TRIALS:
-        config = bench_run.experiment_config(bench_run.WORKLOADS[workload], seed)
+        config = trial_config(bench_run, workload, seed)
         config["pipeline"]["collab"] = collab_mode
         path = tmp_path / f"{workload}-{seed}.json"
         path.write_text(json.dumps(config))
@@ -590,15 +685,16 @@ def perceive_every_grid(w, scenario, pipe, params):
     w.cells = nonzero_cells(w.bev)
     w.lidar_grid = None
     w.mask = collab.confidence_mask(
-        collab.importance_scores(w.bev, w.cells), collab.preference_map(fused)
+        importance_scores_dense(w.bev), preference_map_dense(fused)
     )
-    w.message = collab.pack_message(w.bev, w.mask)
+    w.message = pack_message_dense(w.bev, w.mask)
 
 
-def aggregate_token_stack(params, ego, warped, written, ego_cells=None):
+def aggregate_token_stack(params, ego, warped, written, *unread):
     """`aggregate` projecting Q, K and V on the whole token stack of the
-    cells it runs, unsent neighbor tokens included; it scans the ego plane
-    for its nonzero cells and does not read `ego_cells`."""
+    cells it runs, per receiver, unsent neighbor tokens included.  It scans
+    the ego plane for its nonzero cells and reads neither `ego_cells` nor
+    the round's tokens."""
     ego = np.asarray(ego, dtype=np.float64)
     nx, ny, f = ego.shape
     n_cells = nx * ny
@@ -707,10 +803,10 @@ def test_reused_planes_carry_no_stale_rows(monkeypatch, collab_mode):
 
     calls = []
 
-    def checked_warp(indices, vectors, rel_pose, spec, out):
+    def checked_warp(messages, rel_poses, spec, out):
         assert not np.any(out), "a plane arrived with stale rows"
-        result = warp_sparse(indices, vectors, rel_pose, spec, out)
-        calls.append((len(indices), result.cells.size))
+        result = warp_sparse(messages, rel_poses, spec, out)
+        calls.extend((len(m.indices), c.size) for m, c in zip(messages, result.cells))
         return result
 
     with monkeypatch.context() as m:
@@ -723,6 +819,29 @@ def test_reused_planes_carry_no_stale_rows(monkeypatch, collab_mode):
     with monkeypatch.context() as m:
         use_dense_pipeline(m)
         want, _ = run_round(agents, objects, (), scn, pipe, PARAMS)
+    assert_rounds_equal(got, want)
+
+
+def test_replies_per_sender_match_replies_per_edge(monkeypatch):
+    """Phase 1 answers all of a sender's requests in one pass; the ledger,
+    the depth maps and every AgentRound array must equal those of one
+    projection per request, with a sender whose scan came back empty."""
+    scn, agents, objects = reuse_scene()
+    pipe = PipelineConfig(grid=GRID, bins=DepthBins(1.0, 33.0, 16),
+                          predictor=NoisyOraclePredictor(1.0, 1), robust=True)
+    simulate = collab.simulate_lidar
+
+    def empty_scan_for_agent_4(agent, *args):
+        return np.zeros((0, 3)) if agent.id == 4 else simulate(agent, *args)
+
+    monkeypatch.setattr(collab, "simulate_lidar", empty_scan_for_agent_4)
+    got, got_ledger = run_round(agents, objects, (), scn, pipe, PARAMS)
+    assert (4, 2, "depth", 0) in {(r.sender, r.receiver, r.phase, r.elements)
+                                  for r in got_ledger.records}
+    with monkeypatch.context() as m:
+        m.setattr(collab, "_share_clouds", share_clouds_per_edge)
+        want, want_ledger = run_round(agents, objects, (), scn, pipe, PARAMS)
+    assert got_ledger.records == want_ledger.records
     assert_rounds_equal(got, want)
 
 

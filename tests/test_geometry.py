@@ -13,7 +13,6 @@ from covox.geometry import (
     invert,
     planar_parts,
     project_points,
-    relative,
     transform_points,
 )
 
@@ -190,6 +189,26 @@ class TestTransformPoints:
         back = transform_points(invert(pose), transform_points(pose, pts))
         assert np.max(np.abs(back - pts)) < 1e-9
 
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 300),
+        scale=st.sampled_from([1e-3, 1.0, 60.0, 1e6]),
+        data=st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_any_row_subset_gives_the_whole_clouds_bits(self, seed, n, scale, data):
+        """A point's transform does not depend on the batch it is in: one
+        row, a (3,) point and any subset give the bits of the whole cloud."""
+        rng = np.random.default_rng(seed)
+        pose = random_pose(rng, span=scale)
+        pts = rng.uniform(-scale, scale, (n, 3))
+        whole = transform_points(pose, pts)
+        rows = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n))
+        assert np.array_equal(transform_points(pose, pts[rows]), whole[rows])
+        assert np.array_equal(transform_points(pose, pts[rows[0]]), whole[rows[0]])
+        assert transform_points(pose, pts[rows[0]]).shape == (3,)
+        assert transform_points(pose, pts[rows[:1]]).shape == (1, 3)
+
 
 class TestProjection:
     def test_principal_ray(self):
@@ -256,9 +275,10 @@ class TestProjection:
 
 
 def test_relative_pose():
+    """compose(invert(a), b) maps b-frame coordinates into the a-frame."""
     a = Pose.from_planar(1.0, 2.0, 0.3)
     b = Pose.from_planar(-4.0, 0.5, 1.1)
-    rel = relative(a, b)
+    rel = compose(invert(a), b)
     pts = np.array([[0.5, -0.25, 0.0]])
     via_world = transform_points(invert(a), transform_points(b, pts))
     assert np.max(np.abs(transform_points(rel, pts) - via_world)) < 1e-12

@@ -8,12 +8,14 @@ from pathlib import Path
 
 import pytest
 
-from covox import cli
+from covox import cli, collab
 from covox.collab import PipelineConfig, make_pipeline_params
 from covox.config import ExperimentSpec
 from covox.depth import DepthBins, NoisyOraclePredictor
 from covox.scene import ScenarioConfig
 from covox.voxel import GridSpec
+
+from test_dense_oracles import warp_message_fresh
 
 TRACING_PATH = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
@@ -31,7 +33,7 @@ def test_every_target_exists(tracing):
         assert callable(getattr(owner, attr, None)), f"{owner.__name__}.{attr}"
 
 
-def test_traced_trial_records_every_stage(tracing):
+def _experiment(**scenario_kw):
     grid = GridSpec((-20.0, 20.0), (-20.0, 20.0), (0.5, 3.7), 32, 32, 4, 8)
     pipe = PipelineConfig(
         grid=grid,
@@ -42,9 +44,15 @@ def test_traced_trial_records_every_stage(tracing):
         collab_mode="attention",
         robust=True,
     )
-    scenario = ScenarioConfig(seed=4, n_agents=3, n_objects=6, pose_noise_sigma_xy=0.2)
+    scenario = ScenarioConfig(**dict(dict(seed=4, n_agents=3, n_objects=6,
+                                          pose_noise_sigma_xy=0.2), **scenario_kw))
     exp = ExperimentSpec(scenario=scenario, pipeline=pipe, render=False)
-    params = make_pipeline_params(grid, 2024)
+    return exp, make_pipeline_params(grid, 2024)
+
+
+def test_traced_trial_records_every_stage(tracing):
+    exp, params = _experiment()
+    scenario = exp.scenario
     originals = [getattr(owner, attr) for owner, attr, _, _ in tracing.TARGETS]
 
     tracer = tracing.Tracer()
@@ -66,3 +74,42 @@ def test_traced_trial_records_every_stage(tracing):
     assert counts["collab.depth_elements"] > 0
     assert counts["collab.feature_elements"] > 0
     assert counts["collab.detection_elements"] > 0
+
+
+def test_traced_counters_equal_the_trials_totals(tracing, monkeypatch):
+    """The exchange runs per receiver and per round, so a wrapped call
+    covers many edges.  The per-layer counters that sum over calls must
+    still equal the trial's totals: collisions and message cells from the
+    untraced AgentRounds, feature elements from its ledger, and dropped
+    cells from each message warped on its own."""
+    exp, params = _experiment(n_agents=5, comm_range=35.0, pose_noise_sigma_xy=0.4,
+                              dropout={1: ("camera",), 3: ("lidar",)})
+    dropped = []
+    receive = collab._receive
+
+    def receive_counting_drops(w, works, pipe, *rest):
+        for j in w.neighbors:
+            _, alone = warp_message_fresh(works[j].message, w.rel[j], pipe.grid)
+            dropped.append(alone.dropped)
+        return receive(w, works, pipe, *rest)
+
+    with monkeypatch.context() as m:
+        m.setattr(collab, "_receive", receive_counting_drops)
+        outcome = cli.run_trial(exp, 0, None, params)
+    tracer = tracing.Tracer()
+    tracer.trial = 0
+    with tracing.patched(tracer):
+        traced = cli.run_trial(exp, 0, None, params)
+    assert traced.row == outcome.row
+
+    counts = tracer.counts[0]
+    fields = dict(zip(cli.CSV_HEADER.split(","), outcome.row.split(",")))
+    rounds = outcome.rounds.values()
+    want = {
+        "collab.warp_collisions": sum(r.warp_collisions for r in rounds),
+        "collab.warp_dropped": sum(dropped),
+        "collab.message_cells": sum(len(r.message.indices) for r in rounds),
+        "collab.feature_elements": int(fields["feature_elements"]),
+    }
+    assert {key: counts[key] for key in want} == want
+    assert all(want.values())  # every counter is exercised
