@@ -472,16 +472,26 @@ def aggregate(
 
 
 def aggregate_max(
-    ego: np.ndarray, warped: Sequence[np.ndarray], written: Sequence[np.ndarray]
+    ego: np.ndarray,
+    warped: Sequence[np.ndarray],
+    written: Sequence[np.ndarray],
+    ego_cells: np.ndarray,
 ) -> np.ndarray:
     """Ablation baseline: elementwise max over the token stack [ego, neighbors...].
 
     As in `aggregate`, all-zero neighbor tokens carry no signal and take no
     part, so only the cells in `written[k]`, the nonzero cells of
     `warped[k]`, are compared.
+
+    `ego_cells` holds the flat indices of the nonzero cells of `ego`, and
+    every other row of `ego` must be all +0.0, as the BEV of a grid whose
+    untagged voxels hold zeros is.  Only those rows are read: the result is
+    a fresh plane, and `ego` is not copied or written.
     """
-    out = np.array(ego, dtype=np.float64)
-    rows = out.reshape(-1, out.shape[2])
+    nx, ny, f = np.shape(ego)
+    out = np.zeros((nx, ny, f))
+    rows = out.reshape(-1, f)
+    rows[ego_cells] = np.asarray(ego, dtype=np.float64).reshape(-1, f)[ego_cells]
     for w, cells in zip(warped, written):
         rows[cells] = np.maximum(rows[cells], w.reshape(rows.shape)[cells])
     return out
@@ -505,6 +515,7 @@ class _AgentWork:
     state: AgentState
     neighbors: tuple[int, ...]
     lidar_grid: Optional[VoxelGrid]  # released once fused
+    lidar_columns: np.ndarray  # `lidar_grid.tagged_columns()`
     cloud_sensor: Optional[np.ndarray] = None  # LiDAR hits, sensor frame
     cloud: Optional[np.ndarray] = None  # the same hits, agent frame
     images: Optional[tuple[np.ndarray, np.ndarray]] = None  # camera depth, features
@@ -529,16 +540,19 @@ def _sense(
     scenario: ScenarioConfig,
     pipe: PipelineConfig,
 ) -> _AgentWork:
-    """Capture the agent's sensors and voxelize its LiDAR cloud."""
+    """Capture the agent's sensors, voxelize its LiDAR cloud and find the
+    grid's tagged columns."""
     if not agent.has_lidar:
-        work = _AgentWork(agent, neighbors, VoxelGrid.empty(pipe.grid))
+        grid = VoxelGrid.empty(pipe.grid)
+        work = _AgentWork(agent, neighbors, grid, grid.tagged_columns())
     else:
         pts = simulate_lidar(
             agent, objects, occluders, scenario.lidar, lidar_rng(scenario.seed, agent.id)
         )
         cloud = transform_points(DEFAULT_LIDAR_MOUNT, pts)
+        grid = voxelize_points(cloud, pipe.grid)
         work = _AgentWork(
-            agent, neighbors, voxelize_points(cloud, pipe.grid), cloud_sensor=pts, cloud=cloud
+            agent, neighbors, grid, grid.tagged_columns(), cloud_sensor=pts, cloud=cloud
         )
     if agent.has_camera and pipe.fusion_mode != "none":
         work.images = simulate_camera(
@@ -562,7 +576,8 @@ def _relative_poses(
     if pipe.robust:
         for w in works.values():
             if w.state.id in lidar and lidar.intersection(w.neighbors):
-                w.detections = detect_local(occupancy_from_grid(w.lidar_grid), pipe.grid)
+                occupancy = occupancy_from_grid(w.lidar_grid, w.lidar_columns)
+                w.detections = detect_local(occupancy, pipe.grid)
     inverse = {
         aid: (invert(w.state.believed_pose), invert(w.state.true_pose))
         for aid, w in works.items()
@@ -645,13 +660,14 @@ def _perceive(
     fused grid.  That is exact, because categorizing against an empty camera
     grid gives the LiDAR tags and both fusions copy LIDAR cells unchanged.
 
-    The fused grid's tagged columns are found once: only they can hold a
-    hybrid cell, and, because untagged voxels hold zeros, only their BEV
-    rows can be nonzero.  Those rows are checked one by one, and the BEV's
+    The fused grid's tagged columns are found once, or are the LiDAR grid's
+    from `_sense` when that is the fused grid: only they can hold a hybrid
+    cell, and, because untagged voxels hold zeros, only their BEV rows can
+    be nonzero.  Those rows are checked one by one, and the BEV's
     nonzero cells travel with it as `w.cells`; the importance scores and
     the message read only them.
     """
-    fused = w.lidar_grid
+    fused, columns = w.lidar_grid, w.lidar_columns
     if w.images is not None:
         depth_img, feat_img = w.images
         if pipe.depth_projection != "no" and w.state.has_lidar:
@@ -673,8 +689,8 @@ def _perceive(
             fused = fuse_modalities_equal(params.equal_lin, cat)
         else:
             fused = fuse_modalities(params.fusion, cat)
+        columns = fused.tagged_columns()
     w.bev = collapse(fused)
-    columns = fused.tagged_columns()
     w.cells = _nonzero_rows(w.bev, columns)
     # Nothing reads the LiDAR grid as such after fusion.  Dropping the
     # reference here keeps a camera agent's LiDAR grid out of phase 2's peak
@@ -751,7 +767,7 @@ def _receive(
         agg = aggregate(params.agg_mha, w.bev, warped, written, w.cells, tokens, w.token_rows,
                         sources)
     elif pipe.collab_mode == "max":
-        agg = aggregate_max(w.bev, warped, written)
+        agg = aggregate_max(w.bev, warped, written, w.cells)
     else:
         agg = aggregate_concat(params.concat_lin, w.bev, warped)
     cells = _aggregated_cells(agg, w.cells, written)

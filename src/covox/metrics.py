@@ -78,17 +78,9 @@ def clip_polygon(subject: np.ndarray, clipper: np.ndarray) -> np.ndarray:
     return np.array(output) if output else np.zeros((0, 2))
 
 
-def rotated_iou(a: Detection, b: Detection) -> float:
-    """Intersection-over-union of two oriented rectangles.
-
-    Boxes whose circumscribed circles do not meet are disjoint and get 0.0
-    without clipping, which could leave a rounding sliver where corners
-    nearly touch.
-    """
-    reach = np.hypot(*a.extent) / 2.0 + np.hypot(*b.extent) / 2.0
-    if np.hypot(a.center[0] - b.center[0], a.center[1] - b.center[1]) > reach:
-        return 0.0
-    ca, cb = a.corners(), b.corners()
+def _clipped_iou(a: Detection, b: Detection, ca: np.ndarray, cb: np.ndarray) -> float:
+    """Intersection-over-union of two oriented rectangles whose circumscribed
+    circles meet, from their `corners()`."""
     inter = polygon_area(clip_polygon(ca, cb))
     area_a = a.extent[0] * a.extent[1]
     area_b = b.extent[0] * b.extent[1]
@@ -108,8 +100,7 @@ def _may_overlap(dets: Sequence[Detection], gts: Sequence[Detection]) -> np.ndar
     """(len(dets), len(gts)) flags: the boxes' circumscribed circles meet.
 
     A box lies inside the circle of radius hypot(l, w) / 2 about its center,
-    so boxes whose circles do not meet are disjoint, and rotated_iou gives
-    them 0.0.
+    so boxes whose circles do not meet are disjoint: their IoU is 0.0.
     """
     def circles(boxes):
         arr = np.array([(*b.center, *b.extent) for b in boxes], dtype=np.float64)
@@ -124,12 +115,17 @@ def _may_overlap(dets: Sequence[Detection], gts: Sequence[Detection]) -> np.ndar
 def iou_table(dets: Sequence[Detection], gts: Sequence[Detection]) -> np.ndarray:
     """(len(dets), len(gts)) rotated IoUs of every det x gt pair.
 
-    Only pairs whose circumscribed circles meet are scored; any other pair
-    has an IoU of 0.0, so the table equals scoring all pairs.
+    Only pairs whose circumscribed circles meet are clipped; any other pair
+    is disjoint and gets 0.0 without clipping, which could leave a rounding
+    sliver where corners nearly touch.  Each box of a clipped pair computes
+    its corners once.
     """
     ious = np.zeros((len(dets), len(gts)))
-    for i, j in zip(*np.nonzero(_may_overlap(dets, gts))):
-        ious[i, j] = rotated_iou(dets[i], gts[j])
+    near = _may_overlap(dets, gts)
+    det_corners = {i: dets[i].corners() for i in np.flatnonzero(near.any(axis=1)).tolist()}
+    gt_corners = {j: gts[j].corners() for j in np.flatnonzero(near.any(axis=0)).tolist()}
+    for i, j in zip(*np.nonzero(near)):
+        ious[i, j] = _clipped_iou(dets[i], gts[j], det_corners[i], gt_corners[j])
     return ious
 
 

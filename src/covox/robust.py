@@ -51,15 +51,15 @@ def perturb_pose(pose: Pose, noise: NoiseModel, rng: np.random.Generator) -> Pos
     return Pose(m)
 
 
-def occupancy_from_grid(grid: VoxelGrid) -> np.ndarray:
+def occupancy_from_grid(grid: VoxelGrid, columns: np.ndarray) -> np.ndarray:
     """Column occupancy (nx, ny): channel 0, log(1 + point count) in a
     voxelized LiDAR grid, summed over z.
 
-    Only the columns holding a tagged voxel are summed; untagged voxels hold
-    zeros, so every other column sums to exactly 0.
+    Only `columns`, the grid's tagged columns (`VoxelGrid.tagged_columns`),
+    are summed; untagged voxels hold zeros, so every other column sums to
+    exactly 0.
     """
     s = grid.spec
-    columns = grid.tagged_columns()
     occ = np.zeros(s.nx * s.ny)
     occ[columns] = grid.features.reshape(s.nx * s.ny, s.nz, s.channels)[columns, :, 0].sum(axis=1)
     return occ.reshape(s.nx, s.ny)
@@ -316,22 +316,24 @@ def correct_relative_pose(
 
 
 def transform_detections(dets: Sequence[Detection], pose: Pose) -> list[Detection]:
-    """Map planar detections through the planar part of a pose."""
+    """Map planar detections through the planar part of a pose.
+
+    One array pass: each box gets the same IEEE operations, in the same
+    order, as it would alone.
+    """
+    if not dets:
+        return []
     x, y, yaw = planar_parts(pose)
     c, s = np.cos(yaw), np.sin(yaw)
-    out = []
-    for det in dets:
-        px = c * det.center[0] - s * det.center[1] + x
-        py = s * det.center[0] + c * det.center[1] + y
-        out.append(
-            Detection(
-                center=(float(px), float(py)),
-                yaw=float(det.yaw + yaw),
-                extent=det.extent,
-                score=det.score,
-            )
-        )
-    return out
+    cx = np.array([det.center[0] for det in dets], dtype=np.float64)
+    cy = np.array([det.center[1] for det in dets], dtype=np.float64)
+    px = c * cx - s * cy + x
+    py = s * cx + c * cy + y
+    yaws = np.array([det.yaw for det in dets], dtype=np.float64) + yaw
+    return [
+        Detection(center=(u, v), yaw=a, extent=det.extent, score=det.score)
+        for det, u, v, a in zip(dets, px.tolist(), py.tolist(), yaws.tolist())
+    ]
 
 
 def relative_pose_error(estimate: Pose, truth: Pose) -> tuple[float, float]:

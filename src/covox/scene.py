@@ -9,13 +9,15 @@ and per-agent sensor noise each consume their own counter-based stream.
 
 from __future__ import annotations
 
+import copy
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .geometry import CameraIntrinsics, Pose, compose, pixel_rays
+from .geometry import _POSE_TOL, CameraIntrinsics, Pose, compose, pixel_rays, planar_parts
 from .robust import NoiseModel, perturb_pose
 
 _EPS = 1e-12
@@ -106,6 +108,11 @@ class AgentState:
     def __post_init__(self):
         if not (self.has_lidar or self.has_camera):
             raise ValueError("an agent must keep at least one sensor")
+        # The sensors' ray fans are turned by the yaw alone (_AzimuthFan).
+        r = self.true_pose.rotation
+        tilt = max(abs(r[0, 2]), abs(r[1, 2]), abs(r[2, 0]), abs(r[2, 1]), abs(r[2, 2] - 1.0))
+        if tilt > _POSE_TOL:
+            raise ValueError("true_pose must be a rotation about +z and a translation")
 
 
 @dataclass(frozen=True)
@@ -206,8 +213,8 @@ def lidar_rng(seed: int, agent_id: int) -> np.random.Generator:
 
 
 class _AzimuthFan:
-    """A ray bundle sorted by world azimuth, to find the rays that can reach
-    a box or a wall without testing the others.
+    """A ray bundle sorted by azimuth in its own frame, to find the rays
+    that can reach a box or a wall without testing the others.
 
     A ray meets a ground-standing box or a vertical wall only if its
     horizontal direction meets the circle circumscribing the box's footprint
@@ -216,6 +223,12 @@ class _AzimuthFan:
     length) radians, so rays shorter than _STEEP horizontally are always
     candidates and every angular window is widened by _CULL_ANGLE >
     _EPS / _STEEP; _CULL_PAD absorbs rounding in position.
+
+    A sensor's fan is built once over its bundle in the agent frame
+    (`_lidar_fan`, `_camera_bundle`) and turned to each agent's yaw
+    (`turned`): in the world, a ray of an agent rotated by `yaw` about +z
+    has its agent-frame azimuth plus `yaw`, to within rounding far below
+    _CULL_ANGLE.  So the windows still hold every ray that can hit.
     """
 
     _STEEP = 1e-6
@@ -224,6 +237,7 @@ class _AzimuthFan:
 
     def __init__(self, dirs: np.ndarray):
         self.n = dirs.shape[0]
+        self.yaw = 0.0
         flat = np.hypot(dirs[:, 0], dirs[:, 1]) >= self._STEEP
         idx = np.flatnonzero(flat)
         az = np.arctan2(dirs[idx, 1], dirs[idx, 0])
@@ -231,11 +245,21 @@ class _AzimuthFan:
         self.az = az[order]
         self.rays = idx[order]
         self.steep = np.flatnonzero(~flat)
+        for arr in (self.az, self.rays, self.steep):
+            arr.setflags(write=False)
+
+    def turned(self, yaw: float) -> "_AzimuthFan":
+        """The same bundle on a sensor turned by `yaw` about +z; the sorted
+        arrays are shared, not copied."""
+        fan = copy.copy(self)
+        fan.yaw = yaw
+        return fan
 
     def toward(self, origin, center, radius: float) -> np.ndarray:
         """Indices of every ray from `origin` that can meet the planar circle
         (`center`, `radius`), and some that cannot: all rays when the origin
-        is inside the circle."""
+        is inside the circle.  Positions are in the world; the bearing to
+        the circle is taken into the fan's frame by subtracting its yaw."""
         dx = center[0] - float(origin[0])
         dy = center[1] - float(origin[1])
         dist = math.hypot(dx, dy)
@@ -243,7 +267,11 @@ class _AzimuthFan:
         if dist <= radius:
             return np.arange(self.n)
         half = math.asin(radius / dist) + self._CULL_ANGLE
-        bearing = math.atan2(dy, dx)
+        bearing = math.atan2(dy, dx) - self.yaw
+        if bearing > math.pi:
+            bearing -= 2.0 * math.pi
+        elif bearing < -math.pi:
+            bearing += 2.0 * math.pi
         lo, hi = bearing - half, bearing + half
         spans = [(max(lo, -math.pi), min(hi, math.pi))]
         if lo < -math.pi:
@@ -354,6 +382,7 @@ def _ray_ground_t(origin, dirs) -> np.ndarray:
 def raycast(
     origin,
     dirs: np.ndarray,
+    fan: _AzimuthFan,
     objects: Sequence[BoxObject],
     occluders: Sequence[Wall],
     max_range: float = np.inf,
@@ -366,11 +395,16 @@ def raycast(
     is tested on all rays and each wall on the rays whose azimuth can reach
     it; the boxes share one slab test over every box's such rays.  Surfaces
     are taken in that order, a later one winning only when strictly closer.
+
+    `fan` sorts the same bundle by azimuth: an `_AzimuthFan` of `dirs`
+    themselves, or one of the bundle in the sensor's agent frame turned by
+    the agent's yaw, when the agent is rotated about +z only.
     """
     dirs = np.asarray(dirs, dtype=np.float64).reshape(-1, 3)
+    if fan.n != len(dirs):
+        raise ValueError("the fan must sort the same bundle as dirs")
     best = _ray_ground_t(origin, dirs)
     kind = np.where(best < np.inf, HIT_GROUND, HIT_NONE).astype(np.uint8)
-    fan = _AzimuthFan(dirs) if objects or occluders else None
 
     def nearer(rays, t, cls):
         closer = t < best[rays]
@@ -397,16 +431,36 @@ def raycast(
     return best, kind
 
 
+@functools.lru_cache(maxsize=8)
 def lidar_directions(spec: LidarSpec) -> np.ndarray:
-    """Unit ray directions in the sensor frame, elevation-major order."""
+    """Unit ray directions in the sensor frame, elevation-major order.
+
+    Computed once per spec and shared read-only.
+    """
     az = 2.0 * np.pi * np.arange(spec.n_azimuth) / spec.n_azimuth
     el = np.asarray(spec.elevation_angles, dtype=np.float64)
     ce, se = np.cos(el)[:, None], np.sin(el)[:, None]
     ca, sa = np.cos(az)[None, :], np.sin(az)[None, :]
     dirs = np.stack(
         [ce * ca, ce * sa, np.broadcast_to(se, (el.size, az.size))], axis=-1
-    )
-    return dirs.reshape(-1, 3)
+    ).reshape(-1, 3)
+    dirs.setflags(write=False)
+    return dirs
+
+
+@functools.lru_cache(maxsize=8)
+def _lidar_fan(spec: LidarSpec) -> _AzimuthFan:
+    """The LiDAR bundle's fan in the agent frame; the mount does not rotate."""
+    return _AzimuthFan(lidar_directions(spec))
+
+
+@functools.lru_cache(maxsize=8)
+def _camera_bundle(intr: CameraIntrinsics) -> tuple[np.ndarray, _AzimuthFan]:
+    """Pixel-center rays in the camera frame, shared read-only, and their
+    fan in the agent frame."""
+    dirs = pixel_rays(intr).reshape(-1, 3)
+    dirs.setflags(write=False)
+    return dirs, _AzimuthFan(dirs @ DEFAULT_CAMERA_MOUNT.rotation.T)
 
 
 def simulate_lidar(
@@ -427,8 +481,9 @@ def simulate_lidar(
     sensor = compose(agent.true_pose, DEFAULT_LIDAR_MOUNT)
     dirs_local = lidar_directions(spec)
     dirs_world = dirs_local @ sensor.rotation.T
+    fan = _lidar_fan(spec).turned(planar_parts(agent.true_pose)[2])
     t, kind = raycast(
-        sensor.translation, dirs_world, objects, occluders, spec.max_range
+        sensor.translation, dirs_world, fan, objects, occluders, spec.max_range
     )
     hit = kind != HIT_NONE
     ranges = t[hit] + rng.normal(0.0, spec.range_noise_sigma, size=int(hit.sum()))
@@ -453,9 +508,12 @@ def simulate_camera(
     if channels < _N_HIT_CLASSES + 2:
         raise ValueError("feature image needs at least 6 channels")
     cam = compose(agent.true_pose, DEFAULT_CAMERA_MOUNT)
-    dirs_cam = pixel_rays(intr).reshape(-1, 3)
+    dirs_cam, fan = _camera_bundle(intr)
     dirs_world = dirs_cam @ cam.rotation.T
-    t, kind = raycast(cam.translation, dirs_world, objects, occluders)
+    t, kind = raycast(
+        cam.translation, dirs_world, fan.turned(planar_parts(agent.true_pose)[2]),
+        objects, occluders,
+    )
     depth = np.where(kind != HIT_NONE, t, np.inf).reshape(intr.height, intr.width)
     kind = kind.reshape(intr.height, intr.width)
 

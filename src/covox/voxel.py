@@ -151,6 +151,11 @@ def voxelize_points(cloud: np.ndarray, spec: GridSpec) -> VoxelGrid:
     Per occupied cell the feature is
     [log(1 + count), mean offset from the cell center (x, y, z), mean height,
      zero padding up to C]; occupied cells are tagged LIDAR.
+
+    The in-grid points are sorted by cell, then by x, y and z, and each
+    occupied cell sums its points one by one in that order, so the encoding
+    is exactly permutation-invariant in the input cloud.  The work scales
+    with the points and the occupied cells, not with the grid.
     """
     if spec.channels < 5:
         raise ValueError("pillar encoding needs at least 5 channels")
@@ -163,24 +168,26 @@ def voxelize_points(cloud: np.ndarray, spec: GridSpec) -> VoxelGrid:
     if pts.shape[0] == 0:
         return grid
     flat = (idx[:, 0] * spec.ny + idx[:, 1]) * spec.nz + idx[:, 2]
-    # Canonical accumulation order makes the encoding exactly
-    # permutation-invariant in the input cloud.
     order = np.lexsort((pts[:, 2], pts[:, 1], pts[:, 0], flat))
     pts, flat = pts[order], flat[order]
 
-    n_cells = spec.nx * spec.ny * spec.nz
-    counts = np.bincount(flat, minlength=n_cells)
-    sums = np.stack(
-        [np.bincount(flat, weights=pts[:, k], minlength=n_cells) for k in range(3)],
-        axis=1,
-    )
-    occupied = np.flatnonzero(counts)
-    means = sums[occupied] / counts[occupied, None]
+    # Number the occupied cells in ascending order.  bincount adds each
+    # bin's weights in input order; np.add.reduceat would sum runs of 8 or
+    # more pairwise, which rounds differently.
+    first = np.empty(flat.size, dtype=bool)
+    first[0] = True
+    np.not_equal(flat[1:], flat[:-1], out=first[1:])
+    occupied = flat[first]
+    rank = np.cumsum(first) - 1
+    counts = np.bincount(rank)
+    sums = np.stack([np.bincount(rank, weights=pts[:, k]) for k in range(3)], axis=1)
+    means = sums / counts[:, None]
     ons = np.unravel_index(occupied, (spec.nx, spec.ny, spec.nz))
     centers = spec.cell_center(*ons)
 
+    n_cells = spec.nx * spec.ny * spec.nz
     feats = grid.features.reshape(n_cells, spec.channels)
-    feats[occupied, 0] = np.log1p(counts[occupied])
+    feats[occupied, 0] = np.log1p(counts)
     feats[occupied, 1:4] = means - centers
     feats[occupied, 4] = means[:, 2]
     grid.category.reshape(n_cells)[occupied] = Category.LIDAR

@@ -203,7 +203,8 @@ def test_failed_write_keeps_previous_metrics(tmp_path, monkeypatch):
 
 def test_evaluate_round_scores_each_near_pair_once(tmp_path, monkeypatch):
     """AP50, AP70 and recall50 share one IoU table per agent: each det x gt
-    pair whose circles meet is scored once, and no other pair is."""
+    pair whose circles meet is scored once, and no other pair is.  Each box
+    computes its corners at most once per table."""
     tree = {
         "experiment": {"mode": "full", "trials": 1, "render": False},
         "scenario": {"seed": 0, "n_agents": 4, "n_objects": 12},
@@ -216,8 +217,9 @@ def test_evaluate_round_scores_each_near_pair_once(tmp_path, monkeypatch):
     params = make_pipeline_params(exp.pipeline.grid, exp.params_seed)
     rounds, _ = run_round(agents, objects, (), exp.scenario, exp.pipeline, params)
 
-    boxes, calls = [], []
-    detect, gt_in_view, iou = cli.detect_local, cli._gt_in_view, metrics.rotated_iou
+    boxes, calls, corner_calls = [], [], []
+    detect, gt_in_view, iou = cli.detect_local, cli._gt_in_view, metrics._clipped_iou
+    corners = metrics.Detection.corners
 
     def detect_spy(occupancy, grid):
         boxes.append([detect(occupancy, grid)])
@@ -227,13 +229,18 @@ def test_evaluate_round_scores_each_near_pair_once(tmp_path, monkeypatch):
         boxes[-1].append(gt_in_view(agent, objects, grid))
         return boxes[-1][1]
 
-    def iou_spy(a, b):
+    def iou_spy(a, b, ca, cb):
         calls.append((len(boxes) - 1, id(a), id(b)))
-        return iou(a, b)
+        return iou(a, b, ca, cb)
+
+    def corners_spy(box):
+        corner_calls.append((len(boxes) - 1, id(box)))
+        return corners(box)
 
     monkeypatch.setattr(cli, "detect_local", detect_spy)
     monkeypatch.setattr(cli, "_gt_in_view", gt_spy)
-    monkeypatch.setattr(metrics, "rotated_iou", iou_spy)
+    monkeypatch.setattr(metrics, "_clipped_iou", iou_spy)
+    monkeypatch.setattr(metrics.Detection, "corners", corners_spy)
     cli.evaluate_round(rounds, agents, objects, exp.pipeline.grid)
 
     assert len(boxes) == len(agents)
@@ -245,3 +252,5 @@ def test_evaluate_round_scores_each_near_pair_once(tmp_path, monkeypatch):
     assert near, "the scene gives no near pair to score"
     assert len(calls) == len(set(calls))
     assert set(calls) == near
+    assert len(corner_calls) == len(set(corner_calls))
+    assert set(corner_calls) == {(k, i) for k, a, b in near for i in (a, b)}

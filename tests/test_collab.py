@@ -333,7 +333,7 @@ class TestAggregate:
     def test_max_and_concat_variants(self, rng):
         bev = rng.standard_normal((4, 4, 64))
         nbr = rng.standard_normal((4, 4, 64))
-        out_max = aggregate_max(bev, [nbr], [np.arange(16)])  # nbr wrote every cell
+        out_max = aggregate_max(bev, [nbr], [np.arange(16)], np.arange(16))  # every cell busy
         assert np.array_equal(out_max, np.maximum(bev, nbr))
         out_cat = aggregate_concat(PARAMS.concat_lin, bev, [nbr])
         stacked = np.concatenate([bev, nbr, np.zeros_like(bev), np.zeros_like(bev)], axis=2)
@@ -492,7 +492,7 @@ def test_cells_with_an_all_zero_stack_aggregate_to_zero(params_seed, seed, shape
         idle[cells] = False
     for agg in (
         aggregate_planes(params.agg_mha, ego, warped),
-        aggregate_max(ego, warped, written),
+        aggregate_max(ego, warped, written, nonzero_cells(ego)),
         aggregate_concat(params.concat_lin, ego, warped),
     ):
         assert np.all(agg.reshape(-1, shape[2])[idle] == 0.0)

@@ -1,10 +1,11 @@
-"""The stages between voxelization and detection touch only the cells that
+"""The stages from voxelization to detection touch only the cells that
 hold data, and the exchange runs per agent, not per edge.  The references
-here are the versions they replace: they copy, mask and scan whole grids,
-score, mask and pack every cell, answer each phase-1 request on its own,
-warp every message on its own into a fresh zero plane, run attention on
-whole token stacks, take the max aggregation over whole planes and find
-nonzero cells by scanning whole planes.  Every stage, and every trial end
+here are the versions they replace: they count points into every voxel of
+the grid, copy, mask and scan whole grids, score, mask and pack every
+cell, answer each phase-1 request on its own, warp every message on its
+own into a fresh zero plane, run attention on whole token stacks, take the
+max aggregation over a copy of the ego plane and find nonzero cells by
+scanning whole planes.  Every stage, and every trial end
 to end, must match them bit for bit.  Whole trials must also match the box
 path as it ran box by box: the ray cast, the detector's components and
 rectangles and the IoU clip; and the perceive stage as it ran on whole
@@ -56,6 +57,7 @@ from covox.voxel import (
     VoxelGrid,
     categorize,
     collapse,
+    voxelize_points,
 )
 
 from test_collab import nonzero_cells
@@ -65,6 +67,34 @@ from test_scene import raycast_per_box
 from test_voxel import _dense_lift_camera
 
 # --- dense references --------------------------------------------------------
+
+
+def voxelize_points_dense(cloud, spec):
+    """Pillar encoding with one bincount over every voxel of the grid per
+    sum, and the occupied voxels found by a scan of the counts."""
+    grid = VoxelGrid.empty(spec)
+    pts = np.asarray(cloud, dtype=np.float64).reshape(-1, 3)
+    idx, inside = spec.cell_of(pts)
+    pts, idx = pts[inside], idx[inside]
+    if pts.shape[0] == 0:
+        return grid
+    flat = (idx[:, 0] * spec.ny + idx[:, 1]) * spec.nz + idx[:, 2]
+    order = np.lexsort((pts[:, 2], pts[:, 1], pts[:, 0], flat))
+    pts, flat = pts[order], flat[order]
+    n_cells = spec.nx * spec.ny * spec.nz
+    counts = np.bincount(flat, minlength=n_cells)
+    sums = np.stack(
+        [np.bincount(flat, weights=pts[:, k], minlength=n_cells) for k in range(3)], axis=1
+    )
+    occupied = np.flatnonzero(counts)
+    means = sums[occupied] / counts[occupied, None]
+    centers = spec.cell_center(*np.unravel_index(occupied, (spec.nx, spec.ny, spec.nz)))
+    feats = grid.features.reshape(n_cells, spec.channels)
+    feats[occupied, 0] = np.log1p(counts[occupied])
+    feats[occupied, 1:4] = means - centers
+    feats[occupied, 4] = means[:, 2]
+    grid.category.reshape(n_cells)[occupied] = Category.LIDAR
+    return grid
 
 
 def categorize_copying(lidar_grid, camera_grid):
@@ -127,7 +157,8 @@ def occupancy_from_bev_dense(bev, cells=None):
     return np.linalg.norm(np.asarray(bev, dtype=np.float64), axis=2)
 
 
-def occupancy_from_grid_dense(grid):
+def occupancy_from_grid_dense(grid, columns=None):
+    """Every column's z-sum; `columns` is not read."""
     return grid.features[:, :, :, 0].sum(axis=2)
 
 
@@ -251,6 +282,7 @@ def lift_camera_dense(features, dist, intr, cam_pose_in_ego, spec, mass_threshol
 
 def use_dense_pipeline(m):
     """Swap every sparse stage of a round and of its scoring for its reference."""
+    m.setattr(collab, "voxelize_points", voxelize_points_dense)
     m.setattr(collab, "lift_camera", lift_camera_dense)
     m.setattr(collab, "categorize", categorize_copying)
     m.setattr(collab, "fuse_modalities", fuse_modalities_masked)
@@ -435,7 +467,11 @@ class TestStagesMatchDenseReferences:
             plane[on] = rng.standard_normal((int(on.sum()), shape[2]))
             warped.append(plane)
             written.append(np.flatnonzero(on))
-        assert np.array_equal(aggregate_max(ego, warped, written), aggregate_max_dense(ego, warped))
+        before = ego.copy()
+        got = aggregate_max(ego, warped, written, nonzero_cells(ego))
+        assert np.array_equal(got, aggregate_max_dense(ego, warped))
+        assert not np.shares_memory(got, ego)
+        assert np.array_equal(ego, before)
 
     def test_max_keeps_negative_ego_scalars_no_neighbor_wrote(self):
         """A neighbor's unsent cells are no signal: they must not lift the
@@ -444,7 +480,10 @@ class TestStagesMatchDenseReferences:
         ego = -rng.uniform(0.5, 1.0, (4, 5, 6))
         plane = np.zeros_like(ego)
         plane[1, 2] = rng.standard_normal(6)
-        out = aggregate_max(ego, [plane], [np.array([1 * 5 + 2])])
+        before = ego.copy()
+        out = aggregate_max(ego, [plane], [np.array([1 * 5 + 2])], np.arange(4 * 5))
+        assert not np.shares_memory(out, ego)
+        assert np.array_equal(ego, before)
         assert np.array_equal(out[1, 2], np.maximum(ego[1, 2], plane[1, 2]))
         untouched = np.ones((4, 5), dtype=bool)
         untouched[1, 2] = False
@@ -515,7 +554,45 @@ def test_occupancy_from_grid_matches_dense(seed, shape, nz, density):
     grid.category[on] = Category.LIDAR
     scale = 10.0 ** rng.integers(-8, 9, (int(on.sum()), 1))
     grid.features[on] = rng.uniform(0.0, 1.0, (int(on.sum()), 5)) * scale
-    assert np.array_equal(occupancy_from_grid(grid), occupancy_from_grid_dense(grid))
+    got = occupancy_from_grid(grid, grid.tagged_columns())
+    assert np.array_equal(got, occupancy_from_grid_dense(grid))
+
+
+@st.composite
+def clouds(draw):
+    """A grid and a cloud of clusters: each cluster puts 1 to 40 points in
+    one voxel, at offsets within it that span 16 orders of magnitude, so a
+    sum taken in another order than one by one, such as numpy's pairwise
+    sum of 8 or more values, gives other bits.  Some clusters lie just
+    outside the grid."""
+    shape = draw(st.tuples(st.integers(1, 6), st.integers(1, 6), st.integers(1, 4)))
+    spec = GridSpec((-3.0, 3.0), (-2.0, 4.0), (0.0, 2.0), *shape, draw(st.sampled_from([5, 8])))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lo = np.array([spec.x_range[0], spec.y_range[0], spec.z_range[0]])
+    size = np.array([spec.dx, spec.dy, spec.dz])
+    parts = []
+    for _ in range(draw(st.integers(0, 6))):
+        n = draw(st.integers(1, 40))
+        cell = rng.integers(-1, np.array(shape) + 1)  # one step past each side
+        frac = rng.uniform(0.0, 1.0, (n, 3)) * 10.0 ** rng.integers(-16, 1, (n, 1))
+        parts.append(lo + (cell + frac) * size)
+    cloud = np.concatenate(parts) if parts else np.zeros((0, 3))
+    return spec, cloud[rng.permutation(len(cloud))]
+
+
+@given(clouds())
+@example((GridSpec((-3.0, 3.0), (-3.0, 3.0), (0.0, 2.0), 4, 4, 2, 5), np.zeros((0, 3))))
+@example((GridSpec((-3.0, 3.0), (-3.0, 3.0), (0.0, 2.0), 4, 4, 2, 5),
+          np.array([[9.0, 0.0, 1.0], [0.0, -3.5, 1.0], [0.0, 0.0, 2.0]])))
+@settings(max_examples=150, deadline=None)
+def test_voxelize_points_matches_dense(case):
+    """Features and category bytes equal the whole-grid bincount's, for
+    empty clouds, clouds wholly outside the grid and voxels of 9 or more
+    points."""
+    spec, cloud = case
+    got, want = voxelize_points(cloud, spec), voxelize_points_dense(cloud, spec)
+    assert got.features.tobytes() == want.features.tobytes()
+    assert got.category.tobytes() == want.category.tobytes()
 
 
 SMALL_GRID = GridSpec((-20.0, 20.0), (-20.0, 20.0), (0.5, 3.7), 24, 24, 4, 8)
@@ -561,8 +638,11 @@ def test_max_of_nonzero_tokens_can_be_a_zero_cell():
     plane[0, 1] = (-1.0, 0.0)
     plane[1, 2] = (0.5, 0.0)
     written = [np.array([1, 5])]
-    agg = aggregate_max(ego, [plane], written)
+    before = ego.copy()
+    agg = aggregate_max(ego, [plane], written, np.array([1]))
     assert not np.any(agg[0, 1])
+    assert not np.shares_memory(agg, ego)
+    assert np.array_equal(ego, before)
     assert np.array_equal(collab._aggregated_cells(agg, np.array([1]), written), [5])
 
 

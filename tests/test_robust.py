@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from covox import robust
 from covox.geometry import Pose, invert, planar_parts
-from covox.metrics import Detection, rotated_iou
+from covox.metrics import Detection, iou_table
 from covox.robust import (
     NoiseModel,
     _connected_components,
@@ -249,6 +249,20 @@ def greedy_matches_per_pair(ego_dets, neighbor_dets, gate_radius):
             pairs.append((i, cand))
             free.remove(cand)
     return pairs
+
+
+def transform_detections_per_box(dets, pose):
+    x, y, yaw = planar_parts(pose)
+    c, s = np.cos(yaw), np.sin(yaw)
+    out = []
+    for det in dets:
+        px = c * det.center[0] - s * det.center[1] + x
+        py = s * det.center[0] + c * det.center[1] + y
+        out.append(
+            Detection(center=(float(px), float(py)), yaw=float(det.yaw + yaw),
+                      extent=det.extent, score=det.score)
+        )
+    return out
 
 
 def assert_same_rects(got, want):
@@ -570,26 +584,27 @@ class TestDetectLocal:
     def test_rasterized_box_recovered(self):
         truth = Detection(center=(4.0, -3.0), yaw=0.5, extent=(4.4, 2.0))
         grid = voxelize_points(rasterize_box(truth, GRID), GRID)
-        dets = detect_local(occupancy_from_grid(grid), GRID)
+        dets = detect_local(occupancy_from_grid(grid, grid.tagged_columns()), GRID)
         assert len(dets) == 1
         det = dets[0]
         pitch = (GRID.dx + GRID.dy) / 2
         assert np.hypot(det.center[0] - 4.0, det.center[1] + 3.0) <= pitch
         yaw_err = abs((det.yaw - truth.yaw + np.pi / 2) % np.pi - np.pi / 2)
         assert np.degrees(yaw_err) < 10.0
-        assert rotated_iou(det, truth) > 0.5
+        assert iou_table([det], [truth])[0, 0] > 0.5
 
     def test_two_separated_boxes(self):
         a = Detection(center=(-8.0, -8.0), yaw=0.0, extent=(4.0, 2.0))
         b = Detection(center=(8.0, 8.0), yaw=1.0, extent=(4.0, 2.0))
         pts = np.vstack([rasterize_box(a, GRID), rasterize_box(b, GRID)])
-        dets = detect_local(occupancy_from_grid(voxelize_points(pts, GRID)), GRID)
+        grid = voxelize_points(pts, GRID)
+        dets = detect_local(occupancy_from_grid(grid, grid.tagged_columns()), GRID)
         assert len(dets) == 2
 
     def test_scores_in_unit_interval(self):
         truth = Detection(center=(0.0, 0.0), yaw=0.0, extent=(4.0, 2.0))
         grid = voxelize_points(rasterize_box(truth, GRID), GRID)
-        for det in detect_local(occupancy_from_grid(grid), GRID):
+        for det in detect_local(occupancy_from_grid(grid, grid.tagged_columns()), GRID):
             assert 0.0 <= det.score <= 1.0
 
 
@@ -694,6 +709,30 @@ class TestCorrectRelativePose:
             after, _ = relative_pose_error(corrected, true_rel)
             wins += after <= before
         assert wins >= 90
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(0, 12),
+    pose=st.tuples(st.floats(-50.0, 50.0), st.floats(-50.0, 50.0), st.floats(-np.pi, np.pi)),
+)
+@settings(max_examples=100, deadline=None)
+def test_transform_detections_matches_per_box(seed, n, pose):
+    """The array pass gives every box the bits of the per-box loop, and
+    keeps each box's extent and score."""
+    rng = np.random.default_rng(seed)
+    dets = [
+        Detection(center=tuple(rng.uniform(-40.0, 40.0, 2) * 10.0 ** rng.integers(-12, 2)),
+                  yaw=float(rng.uniform(-np.pi, np.pi)),
+                  extent=tuple(rng.uniform(0.5, 5.0, 2)), score=float(rng.uniform()))
+        for _ in range(n)
+    ]
+    rel = Pose.from_planar(*pose)
+    got, want = transform_detections(dets, rel), transform_detections_per_box(dets, rel)
+    assert got == want
+    for g, w in zip(got, want):
+        assert [type(v) for v in (*g.center, g.yaw)] == [float] * 3
+        assert np.array([*g.center, g.yaw]).tobytes() == np.array([*w.center, w.yaw]).tobytes()
 
 
 def test_relative_pose_error_wraps_yaw():

@@ -12,6 +12,7 @@ from covox.geometry import (
     compose,
     invert,
     pixel_rays,
+    planar_parts,
     project_points,
     transform_points,
 )
@@ -99,6 +100,22 @@ class TestGenerateScene:
         pose = Pose(np.eye(4))
         with pytest.raises(ValueError):
             AgentState(0, pose, pose, has_lidar=False, has_camera=False)
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_agent_rejects_a_tilted_true_pose(self, axis):
+        """The sensors' fans are turned by the agent's yaw alone, so a true
+        pose must rotate about +z only, to within the pose tolerance."""
+        def tilted(angle):
+            c, s = np.cos(angle), np.sin(angle)
+            rot = np.eye(3)
+            other = 1 - axis  # rotate about x (axis 0) or y (axis 1)
+            rot[np.ix_([other, 2], [other, 2])] = [[c, -s], [s, c]]
+            return compose(Pose.from_planar(3.0, -2.0, 0.7), Pose.from_rt(rot, (0.0, 0.0, 0.0)))
+
+        flat = Pose.from_planar(3.0, -2.0, 0.7)
+        with pytest.raises(ValueError, match="true_pose"):
+            AgentState(0, tilted(0.01), flat)
+        AgentState(0, tilted(1e-12), flat)
 
 
 class TestSimulateLidar:
@@ -347,11 +364,10 @@ def ray_box_t_sliced(origin, dirs, box, rays):
     return np.where(hit, near, np.inf)
 
 
-def raycast_per_box(origin, dirs, objects, occluders, max_range=np.inf):
+def raycast_per_box(origin, dirs, fan, objects, occluders, max_range=np.inf):
     dirs = np.asarray(dirs, dtype=np.float64).reshape(-1, 3)
     best = scene._ray_ground_t(origin, dirs)
     kind = np.where(best < np.inf, scene.HIT_GROUND, scene.HIT_NONE).astype(np.uint8)
-    fan = scene._AzimuthFan(dirs) if objects or occluders else None
 
     def nearer(rays, t, cls):
         closer = t < best[rays]
@@ -374,11 +390,14 @@ def raycast_per_box(origin, dirs, objects, occluders, max_range=np.inf):
 
 
 def assert_matches_oracles(origin, dirs, boxes, walls, max_range=np.inf):
-    t, kind = raycast(origin, dirs, boxes, walls, max_range)
-    for oracle in (oracle_raycast, raycast_per_box):
-        t_ref, kind_ref = oracle(origin, dirs, boxes, walls, max_range)
-        assert np.array_equal(t, t_ref), oracle.__name__
-        assert np.array_equal(kind, kind_ref), oracle.__name__
+    fan = scene._AzimuthFan(dirs)
+    t, kind = raycast(origin, dirs, fan, boxes, walls, max_range)
+    for name, (t_ref, kind_ref) in (
+        ("oracle_raycast", oracle_raycast(origin, dirs, boxes, walls, max_range)),
+        ("raycast_per_box", raycast_per_box(origin, dirs, fan, boxes, walls, max_range)),
+    ):
+        assert np.array_equal(t, t_ref), name
+        assert np.array_equal(kind, kind_ref), name
     return t, kind
 
 
@@ -465,7 +484,8 @@ class TestRaycastOracle:
         dirs = np.concatenate([_AWKWARD_RAYS, [[1.0, 0.0, 0.0], [0.0, 1.0, -0.5]]])
         t = scene._ray_wall_t(origin, dirs, Wall((0.0, 0.0), (0.0, 0.0), 1.0), np.arange(len(dirs)))
         assert np.all(t == np.inf)
-        _, kind = raycast(origin, dirs, [], [Wall((1.0, 0.0), (1.0, 0.0), 2.0)])
+        walls = [Wall((1.0, 0.0), (1.0, 0.0), 2.0)]
+        _, kind = raycast(origin, dirs, scene._AzimuthFan(dirs), [], walls)
         assert not np.any(kind == scene.HIT_WALL)
 
     def test_walls_across_pi_and_around_the_sensor(self):
@@ -481,7 +501,7 @@ class TestRaycastOracle:
         spec = LidarSpec(n_azimuth=720, elevation_angles=(-0.3, -0.05, 0.0, 0.2))
         corners = [np.subtract(p, origin) for w in walls for p in _wall_corners(w)]
         dirs = np.concatenate([scene.lidar_directions(spec), _AWKWARD_RAYS, corners])
-        t, kind = raycast(origin, dirs, [], walls)
+        t, kind = raycast(origin, dirs, scene._AzimuthFan(dirs), [], walls)
         t_ref, kind_ref = oracle_raycast(origin, dirs, [], walls)
         assert np.array_equal(t, t_ref)
         assert np.array_equal(kind, kind_ref)
@@ -489,7 +509,7 @@ class TestRaycastOracle:
         on_wall = kind == scene.HIT_WALL
         assert np.any(on_wall & (az > 3.1)) and np.any(on_wall & (az < -3.1))
         for wall in walls:
-            alone, _ = raycast(origin, dirs, [], [wall])
+            alone, _ = raycast(origin, dirs, scene._AzimuthFan(dirs), [], [wall])
             assert np.any(alone < np.inf)
 
     def test_wall_end_ray_alone_in_its_window(self):
@@ -503,7 +523,7 @@ class TestRaycastOracle:
         mid = ((wall.p1[0] + wall.p2[0]) / 2.0, (wall.p1[1] + wall.p2[1]) / 2.0)
         radius = np.hypot(wall.p2[0] - wall.p1[0], wall.p2[1] - wall.p1[1]) / 2.0
         assert scene._AzimuthFan(dirs).toward(origin, mid, radius).tolist() == [0]
-        t, kind = raycast(origin, dirs, [], [wall])
+        t, kind = raycast(origin, dirs, scene._AzimuthFan(dirs), [], [wall])
         t_ref, kind_ref = oracle_raycast(origin, dirs, [], [wall])
         assert np.array_equal(t, t_ref)
         assert np.array_equal(kind, kind_ref)
@@ -547,7 +567,7 @@ class TestRaycastOracle:
         y, z = np.meshgrid(np.linspace(-1.2, 1.2, 25), np.linspace(-1.0, 0.6, 9))
         dirs = np.stack([np.full(y.size, 5.0), y.ravel(), z.ravel()], axis=1)
         t, kind = assert_matches_oracles(origin, dirs, boxes, walls)
-        alone = [raycast(origin, dirs, [b], walls)[0] for b in boxes[:2]]
+        alone = [raycast(origin, dirs, scene._AzimuthFan(dirs), [b], walls)[0] for b in boxes[:2]]
         tied = (alone[0] == alone[1]) & (kind == scene.HIT_OBJECT)
         assert np.any(tied)
         assert np.array_equal(t[tied], np.full(np.count_nonzero(tied), 1.0))
@@ -567,3 +587,119 @@ class TestRaycastOracle:
                 dirs = local @ sensor.rotation.T
                 for max_range in (np.inf, cfg.lidar.max_range, 8.0):
                     assert_matches_oracles(sensor.translation, dirs, boxes, walls, max_range)
+
+
+# --- one fan per sensor, turned by the agent's yaw ----------------------------
+
+SEAM_LIDAR = LidarSpec(n_azimuth=360, elevation_angles=(-0.2, -0.05, 0.0, 0.1),
+                       max_range=30.0, range_noise_sigma=0.05)
+
+
+def raycast_world_fan(origin, dirs, fan, objects, occluders, max_range=np.inf):
+    """raycast with a fan built from the world directions; `fan` is not read."""
+    return raycast(origin, dirs, scene._AzimuthFan(dirs), objects, occluders, max_range)
+
+
+@st.composite
+def seam_scenes(draw):
+    """An agent at any yaw in (-pi, pi], +-pi included, with boxes and walls
+    across the azimuth seam of its own frame (behind it), across the world
+    frame's seam (toward -x) and ahead of its camera."""
+    yaw = draw(st.one_of(st.sampled_from([np.pi, -np.pi, 0.0, np.pi / 2]),
+                         st.floats(-np.pi, np.pi)))
+    x, y = draw(st.floats(-10.0, 10.0)), draw(st.floats(-10.0, 10.0))
+    boxes, walls = [], []
+    for heading in (yaw + np.pi, np.pi, yaw):
+        for _ in range(draw(st.integers(0, 2))):
+            d, off = draw(st.floats(3.0, 15.0)), draw(st.floats(-0.3, 0.3))
+            center = (x + d * np.cos(heading + off), y + d * np.sin(heading + off))
+            extent = (draw(st.floats(0.5, 5.0)), draw(st.floats(0.5, 3.0)), draw(st.floats(0.5, 2.5)))
+            boxes.append(BoxObject(center, draw(st.floats(-np.pi, np.pi)), extent))
+        if draw(st.booleans()):
+            d, half = draw(st.floats(2.0, 15.0)), draw(st.floats(0.2, 6.0))
+            cx, cy = x + d * np.cos(heading), y + d * np.sin(heading)
+            tx, ty = -np.sin(heading) * half, np.cos(heading) * half
+            walls.append(Wall((cx - tx, cy - ty + draw(st.floats(-0.5, 0.5))), (cx + tx, cy + ty),
+                              draw(st.floats(0.5, 3.0))))
+    return still_agent(x, y, yaw), boxes, walls
+
+
+def assert_sensors_match_world_fan(agent, boxes, walls):
+    got_l = simulate_lidar(agent, boxes, walls, SEAM_LIDAR, lidar_rng(3, 0))
+    got_c = simulate_camera(agent, boxes, walls, INTR, 8)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(scene, "raycast", raycast_world_fan)
+        want_l = simulate_lidar(agent, boxes, walls, SEAM_LIDAR, lidar_rng(3, 0))
+        want_c = simulate_camera(agent, boxes, walls, INTR, 8)
+    assert got_l.tobytes() == want_l.tobytes()
+    for got, want in zip(got_c, want_c):
+        assert got.tobytes() == want.tobytes()
+    return got_l
+
+
+class TestSensorFans:
+    @given(seam_scenes())
+    @settings(max_examples=60, deadline=None)
+    def test_turned_fan_matches_a_world_fan(self, case):
+        """The cached agent-frame fan turned by the yaw gives the bits of a
+        fan sorted in the world, for the LiDAR and the camera, and windows
+        as narrow: they differ at most in a ray on a window's edge."""
+        agent, boxes, walls = case
+        assert_sensors_match_world_fan(agent, boxes, walls)
+        sensor = compose(agent.true_pose, DEFAULT_LIDAR_MOUNT)
+        dirs = scene.lidar_directions(SEAM_LIDAR) @ sensor.rotation.T
+        turned = scene._lidar_fan(SEAM_LIDAR).turned(planar_parts(agent.true_pose)[2])
+        world = scene._AzimuthFan(dirs)
+        circles = [(b.center, math.hypot(*b.extent[:2]) / 2.0) for b in boxes]
+        circles += [(np.add(w.p1, w.p2) / 2.0, math.dist(w.p1, w.p2) / 2.0) for w in walls]
+        for center, radius in circles:
+            got = set(turned.toward(sensor.translation, center, radius).tolist())
+            want = set(world.toward(sensor.translation, center, radius).tolist())
+            assert len(got ^ want) <= 2
+
+    @pytest.mark.parametrize("yaw", [np.pi, -np.pi, 0.0, 2.5])
+    def test_box_behind_the_agent_across_its_seam(self, yaw):
+        """A box right behind the agent is hit by rays on both sides of
+        azimuth +-pi in the agent frame."""
+        x, y = 1.0, -2.0
+        box = BoxObject((x - 6.0 * np.cos(yaw), y - 6.0 * np.sin(yaw)), yaw + 0.3, (2.0, 4.0, 1.6))
+        wall = Wall((x + 8.0, y - 3.0), (x + 8.0, y + 3.0), 2.0)
+        pts = assert_sensors_match_world_fan(still_agent(x, y, yaw), [box], [wall])
+        az = np.arctan2(pts[:, 1], pts[:, 0])
+        assert np.any(az > 3.1) and np.any(az < -3.1)
+
+    def test_each_sensor_shape_builds_one_fan(self):
+        """Every agent of every trial shares its sensors' fans: one per
+        LiDAR spec and one per camera, whatever the agents' poses."""
+        built = []
+
+        class CountedFan(scene._AzimuthFan):
+            def __init__(self, dirs):
+                built.append(len(dirs))
+                super().__init__(dirs)
+
+        caches = (scene.lidar_directions, scene._lidar_fan, scene._camera_bundle)
+        other = LidarSpec(n_azimuth=90, elevation_angles=(-0.1, 0.0))
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(scene, "_AzimuthFan", CountedFan)
+            for cache in caches:
+                cache.cache_clear()
+            try:
+                for seed in range(3):
+                    cfg = ScenarioConfig(seed=seed, n_agents=3, n_objects=4)
+                    agents, boxes = generate_scene(cfg)
+                    for agent in agents:
+                        for spec in (cfg.lidar, other):
+                            simulate_lidar(agent, boxes, [], spec, lidar_rng(seed, agent.id))
+                        simulate_camera(agent, boxes, [], cfg.camera, 8)
+            finally:
+                for cache in caches:
+                    cache.cache_clear()
+        n_lidar = len(cfg.lidar.elevation_angles) * cfg.lidar.n_azimuth
+        assert sorted(built) == sorted([n_lidar, 2 * 90, cfg.camera.width * cfg.camera.height])
+
+    def test_shared_directions_are_read_only(self):
+        spec = LidarSpec(n_azimuth=8, elevation_angles=(0.0,))
+        assert scene.lidar_directions(spec) is scene.lidar_directions(spec)
+        with pytest.raises(ValueError):
+            scene.lidar_directions(spec)[0, 0] = 1.0
