@@ -1,22 +1,23 @@
 """Fixed glibc malloc thresholds, set once when covox is imported.
 
-A trial allocates and frees 40-100 MiB of 2 MiB voxel grids (64 x 64 x 8
-cells x 8 float64 channels).  glibc's default thresholds are dynamic: after
-the first 2 MiB block is freed, blocks that size go on the heap, but the
-trim threshold stays at twice that size, so the freed top of the heap is
-handed back to the kernel at the end of every trial and the next trial has
-to fault it in again.  Measured on a 2-core x86-64 host with glibc 2.36: a
-4-agent LiDAR trial took about 3.8k minor faults and 4-10 ms of system time,
-a fifth of the trial; an 8-agent camera trial sat at either ~600 or ~15k
-faults (17-21 ms of system time), depending on the order of its allocations.
+Voxel grids list only their tagged voxels, but a trial still allocates and
+frees 2 MiB planes (64 x 64 BEV cells x 64 float64 channels): each agent's
+BEV and each receiver's aggregated plane, 16-32 MiB per trial.  glibc's
+default thresholds are dynamic: after the first 2 MiB block is freed,
+blocks that size go on the heap, but the trim threshold stays at twice that
+size, so the freed top of the heap is handed back to the kernel at the end
+of every trial and the next trial has to fault it in again.  Measured on a
+2-core x86-64 host with glibc 2.36, after three warm-up trials: with the
+dynamic thresholds a 4-agent LiDAR trial took a median of about 1.1k minor
+faults (4.7 ms of system time) and an 8-agent camera trial about 4.6k
+(15 ms).
 
-Fixed values turn the dynamic thresholds off.  Grids below 4 MiB stay on a
+Fixed values turn the dynamic thresholds off.  Blocks below 4 MiB stay on a
 heap that is not trimmed until 256 MiB sit free at its top, so trials reuse
-pages already mapped: about 130 faults per 4-agent trial and 700 per
-8-agent trial.  Larger arrays, such as the 6-15 MiB phase-2 plane stacks,
-stay lazily zeroed mmaps whose untouched rows cost nothing.  The price is
-memory kept mapped between trials: peak RSS of the 4-agent benchmark rose
-by 2.3-2.7 MB (under 5%).
+pages already mapped: a median of 0-1 faults per trial for both, and at
+most about 200 in any trial.  Larger arrays, such as the 6-15 MiB phase-2
+plane stacks, stay lazily zeroed mmaps whose untouched rows cost nothing.
+The price is memory kept mapped between trials.
 """
 
 from __future__ import annotations

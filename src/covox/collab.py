@@ -242,17 +242,12 @@ def build_comm_graph(
     return graph
 
 
-def preference_map(grid: VoxelGrid, columns: np.ndarray) -> np.ndarray:
-    """Per-column transmission threshold: 0 for columns with a hybrid cell
-    (always worth sharing), 0.5 for everything else.
-
-    `columns` holds the grid's tagged columns (`VoxelGrid.tagged_columns`);
-    no other column can hold a hybrid cell.
-    """
+def preference_map(grid: VoxelGrid) -> np.ndarray:
+    """Per-column transmission threshold: 0 for columns with a hybrid voxel
+    (always worth sharing), 0.5 for everything else."""
     s = grid.spec
-    hybrid = np.any(grid.category.reshape(s.nx * s.ny, s.nz)[columns] == Category.HYBRID, axis=1)
     pref = np.full(s.nx * s.ny, 0.5)
-    pref[columns[hybrid]] = 0.0
+    pref[grid.voxels[grid.category == Category.HYBRID] // s.nz] = 0.0
     return pref.reshape(s.nx, s.ny)
 
 
@@ -514,8 +509,7 @@ class _AgentWork:
 
     state: AgentState
     neighbors: tuple[int, ...]
-    lidar_grid: Optional[VoxelGrid]  # released once fused
-    lidar_columns: np.ndarray  # `lidar_grid.tagged_columns()`
+    lidar_grid: VoxelGrid  # the voxelized LiDAR cloud; empty without a LiDAR
     cloud_sensor: Optional[np.ndarray] = None  # LiDAR hits, sensor frame
     cloud: Optional[np.ndarray] = None  # the same hits, agent frame
     images: Optional[tuple[np.ndarray, np.ndarray]] = None  # camera depth, features
@@ -540,20 +534,16 @@ def _sense(
     scenario: ScenarioConfig,
     pipe: PipelineConfig,
 ) -> _AgentWork:
-    """Capture the agent's sensors, voxelize its LiDAR cloud and find the
-    grid's tagged columns."""
+    """Capture the agent's sensors and voxelize its LiDAR cloud."""
     if not agent.has_lidar:
-        grid = VoxelGrid.empty(pipe.grid)
-        work = _AgentWork(agent, neighbors, grid, grid.tagged_columns())
+        work = _AgentWork(agent, neighbors, VoxelGrid.empty(pipe.grid))
     else:
         pts = simulate_lidar(
             agent, objects, occluders, scenario.lidar, lidar_rng(scenario.seed, agent.id)
         )
         cloud = transform_points(DEFAULT_LIDAR_MOUNT, pts)
         grid = voxelize_points(cloud, pipe.grid)
-        work = _AgentWork(
-            agent, neighbors, grid, grid.tagged_columns(), cloud_sensor=pts, cloud=cloud
-        )
+        work = _AgentWork(agent, neighbors, grid, cloud_sensor=pts, cloud=cloud)
     if agent.has_camera and pipe.fusion_mode != "none":
         work.images = simulate_camera(
             agent, objects, occluders, scenario.camera, pipe.grid.channels
@@ -576,7 +566,7 @@ def _relative_poses(
     if pipe.robust:
         for w in works.values():
             if w.state.id in lidar and lidar.intersection(w.neighbors):
-                occupancy = occupancy_from_grid(w.lidar_grid, w.lidar_columns)
+                occupancy = occupancy_from_grid(w.lidar_grid)
                 w.detections = detect_local(occupancy, pipe.grid)
     inverse = {
         aid: (invert(w.state.believed_pose), invert(w.state.true_pose))
@@ -658,16 +648,14 @@ def _perceive(
 
     An agent without camera images fuses nothing: its LiDAR grid is its
     fused grid.  That is exact, because categorizing against an empty camera
-    grid gives the LiDAR tags and both fusions copy LIDAR cells unchanged.
+    grid gives the LiDAR tags and both fusions copy LIDAR voxels unchanged.
 
-    The fused grid's tagged columns are found once, or are the LiDAR grid's
-    from `_sense` when that is the fused grid: only they can hold a hybrid
-    cell, and, because untagged voxels hold zeros, only their BEV rows can
-    be nonzero.  Those rows are checked one by one, and the BEV's
-    nonzero cells travel with it as `w.cells`; the importance scores and
-    the message read only them.
+    Only the fused grid's tagged columns can be nonzero in the BEV, because
+    unlisted voxels hold zeros.  Those rows are checked one by one, and the
+    BEV's nonzero cells travel with it as `w.cells`; the importance scores
+    and the message read only them.
     """
-    fused, columns = w.lidar_grid, w.lidar_columns
+    fused = w.lidar_grid
     if w.images is not None:
         depth_img, feat_img = w.images
         if pipe.depth_projection != "no" and w.state.has_lidar:
@@ -689,14 +677,9 @@ def _perceive(
             fused = fuse_modalities_equal(params.equal_lin, cat)
         else:
             fused = fuse_modalities(params.fusion, cat)
-        columns = fused.tagged_columns()
     w.bev = collapse(fused)
-    w.cells = _nonzero_rows(w.bev, columns)
-    # Nothing reads the LiDAR grid as such after fusion.  Dropping the
-    # reference here keeps a camera agent's LiDAR grid out of phase 2's peak
-    # memory; a LiDAR-only agent's grid lives on as the storage of `w.bev`.
-    w.lidar_grid = None
-    w.mask = confidence_mask(importance_scores(w.bev, w.cells), preference_map(fused, columns))
+    w.cells = _nonzero_rows(w.bev, fused.tagged_columns())
+    w.mask = confidence_mask(importance_scores(w.bev, w.cells), preference_map(fused))
     w.message = pack_message(w.bev, w.mask, w.cells)
 
 

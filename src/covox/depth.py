@@ -8,6 +8,7 @@ pixel so projected ego depths are never overwritten by shared ones.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import Sequence
@@ -195,19 +196,24 @@ class NoisyOraclePredictor:
             raise ValueError("noise parameters must be non-negative")
 
 
+@functools.lru_cache(maxsize=8)
 def _bin_gaussian_table(sigma: float, n_bins: int) -> np.ndarray:
     """(D, D) table whose row k is the discrete Gaussian around bin k,
-    truncated at 4 sigma and zero past the bin range (not renormalised)."""
+    truncated at 4 sigma and zero past the bin range (not renormalised).
+    Cached per argument pair, so read-only."""
     if sigma == 0:
-        return np.eye(n_bins)
-    half = min(n_bins - 1, int(np.ceil(4 * sigma)))
-    k = np.arange(-half, half + 1, dtype=np.float64)
-    with np.errstate(over="ignore"):  # a tiny sigma leaves only the centre
-        g = np.exp(-0.5 * (k / sigma) ** 2)
-    g /= g.sum()
-    offset = np.arange(n_bins)[:, None] - np.arange(n_bins)[None, :] + half
-    inside = (offset >= 0) & (offset <= 2 * half)
-    return np.where(inside, g[np.clip(offset, 0, 2 * half)], 0.0)
+        table = np.eye(n_bins)
+    else:
+        half = min(n_bins - 1, int(np.ceil(4 * sigma)))
+        k = np.arange(-half, half + 1, dtype=np.float64)
+        with np.errstate(over="ignore"):  # a tiny sigma leaves only the centre
+            g = np.exp(-0.5 * (k / sigma) ** 2)
+        g /= g.sum()
+        offset = np.arange(n_bins)[:, None] - np.arange(n_bins)[None, :] + half
+        inside = (offset >= 0) & (offset <= 2 * half)
+        table = np.where(inside, g[np.clip(offset, 0, 2 * half)], 0.0)
+    table.setflags(write=False)
+    return table
 
 
 def predict_depth(true_depth_image: np.ndarray, predictor, bins: DepthBins) -> np.ndarray:
@@ -219,9 +225,19 @@ def predict_depth(true_depth_image: np.ndarray, predictor, bins: DepthBins) -> n
     range), box-blurred over the pixel's (2r+1)^2 window clipped to the
     image, then convolved along the bin axis with a zero-padded discrete
     Gaussian.  Both steps are linear and the normalisation cancels the
-    blur's 1/count, so this is computed as the window's per-bin pixel
-    counts (exact integers) times the (D, D) Gaussian table.  Fully
+    blur's 1/count, so a row is the window's per-bin pixel counts (exact
+    integers) times the (D, D) Gaussian table, normalised.  Fully
     deterministic.
+
+    A row depends only on the window's counts, and an image holds few
+    distinct ones, so each is computed once.  The counts are coded as the
+    digits of base b = min((2r+1)^2, H*W) + 1, more than any count, so no
+    digit carries: the code of a window is the window sum of b^k over the
+    pixels whose bin is k.  The bins are split over as many int64 words as
+    that needs.  The distinct windows are multiplied in a block of the full
+    image's shape, each at the row of one of its pixels, so BLAS computes
+    every row as it would for the whole image: a block of the distinct rows
+    alone can take another kernel, which rounds some bin counts differently.
     """
     h, w = np.asarray(true_depth_image).shape
     d = bins.n_bins
@@ -233,14 +249,53 @@ def predict_depth(true_depth_image: np.ndarray, predictor, bins: DepthBins) -> n
     k, valid = bins.bin_of(true_depth_image)
     k = np.where(valid, k, d - 1)
     r = predictor.blur_radius
-    onehot = np.zeros((h + 2 * r, w + 2 * r, d), dtype=np.int32)  # zero-padded
-    np.put_along_axis(onehot[r : r + h, r : r + w], k[:, :, None], 1, axis=2)
-    rows = sum(onehot[i : i + h] for i in range(2 * r + 1))
-    counts = sum(rows[:, j : j + w] for j in range(2 * r + 1))
-    table = _bin_gaussian_table(predictor.sigma_bins, d)
-    vol = counts.reshape(h * w, d).astype(np.float64) @ table
+    base = min((2 * r + 1) ** 2, h * w) + 1
+    digits = 1  # per word: the largest code, base**digits - 1, must fit
+    while base ** (digits + 1) <= 2**63:
+        digits += 1
+    spans = [(lo, min(d, lo + digits)) for lo in range(0, d, digits)]  # bins per word
+    # value[j, k]: what a pixel of bin k adds to the code of word j.
+    value = np.zeros((len(spans), d), dtype=np.int64)
+    for row, (lo, hi) in zip(value, spans):
+        row[lo:hi] = base ** np.arange(hi - lo, dtype=np.int64)
+    codes = []
+    for word_value in value:
+        img = np.zeros((h + 2 * r, w + 2 * r), dtype=np.int64)  # zero-padded
+        img[r : r + h, r : r + w] = word_value[k]
+        rows = sum(img[i : i + h] for i in range(2 * r + 1))
+        codes.append(sum(rows[:, j : j + w] for j in range(2 * r + 1)).reshape(-1))
+
+    key = codes[0]
+    for code in codes[1:]:
+        key = _ranks(key)[0] * key.size + _ranks(code)[0]
+    window, at = _ranks(key)
+    counts = np.zeros((h * w, d))
+    for code, word_value, (lo, hi) in zip(codes, value, spans):
+        counts[at, lo:hi] = (code[at, None] // word_value[lo:hi]) % base
+    vol = (counts @ _bin_gaussian_table(predictor.sigma_bins, d))[at]
     vol /= vol.sum(axis=1, keepdims=True)
-    return vol.reshape(h, w, d)
+    return np.take(vol, window, axis=0).reshape(h, w, d)
+
+
+def _ranks(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each key's rank among the distinct keys, and for each distinct key,
+    ascending, the position of one key equal to it.
+
+    Only the first key of each run of equal neighbours is sorted: the codes
+    of a smooth image come in far fewer runs than pixels.
+    """
+    change = np.empty(keys.size, dtype=bool)
+    change[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=change[1:])
+    start = np.flatnonzero(change)
+    order = np.argsort(keys[start])
+    ordered = keys[start[order]]
+    first = np.empty(start.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    rank = np.empty(start.size, dtype=np.intp)
+    rank[order] = np.cumsum(first) - 1
+    return np.repeat(rank, np.diff(start, append=keys.size)), start[order[first]]
 
 
 def finalize_distribution(dmap: DepthMap, predicted: np.ndarray) -> np.ndarray:

@@ -1,9 +1,9 @@
 """Biased multi-modal voxel fusion.
 
-Point-cloud features lead: hybrid cells are fused through a gate computed
-from the LiDAR vector, camera-only cells survive only where global
-attention against the LiDAR content scores them highly, and LiDAR-only /
-empty cells pass through identically.  When an entire modality is missing
+Point-cloud features lead: hybrid voxels are fused through a gate computed
+from the LiDAR vector, camera-only voxels survive only where global
+attention against the LiDAR content scores them highly, and LiDAR-only
+voxels pass through identically.  When an entire modality is missing
 the surviving branch passes through untouched, so a degraded agent runs
 the same code path as a single-modality one.
 """
@@ -107,50 +107,33 @@ def compute_guidance(
     return mask_from_scores(raw, params.guidance_threshold)
 
 
-def _tagged_rows(cat: CategorizedGrid):
-    """Flat indices of the LIDAR, CAMERA and HYBRID cells, each ascending:
-    the order boolean indexing with the per-tag masks gives."""
-    flat = cat.category.reshape(-1)
-    tagged = np.flatnonzero(flat)
-    tags = flat[tagged]
-    return (
-        tagged[tags == Category.LIDAR],
-        tagged[tags == Category.CAMERA],
-        tagged[tags == Category.HYBRID],
-    )
-
-
-def _cell_rows(cat: CategorizedGrid):
-    """(lidar, camera) branch features as (cells, C) arrays."""
-    c = cat.spec.channels
-    return cat.lidar.reshape(-1, c), cat.camera.reshape(-1, c)
+def _rows(cat: CategorizedGrid, tag: Category) -> np.ndarray:
+    """Rows of the voxels of `cat` with the given tag, ascending."""
+    return np.flatnonzero(cat.category == tag)
 
 
 def fuse_modalities(params: FusionParams, cat: CategorizedGrid) -> VoxelGrid:
-    """Apply the full biased per-cell fusion routine to a categorized grid.
+    """Apply the full biased per-voxel fusion routine to a categorized grid.
 
-    Hybrid cells are gate-fused; camera cells are kept verbatim where the
-    guidance mask allows and otherwise zeroed and retagged NORMAL; LiDAR and
-    NORMAL cells map through identically.
+    Hybrid voxels are gate-fused; camera voxels are kept verbatim where the
+    guidance mask allows and otherwise leave the list (untagged and zero);
+    LiDAR voxels map through identically.  The guidance pool is every voxel
+    the LiDAR branch tagged, ascending.
     """
-    out = VoxelGrid.empty(cat.spec)
-    out.category[...] = cat.category
-    feats = out.features.reshape(-1, cat.spec.channels)
-    lidar, camera = _cell_rows(cat)
-    lidar_rows, camera_rows, hybrid_rows = _tagged_rows(cat)
-
-    feats[lidar_rows] = lidar[lidar_rows]
+    feats = cat.lidar.copy()  # camera rows are zero here until set below
+    camera_rows, hybrid_rows = _rows(cat, Category.CAMERA), _rows(cat, Category.HYBRID)
     if hybrid_rows.size:
         feats[hybrid_rows] = fuse_hybrid_cells(
-            params, lidar[hybrid_rows], camera[hybrid_rows]
+            params, cat.lidar[hybrid_rows], cat.camera[hybrid_rows]
         )
+    listed = np.ones(cat.voxels.size, dtype=bool)
     if camera_rows.size:
-        guidance_pool = lidar[np.union1d(lidar_rows, hybrid_rows)]
-        keep = compute_guidance(params, guidance_pool, camera[camera_rows])
+        guidance_pool = cat.lidar[cat.category != Category.CAMERA]
+        keep = compute_guidance(params, guidance_pool, cat.camera[camera_rows])
         kept = camera_rows[keep == 1]
-        feats[kept] = camera[kept]
-        out.category.reshape(-1)[camera_rows[keep == 0]] = Category.NORMAL
-    return out
+        feats[kept] = cat.camera[kept]
+        listed[camera_rows[keep == 0]] = False
+    return VoxelGrid(cat.spec, cat.voxels[listed], feats[listed], cat.category[listed])
 
 
 def make_equal_params(channels: int, seed: int) -> nnkit.LinearMap:
@@ -159,15 +142,11 @@ def make_equal_params(channels: int, seed: int) -> nnkit.LinearMap:
 
 
 def fuse_modalities_equal(lin: nnkit.LinearMap, cat: CategorizedGrid) -> VoxelGrid:
-    """Ablation: hybrid cells fuse symmetrically, nothing is filtered."""
-    out = VoxelGrid.empty(cat.spec)
-    out.category[...] = cat.category
-    feats = out.features.reshape(-1, cat.spec.channels)
-    lidar, camera = _cell_rows(cat)
-    lidar_rows, camera_rows, hybrid_rows = _tagged_rows(cat)
-    feats[lidar_rows] = lidar[lidar_rows]
-    feats[camera_rows] = camera[camera_rows]
+    """Ablation: hybrid voxels fuse symmetrically, nothing is filtered."""
+    feats = cat.lidar.copy()  # camera rows are zero here until set below
+    camera_rows, hybrid_rows = _rows(cat, Category.CAMERA), _rows(cat, Category.HYBRID)
+    feats[camera_rows] = cat.camera[camera_rows]
     if hybrid_rows.size:
-        pair = np.concatenate([lidar[hybrid_rows], camera[hybrid_rows]], axis=1)
+        pair = np.concatenate([cat.lidar[hybrid_rows], cat.camera[hybrid_rows]], axis=1)
         feats[hybrid_rows] = lin.apply(pair)
-    return out
+    return VoxelGrid(cat.spec, cat.voxels, feats, cat.category)

@@ -51,17 +51,20 @@ def perturb_pose(pose: Pose, noise: NoiseModel, rng: np.random.Generator) -> Pos
     return Pose(m)
 
 
-def occupancy_from_grid(grid: VoxelGrid, columns: np.ndarray) -> np.ndarray:
+def occupancy_from_grid(grid: VoxelGrid) -> np.ndarray:
     """Column occupancy (nx, ny): channel 0, log(1 + point count) in a
     voxelized LiDAR grid, summed over z.
 
-    Only `columns`, the grid's tagged columns (`VoxelGrid.tagged_columns`),
-    are summed; untagged voxels hold zeros, so every other column sums to
-    exactly 0.
+    Only the grid's tagged columns are summed, each over a row of nz
+    values that holds zeros for its unlisted voxels; every other column
+    sums to exactly 0.
     """
     s = grid.spec
+    columns = grid.tagged_columns()
+    block = np.zeros((columns.size, s.nz))
+    block[np.searchsorted(columns, grid.voxels // s.nz), grid.voxels % s.nz] = grid.features[:, 0]
     occ = np.zeros(s.nx * s.ny)
-    occ[columns] = grid.features.reshape(s.nx * s.ny, s.nz, s.channels)[columns, :, 0].sum(axis=1)
+    occ[columns] = block.sum(axis=1)
     return occ.reshape(s.nx, s.ny)
 
 

@@ -1,8 +1,10 @@
 """Voxel grids: point-cloud pillar encoding, camera feature lifting,
 per-cell modality categorisation and the collapse to a BEV feature plane.
 
-A grid cell carries a C-vector feature and one of four modality tags.
-Untagged (normal) cells always hold all-zero features.
+A voxel carries a C-vector feature and one of four modality tags.  Grids
+list only their tagged voxels; an untagged (normal) voxel holds an all-zero
+feature, so the work of every stage up to the BEV scales with the tagged
+voxels, not with the grid.
 """
 
 from __future__ import annotations
@@ -99,79 +101,107 @@ class GridSpec:
 
 @dataclass
 class VoxelGrid:
+    """The tagged voxels of a grid, listed by flat index.
+
+    Voxel (ix, iy, iz) has the flat index (ix * ny + iy) * nz + iz, so the
+    voxels of one (x, y) column are consecutive.  A voxel that is not listed
+    is untagged (NORMAL) and holds an all-zero feature.
+    """
+
     spec: GridSpec
-    features: np.ndarray  # (nx, ny, nz, C)
-    category: np.ndarray  # (nx, ny, nz) uint8
+    voxels: np.ndarray  # (K,) flat indices, ascending and unique
+    features: np.ndarray  # (K, C)
+    category: np.ndarray  # (K,) uint8, never NORMAL
 
     def __post_init__(self):
-        s = self.spec
-        if self.features.shape != (s.nx, s.ny, s.nz, s.channels):
-            raise ValueError("feature array does not match the grid spec")
-        if self.category.shape != (s.nx, s.ny, s.nz):
-            raise ValueError("category array does not match the grid spec")
+        k = self.voxels.shape[0]
+        if self.voxels.shape != (k,) or self.category.shape != (k,):
+            raise ValueError("voxel and category lists must be one entry per voxel")
+        if self.features.shape != (k, self.spec.channels):
+            raise ValueError("feature rows do not match the voxel list and the grid spec")
 
     def tagged_columns(self) -> np.ndarray:
         """Flat (x, y) indices, ascending, of the columns holding a tagged
-        cell: every other column holds only zeros."""
-        s = self.spec
-        return np.flatnonzero(self.category.reshape(s.nx * s.ny, s.nz).any(axis=1))
+        voxel: every other column holds only zeros."""
+        return _run_starts(self.voxels // self.spec.nz)
 
     @staticmethod
     def empty(spec: GridSpec) -> "VoxelGrid":
         return VoxelGrid(
             spec,
-            np.zeros((spec.nx, spec.ny, spec.nz, spec.channels)),
-            np.zeros((spec.nx, spec.ny, spec.nz), dtype=np.uint8),
+            np.zeros(0, dtype=np.int64),
+            np.zeros((0, spec.channels)),
+            np.zeros(0, dtype=np.uint8),
         )
+
+
+def _run_starts(keys: np.ndarray) -> np.ndarray:
+    """The distinct values of an ascending array, in order."""
+    first = np.empty(keys.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    return keys[first]
 
 
 @dataclass
 class CategorizedGrid:
-    """Per-cell modality tags with both branch features kept side by side.
+    """Per-voxel modality tags with both branch features side by side.
 
-    `lidar` and `camera` are the branch grids' own feature arrays, not
-    copies: read them, never write to them.
+    `voxels` lists every voxel either branch tagged, ascending.  Row i of
+    `lidar` and of `camera` holds voxel i's feature in that branch, zero
+    where the branch did not tag it.
     """
 
     spec: GridSpec
-    lidar: np.ndarray  # (nx, ny, nz, C)
-    camera: np.ndarray  # (nx, ny, nz, C)
-    category: np.ndarray  # (nx, ny, nz) uint8
+    voxels: np.ndarray  # (K,) flat indices, ascending and unique
+    category: np.ndarray  # (K,) uint8: LIDAR, CAMERA or HYBRID
+    lidar: np.ndarray  # (K, C)
+    camera: np.ndarray  # (K, C)
 
 
 @dataclass
 class LiftResult:
+    """A lifted camera grid and the distribution it was lifted from.
+
+    The pipeline reads only `grid`; the mass that fell outside the grid is
+    summed when `dropped_mass` is first read.
+    """
+
     grid: VoxelGrid
-    dropped_mass: float  # mass whose splat target fell outside the grid
+    mass: np.ndarray  # the flat distribution; read, never written
+    outside: np.ndarray  # flat indices of its entries whose splat target is out of the grid
+
+    @functools.cached_property
+    def dropped_mass(self) -> float:
+        return float(self.mass[self.outside].sum())
 
 
 def voxelize_points(cloud: np.ndarray, spec: GridSpec) -> VoxelGrid:
     """Pillar-style analytic encoding of a point cloud.
 
-    Per occupied cell the feature is
-    [log(1 + count), mean offset from the cell center (x, y, z), mean height,
-     zero padding up to C]; occupied cells are tagged LIDAR.
+    Per occupied voxel the feature is
+    [log(1 + count), mean offset from the voxel center (x, y, z), mean
+    height, zero padding up to C]; occupied voxels are tagged LIDAR.
 
-    The in-grid points are sorted by cell, then by x, y and z, and each
-    occupied cell sums its points one by one in that order, so the encoding
+    The in-grid points are sorted by voxel, then by x, y and z, and each
+    occupied voxel sums its points one by one in that order, so the encoding
     is exactly permutation-invariant in the input cloud.  The work scales
-    with the points and the occupied cells, not with the grid.
+    with the points and the occupied voxels, not with the grid.
     """
     if spec.channels < 5:
         raise ValueError("pillar encoding needs at least 5 channels")
-    grid = VoxelGrid.empty(spec)
     pts = np.asarray(cloud, dtype=np.float64).reshape(-1, 3)
     if pts.shape[0] == 0:
-        return grid
+        return VoxelGrid.empty(spec)
     idx, inside = spec.cell_of(pts)
     pts, idx = pts[inside], idx[inside]
     if pts.shape[0] == 0:
-        return grid
+        return VoxelGrid.empty(spec)
     flat = (idx[:, 0] * spec.ny + idx[:, 1]) * spec.nz + idx[:, 2]
     order = np.lexsort((pts[:, 2], pts[:, 1], pts[:, 0], flat))
     pts, flat = pts[order], flat[order]
 
-    # Number the occupied cells in ascending order.  bincount adds each
+    # Number the occupied voxels in ascending order.  bincount adds each
     # bin's weights in input order; np.add.reduceat would sum runs of 8 or
     # more pairwise, which rounds differently.
     first = np.empty(flat.size, dtype=bool)
@@ -182,29 +212,27 @@ def voxelize_points(cloud: np.ndarray, spec: GridSpec) -> VoxelGrid:
     counts = np.bincount(rank)
     sums = np.stack([np.bincount(rank, weights=pts[:, k]) for k in range(3)], axis=1)
     means = sums / counts[:, None]
-    ons = np.unravel_index(occupied, (spec.nx, spec.ny, spec.nz))
-    centers = spec.cell_center(*ons)
+    centers = spec.cell_center(*np.unravel_index(occupied, (spec.nx, spec.ny, spec.nz)))
 
-    n_cells = spec.nx * spec.ny * spec.nz
-    feats = grid.features.reshape(n_cells, spec.channels)
-    feats[occupied, 0] = np.log1p(counts)
-    feats[occupied, 1:4] = means - centers
-    feats[occupied, 4] = means[:, 2]
-    grid.category.reshape(n_cells)[occupied] = Category.LIDAR
-    return grid
+    feats = np.zeros((occupied.size, spec.channels))
+    feats[:, 0] = np.log1p(counts)
+    feats[:, 1:4] = means - centers
+    feats[:, 4] = means[:, 2]
+    return VoxelGrid(spec, occupied, feats, np.full(occupied.size, Category.LIDAR, dtype=np.uint8))
 
 
 @functools.lru_cache(maxsize=8)
 def _lift_geometry(
     intr: CameraIntrinsics, pose_matrix: bytes, spec: GridSpec, bin_centers: bytes
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Where each (pixel, depth bin) entry of a distribution lands in the grid.
 
     Takes the camera pose matrix and the bin-center depths as float64 bytes.
     Returns the flat indices of the in-grid entries, those of the
-    out-of-grid entries, and the flat cell index of each in-grid entry.
-    The map depends only on these arguments, so it is computed once per
-    combination and shared read-only.
+    out-of-grid entries, the voxels the in-grid entries reach (flat indices,
+    ascending) and each in-grid entry's rank in that list.  The map depends
+    only on these arguments, so it is computed once per combination and
+    shared read-only.
     """
     pose = Pose(np.frombuffer(pose_matrix).reshape(4, 4))
     centers = np.frombuffer(bin_centers)
@@ -213,10 +241,11 @@ def _lift_geometry(
     idx, in_grid = spec.cell_of(transform_points(pose, pts.reshape(-1, 3)))
     inside = np.flatnonzero(in_grid)
     outside = np.flatnonzero(~in_grid)
-    cell = (idx[inside, 0] * spec.ny + idx[inside, 1]) * spec.nz + idx[inside, 2]
-    for arr in (inside, outside, cell):
+    flat = (idx[inside, 0] * spec.ny + idx[inside, 1]) * spec.nz + idx[inside, 2]
+    voxels, rank = np.unique(flat, return_inverse=True)
+    for arr in (inside, outside, voxels, rank):
         arr.setflags(write=False)
-    return inside, outside, cell
+    return inside, outside, voxels, rank
 
 
 def lift_camera(
@@ -231,10 +260,14 @@ def lift_camera(
     """Splat image features into the grid along per-pixel depth distributions.
 
     For every pixel and depth bin, the pixel-center point at the bin-center
-    depth is transformed into the ego frame and its containing cell
-    accumulates feature * p.  Cells whose total probability mass reaches
-    `mass_threshold` are tagged CAMERA; accumulated features below the
-    threshold are zeroed so untagged cells stay exactly zero.
+    depth is transformed into the ego frame and its containing voxel
+    accumulates feature * p.  Voxels whose total probability mass reaches
+    `mass_threshold` are tagged CAMERA and listed; the rest are left out, so
+    they stay untagged and zero.
+
+    Only the entries with nonzero mass are splatted, and only the voxels
+    they reach are numbered: each voxel adds its entries one by one in entry
+    order, as a bincount over the whole grid would.
 
     `bin_centers` gives the metric depth of each bin; pass the owning
     DepthBins.centers() (kept as a plain array here to avoid a cycle).
@@ -253,64 +286,66 @@ def lift_camera(
     if (intr.height, intr.width) != (h, w):
         raise ValueError("camera intrinsics and depth distribution disagree on size")
 
-    inside, outside, cell = _lift_geometry(
+    inside, outside, voxels, rank = _lift_geometry(
         intr, cam_pose_in_ego.matrix.tobytes(), spec, bin_centers.tobytes()
     )
     mass = dist.reshape(-1)
-    dropped = float(mass[outside].sum())
-
+    weight = mass[inside]
     # Zero-mass entries add exact zeros; skipping them changes no bit.
-    keep = mass[inside] != 0.0
-    entry, cell = inside[keep], cell[keep]
-    weight = mass[entry]
-    n_cells, c = spec.nx * spec.ny * spec.nz, spec.channels
-    cell_mass = np.bincount(cell, weights=weight, minlength=n_cells)
-    # One bin per (cell, channel); each bin sums its entries in entry order.
+    keep = weight != 0.0
+    entry, rank, weight = inside[keep], rank[keep], weight[keep]
+    reached = np.zeros(voxels.size, dtype=bool)
+    reached[rank] = True
+    voxels = voxels[reached]
+    rank = (np.cumsum(reached) - 1)[rank]
+    c = spec.channels
+    voxel_mass = np.bincount(rank, weights=weight)
+    # One bin per (voxel, channel); each bin sums its entries in entry order.
     contrib = features.reshape(h * w, c)[entry // d] * weight[:, None]
-    slot = (cell[:, None] * c + np.arange(c)).reshape(-1)
-    feats = np.bincount(slot, weights=contrib.reshape(-1), minlength=n_cells * c)
+    slot = (rank[:, None] * c + np.arange(c)).reshape(-1)
+    feats = np.bincount(slot, weights=contrib.reshape(-1))
 
-    tagged = (cell_mass >= mass_threshold) & (cell_mass > 0.0)
-    # Cells that no entry reached already hold exact zeros.
-    reached = np.zeros(n_cells, dtype=bool)
-    reached[cell] = True
-    feats.reshape(n_cells, c)[reached & ~tagged] = 0.0
-    category = np.where(tagged, Category.CAMERA, Category.NORMAL).astype(np.uint8)
+    tagged = (voxel_mass >= mass_threshold) & (voxel_mass > 0.0)
     grid = VoxelGrid(
         spec,
-        feats.reshape(spec.nx, spec.ny, spec.nz, c),
-        category.reshape(spec.nx, spec.ny, spec.nz),
+        voxels[tagged],
+        feats.reshape(voxels.size, c)[tagged],
+        np.full(int(np.count_nonzero(tagged)), Category.CAMERA, dtype=np.uint8),
     )
-    return LiftResult(grid, dropped)
+    return LiftResult(grid, mass, outside)
 
 
 def categorize(lidar_grid: VoxelGrid, camera_grid: VoxelGrid) -> CategorizedGrid:
-    """Merge the two branch grids into one tagged grid.
+    """Merge the two branch grids into one tagged list of voxels.
 
-    HYBRID where both branches contributed, LIDAR / CAMERA where exactly one
-    did, NORMAL otherwise.  The result shares the branch grids' feature
-    arrays; callers must not write to them.
+    HYBRID where both branches tagged a voxel, LIDAR / CAMERA where exactly
+    one did; a voxel neither tagged stays unlisted (NORMAL).
     """
     if lidar_grid.spec != camera_grid.spec:
         raise SpecMismatch("cannot categorize grids with different specs")
-    has_l = lidar_grid.category == Category.LIDAR
-    has_c = camera_grid.category == Category.CAMERA
-    category = np.zeros_like(lidar_grid.category)
-    category[has_l] = Category.LIDAR
-    category[has_c] = Category.CAMERA
-    category[has_l & has_c] = Category.HYBRID
-    return CategorizedGrid(
-        lidar_grid.spec, lidar_grid.features, camera_grid.features, category
-    )
+    both = np.concatenate([lidar_grid.voxels, camera_grid.voxels])
+    voxels = _run_starts(np.sort(both))
+    at_l = np.searchsorted(voxels, lidar_grid.voxels)
+    at_c = np.searchsorted(voxels, camera_grid.voxels)
+    category = np.zeros(voxels.size, dtype=np.uint8)
+    category[at_l] = Category.LIDAR
+    category[at_c] += np.uint8(Category.CAMERA)  # LIDAR + CAMERA == HYBRID
+    lidar = np.zeros((voxels.size, lidar_grid.spec.channels))
+    lidar[at_l] = lidar_grid.features
+    camera = np.zeros_like(lidar)
+    camera[at_c] = camera_grid.features
+    return CategorizedGrid(lidar_grid.spec, voxels, category, lidar, camera)
 
 
 def collapse(grid: VoxelGrid) -> np.ndarray:
-    """Fold the z axis into channels: (nx, ny, nz, C) -> (nx, ny, nz*C).
+    """Fold the z axis into channels: a fresh (nx, ny, nz*C) plane.
 
-    z slice k occupies the channel block [k*C, (k+1)*C); the operation is
-    lossless: reshaping back to (nx, ny, nz, C) restores the features.
-    The result is a view of the grid's features, so a write to one shows in
-    the other.
+    Voxel (ix, iy, iz) fills the channel block [iz*C, (iz+1)*C) of BEV cell
+    (ix, iy); every other scalar is +0.0.  The operation is lossless:
+    reshaping back to (nx, ny, nz, C) gives the dense grid.  This is the
+    only grid-sized array of the perceive chain.
     """
     s = grid.spec
-    return grid.features.reshape(s.nx, s.ny, s.nz * s.channels)
+    bev = np.zeros((s.nx, s.ny, s.nz * s.channels))
+    bev.reshape(-1, s.channels)[grid.voxels] = grid.features
+    return bev

@@ -36,9 +36,10 @@ from covox.scene import (
     lidar_rng,
     simulate_lidar,
 )
-from covox.voxel import Category, GridSpec, VoxelGrid
+from covox.voxel import Category, GridSpec
 
 from conftest import mha
+from test_voxel import dense_zeros, sparse
 
 GRID = GridSpec((-20.0, 20.0), (-20.0, 20.0), (0.5, 3.7), 64, 64, 8, 8)
 BINS = DepthBins(1.0, 33.0, 16)
@@ -73,27 +74,28 @@ class TestCommGraph:
 class TestPreference:
     def _grid_with_column(self, cats):
         spec = GridSpec((-1, 1), (-1, 1), (0, 3), 1, 1, 3, 8)
-        grid = VoxelGrid.empty(spec)
-        grid.category[0, 0, :] = cats
-        return grid
+        feats, category = dense_zeros(spec)
+        category[0, 0, :] = cats
+        return sparse(spec, feats, category)
 
     def test_hybrid_column_zero_threshold(self):
         grid = self._grid_with_column([Category.HYBRID, Category.CAMERA, Category.NORMAL])
-        assert preference_map(grid, grid.tagged_columns())[0, 0] == 0.0
+        assert preference_map(grid)[0, 0] == 0.0
 
     def test_lidar_column_half_threshold(self):
         grid = self._grid_with_column([Category.LIDAR, Category.NORMAL, Category.NORMAL])
-        assert preference_map(grid, grid.tagged_columns())[0, 0] == 0.5
+        assert preference_map(grid)[0, 0] == 0.5
 
     def test_all_normal(self):
         grid = self._grid_with_column([Category.NORMAL] * 3)
-        assert preference_map(grid, grid.tagged_columns())[0, 0] == 0.5
+        assert preference_map(grid)[0, 0] == 0.5
 
     def test_uniform_when_no_hybrid(self):
-        grid = VoxelGrid.empty(GRID)
-        grid.category[:10, :10, 0] = Category.LIDAR
-        grid.category[20:30, 20:30, 1] = Category.CAMERA
-        assert np.all(preference_map(grid, grid.tagged_columns()) == 0.5)
+        feats, category = dense_zeros(GRID)
+        category[:10, :10, 0] = Category.LIDAR
+        category[20:30, 20:30, 1] = Category.CAMERA
+        grid = sparse(GRID, feats, category)
+        assert np.all(preference_map(grid) == 0.5)
 
 
 class TestImportance:

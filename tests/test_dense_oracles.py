@@ -1,19 +1,25 @@
-"""The stages from voxelization to detection touch only the cells that
-hold data, and the exchange runs per agent, not per edge.  The references
-here are the versions they replace: they count points into every voxel of
-the grid, copy, mask and scan whole grids, score, mask and pack every
-cell, answer each phase-1 request on its own, warp every message on its
-own into a fresh zero plane, run attention on whole token stacks, take the
-max aggregation over a copy of the ego plane and find nonzero cells by
-scanning whole planes.  Every stage, and every trial end
-to end, must match them bit for bit.  Whole trials must also match the box
-path as it ran box by box: the ray cast, the detector's components and
+"""The stages from voxelization to detection touch only the voxels and
+cells that hold data, the depth head runs once per distinct window, and
+the exchange runs per agent, not per edge.  The references here are the
+versions they replace: they hold every voxel of the grid in dense arrays,
+count points into every voxel, lift, categorize, fuse, collapse, mask and
+scan whole grids, predict depth pixel by pixel over the whole image,
+score, mask and pack every cell, answer each phase-1 request on its own,
+warp every message on its own into a fresh zero plane, run attention on
+whole token stacks, take the max aggregation over a copy of the ego plane
+and find nonzero cells by scanning whole planes.  The grid references take
+and return the program's sparse grids, converting at their edges, so that
+they can stand in for the program's stages.  Every stage, and every trial
+end to end, must match them bit for bit.  Whole trials must also match the
+box path as it ran box by box: the ray cast, the detector's components and
 rectangles and the IoU clip; and the perceive stage as it ran on whole
 grids.
 """
 
+import importlib.util
 import json
 import runpy
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -23,7 +29,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from covox import cli, collab, metrics, nnkit, scene
+from covox import cli, collab, depth, metrics, nnkit, scene
 from covox.collab import (
     AgentRound,
     PipelineConfig,
@@ -36,7 +42,7 @@ from covox.collab import (
     warp_sparse,
 )
 from covox.config import load_experiment
-from covox.depth import DepthBins, DepthMap, NoisyOraclePredictor
+from covox.depth import DepthBins, DepthMap, NoisyOraclePredictor, predict_depth
 from covox.fusion import (
     compute_guidance,
     fuse_hybrid_cells,
@@ -51,9 +57,7 @@ from covox.robust import occupancy_from_bev, occupancy_from_grid
 from covox.scene import AgentState, BoxObject, LidarSpec, ScenarioConfig, generate_scene
 from covox.voxel import (
     Category,
-    CategorizedGrid,
     GridSpec,
-    LiftResult,
     VoxelGrid,
     categorize,
     collapse,
@@ -64,7 +68,7 @@ from test_collab import nonzero_cells
 from test_metrics import clip_polygon_of_vectors
 from test_robust import detect_local_per_component
 from test_scene import raycast_per_box
-from test_voxel import _dense_lift_camera
+from test_voxel import _dense_lift_camera, dense, dense_categorized, dense_zeros, sparse
 
 # --- dense references --------------------------------------------------------
 
@@ -72,12 +76,12 @@ from test_voxel import _dense_lift_camera
 def voxelize_points_dense(cloud, spec):
     """Pillar encoding with one bincount over every voxel of the grid per
     sum, and the occupied voxels found by a scan of the counts."""
-    grid = VoxelGrid.empty(spec)
+    feats, category = dense_zeros(spec)
     pts = np.asarray(cloud, dtype=np.float64).reshape(-1, 3)
     idx, inside = spec.cell_of(pts)
     pts, idx = pts[inside], idx[inside]
     if pts.shape[0] == 0:
-        return grid
+        return sparse(spec, feats, category)
     flat = (idx[:, 0] * spec.ny + idx[:, 1]) * spec.nz + idx[:, 2]
     order = np.lexsort((pts[:, 2], pts[:, 1], pts[:, 0], flat))
     pts, flat = pts[order], flat[order]
@@ -89,39 +93,39 @@ def voxelize_points_dense(cloud, spec):
     occupied = np.flatnonzero(counts)
     means = sums[occupied] / counts[occupied, None]
     centers = spec.cell_center(*np.unravel_index(occupied, (spec.nx, spec.ny, spec.nz)))
-    feats = grid.features.reshape(n_cells, spec.channels)
-    feats[occupied, 0] = np.log1p(counts[occupied])
-    feats[occupied, 1:4] = means - centers
-    feats[occupied, 4] = means[:, 2]
-    grid.category.reshape(n_cells)[occupied] = Category.LIDAR
-    return grid
+    rows = feats.reshape(n_cells, spec.channels)
+    rows[occupied, 0] = np.log1p(counts[occupied])
+    rows[occupied, 1:4] = means - centers
+    rows[occupied, 4] = means[:, 2]
+    category.reshape(n_cells)[occupied] = Category.LIDAR
+    return sparse(spec, feats, category)
 
 
-def categorize_copying(lidar_grid, camera_grid):
-    has_l = lidar_grid.category == Category.LIDAR
-    has_c = camera_grid.category == Category.CAMERA
-    category = np.zeros_like(lidar_grid.category)
-    category[has_l] = Category.LIDAR
-    category[has_c] = Category.CAMERA
-    category[has_l & has_c] = Category.HYBRID
-    return CategorizedGrid(
-        lidar_grid.spec, lidar_grid.features.copy(), camera_grid.features.copy(), category
-    )
+def categorize_dense(lidar_grid, camera_grid):
+    """Both branches and the tags as dense arrays over every voxel; the
+    dense fusions below take this."""
+    lidar, has_l = dense(lidar_grid)
+    camera, has_c = dense(camera_grid)
+    category = np.zeros_like(has_l)
+    category[has_l == Category.LIDAR] = Category.LIDAR
+    category[has_c == Category.CAMERA] = Category.CAMERA
+    category[(has_l == Category.LIDAR) & (has_c == Category.CAMERA)] = Category.HYBRID
+    return SimpleNamespace(spec=lidar_grid.spec, lidar=lidar, camera=camera, category=category)
 
 
-def collapse_copying(grid):
+def collapse_dense(grid):
     s = grid.spec
-    return grid.features.reshape(s.nx, s.ny, s.nz * s.channels).copy()
+    return dense(grid)[0].reshape(s.nx, s.ny, s.nz * s.channels)
 
 
 def fuse_modalities_masked(params, cat):
-    out = VoxelGrid.empty(cat.spec)
-    out.category[...] = cat.category
+    features = np.zeros_like(cat.lidar)
+    category = cat.category.copy()
     lidar_mask = cat.category == Category.LIDAR
-    out.features[lidar_mask] = cat.lidar[lidar_mask]
+    features[lidar_mask] = cat.lidar[lidar_mask]
     hybrid_mask = cat.category == Category.HYBRID
     if np.any(hybrid_mask):
-        out.features[hybrid_mask] = fuse_hybrid_cells(
+        features[hybrid_mask] = fuse_hybrid_cells(
             params, cat.lidar[hybrid_mask], cat.camera[hybrid_mask]
         )
     camera_mask = cat.category == Category.CAMERA
@@ -131,25 +135,52 @@ def fuse_modalities_masked(params, cat):
         cam_idx = np.argwhere(camera_mask)
         kept = cam_idx[keep == 1]
         dropped = cam_idx[keep == 0]
-        out.features[kept[:, 0], kept[:, 1], kept[:, 2]] = cat.camera[
+        features[kept[:, 0], kept[:, 1], kept[:, 2]] = cat.camera[
             kept[:, 0], kept[:, 1], kept[:, 2]
         ]
-        out.category[dropped[:, 0], dropped[:, 1], dropped[:, 2]] = Category.NORMAL
-    return out
+        category[dropped[:, 0], dropped[:, 1], dropped[:, 2]] = Category.NORMAL
+    return sparse(cat.spec, features, category)
 
 
 def fuse_modalities_equal_masked(lin, cat):
-    out = VoxelGrid.empty(cat.spec)
-    out.category[...] = cat.category
+    features = np.zeros_like(cat.lidar)
     lidar_mask = cat.category == Category.LIDAR
-    out.features[lidar_mask] = cat.lidar[lidar_mask]
+    features[lidar_mask] = cat.lidar[lidar_mask]
     camera_mask = cat.category == Category.CAMERA
-    out.features[camera_mask] = cat.camera[camera_mask]
+    features[camera_mask] = cat.camera[camera_mask]
     hybrid_mask = cat.category == Category.HYBRID
     if np.any(hybrid_mask):
         pair = np.concatenate([cat.lidar[hybrid_mask], cat.camera[hybrid_mask]], axis=1)
-        out.features[hybrid_mask] = lin.apply(pair)
-    return out
+        features[hybrid_mask] = lin.apply(pair)
+    return sparse(cat.spec, features, cat.category)
+
+
+def window_counts(true_depth_image, predictor, bins):
+    """(H, W, D) per-bin pixel counts of each pixel's window, clipped to
+    the image, with the bin of an out-of-range depth the farthest."""
+    h, w = np.asarray(true_depth_image).shape
+    d = bins.n_bins
+    k, valid = bins.bin_of(true_depth_image)
+    k = np.where(valid, k, d - 1)
+    r = predictor.blur_radius
+    onehot = np.zeros((h + 2 * r, w + 2 * r, d), dtype=np.int32)  # zero-padded
+    np.put_along_axis(onehot[r : r + h, r : r + w], k[:, :, None], 1, axis=2)
+    rows = sum(onehot[i : i + h] for i in range(2 * r + 1))
+    return sum(rows[:, j : j + w] for j in range(2 * r + 1))
+
+
+def predict_depth_full_image(true_depth_image, predictor, bins):
+    """The noisy oracle pixel by pixel: every pixel's window counts times
+    the Gaussian table, normalised."""
+    if not isinstance(predictor, NoisyOraclePredictor):
+        return predict_depth(true_depth_image, predictor, bins)
+    h, w = np.asarray(true_depth_image).shape
+    d = bins.n_bins
+    counts = window_counts(true_depth_image, predictor, bins)
+    table = depth._bin_gaussian_table(predictor.sigma_bins, d)
+    vol = counts.reshape(h * w, d).astype(np.float64) @ table
+    vol /= vol.sum(axis=1, keepdims=True)
+    return vol.reshape(h, w, d)
 
 
 def occupancy_from_bev_dense(bev, cells=None):
@@ -157,9 +188,9 @@ def occupancy_from_bev_dense(bev, cells=None):
     return np.linalg.norm(np.asarray(bev, dtype=np.float64), axis=2)
 
 
-def occupancy_from_grid_dense(grid, columns=None):
-    """Every column's z-sum; `columns` is not read."""
-    return grid.features[:, :, :, 0].sum(axis=2)
+def occupancy_from_grid_dense(grid):
+    """Every column's z-sum."""
+    return dense(grid)[0][:, :, :, 0].sum(axis=2)
 
 
 def importance_scores_dense(bev, cells=None):
@@ -198,9 +229,9 @@ def warp_message_fresh(message, rel_pose, spec):
     return bev, collab.WarpResult([uniq], [last], int(flat.size - uniq.size), dropped)
 
 
-def preference_map_dense(grid, columns=None):
-    """Every column's threshold; `columns` is not read."""
-    return np.where(np.any(grid.category == Category.HYBRID, axis=2), 0.0, 0.5)
+def preference_map_dense(grid):
+    """Every column's threshold."""
+    return np.where(np.any(dense(grid)[1] == Category.HYBRID, axis=2), 0.0, 0.5)
 
 
 def pack_message_dense(bev, mask, cells=None):
@@ -277,17 +308,18 @@ def lift_camera_dense(features, dist, intr, cam_pose_in_ego, spec, mass_threshol
     feats, category, _, dropped = _dense_lift_camera(
         features, dist, intr, cam_pose_in_ego, spec, mass_threshold, bin_centers
     )
-    return LiftResult(VoxelGrid(spec, feats, category), dropped)
+    return SimpleNamespace(grid=sparse(spec, feats, category), dropped_mass=dropped)
 
 
 def use_dense_pipeline(m):
     """Swap every sparse stage of a round and of its scoring for its reference."""
     m.setattr(collab, "voxelize_points", voxelize_points_dense)
+    m.setattr(collab, "predict_depth", predict_depth_full_image)
     m.setattr(collab, "lift_camera", lift_camera_dense)
-    m.setattr(collab, "categorize", categorize_copying)
+    m.setattr(collab, "categorize", categorize_dense)
     m.setattr(collab, "fuse_modalities", fuse_modalities_masked)
     m.setattr(collab, "fuse_modalities_equal", fuse_modalities_equal_masked)
-    m.setattr(collab, "collapse", collapse_copying)
+    m.setattr(collab, "collapse", collapse_dense)
     m.setattr(collab, "importance_scores", importance_scores_dense)
     m.setattr(collab, "preference_map", preference_map_dense)
     m.setattr(collab, "pack_message", pack_message_dense)
@@ -326,12 +358,21 @@ def branch_grids(seed, shape, channels, p_lidar, p_camera):
     spec = GridSpec((-3.0, 3.0), (-3.0, 3.0), (0.0, 2.0), *shape, channels)
     grids = []
     for p, tag in ((p_lidar, Category.LIDAR), (p_camera, Category.CAMERA)):
-        grid = VoxelGrid.empty(spec)
-        on = rng.uniform(size=grid.category.shape) < p
-        grid.category[on] = tag
-        grid.features[on] = rng.standard_normal((int(on.sum()), channels))
-        grids.append(grid)
+        feats, category = dense_zeros(spec)
+        on = rng.uniform(size=category.shape) < p
+        category[on] = tag
+        feats[on] = rng.standard_normal((int(on.sum()), channels))
+        grids.append(sparse(spec, feats, category))
     return grids
+
+
+def assert_grids_equal(got, want):
+    """Same voxel list, bit for bit, and a well-formed one: ascending,
+    unique, and never NORMAL."""
+    assert got.voxels.tobytes() == want.voxels.tobytes()
+    assert got.features.tobytes() == want.features.tobytes()
+    assert got.category.tobytes() == want.category.tobytes()
+    assert np.all(np.diff(got.voxels) > 0) and np.all(got.category != Category.NORMAL)
 
 
 GRID_ARGS = dict(
@@ -358,37 +399,45 @@ class TestStagesMatchDenseReferences:
     @with_edge_grids()
     @given(**GRID_ARGS)
     @settings(max_examples=60, deadline=None)
-    def test_categorize_shares_branch_features(self, seed, shape, channels, p_lidar, p_camera):
+    def test_categorize_matches_dense(self, seed, shape, channels, p_lidar, p_camera):
         lidar, camera = branch_grids(seed, shape, channels, p_lidar, p_camera)
         got = categorize(lidar, camera)
-        want = categorize_copying(lidar, camera)
-        assert np.array_equal(got.category, want.category)
-        assert got.lidar is lidar.features and got.camera is camera.features
+        want = categorize_dense(lidar, camera)
+        got_lidar, got_camera, got_category = dense_categorized(got)
+        assert np.array_equal(got_category, want.category)
+        assert np.array_equal(got.voxels, np.flatnonzero(want.category))
+        assert got_lidar.tobytes() == want.lidar.tobytes()
+        assert got_camera.tobytes() == want.camera.tobytes()
 
-    @with_edge_grids(max_tokens=3)
-    @given(max_tokens=st.sampled_from([512, 3]), **GRID_ARGS)
+    @with_edge_grids(max_tokens=3, threshold=0.5)
+    @example(seed=3, shape=(5, 4, 2), channels=8, p_lidar=0.3, p_camera=0.3, max_tokens=512,
+             threshold=1.0)
+    @given(max_tokens=st.sampled_from([512, 3]), threshold=st.sampled_from([0.5, 1.0]),
+           **GRID_ARGS)
     @settings(max_examples=60, deadline=None)
-    def test_fusion_matches_mask_based(self, seed, shape, channels, p_lidar, p_camera, max_tokens):
+    def test_fusion_matches_mask_based(self, seed, shape, channels, p_lidar, p_camera,
+                                       max_tokens, threshold):
+        """Both fusions; a guidance threshold of 1 drops every camera voxel
+        of a grid with LiDAR voxels."""
         lidar, camera = branch_grids(seed, shape, channels, p_lidar, p_camera)
-        params = replace(make_fusion_params(channels, seed=7), max_tokens=max_tokens)
+        params = replace(make_fusion_params(channels, seed=7), max_tokens=max_tokens,
+                         guidance_threshold=threshold)
         lin = make_equal_params(channels, seed=7)
-        for got, want in (
-            (fuse_modalities(params, categorize(lidar, camera)),
-             fuse_modalities_masked(params, categorize_copying(lidar, camera))),
-            (fuse_modalities_equal(lin, categorize(lidar, camera)),
-             fuse_modalities_equal_masked(lin, categorize_copying(lidar, camera))),
-        ):
-            assert np.array_equal(got.features, want.features)
-            assert np.array_equal(got.category, want.category)
+        biased = fuse_modalities(params, categorize(lidar, camera))
+        assert_grids_equal(biased, fuse_modalities_masked(params, categorize_dense(lidar, camera)))
+        assert_grids_equal(fuse_modalities_equal(lin, categorize(lidar, camera)),
+                           fuse_modalities_equal_masked(lin, categorize_dense(lidar, camera)))
+        if threshold == 1.0 and lidar.voxels.size:
+            assert not np.any(biased.category == Category.CAMERA)
 
     @with_edge_grids()
     @given(**GRID_ARGS)
     @settings(max_examples=30, deadline=None)
-    def test_collapse_is_a_view_of_the_copy(self, seed, shape, channels, p_lidar, p_camera):
+    def test_collapse_matches_dense(self, seed, shape, channels, p_lidar, p_camera):
         grid, _ = branch_grids(seed, shape, channels, p_lidar, p_camera)
         bev = collapse(grid)
-        assert np.array_equal(bev, collapse_copying(grid))
-        assert np.shares_memory(bev, grid.features)
+        assert bev.tobytes() == collapse_dense(grid).tobytes()
+        assert not np.shares_memory(bev, grid.features)
 
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -524,11 +573,11 @@ class TestStagesMatchDenseReferences:
         assert np.array_equal(got.vectors, want.vectors)
         assert got.feature_elements == want.feature_elements
         spec = GridSpec((-3.0, 3.0), (-3.0, 3.0), (0.0, 2.0), shape[0], shape[1], 3, 2)
-        grid = VoxelGrid.empty(spec)
-        grid.category[rng.uniform(size=grid.category.shape) < density] = Category.LIDAR
-        grid.category[rng.uniform(size=grid.category.shape) < p_hybrid] = Category.HYBRID
-        assert np.array_equal(collab.preference_map(grid, grid.tagged_columns()),
-                              preference_map_dense(grid))
+        feats, category = dense_zeros(spec)
+        category[rng.uniform(size=category.shape) < density] = Category.LIDAR
+        category[rng.uniform(size=category.shape) < p_hybrid] = Category.HYBRID
+        grid = sparse(spec, feats, category)
+        assert np.array_equal(collab.preference_map(grid), preference_map_dense(grid))
 
 
 # --- nonzero cells carried with the planes -------------------------------------
@@ -549,12 +598,13 @@ def test_occupancy_from_grid_matches_dense(seed, shape, nz, density):
     runs of 8 or more, gives other bits."""
     rng = np.random.default_rng(seed)
     spec = GridSpec((-3.0, 3.0), (-3.0, 3.0), (0.0, 2.0), *shape, nz, 5)
-    grid = VoxelGrid.empty(spec)
-    on = rng.uniform(size=grid.category.shape) < density
-    grid.category[on] = Category.LIDAR
+    feats, category = dense_zeros(spec)
+    on = rng.uniform(size=category.shape) < density
+    category[on] = Category.LIDAR
     scale = 10.0 ** rng.integers(-8, 9, (int(on.sum()), 1))
-    grid.features[on] = rng.uniform(0.0, 1.0, (int(on.sum()), 5)) * scale
-    got = occupancy_from_grid(grid, grid.tagged_columns())
+    feats[on] = rng.uniform(0.0, 1.0, (int(on.sum()), 5)) * scale
+    grid = sparse(spec, feats, category)
+    got = occupancy_from_grid(grid)
     assert np.array_equal(got, occupancy_from_grid_dense(grid))
 
 
@@ -586,13 +636,10 @@ def clouds(draw):
           np.array([[9.0, 0.0, 1.0], [0.0, -3.5, 1.0], [0.0, 0.0, 2.0]])))
 @settings(max_examples=150, deadline=None)
 def test_voxelize_points_matches_dense(case):
-    """Features and category bytes equal the whole-grid bincount's, for
-    empty clouds, clouds wholly outside the grid and voxels of 9 or more
-    points."""
+    """The voxel list equals the whole-grid bincount's, for empty clouds,
+    clouds wholly outside the grid and voxels of 9 or more points."""
     spec, cloud = case
-    got, want = voxelize_points(cloud, spec), voxelize_points_dense(cloud, spec)
-    assert got.features.tobytes() == want.features.tobytes()
-    assert got.category.tobytes() == want.category.tobytes()
+    assert_grids_equal(voxelize_points(cloud, spec), voxelize_points_dense(cloud, spec))
 
 
 SMALL_GRID = GridSpec((-20.0, 20.0), (-20.0, 20.0), (0.5, 3.7), 24, 24, 4, 8)
@@ -649,14 +696,17 @@ def test_max_of_nonzero_tokens_can_be_a_zero_cell():
 @pytest.mark.parametrize("name", ["lidar4", "fleet8", "camera_missing", "fusion_equal"])
 def test_untagged_cells_hold_zeros(bench_run, tmp_path, name):
     """`_perceive` looks for a BEV's nonzero cells only in columns with a
-    tagged voxel.  That is exact only while every untagged voxel of a fused
-    grid holds zeros, under each fusion: none, biased and equal, and a mix
+    tagged voxel.  That is exact only while every voxel a fused grid leaves
+    out is untagged and zero, so its list must hold every tagged voxel once
+    and nothing else, under each fusion: none, biased and equal, and a mix
     of camera and LiDAR-only agents."""
     grids = []
 
     def checked_collapse(grid):
         grids.append(grid)
-        assert not np.any(grid.features[grid.category == Category.NORMAL])
+        s = grid.spec
+        assert np.all(np.diff(grid.voxels) > 0) and np.all(grid.category != Category.NORMAL)
+        assert np.all((grid.voxels >= 0) & (grid.voxels < s.nx * s.ny * s.nz))
         return collapse(grid)
 
     for seed in (0, 7919):
@@ -668,7 +718,7 @@ def test_untagged_cells_hold_zeros(bench_run, tmp_path, name):
             m.setattr(collab, "collapse", checked_collapse)
             cli.run_trial(exp, 0, None, params)
     assert len(grids) == 2 * exp.scenario.n_agents
-    assert all(np.any(g.category != Category.NORMAL) for g in grids)
+    assert all(g.voxels.size for g in grids)
 
 
 # --- whole trials ---------------------------------------------------------------
@@ -685,12 +735,17 @@ def bench_run():
 SEED_TRIALS = ((0, 0), (0, 1), (0, 2), (0, 3), (7919, 0))
 
 
-@pytest.mark.parametrize("collab_mode", collab.COLLAB_MODES)
-@pytest.mark.parametrize("workload", ["fleet8", "lidar4", "camera_missing"])
+TRIAL_SHAPES = [(workload, mode) for workload in ("fleet8", "lidar4", "camera_missing")
+                for mode in collab.COLLAB_MODES] + [("fusion_equal", "attention")]
+
+
+@pytest.mark.parametrize("workload, collab_mode", TRIAL_SHAPES,
+                         ids=[f"{workload}-{mode}" for workload, mode in TRIAL_SHAPES])
 def test_trials_match_dense_pipeline(bench_run, tmp_path, monkeypatch, workload, collab_mode):
-    """The benchmark's workload shapes, and fleet8's with camera-less and
-    LiDAR-less agents, under every collaboration mode: CSV rows, message
-    logs and every AgentRound array equal the dense, per-edge pipeline's."""
+    """The benchmark's workload shapes, fleet8's with camera-less and
+    LiDAR-less agents under every collaboration mode, and fleet8's with the
+    equal fusion: CSV rows, message logs and every AgentRound array equal
+    the dense, per-edge pipeline's."""
     for seed, trial in SEED_TRIALS:
         config = trial_config(bench_run, workload, seed)
         config["pipeline"]["collab"] = collab_mode
@@ -763,7 +818,6 @@ def perceive_every_grid(w, scenario, pipe, params):
         fused = collab.fuse_modalities(params.fusion, cat)
     w.bev = collab.collapse(fused)
     w.cells = nonzero_cells(w.bev)
-    w.lidar_grid = None
     w.mask = collab.confidence_mask(
         importance_scores_dense(w.bev), preference_map_dense(fused)
     )
@@ -939,3 +993,157 @@ def test_second_round_leaves_the_first_unchanged():
     for aid, r in first.items():
         now = (r.aggregated, r.bev, r.message.indices, r.message.vectors)
         assert all(np.array_equal(a, b) for a, b in zip(now, kept[aid]))
+
+
+# --- one depth distribution per distinct window ----------------------------------
+
+
+def check_window_code(img, predictor, bins):
+    """`predict_depth` against the pixel-by-pixel reference; returns the
+    number of distinct windows.
+
+    Each pixel gets its window's row, and that row is the one the whole
+    image's product gives a pixel of that window.  The reference's rows
+    can depend on where a pixel sits in the image: BLAS kernels for some
+    bin counts round a row differently by its position in the block.  Where
+    they do not, this amounts to equality with the reference.
+    """
+    got = predict_depth(img, predictor, bins)
+    want = predict_depth_full_image(img, predictor, bins)
+    assert got.shape == want.shape
+    d = bins.n_bins
+    got, want = got.reshape(-1, d), want.reshape(-1, d)
+    counts = window_counts(img, predictor, bins).reshape(-1, d)
+    _, first, window = np.unique(counts, axis=0, return_index=True, return_inverse=True)
+    window = window.reshape(-1)
+    assert got.tobytes() == got[first][window].tobytes()
+    for u, pixel in enumerate(first):
+        same = want[window == u]
+        assert np.any(np.all(same == got[pixel], axis=1)), u
+    return first.size
+
+
+@st.composite
+def depth_images(draw):
+    """A depth image, 2-48 bins and a noisy oracle of blur radius 0-4, so
+    that some codes take two or more int64 words.  Images are 1 x N, N x 1
+    or blocks; depths include inf, d_max and beyond, and below d_min; a few
+    levels in blobs give a few distinct windows, many levels scattered give
+    hundreds."""
+    n_bins = draw(st.integers(2, 48))
+    bins = DepthBins(1.0, 1.0 + 0.5 * n_bins, n_bins)
+    layout = draw(st.sampled_from(["row", "column", "block"]))
+    n = draw(st.integers(1, 70))
+    h, w = {"row": (1, n), "column": (n, 1)}.get(
+        layout, (draw(st.integers(1, 30)), draw(st.integers(1, 30))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    specials = [np.inf, bins.d_max, 1.5 * bins.d_max, 0.5 * bins.d_min, bins.d_min]
+    levels = np.concatenate([
+        specials, rng.uniform(bins.d_min, bins.d_max, draw(st.integers(1, 2 * n_bins)))
+    ])
+    if draw(st.booleans()):  # scattered
+        img = rng.choice(levels, (h, w))
+    else:  # blobs: a coarse image scaled up
+        coarse = rng.choice(levels, (-(-h // 4), -(-w // 4)))
+        img = np.repeat(np.repeat(coarse, 4, axis=0), 4, axis=1)[:h, :w]
+    sigma = draw(st.sampled_from([0.0, 0.4, 1.0, 2.5]))
+    return img, NoisyOraclePredictor(sigma, draw(st.integers(0, 4))), bins
+
+
+@given(depth_images())
+@settings(max_examples=300, deadline=None)
+def test_predict_depth_matches_full_image(case):
+    check_window_code(*case)
+
+
+def test_window_code_cases_cover_block_sizes():
+    """Distinct-window counts below 64, above it and not a multiple of 8,
+    on 1 x N and N x 1 images, with codes of one and of several words."""
+    rng = np.random.default_rng(11)
+    bins16, bins48 = DepthBins(1.0, 33.0, 16), DepthBins(1.0, 25.0, 48)
+    ramp = np.linspace(0.5, 40.0, 96)
+    seen = []
+    for img, predictor, bins in (
+        (ramp[None, :], NoisyOraclePredictor(1.0, 1), bins16),
+        (ramp[:, None], NoisyOraclePredictor(0.0, 4), bins48),
+        (rng.uniform(0.5, 40.0, (24, 32)), NoisyOraclePredictor(1.0, 1), bins16),
+        (rng.uniform(0.5, 30.0, (24, 32)), NoisyOraclePredictor(2.5, 4), bins48),
+        (np.full((5, 7), np.inf), NoisyOraclePredictor(0.0, 0), bins16),
+        # Camera-sized images: a block of the distinct windows alone would
+        # take another BLAS kernel than the whole image for these bin counts.
+        (np.repeat(rng.uniform(0.5, 15.0, (16, 24)), 4, axis=0).repeat(4, axis=1),
+         NoisyOraclePredictor(1.0, 1), DepthBins(1.0, 13.0, 17)),
+        (np.repeat(rng.uniform(0.5, 30.0, (16, 24)), 4, axis=0).repeat(4, axis=1),
+         NoisyOraclePredictor(1.0, 2), DepthBins(1.0, 23.0, 44)),
+    ):
+        seen.append(check_window_code(img, predictor, bins))
+    assert min(seen) < 64 < max(seen)
+    assert any(u > 64 and u % 8 for u in seen)
+
+
+# --- counters and allocation of the sparse chain ---------------------------------
+
+TRACING_PATH = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+PERCEIVE_COUNTERS = ("voxel.cells_lidar", "voxel.cells_camera", "voxel.cells_hybrid",
+                     "fusion.camera_cells_dropped", "voxel.lift_dropped_mass")
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    spec = importlib.util.spec_from_file_location("covox_bench_tracing", TRACING_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("name", ["fleet8", "camera_missing", "fusion_equal"])
+def test_traced_counters_match_dense_pipeline(bench_run, tracing, tmp_path, monkeypatch, name):
+    """The benchmark's per-layer voxel and fusion counters read the same on
+    the sparse grids as on the dense reference pipeline."""
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(trial_config(bench_run, name, 0)))
+    exp = load_experiment(path)
+    params = make_pipeline_params(exp.pipeline.grid, exp.params_seed)
+
+    def traced_counts():
+        tracer = tracing.Tracer()
+        tracer.trial = 0
+        with tracing.patched(tracer):
+            cli.run_trial(exp, 0, None, params)
+        return {key: tracer.counts[0][key] for key in PERCEIVE_COUNTERS}
+
+    got = traced_counts()
+    with monkeypatch.context() as m:
+        use_dense_pipeline(m)
+        want = traced_counts()
+    assert got == want
+    if name == "fleet8":
+        assert all(got.values()), got
+
+
+def test_sense_allocates_less_than_one_grid(bench_run, tmp_path, monkeypatch):
+    """After a warm-up trial, sensing an agent of the fleet8 shape, camera
+    and LiDAR, peaks below the size of one dense feature grid."""
+    path = tmp_path / "fleet8.json"
+    path.write_text(json.dumps(trial_config(bench_run, "fleet8", 0)))
+    exp = load_experiment(path)
+    params = make_pipeline_params(exp.pipeline.grid, exp.params_seed)
+    cli.run_trial(exp, 0, None, params)
+    sense, peaks = collab._sense, []
+
+    def measured_sense(*args):
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        work = sense(*args)
+        peaks.append(tracemalloc.get_traced_memory()[1] - before)
+        return work
+
+    monkeypatch.setattr(collab, "_sense", measured_sense)
+    tracemalloc.start()
+    try:
+        cli.run_trial(exp, 1, None, params)
+    finally:
+        tracemalloc.stop()
+    g = exp.pipeline.grid
+    assert len(peaks) == exp.scenario.n_agents
+    assert max(peaks) < g.nx * g.ny * g.nz * g.channels * 8, peaks

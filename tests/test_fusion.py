@@ -15,6 +15,7 @@ from covox.fusion import (
 from covox.voxel import Category, GridSpec, VoxelGrid, categorize
 
 from conftest import mha
+from test_voxel import dense, dense_categorized, dense_zeros, sparse
 
 C = 8
 SPEC = GridSpec((-4.0, 4.0), (-4.0, 4.0), (0.0, 2.0), 8, 8, 2, C)
@@ -92,18 +93,14 @@ class TestGuidance:
 
 
 def _tagged_grids(rng):
-    lidar = VoxelGrid.empty(SPEC)
-    camera = VoxelGrid.empty(SPEC)
     pick = rng.uniform(size=(8, 8, 2))
-    lidar.category[pick < 0.4] = Category.LIDAR
-    camera.category[(pick > 0.25) & (pick < 0.7)] = Category.CAMERA
-    lidar.features[lidar.category == Category.LIDAR] = rng.standard_normal(
-        (int((lidar.category == Category.LIDAR).sum()), C)
-    )
-    camera.features[camera.category == Category.CAMERA] = rng.standard_normal(
-        (int((camera.category == Category.CAMERA).sum()), C)
-    )
-    return lidar, camera
+    grids = []
+    for tag, on in ((Category.LIDAR, pick < 0.4), (Category.CAMERA, (pick > 0.25) & (pick < 0.7))):
+        feats, category = dense_zeros(SPEC)
+        category[on] = tag
+        feats[on] = rng.standard_normal((int(on.sum()), C))
+        grids.append(sparse(SPEC, feats, category))
+    return grids
 
 
 class TestFuseModalities:
@@ -111,65 +108,73 @@ class TestFuseModalities:
         lidar, _ = _tagged_grids(rng)
         cat = categorize(lidar, VoxelGrid.empty(SPEC))
         out = fuse_modalities(PARAMS, cat)
+        assert np.array_equal(out.voxels, lidar.voxels)
         assert np.array_equal(out.features, lidar.features)
-        assert set(np.unique(out.category)) <= {int(Category.NORMAL), int(Category.LIDAR)}
+        assert np.all(out.category == Category.LIDAR)
 
     def test_lidar_missing_identity_via_fallback(self, rng):
         _, camera = _tagged_grids(rng)
         cat = categorize(VoxelGrid.empty(SPEC), camera)
         out = fuse_modalities(PARAMS, cat)
+        assert np.array_equal(out.voxels, camera.voxels)
         assert np.array_equal(out.features, camera.features)
 
     def test_all_hybrid_grid_matches_per_cell(self, rng):
         small = GridSpec((-2.0, 2.0), (-2.0, 2.0), (0.0, 1.0), 2, 2, 1, C)
-        lidar, camera = VoxelGrid.empty(small), VoxelGrid.empty(small)
-        lidar.category[...] = Category.LIDAR
-        camera.category[...] = Category.CAMERA
-        lidar.features[...] = rng.standard_normal(lidar.features.shape)
-        camera.features[...] = rng.standard_normal(camera.features.shape)
-        out = fuse_modalities(PARAMS, categorize(lidar, camera))
+        grids = []
+        for tag in (Category.LIDAR, Category.CAMERA):
+            feats, category = dense_zeros(small)
+            category[...] = tag
+            feats[...] = rng.standard_normal(feats.shape)
+            grids.append((feats, sparse(small, feats, category)))
+        (lidar, lidar_grid), (camera, camera_grid) = grids
+        feats, category = dense(fuse_modalities(PARAMS, categorize(lidar_grid, camera_grid)))
         for i in range(2):
             for j in range(2):
-                expected = fuse_hybrid_cells(
-                    PARAMS, lidar.features[i, j, 0], camera.features[i, j, 0]
-                )[0]
-                assert np.allclose(out.features[i, j, 0], expected)
-                assert out.category[i, j, 0] == Category.HYBRID
+                expected = fuse_hybrid_cells(PARAMS, lidar[i, j, 0], camera[i, j, 0])[0]
+                assert np.allclose(feats[i, j, 0], expected)
+                assert category[i, j, 0] == Category.HYBRID
 
     def test_identity_paths_bit_exact(self, rng):
         lidar, camera = _tagged_grids(rng)
         cat = categorize(lidar, camera)
-        out = fuse_modalities(PARAMS, cat)
-        lidar_mask = cat.category == Category.LIDAR
-        assert np.array_equal(out.features[lidar_mask], lidar.features[lidar_mask])
-        normal_mask = cat.category == Category.NORMAL
-        assert np.all(out.features[normal_mask] == 0.0)
+        lidar_feats, _, category = dense_categorized(cat)
+        out, _ = dense(fuse_modalities(PARAMS, cat))
+        lidar_mask = category == Category.LIDAR
+        assert np.array_equal(out[lidar_mask], lidar_feats[lidar_mask])
+        normal_mask = category == Category.NORMAL
+        assert np.all(out[normal_mask] == 0.0)
 
     def test_dropped_camera_cells_zeroed_and_retagged(self, rng):
         lidar, camera = _tagged_grids(rng)
         cat = categorize(lidar, camera)
-        out = fuse_modalities(PARAMS, cat)
-        was_camera = cat.category == Category.CAMERA
-        now_normal = was_camera & (out.category == Category.NORMAL)
-        assert np.all(out.features[now_normal] == 0.0)
-        kept = was_camera & (out.category == Category.CAMERA)
-        assert np.array_equal(out.features[kept], cat.camera[kept])
-        # Partition invariant: every cell still carries exactly one tag.
-        assert out.category.shape == cat.category.shape
-        assert set(np.unique(out.category)) <= {int(c) for c in Category}
+        _, camera_feats, category = dense_categorized(cat)
+        fused = fuse_modalities(PARAMS, cat)
+        out, out_category = dense(fused)
+        was_camera = category == Category.CAMERA
+        now_normal = was_camera & (out_category == Category.NORMAL)
+        assert np.any(now_normal)
+        assert np.all(out[now_normal] == 0.0)
+        kept = was_camera & (out_category == Category.CAMERA)
+        assert np.array_equal(out[kept], camera_feats[kept])
+        # Dropped voxels leave the list; every listed voxel keeps its tag.
+        assert np.array_equal(fused.voxels, np.flatnonzero(out_category))
+        assert np.all(fused.category != Category.NORMAL)
+        assert np.array_equal(out_category[~now_normal], category[~now_normal])
 
     def test_equal_fusion_is_symmetric_identity_elsewhere(self, rng):
         lidar, camera = _tagged_grids(rng)
         cat = categorize(lidar, camera)
+        lidar_feats, camera_feats, category = dense_categorized(cat)
         lin = make_equal_params(C, seed=42)
-        out = fuse_modalities_equal(lin, cat)
-        lidar_mask = cat.category == Category.LIDAR
-        camera_mask = cat.category == Category.CAMERA
-        assert np.array_equal(out.features[lidar_mask], cat.lidar[lidar_mask])
-        assert np.array_equal(out.features[camera_mask], cat.camera[camera_mask])
-        hybrid_mask = cat.category == Category.HYBRID
-        if np.any(hybrid_mask):
-            pair = np.concatenate(
-                [cat.lidar[hybrid_mask], cat.camera[hybrid_mask]], axis=1
-            )
-            assert np.allclose(out.features[hybrid_mask], lin.apply(pair))
+        fused = fuse_modalities_equal(lin, cat)
+        out, out_category = dense(fused)
+        assert np.array_equal(out_category, category)
+        lidar_mask = category == Category.LIDAR
+        camera_mask = category == Category.CAMERA
+        assert np.array_equal(out[lidar_mask], lidar_feats[lidar_mask])
+        assert np.array_equal(out[camera_mask], camera_feats[camera_mask])
+        hybrid_mask = category == Category.HYBRID
+        assert np.any(hybrid_mask)
+        pair = np.concatenate([lidar_feats[hybrid_mask], camera_feats[hybrid_mask]], axis=1)
+        assert np.allclose(out[hybrid_mask], lin.apply(pair))

@@ -584,7 +584,7 @@ class TestDetectLocal:
     def test_rasterized_box_recovered(self):
         truth = Detection(center=(4.0, -3.0), yaw=0.5, extent=(4.4, 2.0))
         grid = voxelize_points(rasterize_box(truth, GRID), GRID)
-        dets = detect_local(occupancy_from_grid(grid, grid.tagged_columns()), GRID)
+        dets = detect_local(occupancy_from_grid(grid), GRID)
         assert len(dets) == 1
         det = dets[0]
         pitch = (GRID.dx + GRID.dy) / 2
@@ -598,13 +598,13 @@ class TestDetectLocal:
         b = Detection(center=(8.0, 8.0), yaw=1.0, extent=(4.0, 2.0))
         pts = np.vstack([rasterize_box(a, GRID), rasterize_box(b, GRID)])
         grid = voxelize_points(pts, GRID)
-        dets = detect_local(occupancy_from_grid(grid, grid.tagged_columns()), GRID)
+        dets = detect_local(occupancy_from_grid(grid), GRID)
         assert len(dets) == 2
 
     def test_scores_in_unit_interval(self):
         truth = Detection(center=(0.0, 0.0), yaw=0.0, extent=(4.0, 2.0))
         grid = voxelize_points(rasterize_box(truth, GRID), GRID)
-        for det in detect_local(occupancy_from_grid(grid, grid.tagged_columns()), GRID):
+        for det in detect_local(occupancy_from_grid(grid), GRID):
             assert 0.0 <= det.score <= 1.0
 
 

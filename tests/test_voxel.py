@@ -19,17 +19,52 @@ from covox.voxel import (
 SPEC = GridSpec((-8.0, 8.0), (-8.0, 8.0), (0.0, 4.0), 16, 16, 4, 8)
 
 
+def dense(grid):
+    """A grid as dense (nx, ny, nz, C) features and (nx, ny, nz) tags; its
+    unlisted voxels are untagged and zero."""
+    s = grid.spec
+    feats = np.zeros((s.nx * s.ny * s.nz, s.channels))
+    feats[grid.voxels] = grid.features
+    category = np.zeros(s.nx * s.ny * s.nz, dtype=np.uint8)
+    category[grid.voxels] = grid.category
+    return feats.reshape(s.nx, s.ny, s.nz, s.channels), category.reshape(s.nx, s.ny, s.nz)
+
+
+def dense_categorized(cat):
+    """A categorized grid as dense LiDAR features, camera features and tags."""
+    s = cat.spec
+    lidar, camera = (np.zeros((s.nx * s.ny * s.nz, s.channels)) for _ in range(2))
+    lidar[cat.voxels] = cat.lidar
+    camera[cat.voxels] = cat.camera
+    category = np.zeros(s.nx * s.ny * s.nz, dtype=np.uint8)
+    category[cat.voxels] = cat.category
+    shape = (s.nx, s.ny, s.nz)
+    return lidar.reshape(shape + (s.channels,)), camera.reshape(shape + (s.channels,)), category.reshape(shape)
+
+
+def dense_zeros(spec):
+    """Dense features and tags of a grid with no tagged voxel."""
+    return dense(VoxelGrid.empty(spec))
+
+
+def sparse(spec, features, category):
+    """The grid that lists the tagged voxels of dense features and tags."""
+    voxels = np.flatnonzero(category)
+    return VoxelGrid(spec, voxels, features.reshape(-1, spec.channels)[voxels],
+                     category.reshape(-1)[voxels])
+
+
 class TestVoxelize:
     def test_empty_cloud(self):
         grid = voxelize_points(np.zeros((0, 3)), SPEC)
-        assert np.all(grid.features == 0)
-        assert np.all(grid.category == Category.NORMAL)
+        assert grid.voxels.size == grid.features.shape[0] == grid.category.size == 0
 
     def test_single_point_at_cell_center(self):
         center = SPEC.cell_center(3, 4, 1)
-        grid = voxelize_points(center[None, :], SPEC)
-        assert grid.category[3, 4, 1] == Category.LIDAR
-        feat = grid.features[3, 4, 1]
+        feats, category = dense(voxelize_points(center[None, :], SPEC))
+        assert category[3, 4, 1] == Category.LIDAR
+        assert np.count_nonzero(category) == 1
+        feat = feats[3, 4, 1]
         assert abs(feat[0] - math.log(2)) < 1e-12
         assert np.max(np.abs(feat[1:4])) < 1e-12
         assert abs(feat[4] - center[2]) < 1e-12
@@ -38,19 +73,21 @@ class TestVoxelize:
     def test_count_channel_log(self, rng):
         center = SPEC.cell_center(2, 2, 0)
         pts = center + rng.uniform(-0.2, 0.2, (10, 3))
-        grid = voxelize_points(pts, SPEC)
-        assert abs(grid.features[2, 2, 0][0] - math.log(11)) < 1e-12
+        feats, _ = dense(voxelize_points(pts, SPEC))
+        assert abs(feats[2, 2, 0][0] - math.log(11)) < 1e-12
 
     def test_permutation_invariant_exactly(self, rng):
         pts = rng.uniform(-8, 8, (300, 3)) * np.array([1, 1, 0.25])
         a = voxelize_points(pts, SPEC)
         b = voxelize_points(pts[rng.permutation(300)], SPEC)
+        assert np.array_equal(a.voxels, b.voxels)
         assert np.array_equal(a.features, b.features)
         assert np.array_equal(a.category, b.category)
+        assert np.all(np.diff(a.voxels) > 0) and np.all(a.category == Category.LIDAR)
 
     def test_out_of_range_points_ignored(self):
         grid = voxelize_points(np.array([[100.0, 0.0, 1.0]]), SPEC)
-        assert np.all(grid.category == Category.NORMAL)
+        assert grid.voxels.size == 0
 
 
 class TestLift:
@@ -70,9 +107,8 @@ class TestLift:
         feats[0, 0] = np.arange(8)
         dist[0, 0, 2] = 1.0  # bin center 6.0
         res = lift_camera(feats, dist, self.INTR, Pose(np.eye(4)), spec, 0.05, bins.centers())
-        assert np.count_nonzero(res.grid.category == Category.CAMERA) == 1
-        cell = res.grid.features[res.grid.category == Category.CAMERA][0]
-        assert np.allclose(cell, np.arange(8))
+        assert np.array_equal(res.grid.category, [Category.CAMERA])
+        assert np.allclose(res.grid.features[0], np.arange(8))
 
     def test_uniform_distribution_splats_every_bin(self):
         spec, bins, feats, dist = self._one_pixel_setup(4)
@@ -80,15 +116,14 @@ class TestLift:
         dist[0, 0, :] = 0.25
         res = lift_camera(feats, dist, self.INTR, Pose(np.eye(4)), spec, 0.0, bins.centers())
         assert np.count_nonzero(res.grid.category == Category.CAMERA) == 4
-        occupied = res.grid.features[res.grid.category == Category.CAMERA]
-        assert np.allclose(occupied, 0.25)
+        assert np.allclose(res.grid.features, 0.25)
         assert res.dropped_mass == 0.0
 
     def test_zero_features_still_tag_cells(self):
         spec, bins, feats, dist = self._one_pixel_setup(4)
         dist[0, 0, 1] = 1.0
         res = lift_camera(feats, dist, self.INTR, Pose(np.eye(4)), spec, 0.05, bins.centers())
-        assert np.count_nonzero(res.grid.category == Category.CAMERA) == 1
+        assert np.array_equal(res.grid.category, [Category.CAMERA])
         assert np.all(res.grid.features == 0)
 
     def test_mass_conservation(self, rng):
@@ -105,7 +140,7 @@ class TestLift:
         assert res.dropped_mass == dropped
         assert abs(mass.sum() + res.dropped_mass - h * w) < 1e-9
         # With no threshold every cell that gained mass is tagged.
-        assert np.array_equal(res.grid.category == Category.CAMERA, mass > 0.0)
+        assert np.array_equal(dense(res.grid)[1] == Category.CAMERA, mass > 0.0)
 
     def test_subthreshold_cells_zeroed(self, rng):
         spec, bins, feats, dist = self._one_pixel_setup(4)
@@ -113,8 +148,7 @@ class TestLift:
         dist[0, 0, :] = 0.25
         args = (feats, dist, self.INTR, Pose(np.eye(4)), spec, 0.3, bins.centers())
         res = lift_camera(*args)
-        assert np.count_nonzero(res.grid.category == Category.CAMERA) == 0
-        assert np.all(res.grid.features == 0)
+        assert res.grid.voxels.size == 0
         # The whole mass landed in the grid, each cell below the threshold.
         _, _, mass, dropped = _dense_lift_camera(*args)
         assert res.dropped_mass == dropped == 0.0
@@ -172,8 +206,11 @@ class TestLiftOracle:
         ref_feats, ref_cat, _, ref_dropped = _dense_lift_camera(
             feats, dist, self.INTR, pose, spec, threshold, centers
         )
-        assert np.array_equal(res.grid.features, ref_feats)
-        assert np.array_equal(res.grid.category, ref_cat)
+        got_feats, got_cat = dense(res.grid)
+        assert np.array_equal(got_feats, ref_feats)
+        assert np.array_equal(got_cat, ref_cat)
+        assert np.all(np.diff(res.grid.voxels) > 0)
+        assert np.all(res.grid.category == Category.CAMERA)
         assert res.dropped_mass == ref_dropped
         return res
 
@@ -194,37 +231,48 @@ class TestLiftOracle:
                     self._check(feats, dist, pose, spec, 0.05)
 
 
+def tagged(spec, tag, *cells, features=None):
+    """A branch grid with `tag` on the given (ix, iy, iz) cells."""
+    feats, category = dense_zeros(spec)
+    for cell in map(tuple, cells):
+        category[cell] = tag
+        feats[cell] = 1.0 if features is None else features
+    return sparse(spec, feats, category)
+
+
 class TestCategorize:
     def test_all_normal(self):
         cat = categorize(VoxelGrid.empty(SPEC), VoxelGrid.empty(SPEC))
-        assert np.all(cat.category == Category.NORMAL)
+        assert cat.voxels.size == cat.category.size == 0
+        assert cat.lidar.shape == cat.camera.shape == (0, SPEC.channels)
 
     def test_hybrid_where_both(self):
-        lidar = VoxelGrid.empty(SPEC)
-        camera = VoxelGrid.empty(SPEC)
-        lidar.category[1, 1, 1] = Category.LIDAR
-        camera.category[1, 1, 1] = Category.CAMERA
+        lidar = tagged(SPEC, Category.LIDAR, (1, 1, 1), features=2.0)
+        camera = tagged(SPEC, Category.CAMERA, (1, 1, 1), features=3.0)
         cat = categorize(lidar, camera)
-        assert cat.category[1, 1, 1] == Category.HYBRID
+        assert np.array_equal(cat.category, [Category.HYBRID])
+        assert np.all(cat.lidar == 2.0) and np.all(cat.camera == 3.0)
 
     def test_partition_counts(self, rng):
-        lidar = VoxelGrid.empty(SPEC)
-        camera = VoxelGrid.empty(SPEC)
-        lidar.category[rng.uniform(size=lidar.category.shape) < 0.3] = Category.LIDAR
-        camera.category[rng.uniform(size=camera.category.shape) < 0.3] = Category.CAMERA
+        shape = (SPEC.nx, SPEC.ny, SPEC.nz)
+        has_l = rng.uniform(size=shape) < 0.3
+        has_c = rng.uniform(size=shape) < 0.3
+        lidar = tagged(SPEC, Category.LIDAR, *np.argwhere(has_l).tolist())
+        camera = tagged(SPEC, Category.CAMERA, *np.argwhere(has_c).tolist())
         cat = categorize(lidar, camera)
+        assert np.array_equal(cat.voxels, np.flatnonzero(has_l | has_c))
         counts = [int(np.count_nonzero(cat.category == c)) for c in Category]
-        assert sum(counts) == SPEC.nx * SPEC.ny * SPEC.nz
+        assert counts == [0, np.count_nonzero(has_l & ~has_c),
+                          np.count_nonzero(has_c & ~has_l), np.count_nonzero(has_l & has_c)]
 
     def test_disjoint_occupancy(self):
-        lidar = VoxelGrid.empty(SPEC)
-        camera = VoxelGrid.empty(SPEC)
-        lidar.category[0, 0, 0] = Category.LIDAR
-        camera.category[1, 0, 0] = Category.CAMERA
+        lidar = tagged(SPEC, Category.LIDAR, (0, 0, 0))
+        camera = tagged(SPEC, Category.CAMERA, (1, 0, 0))
         cat = categorize(lidar, camera)
-        assert int(np.count_nonzero(cat.category == Category.HYBRID)) == 0
-        occupied = int(np.count_nonzero(cat.category != Category.NORMAL))
-        assert occupied == 2
+        assert np.array_equal(cat.category, [Category.LIDAR, Category.CAMERA])
+        # Each branch's row is zero where the other branch tagged the voxel.
+        assert np.array_equal(cat.lidar[:, 0], [1.0, 0.0])
+        assert np.array_equal(cat.camera[:, 0], [0.0, 1.0])
 
     def test_spec_mismatch(self):
         other = GridSpec((-8.0, 8.0), (-8.0, 8.0), (0.0, 4.0), 8, 8, 4, 8)
@@ -232,14 +280,33 @@ class TestCategorize:
             categorize(VoxelGrid.empty(SPEC), VoxelGrid.empty(other))
 
 
+class TestVoxelGrid:
+    def test_rejects_lists_of_other_lengths(self):
+        c = SPEC.channels
+        for voxels, features, category in (
+            (np.arange(2), np.zeros((3, c)), np.ones(2, dtype=np.uint8)),
+            (np.arange(2), np.zeros((2, c + 1)), np.ones(2, dtype=np.uint8)),
+            (np.arange(2), np.zeros((2, c)), np.ones(3, dtype=np.uint8)),
+            (np.zeros((2, 1), dtype=int), np.zeros((2, c)), np.ones(2, dtype=np.uint8)),
+        ):
+            with pytest.raises(ValueError):
+                VoxelGrid(SPEC, voxels, features, category)
+
+    def test_tagged_columns(self):
+        grid = tagged(SPEC, Category.LIDAR, (0, 0, 3), (0, 1, 0), (0, 1, 2), (5, 6, 1))
+        assert np.array_equal(grid.tagged_columns(), [0, 1, 5 * SPEC.ny + 6])
+        assert VoxelGrid.empty(SPEC).tagged_columns().size == 0
+
+
 class TestCollapse:
     def test_zero_grid(self):
-        assert np.all(collapse(VoxelGrid.empty(SPEC)) == 0)
+        bev = collapse(VoxelGrid.empty(SPEC))
+        assert bev.shape == (SPEC.nx, SPEC.ny, SPEC.bev_channels)
+        assert np.all(bev == 0)
 
     def test_single_cell_block_placement(self):
-        grid = VoxelGrid.empty(SPEC)
         k = 2
-        grid.features[5, 6, k] = np.arange(1, 9)
+        grid = tagged(SPEC, Category.LIDAR, (5, 6, k), features=np.arange(1, 9))
         bev = collapse(grid)
         block = slice(k * SPEC.channels, (k + 1) * SPEC.channels)
         assert np.allclose(bev[5, 6, block], np.arange(1, 9))
@@ -247,16 +314,19 @@ class TestCollapse:
         assert np.all(other == 0)
 
     def test_lossless_roundtrip(self, rng):
-        grid = VoxelGrid.empty(SPEC)
-        grid.features[...] = rng.standard_normal(grid.features.shape)
+        feats = rng.standard_normal((SPEC.nx, SPEC.ny, SPEC.nz, SPEC.channels))
+        grid = sparse(SPEC, feats, np.full(feats.shape[:3], Category.LIDAR, dtype=np.uint8))
         bev = collapse(grid)
         restored = bev.reshape(SPEC.nx, SPEC.ny, SPEC.nz, SPEC.channels)
-        assert np.array_equal(restored, grid.features)
+        assert np.array_equal(restored, feats)
+        assert not np.shares_memory(bev, grid.features)
 
     def test_l0_preserved(self, rng):
-        grid = VoxelGrid.empty(SPEC)
-        sparse = rng.uniform(size=grid.features.shape) < 0.05
-        grid.features[sparse] = 1.0
+        feats, category = dense_zeros(SPEC)
+        on = rng.uniform(size=feats.shape) < 0.05
+        feats[on] = 1.0
+        category[np.any(on, axis=3)] = Category.LIDAR
+        grid = sparse(SPEC, feats, category)
         assert np.count_nonzero(collapse(grid)) == np.count_nonzero(grid.features)
 
 
