@@ -1,8 +1,12 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from covox.geometry import Pose
-from covox.nnkit import MhaParams, attention_weights, split_heads
+
+TRACING_PATH = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
 
 def random_rotation(rng: np.random.Generator) -> np.ndarray:
@@ -23,21 +27,10 @@ def rng() -> np.random.Generator:
     return np.random.default_rng(1234)
 
 
-def mha(params: MhaParams, queries: np.ndarray, keys: np.ndarray, values: np.ndarray):
-    """Attention oracle: scaled dot-product multi-head attention.
-
-    The projections are bias-free, so an all-zero value row contributes
-    nothing and all-zero values give an all-zero output.
-    queries: (Nq, D); keys/values: (Nk, D) with Nk >= 1.
-    Returns (outputs (Nq, D), attn (Nq, Nk)) where attn is the head-mean
-    attention weight matrix.
-    """
-    weights = attention_weights(params, queries, keys)
-    values = np.atleast_2d(np.asarray(values, dtype=np.float64))
-    if weights.shape[-1] != values.shape[0]:
-        raise ValueError("keys and values must pair up")
-    v = split_heads(params.wv.apply(values), params.n_heads)
-    ctx = weights @ v  # (H, Nq, dh)
-    ctx = np.moveaxis(ctx, 0, 1).reshape(weights.shape[1], params.dim)
-    out = params.wo.apply(ctx)
-    return out, weights.mean(axis=0)
+@pytest.fixture(scope="module")
+def tracing():
+    """bench/tracing.py, loaded as a module."""
+    spec = importlib.util.spec_from_file_location("covox_bench_tracing", TRACING_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

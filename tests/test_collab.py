@@ -26,7 +26,7 @@ from covox.collab import (
     warp_sparse,
 )
 from covox.depth import DepthBins, NoisyOraclePredictor, nearest_per_pixel
-from covox.geometry import Pose, compose, invert, project_points, transform_points
+from covox.geometry import Pose, compose, invert, transform_points
 from covox.scene import (
     DEFAULT_CAMERA_MOUNT,
     DEFAULT_LIDAR_MOUNT,
@@ -38,8 +38,15 @@ from covox.scene import (
 )
 from covox.voxel import Category, GridSpec
 
-from conftest import mha
-from test_voxel import dense_zeros, sparse
+from oracles import (
+    aggregate_dense,
+    dense_zeros,
+    mha,
+    min_depth_image_by_minimum_at,
+    nonzero_cells,
+    share_whole_clouds,
+    sparse,
+)
 
 GRID = GridSpec((-20.0, 20.0), (-20.0, 20.0), (0.5, 3.7), 64, 64, 8, 8)
 BINS = DepthBins(1.0, 33.0, 16)
@@ -272,13 +279,6 @@ class TestWarp:
         assert np.array_equal(bev, dense)
 
 
-def nonzero_cells(plane):
-    """Flat indices of the nonzero cells of an (nx, ny, F) plane, by a scan
-    of the whole plane."""
-    plane = np.asarray(plane)
-    return np.flatnonzero(np.any(plane.reshape(-1, plane.shape[2]) != 0, axis=1))
-
-
 def aggregate_planes(params, ego, warped, others=()):
     """`aggregate` over an ego plane and neighbor planes, with Q, K and V
     projected as a round projects them: once, on one stack of the nonzero
@@ -342,28 +342,6 @@ class TestAggregate:
         assert np.allclose(out_cat, PARAMS.concat_lin.apply(stacked))
 
 
-def _dense_aggregate(params, ego, warped):
-    """Reference: attention over every cell's full token stack."""
-    ego = np.asarray(ego, dtype=np.float64)
-    nx, ny, f = ego.shape
-    n_cells = nx * ny
-    tokens = np.stack([ego] + [np.asarray(w, dtype=np.float64) for w in warped])
-    t = tokens.shape[0]
-    flat = tokens.reshape(t, n_cells, f)
-    valid = np.ones((t, n_cells), dtype=bool)
-    if t > 1:
-        valid[1:] = np.any(flat[1:] != 0.0, axis=2)
-    h, dh = params.n_heads, params.head_dim
-    q = params.wq.apply(flat[0]).reshape(n_cells, h, dh)
-    k = params.wk.apply(flat).reshape(t, n_cells, h, dh)
-    v = params.wv.apply(flat).reshape(t, n_cells, h, dh)
-    scores = np.einsum("chd,tchd->tch", q, k) / np.sqrt(dh)
-    scores[~valid] = -np.inf
-    weights = nnkit.softmax(scores, axis=0)
-    ctx = np.einsum("tch,tchd->chd", weights, v).reshape(n_cells, f)
-    return params.wo.apply(ctx).reshape(nx, ny, f)
-
-
 def _sparse_planes(rng, n, shape, density):
     """`n` BEV planes whose cells are nonzero with probability `density`."""
     return [
@@ -384,7 +362,7 @@ class TestAggregateOracle:
 
     def _check(self, mha, ego, warped):
         got = aggregate_planes(mha, ego, warped)
-        assert np.array_equal(got, _dense_aggregate(mha, ego, warped))
+        assert np.array_equal(got, aggregate_dense(mha, ego, warped))
 
     def test_no_neighbors(self, rng, mha):
         (ego,) = _sparse_planes(rng, 1, self.SHAPE, 0.3)
@@ -459,7 +437,7 @@ def test_aggregate_matches_dense_for_any_writes(seed, shape, ego_density, writes
     warped = [_written_plane(rng, shape, w) for w in writes]
     rest = [_written_plane(rng, shape, w) for w in others]
     got = aggregate_planes(params, ego, warped, rest)
-    assert np.array_equal(got, _dense_aggregate(params, ego, warped))
+    assert np.array_equal(got, aggregate_dense(params, ego, warped))
 
 
 @functools.cache
@@ -663,36 +641,6 @@ class TestRunRound:
             assert np.array_equal(a[aid].aggregated, b[aid].aggregated)
 
 
-def _min_depth_image_by_minimum_at(cloud, intr, bins):
-    """Reference: scatter every projected depth with np.minimum.at."""
-    img = np.full(intr.height * intr.width, np.inf)
-    pix, dist, _ = project_points(intr, np.asarray(cloud, dtype=np.float64).reshape(-1, 3))
-    keep = dist < bins.d_max
-    np.minimum.at(img, pix[keep, 1] * intr.width + pix[keep, 0], dist[keep])
-    return img.reshape(intr.height, intr.width)
-
-
-def _share_whole_clouds(works, scenario, pipe, ledger):
-    """Reference phase 1: every connected LiDAR agent sends its whole
-    downsampled cloud to every neighbor, which moves it into its camera
-    frame with the pose it uses for that neighbor."""
-    if pipe.depth_projection != "all":
-        return
-    payloads = {
-        aid: downsample_cloud(w.cloud, 0.5)
-        for aid, w in works.items() if w.neighbors and w.state.has_lidar
-    }
-    for w in works.values():
-        for j in w.neighbors:
-            cloud = payloads.get(j)
-            if cloud is None:
-                continue
-            ledger.add(j, w.state.id, "depth", 3 * cloud.shape[0])
-            if w.images is not None:
-                cam_from_sender = compose(invert(DEFAULT_CAMERA_MOUNT), w.rel[j])
-                w.shared.append(transform_points(cam_from_sender, cloud))
-
-
 def _chain_scene():
     """Three agents in a line, each linked only to the next."""
     scn = ScenarioConfig(seed=3, n_agents=1, n_objects=6, area=(-20.0, 60.0, -20.0, 20.0),
@@ -743,8 +691,8 @@ class TestPhaseOneOracle:
         agents, objects, scn, pipe = case
         got = run_round(agents, objects, (), scn, pipe, PARAMS)
         with monkeypatch.context() as m:
-            m.setattr(collab, "_share_clouds", _share_whole_clouds)
-            m.setattr(depth, "_min_depth_image", _min_depth_image_by_minimum_at)
+            m.setattr(collab, "_share_clouds", share_whole_clouds)
+            m.setattr(depth, "_min_depth_image", min_depth_image_by_minimum_at)
             want = run_round(agents, objects, (), scn, pipe, PARAMS)
         return got, want, agents
 

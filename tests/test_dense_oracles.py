@@ -1,25 +1,18 @@
 """The stages from voxelization to detection touch only the voxels and
 cells that hold data, the depth head runs once per distinct window, and
-the exchange runs per agent, not per edge.  The references here are the
-versions they replace: they hold every voxel of the grid in dense arrays,
-count points into every voxel, lift, categorize, fuse, collapse, mask and
-scan whole grids, predict depth pixel by pixel over the whole image,
-score, mask and pack every cell, answer each phase-1 request on its own,
-warp every message on its own into a fresh zero plane, run attention on
-whole token stacks, take the max aggregation over a copy of the ego plane
-and find nonzero cells by scanning whole planes.  The grid references take
-and return the program's sparse grids, converting at their edges, so that
-they can stand in for the program's stages.  Every stage, and every trial
-end to end, must match them bit for bit.  Whole trials must also match the
-box path as it ran box by box: the ray cast, the detector's components and
-rectangles and the IoU clip; and the perceive stage as it ran on whole
-grids.
+the exchange runs per agent, not per edge.  Every stage, and every trial
+end to end, must match the references in `oracles.py` bit for bit: they
+hold every voxel of the grid in dense arrays, scan whole grids and planes,
+predict depth pixel by pixel, answer each phase-1 request on its own, warp
+every message on its own into a fresh zero plane, run attention on whole
+token stacks, test every box on every ray and fit each rectangle on its
+own.
 """
 
-import importlib.util
 import json
 import runpy
 import tracemalloc
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -29,11 +22,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from covox import cli, collab, depth, metrics, nnkit, scene
+from covox import cli, collab
 from covox.collab import (
-    AgentRound,
     PipelineConfig,
-    aggregate_concat,
     aggregate_max,
     build_comm_graph,
     importance_scores,
@@ -42,291 +33,41 @@ from covox.collab import (
     warp_sparse,
 )
 from covox.config import load_experiment
-from covox.depth import DepthBins, DepthMap, NoisyOraclePredictor, predict_depth
+from covox.depth import DepthBins, NoisyOraclePredictor, predict_depth
 from covox.fusion import (
-    compute_guidance,
-    fuse_hybrid_cells,
     fuse_modalities,
     fuse_modalities_equal,
     make_equal_params,
     make_fusion_params,
 )
-from covox.depth import nearest_per_pixel
-from covox.geometry import Pose, compose, planar_parts
+from covox.geometry import Pose, planar_parts
 from covox.robust import occupancy_from_bev, occupancy_from_grid
 from covox.scene import AgentState, BoxObject, LidarSpec, ScenarioConfig, generate_scene
-from covox.voxel import (
-    Category,
-    GridSpec,
-    VoxelGrid,
-    categorize,
-    collapse,
-    voxelize_points,
+from covox.voxel import Category, GridSpec, categorize, collapse, voxelize_points
+
+from oracles import (
+    REFERENCE_SWAPS,
+    aggregate_max_dense,
+    categorize_dense,
+    collapse_dense,
+    dense_categorized,
+    dense_zeros,
+    fuse_modalities_equal_masked,
+    fuse_modalities_masked,
+    importance_scores_dense,
+    nonzero_cells,
+    occupancy_from_bev_dense,
+    occupancy_from_grid_dense,
+    pack_message_dense,
+    predict_depth_full_image,
+    preference_map_dense,
+    share_clouds_per_edge,
+    sparse,
+    use_reference_pipeline,
+    voxelize_points_dense,
+    warp_message_fresh,
+    window_counts,
 )
-
-from test_collab import nonzero_cells
-from test_metrics import clip_polygon_of_vectors
-from test_robust import detect_local_per_component
-from test_scene import raycast_per_box
-from test_voxel import _dense_lift_camera, dense, dense_categorized, dense_zeros, sparse
-
-# --- dense references --------------------------------------------------------
-
-
-def voxelize_points_dense(cloud, spec):
-    """Pillar encoding with one bincount over every voxel of the grid per
-    sum, and the occupied voxels found by a scan of the counts."""
-    feats, category = dense_zeros(spec)
-    pts = np.asarray(cloud, dtype=np.float64).reshape(-1, 3)
-    idx, inside = spec.cell_of(pts)
-    pts, idx = pts[inside], idx[inside]
-    if pts.shape[0] == 0:
-        return sparse(spec, feats, category)
-    flat = (idx[:, 0] * spec.ny + idx[:, 1]) * spec.nz + idx[:, 2]
-    order = np.lexsort((pts[:, 2], pts[:, 1], pts[:, 0], flat))
-    pts, flat = pts[order], flat[order]
-    n_cells = spec.nx * spec.ny * spec.nz
-    counts = np.bincount(flat, minlength=n_cells)
-    sums = np.stack(
-        [np.bincount(flat, weights=pts[:, k], minlength=n_cells) for k in range(3)], axis=1
-    )
-    occupied = np.flatnonzero(counts)
-    means = sums[occupied] / counts[occupied, None]
-    centers = spec.cell_center(*np.unravel_index(occupied, (spec.nx, spec.ny, spec.nz)))
-    rows = feats.reshape(n_cells, spec.channels)
-    rows[occupied, 0] = np.log1p(counts[occupied])
-    rows[occupied, 1:4] = means - centers
-    rows[occupied, 4] = means[:, 2]
-    category.reshape(n_cells)[occupied] = Category.LIDAR
-    return sparse(spec, feats, category)
-
-
-def categorize_dense(lidar_grid, camera_grid):
-    """Both branches and the tags as dense arrays over every voxel; the
-    dense fusions below take this."""
-    lidar, has_l = dense(lidar_grid)
-    camera, has_c = dense(camera_grid)
-    category = np.zeros_like(has_l)
-    category[has_l == Category.LIDAR] = Category.LIDAR
-    category[has_c == Category.CAMERA] = Category.CAMERA
-    category[(has_l == Category.LIDAR) & (has_c == Category.CAMERA)] = Category.HYBRID
-    return SimpleNamespace(spec=lidar_grid.spec, lidar=lidar, camera=camera, category=category)
-
-
-def collapse_dense(grid):
-    s = grid.spec
-    return dense(grid)[0].reshape(s.nx, s.ny, s.nz * s.channels)
-
-
-def fuse_modalities_masked(params, cat):
-    features = np.zeros_like(cat.lidar)
-    category = cat.category.copy()
-    lidar_mask = cat.category == Category.LIDAR
-    features[lidar_mask] = cat.lidar[lidar_mask]
-    hybrid_mask = cat.category == Category.HYBRID
-    if np.any(hybrid_mask):
-        features[hybrid_mask] = fuse_hybrid_cells(
-            params, cat.lidar[hybrid_mask], cat.camera[hybrid_mask]
-        )
-    camera_mask = cat.category == Category.CAMERA
-    if np.any(camera_mask):
-        guidance_pool = cat.lidar[lidar_mask | hybrid_mask]
-        keep = compute_guidance(params, guidance_pool, cat.camera[camera_mask])
-        cam_idx = np.argwhere(camera_mask)
-        kept = cam_idx[keep == 1]
-        dropped = cam_idx[keep == 0]
-        features[kept[:, 0], kept[:, 1], kept[:, 2]] = cat.camera[
-            kept[:, 0], kept[:, 1], kept[:, 2]
-        ]
-        category[dropped[:, 0], dropped[:, 1], dropped[:, 2]] = Category.NORMAL
-    return sparse(cat.spec, features, category)
-
-
-def fuse_modalities_equal_masked(lin, cat):
-    features = np.zeros_like(cat.lidar)
-    lidar_mask = cat.category == Category.LIDAR
-    features[lidar_mask] = cat.lidar[lidar_mask]
-    camera_mask = cat.category == Category.CAMERA
-    features[camera_mask] = cat.camera[camera_mask]
-    hybrid_mask = cat.category == Category.HYBRID
-    if np.any(hybrid_mask):
-        pair = np.concatenate([cat.lidar[hybrid_mask], cat.camera[hybrid_mask]], axis=1)
-        features[hybrid_mask] = lin.apply(pair)
-    return sparse(cat.spec, features, cat.category)
-
-
-def window_counts(true_depth_image, predictor, bins):
-    """(H, W, D) per-bin pixel counts of each pixel's window, clipped to
-    the image, with the bin of an out-of-range depth the farthest."""
-    h, w = np.asarray(true_depth_image).shape
-    d = bins.n_bins
-    k, valid = bins.bin_of(true_depth_image)
-    k = np.where(valid, k, d - 1)
-    r = predictor.blur_radius
-    onehot = np.zeros((h + 2 * r, w + 2 * r, d), dtype=np.int32)  # zero-padded
-    np.put_along_axis(onehot[r : r + h, r : r + w], k[:, :, None], 1, axis=2)
-    rows = sum(onehot[i : i + h] for i in range(2 * r + 1))
-    return sum(rows[:, j : j + w] for j in range(2 * r + 1))
-
-
-def predict_depth_full_image(true_depth_image, predictor, bins):
-    """The noisy oracle pixel by pixel: every pixel's window counts times
-    the Gaussian table, normalised."""
-    if not isinstance(predictor, NoisyOraclePredictor):
-        return predict_depth(true_depth_image, predictor, bins)
-    h, w = np.asarray(true_depth_image).shape
-    d = bins.n_bins
-    counts = window_counts(true_depth_image, predictor, bins)
-    table = depth._bin_gaussian_table(predictor.sigma_bins, d)
-    vol = counts.reshape(h * w, d).astype(np.float64) @ table
-    vol /= vol.sum(axis=1, keepdims=True)
-    return vol.reshape(h, w, d)
-
-
-def occupancy_from_bev_dense(bev, cells=None):
-    """Every cell's norm; `cells` is not read."""
-    return np.linalg.norm(np.asarray(bev, dtype=np.float64), axis=2)
-
-
-def occupancy_from_grid_dense(grid):
-    """Every column's z-sum."""
-    return dense(grid)[0][:, :, :, 0].sum(axis=2)
-
-
-def importance_scores_dense(bev, cells=None):
-    """Every cell's score; `cells` is not read."""
-    bev = np.asarray(bev, dtype=np.float64)
-    level = np.linalg.norm(bev, axis=2) / np.sqrt(bev.shape[2])
-    return 1.0 / (1.0 + np.exp(-(collab._IMPORTANCE_GAIN * level - collab._IMPORTANCE_SHIFT)))
-
-
-def warp_message_fresh(message, rel_pose, spec):
-    """One message warped on its own into a fresh zero plane: the plane and
-    the WarpResult of that plane alone."""
-    f = spec.bev_channels
-    bev = np.zeros((spec.nx, spec.ny, f))
-    no_cells = np.zeros(0, dtype=np.int64)
-    indices = np.asarray(message.indices).reshape(-1, 2)
-    if indices.shape[0] == 0:
-        return bev, collab.WarpResult([no_cells], [no_cells], 0, 0)
-    vectors = np.asarray(message.vectors, dtype=np.float64).reshape(-1, f)
-    centers = spec.bev_cell_centers(indices[:, 0], indices[:, 1])
-    x, y, yaw = planar_parts(rel_pose)
-    c, s = np.cos(yaw), np.sin(yaw)
-    px = c * centers[:, 0] - s * centers[:, 1] + x
-    py = s * centers[:, 0] + c * centers[:, 1] + y
-    ix = np.floor((px - spec.x_range[0]) / spec.dx).astype(np.int64)
-    iy = np.floor((py - spec.y_range[0]) / spec.dy).astype(np.int64)
-    inb = (ix >= 0) & (ix < spec.nx) & (iy >= 0) & (iy < spec.ny)
-    dropped = int(np.count_nonzero(~inb))
-    rows = np.flatnonzero(inb)
-    if rows.size == 0:
-        return bev, collab.WarpResult([no_cells], [no_cells], 0, dropped)
-    flat = ix[rows] * spec.ny + iy[rows]
-    uniq, first_in_rev = np.unique(flat[::-1], return_index=True)
-    last = rows[flat.size - 1 - first_in_rev]
-    bev.reshape(-1, f)[uniq] = vectors[last]
-    return bev, collab.WarpResult([uniq], [last], int(flat.size - uniq.size), dropped)
-
-
-def preference_map_dense(grid):
-    """Every column's threshold."""
-    return np.where(np.any(dense(grid)[1] == Category.HYBRID, axis=2), 0.0, 0.5)
-
-
-def pack_message_dense(bev, mask, cells=None):
-    """Every masked cell, then its nonzero rows; `cells` is not read."""
-    idx = np.argwhere(np.asarray(mask) == 1)
-    vecs = np.asarray(bev)[idx[:, 0], idx[:, 1]]
-    keep = np.any(vecs != 0.0, axis=1) if vecs.size else np.zeros(0, dtype=bool)
-    idx, vecs = idx[keep], vecs[keep]
-    return collab.Message(idx, np.array(vecs), int(np.count_nonzero(vecs)))
-
-
-def share_clouds_per_edge(works, scenario, pipe, ledger):
-    """Phase 1 with each request answered on its own: a projection and a
-    nearest-point search per edge."""
-    if pipe.depth_projection != "all":
-        return
-    payloads = {}
-    for w in works.values():
-        if w.images is None:
-            continue
-        for j in w.neighbors:
-            sender = works[j]
-            if not sender.state.has_lidar:
-                continue
-            if j not in payloads:
-                payloads[j] = collab.downsample_cloud(sender.cloud, collab._PAYLOAD_CELL)
-            ledger.add(w.state.id, j, "depth", collab._REQUEST_ELEMENTS)
-            cam = collab.transform_points(compose(collab._CAM_FROM_AGENT, w.rel[j]), payloads[j])
-            _, _, rows = nearest_per_pixel(cam, scenario.camera, pipe.bins)
-            reply = cam[np.sort(rows)]
-            ledger.add(j, w.state.id, "depth", 3 * reply.shape[0])
-            w.shared.append(reply)
-
-
-def aggregate_max_dense(ego, warped):
-    """Max over every cell's token stack [ego, neighbors...], an all-zero
-    (unsent) neighbor token counting as -inf."""
-    tokens = [np.asarray(ego, dtype=np.float64)]
-    tokens += [np.where(np.any(w != 0.0, axis=2, keepdims=True), w, -np.inf) for w in warped]
-    return np.max(np.stack(tokens), axis=0)
-
-
-def receive_fresh(w, works, pipe, params, ledger, planes, tokens):
-    """Phase 2 with each message warped on its own into a fresh zero plane
-    and attention on whole token stacks; `planes` and `tokens` are ignored."""
-    warped, written = [], []
-    collisions = 0
-    for j in w.neighbors:
-        msg = works[j].message
-        plane, wr = warp_message_fresh(msg, w.rel[j], pipe.grid)
-        warped.append(plane)
-        written.append(wr.cells[0])
-        collisions += wr.collisions
-        ledger.add(j, w.state.id, "feature", msg.feature_elements)
-    if pipe.collab_mode == "attention":
-        agg = aggregate_token_stack(params.agg_mha, w.bev, warped, written)
-    elif pipe.collab_mode == "max":
-        agg = aggregate_max_dense(w.bev, warped)
-    else:
-        agg = aggregate_concat(params.concat_lin, w.bev, warped)
-    return AgentRound(
-        bev=w.bev,
-        aggregated=agg,
-        cells=nonzero_cells(agg),
-        mask=w.mask,
-        message=w.message,
-        depth_map=w.depth_map,
-        warp_collisions=collisions,
-        pose_errors=w.pose_errors,
-    )
-
-
-def lift_camera_dense(features, dist, intr, cam_pose_in_ego, spec, mass_threshold, bin_centers):
-    feats, category, _, dropped = _dense_lift_camera(
-        features, dist, intr, cam_pose_in_ego, spec, mass_threshold, bin_centers
-    )
-    return SimpleNamespace(grid=sparse(spec, feats, category), dropped_mass=dropped)
-
-
-def use_dense_pipeline(m):
-    """Swap every sparse stage of a round and of its scoring for its reference."""
-    m.setattr(collab, "voxelize_points", voxelize_points_dense)
-    m.setattr(collab, "predict_depth", predict_depth_full_image)
-    m.setattr(collab, "lift_camera", lift_camera_dense)
-    m.setattr(collab, "categorize", categorize_dense)
-    m.setattr(collab, "fuse_modalities", fuse_modalities_masked)
-    m.setattr(collab, "fuse_modalities_equal", fuse_modalities_equal_masked)
-    m.setattr(collab, "collapse", collapse_dense)
-    m.setattr(collab, "importance_scores", importance_scores_dense)
-    m.setattr(collab, "preference_map", preference_map_dense)
-    m.setattr(collab, "pack_message", pack_message_dense)
-    m.setattr(collab, "_share_clouds", share_clouds_per_edge)
-    m.setattr(collab, "_receive", receive_fresh)
-    m.setattr(collab, "occupancy_from_grid", occupancy_from_grid_dense)
-    m.setattr(cli, "occupancy_from_bev", occupancy_from_bev_dense)
 
 
 def assert_rounds_equal(got, want):
@@ -710,10 +451,7 @@ def test_untagged_cells_hold_zeros(bench_run, tmp_path, name):
         return collapse(grid)
 
     for seed in (0, 7919):
-        path = tmp_path / f"{name}-{seed}.json"
-        path.write_text(json.dumps(trial_config(bench_run, name, seed)))
-        exp = load_experiment(path)
-        params = make_pipeline_params(exp.pipeline.grid, exp.params_seed)
+        exp, params = experiment(bench_run, tmp_path, name, seed)
         with pytest.MonkeyPatch.context() as m:
             m.setattr(collab, "collapse", checked_collapse)
             cli.run_trial(exp, 0, None, params)
@@ -731,135 +469,6 @@ def bench_run():
     return SimpleNamespace(**runpy.run_path(str(BENCH_RUN), run_name="covox_bench_run"))
 
 
-# Scenario seeds 0-3 (trials 0-3 of base seed 0) and 7919.
-SEED_TRIALS = ((0, 0), (0, 1), (0, 2), (0, 3), (7919, 0))
-
-
-TRIAL_SHAPES = [(workload, mode) for workload in ("fleet8", "lidar4", "camera_missing")
-                for mode in collab.COLLAB_MODES] + [("fusion_equal", "attention")]
-
-
-@pytest.mark.parametrize("workload, collab_mode", TRIAL_SHAPES,
-                         ids=[f"{workload}-{mode}" for workload, mode in TRIAL_SHAPES])
-def test_trials_match_dense_pipeline(bench_run, tmp_path, monkeypatch, workload, collab_mode):
-    """The benchmark's workload shapes, fleet8's with camera-less and
-    LiDAR-less agents under every collaboration mode, and fleet8's with the
-    equal fusion: CSV rows, message logs and every AgentRound array equal
-    the dense, per-edge pipeline's."""
-    for seed, trial in SEED_TRIALS:
-        config = trial_config(bench_run, workload, seed)
-        config["pipeline"]["collab"] = collab_mode
-        path = tmp_path / f"{workload}-{seed}.json"
-        path.write_text(json.dumps(config))
-        exp = load_experiment(path)
-        params = make_pipeline_params(exp.pipeline.grid, exp.params_seed)
-        got = cli.run_trial(exp, trial, None, params)
-        with monkeypatch.context() as m:
-            use_dense_pipeline(m)
-            want = cli.run_trial(exp, trial, None, params)
-        assert got.row == want.row
-        assert got.log_lines == want.log_lines
-        assert_rounds_equal(got.rounds, want.rounds)
-
-
-def use_parent_box_path(m):
-    """Swap the batched box path for its parent: boxes ray-cast one at a
-    time, a detector that labels components on an array and fits each
-    rectangle on its own with a hull that sorts the centres itself, and the
-    clip on numpy 2-vectors."""
-    m.setattr(scene, "raycast", raycast_per_box)
-    m.setattr(collab, "detect_local", detect_local_per_component)
-    m.setattr(cli, "detect_local", detect_local_per_component)
-    m.setattr(metrics, "clip_polygon", clip_polygon_of_vectors)
-
-
-@pytest.mark.parametrize("workload", ["fleet8", "lidar4"])
-def test_trials_match_parent_box_path(bench_run, tmp_path, monkeypatch, workload):
-    """CSV rows, message logs and every AgentRound array equal those of the
-    per-box ray cast, the sorting hull and the vector clip."""
-    for seed, trial in ((0, 0), (0, 1), (7919, 0), (7919, 1)):
-        path = tmp_path / f"{workload}-{seed}.json"
-        path.write_text(json.dumps(bench_run.experiment_config(bench_run.WORKLOADS[workload], seed)))
-        exp = load_experiment(path)
-        params = make_pipeline_params(exp.pipeline.grid, exp.params_seed)
-        got = cli.run_trial(exp, trial, None, params)
-        with monkeypatch.context() as m:
-            use_parent_box_path(m)
-            want = cli.run_trial(exp, trial, None, params)
-        assert got.row == want.row
-        assert got.log_lines == want.log_lines
-        assert_rounds_equal(got.rounds, want.rounds)
-
-
-def perceive_every_grid(w, scenario, pipe, params):
-    """`_perceive` with a zero camera grid for every agent without camera
-    images, which it then categorizes and fuses like any other."""
-    camera_grid = VoxelGrid.empty(pipe.grid)
-    if w.images is not None:
-        depth_img, feat_img = w.images
-        if pipe.depth_projection != "no" and w.state.has_lidar:
-            cloud_cam = collab.transform_points(collab._CAM_FROM_LIDAR, w.cloud_sensor)
-            dmap = collab.project_cloud_to_depthmap(cloud_cam, scenario.camera, pipe.bins)
-        else:
-            dmap = DepthMap.empty(pipe.bins, scenario.camera.height, scenario.camera.width)
-        if pipe.depth_projection == "all":
-            dmap = collab.merge_cooperative(dmap, w.shared, scenario.camera, pipe.bins)
-        pred = collab.predict_depth(depth_img, pipe.predictor, pipe.bins)
-        dist = collab.finalize_distribution(dmap, pred)
-        camera_grid = collab.lift_camera(
-            feat_img, dist, scenario.camera, scene.DEFAULT_CAMERA_MOUNT,
-            pipe.grid, pipe.mass_threshold, pipe.bins.centers(),
-        ).grid
-        w.depth_map = dmap
-    cat = collab.categorize(w.lidar_grid, camera_grid)
-    if pipe.fusion_mode == "equal":
-        fused = collab.fuse_modalities_equal(params.equal_lin, cat)
-    else:
-        fused = collab.fuse_modalities(params.fusion, cat)
-    w.bev = collab.collapse(fused)
-    w.cells = nonzero_cells(w.bev)
-    w.mask = collab.confidence_mask(
-        importance_scores_dense(w.bev), preference_map_dense(fused)
-    )
-    w.message = pack_message_dense(w.bev, w.mask)
-
-
-def aggregate_token_stack(params, ego, warped, written, *unread):
-    """`aggregate` projecting Q, K and V on the whole token stack of the
-    cells it runs, per receiver, unsent neighbor tokens included.  It scans
-    the ego plane for its nonzero cells and reads neither `ego_cells` nor
-    the round's tokens."""
-    ego = np.asarray(ego, dtype=np.float64)
-    nx, ny, f = ego.shape
-    n_cells = nx * ny
-    stack = [ego.reshape(n_cells, f)]
-    stack += [np.asarray(w, dtype=np.float64).reshape(n_cells, f) for w in warped]
-    nonzero = np.zeros((len(stack), n_cells), dtype=bool)
-    nonzero[0] = np.any(stack[0] != 0.0, axis=1)
-    for row, cells in zip(nonzero[1:], written):
-        row[cells] = True
-    busy = np.any(nonzero, axis=0)
-    n_cells_run = max(int(np.count_nonzero(busy)) + 1, collab._MIN_ATTENTION_CELLS)
-    cells = np.argsort(~busy, kind="stable")[:n_cells_run]
-    tokens = np.stack([tok[cells] for tok in stack])
-    t, n = tokens.shape[:2]
-    valid = nonzero[:, cells]
-    valid[0] = True
-    h, dh = params.n_heads, params.head_dim
-    q = params.wq.apply(tokens[0]).reshape(n, h, dh)
-    k = params.wk.apply(tokens).reshape(t, n, h, dh)
-    v = params.wv.apply(tokens).reshape(t, n, h, dh)
-    scores = np.einsum("chd,tchd->tch", q, k) / np.sqrt(dh)
-    scores[~valid] = -np.inf
-    weights = nnkit.softmax(scores, axis=0)
-    ctx = np.einsum("tch,tchd->chd", weights, v).reshape(n, f)
-    result = params.wo.apply(ctx)
-    out = np.empty((n_cells, f))
-    out[...] = result[-1]
-    out[cells] = result
-    return out.reshape(nx, ny, f)
-
-
 def trial_config(bench_run, name, seed):
     """A bench workload's config, or fleet8's with a mix of camera and
     LiDAR-only agents (agents 1, 4 and 6 lack a camera, agent 2 its LiDAR),
@@ -875,24 +484,66 @@ def trial_config(bench_run, name, seed):
     return config
 
 
-@pytest.mark.parametrize("seed", [0, 7919])
-@pytest.mark.parametrize("name", ["lidar4", "fleet8", "camera_missing", "fusion_equal"])
-def test_trials_match_every_grid_and_token(bench_run, tmp_path, monkeypatch, name, seed):
-    """CSV rows, message logs and every AgentRound array equal those of a
-    perceive stage that fuses a zero camera grid into every camera-less
-    agent and an aggregation that projects the whole token stack."""
-    path = tmp_path / f"{name}-{seed}.json"
-    path.write_text(json.dumps(trial_config(bench_run, name, seed)))
+def experiment(bench_run, tmp_path, name, seed, collab_mode=None):
+    """The experiment of `trial_config`, under another collaboration mode if
+    one is given, and its pipeline parameters."""
+    config = trial_config(bench_run, name, seed)
+    if collab_mode is not None:
+        config["pipeline"]["collab"] = collab_mode
+    path = tmp_path / f"{name}-{collab_mode}-{seed}.json"
+    path.write_text(json.dumps(config))
     exp = load_experiment(path)
-    params = make_pipeline_params(exp.pipeline.grid, exp.params_seed)
-    got = cli.run_trial(exp, 0, None, params)
-    with monkeypatch.context() as m:
-        m.setattr(collab, "_perceive", perceive_every_grid)
-        m.setattr(collab, "aggregate", aggregate_token_stack)
-        want = cli.run_trial(exp, 0, None, params)
-    assert got.row == want.row
-    assert got.log_lines == want.log_lines
-    assert_rounds_equal(got.rounds, want.rounds)
+    return exp, make_pipeline_params(exp.pipeline.grid, exp.params_seed)
+
+
+# fleet8's shape, with camera-less and LiDAR-less agents, and lidar4's
+# under every collaboration mode, and fleet8's with the equal fusion.
+TRIAL_SHAPES = [(workload, mode) for workload in ("fleet8", "lidar4", "camera_missing")
+                for mode in collab.COLLAB_MODES] + [("fusion_equal", "attention")]
+# Scenario seeds 0-3 (trials 0-3 of base seed 0) and 7919 for every shape,
+# and 7920 (trial 1 of base seed 7919) for the benchmark's own two shapes.
+SEED_TRIALS = ((0, 0), (0, 1), (0, 2), (0, 3), (7919, 0))
+BENCH_SHAPES = (("fleet8", "attention"), ("lidar4", "max"))
+
+
+@pytest.fixture(scope="module")
+def replays(bench_run, tmp_path_factory):
+    """Every trial of TRIAL_SHAPES x SEED_TRIALS, and two more, run by the
+    program and by the reference pipeline.  Returns, per shape, the trials
+    whose outputs differ with their first difference, and the calls each
+    swapped reference took over all of them."""
+    tmp_path = tmp_path_factory.mktemp("replays")
+    calls, mismatches = Counter(), {}
+    for workload, mode in TRIAL_SHAPES:
+        mismatches[workload, mode] = []
+        extra = ((7919, 1),) if (workload, mode) in BENCH_SHAPES else ()
+        for seed, trial in SEED_TRIALS + extra:
+            exp, params = experiment(bench_run, tmp_path, workload, seed, mode)
+            got = cli.run_trial(exp, trial, None, params)
+            with pytest.MonkeyPatch.context() as m:
+                ran = use_reference_pipeline(m)
+                want = cli.run_trial(exp, trial, None, params)
+            calls.update(ran)
+            try:
+                assert got.row == want.row
+                assert got.log_lines == want.log_lines
+                assert_rounds_equal(got.rounds, want.rounds)
+            except AssertionError as exc:
+                mismatches[workload, mode].append(f"seed {seed}, trial {trial}: {exc}")
+    return mismatches, calls
+
+
+@pytest.mark.parametrize("workload, collab_mode", TRIAL_SHAPES,
+                         ids=[f"{workload}-{mode}" for workload, mode in TRIAL_SHAPES])
+def test_trials_match_dense_pipeline(replays, workload, collab_mode):
+    """CSV rows, message logs and every AgentRound array equal those of the
+    reference pipeline, on every seed.  The swap is live: every name it
+    swaps exists, and every reference it swaps in ran in some shape."""
+    mismatches, calls = replays
+    swapped = [f"{owner.__name__}.{name}" for owner, name, _ in REFERENCE_SWAPS]
+    assert all(callable(getattr(owner, name, None)) for owner, name, _ in REFERENCE_SWAPS)
+    assert [key for key in swapped if not calls[key]] == []
+    assert mismatches[workload, collab_mode] == []
 
 
 # --- reuse of the phase-2 planes ------------------------------------------------
@@ -951,7 +602,7 @@ def test_reused_planes_carry_no_stale_rows(monkeypatch, collab_mode):
     assert any(landed > 0 for _, landed in calls)
 
     with monkeypatch.context() as m:
-        use_dense_pipeline(m)
+        use_reference_pipeline(m)
         want, _ = run_round(agents, objects, (), scn, pipe, PARAMS)
     assert_rounds_equal(got, want)
 
@@ -1083,27 +734,19 @@ def test_window_code_cases_cover_block_sizes():
 
 # --- counters and allocation of the sparse chain ---------------------------------
 
-TRACING_PATH = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 PERCEIVE_COUNTERS = ("voxel.cells_lidar", "voxel.cells_camera", "voxel.cells_hybrid",
                      "fusion.camera_cells_dropped", "voxel.lift_dropped_mass")
-
-
-@pytest.fixture(scope="module")
-def tracing():
-    spec = importlib.util.spec_from_file_location("covox_bench_tracing", TRACING_PATH)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+PERCEIVE = collab._perceive
 
 
 @pytest.mark.parametrize("name", ["fleet8", "camera_missing", "fusion_equal"])
 def test_traced_counters_match_dense_pipeline(bench_run, tracing, tmp_path, monkeypatch, name):
     """The benchmark's per-layer voxel and fusion counters read the same on
-    the sparse grids as on the dense reference pipeline."""
-    path = tmp_path / f"{name}.json"
-    path.write_text(json.dumps(trial_config(bench_run, name, 0)))
-    exp = load_experiment(path)
-    params = make_pipeline_params(exp.pipeline.grid, exp.params_seed)
+    the sparse grids as on the reference grids.  The counters add up the
+    stage calls the program makes, and it categorizes and fuses only agents
+    with camera images, so the reference run keeps the program's
+    `_perceive` and swaps the stages it calls."""
+    exp, params = experiment(bench_run, tmp_path, name, 0)
 
     def traced_counts():
         tracer = tracing.Tracer()
@@ -1114,7 +757,8 @@ def test_traced_counters_match_dense_pipeline(bench_run, tracing, tmp_path, monk
 
     got = traced_counts()
     with monkeypatch.context() as m:
-        use_dense_pipeline(m)
+        use_reference_pipeline(m)
+        m.setattr(collab, "_perceive", PERCEIVE)
         want = traced_counts()
     assert got == want
     if name == "fleet8":
@@ -1124,10 +768,7 @@ def test_traced_counters_match_dense_pipeline(bench_run, tracing, tmp_path, monk
 def test_sense_allocates_less_than_one_grid(bench_run, tmp_path, monkeypatch):
     """After a warm-up trial, sensing an agent of the fleet8 shape, camera
     and LiDAR, peaks below the size of one dense feature grid."""
-    path = tmp_path / "fleet8.json"
-    path.write_text(json.dumps(trial_config(bench_run, "fleet8", 0)))
-    exp = load_experiment(path)
-    params = make_pipeline_params(exp.pipeline.grid, exp.params_seed)
+    exp, params = experiment(bench_run, tmp_path, "fleet8", 0)
     cli.run_trial(exp, 0, None, params)
     sense, peaks = collab._sense, []
 

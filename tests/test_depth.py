@@ -18,6 +18,8 @@ from covox.depth import (
 )
 from covox.geometry import CameraIntrinsics, project_points
 
+from oracles import min_depth_image_by_minimum_at, oracle_noisy_predict
+
 BINS = DepthBins(1.0, 33.0, 16)
 INTR = CameraIntrinsics(50.0, 50.0, 16.0, 12.0, 32, 24)
 
@@ -95,8 +97,7 @@ class TestNearestPerPixel:
         within = dist_all < BINS.d_max
         flat_all = (pix[:, 1] * INTR.width + pix[:, 0])[within]
         dist_all, rows_all = dist_all[within], rows_all[within]
-        want = np.full(INTR.height * INTR.width, np.inf)
-        np.minimum.at(want, flat_all, dist_all)
+        want = min_depth_image_by_minimum_at(cloud, INTR, BINS).reshape(-1)
         got = np.full(INTR.height * INTR.width, np.inf)
         got[flat] = dist
         assert np.array_equal(got, want)
@@ -222,56 +223,6 @@ class TestPredict:
         dist = predict_depth(depth, NoisyOraclePredictor(1.5, 2), BINS)
         assert np.allclose(dist.sum(axis=2), 1.0, atol=1e-6)
         assert np.all(dist >= 0)
-
-
-def _box_blur_2d(vol, radius):
-    """Mean filter over a (2r+1)^2 window, edge windows renormalised."""
-    if radius == 0:
-        return vol
-    h, w = vol.shape[:2]
-    out = np.zeros_like(vol)
-    norm = np.zeros((h, w))
-    for dy in range(-radius, radius + 1):
-        for dx in range(-radius, radius + 1):
-            # Stops clamp at 0: a shift wider than the image overlaps nothing.
-            ys = slice(max(0, dy), max(0, h + min(0, dy)))
-            yd = slice(max(0, -dy), max(0, h + min(0, -dy)))
-            xs = slice(max(0, dx), max(0, w + min(0, dx)))
-            xd = slice(max(0, -dx), max(0, w + min(0, -dx)))
-            out[yd, xd] += vol[ys, xs]
-            norm[yd, xd] += 1.0
-    return out / norm.reshape(h, w, *([1] * (vol.ndim - 2)))
-
-
-def _bin_gaussian_kernel(sigma, n_bins):
-    if sigma == 0:
-        return np.array([1.0])
-    half = min(n_bins - 1, int(np.ceil(4 * sigma)))
-    k = np.arange(-half, half + 1, dtype=np.float64)
-    with np.errstate(over="ignore"):  # a tiny sigma leaves only the centre
-        g = np.exp(-0.5 * (k / sigma) ** 2)
-    return g / g.sum()
-
-
-def oracle_noisy_predict(true_depth_image, predictor, bins):
-    """NoisyOraclePredictor as first written: a one-hot volume, box-blurred
-    as a mean over shifted copies, then a stack of shifted copies of the
-    zero-padded bin axis weighted by the Gaussian, then renormalised."""
-    h, w = true_depth_image.shape
-    d = bins.n_bins
-    k, valid = bins.bin_of(true_depth_image)
-    k = np.where(valid, k, d - 1)
-    vol = np.zeros((h, w, d))
-    ys, xs = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
-    vol[ys, xs, k] = 1.0
-    vol = _box_blur_2d(vol, predictor.blur_radius)
-    kern = _bin_gaussian_kernel(predictor.sigma_bins, d)
-    if kern.size > 1:
-        half = kern.size // 2
-        padded = np.concatenate([np.zeros((h, w, half)), vol, np.zeros((h, w, half))], axis=2)
-        vol = np.stack([padded[:, :, i : i + d] * kern[i] for i in range(kern.size)]).sum(axis=0)
-    vol /= vol.sum(axis=2, keepdims=True)
-    return vol
 
 
 @st.composite

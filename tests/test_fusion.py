@@ -14,8 +14,7 @@ from covox.fusion import (
 )
 from covox.voxel import Category, GridSpec, VoxelGrid, categorize
 
-from conftest import mha
-from test_voxel import dense, dense_categorized, dense_zeros, sparse
+from oracles import dense, dense_categorized, dense_zeros, mha, sparse
 
 C = 8
 SPEC = GridSpec((-4.0, 4.0), (-4.0, 4.0), (0.0, 2.0), 8, 8, 2, C)

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from covox.metrics import (
     Detection,
-    _by_descending_score,
     _may_overlap,
     average_precision,
     clip_polygon,
@@ -16,22 +15,11 @@ from covox.metrics import (
     recall_at,
 )
 
+from oracles import all_pairs_match, clip_polygon_of_vectors, rotated_iou, scores_of_matching
+
 
 def box(cx, cy, yaw=0.0, l=1.0, w=1.0, score=1.0):
     return Detection(center=(cx, cy), yaw=yaw, extent=(l, w), score=score)
-
-
-def rotated_iou(a, b):
-    """Oracle: the IoU of one pair, boxes whose circumscribed circles do not
-    meet giving 0.0."""
-    reach = np.hypot(*a.extent) / 2.0 + np.hypot(*b.extent) / 2.0
-    if np.hypot(a.center[0] - b.center[0], a.center[1] - b.center[1]) > reach:
-        return 0.0
-    inter = polygon_area(clip_polygon(a.corners(), b.corners()))
-    union = a.extent[0] * a.extent[1] + b.extent[0] * b.extent[1] - inter
-    if union <= 0:
-        return 0.0
-    return float(min(1.0, max(0.0, inter / union)))
 
 
 def iou_of(a, b):
@@ -41,111 +29,6 @@ def iou_of(a, b):
 
 def ap(dets, gts, iou_thresh):
     return average_precision(dets, iou_table(dets, gts), iou_thresh)
-
-
-def all_pairs_match(dets, gts, iou_thresh):
-    """Oracle: greedy matching that scores every det x gt pair."""
-    order = _by_descending_score(dets)
-    taken = [False] * len(gts)
-    tp = np.zeros(len(dets), dtype=bool)
-    for rank, di in enumerate(order):
-        best_iou, best_j = 0.0, -1
-        for j, gt in enumerate(gts):
-            if taken[j]:
-                continue
-            iou = rotated_iou(dets[di], gt)
-            if iou >= iou_thresh and iou > best_iou:
-                best_iou, best_j = iou, j
-        if best_j >= 0:
-            taken[best_j] = True
-            tp[rank] = True
-    return tp, order
-
-
-# Scoring as the parent wrote it: each threshold matches the boxes afresh and
-# scores every near pair itself.
-
-
-def match_per_threshold(dets, gts, iou_thresh):
-    if not (0.0 < iou_thresh < 1.0):
-        raise ValueError("iou_thresh must lie in (0, 1)")
-    order = _by_descending_score(dets)
-    near = _may_overlap(dets, gts)
-    taken = [False] * len(gts)
-    tp = np.zeros(len(dets), dtype=bool)
-    for rank, di in enumerate(order):
-        best_iou, best_j = 0.0, -1
-        for j in np.flatnonzero(near[di]).tolist():
-            if taken[j]:
-                continue
-            iou = rotated_iou(dets[di], gts[j])
-            if iou >= iou_thresh and iou > best_iou:
-                best_iou, best_j = iou, j
-        if best_j >= 0:
-            taken[best_j] = True
-            tp[rank] = True
-    return tp, order
-
-
-def pr_curve_per_threshold(dets, gts, iou_thresh):
-    tp, _ = match_per_threshold(dets, gts, iou_thresh)
-    if not gts:
-        return []
-    cum_tp = np.cumsum(tp)
-    ranks = np.arange(1, len(dets) + 1)
-    recall = cum_tp / len(gts)
-    precision = cum_tp / ranks
-    return list(zip(recall.tolist(), precision.tolist()))
-
-
-def average_precision_per_threshold(dets, gts, iou_thresh):
-    curve = pr_curve_per_threshold(dets, gts, iou_thresh)
-    if not curve:
-        return 0.0
-    recall = np.array([r for r, _ in curve])
-    precision = np.array([p for _, p in curve])
-    envelope = np.maximum.accumulate(precision[::-1])[::-1]
-    prev_r = 0.0
-    ap = 0.0
-    for r, p in zip(recall, envelope):
-        ap += (r - prev_r) * p
-        prev_r = r
-    return float(ap)
-
-
-def recall_at_per_threshold(dets, gts, iou_thresh):
-    tp, _ = match_per_threshold(dets, gts, iou_thresh)
-    return float(tp.sum() / len(gts)) if gts else 0.0
-
-
-def clip_polygon_of_vectors(subject, clipper):
-    """The parent clip: the same Sutherland-Hodgman steps on numpy 2-vectors."""
-
-    def cross2(a, b):
-        return a[0] * b[1] - a[1] * b[0]
-
-    output = [np.asarray(p, dtype=np.float64) for p in subject]
-    clipper = np.asarray(clipper, dtype=np.float64)
-    n = clipper.shape[0]
-    for i in range(n):
-        if not output:
-            break
-        a, b = clipper[i], clipper[(i + 1) % n]
-        edge = b - a
-        inputs, output = output, []
-        prev = inputs[-1]
-        prev_in = cross2(edge, prev - a) >= 0
-        for cur in inputs:
-            cur_in = cross2(edge, cur - a) >= 0
-            if cur_in != prev_in:
-                denom = cross2(edge, cur - prev)
-                t = cross2(edge, a - prev) / denom if denom else 0.0
-                t = min(max(t, 0.0), 1.0)
-                output.append(prev + t * (cur - prev))
-            if cur_in:
-                output.append(cur)
-            prev, prev_in = cur, cur_in
-    return np.array(output) if output else np.zeros((0, 2))
 
 
 def assert_clip_matches_vectors(subject, clipper):
@@ -414,13 +297,24 @@ class TestPrCurveAndRecall:
 
 class TestMatchingPrefilter:
     @given(box_sets(), st.sampled_from([0.3, 0.5, 0.7]))
+    @example(([], []), 0.5)
+    @example(([], [box(0, 0)]), 0.5)
+    @example(([box(0, 0), box(1, 1, score=2.0)], []), 0.5)
     @settings(max_examples=300, deadline=None)
     def test_matches_all_pairs_oracle(self, boxes, thresh):
+        """The matching, the curve, AP and recall, all read from one IoU
+        table, equal those of matching that scores every pair afresh."""
         dets, gts = boxes
-        tp, order = match_detections(dets, iou_table(dets, gts), thresh)
+        ious = iou_table(dets, gts)
+        assert ious.shape == (len(dets), len(gts))
+        tp, order = match_detections(dets, ious, thresh)
         tp_ref, order_ref = all_pairs_match(dets, gts, thresh)
         assert np.array_equal(tp, tp_ref)
         assert order == order_ref
+        curve, ap_ref, recall_ref = scores_of_matching(tp_ref, len(gts))
+        assert pr_curve(dets, ious, thresh) == curve
+        assert average_precision(dets, ious, thresh) == ap_ref
+        assert recall_at(dets, ious, thresh) == recall_ref
 
     @given(box_sets())
     @settings(max_examples=200, deadline=None)
@@ -483,26 +377,7 @@ class TestMatchingPrefilter:
 
 
 class TestScoresFromOneTable:
-    """Every score computed from one IoU table equals the parent's scoring,
-    which matched the boxes afresh at each threshold."""
-
-    @given(box_sets(), st.sampled_from([0.3, 0.5, 0.7]))
-    @example(([], []), 0.5)
-    @example(([], [box(0, 0)]), 0.5)
-    @example(([box(0, 0), box(1, 1, score=2.0)], []), 0.5)
-    @settings(max_examples=300, deadline=None)
-    def test_matches_per_threshold_oracle(self, boxes, thresh):
-        dets, gts = boxes
-        ious = iou_table(dets, gts)
-        assert ious.shape == (len(dets), len(gts))
-        tp, order = match_detections(dets, ious, thresh)
-        tp_ref, order_ref = match_per_threshold(dets, gts, thresh)
-        assert np.array_equal(tp, tp_ref) and order == order_ref
-        assert pr_curve(dets, ious, thresh) == pr_curve_per_threshold(dets, gts, thresh)
-        assert average_precision(dets, ious, thresh) == average_precision_per_threshold(
-            dets, gts, thresh
-        )
-        assert recall_at(dets, ious, thresh) == recall_at_per_threshold(dets, gts, thresh)
+    """The table holds the IoU of every pair as one pair alone scores it."""
 
     @given(box_sets())
     @settings(max_examples=100, deadline=None)

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from covox import nnkit
 
-from conftest import mha
+from oracles import mha
 
 
 class TestInit:

@@ -1,5 +1,3 @@
-from collections import deque
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,245 +22,16 @@ from covox.robust import (
 )
 from covox.voxel import GridSpec, voxelize_points
 
+from oracles import (
+    components_by_label_array,
+    convex_hull_of_arrays,
+    detect_local_per_component,
+    greedy_matches_per_pair,
+    min_area_rect_per_set,
+    transform_detections_per_box,
+)
+
 GRID = GridSpec((-20.0, 20.0), (-20.0, 20.0), (0.0, 4.0), 64, 64, 4, 8)
-
-
-# Oracles: the per-edge, per-cell and per-pair implementations over numpy
-# scalars, and the per-component detector, that the batched and list-based
-# ones in covox.robust must reproduce bit for bit.
-
-
-def convex_hull_of_arrays(points):
-    pts = np.unique(np.asarray(points, dtype=np.float64), axis=0)
-    if pts.shape[0] <= 2:
-        return pts
-
-    def half(seq):
-        chain = []
-        for p in seq:
-            while len(chain) >= 2:
-                a, b = chain[-1] - chain[-2], p - chain[-2]
-                if a[0] * b[1] - a[1] * b[0] > 0:
-                    break
-                chain.pop()
-            chain.append(p)
-        return chain
-
-    hull = np.array(half(pts)[:-1] + half(pts[::-1])[:-1])
-    return hull if hull.shape[0] >= 3 else pts
-
-
-def min_area_rect_per_edge(points):
-    pts = np.asarray(points, dtype=np.float64)
-    hull = convex_hull_of_arrays(pts)
-    if hull.shape[0] == 1:
-        return hull[0], 0.0, (0.0, 0.0)
-    if hull.shape[0] == 2:
-        edges = [hull[1] - hull[0]]
-    else:
-        edges = list(np.diff(np.vstack([hull, hull[:1]]), axis=0))
-    best = None
-    for e in edges:
-        theta = np.arctan2(e[1], e[0])
-        c, s = np.cos(-theta), np.sin(-theta)
-        rot = np.array([[c, -s], [s, c]])
-        local = hull @ rot.T
-        lo, hi = local.min(axis=0), local.max(axis=0)
-        area = float(np.prod(hi - lo))
-        if best is None or area < best[0] - 1e-12:
-            best = (area, rot.T @ ((lo + hi) / 2.0), theta, tuple(hi - lo))
-    _, center, theta, (ex, ey) = best
-    if ex >= ey:
-        length, width, yaw = ex, ey, theta
-    else:
-        length, width, yaw = ey, ex, theta + np.pi / 2.0
-    yaw = (yaw + np.pi / 2.0) % np.pi - np.pi / 2.0
-    return center, float(yaw), (float(length), float(width))
-
-
-def min_area_rect_parent(points):
-    """One component's rectangle: its hull rotated onto every hull edge in
-    one (E, H, 2) product, then the first edge of least area."""
-    hull = convex_hull_lexsort(points)
-    if hull.shape[0] == 1:
-        return hull[0], 0.0, (0.0, 0.0)
-    if hull.shape[0] == 2:
-        edges = hull[1:] - hull[:1]
-    else:
-        edges = np.diff(np.vstack([hull, hull[:1]]), axis=0)
-    thetas = np.arctan2(edges[:, 1], edges[:, 0])
-    c, s = np.cos(-thetas), np.sin(-thetas)
-    rots = np.empty((len(thetas), 2, 2))
-    rots[:, 0, 0] = rots[:, 1, 1] = c
-    rots[:, 0, 1], rots[:, 1, 0] = -s, s
-    local = hull @ rots.transpose(0, 2, 1)
-    lo, hi = local.min(axis=1), local.max(axis=1)
-    areas = np.prod(hi - lo, axis=1).tolist()
-    k = 0
-    for i, area in enumerate(areas):
-        if area < areas[k] - 1e-12:
-            k = i
-    center = rots[k].T @ ((lo[k] + hi[k]) / 2.0)
-    theta = thetas[k]
-    ex, ey = hi[k] - lo[k]
-    if ex >= ey:
-        length, width, yaw = ex, ey, theta
-    else:
-        length, width, yaw = ey, ex, theta + np.pi / 2.0
-    yaw = (yaw + np.pi / 2.0) % np.pi - np.pi / 2.0
-    return center, float(yaw), (float(length), float(width))
-
-
-def connected_components_parent(mask):
-    """The breadth-first search over the mask as nested lists, each set
-    cell holding its scan position until reached and -1 after."""
-    mask = np.asarray(mask, dtype=bool)
-    nx, ny = mask.shape
-    todo = np.full(mask.shape, -1, dtype=np.int64)
-    todo[mask] = np.arange(np.count_nonzero(mask))
-    todo = todo.tolist()
-    comps = []
-    for sx, sy in zip(*(axis.tolist() for axis in np.nonzero(mask))):
-        if todo[sx][sy] < 0:
-            continue
-        members = [todo[sx][sy]]
-        todo[sx][sy] = -1
-        queue = [(sx, sy)]
-        for x, y in queue:
-            for nx_ in (x - 1, x, x + 1):
-                if not 0 <= nx_ < nx:
-                    continue
-                row = todo[nx_]
-                for ny_ in (y - 1, y, y + 1):
-                    if 0 <= ny_ < ny and row[ny_] >= 0:
-                        members.append(row[ny_])
-                        row[ny_] = -1
-                        queue.append((nx_, ny_))
-        comps.append(members)
-    return comps
-
-
-def components_by_label_array(mask):
-    mask = np.asarray(mask, dtype=bool)
-    labels = np.full(mask.shape, -1, dtype=np.int32)
-    comps = []
-    for sx, sy in zip(*np.nonzero(mask)):
-        if labels[sx, sy] >= 0:
-            continue
-        label = len(comps)
-        queue = deque([(sx, sy)])
-        labels[sx, sy] = label
-        cells = []
-        while queue:
-            x, y = queue.popleft()
-            cells.append((x, y))
-            for nx_ in (x - 1, x, x + 1):
-                for ny_ in (y - 1, y, y + 1):
-                    if (
-                        0 <= nx_ < mask.shape[0]
-                        and 0 <= ny_ < mask.shape[1]
-                        and mask[nx_, ny_]
-                        and labels[nx_, ny_] < 0
-                    ):
-                        labels[nx_, ny_] = label
-                        queue.append((nx_, ny_))
-        comps.append(np.array(cells, dtype=np.int64))
-    return comps
-
-
-# The parent detector: a hull that sorts and de-duplicates its own points, fed
-# each component's centres in breadth-first order.
-
-
-def convex_hull_lexsort(points):
-    pts = np.asarray(points, dtype=np.float64).reshape(-1, 2)
-    if np.any((pts == 0.0) & np.signbit(pts)):
-        # Which of -0.0 and 0.0 survives is up to np.unique's unstable sort.
-        pts = np.unique(pts, axis=0)
-    else:
-        # Rows in lexicographic order without repeats, as np.unique gives.
-        pts = pts[np.lexsort(pts.T[::-1])]
-        new_row = np.ones(len(pts), dtype=bool)
-        np.any(pts[1:] != pts[:-1], axis=1, out=new_row[1:])
-        pts = pts[new_row]
-    if pts.shape[0] <= 2:
-        return pts
-
-    def half(seq):
-        chain = []
-        for px, py in seq:
-            while len(chain) >= 2:
-                (ax, ay), (bx, by) = chain[-2], chain[-1]
-                if (bx - ax) * (py - ay) - (by - ay) * (px - ax) > 0:
-                    break
-                chain.pop()
-            chain.append([px, py])
-        return chain
-
-    seq = pts.tolist()
-    hull = np.array(half(seq)[:-1] + half(seq[::-1])[:-1])
-    return hull if hull.shape[0] >= 3 else pts
-
-
-def detect_local_per_component(bev_occupancy, spec):
-    """Each component's rectangle fitted on its own, from its centres in
-    breadth-first order, by a hull that sorts them itself."""
-    occ = np.asarray(bev_occupancy, dtype=np.float64)
-    if occ.shape != (spec.nx, spec.ny):
-        raise ValueError("occupancy shape does not match the grid spec")
-    peak = occ.max(initial=0.0)
-    if peak <= 0.0:
-        return []
-    mask = occ > robust._REL_THRESHOLD * peak
-    pitch = (spec.dx + spec.dy) / 2.0
-    dets = []
-    for cells in components_by_label_array(mask):
-        if cells.shape[0] < robust._MIN_CELLS:
-            continue
-        centers = spec.bev_cell_centers(cells[:, 0], cells[:, 1])
-        center, yaw, (length, width) = min_area_rect_parent(centers)
-        score = float(1.0 - np.exp(-occ[cells[:, 0], cells[:, 1]].mean()))
-        dets.append(
-            Detection(
-                center=(float(center[0]), float(center[1])),
-                yaw=yaw,
-                extent=(length + pitch, width + pitch),
-                score=score,
-            )
-        )
-    return dets
-
-
-def greedy_matches_per_pair(ego_dets, neighbor_dets, gate_radius):
-    ego_order = sorted(range(len(ego_dets)), key=lambda i: -ego_dets[i].score)
-    free = set(range(len(neighbor_dets)))
-    pairs = []
-    for i in ego_order:
-        if not free:
-            break
-        e = np.asarray(ego_dets[i].center)
-        cand = min(
-            free, key=lambda j: float(np.linalg.norm(np.asarray(neighbor_dets[j].center) - e))
-        )
-        dist = float(np.linalg.norm(np.asarray(neighbor_dets[cand].center) - e))
-        if dist <= gate_radius:
-            pairs.append((i, cand))
-            free.remove(cand)
-    return pairs
-
-
-def transform_detections_per_box(dets, pose):
-    x, y, yaw = planar_parts(pose)
-    c, s = np.cos(yaw), np.sin(yaw)
-    out = []
-    for det in dets:
-        px = c * det.center[0] - s * det.center[1] + x
-        py = s * det.center[0] + c * det.center[1] + y
-        out.append(
-            Detection(center=(float(px), float(py)), yaw=float(det.yaw + yaw),
-                      extent=det.extent, score=det.score)
-        )
-    return out
 
 
 def assert_same_rects(got, want):
@@ -276,15 +45,12 @@ def assert_same_rects(got, want):
 
 def assert_same_rect(points):
     # The hull takes its points in lexicographic order without repeats.
-    ordered = np.unique(np.asarray(points, dtype=np.float64), axis=0).tolist()
+    ordered = hull_input(points)
     hull, ref_hull = np.array(_convex_hull(ordered)), convex_hull_of_arrays(points)
     assert hull.dtype == ref_hull.dtype and hull.shape == ref_hull.shape
     assert hull.tobytes() == ref_hull.tobytes()
-    assert hull.tobytes() == convex_hull_lexsort(points).tobytes()
-    want = min_area_rect_per_edge(points)
-    assert_same_rects([min_area_rect_parent(ordered)], [want])
     if len(ordered) >= 2:  # a component has two cells or more
-        assert_same_rects(_min_area_rects([_convex_hull(ordered)]), [want])
+        assert_same_rects(_min_area_rects([_convex_hull(ordered)]), [min_area_rect_per_set(points)])
 
 
 def hull_input(points):
@@ -296,7 +62,7 @@ def assert_same_batch(point_sets):
     """The rectangles of one batch equal those fitted one set at a time."""
     ordered = [hull_input(points) for points in point_sets]
     got = _min_area_rects([_convex_hull(points) for points in ordered])
-    assert_same_rects(got, [min_area_rect_parent(points) for points in ordered])
+    assert_same_rects(got, [min_area_rect_per_set(points) for points in point_sets])
 
 
 def components_of(mask):
@@ -309,7 +75,6 @@ def components_of(mask):
 def assert_same_components(mask):
     mask = np.asarray(mask, dtype=bool)
     got = components_of(mask)
-    assert got == connected_components_parent(mask)
     scan = np.argwhere(mask)
     comps = [scan[members] for members in got]
     ref = components_by_label_array(mask)
@@ -634,15 +399,12 @@ class TestPlanarAlignment:
             rot, trans = fit_planar_alignment(src, dst)
             closed = np.sum((src @ rot.T + trans - dst) ** 2)
 
-            best = np.inf
             thetas = np.linspace(-np.pi, np.pi, 20_001)
-            for th in thetas:
-                c, s = np.cos(th), np.sin(th)
-                r = np.array([[c, -s], [s, c]])
-                t = dst.mean(axis=0) - r @ src.mean(axis=0)
-                res = np.sum((src @ r.T + t - dst) ** 2)
-                best = min(best, res)
-            assert closed <= best + 1e-4
+            c, s = np.cos(thetas), np.sin(thetas)
+            r = np.stack([np.stack([c, -s], axis=1), np.stack([s, c], axis=1)], axis=1)
+            t = dst.mean(axis=0) - r @ src.mean(axis=0)
+            res = np.sum((src @ r.transpose(0, 2, 1) + t[:, None, :] - dst) ** 2, axis=(1, 2))
+            assert closed <= res.min() + 1e-4
 
     def test_needs_two_pairs(self):
         with pytest.raises(ValueError):

@@ -33,6 +33,8 @@ from covox.scene import (
     simulate_lidar,
 )
 
+from oracles import oracle_raycast
+
 INTR = CameraIntrinsics(70.0, 70.0, 48.0, 32.0, 96, 64)
 
 
@@ -260,144 +262,11 @@ def test_camera_lidar_depth_agreement():
     assert checked > 20
 
 
-def oracle_ray_box_t(origin, dirs, box):
-    """Slab-method entry distance of every ray (inf where the box is missed)."""
-    c, s = np.cos(box.yaw), np.sin(box.yaw)
-    rot = np.array([[c, s, 0.0], [-s, c, 0.0], [0.0, 0.0, 1.0]])  # world -> box
-    o = rot @ (np.asarray(origin, dtype=np.float64) - np.array([*box.center, 0.0]))
-    d = np.asarray(dirs, dtype=np.float64) @ rot.T
-    lo = np.array([-box.extent[0] / 2, -box.extent[1] / 2, 0.0])
-    hi = np.array([box.extent[0] / 2, box.extent[1] / 2, box.extent[2]])
-    near = np.full(d.shape[0], -np.inf)
-    far = np.full(d.shape[0], np.inf)
-    for ax in range(3):
-        da = d[:, ax]
-        moving = np.abs(da) > scene._EPS
-        with np.errstate(divide="ignore"):
-            t1 = (lo[ax] - o[ax]) / np.where(moving, da, 1.0)
-            t2 = (hi[ax] - o[ax]) / np.where(moving, da, 1.0)
-        a_near = np.minimum(t1, t2)
-        a_far = np.maximum(t1, t2)
-        inside = lo[ax] <= o[ax] <= hi[ax]
-        a_near = np.where(moving, a_near, -np.inf if inside else np.inf)
-        a_far = np.where(moving, a_far, np.inf if inside else -np.inf)
-        near = np.maximum(near, a_near)
-        far = np.minimum(far, a_far)
-    hit = (near <= far) & (near > scene._EPS)
-    return np.where(hit, near, np.inf)
-
-
-def oracle_ray_wall_t(origin, dirs, wall):
-    """First intersection of every ray with an opaque vertical rectangle."""
-    p1 = np.array(wall.p1, dtype=np.float64)
-    edge = np.array(wall.p2, dtype=np.float64) - p1
-    n = np.array([-edge[1], edge[0], 0.0])
-    o = np.asarray(origin, dtype=np.float64)
-    d = np.asarray(dirs, dtype=np.float64)
-    if not edge @ edge:
-        return np.full(len(d), np.inf)
-    denom = d @ n
-    moving = np.abs(denom) > scene._EPS
-    t = np.where(
-        moving,
-        ((np.array([*p1, 0.0]) - o) @ n) / np.where(moving, denom, 1.0),
-        np.inf,
-    )
-    q = o + np.where(np.isfinite(t), t, 0.0)[:, None] * d
-    along = ((q[:, :2] - p1) @ edge) / (edge @ edge)
-    ok = (
-        moving
-        & (t > scene._EPS)
-        & (along >= 0.0)
-        & (along <= 1.0)
-        & (q[:, 2] >= wall.z0)
-        & (q[:, 2] <= wall.z0 + wall.height)
-    )
-    return np.where(ok, t, np.inf)
-
-
-def oracle_raycast(origin, dirs, objects, occluders, max_range=np.inf):
-    """raycast as first written: every wall and every box tested on every ray."""
-    dirs = np.asarray(dirs, dtype=np.float64).reshape(-1, 3)
-    best = scene._ray_ground_t(origin, dirs)
-    kind = np.where(best < np.inf, scene.HIT_GROUND, scene.HIT_NONE).astype(np.uint8)
-    hits = [(oracle_ray_wall_t(origin, dirs, w), scene.HIT_WALL) for w in occluders]
-    hits += [(oracle_ray_box_t(origin, dirs, b), scene.HIT_OBJECT) for b in objects]
-    for t, cls in hits:
-        closer = t < best
-        best[closer] = t[closer]
-        kind[closer] = cls
-    out_of_range = best > max_range
-    best[out_of_range] = np.inf
-    kind[out_of_range] = scene.HIT_NONE
-    return best, kind
-
-
-# The parent ray caster: each box slab-tested alone on its candidate rays,
-# its box-frame directions sliced from one product over every ray, and the
-# boxes taken one after another.
-
-
-def ray_box_t_sliced(origin, dirs, box, rays):
-    c, s = np.cos(box.yaw), np.sin(box.yaw)
-    rot = np.array([[c, s, 0.0], [-s, c, 0.0], [0.0, 0.0, 1.0]])  # world -> box
-    o = rot @ (np.asarray(origin, dtype=np.float64) - np.array([*box.center, 0.0]))
-    d = (dirs @ rot.T)[rays]
-    lo = np.array([-box.extent[0] / 2, -box.extent[1] / 2, 0.0])
-    hi = np.array([box.extent[0] / 2, box.extent[1] / 2, box.extent[2]])
-    near = np.full(d.shape[0], -np.inf)
-    far = np.full(d.shape[0], np.inf)
-    for ax in range(3):
-        da = d[:, ax]
-        moving = np.abs(da) > scene._EPS
-        with np.errstate(divide="ignore"):
-            t1 = (lo[ax] - o[ax]) / np.where(moving, da, 1.0)
-            t2 = (hi[ax] - o[ax]) / np.where(moving, da, 1.0)
-        a_near = np.minimum(t1, t2)
-        a_far = np.maximum(t1, t2)
-        inside = lo[ax] <= o[ax] <= hi[ax]
-        a_near = np.where(moving, a_near, -np.inf if inside else np.inf)
-        a_far = np.where(moving, a_far, np.inf if inside else -np.inf)
-        near = np.maximum(near, a_near)
-        far = np.minimum(far, a_far)
-    hit = (near <= far) & (near > scene._EPS)
-    return np.where(hit, near, np.inf)
-
-
-def raycast_per_box(origin, dirs, fan, objects, occluders, max_range=np.inf):
-    dirs = np.asarray(dirs, dtype=np.float64).reshape(-1, 3)
-    best = scene._ray_ground_t(origin, dirs)
-    kind = np.where(best < np.inf, scene.HIT_GROUND, scene.HIT_NONE).astype(np.uint8)
-
-    def nearer(rays, t, cls):
-        closer = t < best[rays]
-        best[rays[closer]] = t[closer]
-        kind[rays[closer]] = cls
-
-    for wall in occluders:
-        mid = ((wall.p1[0] + wall.p2[0]) / 2.0, (wall.p1[1] + wall.p2[1]) / 2.0)
-        rays = fan.toward(origin, mid, math.dist(wall.p1, wall.p2) / 2.0)
-        if rays.size:
-            nearer(rays, scene._ray_wall_t(origin, dirs, wall, rays), scene.HIT_WALL)
-    for box in objects:
-        rays = fan.toward(origin, box.center, math.hypot(box.extent[0], box.extent[1]) / 2.0)
-        if rays.size:
-            nearer(rays, ray_box_t_sliced(origin, dirs, box, rays), scene.HIT_OBJECT)
-    out_of_range = best > max_range
-    best[out_of_range] = np.inf
-    kind[out_of_range] = scene.HIT_NONE
-    return best, kind
-
-
-def assert_matches_oracles(origin, dirs, boxes, walls, max_range=np.inf):
-    fan = scene._AzimuthFan(dirs)
-    t, kind = raycast(origin, dirs, fan, boxes, walls, max_range)
-    for name, (t_ref, kind_ref) in (
-        ("oracle_raycast", oracle_raycast(origin, dirs, boxes, walls, max_range)),
-        ("raycast_per_box", raycast_per_box(origin, dirs, fan, boxes, walls, max_range)),
-    ):
-        assert np.array_equal(t, t_ref), name
-        assert np.array_equal(kind, kind_ref), name
+def assert_matches_oracle(origin, dirs, boxes, walls, max_range=np.inf):
+    t, kind = raycast(origin, dirs, scene._AzimuthFan(dirs), boxes, walls, max_range)
+    t_ref, kind_ref = oracle_raycast(origin, dirs, None, boxes, walls, max_range)
+    assert np.array_equal(t, t_ref)
+    assert np.array_equal(kind, kind_ref)
     return t, kind
 
 
@@ -476,7 +345,7 @@ class TestRaycastOracle:
     @given(ray_scenes())
     @settings(max_examples=400, deadline=None)
     def test_random_scenes_match_every_box_on_every_ray(self, case):
-        assert_matches_oracles(*case)
+        assert_matches_oracle(*case)
 
     def test_zero_length_wall_is_never_hit(self):
         """A wall whose ends coincide has no face: every ray misses it."""
@@ -502,7 +371,7 @@ class TestRaycastOracle:
         corners = [np.subtract(p, origin) for w in walls for p in _wall_corners(w)]
         dirs = np.concatenate([scene.lidar_directions(spec), _AWKWARD_RAYS, corners])
         t, kind = raycast(origin, dirs, scene._AzimuthFan(dirs), [], walls)
-        t_ref, kind_ref = oracle_raycast(origin, dirs, [], walls)
+        t_ref, kind_ref = oracle_raycast(origin, dirs, None, [], walls)
         assert np.array_equal(t, t_ref)
         assert np.array_equal(kind, kind_ref)
         az = np.arctan2(dirs[:, 1], dirs[:, 0])
@@ -524,7 +393,7 @@ class TestRaycastOracle:
         radius = np.hypot(wall.p2[0] - wall.p1[0], wall.p2[1] - wall.p1[1]) / 2.0
         assert scene._AzimuthFan(dirs).toward(origin, mid, radius).tolist() == [0]
         t, kind = raycast(origin, dirs, scene._AzimuthFan(dirs), [], [wall])
-        t_ref, kind_ref = oracle_raycast(origin, dirs, [], [wall])
+        t_ref, kind_ref = oracle_raycast(origin, dirs, None, [], [wall])
         assert np.array_equal(t, t_ref)
         assert np.array_equal(kind, kind_ref)
 
@@ -538,7 +407,7 @@ class TestRaycastOracle:
         dirs = np.array([ray, -ray])
         radius = np.hypot(box.extent[0], box.extent[1]) / 2.0
         assert scene._AzimuthFan(dirs).toward(origin, box.center, radius).tolist() == [0]
-        _, kind = assert_matches_oracles(origin, dirs, [box], [])
+        _, kind = assert_matches_oracle(origin, dirs, [box], [])
         assert kind[0] == scene.HIT_OBJECT
 
     def test_box_across_pi(self):
@@ -550,7 +419,7 @@ class TestRaycastOracle:
         spec = LidarSpec(n_azimuth=720, elevation_angles=(-0.3, -0.05, 0.0, 0.2))
         corners = [np.subtract(p, origin) for b in boxes for p in _box_corners(b)]
         dirs = np.concatenate([scene.lidar_directions(spec), _AWKWARD_RAYS, corners])
-        _, kind = assert_matches_oracles(origin, dirs, boxes, [])
+        _, kind = assert_matches_oracle(origin, dirs, boxes, [])
         az = np.arctan2(dirs[:, 1], dirs[:, 0])
         on_box = kind == scene.HIT_OBJECT
         assert np.any(on_box & (az > 3.1)) and np.any(on_box & (az < -3.1))
@@ -566,7 +435,7 @@ class TestRaycastOracle:
         walls = [Wall((8.5, -3.0), (8.5, 3.0), 2.0)]
         y, z = np.meshgrid(np.linspace(-1.2, 1.2, 25), np.linspace(-1.0, 0.6, 9))
         dirs = np.stack([np.full(y.size, 5.0), y.ravel(), z.ravel()], axis=1)
-        t, kind = assert_matches_oracles(origin, dirs, boxes, walls)
+        t, kind = assert_matches_oracle(origin, dirs, boxes, walls)
         alone = [raycast(origin, dirs, scene._AzimuthFan(dirs), [b], walls)[0] for b in boxes[:2]]
         tied = (alone[0] == alone[1]) & (kind == scene.HIT_OBJECT)
         assert np.any(tied)
@@ -586,7 +455,7 @@ class TestRaycastOracle:
                 sensor = compose(agent.true_pose, mount)
                 dirs = local @ sensor.rotation.T
                 for max_range in (np.inf, cfg.lidar.max_range, 8.0):
-                    assert_matches_oracles(sensor.translation, dirs, boxes, walls, max_range)
+                    assert_matches_oracle(sensor.translation, dirs, boxes, walls, max_range)
 
 
 # --- one fan per sensor, turned by the agent's yaw ----------------------------

@@ -3,11 +3,6 @@ module-level names in covox.  These tests keep that contract in the tier-1
 suite: a refactor that renames or inlines a traced stage fails here instead
 of silently zeroing a per-layer benchmark metric."""
 
-import importlib.util
-from pathlib import Path
-
-import pytest
-
 from covox import cli, collab
 from covox.collab import PipelineConfig, make_pipeline_params
 from covox.config import ExperimentSpec
@@ -15,17 +10,7 @@ from covox.depth import DepthBins, NoisyOraclePredictor
 from covox.scene import ScenarioConfig
 from covox.voxel import GridSpec
 
-from test_dense_oracles import warp_message_fresh
-
-TRACING_PATH = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
-
-
-@pytest.fixture(scope="module")
-def tracing():
-    spec = importlib.util.spec_from_file_location("covox_bench_tracing", TRACING_PATH)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+from oracles import warp_message_fresh
 
 
 def test_every_target_exists(tracing):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from covox.depth import DepthBins
-from covox.geometry import CameraIntrinsics, Pose, pixel_rays, transform_points
+from covox.geometry import CameraIntrinsics, Pose
 from covox.voxel import (
     Category,
     GridSpec,
@@ -16,42 +16,9 @@ from covox.voxel import (
     voxelize_points,
 )
 
+from oracles import dense, dense_zeros, lift_camera_dense, sparse
+
 SPEC = GridSpec((-8.0, 8.0), (-8.0, 8.0), (0.0, 4.0), 16, 16, 4, 8)
-
-
-def dense(grid):
-    """A grid as dense (nx, ny, nz, C) features and (nx, ny, nz) tags; its
-    unlisted voxels are untagged and zero."""
-    s = grid.spec
-    feats = np.zeros((s.nx * s.ny * s.nz, s.channels))
-    feats[grid.voxels] = grid.features
-    category = np.zeros(s.nx * s.ny * s.nz, dtype=np.uint8)
-    category[grid.voxels] = grid.category
-    return feats.reshape(s.nx, s.ny, s.nz, s.channels), category.reshape(s.nx, s.ny, s.nz)
-
-
-def dense_categorized(cat):
-    """A categorized grid as dense LiDAR features, camera features and tags."""
-    s = cat.spec
-    lidar, camera = (np.zeros((s.nx * s.ny * s.nz, s.channels)) for _ in range(2))
-    lidar[cat.voxels] = cat.lidar
-    camera[cat.voxels] = cat.camera
-    category = np.zeros(s.nx * s.ny * s.nz, dtype=np.uint8)
-    category[cat.voxels] = cat.category
-    shape = (s.nx, s.ny, s.nz)
-    return lidar.reshape(shape + (s.channels,)), camera.reshape(shape + (s.channels,)), category.reshape(shape)
-
-
-def dense_zeros(spec):
-    """Dense features and tags of a grid with no tagged voxel."""
-    return dense(VoxelGrid.empty(spec))
-
-
-def sparse(spec, features, category):
-    """The grid that lists the tagged voxels of dense features and tags."""
-    voxels = np.flatnonzero(category)
-    return VoxelGrid(spec, voxels, features.reshape(-1, spec.channels)[voxels],
-                     category.reshape(-1)[voxels])
 
 
 class TestVoxelize:
@@ -136,8 +103,9 @@ class TestLift:
         dist /= dist.sum(axis=2, keepdims=True)
         args = (feats, dist, intr, Pose(np.eye(4)), spec, 0.0, bins.centers())
         res = lift_camera(*args)
-        _, _, mass, dropped = _dense_lift_camera(*args)
-        assert res.dropped_mass == dropped
+        ref = lift_camera_dense(*args)
+        assert res.dropped_mass == ref.dropped_mass
+        mass = ref.mass
         assert abs(mass.sum() + res.dropped_mass - h * w) < 1e-9
         # With no threshold every cell that gained mass is tagged.
         assert np.array_equal(dense(res.grid)[1] == Category.CAMERA, mass > 0.0)
@@ -150,31 +118,9 @@ class TestLift:
         res = lift_camera(*args)
         assert res.grid.voxels.size == 0
         # The whole mass landed in the grid, each cell below the threshold.
-        _, _, mass, dropped = _dense_lift_camera(*args)
-        assert res.dropped_mass == dropped == 0.0
-        assert abs(mass.sum() - 1.0) < 1e-12 and np.all(mass < 0.3)
-
-
-def _dense_lift_camera(features, dist, intr, cam_pose_in_ego, spec, mass_threshold, bin_centers):
-    """Reference: transform and bin every (pixel, depth bin) entry per call."""
-    dist = np.asarray(dist, dtype=np.float64)
-    h, w, d = dist.shape
-    pts = pixel_rays(intr)[:, :, None, :] * np.asarray(bin_centers)[None, None, :, None]
-    pts = transform_points(cam_pose_in_ego, pts.reshape(-1, 3))
-    idx, inside = spec.cell_of(pts)
-    mass = dist.reshape(-1)
-    dropped = float(mass[~inside].sum())
-    n_cells = spec.nx * spec.ny * spec.nz
-    flat = (idx[inside, 0] * spec.ny + idx[inside, 1]) * spec.nz + idx[inside, 2]
-    cell_mass = np.bincount(flat, weights=mass[inside], minlength=n_cells)
-    contrib = (features[:, :, None, :] * dist[..., None]).reshape(-1, spec.channels)
-    feats = np.zeros((n_cells, spec.channels))
-    np.add.at(feats, flat, contrib[inside])
-    tagged = (cell_mass >= mass_threshold) & (cell_mass > 0.0)
-    feats[~tagged] = 0.0
-    category = np.where(tagged, Category.CAMERA, Category.NORMAL).astype(np.uint8)
-    shape = (spec.nx, spec.ny, spec.nz)
-    return feats.reshape(shape + (spec.channels,)), category.reshape(shape), cell_mass.reshape(shape), dropped
+        ref = lift_camera_dense(*args)
+        assert res.dropped_mass == ref.dropped_mass == 0.0
+        assert abs(ref.mass.sum() - 1.0) < 1e-12 and np.all(ref.mass < 0.3)
 
 
 class TestLiftOracle:
@@ -203,15 +149,14 @@ class TestLiftOracle:
     def _check(self, feats, dist, pose, spec, threshold):
         centers = self.BINS.centers()
         res = lift_camera(feats, dist, self.INTR, pose, spec, threshold, centers)
-        ref_feats, ref_cat, _, ref_dropped = _dense_lift_camera(
-            feats, dist, self.INTR, pose, spec, threshold, centers
-        )
+        ref = lift_camera_dense(feats, dist, self.INTR, pose, spec, threshold, centers)
         got_feats, got_cat = dense(res.grid)
+        ref_feats, ref_cat = dense(ref.grid)
         assert np.array_equal(got_feats, ref_feats)
         assert np.array_equal(got_cat, ref_cat)
         assert np.all(np.diff(res.grid.voxels) > 0)
         assert np.all(res.grid.category == Category.CAMERA)
-        assert res.dropped_mass == ref_dropped
+        assert res.dropped_mass == ref.dropped_mass
         return res
 
     def test_zero_mass_and_out_of_grid_mass(self, rng):
@@ -220,6 +165,24 @@ class TestLiftOracle:
         res = self._check(feats, dist, Pose(np.eye(4)), self.SPECS[0], 0.05)
         assert res.dropped_mass > 0.0
         assert np.count_nonzero(res.grid.category == Category.CAMERA) > 0
+
+    def test_mass_at_the_threshold_is_tagged_and_zero_mass_is_not(self):
+        """A voxel whose mass equals the threshold exactly is tagged; with a
+        threshold of 0, a voxel the frustum reaches with zero mass is not."""
+        spec = GridSpec((-2.0, 2.0), (-2.0, 2.0), (0.0, 10.0), 4, 4, 10, 8)
+        intr = CameraIntrinsics(1.0, 1.0, 0.0, 0.0, 4, 4)
+        centers = DepthBins(1.0, 9.0, 4).centers()
+        feats = np.ones((4, 4, 8))
+        for pixel, threshold, listed in (([0.25, 0.25, 0.25, 0.25], 0.25, 4),
+                                         ([0.0, 1.0, 0.0, 0.0], 0.0, 1)):
+            dist = np.zeros((4, 4, 4))
+            dist[0, 0] = pixel
+            res = lift_camera(feats, dist, intr, Pose(np.eye(4)), spec, threshold, centers)
+            ref = lift_camera_dense(feats, dist, intr, Pose(np.eye(4)), spec, threshold, centers)
+            assert res.grid.voxels.size == ref.grid.voxels.size == listed
+            assert np.array_equal(res.grid.voxels, ref.grid.voxels)
+            assert np.array_equal(res.grid.features, ref.grid.features)
+            assert np.all(res.grid.category == Category.CAMERA)
 
     def test_mounts_and_grids_share_one_process(self, rng):
         # Two rounds over every (grid, mount): a cached map reused for the
