@@ -22,7 +22,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from covox import cli, collab
+from covox import cli, collab, metrics, scene
 from covox.collab import (
     PipelineConfig,
     aggregate_max,
@@ -509,13 +509,13 @@ BENCH_SHAPES = (("fleet8", "attention"), ("lidar4", "max"))
 @pytest.fixture(scope="module")
 def replays(bench_run, tmp_path_factory):
     """Every trial of TRIAL_SHAPES x SEED_TRIALS, and two more, run by the
-    program and by the reference pipeline.  Returns, per shape, the trials
-    whose outputs differ with their first difference, and the calls each
-    swapped reference took over all of them."""
+    program and by the reference pipeline.  Returns, per shape, the
+    (seed, trial) pairs run and the first difference of those whose outputs
+    differ, and the calls each swapped reference took over all of them."""
     tmp_path = tmp_path_factory.mktemp("replays")
-    calls, mismatches = Counter(), {}
+    calls, runs = Counter(), {}
     for workload, mode in TRIAL_SHAPES:
-        mismatches[workload, mode] = []
+        runs[workload, mode] = {}
         extra = ((7919, 1),) if (workload, mode) in BENCH_SHAPES else ()
         for seed, trial in SEED_TRIALS + extra:
             exp, params = experiment(bench_run, tmp_path, workload, seed, mode)
@@ -524,13 +524,24 @@ def replays(bench_run, tmp_path_factory):
                 ran = use_reference_pipeline(m)
                 want = cli.run_trial(exp, trial, None, params)
             calls.update(ran)
+            runs[workload, mode][seed, trial] = None
             try:
                 assert got.row == want.row
                 assert got.log_lines == want.log_lines
                 assert_rounds_equal(got.rounds, want.rounds)
             except AssertionError as exc:
-                mismatches[workload, mode].append(f"seed {seed}, trial {trial}: {exc}")
-    return mismatches, calls
+                runs[workload, mode][seed, trial] = str(exc)
+    return runs, calls
+
+
+def mismatches(runs, shape, seed_trials=None):
+    """The differing trials of one shape, of the given (seed, trial) pairs
+    or of all it ran; every given pair must have been run."""
+    ran = runs[shape]
+    keys = ran if seed_trials is None else seed_trials
+    assert set(keys) <= set(ran)
+    return [f"seed {seed}, trial {trial}: {ran[seed, trial]}"
+            for seed, trial in keys if ran[seed, trial] is not None]
 
 
 @pytest.mark.parametrize("workload, collab_mode", TRIAL_SHAPES,
@@ -539,11 +550,38 @@ def test_trials_match_dense_pipeline(replays, workload, collab_mode):
     """CSV rows, message logs and every AgentRound array equal those of the
     reference pipeline, on every seed.  The swap is live: every name it
     swaps exists, and every reference it swaps in ran in some shape."""
-    mismatches, calls = replays
+    runs, calls = replays
     swapped = [f"{owner.__name__}.{name}" for owner, name, _ in REFERENCE_SWAPS]
     assert all(callable(getattr(owner, name, None)) for owner, name, _ in REFERENCE_SWAPS)
     assert [key for key in swapped if not calls[key]] == []
-    assert mismatches[workload, collab_mode] == []
+    assert mismatches(runs, (workload, collab_mode)) == []
+
+
+@pytest.mark.parametrize("workload", ["fleet8", "lidar4"])
+def test_trials_match_parent_box_path(bench_run, replays, workload):
+    """The benchmark workloads' trials 0 and 1 of seeds 0 and 7919, under
+    their own collaboration mode, equal those of the reference pipeline,
+    whose ray cast, detector and clip are the per-stage references."""
+    runs, calls = replays
+    for owner, name in ((scene, "raycast"), (collab, "detect_local"),
+                        (cli, "detect_local"), (metrics, "clip_polygon")):
+        assert calls[f"{owner.__name__}.{name}"]
+    mode = trial_config(bench_run, workload, 0)["pipeline"]["collab"]
+    pairs = ((0, 0), (0, 1), (7919, 0), (7919, 1))
+    assert mismatches(runs, (workload, mode), pairs) == []
+
+
+@pytest.mark.parametrize("seed", [0, 7919])
+@pytest.mark.parametrize("name", ["lidar4", "fleet8", "camera_missing", "fusion_equal"])
+def test_trials_match_every_grid_and_token(bench_run, replays, name, seed):
+    """Trial 0 of each shape under its own collaboration mode equals that
+    of the reference pipeline, whose perceive stage fuses a zero camera
+    grid into every camera-less agent and whose aggregation projects the
+    whole token stack."""
+    runs, calls = replays
+    assert calls[f"{collab.__name__}._perceive"] and calls[f"{collab.__name__}._receive"]
+    mode = trial_config(bench_run, name, seed)["pipeline"]["collab"]
+    assert mismatches(runs, (name, mode), [(seed, 0)]) == []
 
 
 # --- reuse of the phase-2 planes ------------------------------------------------

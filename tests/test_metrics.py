@@ -302,8 +302,8 @@ class TestMatchingPrefilter:
     @example(([box(0, 0), box(1, 1, score=2.0)], []), 0.5)
     @settings(max_examples=300, deadline=None)
     def test_matches_all_pairs_oracle(self, boxes, thresh):
-        """The matching, the curve, AP and recall, all read from one IoU
-        table, equal those of matching that scores every pair afresh."""
+        """The matching read from one IoU table equals that of matching
+        that scores every pair afresh."""
         dets, gts = boxes
         ious = iou_table(dets, gts)
         assert ious.shape == (len(dets), len(gts))
@@ -311,10 +311,6 @@ class TestMatchingPrefilter:
         tp_ref, order_ref = all_pairs_match(dets, gts, thresh)
         assert np.array_equal(tp, tp_ref)
         assert order == order_ref
-        curve, ap_ref, recall_ref = scores_of_matching(tp_ref, len(gts))
-        assert pr_curve(dets, ious, thresh) == curve
-        assert average_precision(dets, ious, thresh) == ap_ref
-        assert recall_at(dets, ious, thresh) == recall_ref
 
     @given(box_sets())
     @settings(max_examples=200, deadline=None)
@@ -377,7 +373,23 @@ class TestMatchingPrefilter:
 
 
 class TestScoresFromOneTable:
-    """The table holds the IoU of every pair as one pair alone scores it."""
+    """Every score read from one IoU table equals that of the boxes matched
+    afresh at its threshold, and the table holds the IoU of every pair as
+    one pair alone scores it."""
+
+    @given(box_sets(), st.sampled_from([0.3, 0.5, 0.7]))
+    @example(([], []), 0.5)
+    @example(([], [box(0, 0)]), 0.5)
+    @example(([box(0, 0), box(1, 1, score=2.0)], []), 0.5)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_per_threshold_oracle(self, boxes, thresh):
+        dets, gts = boxes
+        ious = iou_table(dets, gts)
+        tp_ref, _ = all_pairs_match(dets, gts, thresh)
+        curve, ap_ref, recall_ref = scores_of_matching(tp_ref, len(gts))
+        assert pr_curve(dets, ious, thresh) == curve
+        assert average_precision(dets, ious, thresh) == ap_ref
+        assert recall_at(dets, ious, thresh) == recall_ref
 
     @given(box_sets())
     @settings(max_examples=100, deadline=None)
