@@ -40,7 +40,6 @@ class TrialOutcome:
     row: str
     log_lines: list[str]
     rounds: dict[int, AgentRound]
-    agents: list[AgentState]
     objects: list[BoxObject]
 
 
@@ -67,21 +66,21 @@ def _gt_in_view(agent: AgentState, objects, grid) -> list[Detection]:
     return kept
 
 
-def evaluate_round(rounds, agents, objects, grid):
-    """Mean detection metrics across agents, each scored in its own frame.
+def evaluate_round(rounds, objects, grid):
+    """Mean detection metrics across agents, each scored in its own frame
+    and summed in the order of `rounds`, which `run_round` keys by agent id.
 
     Each agent's det x gt IoUs are computed once and shared by every score.
     """
     ap50s, ap70s, recs = [], [], []
-    for agent in agents:
-        result = rounds[agent.id]
-        dets = detect_local(occupancy_from_bev(result.aggregated, result.cells), grid)
-        gts = _gt_in_view(agent, objects, grid)
+    for result in rounds.values():
+        dets = detect_local(occupancy_from_bev(result.aggregated, result.aggregated_cells), grid)
+        gts = _gt_in_view(result.state, objects, grid)
         ious = iou_table(dets, gts)
         ap50s.append(average_precision(dets, ious, 0.5))
         ap70s.append(average_precision(dets, ious, 0.7))
         recs.append(recall_at(dets, ious, 0.5))
-    n = max(1, len(agents))
+    n = max(1, len(rounds))
     return sum(ap50s) / n, sum(ap70s) / n, sum(recs) / n
 
 
@@ -113,7 +112,7 @@ def run_trial(exp: ExperimentSpec, trial: int, sigma_xy: float | None, params) -
     rounds, ledger = run_round(
         agents, objects, scenario.occluders, scenario, exp.pipeline, params
     )
-    ap50, ap70, rec = evaluate_round(rounds, agents, objects, exp.pipeline.grid)
+    ap50, ap70, rec = evaluate_round(rounds, objects, exp.pipeline.grid)
 
     errs_before = [e[0][0] for r in rounds.values() for e in r.pose_errors.values()]
     errs_after = [e[1][0] for r in rounds.values() for e in r.pose_errors.values()]
@@ -146,7 +145,7 @@ def run_trial(exp: ExperimentSpec, trial: int, sigma_xy: float | None, params) -
         ]
     )
     log_lines = _log_lines(trial, exp.mode, ledger.records)
-    return TrialOutcome(row, log_lines, rounds, agents, objects)
+    return TrialOutcome(row, log_lines, rounds, objects)
 
 
 def render_outputs(outcome: TrialOutcome, grid, out_dir: Path) -> list[Path]:
@@ -160,16 +159,15 @@ def render_outputs(outcome: TrialOutcome, grid, out_dir: Path) -> list[Path]:
     )
     written.append(write_ppm(out_dir / "scene.ppm", scene_img))
 
-    for agent in outcome.agents:
-        result = outcome.rounds[agent.id]
-        tag = f"agent_{agent.id}"
+    for aid, result in outcome.rounds.items():
+        tag = f"agent_{aid}"
         if result.depth_map is not None:
             written.append(
                 write_pgm16(out_dir / f"{tag}_depth.pgm", depth_map_gray(result.depth_map))
             )
-        occ = occupancy_from_bev(result.aggregated, result.cells)
+        occ = occupancy_from_bev(result.aggregated, result.aggregated_cells)
         dets = detect_local(occ, grid)
-        gts = _gt_in_view(agent, outcome.objects, grid)
+        gts = _gt_in_view(result.state, outcome.objects, grid)
         written.append(
             write_ppm(out_dir / f"{tag}_bev.ppm", render_bev(occ, grid, gts, dets))
         )

@@ -2,7 +2,8 @@
 sparse message packing, BEV warping, attention aggregation and the
 synchronous two-phase exchange round.
 
-`run_round` runs five stages in lockstep over one record per agent:
+`run_round` runs five stages in lockstep over one record per agent, an
+`AgentRound`, and returns the records the stages filled:
 
 1. sense — LiDAR and camera capture, LiDAR voxelization;
 2. relative poses — believed relative poses, optionally corrected by
@@ -151,23 +152,6 @@ class Tokens:
     q: np.ndarray
     k: np.ndarray
     v: np.ndarray
-
-
-@dataclass
-class AgentRound:
-    """Everything one agent produced during a round."""
-
-    bev: np.ndarray  # own collapsed BEV feature plane
-    aggregated: np.ndarray  # post-collaboration BEV
-    cells: np.ndarray  # flat indices of the nonzero cells of `aggregated`, ascending
-    mask: np.ndarray
-    message: Message
-    depth_map: Optional[DepthMap] = None
-    warp_collisions: int = 0
-    # per neighbor id: (error of believed rel pose, error of the pose used)
-    pose_errors: dict[int, tuple[tuple[float, float], tuple[float, float]]] = field(
-        default_factory=dict
-    )
 
 
 @dataclass(frozen=True)
@@ -504,8 +488,9 @@ def aggregate_concat(
 
 
 @dataclass
-class _AgentWork:
-    """One agent's state as the round's stages fill it in."""
+class AgentRound:
+    """One agent's record of a round: the stages fill it in, in order, and
+    `run_round` returns it."""
 
     state: AgentState
     neighbors: tuple[int, ...]
@@ -515,15 +500,21 @@ class _AgentWork:
     images: Optional[tuple[np.ndarray, np.ndarray]] = None  # camera depth, features
     detections: list = field(default_factory=list)
     rel: dict[int, Pose] = field(default_factory=dict)  # neighbor -> pose used
-    pose_errors: dict[int, tuple] = field(default_factory=dict)
+    # per neighbor id: (error of believed rel pose, error of the pose used)
+    pose_errors: dict[int, tuple[tuple[float, float], tuple[float, float]]] = field(
+        default_factory=dict
+    )
     shared: list[np.ndarray] = field(default_factory=list)  # replies, camera frame
     depth_map: Optional[DepthMap] = None
-    bev: Optional[np.ndarray] = None
-    cells: Optional[np.ndarray] = None  # flat indices of the nonzero cells of `bev`
+    bev: Optional[np.ndarray] = None  # own collapsed BEV feature plane
+    bev_cells: Optional[np.ndarray] = None  # flat indices of the nonzero cells of `bev`
     mask: Optional[np.ndarray] = None
     message: Optional[Message] = None
-    token_rows: Optional[np.ndarray] = None  # round token row of each of `cells`
+    token_rows: Optional[np.ndarray] = None  # round token row of each of `bev_cells`
     sent_rows: Optional[np.ndarray] = None  # round token row of each message row
+    aggregated: Optional[np.ndarray] = None  # post-collaboration BEV
+    aggregated_cells: Optional[np.ndarray] = None  # nonzero cells of `aggregated`, ascending
+    warp_collisions: int = 0
 
 
 def _sense(
@@ -533,26 +524,26 @@ def _sense(
     occluders: Sequence[Wall],
     scenario: ScenarioConfig,
     pipe: PipelineConfig,
-) -> _AgentWork:
+) -> AgentRound:
     """Capture the agent's sensors and voxelize its LiDAR cloud."""
     if not agent.has_lidar:
-        work = _AgentWork(agent, neighbors, VoxelGrid.empty(pipe.grid))
+        record = AgentRound(agent, neighbors, VoxelGrid.empty(pipe.grid))
     else:
         pts = simulate_lidar(
             agent, objects, occluders, scenario.lidar, lidar_rng(scenario.seed, agent.id)
         )
         cloud = transform_points(DEFAULT_LIDAR_MOUNT, pts)
         grid = voxelize_points(cloud, pipe.grid)
-        work = _AgentWork(agent, neighbors, grid, cloud_sensor=pts, cloud=cloud)
+        record = AgentRound(agent, neighbors, grid, cloud_sensor=pts, cloud=cloud)
     if agent.has_camera and pipe.fusion_mode != "none":
-        work.images = simulate_camera(
+        record.images = simulate_camera(
             agent, objects, occluders, scenario.camera, pipe.grid.channels
         )
-    return work
+    return record
 
 
 def _relative_poses(
-    works: dict[int, _AgentWork], pipe: PipelineConfig, ledger: RoundLedger
+    rounds: dict[int, AgentRound], pipe: PipelineConfig, ledger: RoundLedger
 ) -> None:
     """Set the relative pose each agent uses per neighbor, and its error.
 
@@ -562,20 +553,20 @@ def _relative_poses(
     match against, so its edges send none.  Each agent's believed and true
     poses are inverted once, not once per edge.
     """
-    lidar = {aid for aid, w in works.items() if w.state.has_lidar}
+    lidar = {aid for aid, w in rounds.items() if w.state.has_lidar}
     if pipe.robust:
-        for w in works.values():
+        for w in rounds.values():
             if w.state.id in lidar and lidar.intersection(w.neighbors):
                 occupancy = occupancy_from_grid(w.lidar_grid)
                 w.detections = detect_local(occupancy, pipe.grid)
     inverse = {
         aid: (invert(w.state.believed_pose), invert(w.state.true_pose))
-        for aid, w in works.items()
+        for aid, w in rounds.items()
     }
-    for w in works.values():
+    for w in rounds.values():
         inv_believed, inv_true = inverse[w.state.id]
         for j in w.neighbors:
-            other = works[j]
+            other = rounds[j]
             believed = compose(inv_believed, other.state.believed_pose)
             used = believed
             if pipe.robust and {w.state.id, j} <= lidar:
@@ -592,7 +583,7 @@ def _relative_poses(
 
 
 def _share_clouds(
-    works: dict[int, _AgentWork],
+    rounds: dict[int, AgentRound],
     scenario: ScenarioConfig,
     pipe: PipelineConfig,
     ledger: RoundLedger,
@@ -614,15 +605,15 @@ def _share_clouds(
     if pipe.depth_projection != "all":
         return
     requests = [
-        (w, j) for w in works.values() if w.images is not None
-        for j in w.neighbors if works[j].state.has_lidar
+        (w, j) for w in rounds.values() if w.images is not None
+        for j in w.neighbors if rounds[j].state.has_lidar
     ]
-    by_sender: dict[int, list[_AgentWork]] = {}
+    by_sender: dict[int, list[AgentRound]] = {}
     for w, j in requests:
         by_sender.setdefault(j, []).append(w)
     replies = {}
     for j, requesters in by_sender.items():
-        payload = downsample_cloud(works[j].cloud, _PAYLOAD_CELL)
+        payload = downsample_cloud(rounds[j].cloud, _PAYLOAD_CELL)
         cams = np.concatenate([
             transform_points(compose(_CAM_FROM_AGENT, w.rel[j]), payload) for w in requesters
         ])
@@ -639,23 +630,20 @@ def _share_clouds(
 
 
 def _perceive(
-    w: _AgentWork,
+    w: AgentRound,
     scenario: ScenarioConfig,
     pipe: PipelineConfig,
     params: PipelineParams,
 ) -> None:
     """Depth -> lift -> fuse -> collapse, then mask and pack the message.
 
-    An agent without camera images fuses nothing: its LiDAR grid is its
-    fused grid.  That is exact, because categorizing against an empty camera
-    grid gives the LiDAR tags and both fusions copy LIDAR voxels unchanged.
-
-    Only the fused grid's tagged columns can be nonzero in the BEV, because
-    unlisted voxels hold zeros.  Those rows are checked one by one, and the
-    BEV's nonzero cells travel with it as `w.cells`; the importance scores
+    An agent without camera images fuses an empty camera grid.  Only the
+    fused grid's tagged columns can be nonzero in the BEV, because unlisted
+    voxels hold zeros.  Those rows are checked one by one, and the BEV's
+    nonzero cells travel with it as `w.bev_cells`; the importance scores
     and the message read only them.
     """
-    fused = w.lidar_grid
+    camera_grid = VoxelGrid.empty(pipe.grid)
     if w.images is not None:
         depth_img, feat_img = w.images
         if pipe.depth_projection != "no" and w.state.has_lidar:
@@ -672,15 +660,15 @@ def _perceive(
             pipe.grid, pipe.mass_threshold, pipe.bins.centers(),
         ).grid
         w.depth_map = dmap
-        cat = categorize(w.lidar_grid, camera_grid)
-        if pipe.fusion_mode == "equal":
-            fused = fuse_modalities_equal(params.equal_lin, cat)
-        else:
-            fused = fuse_modalities(params.fusion, cat)
+    cat = categorize(w.lidar_grid, camera_grid)
+    if pipe.fusion_mode == "equal":
+        fused = fuse_modalities_equal(params.equal_lin, cat)
+    else:
+        fused = fuse_modalities(params.fusion, cat)
     w.bev = collapse(fused)
-    w.cells = _nonzero_rows(w.bev, fused.tagged_columns())
-    w.mask = confidence_mask(importance_scores(w.bev, w.cells), preference_map(fused))
-    w.message = pack_message(w.bev, w.mask, w.cells)
+    w.bev_cells = _nonzero_rows(w.bev, fused.tagged_columns())
+    w.mask = confidence_mask(importance_scores(w.bev, w.bev_cells), preference_map(fused))
+    w.message = pack_message(w.bev, w.mask, w.bev_cells)
 
 
 def _nonzero_rows(plane: np.ndarray, candidates: np.ndarray) -> np.ndarray:
@@ -706,32 +694,33 @@ def _aggregated_cells(
 
 
 def _project_round_tokens(
-    works: dict[int, _AgentWork], grid: GridSpec, params: nnkit.MhaParams
+    rounds: dict[int, AgentRound], grid: GridSpec, params: nnkit.MhaParams
 ) -> Tokens:
     """Q, K and V of every agent's nonzero BEV rows, projected once per
     round.  Sets each agent's `token_rows` and `sent_rows`: a message row is
     a nonzero BEV row, so it has a token row too."""
     blocks, start = [], 0
-    for w in works.values():
-        blocks.append(w.bev.reshape(-1, grid.bev_channels)[w.cells])
-        w.token_rows = np.arange(start, start + w.cells.size)
-        start += w.cells.size
+    for w in rounds.values():
+        blocks.append(w.bev.reshape(-1, grid.bev_channels)[w.bev_cells])
+        w.token_rows = np.arange(start, start + w.bev_cells.size)
+        start += w.bev_cells.size
         sent = w.message.indices[:, 0] * grid.ny + w.message.indices[:, 1]
-        w.sent_rows = w.token_rows[np.searchsorted(w.cells, sent)]
+        w.sent_rows = w.token_rows[np.searchsorted(w.bev_cells, sent)]
     return project_tokens(params, np.concatenate(blocks), grid.nx * grid.ny)
 
 
 def _receive(
-    w: _AgentWork,
-    works: dict[int, _AgentWork],
+    w: AgentRound,
+    rounds: dict[int, AgentRound],
     pipe: PipelineConfig,
     params: PipelineParams,
     ledger: RoundLedger,
     planes: np.ndarray,
     tokens: Optional[Tokens],
-) -> AgentRound:
+) -> None:
     """Phase 2: warp the neighbors' messages into this agent's frame, in one
-    pass, and aggregate them.
+    pass, and aggregate them.  Sets `w.aggregated`, its nonzero cells and
+    `w.warp_collisions`.
 
     Neighbor k is warped into `planes[k]`, which must be all zero; the rows
     written are cleared again before returning, so one stack of planes
@@ -739,33 +728,25 @@ def _receive(
     `tokens` (`_project_round_tokens`) and not the planes; the planes still
     receive the rows because the trace counts tokens from them.
     """
-    messages = [works[j].message for j in w.neighbors]
+    messages = [rounds[j].message for j in w.neighbors]
     warp = warp_sparse(messages, [w.rel[j] for j in w.neighbors], pipe.grid, planes)
     for j, msg in zip(w.neighbors, messages):
         ledger.add(j, w.state.id, "feature", msg.feature_elements)
     warped = list(planes[: len(messages)])
     written = warp.cells  # each packed row has a nonzero scalar
     if pipe.collab_mode == "attention":
-        sources = [works[j].sent_rows[rows] for j, rows in zip(w.neighbors, warp.rows)]
-        agg = aggregate(params.agg_mha, w.bev, warped, written, w.cells, tokens, w.token_rows,
-                        sources)
+        sources = [rounds[j].sent_rows[rows] for j, rows in zip(w.neighbors, warp.rows)]
+        agg = aggregate(params.agg_mha, w.bev, warped, written, w.bev_cells, tokens,
+                        w.token_rows, sources)
     elif pipe.collab_mode == "max":
-        agg = aggregate_max(w.bev, warped, written, w.cells)
+        agg = aggregate_max(w.bev, warped, written, w.bev_cells)
     else:
         agg = aggregate_concat(params.concat_lin, w.bev, warped)
-    cells = _aggregated_cells(agg, w.cells, written)
+    w.aggregated = agg
+    w.aggregated_cells = _aggregated_cells(agg, w.bev_cells, written)
+    w.warp_collisions = warp.collisions
     for plane, written_cells in zip(warped, written):
         plane.reshape(-1, plane.shape[2])[written_cells] = 0.0
-    return AgentRound(
-        bev=w.bev,
-        aggregated=agg,
-        cells=cells,
-        mask=w.mask,
-        message=w.message,
-        depth_map=w.depth_map,
-        warp_collisions=warp.collisions,
-        pose_errors=w.pose_errors,
-    )
 
 
 def run_round(
@@ -778,27 +759,27 @@ def run_round(
 ) -> tuple[dict[int, AgentRound], RoundLedger]:
     """Execute one synchronous perception + communication round.
 
-    Degraded agents (dropped sensors) follow identity fallbacks instead of
-    aborting; a single agent simply skips both exchange phases.
+    Returns each agent's record, keyed and ordered by agent id, and the
+    round's ledger.  Degraded agents (dropped sensors) follow identity
+    fallbacks instead of aborting; a single agent simply skips both
+    exchange phases.
     """
     agents = sorted(agents, key=lambda a: a.id)
     graph = build_comm_graph(agents, scenario.comm_range)
-    works = {
+    rounds = {
         a.id: _sense(a, graph[a.id], objects, occluders, scenario, pipe) for a in agents
     }
     ledger = RoundLedger()
-    _relative_poses(works, pipe, ledger)
-    _share_clouds(works, scenario, pipe, ledger)
-    for w in works.values():
+    _relative_poses(rounds, pipe, ledger)
+    _share_clouds(rounds, scenario, pipe, ledger)
+    for w in rounds.values():
         _perceive(w, scenario, pipe, params)
     g = pipe.grid
     tokens = None
     if pipe.collab_mode == "attention":
-        tokens = _project_round_tokens(works, g, params.agg_mha)
-    degree = max((len(w.neighbors) for w in works.values()), default=0)
+        tokens = _project_round_tokens(rounds, g, params.agg_mha)
+    degree = max((len(w.neighbors) for w in rounds.values()), default=0)
     planes = np.zeros((degree, g.nx, g.ny, g.bev_channels))
-    rounds = {
-        aid: _receive(w, works, pipe, params, ledger, planes, tokens)
-        for aid, w in works.items()
-    }
+    for w in rounds.values():
+        _receive(w, rounds, pipe, params, ledger, planes, tokens)
     return rounds, ledger

@@ -21,6 +21,8 @@ from .geometry import _POSE_TOL, CameraIntrinsics, Pose, compose, pixel_rays, pl
 from .robust import NoiseModel, perturb_pose
 
 _EPS = 1e-12
+# (box, ray) pairs per block of the box slab test (`_ray_box_t`).
+_SLAB_PAIRS = 2048
 
 # Hit classes reported by the ray caster (and one-hot encoded per pixel).
 HIT_NONE = 0
@@ -285,18 +287,20 @@ class _AzimuthFan:
         return np.concatenate([*parts, self.steep])
 
 
-def _ray_box_t(origin, dirs, objects: Sequence[BoxObject], fan: _AzimuthFan):
-    """Slab-method entry distances of every box's candidate rays.
+def _ray_box_t(origin, dirs, objects: Sequence[BoxObject], fan: _AzimuthFan) -> np.ndarray:
+    """Each ray's least slab-method entry distance over the boxes (inf where
+    it enters none).
 
-    Returns (rays, t): the candidate ray of each (box, ray) pair, boxes in
-    order, and its entry distance into that box (inf where it misses).  Each
-    box multiplies only its candidate rays into its frame, at least two rows
-    at a time: numpy sends a one-row product through BLAS gemv, which rounds
-    differently from the gemm of a larger bundle, so a ray's box-frame
-    direction does not depend on which rays are asked.  The slab test then
-    runs once over every pair, one axis per row.
+    Each box multiplies only its candidate rays into its frame, at least two
+    rows at a time: numpy sends a one-row product through BLAS gemv, which
+    rounds differently from the gemm of a larger bundle, so a ray's
+    box-frame direction does not depend on which rays are asked.  The slab
+    test then runs over every box's (box, ray) pairs, one axis per row, in
+    blocks of _SLAB_PAIRS pairs: its temporaries take about 170 bytes per
+    pair, and a camera bundle can hold ten thousand pairs.
     """
     origin = np.asarray(origin, dtype=np.float64)
+    best = np.full(len(dirs), np.inf)
     rays, frame_dirs, frame_origins, lo, hi = [], [], [], [], []
     for box in objects:
         cand = fan.toward(origin, box.center, math.hypot(box.extent[0], box.extent[1]) / 2.0)
@@ -311,27 +315,31 @@ def _ray_box_t(origin, dirs, objects: Sequence[BoxObject], fan: _AzimuthFan):
         lo.append((-box.extent[0] / 2, -box.extent[1] / 2, 0.0))
         hi.append((box.extent[0] / 2, box.extent[1] / 2, box.extent[2]))
     if not rays:
-        return np.zeros(0, dtype=np.intp), np.zeros(0)
-    o, lo, hi = np.array(frame_origins), np.array(lo), np.array(hi)
-    # Rows are axes and columns (box, ray) pairs.  A ray parallel to a slab
-    # stays inside it for good or never enters it.
-    counts = [len(r) for r in rays]
-    to_lo, to_hi, near = (
-        np.repeat(v.T, counts, axis=1)
-        for v in (lo - o, hi - o, np.where((lo <= o) & (o <= hi), -np.inf, np.inf))
-    )
-    far = -near
-    d = np.concatenate(frame_dirs).T
-    moving = np.abs(d) > _EPS
-    step = np.where(moving, d, 1.0)
-    t1 = np.divide(to_lo, step, out=to_lo)
-    t2 = np.divide(to_hi, step, out=to_hi)
-    np.minimum(t1, t2, out=near, where=moving)
-    np.maximum(t1, t2, out=far, where=moving)
-    near = np.maximum(np.maximum(near[0], near[1]), near[2])
-    far = np.minimum(np.minimum(far[0], far[1]), far[2])
-    hit = (near <= far) & (near > _EPS)
-    return np.concatenate(rays), np.where(hit, near, np.inf)
+        return best
+    # Rows are axes and columns boxes, then (box, ray) pairs.  A ray
+    # parallel to a slab stays inside it for good or never enters it.
+    o, lo, hi = (np.array(v).T.copy() for v in (frame_origins, lo, hi))
+    to_lo, to_hi = lo - o, hi - o
+    parallel = np.where((lo <= o) & (o <= hi), -np.inf, np.inf)
+    box_of = np.repeat(np.arange(len(rays)), [len(r) for r in rays])
+    rays, frame_dirs = np.concatenate(rays), np.concatenate(frame_dirs)
+    for start in range(0, rays.size, _SLAB_PAIRS):
+        block = slice(start, start + _SLAB_PAIRS)
+        b = box_of[block]
+        d = frame_dirs[block].T
+        near = parallel.take(b, axis=1)
+        far = -near
+        moving = np.abs(d) > _EPS
+        step = np.where(moving, d, 1.0)
+        t1 = np.divide(to_lo.take(b, axis=1), step)
+        t2 = np.divide(to_hi.take(b, axis=1), step)
+        np.minimum(t1, t2, out=near, where=moving)
+        np.maximum(t1, t2, out=far, where=moving)
+        near = np.maximum(np.maximum(near[0], near[1]), near[2])
+        far = np.minimum(np.minimum(far[0], far[1]), far[2])
+        hit = (near <= far) & (near > _EPS)
+        np.minimum.at(best, rays[block], np.where(hit, near, np.inf))
+    return best
 
 
 def _ray_wall_t(origin, dirs, wall: Wall, rays: np.ndarray) -> np.ndarray:
@@ -419,9 +427,7 @@ def raycast(
     if objects:
         # Boxes tested after the walls win only when strictly closer, so each
         # ray keeps the least of its box distances if it beats the rest.
-        rays, t = _ray_box_t(origin, dirs, objects, fan)
-        box_best = np.full(len(dirs), np.inf)
-        np.minimum.at(box_best, rays, t)
+        box_best = _ray_box_t(origin, dirs, objects, fan)
         closer = box_best < best
         best[closer] = box_best[closer]
         kind[closer] = HIT_OBJECT

@@ -31,7 +31,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from covox import cli, collab, depth, metrics, nnkit, scene
-from covox.collab import AgentRound, aggregate_concat
+from covox.collab import aggregate_concat
 from covox.depth import DepthMap, NoisyOraclePredictor, predict_depth
 from covox.fusion import compute_guidance, fuse_hybrid_cells
 from covox.geometry import compose, invert, pixel_rays, planar_parts, project_points, transform_points
@@ -517,12 +517,10 @@ def aggregate_max_dense(ego, warped):
 # --- perceive and receive ------------------------------------------------------------
 
 
-def perceive_every_grid(w, scenario, pipe, params):
-    """`collab._perceive` with a zero camera grid for every agent without
-    camera images, which it then categorizes and fuses like any other, and
-    the BEV's nonzero cells, scores, thresholds and message read from the
-    whole plane and grid.  It calls its stages by their names in
-    `collab`, so a swap of those reaches it."""
+def perceive_whole_plane(w, scenario, pipe, params):
+    """`collab._perceive` with the BEV's nonzero cells, scores, thresholds
+    and message read from the whole plane and grid.  It calls its stages by
+    their names in `collab`, so a swap of those reaches it."""
     camera_grid = VoxelGrid.empty(pipe.grid)
     if w.images is not None:
         depth_img, feat_img = w.images
@@ -546,20 +544,20 @@ def perceive_every_grid(w, scenario, pipe, params):
     else:
         fused = collab.fuse_modalities(params.fusion, cat)
     w.bev = collab.collapse(fused)
-    w.cells = nonzero_cells(w.bev)
-    w.mask = collab.confidence_mask(collab.importance_scores(w.bev, w.cells),
+    w.bev_cells = nonzero_cells(w.bev)
+    w.mask = collab.confidence_mask(collab.importance_scores(w.bev, w.bev_cells),
                                     collab.preference_map(fused))
-    w.message = collab.pack_message(w.bev, w.mask, w.cells)
+    w.message = collab.pack_message(w.bev, w.mask, w.bev_cells)
 
 
-def receive_fresh(w, works, pipe, params, ledger, planes, tokens):
+def receive_fresh(w, rounds, pipe, params, ledger, planes, tokens):
     """`collab._receive` with each message warped on its own into a fresh
     zero plane and attention on whole token stacks; `planes` and `tokens`
     are not read."""
     warped = []
     collisions = 0
     for j in w.neighbors:
-        msg = works[j].message
+        msg = rounds[j].message
         plane, wr = warp_message_fresh(msg, w.rel[j], pipe.grid)
         warped.append(plane)
         collisions += wr.collisions
@@ -570,16 +568,9 @@ def receive_fresh(w, works, pipe, params, ledger, planes, tokens):
         agg = aggregate_max_dense(w.bev, warped)
     else:
         agg = aggregate_concat(params.concat_lin, w.bev, warped)
-    return AgentRound(
-        bev=w.bev,
-        aggregated=agg,
-        cells=nonzero_cells(agg),
-        mask=w.mask,
-        message=w.message,
-        depth_map=w.depth_map,
-        warp_collisions=collisions,
-        pose_errors=w.pose_errors,
-    )
+    w.aggregated = agg
+    w.aggregated_cells = nonzero_cells(agg)
+    w.warp_collisions = collisions
 
 
 # --- detection and pose correction ---------------------------------------------------
@@ -840,7 +831,7 @@ REFERENCE_SWAPS = (
     (collab, "occupancy_from_grid", occupancy_from_grid_dense),
     (collab, "detect_local", detect_local_per_component),
     (collab, "_share_clouds", share_clouds_per_edge),
-    (collab, "_perceive", perceive_every_grid),
+    (collab, "_perceive", perceive_whole_plane),
     (collab, "predict_depth", predict_depth_full_image),
     (collab, "lift_camera", lift_camera_dense),
     (collab, "categorize", categorize_dense),

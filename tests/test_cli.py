@@ -241,7 +241,7 @@ def test_evaluate_round_scores_each_near_pair_once(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "_gt_in_view", gt_spy)
     monkeypatch.setattr(metrics, "_clipped_iou", iou_spy)
     monkeypatch.setattr(metrics.Detection, "corners", corners_spy)
-    cli.evaluate_round(rounds, agents, objects, exp.pipeline.grid)
+    cli.evaluate_round(rounds, objects, exp.pipeline.grid)
 
     assert len(boxes) == len(agents)
     near = {

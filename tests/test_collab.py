@@ -457,8 +457,8 @@ def test_cells_with_an_all_zero_stack_aggregate_to_zero(params_seed, seed, shape
                                                         writes):
     """Every aggregator maps an all-zero token stack to a zero row, so every
     cell outside the ego's nonzero cells and the written cells is 0.0.
-    `aggregate` and `AgentRound.cells` compute only those cells; a bias or
-    offset in any map breaks this."""
+    `aggregate` and `AgentRound.aggregated_cells` compute only those cells;
+    a bias or offset in any map breaks this."""
     params = _params_at(params_seed)
     rng = np.random.default_rng(seed)
     shape = shape + (GRID.bev_channels,)

@@ -74,7 +74,7 @@ def assert_rounds_equal(got, want):
     assert list(got) == list(want)
     for aid, r in got.items():
         ref = want[aid]
-        for name in ("bev", "aggregated", "cells", "mask"):
+        for name in ("bev", "bev_cells", "aggregated", "aggregated_cells", "mask"):
             assert np.array_equal(getattr(r, name), getattr(ref, name)), (aid, name)
         assert np.array_equal(r.message.indices, ref.message.indices)
         assert np.array_equal(r.message.vectors, ref.message.vectors)
@@ -394,27 +394,18 @@ SMALL_GRID = GridSpec((-20.0, 20.0), (-20.0, 20.0), (0.5, 3.7), 24, 24, 4, 8)
 @example(seed=3, n_agents=1)
 @settings(max_examples=8, deadline=None)
 def test_round_cells_are_the_nonzero_cells(collab_mode, params, seed, n_agents):
-    """Each BEV's cells and each AgentRound's `cells` are the nonzero cells
-    of their planes; one agent has no neighbors."""
+    """Each AgentRound's `bev_cells` and `aggregated_cells` are the nonzero
+    cells of their planes; one agent has no neighbors."""
     pipe = PipelineConfig(grid=SMALL_GRID, bins=DepthBins(1.0, 33.0, 16),
                           predictor=NoisyOraclePredictor(1.0, 1), fusion_mode="none",
                           depth_projection="no", collab_mode=collab_mode)
     scn = ScenarioConfig(seed=seed, n_agents=n_agents, n_objects=6, comm_range=60.0)
     agents, objects = generate_scene(scn)
-    perceive = collab._perceive
-    bevs = []
-
-    def checked_perceive(w, *args):
-        perceive(w, *args)
-        bevs.append(w.bev)
-        assert np.array_equal(w.cells, nonzero_cells(w.bev))
-
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(collab, "_perceive", checked_perceive)
-        rounds, _ = run_round(agents, objects, (), scn, pipe, params)
-    assert len(bevs) == n_agents and any(r.cells.size for r in rounds.values())
+    rounds, _ = run_round(agents, objects, (), scn, pipe, params)
+    assert len(rounds) == n_agents and any(r.aggregated_cells.size for r in rounds.values())
     for r in rounds.values():
-        assert np.array_equal(r.cells, nonzero_cells(r.aggregated))
+        assert np.array_equal(r.bev_cells, nonzero_cells(r.bev))
+        assert np.array_equal(r.aggregated_cells, nonzero_cells(r.aggregated))
 
 
 def test_max_of_nonzero_tokens_can_be_a_zero_cell():
@@ -575,9 +566,8 @@ def test_trials_match_parent_box_path(bench_run, replays, workload):
 @pytest.mark.parametrize("name", ["lidar4", "fleet8", "camera_missing", "fusion_equal"])
 def test_trials_match_every_grid_and_token(bench_run, replays, name, seed):
     """Trial 0 of each shape under its own collaboration mode equals that
-    of the reference pipeline, whose perceive stage fuses a zero camera
-    grid into every camera-less agent and whose aggregation projects the
-    whole token stack."""
+    of the reference pipeline, whose perceive stage reads whole planes and
+    grids and whose aggregation projects the whole token stack."""
     runs, calls = replays
     assert calls[f"{collab.__name__}._perceive"] and calls[f"{collab.__name__}._receive"]
     mode = trial_config(bench_run, name, seed)["pipeline"]["collab"]
@@ -774,38 +764,41 @@ def test_window_code_cases_cover_block_sizes():
 
 PERCEIVE_COUNTERS = ("voxel.cells_lidar", "voxel.cells_camera", "voxel.cells_hybrid",
                      "fusion.camera_cells_dropped", "voxel.lift_dropped_mass")
-PERCEIVE = collab._perceive
 
 
-@pytest.mark.parametrize("name", ["fleet8", "camera_missing", "fusion_equal"])
+@pytest.mark.parametrize("name", ["fleet8", "lidar4", "camera_missing", "fusion_equal"])
 def test_traced_counters_match_dense_pipeline(bench_run, tracing, tmp_path, monkeypatch, name):
     """The benchmark's per-layer voxel and fusion counters read the same on
-    the sparse grids as on the reference grids.  The counters add up the
-    stage calls the program makes, and it categorizes and fuses only agents
-    with camera images, so the reference run keeps the program's
-    `_perceive` and swaps the stages it calls."""
+    the sparse grids as on the reference grids.  Every agent is categorized
+    and fused, camera images or not, so each LiDAR voxel of the trial is
+    counted once, as a LiDAR or a hybrid cell."""
     exp, params = experiment(bench_run, tmp_path, name, 0)
 
     def traced_counts():
         tracer = tracing.Tracer()
         tracer.trial = 0
         with tracing.patched(tracer):
-            cli.run_trial(exp, 0, None, params)
-        return {key: tracer.counts[0][key] for key in PERCEIVE_COUNTERS}
+            outcome = cli.run_trial(exp, 0, None, params)
+        return {key: tracer.counts[0][key] for key in PERCEIVE_COUNTERS}, outcome
 
-    got = traced_counts()
+    got, outcome = traced_counts()
     with monkeypatch.context() as m:
         use_reference_pipeline(m)
-        m.setattr(collab, "_perceive", PERCEIVE)
-        want = traced_counts()
+        want, _ = traced_counts()
     assert got == want
+    lidar_voxels = sum(r.lidar_grid.voxels.size for r in outcome.rounds.values())
+    assert got["voxel.cells_lidar"] + got["voxel.cells_hybrid"] == lidar_voxels > 0
+    if name == "lidar4":
+        assert got["voxel.cells_lidar"] == lidar_voxels
     if name == "fleet8":
         assert all(got.values()), got
 
 
 def test_sense_allocates_less_than_one_grid(bench_run, tmp_path, monkeypatch):
-    """After a warm-up trial, sensing an agent of the fleet8 shape, camera
-    and LiDAR, peaks below the size of one dense feature grid."""
+    """After a warm-up trial, sensing any agent of the fleet8 shape's
+    trials 1-7, camera and LiDAR, peaks below the size of one dense feature
+    grid.  Boxes near a camera give its bundle up to about ten thousand
+    (box, ray) pairs, so the slab test must run them in blocks."""
     exp, params = experiment(bench_run, tmp_path, "fleet8", 0)
     cli.run_trial(exp, 0, None, params)
     sense, peaks = collab._sense, []
@@ -820,9 +813,10 @@ def test_sense_allocates_less_than_one_grid(bench_run, tmp_path, monkeypatch):
     monkeypatch.setattr(collab, "_sense", measured_sense)
     tracemalloc.start()
     try:
-        cli.run_trial(exp, 1, None, params)
+        for trial in range(1, 8):
+            cli.run_trial(exp, trial, None, params)
     finally:
         tracemalloc.stop()
     g = exp.pipeline.grid
-    assert len(peaks) == exp.scenario.n_agents
+    assert len(peaks) == 7 * exp.scenario.n_agents
     assert max(peaks) < g.nx * g.ny * g.nz * g.channels * 8, peaks

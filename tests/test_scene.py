@@ -410,6 +410,24 @@ class TestRaycastOracle:
         _, kind = assert_matches_oracle(origin, dirs, [box], [])
         assert kind[0] == scene.HIT_OBJECT
 
+    def test_short_ray_just_outside_a_box_window(self):
+        """A ray 2e-6 long horizontally whose box-frame x component, 9e-13,
+        is below the slab test's _EPS: the slab test takes it as parallel to
+        the x faces, so from the plane of a face it enters a thin box,
+        although the ray's azimuth lies 3.5e-7 rad outside the box's
+        window.  Only the cull's angular margin keeps that ray a candidate."""
+        origin = np.array([2.0, -20.0, 0.8])
+        box = BoxObject((0.0, 0.0), 0.0, (4.0, 0.004, 1.6))
+        ray = np.array([9e-13, 2e-6, 0.0])
+        dirs = np.array([ray, -ray])
+        radius = np.hypot(box.extent[0], box.extent[1]) / 2.0
+        edge = math.atan2(20.0, -2.0) - math.asin(
+            (radius + scene._AzimuthFan._CULL_PAD) / math.hypot(2.0, 20.0))
+        assert -1e-6 < math.atan2(ray[1], ray[0]) - edge < 0.0
+        assert scene._AzimuthFan(dirs).toward(origin, box.center, radius).tolist() == [0]
+        _, kind = assert_matches_oracle(origin, dirs, [box], [])
+        assert kind[0] == scene.HIT_OBJECT
+
     def test_box_across_pi(self):
         """A box across the -x axis from the sensor is hit on both sides of
         azimuth +-pi."""
