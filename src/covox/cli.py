@@ -230,6 +230,8 @@ def run_experiment(exp: ExperimentSpec) -> int:
                 if final.exists():
                     shutil.rmtree(final)
                 os.replace(stage, final)
+            # Free this trial's records before the next trial runs.
+            del outcome
 
     _atomic_write_text(out_dir / "metrics.csv", "\n".join([CSV_HEADER] + rows) + "\n")
     _atomic_write_text(

@@ -15,12 +15,14 @@ synchronous two-phase exchange round.
    and the neighbor replies with the points of its downsampled cloud that
    the requester's depth map would keep, in the requester's camera frame.
    A sender answers all of its requesters in one pass;
-4. perceive — cooperative depth, camera lift, modal fusion, then the
-   confidence mask and the sparse message;
+4. perceive — cooperative depth, camera lift, modal fusion, the collapse
+   to BEV rows, then the confidence mask and the sparse message.  An agent's
+   BEV is its nonzero rows and their cells (`bev_rows`, `bev_cells`); no
+   stage before the aggregation builds an (nx, ny, F) plane of it;
 5. phase 2 / receive — each agent warps all of its neighbors' messages
-   into its own frame in one pass and aggregates them.  Attention reads
-   Q, K and V from one projection per round of every agent's nonzero BEV
-   rows.
+   into its own frame in one pass and aggregates them into a dense
+   (nx, ny, F) plane.  Attention reads Q, K and V from one projection per
+   round of every agent's nonzero BEV rows.
 
 The `RoundLedger` is the only place communication is counted: every
 transmitted scalar is charged there per edge and phase, in the order
@@ -235,21 +237,21 @@ def preference_map(grid: VoxelGrid) -> np.ndarray:
     return pref.reshape(s.nx, s.ny)
 
 
-def importance_scores(bev: np.ndarray, cells: np.ndarray) -> np.ndarray:
+def importance_scores(cells: np.ndarray, rows: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Surrogate classification head: logistic in the cell's RMS feature size.
 
-    `cells` holds the flat indices of the nonzero cells of `bev`; only they
-    are scored one by one.  Every other cell scores sigma(-1) ~ 0.269, the
-    score of a zero row.  Scores always lie in (0, 1).
+    Returns the (nx, ny) scores of a BEV whose nonzero cells are `cells`
+    (flat indices) with their (n, F) `rows`; only those are scored one by
+    one.  Every other cell scores sigma(-1) ~ 0.269, the score of a zero
+    row.  Scores always lie in (0, 1).
     """
-    bev = np.asarray(bev, dtype=np.float64)
-    nx, ny, f = bev.shape
+    rows = np.asarray(rows, dtype=np.float64)
     level = np.zeros(cells.size + 1)  # the last entry is the zero row's
-    level[:-1] = np.linalg.norm(bev.reshape(nx * ny, f)[cells], axis=1) / np.sqrt(f)
+    level[:-1] = np.linalg.norm(rows, axis=1) / np.sqrt(rows.shape[1])
     score = 1.0 / (1.0 + np.exp(-(_IMPORTANCE_GAIN * level - _IMPORTANCE_SHIFT)))
-    scores = np.full(nx * ny, score[-1])
+    scores = np.full(grid.nx * grid.ny, score[-1])
     scores[cells] = score[:-1]
-    return scores.reshape(nx, ny)
+    return scores.reshape(grid.nx, grid.ny)
 
 
 def confidence_mask(scores: np.ndarray, preference: np.ndarray) -> np.ndarray:
@@ -259,17 +261,19 @@ def confidence_mask(scores: np.ndarray, preference: np.ndarray) -> np.ndarray:
     return (scores > preference).astype(np.uint8)
 
 
-def pack_message(bev: np.ndarray, mask: np.ndarray, cells: np.ndarray) -> Message:
+def pack_message(cells: np.ndarray, rows: np.ndarray, mask: np.ndarray) -> Message:
     """Sparse-pack the masked BEV cells and tally the transmitted scalars.
 
-    `cells` holds the flat indices of the nonzero cells of `bev`, ascending.
-    Only those with mask=1 are included, in that order; `feature_elements`
-    counts their nonzero scalars.
+    `cells` holds the flat indices of the nonzero cells of a BEV, ascending,
+    and `rows` their rows.  Only those with mask=1 in the (nx, ny) `mask`
+    are included, in that order; `feature_elements` counts their nonzero
+    scalars.
     """
-    bev = np.asarray(bev)
-    nx, ny, f = bev.shape
-    sent = cells[np.asarray(mask).reshape(nx * ny)[cells] == 1]
-    vecs = bev.reshape(nx * ny, f)[sent]
+    mask = np.asarray(mask)
+    ny = mask.shape[1]
+    keep = mask.reshape(-1)[cells] == 1
+    sent = cells[keep]
+    vecs = rows[keep]
     return Message(
         indices=np.stack([sent // ny, sent % ny], axis=1),
         vectors=vecs,
@@ -389,33 +393,33 @@ def project_tokens(params: nnkit.MhaParams, rows: np.ndarray, n_cells: int) -> T
 
 def aggregate(
     params: nnkit.MhaParams,
-    ego: np.ndarray,
+    grid: GridSpec,
     warped: Sequence[np.ndarray],
     written: Sequence[np.ndarray],
     ego_cells: np.ndarray,
     tokens: Tokens,
-    ego_rows: np.ndarray,
+    ego_tokens: np.ndarray,
     sources: Sequence[np.ndarray],
 ) -> np.ndarray:
     """Attention aggregation over the per-cell token stack [ego, neighbors...].
 
     The stack acts as queries, keys and values; the output is the ego
-    token's attention result.  All-zero neighbor tokens carry no signal and
-    are excluded from the softmax.  `written[k]` holds the flat indices of
-    exactly the nonzero cells of `warped[k]` (`WarpResult.cells`), and
-    `ego_cells` those of `ego`.
+    token's attention result, as a fresh (nx, ny, F) plane of `grid`.
+    All-zero neighbor tokens carry no signal and are excluded from the
+    softmax.  `written[k]` holds the flat indices of exactly the nonzero
+    cells of `warped[k]` (`WarpResult.cells`), and `ego_cells` those of the
+    ego's BEV.
 
     Q, K and V come projected in `tokens` (`project_tokens`): row
-    `ego_rows[i]` is the token of cell `ego_cells[i]`, and row
+    `ego_tokens[i]` is the token of cell `ego_cells[i]`, and row
     `sources[k][i]` the token neighbor k wrote to cell `written[k][i]`.
     Only the cells with a nonzero token are computed; the bias-free maps
     take every other cell's all-zero stack to a zero output.  The slot of a
     token no neighbor sent reads the zero row of `tokens` and gets zero
-    softmax weight.  Of `ego` only the shape is read, and `warped` is not
-    read at all: the planes stay arguments because the trace counts their
-    tokens.
+    softmax weight.  `warped` is not read: the planes stay an argument
+    because the trace counts their tokens.
     """
-    nx, ny, f = np.shape(ego)
+    nx, ny, f = grid.nx, grid.ny, grid.bev_channels
     n_cells = nx * ny
     t = len(warped) + 1
     busy = np.zeros(n_cells, dtype=bool)
@@ -430,7 +434,7 @@ def aggregate(
     slot[cells] = np.arange(n)
     empty = tokens.q.shape[0] - 1  # the zero row
     index = np.full((t, n), empty)
-    index[0, slot[ego_cells]] = ego_rows
+    index[0, slot[ego_cells]] = ego_tokens
     for token, c, src in zip(range(1, t), written, sources):
         index[token, slot[c]] = src
     valid = index != empty
@@ -451,36 +455,44 @@ def aggregate(
 
 
 def aggregate_max(
-    ego: np.ndarray,
+    grid: GridSpec,
     warped: Sequence[np.ndarray],
     written: Sequence[np.ndarray],
     ego_cells: np.ndarray,
+    ego_rows: np.ndarray,
 ) -> np.ndarray:
     """Ablation baseline: elementwise max over the token stack [ego, neighbors...].
 
     As in `aggregate`, all-zero neighbor tokens carry no signal and take no
     part, so only the cells in `written[k]`, the nonzero cells of
-    `warped[k]`, are compared.
-
-    `ego_cells` holds the flat indices of the nonzero cells of `ego`, and
-    every other row of `ego` must be all +0.0, as the BEV of a grid whose
-    untagged voxels hold zeros is.  Only those rows are read: the result is
-    a fresh plane, and `ego` is not copied or written.
+    `warped[k]`, are compared.  The ego's BEV is its nonzero cells
+    `ego_cells` and their `ego_rows`; every other ego cell is +0.0.  The
+    result is a fresh (nx, ny, F) plane of `grid`.
     """
-    nx, ny, f = np.shape(ego)
-    out = np.zeros((nx, ny, f))
+    f = grid.bev_channels
+    out = np.zeros((grid.nx, grid.ny, f))
     rows = out.reshape(-1, f)
-    rows[ego_cells] = np.asarray(ego, dtype=np.float64).reshape(-1, f)[ego_cells]
+    rows[ego_cells] = ego_rows
     for w, cells in zip(warped, written):
         rows[cells] = np.maximum(rows[cells], w.reshape(rows.shape)[cells])
     return out
 
 
 def aggregate_concat(
-    lin: nnkit.LinearMap, ego: np.ndarray, warped: Sequence[np.ndarray]
+    lin: nnkit.LinearMap,
+    grid: GridSpec,
+    warped: Sequence[np.ndarray],
+    ego_cells: np.ndarray,
+    ego_rows: np.ndarray,
 ) -> np.ndarray:
-    """Ablation baseline: channel-concatenate a fixed token budget + linear."""
-    toks = [np.asarray(ego, dtype=np.float64)]
+    """Ablation baseline: channel-concatenate a fixed token budget + linear.
+
+    The ego's BEV (nonzero cells `ego_cells`, their `ego_rows`) is spread
+    into a dense plane of `grid` first.
+    """
+    ego = np.zeros((grid.nx, grid.ny, grid.bev_channels))
+    ego.reshape(-1, grid.bev_channels)[ego_cells] = ego_rows
+    toks = [ego]
     toks += [np.asarray(w, dtype=np.float64) for w in warped[: _CONCAT_SLOTS - 1]]
     while len(toks) < _CONCAT_SLOTS:
         toks.append(np.zeros_like(toks[0]))
@@ -490,7 +502,17 @@ def aggregate_concat(
 @dataclass
 class AgentRound:
     """One agent's record of a round: the stages fill it in, in order, and
-    `run_round` returns it."""
+    `run_round` returns it.
+
+    A field is set back to None once its last reader is done, so that a
+    round holds no agent's sensor data or token rows longer than it needs
+    them: `images`, `cloud_sensor` and `shared` at the end of `_perceive`,
+    `cloud` after phase 1, `token_rows` and `sent_rows` at the end of the
+    round.  The records `run_round` returns keep the rest: `state`,
+    `neighbors`, `lidar_grid`, `detections`, `rel`, `pose_errors`,
+    `depth_map`, `bev_cells`, `bev_rows`, `mask`, `message`, `aggregated`,
+    `aggregated_cells` and `warp_collisions`.
+    """
 
     state: AgentState
     neighbors: tuple[int, ...]
@@ -504,10 +526,10 @@ class AgentRound:
     pose_errors: dict[int, tuple[tuple[float, float], tuple[float, float]]] = field(
         default_factory=dict
     )
-    shared: list[np.ndarray] = field(default_factory=list)  # replies, camera frame
+    shared: Optional[list[np.ndarray]] = field(default_factory=list)  # replies, camera frame
     depth_map: Optional[DepthMap] = None
-    bev: Optional[np.ndarray] = None  # own collapsed BEV feature plane
-    bev_cells: Optional[np.ndarray] = None  # flat indices of the nonzero cells of `bev`
+    bev_cells: Optional[np.ndarray] = None  # own BEV: flat indices of its nonzero cells, ascending
+    bev_rows: Optional[np.ndarray] = None  # (n, F): the BEV row of each of `bev_cells`
     mask: Optional[np.ndarray] = None
     message: Optional[Message] = None
     token_rows: Optional[np.ndarray] = None  # round token row of each of `bev_cells`
@@ -639,9 +661,12 @@ def _perceive(
 
     An agent without camera images fuses an empty camera grid.  Only the
     fused grid's tagged columns can be nonzero in the BEV, because unlisted
-    voxels hold zeros.  Those rows are checked one by one, and the BEV's
-    nonzero cells travel with it as `w.bev_cells`; the importance scores
-    and the message read only them.
+    voxels hold zeros, so `collapse` gives only their rows.  Those rows are
+    checked one by one; the nonzero ones and their cells are the agent's
+    BEV (`w.bev_rows`, `w.bev_cells`), which the importance scores and the
+    message read.  The camera images, the LiDAR hits in the sensor frame
+    and the phase-1 replies have no reader after this stage and are
+    dropped.
     """
     camera_grid = VoxelGrid.empty(pipe.grid)
     if w.images is not None:
@@ -665,17 +690,17 @@ def _perceive(
         fused = fuse_modalities_equal(params.equal_lin, cat)
     else:
         fused = fuse_modalities(params.fusion, cat)
-    w.bev = collapse(fused)
-    w.bev_cells = _nonzero_rows(w.bev, fused.tagged_columns())
-    w.mask = confidence_mask(importance_scores(w.bev, w.bev_cells), preference_map(fused))
-    w.message = pack_message(w.bev, w.mask, w.bev_cells)
+    w.bev_cells, w.bev_rows = _nonzero_rows(*collapse(fused))
+    scores = importance_scores(w.bev_cells, w.bev_rows, pipe.grid)
+    w.mask = confidence_mask(scores, preference_map(fused))
+    w.message = pack_message(w.bev_cells, w.bev_rows, w.mask)
+    w.images = w.cloud_sensor = w.shared = None
 
 
-def _nonzero_rows(plane: np.ndarray, candidates: np.ndarray) -> np.ndarray:
-    """The candidate cells (flat indices, ascending) whose row of the
-    (nx, ny, F) `plane` holds a nonzero scalar."""
-    rows = plane.reshape(-1, plane.shape[2])[candidates]
-    return candidates[np.any(rows != 0.0, axis=1)]
+def _nonzero_rows(cells: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The cells whose row holds a nonzero scalar, and those rows."""
+    keep = np.any(rows != 0.0, axis=1)
+    return cells[keep], rows[keep]
 
 
 def _aggregated_cells(
@@ -690,7 +715,8 @@ def _aggregated_cells(
     busy = np.zeros(agg.shape[0] * agg.shape[1], dtype=bool)
     for cells in (ego_cells, *written):
         busy[cells] = True
-    return _nonzero_rows(agg, np.flatnonzero(busy))
+    candidates = np.flatnonzero(busy)
+    return _nonzero_rows(candidates, agg.reshape(-1, agg.shape[2])[candidates])[0]
 
 
 def _project_round_tokens(
@@ -701,7 +727,7 @@ def _project_round_tokens(
     a nonzero BEV row, so it has a token row too."""
     blocks, start = [], 0
     for w in rounds.values():
-        blocks.append(w.bev.reshape(-1, grid.bev_channels)[w.bev_cells])
+        blocks.append(w.bev_rows)
         w.token_rows = np.arange(start, start + w.bev_cells.size)
         start += w.bev_cells.size
         sent = w.message.indices[:, 0] * grid.ny + w.message.indices[:, 1]
@@ -736,12 +762,12 @@ def _receive(
     written = warp.cells  # each packed row has a nonzero scalar
     if pipe.collab_mode == "attention":
         sources = [rounds[j].sent_rows[rows] for j, rows in zip(w.neighbors, warp.rows)]
-        agg = aggregate(params.agg_mha, w.bev, warped, written, w.bev_cells, tokens,
+        agg = aggregate(params.agg_mha, pipe.grid, warped, written, w.bev_cells, tokens,
                         w.token_rows, sources)
     elif pipe.collab_mode == "max":
-        agg = aggregate_max(w.bev, warped, written, w.bev_cells)
+        agg = aggregate_max(pipe.grid, warped, written, w.bev_cells, w.bev_rows)
     else:
-        agg = aggregate_concat(params.concat_lin, w.bev, warped)
+        agg = aggregate_concat(params.concat_lin, pipe.grid, warped, w.bev_cells, w.bev_rows)
     w.aggregated = agg
     w.aggregated_cells = _aggregated_cells(agg, w.bev_cells, written)
     w.warp_collisions = warp.collisions
@@ -773,6 +799,7 @@ def run_round(
     _relative_poses(rounds, pipe, ledger)
     _share_clouds(rounds, scenario, pipe, ledger)
     for w in rounds.values():
+        w.cloud = None  # phase 1 was its last reader
         _perceive(w, scenario, pipe, params)
     g = pipe.grid
     tokens = None
@@ -782,4 +809,6 @@ def run_round(
     planes = np.zeros((degree, g.nx, g.ny, g.bev_channels))
     for w in rounds.values():
         _receive(w, rounds, pipe, params, ledger, planes, tokens)
+    for w in rounds.values():
+        w.token_rows = w.sent_rows = None
     return rounds, ledger

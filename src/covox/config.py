@@ -7,6 +7,7 @@ applies."""
 
 from __future__ import annotations
 
+import math
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -100,10 +101,23 @@ def _scalar(kinds: tuple[type, ...], what: str):
     return parse
 
 
-_number = _scalar((float, int), "a number")
+_real = _scalar((float, int), "a number")
 _int = _scalar((int,), "an integer")
 _bool = _scalar((bool,), "true or false")
 _str = _scalar((str,), "a string")
+
+
+def _number(value, path):
+    """A finite number, as a float.  In any numeric field NaN or an
+    infinity either fails every trial or runs a meaningless experiment (a
+    NaN comm_range links no agents), so neither loads."""
+    try:
+        number = _real(value, path)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return number
 
 
 def _non_negative(value, path):

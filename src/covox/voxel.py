@@ -1,5 +1,5 @@
 """Voxel grids: point-cloud pillar encoding, camera feature lifting,
-per-cell modality categorisation and the collapse to a BEV feature plane.
+per-cell modality categorisation and the collapse to BEV feature rows.
 
 A voxel carries a C-vector feature and one of four modality tags.  Grids
 list only their tagged voxels; an untagged (normal) voxel holds an all-zero
@@ -337,15 +337,20 @@ def categorize(lidar_grid: VoxelGrid, camera_grid: VoxelGrid) -> CategorizedGrid
     return CategorizedGrid(lidar_grid.spec, voxels, category, lidar, camera)
 
 
-def collapse(grid: VoxelGrid) -> np.ndarray:
-    """Fold the z axis into channels: a fresh (nx, ny, nz*C) plane.
+def collapse(grid: VoxelGrid) -> tuple[np.ndarray, np.ndarray]:
+    """Fold the z axis into channels, one BEV row per tagged column.
 
-    Voxel (ix, iy, iz) fills the channel block [iz*C, (iz+1)*C) of BEV cell
-    (ix, iy); every other scalar is +0.0.  The operation is lossless:
-    reshaping back to (nx, ny, nz, C) gives the dense grid.  This is the
-    only grid-sized array of the perceive chain.
+    Returns the grid's tagged columns (`VoxelGrid.tagged_columns`) and their
+    fresh (n, nz*C) rows of the (nx, ny, nz*C) BEV plane.  Voxel
+    (ix, iy, iz) fills the channel block [iz*C, (iz+1)*C) of its column's
+    row; every other scalar is +0.0.  Every other column holds only zeros,
+    so the columns and rows are the whole plane, and the plane itself is
+    never built.  The operation is lossless: a row reshaped to (nz, C)
+    gives its column of the grid.
     """
     s = grid.spec
-    bev = np.zeros((s.nx, s.ny, s.nz * s.channels))
-    bev.reshape(-1, s.channels)[grid.voxels] = grid.features
-    return bev
+    columns = grid.tagged_columns()
+    rows = np.zeros((columns.size, s.nz * s.channels))
+    at = np.searchsorted(columns, grid.voxels // s.nz) * s.nz + grid.voxels % s.nz
+    rows.reshape(-1, s.channels)[at] = grid.features
+    return columns, rows

@@ -5,9 +5,16 @@ of a grid in dense arrays, scans whole grids and planes, predicts depth
 pixel by pixel, tests every box on every ray, fits each rectangle on its
 own, answers each phase-1 request on its own, warps each message into a
 fresh zero plane and runs attention on whole token stacks.
-The program's stages must give their bits.  The grid references take and
-return the program's sparse grids, converting at their edges, so that
-`use_reference_pipeline` can swap them in for a whole trial.
+The program's stages must give their bits.  The references take and return
+what the program's stages do, converting at their edges, so that
+`use_reference_pipeline` can swap them in for a whole trial: the grid
+references take sparse grids, and the BEV references take an agent's BEV
+as its nonzero cells and their rows (`collapse_dense`,
+`importance_scores_dense`, `pack_message_dense`, `aggregate_dense`,
+`aggregate_max_dense`), spread them into a whole (nx, ny, F) plane and
+scan that.  `perceive_whole_plane` finds the BEV's nonzero
+cells by a scan of the whole plane (`rows_of`), and `receive_fresh` gives
+the aggregators whole planes.
 
 The rule: one reference per stage.  A faster version of a stage adds its
 cases to the tests against the stage's reference here, never a new
@@ -38,7 +45,7 @@ from covox.geometry import compose, invert, pixel_rays, planar_parts, project_po
 from covox.metrics import Detection, _by_descending_score, clip_polygon, polygon_area
 from covox.nnkit import MhaParams, attention_weights, split_heads
 from covox.robust import _MIN_CELLS, _REL_THRESHOLD
-from covox.voxel import Category, VoxelGrid
+from covox.voxel import Category, GridSpec, VoxelGrid
 
 # --- dense and sparse grids -------------------------------------------------------
 
@@ -83,6 +90,29 @@ def nonzero_cells(plane):
     of the whole plane."""
     plane = np.asarray(plane)
     return np.flatnonzero(np.any(plane.reshape(-1, plane.shape[2]) != 0, axis=1))
+
+
+def rows_of(plane):
+    """The nonzero cells of an (nx, ny, F) plane, by a scan of the whole
+    plane, and a copy of their rows: the BEV as the program carries it."""
+    plane = np.asarray(plane, dtype=np.float64)
+    cells = nonzero_cells(plane)
+    return cells, plane.reshape(-1, plane.shape[2])[cells]
+
+
+def plane_of(spec, cells, rows):
+    """The fresh (nx, ny, F) plane of `spec` whose cells `cells` hold `rows`
+    and whose other cells are zero."""
+    f = spec.bev_channels
+    plane = np.zeros((spec.nx, spec.ny, f))
+    plane.reshape(-1, f)[cells] = np.asarray(rows).reshape(-1, f)
+    return plane
+
+
+def spec_of(plane):
+    """A grid spec whose BEV planes have the shape of `plane` (one z level)."""
+    nx, ny, f = np.shape(plane)
+    return GridSpec((0.0, 1.0), (0.0, 1.0), (0.0, 1.0), nx, ny, 1, f)
 
 
 # --- sense -------------------------------------------------------------------------
@@ -358,16 +388,19 @@ def fuse_modalities_equal_masked(lin, cat):
 
 
 def collapse_dense(grid):
+    """The dense plane's columns that hold a tagged voxel, and their rows."""
     s = grid.spec
-    return dense(grid)[0].reshape(s.nx, s.ny, s.nz * s.channels)
+    features, category = dense(grid)
+    columns = np.flatnonzero(np.any(category != Category.NORMAL, axis=2))
+    return columns, features.reshape(s.nx * s.ny, s.nz * s.channels)[columns]
 
 
 # --- mask and message ----------------------------------------------------------------
 
 
-def importance_scores_dense(bev, cells=None):
-    """Every cell's score; `cells` is not read."""
-    bev = np.asarray(bev, dtype=np.float64)
+def importance_scores_dense(cells, rows, grid):
+    """Every cell's score, read from the whole plane."""
+    bev = plane_of(grid, cells, rows)
     level = np.linalg.norm(bev, axis=2) / np.sqrt(bev.shape[2])
     return 1.0 / (1.0 + np.exp(-(collab._IMPORTANCE_GAIN * level - collab._IMPORTANCE_SHIFT)))
 
@@ -377,10 +410,13 @@ def preference_map_dense(grid):
     return np.where(np.any(dense(grid)[1] == Category.HYBRID, axis=2), 0.0, 0.5)
 
 
-def pack_message_dense(bev, mask, cells=None):
-    """Every masked cell, then its nonzero rows; `cells` is not read."""
-    idx = np.argwhere(np.asarray(mask) == 1)
-    vecs = np.asarray(bev)[idx[:, 0], idx[:, 1]]
+def pack_message_dense(cells, rows, mask):
+    """Every masked cell of the whole plane, then its nonzero rows."""
+    mask = np.asarray(mask)
+    bev = np.zeros(mask.shape + (np.shape(rows)[1],))
+    bev.reshape(-1, bev.shape[2])[cells] = rows
+    idx = np.argwhere(mask == 1)
+    vecs = bev[idx[:, 0], idx[:, 1]]
     keep = np.any(vecs != 0.0, axis=1) if vecs.size else np.zeros(0, dtype=bool)
     idx, vecs = idx[keep], vecs[keep]
     return collab.Message(idx, np.array(vecs), int(np.count_nonzero(vecs)))
@@ -483,10 +519,10 @@ def mha(params: MhaParams, queries: np.ndarray, keys: np.ndarray, values: np.nda
     return out, weights.mean(axis=0)
 
 
-def aggregate_dense(params, ego, warped):
+def aggregate_dense(params, grid, warped, ego_cells, ego_rows):
     """`collab.aggregate`: attention over every cell's full token stack, an
     all-zero neighbor token left out of the softmax."""
-    ego = np.asarray(ego, dtype=np.float64)
+    ego = plane_of(grid, ego_cells, ego_rows)
     nx, ny, f = ego.shape
     n_cells = nx * ny
     tokens = np.stack([ego] + [np.asarray(w, dtype=np.float64) for w in warped])
@@ -506,10 +542,10 @@ def aggregate_dense(params, ego, warped):
     return params.wo.apply(ctx).reshape(nx, ny, f)
 
 
-def aggregate_max_dense(ego, warped):
+def aggregate_max_dense(grid, warped, ego_cells, ego_rows):
     """Max over every cell's token stack [ego, neighbors...], an all-zero
     (unsent) neighbor token counting as -inf."""
-    tokens = [np.asarray(ego, dtype=np.float64)]
+    tokens = [plane_of(grid, ego_cells, ego_rows)]
     tokens += [np.where(np.any(w != 0.0, axis=2, keepdims=True), w, -np.inf) for w in warped]
     return np.max(np.stack(tokens), axis=0)
 
@@ -543,11 +579,12 @@ def perceive_whole_plane(w, scenario, pipe, params):
         fused = collab.fuse_modalities_equal(params.equal_lin, cat)
     else:
         fused = collab.fuse_modalities(params.fusion, cat)
-    w.bev = collab.collapse(fused)
-    w.bev_cells = nonzero_cells(w.bev)
-    w.mask = collab.confidence_mask(collab.importance_scores(w.bev, w.bev_cells),
-                                    collab.preference_map(fused))
-    w.message = collab.pack_message(w.bev, w.mask, w.bev_cells)
+    w.bev_cells, w.bev_rows = rows_of(plane_of(pipe.grid, *collab.collapse(fused)))
+    w.mask = collab.confidence_mask(
+        collab.importance_scores(w.bev_cells, w.bev_rows, pipe.grid),
+        collab.preference_map(fused))
+    w.message = collab.pack_message(w.bev_cells, w.bev_rows, w.mask)
+    w.images = w.cloud_sensor = w.shared = None
 
 
 def receive_fresh(w, rounds, pipe, params, ledger, planes, tokens):
@@ -562,12 +599,13 @@ def receive_fresh(w, rounds, pipe, params, ledger, planes, tokens):
         warped.append(plane)
         collisions += wr.collisions
         ledger.add(j, w.state.id, "feature", msg.feature_elements)
+    ego = (pipe.grid, warped, w.bev_cells, w.bev_rows)
     if pipe.collab_mode == "attention":
-        agg = aggregate_dense(params.agg_mha, w.bev, warped)
+        agg = aggregate_dense(params.agg_mha, *ego)
     elif pipe.collab_mode == "max":
-        agg = aggregate_max_dense(w.bev, warped)
+        agg = aggregate_max_dense(*ego)
     else:
-        agg = aggregate_concat(params.concat_lin, w.bev, warped)
+        agg = aggregate_concat(params.concat_lin, *ego)
     w.aggregated = agg
     w.aggregated_cells = nonzero_cells(agg)
     w.warp_collisions = collisions

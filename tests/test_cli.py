@@ -1,5 +1,6 @@
 import json
 import os
+import weakref
 
 import numpy as np
 import pytest
@@ -103,6 +104,24 @@ def test_failed_trial_exits_2(tmp_path, monkeypatch, capsys):
     assert "sensor fault" in err
     assert "Traceback" in err
     assert csv_lines(out) == [cli.CSV_HEADER]
+
+
+def test_a_trial_is_freed_before_the_next_starts(tmp_path, monkeypatch):
+    """run_experiment keeps no finished trial's records while the next trial
+    runs: a weak reference to each trial's record is dead when the next
+    trial starts."""
+    run_trial, records, alive = cli.run_trial, [], []
+
+    def tracked_trial(*args):
+        alive.append([ref() is not None for ref in records])
+        outcome = run_trial(*args)
+        records.append(weakref.ref(outcome.rounds[0]))
+        return outcome
+
+    monkeypatch.setattr(cli, "run_trial", tracked_trial)
+    code, _ = run(tmp_path, experiment_tree(trials=3))
+    assert code == 0
+    assert alive == [[], [False], [False, False]]
 
 
 def test_rerun_is_byte_identical(tmp_path):

@@ -44,8 +44,10 @@ from oracles import (
     mha,
     min_depth_image_by_minimum_at,
     nonzero_cells,
+    rows_of,
     share_whole_clouds,
     sparse,
+    spec_of,
 )
 
 GRID = GridSpec((-20.0, 20.0), (-20.0, 20.0), (0.5, 3.7), 64, 64, 8, 8)
@@ -105,23 +107,28 @@ class TestPreference:
         assert np.all(preference_map(grid) == 0.5)
 
 
+def scores_of(bev):
+    """`importance_scores` of an (nx, ny, F) plane."""
+    return importance_scores(*rows_of(bev), spec_of(bev))
+
+
 class TestImportance:
     def test_zero_cell_value(self):
-        scores = importance_scores(np.zeros((2, 2, 64)), np.zeros(0, dtype=int))
+        scores = scores_of(np.zeros((2, 2, 64)))
+        assert scores.shape == (2, 2)
         assert np.allclose(scores, 0.26894, atol=1e-5)
 
     def test_monotone_in_norm(self, rng):
         v = rng.standard_normal(64)
-        small = importance_scores(v[None, None, :] * 0.5, np.array([0]))
-        large = importance_scores(v[None, None, :] * 5.0, np.array([0]))
+        small = scores_of(v[None, None, :] * 0.5)
+        large = scores_of(v[None, None, :] * 5.0)
         assert large[0, 0] > small[0, 0]
 
     def test_range_open_unit(self, rng):
-        bev = rng.standard_normal((8, 8, 64)) * 5
-        scores = importance_scores(bev, nonzero_cells(bev))
+        scores = scores_of(rng.standard_normal((8, 8, 64)) * 5)
         assert np.all(scores > 0.0) and np.all(scores < 1.0)
         # Extreme norms saturate to 1.0 in float64 but never exceed it.
-        assert importance_scores(np.full((1, 1, 64), 1e9), np.array([0]))[0, 0] <= 1.0
+        assert scores_of(np.full((1, 1, 64), 1e9))[0, 0] <= 1.0
 
 
 class TestConfidenceMask:
@@ -130,8 +137,7 @@ class TestConfidenceMask:
         assert mask[0, 0] == 1
 
     def test_zero_cell_with_zero_threshold(self):
-        scores = importance_scores(np.zeros((1, 1, 64)), np.zeros(0, dtype=int))
-        mask = confidence_mask(scores, np.zeros((1, 1)))
+        mask = confidence_mask(scores_of(np.zeros((1, 1, 64))), np.zeros((1, 1)))
         assert mask[0, 0] == 1
 
     def test_equality_is_excluded(self):
@@ -142,7 +148,7 @@ class TestConfidenceMask:
 class TestPackMessage:
     def test_zero_mask_empty(self, rng):
         bev = rng.standard_normal((GRID.nx, GRID.ny, GRID.bev_channels))
-        msg = pack_message(bev, np.zeros((GRID.nx, GRID.ny)), nonzero_cells(bev))
+        msg = pack_message(*rows_of(bev), np.zeros((GRID.nx, GRID.ny)))
         assert msg.indices.shape[0] == 0
         assert msg.feature_elements == 0
 
@@ -151,14 +157,14 @@ class TestPackMessage:
         bev[3, 4, [0, 7, 20]] = 1.5
         mask = np.zeros((GRID.nx, GRID.ny))
         mask[3, 4] = 1
-        msg = pack_message(bev, mask, nonzero_cells(bev))
+        msg = pack_message(*rows_of(bev), mask)
         assert msg.feature_elements == 3
 
     def test_full_mask_equals_l0(self, rng):
         bev = np.zeros((GRID.nx, GRID.ny, GRID.bev_channels))
         sparse = rng.uniform(size=bev.shape) < 0.01
         bev[sparse] = rng.standard_normal(int(sparse.sum()))
-        msg = pack_message(bev, np.ones((GRID.nx, GRID.ny)), nonzero_cells(bev))
+        msg = pack_message(*rows_of(bev), np.ones((GRID.nx, GRID.ny)))
         assert msg.feature_elements == np.count_nonzero(bev)
 
 
@@ -294,7 +300,8 @@ def aggregate_planes(params, ego, warped, others=()):
     tokens = project_tokens(params, np.concatenate([blocks[i] for i in order]), nx * ny)
     rows = [starts[i] + np.arange(c.size) for i, c in enumerate(cells)]
     n = len(warped) + 1
-    return aggregate(params, ego, list(warped), cells[1:n], cells[0], tokens, rows[0], rows[1:n])
+    return aggregate(params, spec_of(ego), list(warped), cells[1:n], cells[0], tokens, rows[0],
+                     rows[1:n])
 
 
 class TestAggregate:
@@ -335,9 +342,10 @@ class TestAggregate:
     def test_max_and_concat_variants(self, rng):
         bev = rng.standard_normal((4, 4, 64))
         nbr = rng.standard_normal((4, 4, 64))
-        out_max = aggregate_max(bev, [nbr], [np.arange(16)], np.arange(16))  # every cell busy
+        spec, ego = spec_of(bev), rows_of(bev)
+        out_max = aggregate_max(spec, [nbr], [np.arange(16)], *ego)  # every cell busy
         assert np.array_equal(out_max, np.maximum(bev, nbr))
-        out_cat = aggregate_concat(PARAMS.concat_lin, bev, [nbr])
+        out_cat = aggregate_concat(PARAMS.concat_lin, spec, [nbr], *ego)
         stacked = np.concatenate([bev, nbr, np.zeros_like(bev), np.zeros_like(bev)], axis=2)
         assert np.allclose(out_cat, PARAMS.concat_lin.apply(stacked))
 
@@ -362,7 +370,7 @@ class TestAggregateOracle:
 
     def _check(self, mha, ego, warped):
         got = aggregate_planes(mha, ego, warped)
-        assert np.array_equal(got, aggregate_dense(mha, ego, warped))
+        assert np.array_equal(got, aggregate_dense(mha, spec_of(ego), warped, *rows_of(ego)))
 
     def test_no_neighbors(self, rng, mha):
         (ego,) = _sparse_planes(rng, 1, self.SHAPE, 0.3)
@@ -437,7 +445,7 @@ def test_aggregate_matches_dense_for_any_writes(seed, shape, ego_density, writes
     warped = [_written_plane(rng, shape, w) for w in writes]
     rest = [_written_plane(rng, shape, w) for w in others]
     got = aggregate_planes(params, ego, warped, rest)
-    assert np.array_equal(got, aggregate_dense(params, ego, warped))
+    assert np.array_equal(got, aggregate_dense(params, spec_of(ego), warped, *rows_of(ego)))
 
 
 @functools.cache
@@ -470,10 +478,11 @@ def test_cells_with_an_all_zero_stack_aggregate_to_zero(params_seed, seed, shape
     idle = np.ones(shape[0] * shape[1], dtype=bool)
     for cells in (nonzero_cells(ego), *written):
         idle[cells] = False
+    spec = spec_of(ego)
     for agg in (
         aggregate_planes(params.agg_mha, ego, warped),
-        aggregate_max(ego, warped, written, nonzero_cells(ego)),
-        aggregate_concat(params.concat_lin, ego, warped),
+        aggregate_max(spec, warped, written, *rows_of(ego)),
+        aggregate_concat(params.concat_lin, spec, warped, *rows_of(ego)),
     ):
         assert np.all(agg.reshape(-1, shape[2])[idle] == 0.0)
 
@@ -523,7 +532,7 @@ class TestRunRound:
         agents, objects = generate_scene(scn)
         rounds, _ = run_round(agents, objects, (), scn, self._pipe(), PARAMS)
         for r in rounds.values():
-            full = pack_message(r.bev, np.ones_like(r.mask), nonzero_cells(r.bev))
+            full = pack_message(r.bev_cells, r.bev_rows, np.ones_like(r.mask))
             assert r.message.feature_elements <= full.feature_elements
 
     def test_camera_dropout_participates(self):
@@ -705,7 +714,7 @@ class TestPhaseOneOracle:
             else:
                 assert np.array_equal(r.depth_map.bin_idx, ref[aid].depth_map.bin_idx)
                 assert np.array_equal(r.depth_map.source, ref[aid].depth_map.source)
-            for name in ("bev", "aggregated", "mask"):
+            for name in ("bev_cells", "bev_rows", "aggregated", "mask"):
                 assert np.array_equal(getattr(r, name), getattr(ref[aid], name)), name
             assert np.array_equal(r.message.vectors, ref[aid].message.vectors)
 

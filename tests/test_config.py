@@ -170,6 +170,59 @@ def test_nan_sigma_is_rejected(tmp_path):
     assert str(info.value).startswith("scenario.pose_noise.sigma_xy:"), str(info.value)
 
 
+# Every field read as a number; a list field gets the bad value as its last item.
+NUMERIC = [
+    "experiment.noise_sigmas",
+    "scenario.area",
+    "scenario.comm_range",
+    "scenario.pose_noise.sigma_xy",
+    "scenario.pose_noise.sigma_yaw",
+    "scenario.lidar.max_range",
+    "scenario.lidar.range_noise_sigma",
+    "scenario.lidar.elevations_deg.start",
+    "scenario.lidar.elevations_deg.stop",
+    "scenario.camera.fx",
+    "scenario.camera.fy",
+    "scenario.camera.u0",
+    "scenario.camera.v0",
+    "scenario.occluders[0].p1",
+    "scenario.occluders[0].p2",
+    "scenario.occluders[0].height",
+    "scenario.occluders[0].z0",
+    "pipeline.grid.x",
+    "pipeline.grid.y",
+    "pipeline.grid.z",
+    "pipeline.bins.d_min",
+    "pipeline.bins.d_max",
+    "pipeline.predictor.sigma_bins",
+    "pipeline.mass_threshold",
+    "pipeline.gate_radius",
+]
+GOOD = {row[0]: row[1] for row in FIELDS}
+
+
+def _with_number(path, number):
+    good = GOOD[path]
+    return _field_tree(path, good[:-1] + [number] if isinstance(good, list) else number)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")],
+                         ids=[".nan", ".inf", "-.inf"])
+@pytest.mark.parametrize("path", NUMERIC)
+def test_non_finite_number_names_full_path(tmp_path, path, bad):
+    load(tmp_path, _field_tree(path, GOOD[path]))
+    with pytest.raises(ConfigError) as info:
+        load(tmp_path, _with_number(path, bad))
+    assert str(info.value).startswith(f"{path}:"), str(info.value)
+    assert "finite" in str(info.value) or "non-negative" in str(info.value), str(info.value)
+
+
+def test_integer_beyond_the_float_range_names_full_path(tmp_path):
+    with pytest.raises(ConfigError) as info:
+        load(tmp_path, tree_with("scenario.comm_range", 10**400))
+    assert str(info.value).startswith("scenario.comm_range:"), str(info.value)
+
+
 def test_unquoted_depth_projection_no(tmp_path):
     cfg = tmp_path / "exp.yaml"
     cfg.write_text("pipeline:\n  depth_projection: no\n")

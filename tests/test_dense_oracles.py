@@ -9,6 +9,7 @@ token stacks, test every box on every ray and fit each rectangle on its
 own.
 """
 
+import dataclasses
 import json
 import runpy
 import tracemalloc
@@ -59,10 +60,13 @@ from oracles import (
     occupancy_from_bev_dense,
     occupancy_from_grid_dense,
     pack_message_dense,
+    plane_of,
     predict_depth_full_image,
     preference_map_dense,
+    rows_of,
     share_clouds_per_edge,
     sparse,
+    spec_of,
     use_reference_pipeline,
     voxelize_points_dense,
     warp_message_fresh,
@@ -74,7 +78,7 @@ def assert_rounds_equal(got, want):
     assert list(got) == list(want)
     for aid, r in got.items():
         ref = want[aid]
-        for name in ("bev", "bev_cells", "aggregated", "aggregated_cells", "mask"):
+        for name in ("bev_cells", "bev_rows", "aggregated", "aggregated_cells", "mask"):
             assert np.array_equal(getattr(r, name), getattr(ref, name)), (aid, name)
         assert np.array_equal(r.message.indices, ref.message.indices)
         assert np.array_equal(r.message.vectors, ref.message.vectors)
@@ -176,9 +180,12 @@ class TestStagesMatchDenseReferences:
     @settings(max_examples=30, deadline=None)
     def test_collapse_matches_dense(self, seed, shape, channels, p_lidar, p_camera):
         grid, _ = branch_grids(seed, shape, channels, p_lidar, p_camera)
-        bev = collapse(grid)
-        assert bev.tobytes() == collapse_dense(grid).tobytes()
-        assert not np.shares_memory(bev, grid.features)
+        columns, rows = collapse(grid)
+        want_columns, want_rows = collapse_dense(grid)
+        assert columns.tobytes() == want_columns.tobytes()
+        assert rows.tobytes() == want_rows.tobytes()
+        assert rows.shape == want_rows.shape
+        assert not np.shares_memory(rows, grid.features)
 
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -198,9 +205,10 @@ class TestStagesMatchDenseReferences:
         # or overflow, infinities.
         rows[rng.integers(rows.shape[0])] = special
         cells = nonzero_cells(bev)
+        ego = (*rows_of(bev), spec_of(bev))
         with np.errstate(over="ignore"):
             assert np.array_equal(occupancy_from_bev(bev, cells), occupancy_from_bev_dense(bev))
-            assert np.array_equal(importance_scores(bev, cells), importance_scores_dense(bev))
+            assert np.array_equal(importance_scores(*ego), importance_scores_dense(*ego))
 
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -257,11 +265,12 @@ class TestStagesMatchDenseReferences:
             plane[on] = rng.standard_normal((int(on.sum()), shape[2]))
             warped.append(plane)
             written.append(np.flatnonzero(on))
-        before = ego.copy()
-        got = aggregate_max(ego, warped, written, nonzero_cells(ego))
-        assert np.array_equal(got, aggregate_max_dense(ego, warped))
-        assert not np.shares_memory(got, ego)
-        assert np.array_equal(ego, before)
+        spec, (cells, rows) = spec_of(ego), rows_of(ego)
+        before = rows.copy()
+        got = aggregate_max(spec, warped, written, cells, rows)
+        assert np.array_equal(got, aggregate_max_dense(spec, warped, cells, rows))
+        assert not np.shares_memory(got, rows)
+        assert np.array_equal(rows, before)
 
     def test_max_keeps_negative_ego_scalars_no_neighbor_wrote(self):
         """A neighbor's unsent cells are no signal: they must not lift the
@@ -271,7 +280,8 @@ class TestStagesMatchDenseReferences:
         plane = np.zeros_like(ego)
         plane[1, 2] = rng.standard_normal(6)
         before = ego.copy()
-        out = aggregate_max(ego, [plane], [np.array([1 * 5 + 2])], np.arange(4 * 5))
+        out = aggregate_max(spec_of(ego), [plane], [np.array([1 * 5 + 2])], np.arange(4 * 5),
+                            ego.reshape(-1, 6))
         assert not np.shares_memory(out, ego)
         assert np.array_equal(ego, before)
         assert np.array_equal(out[1, 2], np.maximum(ego[1, 2], plane[1, 2]))
@@ -308,8 +318,8 @@ class TestStagesMatchDenseReferences:
         bev[on] = rng.standard_normal((int(on.sum()), shape[2]))
         bev[on & (rng.uniform(size=shape[:2]) < 0.2)] = -0.0
         mask = (rng.uniform(size=shape[:2]) < mask_density).astype(np.uint8)
-        got = collab.pack_message(bev, mask, nonzero_cells(bev))
-        want = pack_message_dense(bev, mask)
+        got = collab.pack_message(*rows_of(bev), mask)
+        want = pack_message_dense(*rows_of(bev), mask)
         assert np.array_equal(got.indices, want.indices) and got.indices.dtype == want.indices.dtype
         assert np.array_equal(got.vectors, want.vectors)
         assert got.feature_elements == want.feature_elements
@@ -394,17 +404,30 @@ SMALL_GRID = GridSpec((-20.0, 20.0), (-20.0, 20.0), (0.5, 3.7), 24, 24, 4, 8)
 @example(seed=3, n_agents=1)
 @settings(max_examples=8, deadline=None)
 def test_round_cells_are_the_nonzero_cells(collab_mode, params, seed, n_agents):
-    """Each AgentRound's `bev_cells` and `aggregated_cells` are the nonzero
-    cells of their planes; one agent has no neighbors."""
+    """Each AgentRound's `bev_cells` and `bev_rows` are the nonzero cells of
+    the whole plane of its fused grid and their rows, and its
+    `aggregated_cells` those of its aggregated plane; one agent has no
+    neighbors."""
     pipe = PipelineConfig(grid=SMALL_GRID, bins=DepthBins(1.0, 33.0, 16),
                           predictor=NoisyOraclePredictor(1.0, 1), fusion_mode="none",
                           depth_projection="no", collab_mode=collab_mode)
     scn = ScenarioConfig(seed=seed, n_agents=n_agents, n_objects=6, comm_range=60.0)
     agents, objects = generate_scene(scn)
-    rounds, _ = run_round(agents, objects, (), scn, pipe, params)
-    assert len(rounds) == n_agents and any(r.aggregated_cells.size for r in rounds.values())
-    for r in rounds.values():
-        assert np.array_equal(r.bev_cells, nonzero_cells(r.bev))
+    planes = []
+
+    def recorded_collapse(grid):
+        planes.append(plane_of(grid.spec, *collapse_dense(grid)))
+        return collapse(grid)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(collab, "collapse", recorded_collapse)
+        rounds, _ = run_round(agents, objects, (), scn, pipe, params)
+    assert len(rounds) == n_agents == len(planes)
+    assert any(r.aggregated_cells.size for r in rounds.values())
+    for r, plane in zip(rounds.values(), planes):
+        cells, rows = rows_of(plane)
+        assert np.array_equal(r.bev_cells, cells)
+        assert r.bev_rows.tobytes() == rows.tobytes()
         assert np.array_equal(r.aggregated_cells, nonzero_cells(r.aggregated))
 
 
@@ -418,7 +441,7 @@ def test_max_of_nonzero_tokens_can_be_a_zero_cell():
     plane[1, 2] = (0.5, 0.0)
     written = [np.array([1, 5])]
     before = ego.copy()
-    agg = aggregate_max(ego, [plane], written, np.array([1]))
+    agg = aggregate_max(spec_of(ego), [plane], written, np.array([1]), ego.reshape(-1, 2)[1:2])
     assert not np.any(agg[0, 1])
     assert not np.shares_memory(agg, ego)
     assert np.array_equal(ego, before)
@@ -664,13 +687,13 @@ def test_second_round_leaves_the_first_unchanged():
                           predictor=NoisyOraclePredictor(1.0, 1), collab_mode="max")
     first, _ = run_round(agents, objects, (), scn, pipe, PARAMS)
     kept = {
-        aid: [np.copy(a) for a in (r.aggregated, r.bev, r.message.indices, r.message.vectors)]
+        aid: [np.copy(a) for a in (r.aggregated, r.bev_rows, r.message.indices, r.message.vectors)]
         for aid, r in first.items()
     }
     moved = [_agent(a.id, *(np.array(planar_parts(a.true_pose)[:2]) + 3.0)) for a in agents]
     run_round(moved, objects, (), scn, pipe, PARAMS)
     for aid, r in first.items():
-        now = (r.aggregated, r.bev, r.message.indices, r.message.vectors)
+        now = (r.aggregated, r.bev_rows, r.message.indices, r.message.vectors)
         assert all(np.array_equal(a, b) for a, b in zip(now, kept[aid]))
 
 
@@ -820,3 +843,53 @@ def test_sense_allocates_less_than_one_grid(bench_run, tmp_path, monkeypatch):
     g = exp.pipeline.grid
     assert len(peaks) == 7 * exp.scenario.n_agents
     assert max(peaks) < g.nx * g.ny * g.nz * g.channels * 8, peaks
+
+
+def arrays_in(value):
+    """Every array a record field holds, through tuples, lists, dicts and
+    dataclass instances."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            yield from arrays_in(item)
+    elif isinstance(value, dict):
+        for item in value.values():
+            yield from arrays_in(item)
+    elif dataclasses.is_dataclass(value) and not isinstance(value, type):
+        for f in dataclasses.fields(value):
+            yield from arrays_in(getattr(value, f.name))
+
+
+def test_records_keep_no_dense_plane_but_the_aggregate(bench_run, tmp_path, monkeypatch):
+    """An agent's BEV travels as its nonzero rows from `collapse` to the
+    message.  No field of a returned fleet8 AgentRound but `aggregated`
+    holds an array of one grid's nx*ny*nz*C scalars, and after a warm-up
+    trial each `_perceive` call of trials 1-3 leaves less than one such
+    plane of float64 allocated."""
+    exp, params = experiment(bench_run, tmp_path, "fleet8", 0)
+    g = exp.pipeline.grid
+    plane = g.nx * g.ny * g.nz * g.channels
+    outcome = cli.run_trial(exp, 0, None, params)
+    for aid, r in outcome.rounds.items():
+        for f in dataclasses.fields(r):
+            if f.name != "aggregated":
+                sizes = [a.size for a in arrays_in(getattr(r, f.name))]
+                assert max(sizes, default=0) < plane, (aid, f.name, max(sizes))
+    del outcome
+    perceive, kept = collab._perceive, []
+
+    def measured_perceive(*args):
+        before = tracemalloc.get_traced_memory()[0]
+        perceive(*args)
+        kept.append(tracemalloc.get_traced_memory()[0] - before)
+
+    monkeypatch.setattr(collab, "_perceive", measured_perceive)
+    tracemalloc.start()
+    try:
+        for trial in range(1, 4):
+            cli.run_trial(exp, trial, None, params)
+    finally:
+        tracemalloc.stop()
+    assert len(kept) == 3 * exp.scenario.n_agents
+    assert max(kept) < plane * 8, kept

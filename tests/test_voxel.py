@@ -263,26 +263,28 @@ class TestVoxelGrid:
 
 class TestCollapse:
     def test_zero_grid(self):
-        bev = collapse(VoxelGrid.empty(SPEC))
-        assert bev.shape == (SPEC.nx, SPEC.ny, SPEC.bev_channels)
-        assert np.all(bev == 0)
+        columns, rows = collapse(VoxelGrid.empty(SPEC))
+        assert columns.size == 0
+        assert rows.shape == (0, SPEC.bev_channels)
 
     def test_single_cell_block_placement(self):
         k = 2
         grid = tagged(SPEC, Category.LIDAR, (5, 6, k), features=np.arange(1, 9))
-        bev = collapse(grid)
+        columns, rows = collapse(grid)
+        assert np.array_equal(columns, [5 * SPEC.ny + 6])
         block = slice(k * SPEC.channels, (k + 1) * SPEC.channels)
-        assert np.allclose(bev[5, 6, block], np.arange(1, 9))
-        other = np.delete(bev[5, 6], np.r_[block])
+        assert np.allclose(rows[0, block], np.arange(1, 9))
+        other = np.delete(rows[0], np.r_[block])
         assert np.all(other == 0)
 
     def test_lossless_roundtrip(self, rng):
         feats = rng.standard_normal((SPEC.nx, SPEC.ny, SPEC.nz, SPEC.channels))
         grid = sparse(SPEC, feats, np.full(feats.shape[:3], Category.LIDAR, dtype=np.uint8))
-        bev = collapse(grid)
-        restored = bev.reshape(SPEC.nx, SPEC.ny, SPEC.nz, SPEC.channels)
+        columns, rows = collapse(grid)
+        assert np.array_equal(columns, np.arange(SPEC.nx * SPEC.ny))
+        restored = rows.reshape(SPEC.nx, SPEC.ny, SPEC.nz, SPEC.channels)
         assert np.array_equal(restored, feats)
-        assert not np.shares_memory(bev, grid.features)
+        assert not np.shares_memory(rows, grid.features)
 
     def test_l0_preserved(self, rng):
         feats, category = dense_zeros(SPEC)
@@ -290,7 +292,9 @@ class TestCollapse:
         feats[on] = 1.0
         category[np.any(on, axis=3)] = Category.LIDAR
         grid = sparse(SPEC, feats, category)
-        assert np.count_nonzero(collapse(grid)) == np.count_nonzero(grid.features)
+        columns, rows = collapse(grid)
+        assert np.array_equal(columns, grid.tagged_columns())
+        assert np.count_nonzero(rows) == np.count_nonzero(grid.features)
 
 
 def test_grid_budget_guard():
