@@ -1,23 +1,25 @@
 """Fixed glibc malloc thresholds, set once when covox is imported.
 
-Voxel grids list only their tagged voxels, but a trial still allocates and
-frees 2 MiB planes (64 x 64 BEV cells x 64 float64 channels): each agent's
-BEV and each receiver's aggregated plane, 16-32 MiB per trial.  glibc's
-default thresholds are dynamic: after the first 2 MiB block is freed,
-blocks that size go on the heap, but the trim threshold stays at twice that
-size, so the freed top of the heap is handed back to the kernel at the end
-of every trial and the next trial has to fault it in again.  Measured on a
-2-core x86-64 host with glibc 2.36, after three warm-up trials: with the
-dynamic thresholds a 4-agent LiDAR trial took a median of about 1.1k minor
-faults (4.7 ms of system time) and an 8-agent camera trial about 4.6k
-(15 ms).
+Voxel grids list only their tagged voxels and a BEV travels as its nonzero
+rows, but a trial still allocates and frees blocks from a few hundred KiB
+to 2 MiB: camera images and depth distributions, attention's token stacks
+and each receiver's aggregated plane (64 x 64 BEV cells x 64 float64
+channels), which lives until its nonzero rows are taken.  glibc's default
+thresholds are dynamic: after the first such block is freed, blocks that
+size go on the heap, but the trim threshold stays at twice that size, so
+the freed top of the heap is handed back to the kernel during a trial and
+the next allocations fault it in again.  Measured on a 2-core x86-64 host
+with glibc 2.36, after three warm-up trials, over 20 trials of the
+benchmark's workloads at seeds 0 and 7919: with the dynamic thresholds an
+8-agent camera trial took a median of 2.3k-2.6k minor faults (3.8-3.9 ms
+of system time); a 4-agent LiDAR trial took a median of 0.
 
 Fixed values turn the dynamic thresholds off.  Blocks below 4 MiB stay on a
 heap that is not trimmed until 256 MiB sit free at its top, so trials reuse
-pages already mapped: a median of 0-1 faults per trial for both, and at
-most about 200 in any trial.  Larger arrays, such as the 6-15 MiB phase-2
-plane stacks, stay lazily zeroed mmaps whose untouched rows cost nothing.
-The price is memory kept mapped between trials.
+pages already mapped: a median of 0 faults per trial for both, and at most
+about 550 in any trial.  Larger arrays stay lazily zeroed mmaps whose
+untouched pages cost nothing.  The price is memory kept mapped between
+trials.
 """
 
 from __future__ import annotations

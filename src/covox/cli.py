@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .collab import AgentRound, comm_volume_log, dense_ratio, make_pipeline_params, run_round
-from .config import MODES, ConfigError, ExperimentSpec, load_experiment, resolve_out_dir
+from .config import MODES, ConfigError, ExperimentSpec, load_experiment, read_seed, resolve_out_dir
 from .geometry import invert
 from .metrics import Detection, average_precision, iou_table, recall_at
 from .render import depth_map_gray, mask_image, render_bev, write_pgm16, write_ppm
@@ -74,7 +74,8 @@ def evaluate_round(rounds, objects, grid):
     """
     ap50s, ap70s, recs = [], [], []
     for result in rounds.values():
-        dets = detect_local(occupancy_from_bev(result.aggregated, result.aggregated_cells), grid)
+        occ = occupancy_from_bev(grid, result.aggregated_cells, result.aggregated_rows)
+        dets = detect_local(occ, grid)
         gts = _gt_in_view(result.state, objects, grid)
         ious = iou_table(dets, gts)
         ap50s.append(average_precision(dets, ious, 0.5))
@@ -165,7 +166,7 @@ def render_outputs(outcome: TrialOutcome, grid, out_dir: Path) -> list[Path]:
             written.append(
                 write_pgm16(out_dir / f"{tag}_depth.pgm", depth_map_gray(result.depth_map))
             )
-        occ = occupancy_from_bev(result.aggregated, result.aggregated_cells)
+        occ = occupancy_from_bev(grid, result.aggregated_cells, result.aggregated_rows)
         dets = detect_local(occ, grid)
         gts = _gt_in_view(result.state, outcome.objects, grid)
         written.append(
@@ -261,7 +262,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         exp = load_experiment(args.config)
         if args.seed is not None:
-            exp = replace(exp, scenario=replace(exp.scenario, seed=args.seed))
+            seed = read_seed(args.seed, "--seed")
+            exp = replace(exp, scenario=replace(exp.scenario, seed=seed))
         if args.mode is not None:
             exp = replace(exp, mode=args.mode)
         if args.trials is not None:

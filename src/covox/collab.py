@@ -20,9 +20,12 @@ synchronous two-phase exchange round.
    BEV is its nonzero rows and their cells (`bev_rows`, `bev_cells`); no
    stage before the aggregation builds an (nx, ny, F) plane of it;
 5. phase 2 / receive — each agent warps all of its neighbors' messages
-   into its own frame in one pass and aggregates them into a dense
-   (nx, ny, F) plane.  Attention reads Q, K and V from one projection per
-   round of every agent's nonzero BEV rows.
+   into its own frame in one pass, as the cells they land on and the
+   message rows written there, and aggregates them.  Attention reads Q, K
+   and V from one projection per round of every agent's nonzero BEV rows,
+   and max reads the message rows.  The record keeps the aggregated BEV as
+   its nonzero rows and their cells (`aggregated_rows`,
+   `aggregated_cells`), which scoring reads.
 
 The `RoundLedger` is the only place communication is counted: every
 transmitted scalar is charged there per edge and phase, in the order
@@ -33,8 +36,9 @@ the neighbor's reply to it (3 scalars per point).
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -144,6 +148,41 @@ class WarpResult:
     rows: list[np.ndarray]  # per plane: the message row written to each of those cells
     collisions: int
     dropped: int
+
+
+@dataclass(frozen=True, eq=False)
+class WarpedPlanes(Sequence):
+    """Neighbor messages warped into a receiver's lattice, as a read-only
+    sequence of (nx, ny, F) planes of `spec`.  Plane k holds the rows
+    `vectors[k][rows[k]]` at the cells `cells[k]` and zeros elsewhere; it
+    is built afresh each time it is read, so that only a reader that wants
+    whole planes pays for them."""
+
+    spec: GridSpec
+    cells: Sequence[np.ndarray]  # per neighbor: flat indices of the written cells, ascending
+    vectors: Sequence[np.ndarray]  # per neighbor: its message's (K, F) rows
+    rows: Sequence[np.ndarray]  # per neighbor: the row of `vectors[k]` written to each cell
+
+    def __len__(self) -> int:
+        return len(self.cells)
+
+    def features(self, k: int) -> np.ndarray:
+        """The (n, F) rows neighbor k wrote, one per cell of `cells[k]`."""
+        return self.vectors[k][self.rows[k]]
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self[i] for i in range(len(self))[k]]
+        return _plane(self.spec, self.cells[k], self.features(k))
+
+
+def _plane(spec: GridSpec, cells: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """A fresh (nx, ny, F) plane of `spec` with `rows` at the flat indices
+    `cells` and zeros elsewhere."""
+    f = spec.bev_channels
+    plane = np.zeros((spec.nx, spec.ny, f))
+    plane.reshape(-1, f)[cells] = rows
+    return plane
 
 
 @dataclass
@@ -317,26 +356,18 @@ def downsample_cloud(points: np.ndarray, cell: float) -> np.ndarray:
 
 
 def warp_sparse(
-    messages: Sequence[Message],
-    rel_poses: Sequence[Pose],
-    spec: GridSpec,
-    out: np.ndarray,
+    messages: Sequence[Message], rel_poses: Sequence[Pose], spec: GridSpec
 ) -> WarpResult:
     """Resample each message's sparse cells into the receiver's BEV lattice.
 
     Message k's cell centers are mapped through the planar part of
-    `rel_poses[k]` and written to the containing cell of plane `out[k]`; on
+    `rel_poses[k]` to the containing cell of the receiver's grid; on
     collision the later entry wins (collisions are counted), out-of-grid
-    cells are dropped.  All messages go in one pass, keyed on plane x cell.
-
-    `out` is a stack of (nx, ny, F) planes, at least one per message, that
-    must be all zero.  Only the cells listed in the result's `cells` are
-    written, so clearing them afterwards makes the stack all zero again for
-    the next receiver.
+    cells are dropped.  All messages go in one pass, keyed on message x
+    cell.  Nothing is written: the result lists, per message, the cells it
+    lands on and the message row that lands on each (`WarpedPlanes` reads
+    them as planes).
     """
-    f = spec.bev_channels
-    if out.shape[1:] != (spec.nx, spec.ny, f) or out.shape[0] < len(messages):
-        raise ValueError("out planes do not match the grid spec")
     if not messages:
         return WarpResult([], [], 0, 0)
     n_cells = spec.nx * spec.ny
@@ -359,9 +390,6 @@ def warp_sparse(
     # Later writer wins: keep the last arrival targeting each plane cell.
     uniq, first_in_rev = np.unique(key[::-1], return_index=True)
     src = inside[key.size - 1 - first_in_rev]
-    if uniq.size:
-        vectors = np.concatenate([m.vectors.reshape(-1, f) for m in messages])
-        out.reshape(-1, f)[uniq] = vectors[src]
     bounds = np.searchsorted(uniq, np.arange(1, len(messages)) * n_cells)
     cells = [u - k * n_cells for k, u in enumerate(np.split(uniq, bounds))]
     rows = [r - starts[k] for k, r in enumerate(np.split(src, bounds))]
@@ -394,8 +422,7 @@ def project_tokens(params: nnkit.MhaParams, rows: np.ndarray, n_cells: int) -> T
 def aggregate(
     params: nnkit.MhaParams,
     grid: GridSpec,
-    warped: Sequence[np.ndarray],
-    written: Sequence[np.ndarray],
+    warped: WarpedPlanes,
     ego_cells: np.ndarray,
     tokens: Tokens,
     ego_tokens: np.ndarray,
@@ -406,24 +433,23 @@ def aggregate(
     The stack acts as queries, keys and values; the output is the ego
     token's attention result, as a fresh (nx, ny, F) plane of `grid`.
     All-zero neighbor tokens carry no signal and are excluded from the
-    softmax.  `written[k]` holds the flat indices of exactly the nonzero
-    cells of `warped[k]` (`WarpResult.cells`), and `ego_cells` those of the
-    ego's BEV.
+    softmax.  `warped.cells[k]` holds the flat indices of exactly the
+    nonzero cells of neighbor k's plane, and `ego_cells` those of the ego's
+    BEV.
 
     Q, K and V come projected in `tokens` (`project_tokens`): row
     `ego_tokens[i]` is the token of cell `ego_cells[i]`, and row
-    `sources[k][i]` the token neighbor k wrote to cell `written[k][i]`.
+    `sources[k][i]` the token neighbor k wrote to cell `warped.cells[k][i]`.
     Only the cells with a nonzero token are computed; the bias-free maps
     take every other cell's all-zero stack to a zero output.  The slot of a
     token no neighbor sent reads the zero row of `tokens` and gets zero
-    softmax weight.  `warped` is not read: the planes stay an argument
-    because the trace counts their tokens.
+    softmax weight.  No plane of `warped` is built.
     """
     nx, ny, f = grid.nx, grid.ny, grid.bev_channels
     n_cells = nx * ny
     t = len(warped) + 1
     busy = np.zeros(n_cells, dtype=bool)
-    for c in (ego_cells, *written):
+    for c in (ego_cells, *warped.cells):
         busy[c] = True
     # Busy cells first, then idle padding, so that the output projection
     # multiplies as many rows as `project_tokens` does.
@@ -435,7 +461,7 @@ def aggregate(
     empty = tokens.q.shape[0] - 1  # the zero row
     index = np.full((t, n), empty)
     index[0, slot[ego_cells]] = ego_tokens
-    for token, c, src in zip(range(1, t), written, sources):
+    for token, c, src in zip(range(1, t), warped.cells, sources):
         index[token, slot[c]] = src
     valid = index != empty
     valid[0] = True
@@ -456,25 +482,23 @@ def aggregate(
 
 def aggregate_max(
     grid: GridSpec,
-    warped: Sequence[np.ndarray],
-    written: Sequence[np.ndarray],
+    warped: WarpedPlanes,
     ego_cells: np.ndarray,
     ego_rows: np.ndarray,
 ) -> np.ndarray:
     """Ablation baseline: elementwise max over the token stack [ego, neighbors...].
 
     As in `aggregate`, all-zero neighbor tokens carry no signal and take no
-    part, so only the cells in `written[k]`, the nonzero cells of
-    `warped[k]`, are compared.  The ego's BEV is its nonzero cells
-    `ego_cells` and their `ego_rows`; every other ego cell is +0.0.  The
-    result is a fresh (nx, ny, F) plane of `grid`.
+    part, so only the cells neighbor k wrote, `warped.cells[k]`, are
+    compared, with the message rows it wrote there; no plane of `warped` is
+    built.  The ego's BEV is its nonzero cells `ego_cells` and their
+    `ego_rows`; every other ego cell is +0.0.  The result is a fresh
+    (nx, ny, F) plane of `grid`.
     """
-    f = grid.bev_channels
-    out = np.zeros((grid.nx, grid.ny, f))
-    rows = out.reshape(-1, f)
-    rows[ego_cells] = ego_rows
-    for w, cells in zip(warped, written):
-        rows[cells] = np.maximum(rows[cells], w.reshape(rows.shape)[cells])
+    out = _plane(grid, ego_cells, ego_rows)
+    rows = out.reshape(-1, grid.bev_channels)
+    for k, cells in enumerate(warped.cells):
+        rows[cells] = np.maximum(rows[cells], warped.features(k))
     return out
 
 
@@ -487,12 +511,11 @@ def aggregate_concat(
 ) -> np.ndarray:
     """Ablation baseline: channel-concatenate a fixed token budget + linear.
 
-    The ego's BEV (nonzero cells `ego_cells`, their `ego_rows`) is spread
-    into a dense plane of `grid` first.
+    The ego's BEV (nonzero cells `ego_cells`, their `ego_rows`) and the
+    first neighbors' planes of `warped` are spread into dense planes of
+    `grid` first.
     """
-    ego = np.zeros((grid.nx, grid.ny, grid.bev_channels))
-    ego.reshape(-1, grid.bev_channels)[ego_cells] = ego_rows
-    toks = [ego]
+    toks = [_plane(grid, ego_cells, ego_rows)]
     toks += [np.asarray(w, dtype=np.float64) for w in warped[: _CONCAT_SLOTS - 1]]
     while len(toks) < _CONCAT_SLOTS:
         toks.append(np.zeros_like(toks[0]))
@@ -510,8 +533,9 @@ class AgentRound:
     `cloud` after phase 1, `token_rows` and `sent_rows` at the end of the
     round.  The records `run_round` returns keep the rest: `state`,
     `neighbors`, `lidar_grid`, `detections`, `rel`, `pose_errors`,
-    `depth_map`, `bev_cells`, `bev_rows`, `mask`, `message`, `aggregated`,
-    `aggregated_cells` and `warp_collisions`.
+    `depth_map`, `bev_cells`, `bev_rows`, `mask`, `message`,
+    `aggregated_cells`, `aggregated_rows` and `warp_collisions`.  No field
+    holds a whole (nx, ny, F) plane; `aggregated` builds one on request.
     """
 
     state: AgentState
@@ -534,9 +558,17 @@ class AgentRound:
     message: Optional[Message] = None
     token_rows: Optional[np.ndarray] = None  # round token row of each of `bev_cells`
     sent_rows: Optional[np.ndarray] = None  # round token row of each message row
-    aggregated: Optional[np.ndarray] = None  # post-collaboration BEV
-    aggregated_cells: Optional[np.ndarray] = None  # nonzero cells of `aggregated`, ascending
+    # post-collaboration BEV: flat indices of its nonzero cells, ascending
+    aggregated_cells: Optional[np.ndarray] = None
+    aggregated_rows: Optional[np.ndarray] = None  # (n, F): the row of each of `aggregated_cells`
     warp_collisions: int = 0
+
+    @property
+    def aggregated(self) -> np.ndarray:
+        """The post-collaboration BEV as a fresh (nx, ny, F) plane: the
+        `aggregated_rows` at the `aggregated_cells`, zeros elsewhere.  No
+        stage reads it."""
+        return _plane(self.lidar_grid.spec, self.aggregated_cells, self.aggregated_rows)
 
 
 def _sense(
@@ -703,10 +735,11 @@ def _nonzero_rows(cells: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.n
     return cells[keep], rows[keep]
 
 
-def _aggregated_cells(
+def _aggregated_rows(
     agg: np.ndarray, ego_cells: np.ndarray, written: Sequence[np.ndarray]
-) -> np.ndarray:
-    """Flat indices of the nonzero cells of an aggregated plane, ascending.
+) -> tuple[np.ndarray, np.ndarray]:
+    """The nonzero cells of an aggregated plane, ascending, and a copy of
+    their rows.
 
     Every aggregator gives a cell with an all-zero token stack a zero
     output, so only the ego's nonzero cells and the cells neighbors wrote
@@ -716,7 +749,7 @@ def _aggregated_cells(
     for cells in (ego_cells, *written):
         busy[cells] = True
     candidates = np.flatnonzero(busy)
-    return _nonzero_rows(candidates, agg.reshape(-1, agg.shape[2])[candidates])[0]
+    return _nonzero_rows(candidates, agg.reshape(-1, agg.shape[2])[candidates])
 
 
 def _project_round_tokens(
@@ -741,38 +774,34 @@ def _receive(
     pipe: PipelineConfig,
     params: PipelineParams,
     ledger: RoundLedger,
-    planes: np.ndarray,
     tokens: Optional[Tokens],
 ) -> None:
     """Phase 2: warp the neighbors' messages into this agent's frame, in one
-    pass, and aggregate them.  Sets `w.aggregated`, its nonzero cells and
-    `w.warp_collisions`.
+    pass, and aggregate them.  Sets `w.aggregated_cells`,
+    `w.aggregated_rows` and `w.warp_collisions`.
 
-    Neighbor k is warped into `planes[k]`, which must be all zero; the rows
-    written are cleared again before returning, so one stack of planes
-    serves every receiver of the round.  Attention reads the round's
-    `tokens` (`_project_round_tokens`) and not the planes; the planes still
-    receive the rows because the trace counts tokens from them.
+    The aggregators get the warp as `WarpedPlanes`: attention reads the
+    round's `tokens` (`_project_round_tokens`) and max the message rows, so
+    neither builds a neighbor's plane.  The aggregated plane is dropped
+    once its nonzero rows are taken.
     """
     messages = [rounds[j].message for j in w.neighbors]
-    warp = warp_sparse(messages, [w.rel[j] for j in w.neighbors], pipe.grid, planes)
+    warp = warp_sparse(messages, [w.rel[j] for j in w.neighbors], pipe.grid)
     for j, msg in zip(w.neighbors, messages):
         ledger.add(j, w.state.id, "feature", msg.feature_elements)
-    warped = list(planes[: len(messages)])
-    written = warp.cells  # each packed row has a nonzero scalar
+    # Each packed row has a nonzero scalar, so the written cells are
+    # exactly the nonzero cells of each plane.
+    warped = WarpedPlanes(pipe.grid, warp.cells, [m.vectors for m in messages], warp.rows)
     if pipe.collab_mode == "attention":
         sources = [rounds[j].sent_rows[rows] for j, rows in zip(w.neighbors, warp.rows)]
-        agg = aggregate(params.agg_mha, pipe.grid, warped, written, w.bev_cells, tokens,
+        agg = aggregate(params.agg_mha, pipe.grid, warped, w.bev_cells, tokens,
                         w.token_rows, sources)
     elif pipe.collab_mode == "max":
-        agg = aggregate_max(pipe.grid, warped, written, w.bev_cells, w.bev_rows)
+        agg = aggregate_max(pipe.grid, warped, w.bev_cells, w.bev_rows)
     else:
         agg = aggregate_concat(params.concat_lin, pipe.grid, warped, w.bev_cells, w.bev_rows)
-    w.aggregated = agg
-    w.aggregated_cells = _aggregated_cells(agg, w.bev_cells, written)
+    w.aggregated_cells, w.aggregated_rows = _aggregated_rows(agg, w.bev_cells, warp.cells)
     w.warp_collisions = warp.collisions
-    for plane, written_cells in zip(warped, written):
-        plane.reshape(-1, plane.shape[2])[written_cells] = 0.0
 
 
 def run_round(
@@ -801,14 +830,11 @@ def run_round(
     for w in rounds.values():
         w.cloud = None  # phase 1 was its last reader
         _perceive(w, scenario, pipe, params)
-    g = pipe.grid
     tokens = None
     if pipe.collab_mode == "attention":
-        tokens = _project_round_tokens(rounds, g, params.agg_mha)
-    degree = max((len(w.neighbors) for w in rounds.values()), default=0)
-    planes = np.zeros((degree, g.nx, g.ny, g.bev_channels))
+        tokens = _project_round_tokens(rounds, pipe.grid, params.agg_mha)
     for w in rounds.values():
-        _receive(w, rounds, pipe, params, ledger, planes, tokens)
+        _receive(w, rounds, pipe, params, ledger, tokens)
     for w in rounds.values():
         w.token_rows = w.sent_rows = None
     return rounds, ledger

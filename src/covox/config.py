@@ -127,6 +127,29 @@ def _non_negative(value, path):
     return number
 
 
+def _at_least(minimum: int):
+    """An integer of at least `minimum`."""
+
+    def parse(value, path):
+        number = _int(value, path)
+        if number < minimum:
+            raise ValueError(f"expected an integer of at least {minimum}, got {value!r}")
+        return number
+
+    return parse
+
+
+# Seeds key numpy generators, which take only non-negative integers.
+_SEED = _at_least(0)
+
+
+def read_seed(value, path: str) -> int:
+    """A seed given outside the YAML file; a bad one is a ConfigError at
+    `path`."""
+    with _at(path):
+        return _SEED(value, path)
+
+
 def _choice(*options: str):
     def parse(value, path):
         if value not in options:
@@ -262,7 +285,7 @@ _LIDAR = _section(LidarSpec, {
     "elevations_deg": ("elevation_angles", _section(_elevations, {
         "start": ("start", _number),
         "stop": ("stop", _number),
-        "count": ("count", _int),
+        "count": ("count", _at_least(1)),
     }, required=("start", "stop", "count"))),
     "max_range": ("max_range", _number),
     "range_noise_sigma": ("range_noise_sigma", _non_negative),
@@ -276,7 +299,7 @@ _CAMERA = _section(
 )
 
 _SCENARIO = _section(ScenarioConfig, {
-    "seed": ("seed", _int),
+    "seed": ("seed", _SEED),
     "n_agents": ("n_agents", _int),
     "area": ("area", _numbers(4, "[x_min, x_max, y_min, y_max]")),
     "n_objects": ("n_objects", _int),
@@ -311,12 +334,12 @@ _PIPELINE = _section(PipelineConfig, {
         "sigma_bins": ("sigma_bins", _number),
         "blur_radius": ("blur_radius", _int),
     })),
-    "mass_threshold": ("mass_threshold", _number),
+    "mass_threshold": ("mass_threshold", _non_negative),
     "fusion": ("fusion_mode", _choice(*FUSION_MODES)),
     "depth_projection": ("depth_projection", _depth_projection),
     "collab": ("collab_mode", _choice(*COLLAB_MODES)),
     "robust": ("robust", _bool),
-    "gate_radius": ("gate_radius", _number),
+    "gate_radius": ("gate_radius", _non_negative),
 }, defaults={"grid": {}, "bins": {}})
 
 _EXPERIMENT = _section(ExperimentSpec, {
@@ -324,7 +347,7 @@ _EXPERIMENT = _section(ExperimentSpec, {
         "mode": ("mode", _choice(*MODES)),
         "trials": ("trials", _int),
         "out": ("out_dir", _out_dir),
-        "params_seed": ("params_seed", _int),
+        "params_seed": ("params_seed", _SEED),
         "missing_agents": ("missing_agents", _agent_ids),
         "noise_sigmas": ("noise_sigmas", _numbers(None, "a list of numbers", _non_negative)),
         "render": ("render", _bool),

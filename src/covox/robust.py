@@ -68,18 +68,18 @@ def occupancy_from_grid(grid: VoxelGrid) -> np.ndarray:
     return occ.reshape(s.nx, s.ny)
 
 
-def occupancy_from_bev(bev: np.ndarray, cells: np.ndarray) -> np.ndarray:
-    """Occupancy proxy for an opaque BEV feature plane: per-cell L2 norm.
+def occupancy_from_bev(grid: GridSpec, cells: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Occupancy proxy for an opaque BEV feature plane of `grid`: the
+    (nx, ny) per-cell L2 norm.
 
-    `cells` holds the flat indices of the plane's nonzero cells.  Only they
-    are reduced; the norm of every other cell is exactly 0, and a per-row
-    reduction gives each row the same bits whichever other rows it runs with.
+    The BEV comes as the flat indices `cells` of its nonzero cells and their
+    (n, F) `rows`.  Only those rows are reduced; the norm of every other
+    cell is exactly 0, and a per-row reduction gives each row the same bits
+    whichever other rows it runs with.
     """
-    bev = np.asarray(bev, dtype=np.float64)
-    nx, ny, f = bev.shape
-    occ = np.zeros(nx * ny)
-    occ[cells] = np.linalg.norm(bev.reshape(nx * ny, f)[cells], axis=1)
-    return occ.reshape(nx, ny)
+    occ = np.zeros(grid.nx * grid.ny)
+    occ[cells] = np.linalg.norm(np.asarray(rows, dtype=np.float64), axis=1)
+    return occ.reshape(grid.nx, grid.ny)
 
 
 def _convex_hull(points: list) -> list:

@@ -11,10 +11,11 @@ what the program's stages do, converting at their edges, so that
 references take sparse grids, and the BEV references take an agent's BEV
 as its nonzero cells and their rows (`collapse_dense`,
 `importance_scores_dense`, `pack_message_dense`, `aggregate_dense`,
-`aggregate_max_dense`), spread them into a whole (nx, ny, F) plane and
-scan that.  `perceive_whole_plane` finds the BEV's nonzero
-cells by a scan of the whole plane (`rows_of`), and `receive_fresh` gives
-the aggregators whole planes.
+`aggregate_max_dense`, `occupancy_from_bev_dense`), spread them into a
+whole (nx, ny, F) plane and scan that.  `perceive_whole_plane` finds the
+BEV's nonzero cells by a scan of the whole plane (`rows_of`), and
+`receive_fresh` gives the aggregators whole planes and finds the aggregated
+BEV's nonzero cells by a scan of the whole plane.
 
 The rule: one reference per stage.  A faster version of a stage adds its
 cases to the tests against the stage's reference here, never a new
@@ -107,6 +108,15 @@ def plane_of(spec, cells, rows):
     plane = np.zeros((spec.nx, spec.ny, f))
     plane.reshape(-1, f)[cells] = np.asarray(rows).reshape(-1, f)
     return plane
+
+
+def warped_of(spec, planes):
+    """`collab.WarpedPlanes` of neighbor planes of `spec`, each written at
+    its nonzero cells, by a scan of the whole plane."""
+    cells = [nonzero_cells(p) for p in planes]
+    vectors = [np.asarray(p, dtype=np.float64).reshape(-1, spec.bev_channels)[c]
+               for p, c in zip(planes, cells)]
+    return collab.WarpedPlanes(spec, cells, vectors, [np.arange(c.size) for c in cells])
 
 
 def spec_of(plane):
@@ -587,10 +597,11 @@ def perceive_whole_plane(w, scenario, pipe, params):
     w.images = w.cloud_sensor = w.shared = None
 
 
-def receive_fresh(w, rounds, pipe, params, ledger, planes, tokens):
+def receive_fresh(w, rounds, pipe, params, ledger, tokens):
     """`collab._receive` with each message warped on its own into a fresh
-    zero plane and attention on whole token stacks; `planes` and `tokens`
-    are not read."""
+    zero plane, attention on whole token stacks and the aggregated BEV's
+    nonzero rows found by a scan of the whole plane; `tokens` is not
+    read."""
     warped = []
     collisions = 0
     for j in w.neighbors:
@@ -606,8 +617,7 @@ def receive_fresh(w, rounds, pipe, params, ledger, planes, tokens):
         agg = aggregate_max_dense(*ego)
     else:
         agg = aggregate_concat(params.concat_lin, *ego)
-    w.aggregated = agg
-    w.aggregated_cells = nonzero_cells(agg)
+    w.aggregated_cells, w.aggregated_rows = rows_of(agg)
     w.warp_collisions = collisions
 
 
@@ -619,9 +629,9 @@ def occupancy_from_grid_dense(grid):
     return dense(grid)[0][:, :, :, 0].sum(axis=2)
 
 
-def occupancy_from_bev_dense(bev, cells=None):
-    """Every cell's norm; `cells` is not read."""
-    return np.linalg.norm(np.asarray(bev, dtype=np.float64), axis=2)
+def occupancy_from_bev_dense(grid, cells, rows):
+    """Every cell's norm, over the whole plane the rows spread into."""
+    return np.linalg.norm(plane_of(grid, cells, rows), axis=2)
 
 
 def components_by_label_array(mask):

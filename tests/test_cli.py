@@ -171,6 +171,13 @@ def test_command_line_overrides(tmp_path):
     assert rows[0].split(",")[2] == "11"
 
 
+def test_negative_seed_override_exits_1_and_names_the_option(tmp_path, capsys):
+    code, out = run(tmp_path, experiment_tree(), "--seed", "-1")
+    assert code == 1
+    assert "config error: --seed: expected an integer of at least 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_non_mapping_dropout_exits_1_and_names_the_path(tmp_path, capsys):
     tree = experiment_tree()
     tree["scenario"]["dropout"] = [1]

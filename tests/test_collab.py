@@ -9,6 +9,7 @@ from covox import collab, depth, nnkit
 from covox.collab import (
     Message,
     PipelineConfig,
+    WarpedPlanes,
     aggregate,
     aggregate_concat,
     aggregate_max,
@@ -48,6 +49,7 @@ from oracles import (
     share_whole_clouds,
     sparse,
     spec_of,
+    warped_of,
 )
 
 GRID = GridSpec((-20.0, 20.0), (-20.0, 20.0), (0.5, 3.7), 64, 64, 8, 8)
@@ -202,10 +204,11 @@ def as_message(indices, vectors, spec):
 
 
 def warp_into_zeros(indices, vectors, rel_pose, spec):
-    """The written plane and the WarpResult of warping one message into a
-    zero plane."""
-    out = np.zeros((1, spec.nx, spec.ny, spec.bev_channels))
-    return out[0], warp_sparse([as_message(indices, vectors, spec)], [rel_pose], spec, out)
+    """The plane that `WarpedPlanes` builds of one warped message, and the
+    WarpResult of that message."""
+    msg = as_message(indices, vectors, spec)
+    res = warp_sparse([msg], [rel_pose], spec)
+    return WarpedPlanes(spec, res.cells, [msg.vectors], res.rows)[0], res
 
 
 class TestWarp:
@@ -300,8 +303,8 @@ def aggregate_planes(params, ego, warped, others=()):
     tokens = project_tokens(params, np.concatenate([blocks[i] for i in order]), nx * ny)
     rows = [starts[i] + np.arange(c.size) for i, c in enumerate(cells)]
     n = len(warped) + 1
-    return aggregate(params, spec_of(ego), list(warped), cells[1:n], cells[0], tokens, rows[0],
-                     rows[1:n])
+    spec = spec_of(ego)
+    return aggregate(params, spec, warped_of(spec, warped), cells[0], tokens, rows[0], rows[1:n])
 
 
 class TestAggregate:
@@ -343,9 +346,9 @@ class TestAggregate:
         bev = rng.standard_normal((4, 4, 64))
         nbr = rng.standard_normal((4, 4, 64))
         spec, ego = spec_of(bev), rows_of(bev)
-        out_max = aggregate_max(spec, [nbr], [np.arange(16)], *ego)  # every cell busy
+        out_max = aggregate_max(spec, warped_of(spec, [nbr]), *ego)  # every cell busy
         assert np.array_equal(out_max, np.maximum(bev, nbr))
-        out_cat = aggregate_concat(PARAMS.concat_lin, spec, [nbr], *ego)
+        out_cat = aggregate_concat(PARAMS.concat_lin, spec, warped_of(spec, [nbr]), *ego)
         stacked = np.concatenate([bev, nbr, np.zeros_like(bev), np.zeros_like(bev)], axis=2)
         assert np.allclose(out_cat, PARAMS.concat_lin.apply(stacked))
 
@@ -474,15 +477,14 @@ def test_cells_with_an_all_zero_stack_aggregate_to_zero(params_seed, seed, shape
     on = rng.uniform(size=shape[:2]) < ego_density
     ego[on] = rng.standard_normal((int(on.sum()), shape[2]))
     warped = [_written_plane(rng, shape, w) for w in writes]
-    written = [nonzero_cells(p) for p in warped]
     idle = np.ones(shape[0] * shape[1], dtype=bool)
-    for cells in (nonzero_cells(ego), *written):
+    for cells in (nonzero_cells(ego), *map(nonzero_cells, warped)):
         idle[cells] = False
     spec = spec_of(ego)
     for agg in (
         aggregate_planes(params.agg_mha, ego, warped),
-        aggregate_max(spec, warped, written, *rows_of(ego)),
-        aggregate_concat(params.concat_lin, spec, warped, *rows_of(ego)),
+        aggregate_max(spec, warped_of(spec, warped), *rows_of(ego)),
+        aggregate_concat(params.concat_lin, spec, warped_of(spec, warped), *rows_of(ego)),
     ):
         assert np.all(agg.reshape(-1, shape[2])[idle] == 0.0)
 

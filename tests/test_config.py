@@ -164,6 +164,27 @@ def test_negative_sigma_names_full_path(tmp_path, path, zero, negative):
     assert str(info.value).startswith(f"{path}:"), str(info.value)
 
 
+# Values of the right type that load no runnable experiment: a negative
+# seed fails in numpy's generators, a negative radius or mass threshold
+# runs a meaningless one, and so does a LiDAR without beams.
+# (YAML path, smallest good value, bad value)
+OUT_OF_RANGE = [
+    ("experiment.params_seed", 0, -1),
+    ("scenario.seed", 0, -1),
+    ("pipeline.gate_radius", 0, -0.5),
+    ("pipeline.mass_threshold", 0, -0.05),
+    ("scenario.lidar.elevations_deg.count", 1, 0),
+]
+
+
+@pytest.mark.parametrize("path, good, bad", OUT_OF_RANGE, ids=[row[0] for row in OUT_OF_RANGE])
+def test_out_of_range_value_names_full_path(tmp_path, path, good, bad):
+    load(tmp_path, _field_tree(path, good))
+    with pytest.raises(ConfigError) as info:
+        load(tmp_path, _field_tree(path, bad))
+    assert str(info.value).startswith(f"{path}:"), str(info.value)
+
+
 def test_nan_sigma_is_rejected(tmp_path):
     with pytest.raises(ConfigError) as info:
         load(tmp_path, tree_with("scenario.pose_noise.sigma_xy", float("nan")))

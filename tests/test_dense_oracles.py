@@ -5,7 +5,7 @@ end to end, must match the references in `oracles.py` bit for bit: they
 hold every voxel of the grid in dense arrays, scan whole grids and planes,
 predict depth pixel by pixel, answer each phase-1 request on its own, warp
 every message on its own into a fresh zero plane, run attention on whole
-token stacks, test every box on every ray and fit each rectangle on its
+token stacks, scan the aggregated plane for its nonzero cells, test every box on every ray and fit each rectangle on its
 own.
 """
 
@@ -70,6 +70,7 @@ from oracles import (
     use_reference_pipeline,
     voxelize_points_dense,
     warp_message_fresh,
+    warped_of,
     window_counts,
 )
 
@@ -78,7 +79,7 @@ def assert_rounds_equal(got, want):
     assert list(got) == list(want)
     for aid, r in got.items():
         ref = want[aid]
-        for name in ("bev_cells", "bev_rows", "aggregated", "aggregated_cells", "mask"):
+        for name in ("bev_cells", "bev_rows", "aggregated_cells", "aggregated_rows", "mask"):
             assert np.array_equal(getattr(r, name), getattr(ref, name)), (aid, name)
         assert np.array_equal(r.message.indices, ref.message.indices)
         assert np.array_equal(r.message.vectors, ref.message.vectors)
@@ -204,10 +205,10 @@ class TestStagesMatchDenseReferences:
         # A row of the special value: signed zeros, squares that underflow
         # or overflow, infinities.
         rows[rng.integers(rows.shape[0])] = special
-        cells = nonzero_cells(bev)
         ego = (*rows_of(bev), spec_of(bev))
+        occupancy = (spec_of(bev), *rows_of(bev))
         with np.errstate(over="ignore"):
-            assert np.array_equal(occupancy_from_bev(bev, cells), occupancy_from_bev_dense(bev))
+            assert np.array_equal(occupancy_from_bev(*occupancy), occupancy_from_bev_dense(*occupancy))
             assert np.array_equal(importance_scores(*ego), importance_scores_dense(*ego))
 
     @given(
@@ -222,9 +223,9 @@ class TestStagesMatchDenseReferences:
     @example(seed=2, sizes=[40, 0, 40], poses=[(3.1, -2.0, 0.4), (0.0, 0.0, 0.0), (500.0, 0.0, 0.0)])
     @settings(max_examples=80, deadline=None)
     def test_warp_into_out_matches_fresh_plane(self, seed, sizes, poses):
-        """Messages warped in one pass into a stack of planes, one more
-        plane than messages, give each plane what its message alone gives a
-        fresh zero plane; clearing the listed cells empties the stack."""
+        """Messages warped in one pass, read as `WarpedPlanes`, give each
+        plane what its message alone gives a fresh zero plane, and each
+        plane is built afresh on every read."""
         spec = GridSpec((-8.0, 8.0), (-8.0, 8.0), (0.0, 2.0), 12, 12, 2, 3)
         rng = np.random.default_rng(seed)
         msgs = [
@@ -233,19 +234,21 @@ class TestStagesMatchDenseReferences:
         ]
         rels = [Pose.from_planar(*pose) for pose in poses[: len(msgs)]]
         msgs = msgs[: len(rels)]
-        out = np.zeros((len(msgs) + 1, spec.nx, spec.ny, spec.bev_channels))
-        got = warp_sparse(msgs, rels, spec, out)
+        got = warp_sparse(msgs, rels, spec)
+        warped = collab.WarpedPlanes(spec, got.cells, [m.vectors for m in msgs], got.rows)
         want = [warp_message_fresh(m, rel, spec) for m, rel in zip(msgs, rels)]
-        assert len(got.cells) == len(got.rows) == len(msgs)
+        assert len(got.cells) == len(got.rows) == len(warped) == len(msgs)
         for k, (plane, one) in enumerate(want):
-            assert np.array_equal(out[k], plane)
+            assert np.array_equal(warped[k], plane)
             assert np.array_equal(got.cells[k], one.cells[0])
             assert np.array_equal(got.rows[k], one.rows[0])
         assert got.collisions == sum(one.collisions for _, one in want)
         assert got.dropped == sum(one.dropped for _, one in want)
-        for plane, cells in zip(out, got.cells):
-            plane.reshape(-1, spec.bev_channels)[cells] = 0.0
-        assert not np.any(out)
+        assert all(np.array_equal(a, p) for a, (p, _) in zip(warped, want))
+        if msgs:
+            warped[0][...] = 1.0
+            assert np.array_equal(warped[0], want[0][0])
+            assert len(warped[1:]) == len(msgs) - 1
 
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -258,16 +261,15 @@ class TestStagesMatchDenseReferences:
         rng = np.random.default_rng(seed)
         ego = rng.standard_normal(shape)
         ego[rng.uniform(size=shape[:2]) < 0.3] = 0.0
-        warped, written = [], []
+        warped = []
         for _ in range(n_neighbors):
             plane = np.zeros(shape)
             on = rng.uniform(size=shape[:2]) < density
             plane[on] = rng.standard_normal((int(on.sum()), shape[2]))
             warped.append(plane)
-            written.append(np.flatnonzero(on))
         spec, (cells, rows) = spec_of(ego), rows_of(ego)
         before = rows.copy()
-        got = aggregate_max(spec, warped, written, cells, rows)
+        got = aggregate_max(spec, warped_of(spec, warped), cells, rows)
         assert np.array_equal(got, aggregate_max_dense(spec, warped, cells, rows))
         assert not np.shares_memory(got, rows)
         assert np.array_equal(rows, before)
@@ -280,8 +282,8 @@ class TestStagesMatchDenseReferences:
         plane = np.zeros_like(ego)
         plane[1, 2] = rng.standard_normal(6)
         before = ego.copy()
-        out = aggregate_max(spec_of(ego), [plane], [np.array([1 * 5 + 2])], np.arange(4 * 5),
-                            ego.reshape(-1, 6))
+        spec = spec_of(ego)
+        out = aggregate_max(spec, warped_of(spec, [plane]), np.arange(4 * 5), ego.reshape(-1, 6))
         assert not np.shares_memory(out, ego)
         assert np.array_equal(ego, before)
         assert np.array_equal(out[1, 2], np.maximum(ego[1, 2], plane[1, 2]))
@@ -289,17 +291,6 @@ class TestStagesMatchDenseReferences:
         untouched[1, 2] = False
         assert np.array_equal(out[untouched], ego[untouched])
         assert np.all(out[untouched] < 0.0)
-
-    def test_warp_rejects_a_plane_of_another_shape(self):
-        spec = GridSpec((-8.0, 8.0), (-8.0, 8.0), (0.0, 2.0), 12, 12, 2, 3)
-        msg = collab.Message(np.zeros((1, 2), dtype=int), np.ones((1, 6)), 6)
-        for msgs, out in (
-            ([msg], np.zeros((1, 12, 11, 6))),
-            ([msg], np.zeros((1, 12, 12, 5))),
-            ([msg, msg], np.zeros((1, 12, 12, 6))),  # fewer planes than messages
-        ):
-            with pytest.raises(ValueError, match="out planes"):
-                warp_sparse(msgs, [Pose(np.eye(4))] * len(msgs), spec, out)
 
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -406,29 +397,38 @@ SMALL_GRID = GridSpec((-20.0, 20.0), (-20.0, 20.0), (0.5, 3.7), 24, 24, 4, 8)
 def test_round_cells_are_the_nonzero_cells(collab_mode, params, seed, n_agents):
     """Each AgentRound's `bev_cells` and `bev_rows` are the nonzero cells of
     the whole plane of its fused grid and their rows, and its
-    `aggregated_cells` those of its aggregated plane; one agent has no
-    neighbors."""
+    `aggregated_cells` and `aggregated_rows` those of the plane its
+    aggregator returned; one agent has no neighbors."""
     pipe = PipelineConfig(grid=SMALL_GRID, bins=DepthBins(1.0, 33.0, 16),
                           predictor=NoisyOraclePredictor(1.0, 1), fusion_mode="none",
                           depth_projection="no", collab_mode=collab_mode)
     scn = ScenarioConfig(seed=seed, n_agents=n_agents, n_objects=6, comm_range=60.0)
     agents, objects = generate_scene(scn)
-    planes = []
+    planes, aggregated = [], []
+    name = {"attention": "aggregate", "max": "aggregate_max", "concat": "aggregate_concat"}
+    aggregator = getattr(collab, name[collab_mode])
 
     def recorded_collapse(grid):
         planes.append(plane_of(grid.spec, *collapse_dense(grid)))
         return collapse(grid)
 
+    def recorded_aggregator(*args):
+        aggregated.append(aggregator(*args).copy())
+        return aggregated[-1]
+
     with pytest.MonkeyPatch.context() as m:
         m.setattr(collab, "collapse", recorded_collapse)
+        m.setattr(collab, name[collab_mode], recorded_aggregator)
         rounds, _ = run_round(agents, objects, (), scn, pipe, params)
-    assert len(rounds) == n_agents == len(planes)
+    assert len(rounds) == n_agents == len(planes) == len(aggregated)
     assert any(r.aggregated_cells.size for r in rounds.values())
-    for r, plane in zip(rounds.values(), planes):
+    for r, plane, agg in zip(rounds.values(), planes, aggregated):
         cells, rows = rows_of(plane)
         assert np.array_equal(r.bev_cells, cells)
         assert r.bev_rows.tobytes() == rows.tobytes()
-        assert np.array_equal(r.aggregated_cells, nonzero_cells(r.aggregated))
+        cells, rows = rows_of(agg)
+        assert np.array_equal(r.aggregated_cells, cells)
+        assert r.aggregated_rows.tobytes() == rows.tobytes()
 
 
 def test_max_of_nonzero_tokens_can_be_a_zero_cell():
@@ -439,13 +439,16 @@ def test_max_of_nonzero_tokens_can_be_a_zero_cell():
     plane = np.zeros_like(ego)
     plane[0, 1] = (-1.0, 0.0)
     plane[1, 2] = (0.5, 0.0)
-    written = [np.array([1, 5])]
     before = ego.copy()
-    agg = aggregate_max(spec_of(ego), [plane], written, np.array([1]), ego.reshape(-1, 2)[1:2])
+    warped = warped_of(spec_of(ego), [plane])
+    assert np.array_equal(warped.cells[0], [1, 5])
+    agg = aggregate_max(spec_of(ego), warped, np.array([1]), ego.reshape(-1, 2)[1:2])
     assert not np.any(agg[0, 1])
     assert not np.shares_memory(agg, ego)
     assert np.array_equal(ego, before)
-    assert np.array_equal(collab._aggregated_cells(agg, np.array([1]), written), [5])
+    cells, rows = collab._aggregated_rows(agg, np.array([1]), warped.cells)
+    assert np.array_equal(cells, [5])
+    assert np.array_equal(rows, [(0.5, 0.0)])
 
 
 @pytest.mark.parametrize("name", ["lidar4", "fleet8", "camera_missing", "fusion_equal"])
@@ -597,7 +600,7 @@ def test_trials_match_every_grid_and_token(bench_run, replays, name, seed):
     assert mismatches(runs, (name, mode), [(seed, 0)]) == []
 
 
-# --- reuse of the phase-2 planes ------------------------------------------------
+# --- phase 2 with empty and unlanded messages -------------------------------------
 
 GRID = GridSpec((-20.0, 20.0), (-20.0, 20.0), (0.5, 3.7), 64, 64, 8, 8)
 PARAMS = make_pipeline_params(GRID, seed=2024)
@@ -609,7 +612,7 @@ def _agent(aid, x, y):
 
 
 def reuse_scene():
-    """Five LiDAR agents whose phase 2 reuses planes across receivers.
+    """Five LiDAR agents whose receivers have one to three neighbors.
 
     With a 30 m range agent 0 has three neighbors, agent 1 one and agents
     2-4 two each.  Agent 4 sees nothing, so its message is empty.  Agent 1's
@@ -629,7 +632,10 @@ def reuse_scene():
 
 
 @pytest.mark.parametrize("collab_mode", collab.COLLAB_MODES)
-def test_reused_planes_carry_no_stale_rows(monkeypatch, collab_mode):
+def test_empty_and_unlanded_messages_match_the_reference(monkeypatch, collab_mode):
+    """Receivers of one, two and three neighbors, an empty message and
+    messages that land wholly outside a receiver's grid aggregate as the
+    reference pipeline does."""
     scn, agents, objects = reuse_scene()
     pipe = PipelineConfig(grid=GRID, bins=DepthBins(1.0, 33.0, 16),
                           predictor=NoisyOraclePredictor(1.0, 1), fusion_mode="none",
@@ -639,9 +645,8 @@ def test_reused_planes_carry_no_stale_rows(monkeypatch, collab_mode):
 
     calls = []
 
-    def checked_warp(messages, rel_poses, spec, out):
-        assert not np.any(out), "a plane arrived with stale rows"
-        result = warp_sparse(messages, rel_poses, spec, out)
+    def checked_warp(messages, rel_poses, spec):
+        result = warp_sparse(messages, rel_poses, spec)
         calls.extend((len(m.indices), c.size) for m, c in zip(messages, result.cells))
         return result
 
@@ -861,21 +866,27 @@ def arrays_in(value):
             yield from arrays_in(getattr(value, f.name))
 
 
-def test_records_keep_no_dense_plane_but_the_aggregate(bench_run, tmp_path, monkeypatch):
+def test_records_keep_no_dense_plane(bench_run, tmp_path, monkeypatch):
     """An agent's BEV travels as its nonzero rows from `collapse` to the
-    message.  No field of a returned fleet8 AgentRound but `aggregated`
-    holds an array of one grid's nx*ny*nz*C scalars, and after a warm-up
-    trial each `_perceive` call of trials 1-3 leaves less than one such
-    plane of float64 allocated."""
+    message, and its aggregated BEV as its nonzero rows from the aggregator
+    to scoring.  No field of a returned fleet8 AgentRound holds an array of
+    one grid's nx*ny*nz*C scalars; the `aggregated` property spreads the
+    aggregated rows into a fresh plane.  After a warm-up trial each
+    `_perceive` call of trials 1-3 leaves less than one such plane of
+    float64 allocated."""
     exp, params = experiment(bench_run, tmp_path, "fleet8", 0)
     g = exp.pipeline.grid
     plane = g.nx * g.ny * g.nz * g.channels
     outcome = cli.run_trial(exp, 0, None, params)
     for aid, r in outcome.rounds.items():
         for f in dataclasses.fields(r):
-            if f.name != "aggregated":
-                sizes = [a.size for a in arrays_in(getattr(r, f.name))]
-                assert max(sizes, default=0) < plane, (aid, f.name, max(sizes))
+            sizes = [a.size for a in arrays_in(getattr(r, f.name))]
+            assert max(sizes, default=0) < plane, (aid, f.name, max(sizes))
+        whole = r.aggregated
+        assert np.array_equal(whole, plane_of(g, r.aggregated_cells, r.aggregated_rows))
+        assert not np.shares_memory(whole, r.aggregated_rows)
+        assert r.aggregated is not whole
+    assert any(r.aggregated_cells.size for r in outcome.rounds.values())
     del outcome
     perceive, kept = collab._perceive, []
 
@@ -893,3 +904,30 @@ def test_records_keep_no_dense_plane_but_the_aggregate(bench_run, tmp_path, monk
         tracemalloc.stop()
     assert len(kept) == 3 * exp.scenario.n_agents
     assert max(kept) < plane * 8, kept
+
+
+def test_round_peaks_below_16_mib(bench_run, tmp_path, monkeypatch):
+    """Phase 2 works on rows, from the warp to the records: after a warm-up
+    trial, tracemalloc's peak over each round of the fleet8 shape's trials
+    1-3 stays below 16 MiB.  A stack of one (nx, ny, F) plane per neighbor
+    takes 14 MiB there, and the eight records' aggregated planes 16 MiB."""
+    exp, params = experiment(bench_run, tmp_path, "fleet8", 0)
+    cli.run_trial(exp, 0, None, params)
+    round_, peaks = cli.run_round, []
+
+    def measured_round(*args):
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        out = round_(*args)
+        peaks.append(tracemalloc.get_traced_memory()[1] - before)
+        return out
+
+    monkeypatch.setattr(cli, "run_round", measured_round)
+    tracemalloc.start()
+    try:
+        for trial in range(1, 4):
+            cli.run_trial(exp, trial, None, params)
+    finally:
+        tracemalloc.stop()
+    assert len(peaks) == 3
+    assert max(peaks) < 16 << 20, peaks

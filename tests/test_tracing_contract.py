@@ -3,6 +3,8 @@ module-level names in covox.  These tests keep that contract in the tier-1
 suite: a refactor that renames or inlines a traced stage fails here instead
 of silently zeroing a per-layer benchmark metric."""
 
+from dataclasses import replace
+
 from covox import cli, collab
 from covox.collab import PipelineConfig, make_pipeline_params
 from covox.config import ExperimentSpec
@@ -65,36 +67,51 @@ def test_traced_counters_equal_the_trials_totals(tracing, monkeypatch):
     """The exchange runs per receiver and per round, so a wrapped call
     covers many edges.  The per-layer counters that sum over calls must
     still equal the trial's totals: collisions and message cells from the
-    untraced AgentRounds, feature elements from its ledger, and dropped
-    cells from each message warped on its own."""
+    untraced AgentRounds, feature elements from its ledger, dropped cells
+    from each message warped on its own, and, under attention and max,
+    the neighbor tokens from each receiver's warp: `collab.agg_valid` its
+    written cells, `collab.agg_pairs` its degree times the grid's cells."""
     exp, params = _experiment(n_agents=5, comm_range=35.0, pose_noise_sigma_xy=0.4,
                               dropout={1: ("camera",), 3: ("lidar",)})
-    dropped = []
-    receive = collab._receive
+    for mode in ("attention", "max"):
+        exp = replace(exp, pipeline=replace(exp.pipeline, collab_mode=mode))
+        dropped, written, pairs = [], [], []
+        receive, warp = collab._receive, collab.warp_sparse
+        grid = exp.pipeline.grid
 
-    def receive_counting_drops(w, works, pipe, *rest):
-        for j in w.neighbors:
-            _, alone = warp_message_fresh(works[j].message, w.rel[j], pipe.grid)
-            dropped.append(alone.dropped)
-        return receive(w, works, pipe, *rest)
+        def receive_counting_drops(w, works, pipe, *rest):
+            for j in w.neighbors:
+                _, alone = warp_message_fresh(works[j].message, w.rel[j], pipe.grid)
+                dropped.append(alone.dropped)
+            pairs.append(len(w.neighbors) * grid.nx * grid.ny)
+            return receive(w, works, pipe, *rest)
 
-    with monkeypatch.context() as m:
-        m.setattr(collab, "_receive", receive_counting_drops)
-        outcome = cli.run_trial(exp, 0, None, params)
-    tracer = tracing.Tracer()
-    tracer.trial = 0
-    with tracing.patched(tracer):
-        traced = cli.run_trial(exp, 0, None, params)
-    assert traced.row == outcome.row
+        def warp_counting_cells(*args):
+            result = warp(*args)
+            written.append(sum(c.size for c in result.cells))
+            return result
 
-    counts = tracer.counts[0]
-    fields = dict(zip(cli.CSV_HEADER.split(","), outcome.row.split(",")))
-    rounds = outcome.rounds.values()
-    want = {
-        "collab.warp_collisions": sum(r.warp_collisions for r in rounds),
-        "collab.warp_dropped": sum(dropped),
-        "collab.message_cells": sum(len(r.message.indices) for r in rounds),
-        "collab.feature_elements": int(fields["feature_elements"]),
-    }
-    assert {key: counts[key] for key in want} == want
-    assert all(want.values())  # every counter is exercised
+        with monkeypatch.context() as m:
+            m.setattr(collab, "_receive", receive_counting_drops)
+            m.setattr(collab, "warp_sparse", warp_counting_cells)
+            outcome = cli.run_trial(exp, 0, None, params)
+        tracer = tracing.Tracer()
+        tracer.trial = 0
+        with tracing.patched(tracer):
+            traced = cli.run_trial(exp, 0, None, params)
+        assert traced.row == outcome.row
+
+        counts = tracer.counts[0]
+        fields = dict(zip(cli.CSV_HEADER.split(","), outcome.row.split(",")))
+        rounds = outcome.rounds.values()
+        want = {
+            "collab.warp_collisions": sum(r.warp_collisions for r in rounds),
+            "collab.warp_dropped": sum(dropped),
+            "collab.message_cells": sum(len(r.message.indices) for r in rounds),
+            "collab.feature_elements": int(fields["feature_elements"]),
+            "collab.agg_valid": sum(written),
+            "collab.agg_pairs": sum(pairs),
+        }
+        assert len(written) == len(pairs) == exp.scenario.n_agents
+        assert {key: counts[key] for key in want} == want, mode
+        assert all(want.values()), mode  # every counter is exercised
