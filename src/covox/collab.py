@@ -11,10 +11,11 @@ synchronous two-phase exchange round.
    poses are read from the agent states: they are not sent in any message
    and not charged;
 3. phase 1 — each agent that runs cooperative depth sends each LiDAR
-   neighbor a request carrying the pose it projects that neighbor with,
-   and the neighbor replies with the points of its downsampled cloud that
-   the requester's depth map would keep, in the requester's camera frame.
-   A sender answers all of its requesters in one pass;
+   neighbor a request carrying the pose it projects that neighbor with.
+   The neighbor projects its downsampled cloud into the requester's image
+   and replies with the pixels the requester's depth map would fill from
+   it, each as a (pixel index, depth) pair.  A sender answers all of its
+   requesters in one pass;
 4. perceive — cooperative depth, camera lift, modal fusion, the collapse
    to BEV rows, then the confidence mask and the sparse message.  An agent's
    BEV is its nonzero rows and their cells (`bev_rows`, `bev_cells`); no
@@ -27,11 +28,14 @@ synchronous two-phase exchange round.
    its nonzero rows and their cells (`aggregated_rows`,
    `aggregated_cells`), which scoring reads.
 
-The `RoundLedger` is the only place communication is counted: every
-transmitted scalar is charged there per edge and phase, in the order
-detections, depth, feature.  A `depth` record is either a request (the
-receiver's planar pose for the edge, 3 scalars, receiver to neighbor) or
-the neighbor's reply to it (3 scalars per point).
+The `RoundLedger` is the only place communication is counted, per edge and
+phase, in the order detections, depth, feature.  Each exchange sends only
+the scalars its receiver reads.  Detections and phase-1 replies are
+charged every scalar, pixel index included: a `detections` record 2 per
+box (its centre), a `depth` record either a request (the receiver's planar
+pose for the edge, 3 scalars, receiver to neighbor) or the neighbor's reply
+to it (2 per pixel: its index and depth).  A `feature` record is charged
+the message's nonzero values, not the indices of its cells.
 """
 
 from __future__ import annotations
@@ -67,7 +71,7 @@ from .robust import (
     detect_local,
     occupancy_from_grid,
     relative_pose_error,
-    transform_detections,
+    transform_centers,
 )
 from .scene import (
     DEFAULT_CAMERA_MOUNT,
@@ -86,13 +90,16 @@ from .voxel import Category, GridSpec, VoxelGrid, categorize, collapse, lift_cam
 _IMPORTANCE_GAIN = 4.0
 _IMPORTANCE_SHIFT = 1.0
 
-# Scalars charged per shared detection box (cx, cy, yaw, l, w, score).
-_DETECTION_ELEMENTS = 6
+# Scalars charged per shared detection: its box centre (cx, cy), all that
+# the pose corrector reads.
+_DETECTION_ELEMENTS = 2
 
-# Phase 1 shares one point per cube of this edge length (m), 3 scalars each.
+# Phase 1 draws on one point per cube of this edge length (m).
 _PAYLOAD_CELL = 0.5
 # A phase-1 request carries the requester's planar pose (x, y, yaw).
 _REQUEST_ELEMENTS = 3
+# A phase-1 reply carries a (pixel index, depth) pair per pixel it fills.
+_REPLY_ELEMENTS = 2
 
 _AGG_HEADS = 4
 # BLAS multiplies a handful of rows with other kernels (gemv for one row,
@@ -550,7 +557,8 @@ class AgentRound:
     pose_errors: dict[int, tuple[tuple[float, float], tuple[float, float]]] = field(
         default_factory=dict
     )
-    shared: Optional[list[np.ndarray]] = field(default_factory=list)  # replies, camera frame
+    # phase-1 replies, one (pixel indices, depths) pair per LiDAR neighbor
+    shared: Optional[list[tuple[np.ndarray, np.ndarray]]] = field(default_factory=list)
     depth_map: Optional[DepthMap] = None
     bev_cells: Optional[np.ndarray] = None  # own BEV: flat indices of its nonzero cells, ascending
     bev_rows: Optional[np.ndarray] = None  # (n, F): the BEV row of each of `bev_cells`
@@ -603,7 +611,9 @@ def _relative_poses(
 
     With `robust`, connected LiDAR agents share their local detections and
     each believed relative pose between two of them is corrected by
-    matching them.  An agent without LiDAR has no detections to send or to
+    matching them.  A neighbor sends only its box centers, which is all the
+    corrector reads; the receiver moves them into its frame with the
+    believed pose.  An agent without LiDAR has no detections to send or to
     match against, so its edges send none.  Each agent's believed and true
     poses are inverted once, not once per edge.
     """
@@ -624,10 +634,9 @@ def _relative_poses(
             believed = compose(inv_believed, other.state.believed_pose)
             used = believed
             if pipe.robust and {w.state.id, j} <= lidar:
-                nbr = transform_detections(other.detections, believed)
+                nbr = transform_centers([d.center for d in other.detections], believed)
                 used = correct_relative_pose(believed, w.detections, nbr, pipe.gate_radius)
-                sent = _DETECTION_ELEMENTS * len(other.detections)
-                ledger.add(j, w.state.id, "detections", sent)
+                ledger.add(j, w.state.id, "detections", _DETECTION_ELEMENTS * len(nbr))
             truth = compose(inv_true, other.state.true_pose)
             w.rel[j] = used
             w.pose_errors[j] = (
@@ -642,14 +651,15 @@ def _share_clouds(
     pipe: PipelineConfig,
     ledger: RoundLedger,
 ) -> None:
-    """Phase 1: each agent with camera images requests depth points from
-    each LiDAR neighbor.
+    """Phase 1: each agent with camera images requests depths from each
+    LiDAR neighbor.
 
     The request carries the pose the receiver projects that neighbor with.
-    The neighbor downsamples its cloud once and replies with the points the
-    receiver's depth map keeps: those nearest at a pixel of its image,
-    below d_max.  They are sent in the receiver's camera frame, so the
-    receiver's map is the one the whole cloud gives.
+    The neighbor downsamples its cloud once, projects it into the
+    receiver's image and replies with the pixels the receiver's depth map
+    keeps, each once: a pixel's flat index v * W + u and the depth of the
+    nearest point there, below d_max, in pixel order.  The receiver's map is
+    the one the whole cloud gives, and it projects nothing again.
 
     A neighbor answers all of its requests in one pass: it stacks the
     payload in each requester's camera frame, projects the stack once and
@@ -665,22 +675,23 @@ def _share_clouds(
     by_sender: dict[int, list[AgentRound]] = {}
     for w, j in requests:
         by_sender.setdefault(j, []).append(w)
+    n_pixels = scenario.camera.height * scenario.camera.width
     replies = {}
     for j, requesters in by_sender.items():
         payload = downsample_cloud(rounds[j].cloud, _PAYLOAD_CELL)
         cams = np.concatenate([
             transform_points(compose(_CAM_FROM_AGENT, w.rel[j]), payload) for w in requesters
         ])
-        _, _, rows = nearest_per_pixel(cams, scenario.camera, pipe.bins, views=len(requesters))
-        rows = np.sort(rows)
-        bounds = np.searchsorted(rows, np.arange(1, len(requesters)) * payload.shape[0])
-        for w, part in zip(requesters, np.split(rows, bounds)):
-            replies[w.state.id, j] = cams[part]
+        key, depth, _ = nearest_per_pixel(cams, scenario.camera, pipe.bins, views=len(requesters))
+        bounds = np.searchsorted(key, np.arange(1, len(requesters)) * n_pixels)
+        parts = zip(requesters, np.split(key % n_pixels, bounds), np.split(depth, bounds))
+        for w, pixels, depths in parts:
+            replies[w.state.id, j] = (pixels, depths)
     for w, j in requests:
-        reply = replies[w.state.id, j]
+        pixels, depths = replies[w.state.id, j]
         ledger.add(w.state.id, j, "depth", _REQUEST_ELEMENTS)
-        ledger.add(j, w.state.id, "depth", 3 * reply.shape[0])
-        w.shared.append(reply)
+        ledger.add(j, w.state.id, "depth", _REPLY_ELEMENTS * pixels.size)
+        w.shared.append((pixels, depths))
 
 
 def _perceive(

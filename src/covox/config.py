@@ -302,7 +302,7 @@ _SCENARIO = _section(ScenarioConfig, {
     "seed": ("seed", _SEED),
     "n_agents": ("n_agents", _int),
     "area": ("area", _numbers(4, "[x_min, x_max, y_min, y_max]")),
-    "n_objects": ("n_objects", _int),
+    "n_objects": ("n_objects", _at_least(0)),
     "occluders": ("occluders", _walls),
     "lidar": ("lidar", _LIDAR),
     "camera": ("camera", _CAMERA),

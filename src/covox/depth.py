@@ -145,27 +145,35 @@ def project_cloud_to_depthmap(
 
 def merge_cooperative(
     ego_map: DepthMap,
-    neighbor_clouds: Sequence[np.ndarray],
+    replies: Sequence[tuple[np.ndarray, np.ndarray]],
     intr: CameraIntrinsics,
     bins: DepthBins,
 ) -> DepthMap:
-    """Fill gaps in the ego map with depths projected from neighbor clouds.
+    """Fill gaps in the ego map with the depths neighbors sent.
 
-    Each neighbor cloud is already in the ego camera frame.  Shared depths
-    only ever land on absent pixels; pixels projected from the ego cloud are
-    authoritative and stay untouched.  Conflicts among neighbors resolve by
-    the same minimum rule as ego projection.
+    Each reply is a pair (pixels, depths): flat pixel indices v * W + u of
+    the ego image and the depth a neighbor's point projects to there, as
+    the neighbor already projected them.  Shared depths only ever land on
+    absent pixels; pixels projected from the ego cloud are authoritative and
+    stay untouched.  Conflicts among neighbors resolve by the same minimum
+    rule as ego projection.  A pixel outside the image or a depth that is
+    not below d_max is an error.
     """
     merged = ego_map.copy()
-    if not neighbor_clouds:
+    if not replies:
         return merged
-    # The minimum over all neighbors' points is the minimum of their minima.
-    clouds = [np.asarray(c, dtype=np.float64).reshape(-1, 3) for c in neighbor_clouds]
-    best = _min_depth_image(np.concatenate(clouds), intr, bins)
+    n_pixels = intr.height * intr.width
+    pixels = np.concatenate([np.asarray(p, dtype=np.int64).reshape(-1) for p, _ in replies])
+    depths = np.concatenate([np.asarray(d, dtype=np.float64).reshape(-1) for _, d in replies])
+    if np.any((pixels < 0) | (pixels >= n_pixels)):
+        raise ValueError("merge_cooperative: reply pixel outside the image")
+    if not np.all(depths < bins.d_max):
+        raise ValueError("merge_cooperative: shared depth outside the bin range")
+    best = np.full(n_pixels, np.inf)
+    np.minimum.at(best, pixels, depths)
+    best = best.reshape(intr.height, intr.width)
     write = (merged.source == DepthSource.ABSENT) & np.isfinite(best)
-    k, valid = bins.bin_of(best[write])
-    if not np.all(valid):
-        raise ValueError("merge_cooperative: projected depth outside the bin range")
+    k, _ = bins.bin_of(best[write])
     merged.bin_idx[write] = k.astype(np.int16)
     merged.source[write] = DepthSource.NEIGHBOR_PROJECTED
     return merged

@@ -267,23 +267,24 @@ def fit_planar_alignment(src: np.ndarray, dst: np.ndarray):
 
 def _greedy_matches(
     ego_dets: Sequence[Detection],
-    neighbor_dets: Sequence[Detection],
+    neighbor_centers: np.ndarray,
     gate_radius: float,
 ):
-    """Pair detections by proximity; higher-scored ego boxes choose first.
+    """Pair ego detections with neighbor box centers (n, 2) by proximity;
+    higher-scored ego boxes choose first.
 
     Among equally distant neighbours the lowest index wins."""
-    if not ego_dets or not neighbor_dets:
+    nbr = np.asarray(neighbor_centers, dtype=np.float64).reshape(-1, 2)
+    if not ego_dets or not nbr.shape[0]:
         return []
     ego_order = sorted(range(len(ego_dets)), key=lambda i: -ego_dets[i].score)
     ego = np.array([d.center for d in ego_dets], dtype=np.float64)
-    nbr = np.array([d.center for d in neighbor_dets], dtype=np.float64)
     gap = nbr[None, :, :] - ego[:, None, :]
     # The dot product np.linalg.norm takes, as (1, 2) @ (2, 1) products: a
     # sum of squares rounds differently (BLAS fuses multiply-adds), which
     # could move a tie or a pair at the gate.
     dists = np.sqrt((gap[..., None, :] @ gap[..., :, None])[..., 0, 0]).tolist()
-    free = list(range(len(neighbor_dets)))
+    free = list(range(nbr.shape[0]))
     pairs = []
     for i in ego_order:
         if not free:
@@ -299,43 +300,51 @@ def _greedy_matches(
 def correct_relative_pose(
     init_rel: Pose,
     ego_dets: Sequence[Detection],
-    neighbor_dets_in_ego_frame: Sequence[Detection],
+    neighbor_centers: np.ndarray,
     gate_radius: float = 2.0,
 ) -> Pose:
     """Refine a relative pose from co-detected box centers.
 
-    `neighbor_dets_in_ego_frame` must already be mapped through init_rel.
-    Fewer than two gated matches leave the estimate unchanged.
+    `neighbor_centers` are the neighbor's (n, 2) box centers, already
+    mapped through init_rel (`transform_centers`).  Fewer than two gated
+    matches leave the estimate unchanged.
     """
-    pairs = _greedy_matches(ego_dets, neighbor_dets_in_ego_frame, gate_radius)
+    nbr = np.asarray(neighbor_centers, dtype=np.float64).reshape(-1, 2)
+    pairs = _greedy_matches(ego_dets, nbr, gate_radius)
     if len(pairs) < 2:
         return init_rel
     dst = np.array([ego_dets[i].center for i, _ in pairs])
-    src = np.array([neighbor_dets_in_ego_frame[j].center for _, j in pairs])
+    src = nbr[[j for _, j in pairs]]
     rot, t = fit_planar_alignment(src, dst)
     yaw = float(np.arctan2(rot[1, 0], rot[0, 0]))
     correction = Pose.from_planar(float(t[0]), float(t[1]), yaw)
     return compose(correction, init_rel)
 
 
-def transform_detections(dets: Sequence[Detection], pose: Pose) -> list[Detection]:
-    """Map planar detections through the planar part of a pose.
+def transform_centers(centers: np.ndarray, pose: Pose) -> np.ndarray:
+    """Map (n, 2) planar points through the planar part of a pose.
 
-    One array pass: each box gets the same IEEE operations, in the same
+    One array pass: each point gets the same IEEE operations, in the same
     order, as it would alone.
     """
-    if not dets:
-        return []
+    pts = np.asarray(centers, dtype=np.float64).reshape(-1, 2)
     x, y, yaw = planar_parts(pose)
     c, s = np.cos(yaw), np.sin(yaw)
-    cx = np.array([det.center[0] for det in dets], dtype=np.float64)
-    cy = np.array([det.center[1] for det in dets], dtype=np.float64)
-    px = c * cx - s * cy + x
-    py = s * cx + c * cy + y
+    cx, cy = pts[:, 0], pts[:, 1]
+    return np.stack([c * cx - s * cy + x, s * cx + c * cy + y], axis=1)
+
+
+def transform_detections(dets: Sequence[Detection], pose: Pose) -> list[Detection]:
+    """Map planar detections through the planar part of a pose: each
+    center as `transform_centers` moves it, each yaw turned by the pose's."""
+    if not dets:
+        return []
+    centers = transform_centers([det.center for det in dets], pose)
+    yaw = planar_parts(pose)[2]
     yaws = np.array([det.yaw for det in dets], dtype=np.float64) + yaw
     return [
         Detection(center=(u, v), yaw=a, extent=det.extent, score=det.score)
-        for det, u, v, a in zip(dets, px.tolist(), py.tolist(), yaws.tolist())
+        for det, (u, v), a in zip(dets, centers.tolist(), yaws.tolist())
     ]
 
 

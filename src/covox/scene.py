@@ -139,6 +139,8 @@ class ScenarioConfig:
             raise ValueError("area must be non-degenerate")
         if self.n_agents < 1:
             raise ValueError("need at least one agent")
+        if self.n_objects < 0:
+            raise ValueError("n_objects cannot be negative")
         if self.comm_range <= 0:
             raise ValueError("comm_range must be positive")
         object.__setattr__(self, "occluders", tuple(self.occluders))

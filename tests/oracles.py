@@ -437,7 +437,8 @@ def pack_message_dense(cells, rows, mask):
 
 def share_clouds_per_edge(works, scenario, pipe, ledger):
     """`collab._share_clouds` with each request answered on its own: a
-    projection and a nearest-point search per edge."""
+    projection and a nearest-point search per edge, whose pixels and depths
+    are the reply, charged 2 scalars per pixel."""
     if pipe.depth_projection != "all":
         return
     payloads = {}
@@ -452,23 +453,25 @@ def share_clouds_per_edge(works, scenario, pipe, ledger):
                 payloads[j] = collab.downsample_cloud(sender.cloud, collab._PAYLOAD_CELL)
             ledger.add(w.state.id, j, "depth", collab._REQUEST_ELEMENTS)
             cam = collab.transform_points(compose(collab._CAM_FROM_AGENT, w.rel[j]), payloads[j])
-            _, _, rows = depth.nearest_per_pixel(cam, scenario.camera, pipe.bins)
-            reply = cam[np.sort(rows)]
-            ledger.add(j, w.state.id, "depth", 3 * reply.shape[0])
-            w.shared.append(reply)
+            pixels, depths, _ = depth.nearest_per_pixel(cam, scenario.camera, pipe.bins)
+            ledger.add(j, w.state.id, "depth", 2 * pixels.size)
+            w.shared.append((pixels, depths))
 
 
 def share_whole_clouds(works, scenario, pipe, ledger):
     """Phase 1 as an upper bound on the replies, not a bit reference for
     the ledger: every connected LiDAR agent sends its whole downsampled
-    cloud to every neighbor, which moves it into its camera frame with the
-    pose it uses for that neighbor."""
+    cloud to every neighbor, charged 3 scalars per point.  The neighbor
+    moves it into its camera frame with the pose it uses for that neighbor
+    and merges every point that projects into its image below d_max, as a
+    (pixel, depth) pair."""
     if pipe.depth_projection != "all":
         return
     payloads = {
         aid: collab.downsample_cloud(w.cloud, collab._PAYLOAD_CELL)
         for aid, w in works.items() if w.neighbors and w.state.has_lidar
     }
+    intr = scenario.camera
     for w in works.values():
         for j in w.neighbors:
             cloud = payloads.get(j)
@@ -477,7 +480,9 @@ def share_whole_clouds(works, scenario, pipe, ledger):
             ledger.add(j, w.state.id, "depth", 3 * cloud.shape[0])
             if w.images is not None:
                 cam_from_sender = compose(invert(scene.DEFAULT_CAMERA_MOUNT), w.rel[j])
-                w.shared.append(transform_points(cam_from_sender, cloud))
+                pix, dist, _ = project_points(intr, transform_points(cam_from_sender, cloud))
+                keep = dist < pipe.bins.d_max
+                w.shared.append((pix[keep, 1] * intr.width + pix[keep, 0], dist[keep]))
 
 
 def warp_message_fresh(message, rel_pose, spec):
@@ -750,20 +755,18 @@ def detect_local_per_component(bev_occupancy, spec):
     return dets
 
 
-def greedy_matches_per_pair(ego_dets, neighbor_dets, gate_radius):
+def greedy_matches_per_pair(ego_dets, neighbor_centers, gate_radius):
     """`robust._greedy_matches` with each distance taken by
     np.linalg.norm when it is needed."""
     ego_order = sorted(range(len(ego_dets)), key=lambda i: -ego_dets[i].score)
-    free = set(range(len(neighbor_dets)))
+    free = set(range(len(neighbor_centers)))
     pairs = []
     for i in ego_order:
         if not free:
             break
         e = np.asarray(ego_dets[i].center)
-        cand = min(
-            free, key=lambda j: float(np.linalg.norm(np.asarray(neighbor_dets[j].center) - e))
-        )
-        dist = float(np.linalg.norm(np.asarray(neighbor_dets[cand].center) - e))
+        cand = min(free, key=lambda j: float(np.linalg.norm(np.asarray(neighbor_centers[j]) - e)))
+        dist = float(np.linalg.norm(np.asarray(neighbor_centers[cand]) - e))
         if dist <= gate_radius:
             pairs.append((i, cand))
             free.remove(cand)

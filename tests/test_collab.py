@@ -28,6 +28,7 @@ from covox.collab import (
 )
 from covox.depth import DepthBins, NoisyOraclePredictor, nearest_per_pixel
 from covox.geometry import Pose, compose, invert, transform_points
+from covox.robust import correct_relative_pose, transform_detections
 from covox.scene import (
     DEFAULT_CAMERA_MOUNT,
     DEFAULT_LIDAR_MOUNT,
@@ -635,10 +636,10 @@ class TestRunRound:
                 invert(DEFAULT_CAMERA_MOUNT),
                 compose(invert(receiver.believed_pose), sender.believed_pose),
             )
-            _, _, rows = nearest_per_pixel(
+            pixels, _, _ = nearest_per_pixel(
                 transform_points(cam_from_sender, cloud), scn.camera, BINS
             )
-            assert 0 < reply.elements == 3 * len(rows) < 3 * len(cloud)
+            assert 0 < reply.elements == 2 * len(pixels) < 3 * len(cloud)
 
     def test_agent_order_invariant(self):
         scn = ScenarioConfig(seed=5, n_agents=3, n_objects=4, pose_noise_sigma_xy=0.2)
@@ -680,10 +681,11 @@ ORACLE_CASES = {
 
 
 class TestPhaseOneOracle:
-    """Phase 1 sends each receiver only the points its depth map keeps. The
-    reference sends whole downsampled clouds and projects them with
-    np.minimum.at; every depth map and BEV must come out bit for bit the
-    same, and every reply no larger than the whole cloud."""
+    """Phase 1 sends each receiver only the pixels its depth map keeps, as
+    (pixel, depth) pairs.  The reference sends whole downsampled clouds,
+    charged 3 scalars per point, and merges every point that lands in the
+    image; every depth map and BEV must come out bit for bit the same, and
+    every reply no larger than the whole cloud."""
 
     @pytest.fixture(params=sorted(ORACLE_CASES))
     def case(self, request):
@@ -740,6 +742,69 @@ class TestPhaseOneOracle:
             (rx, tx) for tx, rx in whole if rx in cameras and tx in lidars and fused
         )
         assert sorted((r.sender, r.receiver) for r in requests) == expected
+
+    def test_each_reply_charges_two_per_pixel(self, case, monkeypatch):
+        """A reply record charges 2 scalars per pixel of the reply, which
+        names each pixel of the receiver's image at most once, each with a
+        depth below d_max."""
+        agents, objects, scn, pipe = case
+        shared = {}
+        perceive = collab._perceive
+
+        def recording(w, *args):
+            shared[w.state.id] = list(w.shared)
+            perceive(w, *args)
+
+        monkeypatch.setattr(collab, "_perceive", recording)
+        _, ledger = run_round(agents, objects, (), scn, pipe, PARAMS)
+        replies = [r for r in ledger.records if r.phase == "depth"][1::2]
+        for aid, received in shared.items():
+            records = [r for r in replies if r.receiver == aid]
+            assert len(records) == len(received)
+            for record, (pixels, depths) in zip(records, received):
+                assert record.elements == 2 * pixels.size == 2 * depths.size
+                assert np.unique(pixels).size == pixels.size
+                assert np.all((pixels >= 0) & (pixels < scn.camera.height * scn.camera.width))
+                assert np.all(depths < BINS.d_max)
+        assert not replies or any(r.elements for r in replies)
+
+
+ROBUST_CASES = sorted(name for name, (_, pipe_kw) in ORACLE_CASES.items() if pipe_kw.get("robust"))
+
+
+def robust_round(name):
+    scenario_kw, pipe_kw = ORACLE_CASES[name]
+    scn = ScenarioConfig(**scenario_kw)
+    agents, objects = generate_scene(scn)
+    pipe = PipelineConfig(grid=GRID, bins=BINS, predictor=NoisyOraclePredictor(1.0, 1), **pipe_kw)
+    return run_round(agents, objects, (), scn, pipe, PARAMS)
+
+
+@pytest.mark.parametrize("name", ROBUST_CASES)
+def test_detection_records_charge_two_per_box(name):
+    """A neighbor sends its box centers: 2 scalars per box it detected."""
+    rounds, ledger = robust_round(name)
+    records = [r for r in ledger.records if r.phase == "detections"]
+    assert records
+    for r in records:
+        assert r.elements == 2 * len(rounds[r.sender].detections)
+
+
+@pytest.mark.parametrize("name", ["robust", "noisy_poses_robust"])
+def test_corrections_from_centers_match_whole_boxes(name):
+    """Each pose the round uses is, bit for bit, the correction of the
+    neighbor's whole boxes moved through the believed pose by
+    `transform_detections`: sending only the centers changes no pose."""
+    rounds, _ = robust_round(name)
+    changed = 0
+    for w in rounds.values():
+        for j in w.neighbors:
+            believed = compose(invert(w.state.believed_pose), rounds[j].state.believed_pose)
+            boxes = transform_detections(rounds[j].detections, believed)
+            want = correct_relative_pose(believed, w.detections, [b.center for b in boxes], 2.0)
+            assert w.rel[j].matrix.tobytes() == want.matrix.tobytes()
+            changed += not np.array_equal(want.matrix, believed.matrix)
+    assert changed
 
 
 SWEEP_GRID = GridSpec((-20.0, 20.0), (-20.0, 20.0), (0.5, 3.7), 32, 32, 4, 8)

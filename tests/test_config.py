@@ -165,8 +165,8 @@ def test_negative_sigma_names_full_path(tmp_path, path, zero, negative):
 
 
 # Values of the right type that load no runnable experiment: a negative
-# seed fails in numpy's generators, a negative radius or mass threshold
-# runs a meaningless one, and so does a LiDAR without beams.
+# seed fails in numpy's generators, a negative radius, mass threshold or
+# object count runs a meaningless one, and so does a LiDAR without beams.
 # (YAML path, smallest good value, bad value)
 OUT_OF_RANGE = [
     ("experiment.params_seed", 0, -1),
@@ -174,6 +174,7 @@ OUT_OF_RANGE = [
     ("pipeline.gate_radius", 0, -0.5),
     ("pipeline.mass_threshold", 0, -0.05),
     ("scenario.lidar.elevations_deg.count", 1, 0),
+    ("scenario.n_objects", 0, -1),
 ]
 
 

@@ -30,6 +30,12 @@ def cloud_for_pixels(pixel_depths):
     return np.stack([(u - INTR.u0) * d / INTR.fx, (v - INTR.v0) * d / INTR.fy, d], axis=1)
 
 
+def reply_for_pixels(pixel_depths):
+    """A phase-1 reply, (flat pixel indices, depths), of given (u, v, depth)."""
+    u, v, d = np.asarray(pixel_depths, dtype=np.float64).reshape(-1, 3).T
+    return v.astype(np.int64) * INTR.width + u.astype(np.int64), d
+
+
 class TestBins:
     def test_hand_binning(self):
         k, valid = BINS.bin_of(np.array([10.0]))
@@ -111,7 +117,8 @@ class TestNearestPerPixel:
 
 @pytest.mark.parametrize("stage", ["project_cloud_to_depthmap", "merge_cooperative"])
 def test_out_of_range_depth_raises(monkeypatch, stage):
-    """A projected depth past the last bin is an error, also under `python -O`."""
+    """A projected or shared depth past the last bin is an error, also under
+    `python -O`."""
     def beyond_last_bin(cloud, intr, bins):
         img = np.full((intr.height, intr.width), np.inf)
         img[3, 4] = bins.d_max
@@ -124,13 +131,26 @@ def test_out_of_range_depth_raises(monkeypatch, stage):
             project_cloud_to_depthmap(cloud, INTR, BINS)
         else:
             empty = DepthMap.empty(BINS, INTR.height, INTR.width)
-            merge_cooperative(empty, [cloud], INTR, BINS)
+            merge_cooperative(empty, [reply_for_pixels([(4, 3, BINS.d_max)])], INTR, BINS)
+
+
+@pytest.mark.parametrize("pixel, dist", [
+    (-1, 5.0), (INTR.height * INTR.width, 5.0), (7, np.inf), (7, np.nan),
+])
+def test_merge_rejects_replies_outside_image_or_bins(pixel, dist):
+    """A reply pixel outside the image or a depth not below d_max is an
+    error, even where the ego map already holds the pixel."""
+    ego = project_cloud_to_depthmap(cloud_for_pixels([(7, 0, 10.0)]), INTR, BINS)
+    good = reply_for_pixels([(2, 2, 6.0)])
+    bad = (np.array([pixel]), np.array([dist]))
+    with pytest.raises(ValueError, match="merge_cooperative"):
+        merge_cooperative(ego, [good, bad], INTR, BINS)
 
 
 class TestMerge:
     def test_ego_pixels_untouched(self):
         ego = project_cloud_to_depthmap(cloud_for_pixels([(5, 5, 10.0)]), INTR, BINS)
-        neighbor = cloud_for_pixels([(5, 5, 3.0)])
+        neighbor = reply_for_pixels([(5, 5, 3.0)])
         merged = merge_cooperative(ego, [neighbor], INTR, BINS)
         k, _ = BINS.bin_of(np.array([10.0]))
         assert merged.bin_idx[5, 5] == k[0]
@@ -144,7 +164,7 @@ class TestMerge:
 
     def test_neighbor_fills_absent(self):
         ego = DepthMap.empty(BINS, INTR.height, INTR.width)
-        neighbor = cloud_for_pixels([(2, 2, 6.0)])
+        neighbor = reply_for_pixels([(2, 2, 6.0)])
         merged = merge_cooperative(ego, [neighbor], INTR, BINS)
         k, _ = BINS.bin_of(np.array([6.0]))
         assert merged.bin_idx[2, 2] == k[0]
@@ -152,8 +172,8 @@ class TestMerge:
 
     def test_neighbor_conflicts_use_min(self):
         ego = DepthMap.empty(BINS, INTR.height, INTR.width)
-        n1 = cloud_for_pixels([(2, 2, 9.0)])
-        n2 = cloud_for_pixels([(2, 2, 5.0)])
+        n1 = reply_for_pixels([(2, 2, 9.0)])
+        n2 = reply_for_pixels([(2, 2, 5.0)])
         merged = merge_cooperative(ego, [n1, n2], INTR, BINS)
         k, _ = BINS.bin_of(np.array([5.0]))
         assert merged.bin_idx[2, 2] == k[0]
@@ -165,12 +185,12 @@ class TestMerge:
             )]
         )
         ego = project_cloud_to_depthmap(ego_cloud, INTR, BINS)
-        nbr_cloud = cloud_for_pixels(
+        nbr_reply = reply_for_pixels(
             [(int(u), int(v), float(d)) for u, v, d in zip(
                 rng.integers(0, 32, 60), rng.integers(0, 24, 60), rng.uniform(2, 30, 60)
             )]
         )
-        merged = merge_cooperative(ego, [nbr_cloud], INTR, BINS)
+        merged = merge_cooperative(ego, [nbr_reply], INTR, BINS)
         n_ego = np.count_nonzero(ego.projected_mask())
         assert np.count_nonzero(merged.projected_mask()) >= n_ego
         ego_mask = ego.source == DepthSource.EGO_PROJECTED
@@ -180,7 +200,7 @@ class TestMerge:
         ego_pixels = [(u, v, 5.0) for u in range(0, 16) for v in range(0, 8)]
         nbr_pixels = [(u, v, 7.0) for u in range(16, 32) for v in range(8, 16)]
         ego = project_cloud_to_depthmap(cloud_for_pixels(ego_pixels), INTR, BINS)
-        merged = merge_cooperative(ego, [cloud_for_pixels(nbr_pixels)], INTR, BINS)
+        merged = merge_cooperative(ego, [reply_for_pixels(nbr_pixels)], INTR, BINS)
         assert np.count_nonzero(ego.projected_mask()) == len(ego_pixels)
         assert np.count_nonzero(merged.projected_mask()) == len(ego_pixels) + len(nbr_pixels)
 

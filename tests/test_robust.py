@@ -18,6 +18,7 @@ from covox.robust import (
     occupancy_from_grid,
     perturb_pose,
     relative_pose_error,
+    transform_centers,
     transform_detections,
 )
 from covox.voxel import GridSpec, voxelize_points
@@ -270,13 +271,13 @@ class TestDetectorOracles:
 
     def test_greedy_ties_pick_lowest_index(self):
         ego = self._dets([(0.0, 0.0), (0.0, 0.0)], [0.5, 0.5])
-        nbr = self._dets([(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)])
+        nbr = [(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)]
         pairs = _greedy_matches(ego, nbr, 2.0)
         assert pairs == greedy_matches_per_pair(ego, nbr, 2.0) == [(0, 0), (1, 1)]
 
     def test_greedy_empty_inputs(self):
-        some = self._dets([(0.0, 0.0)])
-        for ego, nbr in [([], []), (some, []), ([], some)]:
+        some = [(0.0, 0.0)]
+        for ego, nbr in [([], []), (self._dets(some), []), ([], some)]:
             assert _greedy_matches(ego, nbr, 2.0) == greedy_matches_per_pair(ego, nbr, 2.0) == []
 
     def test_greedy_gate_equal_to_norm_is_inside(self, rng):
@@ -285,7 +286,7 @@ class TestDetectorOracles:
         for _ in range(300):
             e, n = rng.normal(0.0, 3.0, (2, 2))
             gate = float(np.linalg.norm(n - e))
-            assert _greedy_matches(self._dets([e]), self._dets([n]), gate) == [(0, 0)]
+            assert _greedy_matches(self._dets([e]), [n], gate) == [(0, 0)]
 
     @given(st.integers(0, 2**32 - 1), st.integers(0, 8), st.integers(0, 8))
     @settings(max_examples=150, deadline=None)
@@ -294,8 +295,8 @@ class TestDetectorOracles:
         # Integer centers and repeated scores give many exact distance ties.
         ego = self._dets(rng.integers(-3, 4, (n_ego, 2)).astype(float).tolist(),
                          rng.choice([0.3, 0.6], n_ego).tolist())
-        nbr = self._dets(rng.normal(0.0, 2.0, (n_nbr, 2)).tolist())
-        nbr += self._dets(rng.integers(-3, 4, (n_nbr, 2)).astype(float).tolist())
+        nbr = rng.normal(0.0, 2.0, (n_nbr, 2)).tolist()
+        nbr += rng.integers(-3, 4, (n_nbr, 2)).astype(float).tolist()
         for gate in (0.5, 1.0, 2.0, 10.0):
             assert _greedy_matches(ego, nbr, gate) == greedy_matches_per_pair(ego, nbr, gate)
 
@@ -420,7 +421,7 @@ class TestCorrectRelativePose:
         centers = rng.uniform(-15, 15, (5, 2))
         init = Pose.from_planar(2.0, -1.0, 0.2)
         ego = self._dets(centers)
-        nbr = self._dets(centers)  # already aligned in the ego frame
+        nbr = centers  # already aligned in the ego frame
         out = correct_relative_pose(init, ego, nbr, gate_radius=2.0)
         terr, yerr = relative_pose_error(out, init)
         assert terr < 1e-6 and yerr < 1e-6
@@ -430,7 +431,7 @@ class TestCorrectRelativePose:
         t = np.array([0.8, -0.5])
         init = Pose(np.eye(4))
         out = correct_relative_pose(
-            init, self._dets(centers), self._dets(centers + t), gate_radius=2.0
+            init, self._dets(centers), centers + t, gate_radius=2.0
         )
         x, y, yaw = planar_parts(out)
         assert np.allclose([x, y], -t, atol=1e-6)
@@ -439,14 +440,14 @@ class TestCorrectRelativePose:
     def test_single_match_falls_back(self):
         init = Pose.from_planar(1.0, 1.0, 0.1)
         out = correct_relative_pose(
-            init, self._dets([(0, 0)]), self._dets([(0.5, 0.5)]), gate_radius=2.0
+            init, self._dets([(0, 0)]), [(0.5, 0.5)], gate_radius=2.0
         )
         assert np.array_equal(out.matrix, init.matrix)
 
     def test_out_of_gate_ignored(self):
         init = Pose(np.eye(4))
         ego = self._dets([(0, 0), (10, 0)])
-        nbr = self._dets([(0, 5), (10, 5)])  # 5 m away, outside the 2 m gate
+        nbr = [(0, 5), (10, 5)]  # 5 m away, outside the 2 m gate
         out = correct_relative_pose(init, ego, nbr, gate_radius=2.0)
         assert np.array_equal(out.matrix, init.matrix)
 
@@ -462,10 +463,8 @@ class TestCorrectRelativePose:
             noisy_rel = perturb_pose(true_rel, NoiseModel(0.4, 0.03), rng)
             ego_dets = self._dets(centers + rng.normal(0, 0.1, (n, 2)))
             # Neighbor sees the same objects in its own frame, with jitter.
-            nbr_local = transform_detections(
-                self._dets(centers + rng.normal(0, 0.1, (n, 2))), invert(true_rel)
-            )
-            nbr_in_ego = transform_detections(nbr_local, noisy_rel)
+            nbr_local = transform_centers(centers + rng.normal(0, 0.1, (n, 2)), invert(true_rel))
+            nbr_in_ego = transform_centers(nbr_local, noisy_rel)
             corrected = correct_relative_pose(noisy_rel, ego_dets, nbr_in_ego, 2.0)
             before, _ = relative_pose_error(noisy_rel, true_rel)
             after, _ = relative_pose_error(corrected, true_rel)

@@ -98,6 +98,10 @@ class TestGenerateScene:
         with pytest.raises(GenerationFailure):
             generate_scene(cfg)
 
+    def test_negative_object_count_is_rejected(self):
+        with pytest.raises(ValueError, match="n_objects"):
+            ScenarioConfig(n_objects=-1)
+
     def test_agent_needs_a_sensor(self):
         pose = Pose(np.eye(4))
         with pytest.raises(ValueError):
