@@ -2,7 +2,8 @@
 and writes metrics (CSV), per-message logs (JSON lines) and debug renders.
 
 Usage: runner <config.yaml> [--seed N] [--mode M] [--trials K] [--out DIR]
-Exit codes: 0 success, 1 bad configuration, 2 at least one trial failed.
+Exit codes: 0 success, 1 bad configuration or an output directory that
+cannot be created, 2 at least one trial failed.
 """
 
 from __future__ import annotations
@@ -192,10 +193,15 @@ def run_experiment(exp: ExperimentSpec) -> int:
     """Run every trial of the experiment; returns the process exit code.
 
     Trial failures are logged and skipped; the remaining trials and the
-    metrics file are still produced.
+    metrics file are still produced.  An output directory that cannot be
+    created is reported in one line, and nothing runs.
     """
     out_dir = Path(exp.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"output error: cannot create {out_dir}: {exc.strerror or exc}", file=sys.stderr)
+        return 1
     params = make_pipeline_params(exp.pipeline.grid, exp.params_seed)
 
     sweeps: list[float | None]

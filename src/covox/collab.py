@@ -22,11 +22,15 @@ synchronous two-phase exchange round.
    stage before the aggregation builds an (nx, ny, F) plane of it;
 5. phase 2 / receive — each agent warps all of its neighbors' messages
    into its own frame in one pass, as the cells they land on and the
-   message rows written there, and aggregates them.  Attention reads Q, K
-   and V from one projection per round of every agent's nonzero BEV rows,
-   and max reads the message rows.  The record keeps the aggregated BEV as
-   its nonzero rows and their cells (`aggregated_rows`,
-   `aggregated_cells`), which scoring reads.
+   message rows written there (`WarpedPlanes`), and aggregates them.
+   Attention reads Q, K and V from one projection per round of every
+   agent's nonzero BEV rows, and max reads the message rows.  The record
+   keeps the aggregated BEV as its nonzero rows and their cells
+   (`aggregated_rows`, `aggregated_cells`), which scoring reads.
+
+Every list of BEV cells is flat and ascending: cell (ix, iy) is
+ix * ny + iy.  `bev_cells`, a message's `indices`, the warp's `cells` and
+`aggregated_cells` all take that form.
 
 The `RoundLedger` is the only place communication is counted, per edge and
 phase, in the order detections, depth, feature.  Each exchange sends only
@@ -119,13 +123,14 @@ COLLAB_MODES = ("max", "concat", "attention")
 
 @dataclass
 class Message:
-    """One broadcast payload: the sender's masked sparse BEV cells.
+    """One broadcast payload: the sender's masked sparse BEV cells, as flat
+    indices into its own grid, and their rows.
 
     It carries no pose: a receiver reads the sender's believed pose from the
     agent states, and the ledger charges only `feature_elements`.
     """
 
-    indices: np.ndarray  # (K, 2) BEV cell indices
+    indices: np.ndarray  # (K,) flat BEV cells, ascending
     vectors: np.ndarray  # (K, F) cell features, each row has a nonzero entry
     feature_elements: int
 
@@ -149,26 +154,22 @@ class RoundLedger:
         return sum(r.elements for r in self.records if r.phase == phase)
 
 
-@dataclass
-class WarpResult:
-    cells: list[np.ndarray]  # per plane: flat indices of the written cells, ascending
-    rows: list[np.ndarray]  # per plane: the message row written to each of those cells
-    collisions: int
-    dropped: int
-
-
 @dataclass(frozen=True, eq=False)
 class WarpedPlanes(Sequence):
     """Neighbor messages warped into a receiver's lattice, as a read-only
     sequence of (nx, ny, F) planes of `spec`.  Plane k holds the rows
     `vectors[k][rows[k]]` at the cells `cells[k]` and zeros elsewhere; it
     is built afresh each time it is read, so that only a reader that wants
-    whole planes pays for them."""
+    whole planes pays for them.  `collisions` counts the message rows a
+    later row overwrote on a shared cell, and `dropped` those that landed
+    outside the grid."""
 
     spec: GridSpec
     cells: Sequence[np.ndarray]  # per neighbor: flat indices of the written cells, ascending
     vectors: Sequence[np.ndarray]  # per neighbor: its message's (K, F) rows
     rows: Sequence[np.ndarray]  # per neighbor: the row of `vectors[k]` written to each cell
+    collisions: int
+    dropped: int
 
     def __len__(self) -> int:
         return len(self.cells)
@@ -315,13 +316,10 @@ def pack_message(cells: np.ndarray, rows: np.ndarray, mask: np.ndarray) -> Messa
     are included, in that order; `feature_elements` counts their nonzero
     scalars.
     """
-    mask = np.asarray(mask)
-    ny = mask.shape[1]
-    keep = mask.reshape(-1)[cells] == 1
-    sent = cells[keep]
+    keep = np.asarray(mask).reshape(-1)[cells] == 1
     vecs = rows[keep]
     return Message(
-        indices=np.stack([sent // ny, sent % ny], axis=1),
+        indices=cells[keep],
         vectors=vecs,
         feature_elements=int(np.count_nonzero(vecs)),
     )
@@ -364,30 +362,31 @@ def downsample_cloud(points: np.ndarray, cell: float) -> np.ndarray:
 
 def warp_sparse(
     messages: Sequence[Message], rel_poses: Sequence[Pose], spec: GridSpec
-) -> WarpResult:
+) -> WarpedPlanes:
     """Resample each message's sparse cells into the receiver's BEV lattice.
 
-    Message k's cell centers are mapped through the planar part of
-    `rel_poses[k]` to the containing cell of the receiver's grid; on
-    collision the later entry wins (collisions are counted), out-of-grid
-    cells are dropped.  All messages go in one pass, keyed on message x
-    cell.  Nothing is written: the result lists, per message, the cells it
-    lands on and the message row that lands on each (`WarpedPlanes` reads
-    them as planes).
+    Message k's flat cells, read on the lattice of `spec`, have their
+    centers mapped through the planar part of `rel_poses[k]` to the
+    containing cell of the receiver's grid; on collision the later entry
+    wins (collisions are counted), out-of-grid cells are dropped.  All
+    messages go in one pass, keyed on message x cell.  Nothing is written:
+    the result lists, per message, the flat cells it lands on, ascending,
+    and the message row that lands on each.
     """
+    vectors = [m.vectors for m in messages]
     if not messages:
-        return WarpResult([], [], 0, 0)
+        return WarpedPlanes(spec, [], vectors, [], 0, 0)
     n_cells = spec.nx * spec.ny
-    sizes = [m.indices.shape[0] for m in messages]
+    sizes = [m.indices.size for m in messages]
     starts = np.cumsum([0] + sizes)
-    indices = np.concatenate([m.indices.reshape(-1, 2) for m in messages])
+    indices = np.concatenate([m.indices for m in messages])
     plane = np.repeat(np.arange(len(messages)), sizes)
     x, y, yaw = np.array([planar_parts(p) for p in rel_poses]).T
     # cos and sin of each yaw on its own, as a single message takes them.
     c = np.array([np.cos(a) for a in yaw])
     s = np.array([np.sin(a) for a in yaw])
     c, s, x, y = (a[plane] for a in (c, s, x, y))
-    centers = spec.bev_cell_centers(indices[:, 0], indices[:, 1])
+    centers = spec.bev_cell_centers(indices // spec.ny, indices % spec.ny)
     px = c * centers[:, 0] - s * centers[:, 1] + x
     py = s * centers[:, 0] + c * centers[:, 1] + y
     ix = np.floor((px - spec.x_range[0]) / spec.dx).astype(np.int64)
@@ -400,7 +399,8 @@ def warp_sparse(
     bounds = np.searchsorted(uniq, np.arange(1, len(messages)) * n_cells)
     cells = [u - k * n_cells for k, u in enumerate(np.split(uniq, bounds))]
     rows = [r - starts[k] for k, r in enumerate(np.split(src, bounds))]
-    return WarpResult(cells, rows, int(key.size - uniq.size), int(ix.size - inside.size))
+    return WarpedPlanes(spec, cells, vectors, rows, int(key.size - uniq.size),
+                        int(ix.size - inside.size))
 
 
 def project_tokens(params: nnkit.MhaParams, rows: np.ndarray, n_cells: int) -> Tokens:
@@ -774,8 +774,7 @@ def _project_round_tokens(
         blocks.append(w.bev_rows)
         w.token_rows = np.arange(start, start + w.bev_cells.size)
         start += w.bev_cells.size
-        sent = w.message.indices[:, 0] * grid.ny + w.message.indices[:, 1]
-        w.sent_rows = w.token_rows[np.searchsorted(w.bev_cells, sent)]
+        w.sent_rows = w.token_rows[np.searchsorted(w.bev_cells, w.message.indices)]
     return project_tokens(params, np.concatenate(blocks), grid.nx * grid.ny)
 
 
@@ -791,28 +790,26 @@ def _receive(
     pass, and aggregate them.  Sets `w.aggregated_cells`,
     `w.aggregated_rows` and `w.warp_collisions`.
 
-    The aggregators get the warp as `WarpedPlanes`: attention reads the
-    round's `tokens` (`_project_round_tokens`) and max the message rows, so
-    neither builds a neighbor's plane.  The aggregated plane is dropped
-    once its nonzero rows are taken.
+    Attention reads the round's `tokens` (`_project_round_tokens`) and max
+    the message rows, so neither builds a neighbor's plane.  Each packed row
+    has a nonzero scalar, so the cells the warp writes are exactly the
+    nonzero cells of each plane.  The aggregated plane is dropped once its
+    nonzero rows are taken.
     """
     messages = [rounds[j].message for j in w.neighbors]
-    warp = warp_sparse(messages, [w.rel[j] for j in w.neighbors], pipe.grid)
+    warped = warp_sparse(messages, [w.rel[j] for j in w.neighbors], pipe.grid)
     for j, msg in zip(w.neighbors, messages):
         ledger.add(j, w.state.id, "feature", msg.feature_elements)
-    # Each packed row has a nonzero scalar, so the written cells are
-    # exactly the nonzero cells of each plane.
-    warped = WarpedPlanes(pipe.grid, warp.cells, [m.vectors for m in messages], warp.rows)
     if pipe.collab_mode == "attention":
-        sources = [rounds[j].sent_rows[rows] for j, rows in zip(w.neighbors, warp.rows)]
+        sources = [rounds[j].sent_rows[rows] for j, rows in zip(w.neighbors, warped.rows)]
         agg = aggregate(params.agg_mha, pipe.grid, warped, w.bev_cells, tokens,
                         w.token_rows, sources)
     elif pipe.collab_mode == "max":
         agg = aggregate_max(pipe.grid, warped, w.bev_cells, w.bev_rows)
     else:
         agg = aggregate_concat(params.concat_lin, pipe.grid, warped, w.bev_cells, w.bev_rows)
-    w.aggregated_cells, w.aggregated_rows = _aggregated_rows(agg, w.bev_cells, warp.cells)
-    w.warp_collisions = warp.collisions
+    w.aggregated_cells, w.aggregated_rows = _aggregated_rows(agg, w.bev_cells, warped.cells)
+    w.warp_collisions = warped.collisions
 
 
 def run_round(

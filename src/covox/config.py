@@ -49,6 +49,8 @@ class ExperimentSpec:
             raise ConfigError(f"experiment.mode: unknown mode {self.mode!r}")
         if self.trials < 1:
             raise ConfigError("experiment.trials: need at least one trial")
+        if self.mode == "noise_sweep" and not self.noise_sigmas:
+            raise ConfigError("experiment.noise_sigmas: noise_sweep needs at least one sigma")
         n = self.scenario.n_agents
         for aid in self.scenario.dropout:
             if not 0 <= aid < n:

@@ -18,6 +18,11 @@ from . import nnkit
 from .voxel import Category, CategorizedGrid, VoxelGrid
 
 _GUIDANCE_HEADS = 2
+# A camera-only voxel is kept where its guidance score, over the peak score,
+# exceeds this.
+_GUIDANCE_THRESHOLD = 0.5
+# At most this many LiDAR voxels, drawn at random, query the camera voxels.
+_MAX_TOKENS = 512
 
 
 @dataclass(frozen=True)
@@ -25,13 +30,9 @@ class FusionParams:
     lin1: nnkit.LinearMap  # C -> C, gate transform
     lin2: nnkit.LinearMap  # 2C -> C, output transform
     guidance_mha: nnkit.MhaParams
-    guidance_threshold: float = 0.5
-    max_tokens: int = 512
     sample_seed: int = 0
 
     def __post_init__(self):
-        if not 0.0 <= self.guidance_threshold <= 1.0:
-            raise ValueError("guidance threshold must lie in [0, 1]")
         if self.lin2.n_in != 2 * self.lin1.n_in:
             raise ValueError("output transform must accept the concat pair")
 
@@ -79,11 +80,9 @@ def guidance_raw_scores(
     lidar_cells = np.atleast_2d(lidar_cells)
     camera_cells = np.atleast_2d(camera_cells)
     queries = lidar_cells
-    if queries.shape[0] > params.max_tokens:
+    if queries.shape[0] > _MAX_TOKENS:
         rng = np.random.default_rng((params.sample_seed, queries.shape[0]))
-        pick = np.sort(
-            rng.choice(queries.shape[0], size=params.max_tokens, replace=False)
-        )
+        pick = np.sort(rng.choice(queries.shape[0], size=_MAX_TOKENS, replace=False))
         queries = queries[pick]
     weights = nnkit.attention_weights(params.guidance_mha, queries, camera_cells)
     return weights.mean(axis=0).max(axis=0)
@@ -104,7 +103,7 @@ def compute_guidance(
     if lidar_cells.shape[0] == 0:
         return np.ones(camera_cells.shape[0], dtype=np.uint8)
     raw = guidance_raw_scores(params, lidar_cells, camera_cells)
-    return mask_from_scores(raw, params.guidance_threshold)
+    return mask_from_scores(raw, _GUIDANCE_THRESHOLD)
 
 
 def _rows(cat: CategorizedGrid, tag: Category) -> np.ndarray:

@@ -83,11 +83,11 @@ class Pose:
         return Pose.from_rt(np.eye(3), (x, y, z))
 
     @staticmethod
-    def from_planar(x: float, y: float, yaw: float, z: float = 0.0) -> "Pose":
-        """Pose rotated by `yaw` about +z and translated to (x, y, z)."""
+    def from_planar(x: float, y: float, yaw: float) -> "Pose":
+        """Pose rotated by `yaw` about +z and translated to (x, y, 0)."""
         c, s = np.cos(yaw), np.sin(yaw)
         r = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-        return Pose.from_rt(r, (x, y, z))
+        return Pose.from_rt(r, (x, y, 0.0))
 
 
 def compose(a: Pose, b: Pose) -> Pose:

@@ -96,12 +96,10 @@ class MhaParams:
         return self.dim // self.n_heads
 
 
-def init_mha(dim: int, n_heads: int, seed) -> MhaParams:
-    if isinstance(seed, (tuple, list)):
-        base = tuple(seed)
-    else:
-        base = (int(seed),)
-    lins = [init_linear(dim, dim, base + (k,)) for k in range(4)]
+def init_mha(dim: int, n_heads: int, seed: tuple[int, ...]) -> MhaParams:
+    """Seeded attention weights; projection k draws from the stream
+    `seed + (k,)`."""
+    lins = [init_linear(dim, dim, seed + (k,)) for k in range(4)]
     return MhaParams(n_heads, *lins)
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .geometry import Pose, compose, planar_parts
 from .metrics import Detection
-from .voxel import GridSpec, VoxelGrid
+from .voxel import GridSpec, VoxelGrid, collapse
 
 _REL_THRESHOLD = 0.15
 _MIN_CELLS = 2
@@ -55,16 +55,13 @@ def occupancy_from_grid(grid: VoxelGrid) -> np.ndarray:
     """Column occupancy (nx, ny): channel 0, log(1 + point count) in a
     voxelized LiDAR grid, summed over z.
 
-    Only the grid's tagged columns are summed, each over a row of nz
-    values that holds zeros for its unlisted voxels; every other column
-    sums to exactly 0.
+    Only the rows `collapse` gives are summed, each over its nz channel-0
+    values, zero for an unlisted voxel; every other column sums to exactly 0.
     """
     s = grid.spec
-    columns = grid.tagged_columns()
-    block = np.zeros((columns.size, s.nz))
-    block[np.searchsorted(columns, grid.voxels // s.nz), grid.voxels % s.nz] = grid.features[:, 0]
+    columns, rows = collapse(grid)
     occ = np.zeros(s.nx * s.ny)
-    occ[columns] = block.sum(axis=1)
+    occ[columns] = rows.reshape(-1, s.nz, s.channels)[:, :, 0].sum(axis=1)
     return occ.reshape(s.nx, s.ny)
 
 

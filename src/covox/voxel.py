@@ -120,11 +120,6 @@ class VoxelGrid:
         if self.features.shape != (k, self.spec.channels):
             raise ValueError("feature rows do not match the voxel list and the grid spec")
 
-    def tagged_columns(self) -> np.ndarray:
-        """Flat (x, y) indices, ascending, of the columns holding a tagged
-        voxel: every other column holds only zeros."""
-        return _run_starts(self.voxels // self.spec.nz)
-
     @staticmethod
     def empty(spec: GridSpec) -> "VoxelGrid":
         return VoxelGrid(
@@ -340,16 +335,16 @@ def categorize(lidar_grid: VoxelGrid, camera_grid: VoxelGrid) -> CategorizedGrid
 def collapse(grid: VoxelGrid) -> tuple[np.ndarray, np.ndarray]:
     """Fold the z axis into channels, one BEV row per tagged column.
 
-    Returns the grid's tagged columns (`VoxelGrid.tagged_columns`) and their
-    fresh (n, nz*C) rows of the (nx, ny, nz*C) BEV plane.  Voxel
-    (ix, iy, iz) fills the channel block [iz*C, (iz+1)*C) of its column's
-    row; every other scalar is +0.0.  Every other column holds only zeros,
-    so the columns and rows are the whole plane, and the plane itself is
-    never built.  The operation is lossless: a row reshaped to (nz, C)
-    gives its column of the grid.
+    Returns the flat BEV cells (ix * ny + iy), ascending, of the columns
+    that hold a tagged voxel, and their fresh (n, nz*C) rows of the
+    (nx, ny, nz*C) BEV plane.  Voxel (ix, iy, iz) fills the channel block
+    [iz*C, (iz+1)*C) of its column's row; every other scalar is +0.0.
+    Every other column holds only zeros, so the columns and rows are the
+    whole plane, and the plane itself is never built.  The operation is
+    lossless: a row reshaped to (nz, C) gives its column of the grid.
     """
     s = grid.spec
-    columns = grid.tagged_columns()
+    columns = _run_starts(grid.voxels // s.nz)
     rows = np.zeros((columns.size, s.nz * s.channels))
     at = np.searchsorted(columns, grid.voxels // s.nz) * s.nz + grid.voxels % s.nz
     rows.reshape(-1, s.channels)[at] = grid.features

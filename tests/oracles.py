@@ -116,7 +116,7 @@ def warped_of(spec, planes):
     cells = [nonzero_cells(p) for p in planes]
     vectors = [np.asarray(p, dtype=np.float64).reshape(-1, spec.bev_channels)[c]
                for p, c in zip(planes, cells)]
-    return collab.WarpedPlanes(spec, cells, vectors, [np.arange(c.size) for c in cells])
+    return collab.WarpedPlanes(spec, cells, vectors, [np.arange(c.size) for c in cells], 0, 0)
 
 
 def spec_of(plane):
@@ -425,8 +425,8 @@ def pack_message_dense(cells, rows, mask):
     mask = np.asarray(mask)
     bev = np.zeros(mask.shape + (np.shape(rows)[1],))
     bev.reshape(-1, bev.shape[2])[cells] = rows
-    idx = np.argwhere(mask == 1)
-    vecs = bev[idx[:, 0], idx[:, 1]]
+    idx = np.flatnonzero(mask == 1)
+    vecs = bev.reshape(-1, bev.shape[2])[idx]
     keep = np.any(vecs != 0.0, axis=1) if vecs.size else np.zeros(0, dtype=bool)
     idx, vecs = idx[keep], vecs[keep]
     return collab.Message(idx, np.array(vecs), int(np.count_nonzero(vecs)))
@@ -487,15 +487,20 @@ def share_whole_clouds(works, scenario, pipe, ledger):
 
 def warp_message_fresh(message, rel_pose, spec):
     """One message warped on its own into a fresh zero plane: the plane and
-    the WarpResult of that plane alone."""
+    the `collab.WarpedPlanes` of that message alone."""
     f = spec.bev_channels
     bev = np.zeros((spec.nx, spec.ny, f))
     no_cells = np.zeros(0, dtype=np.int64)
-    indices = np.asarray(message.indices).reshape(-1, 2)
-    if indices.shape[0] == 0:
-        return bev, collab.WarpResult([no_cells], [no_cells], 0, 0)
+    indices = np.asarray(message.indices).reshape(-1)
     vectors = np.asarray(message.vectors, dtype=np.float64).reshape(-1, f)
-    centers = spec.bev_cell_centers(indices[:, 0], indices[:, 1])
+
+    def result(cells, rows, collisions, dropped):
+        return bev, collab.WarpedPlanes(spec, [cells], [vectors], [rows], collisions, dropped)
+
+    if indices.size == 0:
+        return result(no_cells, no_cells, 0, 0)
+    ix, iy = np.unravel_index(indices, (spec.nx, spec.ny))
+    centers = spec.bev_cell_centers(ix, iy)
     x, y, yaw = planar_parts(rel_pose)
     c, s = np.cos(yaw), np.sin(yaw)
     px = c * centers[:, 0] - s * centers[:, 1] + x
@@ -506,12 +511,12 @@ def warp_message_fresh(message, rel_pose, spec):
     dropped = int(np.count_nonzero(~inb))
     rows = np.flatnonzero(inb)
     if rows.size == 0:
-        return bev, collab.WarpResult([no_cells], [no_cells], 0, dropped)
+        return result(no_cells, no_cells, 0, dropped)
     flat = ix[rows] * spec.ny + iy[rows]
     uniq, first_in_rev = np.unique(flat[::-1], return_index=True)
     last = rows[flat.size - 1 - first_in_rev]
     bev.reshape(-1, f)[uniq] = vectors[last]
-    return bev, collab.WarpResult([uniq], [last], int(flat.size - uniq.size), dropped)
+    return result(uniq, last, int(flat.size - uniq.size), dropped)
 
 
 def mha(params: MhaParams, queries: np.ndarray, keys: np.ndarray, values: np.ndarray):

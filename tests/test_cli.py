@@ -1,11 +1,15 @@
 import json
 import os
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
+import covox
 from covox import cli, metrics
 from covox.collab import EdgeRecord, comm_volume_log, make_pipeline_params, run_round
 from covox.config import load_experiment
@@ -209,6 +213,55 @@ def test_mode_override_is_checked_against_the_dropout(tmp_path, capsys):
     assert code == 1
     assert "config error: scenario.dropout.1:" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("override", [(), ("--mode", "noise_sweep")])
+def test_noise_sweep_without_sigmas_exits_1_and_names_the_field(tmp_path, capsys, override):
+    tree = experiment_tree(noise_sigmas=[])
+    if not override:
+        tree["experiment"]["mode"] = "noise_sweep"
+    code, out = run(tmp_path, tree, *override)
+    assert code == 1
+    assert "config error: experiment.noise_sigmas:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("below_file", [True, False])
+def test_uncreatable_out_dir_exits_1_in_one_line(tmp_path, capsys, below_file):
+    """An --out below a regular file, or naming one, is reported in one
+    line that names the directory; no trial runs and no traceback prints."""
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = blocker / "out" if below_file else blocker
+    cfg = tmp_path / "exp.yaml"
+    cfg.write_text(yaml.safe_dump(experiment_tree(trials=1)))
+    code = cli.main([str(cfg), "--out", str(out), "--no-render"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.count("\n") == 1 and str(out) in err
+    assert "Traceback" not in err
+
+
+def python_m_covox(*args, cwd):
+    env = dict(os.environ, PYTHONPATH=str(Path(covox.__file__).resolve().parent.parent))
+    return subprocess.run([sys.executable, "-m", "covox", *args], cwd=cwd, env=env,
+                          capture_output=True, text=True)
+
+
+def test_python_m_covox_runs_a_config(tmp_path):
+    cfg = tmp_path / "exp.yaml"
+    cfg.write_text("experiment: {trials: 1}\nscenario: {n_agents: 2}\n"
+                   "pipeline: {grid: {nx: 16, ny: 16}}\n")
+    result = python_m_covox(str(cfg), "--out", "out", cwd=tmp_path)
+    assert result.returncode == 0, result.stderr
+    lines = csv_lines(tmp_path / "out")
+    assert lines[0] == cli.CSV_HEADER and len(lines) == 2
+
+
+def test_python_m_covox_missing_config_exits_1(tmp_path):
+    result = python_m_covox(str(tmp_path / "absent.yaml"), cwd=tmp_path)
+    assert result.returncode == 1
+    assert result.stderr.startswith("config error:") and "Traceback" not in result.stderr
 
 
 def test_failed_write_keeps_previous_metrics(tmp_path, monkeypatch):

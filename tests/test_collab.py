@@ -9,7 +9,6 @@ from covox import collab, depth, nnkit
 from covox.collab import (
     Message,
     PipelineConfig,
-    WarpedPlanes,
     aggregate,
     aggregate_concat,
     aggregate_max,
@@ -200,16 +199,17 @@ class TestDenseRatio:
 
 
 def as_message(indices, vectors, spec):
+    """A message of the (ix, iy) cells `indices`, sent as flat cells."""
     vectors = np.asarray(vectors, dtype=np.float64).reshape(-1, spec.bev_channels)
-    return Message(np.asarray(indices).reshape(-1, 2), vectors, int(np.count_nonzero(vectors)))
+    ix, iy = np.asarray(indices).reshape(-1, 2).T
+    return Message(ix * spec.ny + iy, vectors, int(np.count_nonzero(vectors)))
 
 
 def warp_into_zeros(indices, vectors, rel_pose, spec):
     """The plane that `WarpedPlanes` builds of one warped message, and the
-    WarpResult of that message."""
-    msg = as_message(indices, vectors, spec)
-    res = warp_sparse([msg], [rel_pose], spec)
-    return WarpedPlanes(spec, res.cells, [msg.vectors], res.rows)[0], res
+    `WarpedPlanes` of that message."""
+    res = warp_sparse([as_message(indices, vectors, spec)], [rel_pose], spec)
+    return res[0], res
 
 
 class TestWarp:

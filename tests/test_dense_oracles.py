@@ -14,7 +14,6 @@ import json
 import runpy
 import tracemalloc
 from collections import Counter
-from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -23,7 +22,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from covox import cli, collab, metrics, scene
+from covox import cli, collab, fusion, metrics, scene
 from covox.collab import (
     PipelineConfig,
     aggregate_max,
@@ -166,11 +165,14 @@ class TestStagesMatchDenseReferences:
         """Both fusions; a guidance threshold of 1 drops every camera voxel
         of a grid with LiDAR voxels."""
         lidar, camera = branch_grids(seed, shape, channels, p_lidar, p_camera)
-        params = replace(make_fusion_params(channels, seed=7), max_tokens=max_tokens,
-                         guidance_threshold=threshold)
+        params = make_fusion_params(channels, seed=7)
         lin = make_equal_params(channels, seed=7)
-        biased = fuse_modalities(params, categorize(lidar, camera))
-        assert_grids_equal(biased, fuse_modalities_masked(params, categorize_dense(lidar, camera)))
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(fusion, "_MAX_TOKENS", max_tokens)
+            m.setattr(fusion, "_GUIDANCE_THRESHOLD", threshold)
+            biased = fuse_modalities(params, categorize(lidar, camera))
+            want = fuse_modalities_masked(params, categorize_dense(lidar, camera))
+        assert_grids_equal(biased, want)
         assert_grids_equal(fuse_modalities_equal(lin, categorize(lidar, camera)),
                            fuse_modalities_equal_masked(lin, categorize_dense(lidar, camera)))
         if threshold == 1.0 and lidar.voxels.size:
@@ -229,21 +231,20 @@ class TestStagesMatchDenseReferences:
         spec = GridSpec((-8.0, 8.0), (-8.0, 8.0), (0.0, 2.0), 12, 12, 2, 3)
         rng = np.random.default_rng(seed)
         msgs = [
-            collab.Message(rng.integers(0, 12, (n, 2)), rng.standard_normal((n, spec.bev_channels)), 0)
+            collab.Message(rng.integers(0, 144, n), rng.standard_normal((n, spec.bev_channels)), 0)
             for n in sizes
         ]
         rels = [Pose.from_planar(*pose) for pose in poses[: len(msgs)]]
         msgs = msgs[: len(rels)]
-        got = warp_sparse(msgs, rels, spec)
-        warped = collab.WarpedPlanes(spec, got.cells, [m.vectors for m in msgs], got.rows)
+        warped = warp_sparse(msgs, rels, spec)
         want = [warp_message_fresh(m, rel, spec) for m, rel in zip(msgs, rels)]
-        assert len(got.cells) == len(got.rows) == len(warped) == len(msgs)
+        assert len(warped.cells) == len(warped.rows) == len(warped) == len(msgs)
         for k, (plane, one) in enumerate(want):
             assert np.array_equal(warped[k], plane)
-            assert np.array_equal(got.cells[k], one.cells[0])
-            assert np.array_equal(got.rows[k], one.rows[0])
-        assert got.collisions == sum(one.collisions for _, one in want)
-        assert got.dropped == sum(one.dropped for _, one in want)
+            assert np.array_equal(warped.cells[k], one.cells[0])
+            assert np.array_equal(warped.rows[k], one.rows[0])
+        assert warped.collisions == sum(one.collisions for _, one in want)
+        assert warped.dropped == sum(one.dropped for _, one in want)
         assert all(np.array_equal(a, p) for a, (p, _) in zip(warped, want))
         if msgs:
             warped[0][...] = 1.0

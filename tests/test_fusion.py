@@ -1,7 +1,6 @@
-from dataclasses import replace
-
 import numpy as np
 
+from covox import fusion
 from covox.fusion import (
     compute_guidance,
     fuse_hybrid_cells,
@@ -63,22 +62,22 @@ class TestGuidance:
         mask = compute_guidance(PARAMS, np.zeros((0, C)), rng.standard_normal((7, C)))
         assert mask.tolist() == [1] * 7
 
-    def test_threshold_monotonicity(self, rng):
+    def test_threshold_monotonicity(self, rng, monkeypatch):
         lidar = rng.standard_normal((20, C))
         camera = rng.standard_normal((30, C))
         masks = []
         for thr in (0.2, 0.5, 0.8):
-            p = replace(PARAMS, guidance_threshold=thr)
-            masks.append(compute_guidance(p, lidar, camera))
+            monkeypatch.setattr(fusion, "_GUIDANCE_THRESHOLD", thr)
+            masks.append(compute_guidance(PARAMS, lidar, camera))
         assert np.all(masks[1] <= masks[0])
         assert np.all(masks[2] <= masks[1])
 
-    def test_subsampling_cap_is_deterministic(self, rng):
-        p = replace(PARAMS, max_tokens=16)
+    def test_subsampling_cap_is_deterministic(self, rng, monkeypatch):
+        monkeypatch.setattr(fusion, "_MAX_TOKENS", 16)
         lidar = rng.standard_normal((100, C))
         camera = rng.standard_normal((10, C))
-        a = compute_guidance(p, lidar, camera)
-        b = compute_guidance(p, lidar, camera)
+        a = compute_guidance(PARAMS, lidar, camera)
+        b = compute_guidance(PARAMS, lidar, camera)
         assert np.array_equal(a, b)
 
     def test_raw_scores_match_full_attention(self, rng):

@@ -29,7 +29,7 @@ class TestInit:
 
     def test_mha_head_divisibility(self):
         with pytest.raises(ValueError):
-            nnkit.init_mha(10, 4, 0)
+            nnkit.init_mha(10, 4, (0,))
 
 
 class TestPrimitives:
@@ -56,7 +56,7 @@ class TestPrimitives:
 
 class TestMha:
     def test_identical_keys_uniform_attention(self, rng):
-        params = nnkit.init_mha(8, 2, 0)
+        params = nnkit.init_mha(8, 2, (0,))
         q = rng.standard_normal((3, 8))
         key = rng.standard_normal(8)
         keys = np.tile(key, (5, 1))
@@ -64,7 +64,7 @@ class TestMha:
         assert np.allclose(attn, 1.0 / 5.0, atol=1e-12)
 
     def test_single_key(self, rng):
-        params = nnkit.init_mha(8, 2, 0)
+        params = nnkit.init_mha(8, 2, (0,))
         q = rng.standard_normal((4, 8))
         k = rng.standard_normal((1, 8))
         v = rng.standard_normal((1, 8))
@@ -75,7 +75,7 @@ class TestMha:
         assert np.allclose(out, np.tile(expected, (4, 1)), atol=1e-12)
 
     def test_permutation_invariance(self, rng):
-        params = nnkit.init_mha(12, 3, 1)
+        params = nnkit.init_mha(12, 3, (1,))
         q = rng.standard_normal((5, 12))
         k = rng.standard_normal((7, 12))
         v = rng.standard_normal((7, 12))
@@ -86,13 +86,13 @@ class TestMha:
         assert np.max(np.abs(attn[:, perm] - attn_p)) < 1e-9
 
     def test_attention_rows_sum_to_one(self, rng):
-        params = nnkit.init_mha(8, 4, 2)
+        params = nnkit.init_mha(8, 4, (2,))
         q = rng.standard_normal((6, 8))
         k = rng.standard_normal((9, 8))
         _, attn = mha(params, q, k, k)
         assert np.allclose(attn.sum(axis=1), 1.0, atol=1e-6)
 
     def test_empty_keys_rejected(self, rng):
-        params = nnkit.init_mha(8, 2, 0)
+        params = nnkit.init_mha(8, 2, (0,))
         with pytest.raises(nnkit.EmptyKeySet):
             mha(params, rng.standard_normal((2, 8)), np.zeros((0, 8)), np.zeros((0, 8)))

@@ -324,7 +324,7 @@ class TestPerturbPose:
         assert abs(xs.std() - 0.4) / 0.4 < 0.05
 
     def test_z_and_tilt_untouched(self):
-        pose = Pose.from_planar(1.0, 2.0, 0.3, z=1.5)
+        pose = Pose.from_rt(Pose.from_planar(0.0, 0.0, 0.3).rotation, (1.0, 2.0, 1.5))
         out = perturb_pose(pose, NoiseModel(0.5, 0.2), np.random.default_rng(2))
         assert out.translation[2] == 1.5
         # The rotated z column must stay (0, 0, 1): yaw-only perturbation.

@@ -257,8 +257,8 @@ class TestVoxelGrid:
 
     def test_tagged_columns(self):
         grid = tagged(SPEC, Category.LIDAR, (0, 0, 3), (0, 1, 0), (0, 1, 2), (5, 6, 1))
-        assert np.array_equal(grid.tagged_columns(), [0, 1, 5 * SPEC.ny + 6])
-        assert VoxelGrid.empty(SPEC).tagged_columns().size == 0
+        assert np.array_equal(collapse(grid)[0], [0, 1, 5 * SPEC.ny + 6])
+        assert collapse(VoxelGrid.empty(SPEC))[0].size == 0
 
 
 class TestCollapse:
@@ -293,7 +293,7 @@ class TestCollapse:
         category[np.any(on, axis=3)] = Category.LIDAR
         grid = sparse(SPEC, feats, category)
         columns, rows = collapse(grid)
-        assert np.array_equal(columns, grid.tagged_columns())
+        assert np.array_equal(columns, np.unique(grid.voxels // SPEC.nz))
         assert np.count_nonzero(rows) == np.count_nonzero(grid.features)
 
 
