@@ -2,7 +2,8 @@
 
 Voxel grids list only their tagged voxels and a BEV travels as its nonzero
 rows, but a trial still allocates and frees blocks from a few hundred KiB
-to 2 MiB: camera images and depth distributions, attention's token stacks
+to 2 MiB: one agent's camera images and depth distributions at a time,
+guidance attention's blocks of query rows, the aggregation's token stacks
 and each receiver's aggregated plane (64 x 64 BEV cells x 64 float64
 channels), which lives until its nonzero rows are taken.  glibc's default
 thresholds are dynamic: after the first such block is freed, blocks that

@@ -2,8 +2,9 @@
 and writes metrics (CSV), per-message logs (JSON lines) and debug renders.
 
 Usage: runner <config.yaml> [--seed N] [--mode M] [--trials K] [--out DIR]
-Exit codes: 0 success, 1 bad configuration or an output directory that
-cannot be created, 2 at least one trial failed.
+Exit codes: 0 success, 1 bad configuration, an output directory that
+cannot be created or an output path taken by the wrong kind of file, 2 at
+least one trial failed.
 """
 
 from __future__ import annotations
@@ -189,12 +190,39 @@ def _atomic_write_text(path: Path, text: str) -> None:
         raise
 
 
+def _render_label(trial: int, sigma: float | None) -> str:
+    """The name of a trial's render directory under the output directory."""
+    if sigma is None:
+        return f"trial_{trial:03d}"
+    return f"sigma_{_fmt(sigma)}_trial_{trial:03d}"
+
+
+def _blocked_output(exp: ExperimentSpec, out_dir: Path, sweeps) -> str | None:
+    """Why a path the run will write is taken by the wrong kind of file, or
+    None.  With rendering on, each trial's render directory and its
+    `_stage_` directory must be directories if they exist (not a file, nor
+    a link, which the run could not clear); `metrics.csv` and
+    `messages.log` must not be directories."""
+    if exp.render:
+        for sigma in sweeps:
+            for trial in range(exp.trials):
+                label = _render_label(trial, sigma)
+                for path in (out_dir / f"_stage_{label}", out_dir / label):
+                    if os.path.lexists(path) and (path.is_symlink() or not path.is_dir()):
+                        return f"{path} exists and is not a directory"
+    for path in (out_dir / "metrics.csv", out_dir / "messages.log"):
+        if path.is_dir():
+            return f"{path} is a directory"
+    return None
+
+
 def run_experiment(exp: ExperimentSpec) -> int:
     """Run every trial of the experiment; returns the process exit code.
 
     Trial failures are logged and skipped; the remaining trials and the
     metrics file are still produced.  An output directory that cannot be
-    created is reported in one line, and nothing runs.
+    created, or an output path taken by the wrong kind of file, is
+    reported in one line, and nothing runs.
     """
     out_dir = Path(exp.out_dir)
     try:
@@ -202,13 +230,17 @@ def run_experiment(exp: ExperimentSpec) -> int:
     except OSError as exc:
         print(f"output error: cannot create {out_dir}: {exc.strerror or exc}", file=sys.stderr)
         return 1
-    params = make_pipeline_params(exp.pipeline.grid, exp.params_seed)
 
     sweeps: list[float | None]
     if exp.mode == "noise_sweep":
         sweeps = list(exp.noise_sigmas)
     else:
         sweeps = [None]
+    blocked = _blocked_output(exp, out_dir, sweeps)
+    if blocked is not None:
+        print(f"output error: {blocked}", file=sys.stderr)
+        return 1
+    params = make_pipeline_params(exp.pipeline.grid, exp.params_seed)
 
     rows, log_lines = [], []
     failures = 0
@@ -226,9 +258,7 @@ def run_experiment(exp: ExperimentSpec) -> int:
             rows.append(outcome.row)
             log_lines.extend(outcome.log_lines)
             if exp.render:
-                label = f"trial_{trial:03d}" if sigma is None else (
-                    f"sigma_{_fmt(sigma)}_trial_{trial:03d}"
-                )
+                label = _render_label(trial, sigma)
                 stage = out_dir / f"_stage_{label}"
                 if stage.exists():
                     shutil.rmtree(stage)

@@ -5,21 +5,23 @@ synchronous two-phase exchange round.
 `run_round` runs five stages in lockstep over one record per agent, an
 `AgentRound`, and returns the records the stages filled:
 
-1. sense — LiDAR and camera capture, LiDAR voxelization;
+1. sense — LiDAR capture and voxelization;
 2. relative poses — believed relative poses, optionally corrected by
    matching the local detections that two LiDAR agents share.  Believed
    poses are read from the agent states: they are not sent in any message
    and not charged;
-3. phase 1 — each agent that runs cooperative depth sends each LiDAR
-   neighbor a request carrying the pose it projects that neighbor with.
-   The neighbor projects its downsampled cloud into the requester's image
-   and replies with the pixels the requester's depth map would fill from
-   it, each as a (pixel index, depth) pair.  A sender answers all of its
-   requesters in one pass;
-4. perceive — cooperative depth, camera lift, modal fusion, the collapse
-   to BEV rows, then the confidence mask and the sparse message.  An agent's
-   BEV is its nonzero rows and their cells (`bev_rows`, `bev_cells`); no
-   stage before the aggregation builds an (nx, ny, F) plane of it;
+3. phase 1 — with cooperative depth, each agent that will render its
+   camera sends each LiDAR neighbor a request carrying the pose it projects
+   that neighbor with.  The neighbor projects its downsampled cloud into
+   the requester's image and replies with the pixels the requester's depth
+   map would fill from it, each as a (pixel index, depth) pair.  A sender
+   answers all of its requesters in one pass;
+4. perceive — camera render, cooperative depth, camera lift, modal fusion,
+   the collapse to BEV rows, then the confidence mask and the sparse
+   message.  Each agent's camera images live only while it perceives, so a
+   round holds one agent's at a time.  An agent's BEV is its nonzero rows
+   and their cells (`bev_rows`, `bev_cells`); no stage before the
+   aggregation builds an (nx, ny, F) plane of it;
 5. phase 2 / receive — each agent warps all of its neighbors' messages
    into its own frame in one pass, as the cells they land on and the
    message rows written there (`WarpedPlanes`), and aggregates them.
@@ -536,13 +538,14 @@ class AgentRound:
 
     A field is set back to None once its last reader is done, so that a
     round holds no agent's sensor data or token rows longer than it needs
-    them: `images`, `cloud_sensor` and `shared` at the end of `_perceive`,
+    them: `cloud_sensor` and `shared` at the end of `_perceive`,
     `cloud` after phase 1, `token_rows` and `sent_rows` at the end of the
     round.  The records `run_round` returns keep the rest: `state`,
     `neighbors`, `lidar_grid`, `detections`, `rel`, `pose_errors`,
     `depth_map`, `bev_cells`, `bev_rows`, `mask`, `message`,
     `aggregated_cells`, `aggregated_rows` and `warp_collisions`.  No field
     holds a whole (nx, ny, F) plane; `aggregated` builds one on request.
+    No field holds camera images: `_perceive` renders them and drops them.
     """
 
     state: AgentState
@@ -550,7 +553,6 @@ class AgentRound:
     lidar_grid: VoxelGrid  # the voxelized LiDAR cloud; empty without a LiDAR
     cloud_sensor: Optional[np.ndarray] = None  # LiDAR hits, sensor frame
     cloud: Optional[np.ndarray] = None  # the same hits, agent frame
-    images: Optional[tuple[np.ndarray, np.ndarray]] = None  # camera depth, features
     detections: list = field(default_factory=list)
     rel: dict[int, Pose] = field(default_factory=dict)  # neighbor -> pose used
     # per neighbor id: (error of believed rel pose, error of the pose used)
@@ -587,21 +589,23 @@ def _sense(
     scenario: ScenarioConfig,
     pipe: PipelineConfig,
 ) -> AgentRound:
-    """Capture the agent's sensors and voxelize its LiDAR cloud."""
+    """Capture the agent's LiDAR and voxelize its cloud.  The camera is
+    rendered later, by `_perceive`."""
     if not agent.has_lidar:
-        record = AgentRound(agent, neighbors, VoxelGrid.empty(pipe.grid))
-    else:
-        pts = simulate_lidar(
-            agent, objects, occluders, scenario.lidar, lidar_rng(scenario.seed, agent.id)
-        )
-        cloud = transform_points(DEFAULT_LIDAR_MOUNT, pts)
-        grid = voxelize_points(cloud, pipe.grid)
-        record = AgentRound(agent, neighbors, grid, cloud_sensor=pts, cloud=cloud)
-    if agent.has_camera and pipe.fusion_mode != "none":
-        record.images = simulate_camera(
-            agent, objects, occluders, scenario.camera, pipe.grid.channels
-        )
-    return record
+        return AgentRound(agent, neighbors, VoxelGrid.empty(pipe.grid))
+    pts = simulate_lidar(
+        agent, objects, occluders, scenario.lidar, lidar_rng(scenario.seed, agent.id)
+    )
+    cloud = transform_points(DEFAULT_LIDAR_MOUNT, pts)
+    grid = voxelize_points(cloud, pipe.grid)
+    return AgentRound(agent, neighbors, grid, cloud_sensor=pts, cloud=cloud)
+
+
+def _renders_camera(agent: AgentState, pipe: PipelineConfig) -> bool:
+    """Whether the agent renders its camera in a round: it carries one and
+    the pipeline fuses camera features.  Phase 1 requests depths for
+    exactly these agents, and `_perceive` renders for them."""
+    return agent.has_camera and pipe.fusion_mode != "none"
 
 
 def _relative_poses(
@@ -651,8 +655,10 @@ def _share_clouds(
     pipe: PipelineConfig,
     ledger: RoundLedger,
 ) -> None:
-    """Phase 1: each agent with camera images requests depths from each
-    LiDAR neighbor.
+    """Phase 1: each agent that will render its camera (`_renders_camera`)
+    requests depths from each LiDAR neighbor.  No image exists yet: the
+    request and the reply depend only on the camera's intrinsics, so
+    `_perceive` renders it afterwards.
 
     The request carries the pose the receiver projects that neighbor with.
     The neighbor downsamples its cloud once, projects it into the
@@ -669,7 +675,7 @@ def _share_clouds(
     if pipe.depth_projection != "all":
         return
     requests = [
-        (w, j) for w in rounds.values() if w.images is not None
+        (w, j) for w in rounds.values() if _renders_camera(w.state, pipe)
         for j in w.neighbors if rounds[j].state.has_lidar
     ]
     by_sender: dict[int, list[AgentRound]] = {}
@@ -696,24 +702,30 @@ def _share_clouds(
 
 def _perceive(
     w: AgentRound,
+    objects: Sequence[BoxObject],
+    occluders: Sequence[Wall],
     scenario: ScenarioConfig,
     pipe: PipelineConfig,
     params: PipelineParams,
 ) -> None:
-    """Depth -> lift -> fuse -> collapse, then mask and pack the message.
+    """Render -> depth -> lift -> fuse -> collapse, then mask and pack the
+    message.
 
-    An agent without camera images fuses an empty camera grid.  Only the
-    fused grid's tagged columns can be nonzero in the BEV, because unlisted
-    voxels hold zeros, so `collapse` gives only their rows.  Those rows are
-    checked one by one; the nonzero ones and their cells are the agent's
-    BEV (`w.bev_rows`, `w.bev_cells`), which the importance scores and the
-    message read.  The camera images, the LiDAR hits in the sensor frame
-    and the phase-1 replies have no reader after this stage and are
-    dropped.
+    An agent that renders its camera (`_renders_camera`) renders it here,
+    and its images are dropped when this stage returns, so a round holds
+    one agent's images at a time.  Any other agent fuses an empty camera
+    grid.  Only the fused grid's tagged columns can be nonzero in the BEV,
+    because unlisted voxels hold zeros, so `collapse` gives only their rows.
+    Those rows are checked one by one; the nonzero ones and their cells are
+    the agent's BEV (`w.bev_rows`, `w.bev_cells`), which the importance
+    scores and the message read.  The LiDAR hits in the sensor frame and
+    the phase-1 replies have no reader after this stage and are dropped.
     """
     camera_grid = VoxelGrid.empty(pipe.grid)
-    if w.images is not None:
-        depth_img, feat_img = w.images
+    if _renders_camera(w.state, pipe):
+        depth_img, feat_img = simulate_camera(
+            w.state, objects, occluders, scenario.camera, pipe.grid.channels
+        )
         if pipe.depth_projection != "no" and w.state.has_lidar:
             cloud_cam = transform_points(_CAM_FROM_LIDAR, w.cloud_sensor)
             dmap = project_cloud_to_depthmap(cloud_cam, scenario.camera, pipe.bins)
@@ -737,7 +749,7 @@ def _perceive(
     scores = importance_scores(w.bev_cells, w.bev_rows, pipe.grid)
     w.mask = confidence_mask(scores, preference_map(fused))
     w.message = pack_message(w.bev_cells, w.bev_rows, w.mask)
-    w.images = w.cloud_sensor = w.shared = None
+    w.cloud_sensor = w.shared = None
 
 
 def _nonzero_rows(cells: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -837,7 +849,7 @@ def run_round(
     _share_clouds(rounds, scenario, pipe, ledger)
     for w in rounds.values():
         w.cloud = None  # phase 1 was its last reader
-        _perceive(w, scenario, pipe, params)
+        _perceive(w, objects, occluders, scenario, pipe, params)
     tokens = None
     if pipe.collab_mode == "attention":
         tokens = _project_round_tokens(rounds, pipe.grid, params.agg_mha)

@@ -108,19 +108,3 @@ def split_heads(x: np.ndarray, n_heads: int) -> np.ndarray:
     *lead, n, d = x.shape
     x = x.reshape(*lead, n, n_heads, d // n_heads)
     return np.moveaxis(x, -2, -3)
-
-
-def attention_weights(params: MhaParams, queries: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """Per-head scaled dot-product softmax weights, shape (H, Nq, Nk).
-
-    queries: (Nq, D); keys: (Nk, D) with Nk >= 1.
-    """
-    queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-    keys = np.atleast_2d(np.asarray(keys, dtype=np.float64))
-    if keys.shape[0] == 0:
-        raise EmptyKeySet("attention requires at least one key")
-    h = params.n_heads
-    q = split_heads(params.wq.apply(queries), h)  # (H, Nq, dh)
-    k = split_heads(params.wk.apply(keys), h)  # (H, Nk, dh)
-    scores = q @ np.swapaxes(k, -1, -2) / np.sqrt(params.head_dim)  # (H, Nq, Nk)
-    return softmax(scores, axis=-1)

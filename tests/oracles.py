@@ -44,7 +44,7 @@ from covox.depth import DepthMap, NoisyOraclePredictor, predict_depth
 from covox.fusion import compute_guidance, fuse_hybrid_cells
 from covox.geometry import compose, invert, pixel_rays, planar_parts, project_points, transform_points
 from covox.metrics import Detection, _by_descending_score, clip_polygon, polygon_area
-from covox.nnkit import MhaParams, attention_weights, split_heads
+from covox.nnkit import EmptyKeySet, MhaParams, softmax, split_heads
 from covox.robust import _MIN_CELLS, _REL_THRESHOLD
 from covox.voxel import Category, GridSpec, VoxelGrid
 
@@ -443,7 +443,7 @@ def share_clouds_per_edge(works, scenario, pipe, ledger):
         return
     payloads = {}
     for w in works.values():
-        if w.images is None:
+        if not collab._renders_camera(w.state, pipe):
             continue
         for j in w.neighbors:
             sender = works[j]
@@ -478,7 +478,7 @@ def share_whole_clouds(works, scenario, pipe, ledger):
             if cloud is None:
                 continue
             ledger.add(j, w.state.id, "depth", 3 * cloud.shape[0])
-            if w.images is not None:
+            if collab._renders_camera(w.state, pipe):
                 cam_from_sender = compose(invert(scene.DEFAULT_CAMERA_MOUNT), w.rel[j])
                 pix, dist, _ = project_points(intr, transform_points(cam_from_sender, cloud))
                 keep = dist < pipe.bins.d_max
@@ -517,6 +517,22 @@ def warp_message_fresh(message, rel_pose, spec):
     last = rows[flat.size - 1 - first_in_rev]
     bev.reshape(-1, f)[uniq] = vectors[last]
     return result(uniq, last, int(flat.size - uniq.size), dropped)
+
+
+def attention_weights(params: MhaParams, queries: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Per-head scaled dot-product softmax weights, shape (H, Nq, Nk).
+
+    queries: (Nq, D); keys: (Nk, D) with Nk >= 1.
+    """
+    queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
+    keys = np.atleast_2d(np.asarray(keys, dtype=np.float64))
+    if keys.shape[0] == 0:
+        raise EmptyKeySet("attention requires at least one key")
+    h = params.n_heads
+    q = split_heads(params.wq.apply(queries), h)  # (H, Nq, dh)
+    k = split_heads(params.wk.apply(keys), h)  # (H, Nk, dh)
+    scores = q @ np.swapaxes(k, -1, -2) / np.sqrt(params.head_dim)  # (H, Nq, Nk)
+    return softmax(scores, axis=-1)
 
 
 def mha(params: MhaParams, queries: np.ndarray, keys: np.ndarray, values: np.ndarray):
@@ -573,13 +589,15 @@ def aggregate_max_dense(grid, warped, ego_cells, ego_rows):
 # --- perceive and receive ------------------------------------------------------------
 
 
-def perceive_whole_plane(w, scenario, pipe, params):
+def perceive_whole_plane(w, objects, occluders, scenario, pipe, params):
     """`collab._perceive` with the BEV's nonzero cells, scores, thresholds
     and message read from the whole plane and grid.  It calls its stages by
     their names in `collab`, so a swap of those reaches it."""
     camera_grid = VoxelGrid.empty(pipe.grid)
-    if w.images is not None:
-        depth_img, feat_img = w.images
+    if collab._renders_camera(w.state, pipe):
+        depth_img, feat_img = collab.simulate_camera(
+            w.state, objects, occluders, scenario.camera, pipe.grid.channels
+        )
         if pipe.depth_projection != "no" and w.state.has_lidar:
             cloud_cam = collab.transform_points(collab._CAM_FROM_LIDAR, w.cloud_sensor)
             dmap = collab.project_cloud_to_depthmap(cloud_cam, scenario.camera, pipe.bins)
@@ -604,7 +622,7 @@ def perceive_whole_plane(w, scenario, pipe, params):
         collab.importance_scores(w.bev_cells, w.bev_rows, pipe.grid),
         collab.preference_map(fused))
     w.message = collab.pack_message(w.bev_cells, w.bev_rows, w.mask)
-    w.images = w.cloud_sensor = w.shared = None
+    w.cloud_sensor = w.shared = None
 
 
 def receive_fresh(w, rounds, pipe, params, ledger, tokens):

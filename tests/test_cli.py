@@ -242,6 +242,54 @@ def test_uncreatable_out_dir_exits_1_in_one_line(tmp_path, capsys, below_file):
     assert "Traceback" not in err
 
 
+
+# (experiment overrides, the output path taken, what takes it)
+BLOCKED_OUTPUTS = [
+    ({"render": True}, "trial_000", "file"),
+    ({"render": True}, "_stage_trial_000", "file"),
+    ({"render": True, "mode": "noise_sweep", "noise_sigmas": [0.0, 0.3], "trials": 2},
+     "sigma_0.3_trial_001", "file"),
+    ({}, "metrics.csv", "directory"),
+    ({}, "messages.log", "directory"),
+]
+
+
+@pytest.mark.parametrize("experiment, taken, kind", BLOCKED_OUTPUTS,
+                         ids=[taken for _, taken, _ in BLOCKED_OUTPUTS])
+def test_output_path_of_the_wrong_type_exits_1_in_one_line(
+        tmp_path, monkeypatch, capsys, experiment, taken, kind):
+    """A render directory, or its stage, taken by a regular file, and a
+    metrics or message file taken by a directory, are reported before the
+    first trial in one line that names the path: exit 1, no trial runs,
+    nothing is written or deleted."""
+    out = tmp_path / "out"
+    out.mkdir()
+    blocker = out / taken
+    if kind == "file":
+        blocker.write_text("keep")
+    else:
+        blocker.mkdir()
+        (blocker / "inside").write_text("keep")
+    run_trial, ran = cli.run_trial, []
+
+    def counted(*args):
+        ran.append(args[1])
+        return run_trial(*args)
+
+    monkeypatch.setattr(cli, "run_trial", counted)
+    tree = experiment_tree(**dict({"trials": 1}, **experiment))
+    tree["scenario"] = {"n_agents": 2}
+    tree["pipeline"] = {"grid": {"nx": 16, "ny": 16}}
+    cfg = tmp_path / "exp.yaml"
+    cfg.write_text(yaml.safe_dump(tree))
+    code = cli.main([str(cfg), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("output error:") and err.count("\n") == 1 and str(blocker) in err
+    assert ran == []
+    assert sorted(p.name for p in out.iterdir()) == [taken]
+    assert (blocker.read_text() if kind == "file" else (blocker / "inside").read_text()) == "keep"
+
 def python_m_covox(*args, cwd):
     env = dict(os.environ, PYTHONPATH=str(Path(covox.__file__).resolve().parent.parent))
     return subprocess.run([sys.executable, "-m", "covox", *args], cwd=cwd, env=env,

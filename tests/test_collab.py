@@ -736,7 +736,7 @@ class TestPhaseOneOracle:
             assert (reply.sender, reply.receiver) == (request.receiver, request.sender)
             assert reply.elements <= whole[reply.sender, reply.receiver]
         # Exactly one request per edge that has a payload to ask for, and
-        # none from a receiver without camera images.
+        # none from a receiver that renders no camera.
         fused = case[3].fusion_mode != "none"
         expected = sorted(
             (rx, tx) for tx, rx in whole if rx in cameras and tx in lidars and fused

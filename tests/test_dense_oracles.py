@@ -823,32 +823,55 @@ def test_traced_counters_match_dense_pipeline(bench_run, tracing, tmp_path, monk
         assert all(got.values()), got
 
 
-def test_sense_allocates_less_than_one_grid(bench_run, tmp_path, monkeypatch):
-    """After a warm-up trial, sensing any agent of the fleet8 shape's
-    trials 1-7, camera and LiDAR, peaks below the size of one dense feature
-    grid.  Boxes near a camera give its bundle up to about ten thousand
-    (box, ray) pairs, so the slab test must run them in blocks."""
+def call_peaks(bench_run, tmp_path, monkeypatch, owner, name, trials):
+    """tracemalloc's peak over each call of `owner.name` in the given trials
+    of the fleet8 shape at seed 0, above what was allocated when the call
+    began.  Trial 0 runs first, untraced, to warm up."""
     exp, params = experiment(bench_run, tmp_path, "fleet8", 0)
     cli.run_trial(exp, 0, None, params)
-    sense, peaks = collab._sense, []
+    fn, peaks = getattr(owner, name), []
 
-    def measured_sense(*args):
+    def measured(*args):
         tracemalloc.reset_peak()
         before = tracemalloc.get_traced_memory()[0]
-        work = sense(*args)
+        out = fn(*args)
         peaks.append(tracemalloc.get_traced_memory()[1] - before)
-        return work
+        return out
 
-    monkeypatch.setattr(collab, "_sense", measured_sense)
+    monkeypatch.setattr(owner, name, measured)
     tracemalloc.start()
     try:
-        for trial in range(1, 8):
+        for trial in trials:
             cli.run_trial(exp, trial, None, params)
     finally:
         tracemalloc.stop()
+    return exp, peaks
+
+
+def one_grid(exp):
+    """The bytes of one dense float64 feature grid of the experiment."""
     g = exp.pipeline.grid
+    return g.nx * g.ny * g.nz * g.channels * 8
+
+
+def test_sense_allocates_less_than_one_grid(bench_run, tmp_path, monkeypatch):
+    """After a warm-up trial, sensing any agent of the fleet8 shape's
+    trials 1-7, its LiDAR capture and voxelization, peaks below the size of
+    one dense feature grid."""
+    exp, peaks = call_peaks(bench_run, tmp_path, monkeypatch, collab, "_sense", range(1, 8))
     assert len(peaks) == 7 * exp.scenario.n_agents
-    assert max(peaks) < g.nx * g.ny * g.nz * g.channels * 8, peaks
+    assert max(peaks) < one_grid(exp), peaks
+
+
+def test_camera_render_allocates_less_than_one_grid(bench_run, tmp_path, monkeypatch):
+    """After a warm-up trial, each camera render of the fleet8 shape's
+    trials 1-7 peaks below the size of one dense feature grid.  Boxes near
+    a camera give its bundle up to about ten thousand (box, ray) pairs, so
+    the slab test must run them in blocks."""
+    exp, peaks = call_peaks(bench_run, tmp_path, monkeypatch, collab, "simulate_camera",
+                            range(1, 8))
+    assert len(peaks) == 7 * exp.scenario.n_agents
+    assert max(peaks) < one_grid(exp), peaks
 
 
 def arrays_in(value):
@@ -912,23 +935,17 @@ def test_round_peaks_below_16_mib(bench_run, tmp_path, monkeypatch):
     trial, tracemalloc's peak over each round of the fleet8 shape's trials
     1-3 stays below 16 MiB.  A stack of one (nx, ny, F) plane per neighbor
     takes 14 MiB there, and the eight records' aggregated planes 16 MiB."""
-    exp, params = experiment(bench_run, tmp_path, "fleet8", 0)
-    cli.run_trial(exp, 0, None, params)
-    round_, peaks = cli.run_round, []
-
-    def measured_round(*args):
-        tracemalloc.reset_peak()
-        before = tracemalloc.get_traced_memory()[0]
-        out = round_(*args)
-        peaks.append(tracemalloc.get_traced_memory()[1] - before)
-        return out
-
-    monkeypatch.setattr(cli, "run_round", measured_round)
-    tracemalloc.start()
-    try:
-        for trial in range(1, 4):
-            cli.run_trial(exp, trial, None, params)
-    finally:
-        tracemalloc.stop()
+    _, peaks = call_peaks(bench_run, tmp_path, monkeypatch, cli, "run_round", range(1, 4))
     assert len(peaks) == 3
     assert max(peaks) < 16 << 20, peaks
+
+
+def test_round_peaks_below_9_mib(bench_run, tmp_path, monkeypatch):
+    """Guidance attention runs its queries in blocks, and each agent's
+    camera images live only while it perceives: after a warm-up trial,
+    tracemalloc's peak over each round of the fleet8 shape's trials 1-25
+    stays below 9 MiB.  Whole (heads x queries x camera cells) guidance
+    arrays took a round to 13.3 MiB there."""
+    _, peaks = call_peaks(bench_run, tmp_path, monkeypatch, cli, "run_round", range(1, 26))
+    assert len(peaks) == 25
+    assert max(peaks) < 9 << 20, peaks

@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 
+import covox
 from covox import fusion
 from covox.fusion import (
     compute_guidance,
@@ -80,14 +86,58 @@ class TestGuidance:
         b = compute_guidance(PARAMS, lidar, camera)
         assert np.array_equal(a, b)
 
-    def test_raw_scores_match_full_attention(self, rng):
-        for params in (PARAMS, make_fusion_params(C, seed=1)):
-            for n_lidar, n_camera in ((1, 1), (5, 9), (40, 3)):
-                lidar = rng.standard_normal((n_lidar, C))
-                camera = rng.standard_normal((n_camera, C))
-                _, attn = mha(params.guidance_mha, lidar, camera, camera)
-                scores = guidance_raw_scores(params, lidar, camera)
-                assert np.array_equal(scores, attn.max(axis=0))
+    def test_raw_scores_match_full_attention(self):
+        """Blocked guidance gives whole-matrix attention's bits on every
+        GUIDANCE_SHAPES case.  The cases run in a fresh interpreter with
+        BLAS on one thread, as the benchmark runs: a threaded BLAS splits a
+        large whole product between its threads and rounds it otherwise."""
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                   MKL_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join([str(Path(covox.__file__).parent.parent),
+                                               str(Path(__file__).parent)]))
+        code = "import test_fusion; print(test_fusion.guidance_mismatches())"
+        result = subprocess.run([sys.executable, "-c", code], env=env,
+                                capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"
+
+
+# (queries, keys) of the guidance cases: below, at and around one and two
+# query blocks and 64 rows, fleet8's largest call (325 x 444) and more
+# queries than `_MAX_TOKENS`, which samples them.  BLAS rounds a product's
+# last few key columns on their own, and a wrong block shows only where one
+# of those holds its column's largest weight, so each shape runs under ten
+# parameter seeds, with key counts 250 and 444 that leave such columns:
+# blocks of 64 or 50 rows, or a short last block moved back to 64 rows, fail
+# some case on a 2-core x86-64 host.
+GUIDANCE_SHAPES = [(1, 1), (5, 9), (40, 3)] + [
+    (n_lidar, n_camera)
+    for n_lidar in (47, 48, 49, 63, 64, 65, 95, 96, 97, 128, 129, 325, 600)
+    for n_camera in (1, 250, 444)
+]
+GUIDANCE_SEEDS = range(10)
+
+
+def guidance_mismatches():
+    """The (params seed, queries, keys) cases of GUIDANCE_SHAPES whose raw
+    guidance scores differ from `oracles.mha`'s head-mean weights over the
+    queries guidance reads, maxed over those queries."""
+    rng = np.random.default_rng(1234)
+    bad = []
+    for seed in GUIDANCE_SEEDS:
+        params = make_fusion_params(C, seed)
+        for n_lidar, n_camera in GUIDANCE_SHAPES:
+            lidar = rng.standard_normal((n_lidar, C))
+            camera = rng.standard_normal((n_camera, C))
+            queries = lidar
+            if n_lidar > fusion._MAX_TOKENS:
+                pick = np.random.default_rng((params.sample_seed, n_lidar)).choice(
+                    n_lidar, size=fusion._MAX_TOKENS, replace=False)
+                queries = lidar[np.sort(pick)]
+            _, attn = mha(params.guidance_mha, queries, camera, camera)
+            if not np.array_equal(guidance_raw_scores(params, lidar, camera), attn.max(axis=0)):
+                bad.append((seed, n_lidar, n_camera))
+    return bad
 
 
 def _tagged_grids(rng):
