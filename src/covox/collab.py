@@ -14,7 +14,8 @@ synchronous two-phase exchange round.
    camera sends each LiDAR neighbor a request carrying the pose it projects
    that neighbor with.  The neighbor projects its downsampled cloud into
    the requester's image and replies with the pixels the requester's depth
-   map would fill from it, each as a (pixel index, depth) pair.  A sender
+   map would fill from it, as per-bin pixel lists: the depth bin each pixel
+   falls in, which is all the requester reads, and no depth.  A sender
    answers all of its requesters in one pass;
 4. perceive — camera render, cooperative depth, camera lift, modal fusion,
    the collapse to BEV rows, then the confidence mask and the sparse
@@ -40,8 +41,10 @@ the scalars its receiver reads.  Detections and phase-1 replies are
 charged every scalar, pixel index included: a `detections` record 2 per
 box (its centre), a `depth` record either a request (the receiver's planar
 pose for the edge, 3 scalars, receiver to neighbor) or the neighbor's reply
-to it (2 per pixel: its index and depth).  A `feature` record is charged
-the message's nonzero values, not the indices of its cells.
+to it (D + P for D depth bins and P pixels: its per-bin pixel counts and
+the pixel indices; a reply without pixels is not sent and charged 0).  A
+`feature` record is charged the message's nonzero values, not the indices
+of its cells.
 """
 
 from __future__ import annotations
@@ -56,7 +59,9 @@ from . import nnkit
 from .depth import (
     DepthBins,
     DepthMap,
+    DepthReply,
     UniformPredictor,
+    encode_replies,
     finalize_distribution,
     merge_cooperative,
     nearest_per_pixel,
@@ -104,8 +109,6 @@ _DETECTION_ELEMENTS = 2
 _PAYLOAD_CELL = 0.5
 # A phase-1 request carries the requester's planar pose (x, y, yaw).
 _REQUEST_ELEMENTS = 3
-# A phase-1 reply carries a (pixel index, depth) pair per pixel it fills.
-_REPLY_ELEMENTS = 2
 
 _AGG_HEADS = 4
 # BLAS multiplies a handful of rows with other kernels (gemv for one row,
@@ -559,8 +562,8 @@ class AgentRound:
     pose_errors: dict[int, tuple[tuple[float, float], tuple[float, float]]] = field(
         default_factory=dict
     )
-    # phase-1 replies, one (pixel indices, depths) pair per LiDAR neighbor
-    shared: Optional[list[tuple[np.ndarray, np.ndarray]]] = field(default_factory=list)
+    # phase-1 replies, one per LiDAR neighbor
+    shared: Optional[list[DepthReply]] = field(default_factory=list)
     depth_map: Optional[DepthMap] = None
     bev_cells: Optional[np.ndarray] = None  # own BEV: flat indices of its nonzero cells, ascending
     bev_rows: Optional[np.ndarray] = None  # (n, F): the BEV row of each of `bev_cells`
@@ -662,15 +665,19 @@ def _share_clouds(
 
     The request carries the pose the receiver projects that neighbor with.
     The neighbor downsamples its cloud once, projects it into the
-    receiver's image and replies with the pixels the receiver's depth map
-    keeps, each once: a pixel's flat index v * W + u and the depth of the
-    nearest point there, below d_max, in pixel order.  The receiver's map is
-    the one the whole cloud gives, and it projects nothing again.
+    receiver's image and finds the pixels the receiver's depth map keeps,
+    each once, with the depth of the nearest point there, below d_max.  The
+    receiver's map reads only the bin of that depth, so the reply is a
+    `DepthReply`: per-bin pixel counts and the flat pixel indices
+    v * W + u, bin by bin and in pixel order within a bin.  It is charged
+    D + P scalars, and a reply without pixels 0.  The receiver's map is the
+    one the whole cloud gives, and it projects nothing again.
 
     A neighbor answers all of its requests in one pass: it stacks the
-    payload in each requester's camera frame, projects the stack once and
-    keeps the nearest point per (requester, pixel).  Requests, replies and
-    `shared` keep the order of the requests.
+    payload in each requester's camera frame, projects the stack once,
+    keeps the nearest point per (requester, pixel) and encodes every reply
+    at once (`encode_replies`).  Requests, replies and `shared` keep the
+    order of the requests.
     """
     if pipe.depth_projection != "all":
         return
@@ -689,15 +696,14 @@ def _share_clouds(
             transform_points(compose(_CAM_FROM_AGENT, w.rel[j]), payload) for w in requesters
         ])
         key, depth, _ = nearest_per_pixel(cams, scenario.camera, pipe.bins, views=len(requesters))
-        bounds = np.searchsorted(key, np.arange(1, len(requesters)) * n_pixels)
-        parts = zip(requesters, np.split(key % n_pixels, bounds), np.split(depth, bounds))
-        for w, pixels, depths in parts:
-            replies[w.state.id, j] = (pixels, depths)
+        encoded = encode_replies(key, depth, pipe.bins, n_pixels, views=len(requesters))
+        for w, reply in zip(requesters, encoded):
+            replies[w.state.id, j] = reply
     for w, j in requests:
-        pixels, depths = replies[w.state.id, j]
+        reply = replies[w.state.id, j]
         ledger.add(w.state.id, j, "depth", _REQUEST_ELEMENTS)
-        ledger.add(j, w.state.id, "depth", _REPLY_ELEMENTS * pixels.size)
-        w.shared.append((pixels, depths))
+        ledger.add(j, w.state.id, "depth", reply.elements)
+        w.shared.append(reply)
 
 
 def _perceive(

@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -143,38 +143,90 @@ def project_cloud_to_depthmap(
     return dmap
 
 
+class DepthReply(NamedTuple):
+    """A phase-1 reply: the pixels of the requester's image a neighbor's
+    cloud fills, sent as the depth bin the requester reads.
+
+    `counts[k]` is the number of pixels in bin k, and `pixels` holds their
+    flat indices v * W + u grouped by ascending bin.  No depth travels: a
+    pixel's bin is where it falls in `pixels`.
+    """
+
+    counts: np.ndarray  # (D,) pixels per depth bin
+    pixels: np.ndarray  # (P,) flat pixel indices, bin by bin
+
+    @property
+    def elements(self) -> int:
+        """Scalars on the wire: D counts and P pixels, or none for a reply
+        without pixels, which is not sent."""
+        return self.counts.size + self.pixels.size if self.pixels.size else 0
+
+
+def encode_replies(
+    keys: np.ndarray, depths: np.ndarray, bins: DepthBins, n_pixels: int, views: int = 1
+) -> list[DepthReply]:
+    """Bin the depths of `views` replies and encode each as a `DepthReply`.
+
+    Entry i is pixel keys[i] % n_pixels of reply keys[i] // n_pixels, at
+    depths[i], as `nearest_per_pixel` keys them; a pixel keeps its input
+    order within its bin, so keys in ascending order give pixel order.  All
+    replies go in one pass: one binning, one stable sort on reply x bin and
+    one count.  A depth at or beyond d_max, or not finite, is an error.
+    """
+    k, valid = bins.bin_of(depths)
+    if not np.all(valid):
+        raise ValueError("encode_replies: depth outside the bin range")
+    keys = np.asarray(keys, dtype=np.int64).reshape(-1)
+    group = keys // n_pixels * bins.n_bins + k
+    pixels = (keys % n_pixels)[np.argsort(group, kind="stable")]
+    counts = np.bincount(group, minlength=views * bins.n_bins).reshape(views, bins.n_bins)
+    parts = np.split(pixels, np.cumsum(counts.sum(axis=1))[:-1])
+    return [DepthReply(c, p) for c, p in zip(counts, parts)]
+
+
 def merge_cooperative(
     ego_map: DepthMap,
-    replies: Sequence[tuple[np.ndarray, np.ndarray]],
+    replies: Sequence[DepthReply],
     intr: CameraIntrinsics,
     bins: DepthBins,
 ) -> DepthMap:
-    """Fill gaps in the ego map with the depths neighbors sent.
+    """Fill gaps in the ego map with the depth bins neighbors sent.
 
-    Each reply is a pair (pixels, depths): flat pixel indices v * W + u of
-    the ego image and the depth a neighbor's point projects to there, as
-    the neighbor already projected them.  Shared depths only ever land on
-    absent pixels; pixels projected from the ego cloud are authoritative and
-    stay untouched.  Conflicts among neighbors resolve by the same minimum
-    rule as ego projection.  A pixel outside the image or a depth that is
-    not below d_max is an error.
+    Each reply is a pair (counts, pixels), as `encode_replies` gives it:
+    D per-bin counts and the flat pixel indices v * W + u of the ego image,
+    grouped by ascending bin.  Shared bins only ever land on absent pixels;
+    pixels projected from the ego cloud are authoritative and stay
+    untouched.  Conflicts among neighbors resolve to the smallest bin, which
+    `bin_of` being monotone makes the bin of the smallest depth: the same
+    minimum rule as ego projection.  Counts that are not D non-negative
+    entries summing to the reply's pixels, or a pixel outside the image,
+    are an error.
     """
     merged = ego_map.copy()
     if not replies:
         return merged
     n_pixels = intr.height * intr.width
-    pixels = np.concatenate([np.asarray(p, dtype=np.int64).reshape(-1) for p, _ in replies])
-    depths = np.concatenate([np.asarray(d, dtype=np.float64).reshape(-1) for _, d in replies])
+    d = bins.n_bins
+    pixels, pixel_bins = [], []
+    for counts, pix in replies:
+        counts = np.asarray(counts).reshape(-1)
+        pix = np.asarray(pix, dtype=np.int64).reshape(-1)
+        if counts.size != d:
+            raise ValueError(f"merge_cooperative: reply has {counts.size} bin counts, not {d}")
+        if np.any(counts < 0):
+            raise ValueError("merge_cooperative: negative bin count")
+        if counts.sum() != pix.size:
+            raise ValueError("merge_cooperative: bin counts do not sum to the reply's pixels")
+        pixels.append(pix)
+        pixel_bins.append(np.repeat(np.arange(d, dtype=np.int16), counts))
+    pixels = np.concatenate(pixels)
     if np.any((pixels < 0) | (pixels >= n_pixels)):
         raise ValueError("merge_cooperative: reply pixel outside the image")
-    if not np.all(depths < bins.d_max):
-        raise ValueError("merge_cooperative: shared depth outside the bin range")
-    best = np.full(n_pixels, np.inf)
-    np.minimum.at(best, pixels, depths)
+    best = np.full(n_pixels, d, dtype=np.int16)  # d = no neighbor sent the pixel
+    np.minimum.at(best, pixels, np.concatenate(pixel_bins))
     best = best.reshape(intr.height, intr.width)
-    write = (merged.source == DepthSource.ABSENT) & np.isfinite(best)
-    k, _ = bins.bin_of(best[write])
-    merged.bin_idx[write] = k.astype(np.int16)
+    write = (merged.source == DepthSource.ABSENT) & (best < d)
+    merged.bin_idx[write] = best[write]
     merged.source[write] = DepthSource.NEIGHBOR_PROJECTED
     return merged
 

@@ -1,7 +1,14 @@
 import importlib.util
+import os
 from pathlib import Path
 
-import numpy as np
+# The suite compares BLAS products of different shapes bit for bit, which
+# holds only with BLAS on one thread.  OpenBLAS reads this when numpy is
+# first imported, and pytest and Hypothesis import no numpy before this file
+# runs.  A value set in the environment wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+import numpy as np  # noqa: E402
 import pytest
 
 from covox.geometry import Pose

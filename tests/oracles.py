@@ -28,6 +28,10 @@ oracle.  A second function stays only where it checks another behaviour:
 - `share_whole_clouds` sends every neighbor its whole cloud, which bounds
   the size of each reply, beside the bit reference `share_clouds_per_edge`,
   which pins the ledger's reply sizes edge by edge.
+
+`merge_cooperative_pairs` is the reference of the cooperative merge: it
+takes each reply as the (pixel, depth) pairs a neighbor found, before they
+are binned and encoded, and keeps the minimum depth per pixel.
 """
 
 from __future__ import annotations
@@ -322,6 +326,42 @@ def oracle_noisy_predict(true_depth_image, predictor, bins):
     return vol
 
 
+def merge_cooperative_pairs(ego_map, replies, intr, bins):
+    """`depth.merge_cooperative` on replies of (pixel, depth) pairs: each
+    absent pixel of the ego map takes the bin of the smallest depth any
+    neighbor sent for it.  A pixel outside the image or a depth not below
+    d_max is an error."""
+    merged = ego_map.copy()
+    if not replies:
+        return merged
+    n_pixels = intr.height * intr.width
+    pixels = np.concatenate([np.asarray(p, dtype=np.int64).reshape(-1) for p, _ in replies])
+    depths = np.concatenate([np.asarray(d, dtype=np.float64).reshape(-1) for _, d in replies])
+    if np.any((pixels < 0) | (pixels >= n_pixels)):
+        raise ValueError("merge_cooperative_pairs: reply pixel outside the image")
+    if not np.all(depths < bins.d_max):
+        raise ValueError("merge_cooperative_pairs: shared depth outside the bin range")
+    best = np.full(n_pixels, np.inf)
+    np.minimum.at(best, pixels, depths)
+    best = best.reshape(intr.height, intr.width)
+    write = (merged.source == depth.DepthSource.ABSENT) & np.isfinite(best)
+    k, _ = bins.bin_of(best[write])
+    merged.bin_idx[write] = k.astype(np.int16)
+    merged.source[write] = depth.DepthSource.NEIGHBOR_PROJECTED
+    return merged
+
+
+def reply_of(pixels, depths, bins):
+    """One phase-1 reply encoded on its own: the per-bin counts of the
+    depths and the pixels sorted by bin, in their given order within a
+    bin."""
+    k, valid = bins.bin_of(depths)
+    assert np.all(valid)
+    counts = np.array([np.count_nonzero(k == b) for b in range(bins.n_bins)], dtype=np.int64)
+    pixels = np.asarray(pixels, dtype=np.int64)
+    return depth.DepthReply(counts, np.concatenate([pixels[k == b] for b in range(bins.n_bins)]))
+
+
 # --- lift, categorize, fuse, collapse ------------------------------------------------
 
 
@@ -438,7 +478,8 @@ def pack_message_dense(cells, rows, mask):
 def share_clouds_per_edge(works, scenario, pipe, ledger):
     """`collab._share_clouds` with each request answered on its own: a
     projection and a nearest-point search per edge, whose pixels and depths
-    are the reply, charged 2 scalars per pixel."""
+    are encoded on their own (`reply_of`), charged D + P scalars for D bins
+    and P pixels, and 0 without pixels."""
     if pipe.depth_projection != "all":
         return
     payloads = {}
@@ -454,8 +495,8 @@ def share_clouds_per_edge(works, scenario, pipe, ledger):
             ledger.add(w.state.id, j, "depth", collab._REQUEST_ELEMENTS)
             cam = collab.transform_points(compose(collab._CAM_FROM_AGENT, w.rel[j]), payloads[j])
             pixels, depths, _ = depth.nearest_per_pixel(cam, scenario.camera, pipe.bins)
-            ledger.add(j, w.state.id, "depth", 2 * pixels.size)
-            w.shared.append((pixels, depths))
+            ledger.add(j, w.state.id, "depth", pipe.bins.n_bins + pixels.size if pixels.size else 0)
+            w.shared.append(reply_of(pixels, depths, pipe.bins))
 
 
 def share_whole_clouds(works, scenario, pipe, ledger):
@@ -463,8 +504,8 @@ def share_whole_clouds(works, scenario, pipe, ledger):
     the ledger: every connected LiDAR agent sends its whole downsampled
     cloud to every neighbor, charged 3 scalars per point.  The neighbor
     moves it into its camera frame with the pose it uses for that neighbor
-    and merges every point that projects into its image below d_max, as a
-    (pixel, depth) pair."""
+    and merges every point that projects into its image below d_max,
+    encoded as a reply of its own (`reply_of`)."""
     if pipe.depth_projection != "all":
         return
     payloads = {
@@ -482,7 +523,8 @@ def share_whole_clouds(works, scenario, pipe, ledger):
                 cam_from_sender = compose(invert(scene.DEFAULT_CAMERA_MOUNT), w.rel[j])
                 pix, dist, _ = project_points(intr, transform_points(cam_from_sender, cloud))
                 keep = dist < pipe.bins.d_max
-                w.shared.append((pix[keep, 1] * intr.width + pix[keep, 0], dist[keep]))
+                w.shared.append(
+                    reply_of(pix[keep, 1] * intr.width + pix[keep, 0], dist[keep], pipe.bins))
 
 
 def warp_message_fresh(message, rel_pose, spec):

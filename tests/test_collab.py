@@ -639,7 +639,7 @@ class TestRunRound:
             pixels, _, _ = nearest_per_pixel(
                 transform_points(cam_from_sender, cloud), scn.camera, BINS
             )
-            assert 0 < reply.elements == 2 * len(pixels) < 3 * len(cloud)
+            assert 0 < reply.elements == BINS.n_bins + len(pixels) < 3 * len(cloud)
 
     def test_agent_order_invariant(self):
         scn = ScenarioConfig(seed=5, n_agents=3, n_objects=4, pose_noise_sigma_xy=0.2)
@@ -682,7 +682,7 @@ ORACLE_CASES = {
 
 class TestPhaseOneOracle:
     """Phase 1 sends each receiver only the pixels its depth map keeps, as
-    (pixel, depth) pairs.  The reference sends whole downsampled clouds,
+    per-bin pixel lists.  The reference sends whole downsampled clouds,
     charged 3 scalars per point, and merges every point that lands in the
     image; every depth map and BEV must come out bit for bit the same, and
     every reply no larger than the whole cloud."""
@@ -743,10 +743,12 @@ class TestPhaseOneOracle:
         )
         assert sorted((r.sender, r.receiver) for r in requests) == expected
 
-    def test_each_reply_charges_two_per_pixel(self, case, monkeypatch):
-        """A reply record charges 2 scalars per pixel of the reply, which
-        names each pixel of the receiver's image at most once, each with a
-        depth below d_max."""
+    def test_each_reply_charges_its_counts_and_pixels(self, case, monkeypatch):
+        """A reply record charges the scalars of the reply its receiver
+        got, `counts.size + pixels.size`, and 0 for a reply without pixels.
+        The reply holds D bin counts that sum to its pixels, and names each
+        pixel of the receiver's image at most once, in pixel order within a
+        bin."""
         agents, objects, scn, pipe = case
         shared = {}
         perceive = collab._perceive
@@ -761,11 +763,14 @@ class TestPhaseOneOracle:
         for aid, received in shared.items():
             records = [r for r in replies if r.receiver == aid]
             assert len(records) == len(received)
-            for record, (pixels, depths) in zip(records, received):
-                assert record.elements == 2 * pixels.size == 2 * depths.size
+            for record, (counts, pixels) in zip(records, received):
+                assert record.elements == (counts.size + pixels.size if pixels.size else 0)
+                assert counts.size == BINS.n_bins and counts.min() >= 0
+                assert counts.sum() == pixels.size
                 assert np.unique(pixels).size == pixels.size
                 assert np.all((pixels >= 0) & (pixels < scn.camera.height * scn.camera.width))
-                assert np.all(depths < BINS.d_max)
+                for part in np.split(pixels, np.cumsum(counts)[:-1]):
+                    assert np.all(np.diff(part) > 0)
         assert not replies or any(r.elements for r in replies)
 
 

@@ -19,7 +19,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from covox import cli, collab, fusion, metrics, scene
@@ -394,16 +394,16 @@ SMALL_GRID = GridSpec((-20.0, 20.0), (-20.0, 20.0), (0.5, 3.7), 24, 24, 4, 8)
 @pytest.mark.parametrize("collab_mode", collab.COLLAB_MODES)
 @given(seed=st.integers(0, 2**16), n_agents=st.integers(1, 3))
 @example(seed=3, n_agents=1)
+@example(seed=2616, n_agents=1)
 @settings(max_examples=8, deadline=None)
 def test_round_cells_are_the_nonzero_cells(collab_mode, params, seed, n_agents):
     """Each AgentRound's `bev_cells` and `bev_rows` are the nonzero cells of
     the whole plane of its fused grid and their rows, and its
     `aggregated_cells` and `aggregated_rows` those of the plane its
-    aggregator returned; one agent has no neighbors."""
-    pipe = PipelineConfig(grid=SMALL_GRID, bins=DepthBins(1.0, 33.0, 16),
-                          predictor=NoisyOraclePredictor(1.0, 1), fusion_mode="none",
-                          depth_projection="no", collab_mode=collab_mode)
-    scn = ScenarioConfig(seed=seed, n_agents=n_agents, n_objects=6, comm_range=60.0)
+    aggregator returned; one agent has no neighbors.  A scene whose every
+    BEV is empty checks that the records are empty too, but cannot show
+    aggregated cells (`test_round_of_an_empty_cloud_has_no_cells`)."""
+    scn, pipe = _small_round(seed, n_agents, collab_mode)
     agents, objects = generate_scene(scn)
     planes, aggregated = [], []
     name = {"attention": "aggregate", "max": "aggregate_max", "concat": "aggregate_concat"}
@@ -422,7 +422,6 @@ def test_round_cells_are_the_nonzero_cells(collab_mode, params, seed, n_agents):
         m.setattr(collab, name[collab_mode], recorded_aggregator)
         rounds, _ = run_round(agents, objects, (), scn, pipe, params)
     assert len(rounds) == n_agents == len(planes) == len(aggregated)
-    assert any(r.aggregated_cells.size for r in rounds.values())
     for r, plane, agg in zip(rounds.values(), planes, aggregated):
         cells, rows = rows_of(plane)
         assert np.array_equal(r.bev_cells, cells)
@@ -430,6 +429,33 @@ def test_round_cells_are_the_nonzero_cells(collab_mode, params, seed, n_agents):
         cells, rows = rows_of(agg)
         assert np.array_equal(r.aggregated_cells, cells)
         assert r.aggregated_rows.tobytes() == rows.tobytes()
+    assume(any(r.bev_cells.size for r in rounds.values()))
+    assert any(r.aggregated_cells.size for r in rounds.values())
+
+
+def _small_round(seed, n_agents, collab_mode):
+    """The scenario and pipeline of `test_round_cells_are_the_nonzero_cells`."""
+    pipe = PipelineConfig(grid=SMALL_GRID, bins=DepthBins(1.0, 33.0, 16),
+                          predictor=NoisyOraclePredictor(1.0, 1), fusion_mode="none",
+                          depth_projection="no", collab_mode=collab_mode)
+    return ScenarioConfig(seed=seed, n_agents=n_agents, n_objects=6, comm_range=60.0), pipe
+
+
+@pytest.mark.parametrize("collab_mode", collab.COLLAB_MODES)
+def test_round_of_an_empty_cloud_has_no_cells(collab_mode):
+    """Seed 2616 leaves its one agent's LiDAR grid empty: the round completes
+    with no BEV cells, no message rows and no aggregated cells."""
+    scn, pipe = _small_round(2616, 1, collab_mode)
+    agents, objects = generate_scene(scn)
+    rounds, ledger = run_round(agents, objects, (), scn, pipe,
+                               make_pipeline_params(SMALL_GRID, 2024))
+    (r,) = rounds.values()
+    assert r.lidar_grid.voxels.size == 0
+    assert r.bev_cells.size == r.bev_rows.size == 0
+    assert r.message.indices.size == r.message.feature_elements == 0
+    assert r.aggregated_cells.size == r.aggregated_rows.size == 0
+    assert r.aggregated_rows.shape == (0, SMALL_GRID.bev_channels)
+    assert ledger.records == []
 
 
 def test_max_of_nonzero_tokens_can_be_a_zero_cell():
@@ -666,8 +692,9 @@ def test_empty_and_unlanded_messages_match_the_reference(monkeypatch, collab_mod
 
 def test_replies_per_sender_match_replies_per_edge(monkeypatch):
     """Phase 1 answers all of a sender's requests in one pass; the ledger,
-    the depth maps and every AgentRound array must equal those of one
-    projection per request, with a sender whose scan came back empty."""
+    the replies, the depth maps and every AgentRound array must equal those
+    of one projection and one encoding per request, with a sender whose
+    scan came back empty."""
     scn, agents, objects = reuse_scene()
     pipe = PipelineConfig(grid=GRID, bins=DepthBins(1.0, 33.0, 16),
                           predictor=NoisyOraclePredictor(1.0, 1), robust=True)
@@ -677,7 +704,16 @@ def test_replies_per_sender_match_replies_per_edge(monkeypatch):
         return np.zeros((0, 3)) if agent.id == 4 else simulate(agent, *args)
 
     monkeypatch.setattr(collab, "simulate_lidar", empty_scan_for_agent_4)
+    perceive, shared = collab._perceive, []
+
+    def recording(w, *args):
+        shared.append([(c.copy(), p.copy()) for c, p in w.shared])
+        perceive(w, *args)
+
+    monkeypatch.setattr(collab, "_perceive", recording)
     got, got_ledger = run_round(agents, objects, (), scn, pipe, PARAMS)
+    got_shared = list(shared)
+    shared.clear()
     assert (4, 2, "depth", 0) in {(r.sender, r.receiver, r.phase, r.elements)
                                   for r in got_ledger.records}
     with monkeypatch.context() as m:
@@ -685,6 +721,12 @@ def test_replies_per_sender_match_replies_per_edge(monkeypatch):
         want, want_ledger = run_round(agents, objects, (), scn, pipe, PARAMS)
     assert got_ledger.records == want_ledger.records
     assert_rounds_equal(got, want)
+    assert len(got_shared) == len(shared) == len(agents)
+    for got_replies, want_replies in zip(got_shared, shared):
+        assert len(got_replies) == len(want_replies)
+        for (counts, pixels), (want_counts, want_pixels) in zip(got_replies, want_replies):
+            assert np.array_equal(counts, want_counts)
+            assert np.array_equal(pixels, want_pixels)
 
 
 def test_second_round_leaves_the_first_unchanged():

@@ -10,6 +10,7 @@ from covox.depth import (
     DepthSource,
     NoisyOraclePredictor,
     UniformPredictor,
+    encode_replies,
     finalize_distribution,
     merge_cooperative,
     nearest_per_pixel,
@@ -18,10 +19,16 @@ from covox.depth import (
 )
 from covox.geometry import CameraIntrinsics, project_points
 
-from oracles import min_depth_image_by_minimum_at, oracle_noisy_predict
+from oracles import (
+    merge_cooperative_pairs,
+    min_depth_image_by_minimum_at,
+    oracle_noisy_predict,
+    reply_of,
+)
 
 BINS = DepthBins(1.0, 33.0, 16)
 INTR = CameraIntrinsics(50.0, 50.0, 16.0, 12.0, 32, 24)
+N_PIXELS = INTR.height * INTR.width
 
 
 def cloud_for_pixels(pixel_depths):
@@ -31,9 +38,11 @@ def cloud_for_pixels(pixel_depths):
 
 
 def reply_for_pixels(pixel_depths):
-    """A phase-1 reply, (flat pixel indices, depths), of given (u, v, depth)."""
+    """The encoded phase-1 reply of given (u, v, depth)."""
     u, v, d = np.asarray(pixel_depths, dtype=np.float64).reshape(-1, 3).T
-    return v.astype(np.int64) * INTR.width + u.astype(np.int64), d
+    pixels = v.astype(np.int64) * INTR.width + u.astype(np.int64)
+    (reply,) = encode_replies(pixels, d, BINS, N_PIXELS)
+    return reply
 
 
 class TestBins:
@@ -115,36 +124,53 @@ class TestNearestPerPixel:
         assert flat.shape == dist.shape == rows.shape == (0,)
 
 
-@pytest.mark.parametrize("stage", ["project_cloud_to_depthmap", "merge_cooperative"])
+@pytest.mark.parametrize("stage", ["project_cloud_to_depthmap", "encode_replies"])
 def test_out_of_range_depth_raises(monkeypatch, stage):
-    """A projected or shared depth past the last bin is an error, also under
-    `python -O`."""
+    """A projected depth past the last bin, or a shared one at or past it
+    or not finite, is an error, also under `python -O`."""
+    if stage == "encode_replies":
+        for d in (BINS.d_max, np.inf, np.nan):
+            with pytest.raises(ValueError, match=stage):
+                encode_replies(np.array([4, 7]), np.array([5.0, d]), BINS, N_PIXELS)
+        return
+
     def beyond_last_bin(cloud, intr, bins):
         img = np.full((intr.height, intr.width), np.inf)
         img[3, 4] = bins.d_max
         return img
 
     monkeypatch.setattr(depth, "_min_depth_image", beyond_last_bin)
-    cloud = cloud_for_pixels([(4, 3, 5.0)])
     with pytest.raises(ValueError, match=stage):
-        if stage == "project_cloud_to_depthmap":
-            project_cloud_to_depthmap(cloud, INTR, BINS)
-        else:
-            empty = DepthMap.empty(BINS, INTR.height, INTR.width)
-            merge_cooperative(empty, [reply_for_pixels([(4, 3, BINS.d_max)])], INTR, BINS)
+        project_cloud_to_depthmap(cloud_for_pixels([(4, 3, 5.0)]), INTR, BINS)
 
 
-@pytest.mark.parametrize("pixel, dist", [
-    (-1, 5.0), (INTR.height * INTR.width, 5.0), (7, np.inf), (7, np.nan),
-])
+@pytest.mark.parametrize("pixel, dist", [(-1, 5.0), (N_PIXELS, 5.0)])
 def test_merge_rejects_replies_outside_image_or_bins(pixel, dist):
-    """A reply pixel outside the image or a depth not below d_max is an
-    error, even where the ego map already holds the pixel."""
+    """A reply pixel outside the image is an error, even where the ego map
+    already holds the pixel.  A depth outside the bins has no bin to be
+    sent in: the encoder rejects it (`test_out_of_range_depth_raises`)."""
     ego = project_cloud_to_depthmap(cloud_for_pixels([(7, 0, 10.0)]), INTR, BINS)
     good = reply_for_pixels([(2, 2, 6.0)])
-    bad = (np.array([pixel]), np.array([dist]))
+    bad = reply_of([pixel], [dist], BINS)
     with pytest.raises(ValueError, match="merge_cooperative"):
         merge_cooperative(ego, [good, bad], INTR, BINS)
+
+
+@pytest.mark.parametrize("counts", [
+    pytest.param([0] * 15, id="fewer_bins"),
+    pytest.param([1] + [0] * 16, id="more_bins"),
+    pytest.param([2, -1] + [0] * 14, id="negative"),
+    pytest.param([2] + [0] * 15, id="sum_above_pixels"),
+    pytest.param([0] * 16, id="sum_below_pixels"),
+])
+def test_merge_rejects_malformed_counts(counts):
+    """Bin counts that are not D non-negative entries summing to the
+    reply's pixels are an error, even where the ego map already holds the
+    pixels."""
+    ego = project_cloud_to_depthmap(cloud_for_pixels([(7, 0, 10.0)]), INTR, BINS)
+    good = reply_for_pixels([(2, 2, 6.0)])
+    with pytest.raises(ValueError, match="merge_cooperative"):
+        merge_cooperative(ego, [good, (counts, np.array([7]))], INTR, BINS)
 
 
 class TestMerge:
@@ -203,6 +229,47 @@ class TestMerge:
         merged = merge_cooperative(ego, [reply_for_pixels(nbr_pixels)], INTR, BINS)
         assert np.count_nonzero(ego.projected_mask()) == len(ego_pixels)
         assert np.count_nonzero(merged.projected_mask()) == len(ego_pixels) + len(nbr_pixels)
+
+
+@given(seed=st.integers(0, 2**32 - 1), n_replies=st.integers(0, 5))
+@settings(max_examples=200, deadline=None)
+def test_encoded_merge_matches_pairs_merge(seed, n_replies):
+    """Replies binned and encoded in one pass, then merged, give the depth
+    map of the (pixel, depth) merge bit for bit, with pixels that several
+    neighbors send, depths below d_min (bin 0), on bin edges and just below
+    d_max, and pixels the ego map already holds.  Each reply equals the
+    reply encoded on its own, and is charged D + P, or 0 without pixels."""
+    rng = np.random.default_rng(seed)
+    shared_area = N_PIXELS // 4  # replies overlap each other and the ego's pixels
+    ego_pixels = rng.integers(0, shared_area, rng.integers(0, 150))
+    ego = project_cloud_to_depthmap(cloud_for_pixels(np.stack(
+        [ego_pixels % INTR.width, ego_pixels // INTR.width, rng.uniform(1.5, 31.0, ego_pixels.size)],
+        axis=1)), INTR, BINS)
+    special = np.concatenate([
+        BINS.d_min + np.arange(BINS.n_bins) * BINS.width,  # bin edges
+        [0.0, 0.5, np.nextafter(BINS.d_min, 0.0), np.nextafter(BINS.d_max, 0.0)],
+    ])
+    pairs = []
+    for _ in range(n_replies):
+        pixels = np.unique(rng.integers(0, shared_area, rng.integers(0, 120)))
+        depths = np.where(rng.random(pixels.size) < 0.3, rng.choice(special, pixels.size),
+                          rng.uniform(0.0, BINS.d_max, pixels.size))
+        pairs.append((pixels, depths))
+    keys = [view * N_PIXELS + pixels for view, (pixels, _) in enumerate(pairs)]
+    replies = encode_replies(np.concatenate(keys + [np.zeros(0, dtype=np.int64)]),
+                             np.concatenate([d for _, d in pairs] + [np.zeros(0)]),
+                             BINS, N_PIXELS, views=n_replies)
+    assert len(replies) == n_replies
+    for reply, (pixels, depths) in zip(replies, pairs):
+        alone = reply_of(pixels, depths, BINS)
+        assert np.array_equal(reply.counts, alone.counts)
+        assert np.array_equal(reply.pixels, alone.pixels)
+        assert reply.elements == (BINS.n_bins + pixels.size if pixels.size else 0)
+    got = merge_cooperative(ego, replies, INTR, BINS)
+    want = merge_cooperative_pairs(ego, pairs, INTR, BINS)
+    assert got.bin_idx.dtype == want.bin_idx.dtype and got.source.dtype == want.source.dtype
+    assert np.array_equal(got.bin_idx, want.bin_idx)
+    assert np.array_equal(got.source, want.source)
 
 
 class TestPredict:
