@@ -124,14 +124,28 @@ class TestNearestPerPixel:
         assert flat.shape == dist.shape == rows.shape == (0,)
 
 
-@pytest.mark.parametrize("stage", ["project_cloud_to_depthmap", "encode_replies"])
+def reply_past_last_bin(pixel):
+    """A reply that sends `pixel` in a bin past the last one, where a
+    sender that did not check the range would put a depth with no bin."""
+    counts = np.zeros(BINS.n_bins + 1, dtype=np.int64)
+    counts[-1] = 1
+    return depth.DepthReply(counts, np.array([pixel], dtype=np.int64))
+
+
+@pytest.mark.parametrize("stage", ["project_cloud_to_depthmap", "merge_cooperative", "encode_replies"])
 def test_out_of_range_depth_raises(monkeypatch, stage):
-    """A projected depth past the last bin, or a shared one at or past it
-    or not finite, is an error, also under `python -O`."""
+    """A projected depth past the last bin, a shared one at or past it or
+    not finite, or a reply bin past the last one, is an error, also under
+    `python -O`."""
     if stage == "encode_replies":
         for d in (BINS.d_max, np.inf, np.nan):
             with pytest.raises(ValueError, match=stage):
                 encode_replies(np.array([4, 7]), np.array([5.0, d]), BINS, N_PIXELS)
+        return
+    if stage == "merge_cooperative":
+        empty = DepthMap.empty(BINS, INTR.height, INTR.width)
+        with pytest.raises(ValueError, match=stage):
+            merge_cooperative(empty, [reply_past_last_bin(3 * INTR.width + 4)], INTR, BINS)
         return
 
     def beyond_last_bin(cloud, intr, bins):
@@ -144,14 +158,15 @@ def test_out_of_range_depth_raises(monkeypatch, stage):
         project_cloud_to_depthmap(cloud_for_pixels([(4, 3, 5.0)]), INTR, BINS)
 
 
-@pytest.mark.parametrize("pixel, dist", [(-1, 5.0), (N_PIXELS, 5.0)])
+@pytest.mark.parametrize("pixel, dist", [(-1, 5.0), (N_PIXELS, 5.0), (7, np.inf), (7, np.nan)])
 def test_merge_rejects_replies_outside_image_or_bins(pixel, dist):
-    """A reply pixel outside the image is an error, even where the ego map
-    already holds the pixel.  A depth outside the bins has no bin to be
-    sent in: the encoder rejects it (`test_out_of_range_depth_raises`)."""
+    """A reply pixel outside the image, or a depth with no bin (at or past
+    d_max, or not finite) sent past the last bin, is an error, even where
+    the ego map already holds the pixel."""
     ego = project_cloud_to_depthmap(cloud_for_pixels([(7, 0, 10.0)]), INTR, BINS)
     good = reply_for_pixels([(2, 2, 6.0)])
-    bad = reply_of([pixel], [dist], BINS)
+    in_bins = BINS.bin_of(np.array([dist]))[1][0]
+    bad = reply_of([pixel], [dist], BINS) if in_bins else reply_past_last_bin(pixel)
     with pytest.raises(ValueError, match="merge_cooperative"):
         merge_cooperative(ego, [good, bad], INTR, BINS)
 
