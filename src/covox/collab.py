@@ -25,11 +25,13 @@ synchronous two-phase exchange round.
    aggregation builds an (nx, ny, F) plane of it;
 5. phase 2 / receive — each agent warps all of its neighbors' messages
    into its own frame in one pass, as the cells they land on and the
-   message rows written there (`WarpedPlanes`), and aggregates them.
-   Attention reads Q, K and V from one projection per round of every
-   agent's nonzero BEV rows, and max reads the message rows.  The record
-   keeps the aggregated BEV as its nonzero rows and their cells
-   (`aggregated_rows`, `aggregated_cells`), which scoring reads.
+   message rows written there (`WarpedPlanes`), and aggregates them on
+   the cells the ego or a neighbor holds.  Attention reads Q, K and V from
+   one projection per round of every agent's nonzero BEV rows, and max
+   reads the message rows; each returns the aggregated BEV as its nonzero
+   cells and their rows (`AggregatedBEV`), which the record keeps
+   (`aggregated_cells`, `aggregated_rows`) and scoring reads.  Only the
+   concat ablation builds (nx, ny, F) planes.
 
 Every list of BEV cells is flat and ascending: cell (ix, iy) is
 ix * ny + iy.  `bev_cells`, a message's `indices`, the warp's `cells` and
@@ -113,7 +115,8 @@ _REQUEST_ELEMENTS = 3
 _AGG_HEADS = 4
 # BLAS multiplies a handful of rows with other kernels (gemv for one row,
 # small-matrix kernels for a few) whose rounding differs from the kernel used
-# on a whole grid, so `aggregate` runs at least this many cells to stay
+# on a whole grid, so the token projection and `aggregate`'s output projection
+# multiply at least this many rows, zero rows past those they need, to stay
 # bit-identical to attention over every cell.
 _MIN_ATTENTION_CELLS = 64
 _CONCAT_SLOTS = 4  # token budget of the concat aggregation ablation
@@ -431,6 +434,24 @@ def project_tokens(params: nnkit.MhaParams, rows: np.ndarray, n_cells: int) -> T
     return Tokens(q, k, v)
 
 
+@dataclass(frozen=True, eq=False)
+class AggregatedBEV:
+    """An aggregator's result: the nonzero cells of the aggregated BEV, flat
+    and ascending, and their (n, F) rows.  `shape` is the (nx, ny, F) of the
+    grid's planes, the shape the BEV would take as one."""
+
+    cells: np.ndarray
+    rows: np.ndarray
+    shape: tuple[int, int, int]
+
+
+def _aggregated_bev(grid: GridSpec, cells: np.ndarray, rows: np.ndarray) -> AggregatedBEV:
+    """The `AggregatedBEV` of candidate `cells` and their `rows`: only the
+    rows with a nonzero scalar are kept."""
+    cells, rows = _nonzero_rows(cells, rows)
+    return AggregatedBEV(cells, rows, (grid.nx, grid.ny, grid.bev_channels))
+
+
 def aggregate(
     params: nnkit.MhaParams,
     grid: GridSpec,
@@ -439,15 +460,14 @@ def aggregate(
     tokens: Tokens,
     ego_tokens: np.ndarray,
     sources: Sequence[np.ndarray],
-) -> np.ndarray:
+) -> AggregatedBEV:
     """Attention aggregation over the per-cell token stack [ego, neighbors...].
 
     The stack acts as queries, keys and values; the output is the ego
-    token's attention result, as a fresh (nx, ny, F) plane of `grid`.
-    All-zero neighbor tokens carry no signal and are excluded from the
-    softmax.  `warped.cells[k]` holds the flat indices of exactly the
-    nonzero cells of neighbor k's plane, and `ego_cells` those of the ego's
-    BEV.
+    token's attention result.  All-zero neighbor tokens carry no signal and
+    are excluded from the softmax.  `warped.cells[k]` holds the flat indices
+    of exactly the nonzero cells of neighbor k's plane, and `ego_cells`
+    those of the ego's BEV.
 
     Q, K and V come projected in `tokens` (`project_tokens`): row
     `ego_tokens[i]` is the token of cell `ego_cells[i]`, and row
@@ -455,26 +475,18 @@ def aggregate(
     Only the cells with a nonzero token are computed; the bias-free maps
     take every other cell's all-zero stack to a zero output.  The slot of a
     token no neighbor sent reads the zero row of `tokens` and gets zero
-    softmax weight.  No plane of `warped` is built.
+    softmax weight.  No plane of `warped` is built.  The output projection
+    runs on zero-padded context rows, as many as `project_tokens` projects.
     """
     nx, ny, f = grid.nx, grid.ny, grid.bev_channels
-    n_cells = nx * ny
     t = len(warped) + 1
-    busy = np.zeros(n_cells, dtype=bool)
-    for c in (ego_cells, *warped.cells):
-        busy[c] = True
-    # Busy cells first, then idle padding, so that the output projection
-    # multiplies as many rows as `project_tokens` does.
-    n_cells_run = max(int(np.count_nonzero(busy)), _MIN_ATTENTION_CELLS)
-    cells = np.argsort(~busy, kind="stable")[:n_cells_run]
+    cells = np.unique(np.concatenate([ego_cells, *warped.cells]))  # ascending
     n = cells.size
-    slot = np.empty(n_cells, dtype=np.intp)
-    slot[cells] = np.arange(n)
     empty = tokens.q.shape[0] - 1  # the zero row
     index = np.full((t, n), empty)
-    index[0, slot[ego_cells]] = ego_tokens
+    index[0, np.searchsorted(cells, ego_cells)] = ego_tokens
     for token, c, src in zip(range(1, t), warped.cells, sources):
-        index[token, slot[c]] = src
+        index[token, np.searchsorted(cells, c)] = src
     valid = index != empty
     valid[0] = True
 
@@ -485,11 +497,9 @@ def aggregate(
     scores = np.einsum("chd,tchd->tch", q, k) / np.sqrt(dh)
     scores[~valid] = -np.inf
     weights = nnkit.softmax(scores, axis=0)
-    ctx = np.einsum("tch,tchd->chd", weights, v).reshape(n, f)
-    result = params.wo.apply(ctx)
-    out = np.zeros((n_cells, f))
-    out[cells] = result
-    return out.reshape(nx, ny, f)
+    ctx = np.zeros((min(max(n, _MIN_ATTENTION_CELLS), nx * ny), f))
+    ctx[:n] = np.einsum("tch,tchd->chd", weights, v).reshape(n, f)
+    return _aggregated_bev(grid, cells, params.wo.apply(ctx)[:n])
 
 
 def aggregate_max(
@@ -497,21 +507,23 @@ def aggregate_max(
     warped: WarpedPlanes,
     ego_cells: np.ndarray,
     ego_rows: np.ndarray,
-) -> np.ndarray:
+) -> AggregatedBEV:
     """Ablation baseline: elementwise max over the token stack [ego, neighbors...].
 
     As in `aggregate`, all-zero neighbor tokens carry no signal and take no
     part, so only the cells neighbor k wrote, `warped.cells[k]`, are
     compared, with the message rows it wrote there; no plane of `warped` is
     built.  The ego's BEV is its nonzero cells `ego_cells` and their
-    `ego_rows`; every other ego cell is +0.0.  The result is a fresh
-    (nx, ny, F) plane of `grid`.
+    `ego_rows`; every other ego cell is +0.0.  The max runs on the rows of
+    the cells the ego or a neighbor holds.
     """
-    out = _plane(grid, ego_cells, ego_rows)
-    rows = out.reshape(-1, grid.bev_channels)
-    for k, cells in enumerate(warped.cells):
-        rows[cells] = np.maximum(rows[cells], warped.features(k))
-    return out
+    cells = np.unique(np.concatenate([ego_cells, *warped.cells]))  # ascending
+    rows = np.zeros((cells.size, grid.bev_channels))
+    rows[np.searchsorted(cells, ego_cells)] = ego_rows
+    for k, written in enumerate(warped.cells):
+        at = np.searchsorted(cells, written)
+        rows[at] = np.maximum(rows[at], warped.features(k))
+    return _aggregated_bev(grid, cells, rows)
 
 
 def aggregate_concat(
@@ -520,18 +532,19 @@ def aggregate_concat(
     warped: Sequence[np.ndarray],
     ego_cells: np.ndarray,
     ego_rows: np.ndarray,
-) -> np.ndarray:
+) -> AggregatedBEV:
     """Ablation baseline: channel-concatenate a fixed token budget + linear.
 
     The ego's BEV (nonzero cells `ego_cells`, their `ego_rows`) and the
     first neighbors' planes of `warped` are spread into dense planes of
-    `grid` first.
+    `grid` first; the result is the nonzero rows of the product.
     """
     toks = [_plane(grid, ego_cells, ego_rows)]
     toks += [np.asarray(w, dtype=np.float64) for w in warped[: _CONCAT_SLOTS - 1]]
     while len(toks) < _CONCAT_SLOTS:
         toks.append(np.zeros_like(toks[0]))
-    return lin.apply(np.concatenate(toks, axis=2))
+    out = lin.apply(np.concatenate(toks, axis=2)).reshape(-1, grid.bev_channels)
+    return _aggregated_bev(grid, np.arange(out.shape[0]), out)
 
 
 @dataclass
@@ -764,23 +777,6 @@ def _nonzero_rows(cells: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.n
     return cells[keep], rows[keep]
 
 
-def _aggregated_rows(
-    agg: np.ndarray, ego_cells: np.ndarray, written: Sequence[np.ndarray]
-) -> tuple[np.ndarray, np.ndarray]:
-    """The nonzero cells of an aggregated plane, ascending, and a copy of
-    their rows.
-
-    Every aggregator gives a cell with an all-zero token stack a zero
-    output, so only the ego's nonzero cells and the cells neighbors wrote
-    can be nonzero; their rows are checked one by one.
-    """
-    busy = np.zeros(agg.shape[0] * agg.shape[1], dtype=bool)
-    for cells in (ego_cells, *written):
-        busy[cells] = True
-    candidates = np.flatnonzero(busy)
-    return _nonzero_rows(candidates, agg.reshape(-1, agg.shape[2])[candidates])
-
-
 def _project_round_tokens(
     rounds: dict[int, AgentRound], grid: GridSpec, params: nnkit.MhaParams
 ) -> Tokens:
@@ -811,8 +807,8 @@ def _receive(
     Attention reads the round's `tokens` (`_project_round_tokens`) and max
     the message rows, so neither builds a neighbor's plane.  Each packed row
     has a nonzero scalar, so the cells the warp writes are exactly the
-    nonzero cells of each plane.  The aggregated plane is dropped once its
-    nonzero rows are taken.
+    nonzero cells of each plane.  The record keeps the aggregator's cells
+    and rows as they come.
     """
     messages = [rounds[j].message for j in w.neighbors]
     warped = warp_sparse(messages, [w.rel[j] for j in w.neighbors], pipe.grid)
@@ -826,7 +822,7 @@ def _receive(
         agg = aggregate_max(pipe.grid, warped, w.bev_cells, w.bev_rows)
     else:
         agg = aggregate_concat(params.concat_lin, pipe.grid, warped, w.bev_cells, w.bev_rows)
-    w.aggregated_cells, w.aggregated_rows = _aggregated_rows(agg, w.bev_cells, warped.cells)
+    w.aggregated_cells, w.aggregated_rows = agg.cells, agg.rows
     w.warp_collisions = warped.collisions
 
 

@@ -150,30 +150,35 @@ def _min_area_rects(hulls: list) -> list:
     return list(zip(centers, yaws.tolist(), zip(lengths.tolist(), widths.tolist())))
 
 
-def _connected_components(cells: list, width: int) -> list[list[int]]:
-    """8-connected components of a set of grid cells, in scan order.
+def _connected_components(xs: np.ndarray, ys: np.ndarray, shape: tuple[int, int]) -> list[list[int]]:
+    """8-connected components of a set of cells of a grid of `shape`, in
+    scan order.
 
-    `cells` are the set cells' flat positions, in scan order, on the grid
-    padded by one empty cell on every side; `width` is the padded row
-    length, so that no neighbour offset wraps onto another row.  Each
+    `xs` and `ys` are the set cells' coordinates, in scan order.  Each
     component lists its cells breadth-first from its first cell, each cell
-    given by its index in `cells`.
+    given by its index in `xs`.  Each cell's neighbours are read from one
+    index array of the grid padded by one empty cell on every side, so that
+    no step wraps onto another row; an empty cell reads index n, which the
+    visit treats as already seen.
     """
-    todo = dict(zip(cells, range(len(cells))))
-    steps = (-width - 1, -width, -width + 1, -1, 1, width - 1, width, width + 1)
+    n, width = xs.size, shape[1] + 2
+    at = (xs + 1) * width + ys + 1
+    index = np.full((shape[0] + 2) * width, n)
+    index[at] = np.arange(n)
+    steps = np.array((-width - 1, -width, -width + 1, -1, 1, width - 1, width, width + 1))
+    near = index[at[:, None] + steps].tolist()
+    seen = [False] * n + [True]
     comps: list[list[int]] = []
-    for start in cells:
-        first = todo.pop(start, None)
-        if first is None:
+    for first in range(n):
+        if seen[first]:
             continue
+        seen[first] = True
         members = [first]
-        queue = [start]
-        for cell in queue:
-            for step in steps:
-                k = todo.pop(cell + step, None)
-                if k is not None:
-                    members.append(k)
-                    queue.append(cell + step)
+        for k in members:
+            for m in near[k]:
+                if not seen[m]:
+                    seen[m] = True
+                    members.append(m)
         comps.append(members)
     return comps
 
@@ -214,12 +219,7 @@ def detect_local(bev_occupancy: np.ndarray, spec: GridSpec) -> list[Detection]:
         return []
     mask = occ > _REL_THRESHOLD * peak
     xs, ys = np.nonzero(mask)
-    width = spec.ny + 2
-    comps = [
-        members
-        for members in _connected_components(((xs + 1) * width + ys + 1).tolist(), width)
-        if len(members) >= _MIN_CELLS
-    ]
+    comps = [m for m in _connected_components(xs, ys, mask.shape) if len(m) >= _MIN_CELLS]
     if not comps:
         return []
     rows, centers = xs.tolist(), spec.bev_cell_centers(xs, ys).tolist()

@@ -72,8 +72,10 @@ class GridSpec:
     def bev_channels(self) -> int:
         return self.channels * self.nz
 
-    def cell_of(self, pts: np.ndarray):
-        """Map (N, 3) points to integer cell indices plus an in-bounds mask."""
+    def voxel_of(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Which of the (N, 3) points fall inside the grid, as a boolean
+        mask, and the flat voxel index (ix * ny + iy) * nz + iz of each of
+        those, in point order."""
         pts = np.asarray(pts, dtype=np.float64).reshape(-1, 3)
         ix = np.floor((pts[:, 0] - self.x_range[0]) / self.dx).astype(np.int64)
         iy = np.floor((pts[:, 1] - self.y_range[0]) / self.dy).astype(np.int64)
@@ -83,7 +85,7 @@ class GridSpec:
             & (iy >= 0) & (iy < self.ny)
             & (iz >= 0) & (iz < self.nz)
         )
-        return np.stack([ix, iy, iz], axis=1), inside
+        return inside, (ix[inside] * self.ny + iy[inside]) * self.nz + iz[inside]
 
     def cell_center(self, ix, iy, iz) -> np.ndarray:
         return np.array([
@@ -188,11 +190,10 @@ def voxelize_points(cloud: np.ndarray, spec: GridSpec) -> VoxelGrid:
     pts = np.asarray(cloud, dtype=np.float64).reshape(-1, 3)
     if pts.shape[0] == 0:
         return VoxelGrid.empty(spec)
-    idx, inside = spec.cell_of(pts)
-    pts, idx = pts[inside], idx[inside]
+    inside, flat = spec.voxel_of(pts)
+    pts = pts[inside]
     if pts.shape[0] == 0:
         return VoxelGrid.empty(spec)
-    flat = (idx[:, 0] * spec.ny + idx[:, 1]) * spec.nz + idx[:, 2]
     order = np.lexsort((pts[:, 2], pts[:, 1], pts[:, 0], flat))
     pts, flat = pts[order], flat[order]
 
@@ -233,10 +234,9 @@ def _lift_geometry(
     centers = np.frombuffer(bin_centers)
     # Unit-depth rays scaled by each bin-center depth: (H, W, D, 3).
     pts = pixel_rays(intr)[:, :, None, :] * centers[None, None, :, None]
-    idx, in_grid = spec.cell_of(transform_points(pose, pts.reshape(-1, 3)))
+    in_grid, flat = spec.voxel_of(transform_points(pose, pts.reshape(-1, 3)))
     inside = np.flatnonzero(in_grid)
     outside = np.flatnonzero(~in_grid)
-    flat = (idx[inside, 0] * spec.ny + idx[inside, 1]) * spec.nz + idx[inside, 2]
     voxels, rank = np.unique(flat, return_inverse=True)
     for arr in (inside, outside, voxels, rank):
         arr.setflags(write=False)

@@ -206,12 +206,22 @@ def oracle_raycast(origin, dirs, fan, objects, occluders, max_range=np.inf):
     return best, kind
 
 
+def cell_of(spec, pts):
+    """Each of the (N, 3) points' integer (ix, iy, iz) cell of `spec`, and
+    whether it lies inside the grid."""
+    pts = np.asarray(pts, dtype=np.float64).reshape(-1, 3)
+    lo = np.array([spec.x_range[0], spec.y_range[0], spec.z_range[0]])
+    idx = np.floor((pts - lo) / np.array([spec.dx, spec.dy, spec.dz])).astype(np.int64)
+    inside = np.all((idx >= 0) & (idx < np.array([spec.nx, spec.ny, spec.nz])), axis=1)
+    return idx, inside
+
+
 def voxelize_points_dense(cloud, spec):
     """Pillar encoding with one bincount over every voxel of the grid per
     sum, and the occupied voxels found by a scan of the counts."""
     feats, category = dense_zeros(spec)
     pts = np.asarray(cloud, dtype=np.float64).reshape(-1, 3)
-    idx, inside = spec.cell_of(pts)
+    idx, inside = cell_of(spec, pts)
     pts, idx = pts[inside], idx[inside]
     if pts.shape[0] == 0:
         return sparse(spec, feats, category)
@@ -372,7 +382,7 @@ def lift_camera_dense(features, dist, intr, cam_pose_in_ego, spec, mass_threshol
     dist = np.asarray(dist, dtype=np.float64)
     pts = pixel_rays(intr)[:, :, None, :] * np.asarray(bin_centers)[None, None, :, None]
     pts = transform_points(cam_pose_in_ego, pts.reshape(-1, 3))
-    idx, inside = spec.cell_of(pts)
+    idx, inside = cell_of(spec, pts)
     mass = dist.reshape(-1)
     dropped = float(mass[~inside].sum())
     n_cells = spec.nx * spec.ny * spec.nz
@@ -685,8 +695,9 @@ def receive_fresh(w, rounds, pipe, params, ledger, tokens):
         agg = aggregate_dense(params.agg_mha, *ego)
     elif pipe.collab_mode == "max":
         agg = aggregate_max_dense(*ego)
-    else:
-        agg = aggregate_concat(params.concat_lin, *ego)
+    else:  # concat has no dense reference: it takes the warped planes as given
+        out = aggregate_concat(params.concat_lin, *ego)
+        agg = plane_of(pipe.grid, out.cells, out.rows)
     w.aggregated_cells, w.aggregated_rows = rows_of(agg)
     w.warp_collisions = collisions
 

@@ -41,6 +41,7 @@ from covox.voxel import Category, GridSpec
 
 from oracles import (
     aggregate_dense,
+    aggregate_max_dense,
     dense_zeros,
     mha,
     min_depth_image_by_minimum_at,
@@ -293,7 +294,7 @@ def aggregate_planes(params, ego, warped, others=()):
     """`aggregate` over an ego plane and neighbor planes, with Q, K and V
     projected as a round projects them: once, on one stack of the nonzero
     rows of every plane, between the rows of the `others` planes (agents
-    outside this receiver's neighborhood)."""
+    outside this receiver's neighborhood).  Returns its `AggregatedBEV`."""
     ego = np.asarray(ego, dtype=np.float64)
     nx, ny, f = ego.shape
     planes = [ego, *warped, *others]
@@ -308,36 +309,61 @@ def aggregate_planes(params, ego, warped, others=()):
     return aggregate(params, spec, warped_of(spec, warped), cells[0], tokens, rows[0], rows[1:n])
 
 
+def assert_same_rows(got, want_plane, atol=None):
+    """An aggregator's `AggregatedBEV` against a reference's whole plane,
+    converted to its nonzero cells and their rows: bit for bit, or within
+    `atol` if one is given."""
+    cells, rows = rows_of(want_plane)
+    assert got.shape == np.shape(want_plane)
+    assert np.array_equal(got.cells, cells)
+    if atol is None:
+        assert got.rows.tobytes() == rows.tobytes()
+    else:
+        assert np.allclose(got.rows, rows, atol=atol)
+
+
+def concat_dense(lin, ego, warped):
+    """`aggregate_concat`'s definition on whole planes: the ego and the
+    first three neighbor planes, zero planes for the missing ones, stacked
+    on the channel axis and mapped."""
+    planes = [ego, *warped[:3]] + [np.zeros_like(ego)] * (3 - len(warped[:3]))
+    return lin.apply(np.concatenate(planes, axis=2))
+
+
 class TestAggregate:
     def test_no_neighbors_matches_single_token_mha(self, rng):
         bev = np.zeros((4, 4, 64))
         bev[rng.uniform(size=(4, 4)) < 0.5] = rng.standard_normal(64)
         out = aggregate_planes(PARAMS.agg_mha, bev, [])
+        ref = np.zeros_like(bev)
         for i in range(4):
             for j in range(4):
-                ref, _ = mha(
+                ref[i, j] = mha(
                     PARAMS.agg_mha, bev[i, j][None], bev[i, j][None], bev[i, j][None]
-                )
-                assert np.allclose(out[i, j], ref[0], atol=1e-12)
+                )[0][0]
+        assert_same_rows(out, ref, atol=1e-12)
 
     def test_identical_neighbor_equals_single(self, rng):
         bev = rng.standard_normal((4, 4, 64))
         out_pair = aggregate_planes(PARAMS.agg_mha, bev, [bev.copy()])
         out_single = aggregate_planes(PARAMS.agg_mha, bev, [])
-        assert np.allclose(out_pair, out_single, atol=1e-9)
+        assert np.array_equal(out_pair.cells, out_single.cells)
+        assert np.allclose(out_pair.rows, out_single.rows, atol=1e-9)
 
     def test_zero_neighbor_excluded_bit_exact(self, rng):
         bev = rng.standard_normal((6, 6, 64))
         out_zero = aggregate_planes(PARAMS.agg_mha, bev, [np.zeros_like(bev)])
         out_none = aggregate_planes(PARAMS.agg_mha, bev, [])
-        assert np.array_equal(out_zero, out_none)
+        assert np.array_equal(out_zero.cells, out_none.cells)
+        assert out_zero.rows.tobytes() == out_none.rows.tobytes()
 
     def test_neighbor_signal_reaches_empty_ego_cell(self, rng):
         bev = np.zeros((4, 4, 64))
         nbr = np.zeros((4, 4, 64))
         nbr[2, 2] = rng.standard_normal(64)
         out = aggregate_planes(PARAMS.agg_mha, bev, [nbr])
-        assert np.linalg.norm(out[2, 2]) > 0
+        assert np.array_equal(out.cells, [2 * 4 + 2])
+        assert np.linalg.norm(out.rows[0]) > 0
 
     def test_shape_preserved(self, rng):
         bev = rng.standard_normal((5, 7, 64))
@@ -348,10 +374,31 @@ class TestAggregate:
         nbr = rng.standard_normal((4, 4, 64))
         spec, ego = spec_of(bev), rows_of(bev)
         out_max = aggregate_max(spec, warped_of(spec, [nbr]), *ego)  # every cell busy
-        assert np.array_equal(out_max, np.maximum(bev, nbr))
+        assert_same_rows(out_max, np.maximum(bev, nbr))
         out_cat = aggregate_concat(PARAMS.concat_lin, spec, warped_of(spec, [nbr]), *ego)
-        stacked = np.concatenate([bev, nbr, np.zeros_like(bev), np.zeros_like(bev)], axis=2)
-        assert np.allclose(out_cat, PARAMS.concat_lin.apply(stacked))
+        assert_same_rows(out_cat, concat_dense(PARAMS.concat_lin, bev, [nbr]))
+
+    @pytest.mark.parametrize("mode", collab.COLLAB_MODES)
+    @pytest.mark.parametrize("shape, n_neighbors", [((3, 2), 2), ((4, 5), 0), ((9, 9), 0)],
+                             ids=["grid-under-64-cells", "no-neighbors", "no-neighbors-81-cells"])
+    def test_rows_match_dense(self, rng, mode, shape, n_neighbors):
+        """Every aggregator returns the nonzero cells of the dense result and
+        their rows, bit for bit, on a grid under `_MIN_ATTENTION_CELLS`
+        cells and for an agent without neighbors; an all-zero ego cell
+        stays out."""
+        ego, *warped = _sparse_planes(rng, 1 + n_neighbors, shape + (GRID.bev_channels,), 0.3)
+        spec, rows = spec_of(ego), rows_of(ego)
+        if mode == "attention":
+            got = aggregate_planes(PARAMS.agg_mha, ego, warped)
+            want = aggregate_dense(PARAMS.agg_mha, spec, warped, *rows)
+        elif mode == "max":
+            got = aggregate_max(spec, warped_of(spec, warped), *rows)
+            want = aggregate_max_dense(spec, warped, *rows)
+        else:
+            got = aggregate_concat(PARAMS.concat_lin, spec, warped_of(spec, warped), *rows)
+            want = concat_dense(PARAMS.concat_lin, ego, warped)
+        assert_same_rows(got, want)
+        assert 0 < got.cells.size < shape[0] * shape[1]
 
 
 def _sparse_planes(rng, n, shape, density):
@@ -374,7 +421,7 @@ class TestAggregateOracle:
 
     def _check(self, mha, ego, warped):
         got = aggregate_planes(mha, ego, warped)
-        assert np.array_equal(got, aggregate_dense(mha, spec_of(ego), warped, *rows_of(ego)))
+        assert_same_rows(got, aggregate_dense(mha, spec_of(ego), warped, *rows_of(ego)))
 
     def test_no_neighbors(self, rng, mha):
         (ego,) = _sparse_planes(rng, 1, self.SHAPE, 0.3)
@@ -449,7 +496,7 @@ def test_aggregate_matches_dense_for_any_writes(seed, shape, ego_density, writes
     warped = [_written_plane(rng, shape, w) for w in writes]
     rest = [_written_plane(rng, shape, w) for w in others]
     got = aggregate_planes(params, ego, warped, rest)
-    assert np.array_equal(got, aggregate_dense(params, spec_of(ego), warped, *rows_of(ego)))
+    assert_same_rows(got, aggregate_dense(params, spec_of(ego), warped, *rows_of(ego)))
 
 
 @functools.cache
@@ -468,8 +515,9 @@ def _params_at(seed):
 def test_cells_with_an_all_zero_stack_aggregate_to_zero(params_seed, seed, shape, ego_density,
                                                         writes):
     """Every aggregator maps an all-zero token stack to a zero row, so every
-    cell outside the ego's nonzero cells and the written cells is 0.0.
-    `aggregate` and `AgentRound.aggregated_cells` compute only those cells;
+    cell outside the ego's nonzero cells and the written cells is 0.0:
+    no aggregator returns such a cell, and the dense references give it
+    zeros.  `aggregate` and `aggregate_max` compute only the other cells;
     a bias or offset in any map breaks this."""
     params = _params_at(params_seed)
     rng = np.random.default_rng(seed)
@@ -487,7 +535,12 @@ def test_cells_with_an_all_zero_stack_aggregate_to_zero(params_seed, seed, shape
         aggregate_max(spec, warped_of(spec, warped), *rows_of(ego)),
         aggregate_concat(params.concat_lin, spec, warped_of(spec, warped), *rows_of(ego)),
     ):
-        assert np.all(agg.reshape(-1, shape[2])[idle] == 0.0)
+        assert not np.any(idle[agg.cells])
+    for plane in (
+        aggregate_dense(params.agg_mha, spec, warped, *rows_of(ego)),
+        aggregate_max_dense(spec, warped, *rows_of(ego)),
+    ):
+        assert np.all(plane.reshape(-1, shape[2])[idle] == 0.0)
 
 
 def test_downsample_cloud_dedups():

@@ -271,8 +271,11 @@ class TestStagesMatchDenseReferences:
         spec, (cells, rows) = spec_of(ego), rows_of(ego)
         before = rows.copy()
         got = aggregate_max(spec, warped_of(spec, warped), cells, rows)
-        assert np.array_equal(got, aggregate_max_dense(spec, warped, cells, rows))
-        assert not np.shares_memory(got, rows)
+        want_cells, want_rows = rows_of(aggregate_max_dense(spec, warped, cells, rows))
+        assert got.shape == shape
+        assert np.array_equal(got.cells, want_cells)
+        assert got.rows.tobytes() == want_rows.tobytes()
+        assert not np.shares_memory(got.rows, rows)
         assert np.array_equal(rows, before)
 
     def test_max_keeps_negative_ego_scalars_no_neighbor_wrote(self):
@@ -285,13 +288,15 @@ class TestStagesMatchDenseReferences:
         before = ego.copy()
         spec = spec_of(ego)
         out = aggregate_max(spec, warped_of(spec, [plane]), np.arange(4 * 5), ego.reshape(-1, 6))
-        assert not np.shares_memory(out, ego)
+        assert not np.shares_memory(out.rows, ego)
         assert np.array_equal(ego, before)
-        assert np.array_equal(out[1, 2], np.maximum(ego[1, 2], plane[1, 2]))
-        untouched = np.ones((4, 5), dtype=bool)
-        untouched[1, 2] = False
-        assert np.array_equal(out[untouched], ego[untouched])
-        assert np.all(out[untouched] < 0.0)
+        want = ego.copy()
+        want[1, 2] = np.maximum(ego[1, 2], plane[1, 2])
+        cells, rows = rows_of(want)
+        assert np.array_equal(out.cells, cells)
+        assert np.array_equal(out.rows, rows)
+        untouched = cells != 1 * 5 + 2
+        assert untouched.sum() == 19 and np.all(out.rows[untouched] < 0.0)
 
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -399,10 +404,11 @@ SMALL_GRID = GridSpec((-20.0, 20.0), (-20.0, 20.0), (0.5, 3.7), 24, 24, 4, 8)
 def test_round_cells_are_the_nonzero_cells(collab_mode, params, seed, n_agents):
     """Each AgentRound's `bev_cells` and `bev_rows` are the nonzero cells of
     the whole plane of its fused grid and their rows, and its
-    `aggregated_cells` and `aggregated_rows` those of the plane its
-    aggregator returned; one agent has no neighbors.  A scene whose every
-    BEV is empty checks that the records are empty too, but cannot show
-    aggregated cells (`test_round_of_an_empty_cloud_has_no_cells`)."""
+    `aggregated_cells` and `aggregated_rows` those of the plane that its
+    aggregator's cells and rows spread into; one agent has no neighbors.  A
+    scene whose every BEV is empty checks that the records are empty too,
+    but cannot show aggregated cells
+    (`test_round_of_an_empty_cloud_has_no_cells`)."""
     scn, pipe = _small_round(seed, n_agents, collab_mode)
     agents, objects = generate_scene(scn)
     planes, aggregated = [], []
@@ -414,7 +420,7 @@ def test_round_cells_are_the_nonzero_cells(collab_mode, params, seed, n_agents):
         return collapse(grid)
 
     def recorded_aggregator(*args):
-        aggregated.append(aggregator(*args).copy())
+        aggregated.append(aggregator(*args))
         return aggregated[-1]
 
     with pytest.MonkeyPatch.context() as m:
@@ -426,7 +432,8 @@ def test_round_cells_are_the_nonzero_cells(collab_mode, params, seed, n_agents):
         cells, rows = rows_of(plane)
         assert np.array_equal(r.bev_cells, cells)
         assert r.bev_rows.tobytes() == rows.tobytes()
-        cells, rows = rows_of(agg)
+        assert agg.shape == (SMALL_GRID.nx, SMALL_GRID.ny, SMALL_GRID.bev_channels)
+        cells, rows = rows_of(plane_of(SMALL_GRID, agg.cells, agg.rows))
         assert np.array_equal(r.aggregated_cells, cells)
         assert r.aggregated_rows.tobytes() == rows.tobytes()
     assume(any(r.bev_cells.size for r in rounds.values()))
@@ -470,12 +477,10 @@ def test_max_of_nonzero_tokens_can_be_a_zero_cell():
     warped = warped_of(spec_of(ego), [plane])
     assert np.array_equal(warped.cells[0], [1, 5])
     agg = aggregate_max(spec_of(ego), warped, np.array([1]), ego.reshape(-1, 2)[1:2])
-    assert not np.any(agg[0, 1])
-    assert not np.shares_memory(agg, ego)
+    assert not np.shares_memory(agg.rows, ego)
     assert np.array_equal(ego, before)
-    cells, rows = collab._aggregated_rows(agg, np.array([1]), warped.cells)
-    assert np.array_equal(cells, [5])
-    assert np.array_equal(rows, [(0.5, 0.0)])
+    assert np.array_equal(agg.cells, [5])
+    assert np.array_equal(agg.rows, [(0.5, 0.0)])
 
 
 @pytest.mark.parametrize("name", ["lidar4", "fleet8", "camera_missing", "fusion_equal"])
@@ -865,11 +870,12 @@ def test_traced_counters_match_dense_pipeline(bench_run, tracing, tmp_path, monk
         assert all(got.values()), got
 
 
-def call_peaks(bench_run, tmp_path, monkeypatch, owner, name, trials):
+def call_peaks(bench_run, tmp_path, monkeypatch, owner, name, trials, collab_mode=None):
     """tracemalloc's peak over each call of `owner.name` in the given trials
-    of the fleet8 shape at seed 0, above what was allocated when the call
-    began.  Trial 0 runs first, untraced, to warm up."""
-    exp, params = experiment(bench_run, tmp_path, "fleet8", 0)
+    of the fleet8 shape at seed 0, under another collaboration mode if one
+    is given, above what was allocated when the call began.  Trial 0 runs
+    first, untraced, to warm up."""
+    exp, params = experiment(bench_run, tmp_path, "fleet8", 0, collab_mode)
     cli.run_trial(exp, 0, None, params)
     fn, peaks = getattr(owner, name), []
 
@@ -970,6 +976,17 @@ def test_records_keep_no_dense_plane(bench_run, tmp_path, monkeypatch):
         tracemalloc.stop()
     assert len(kept) == 3 * exp.scenario.n_agents
     assert max(kept) < plane * 8, kept
+
+
+def test_max_receive_builds_no_plane(bench_run, tmp_path, monkeypatch):
+    """Under max aggregation a receiver works on the rows of the cells it
+    or a neighbor holds: each `_receive` call of the fleet8 shape's trials
+    1-3 peaks below one (nx, ny, F) float64 plane."""
+    exp, peaks = call_peaks(bench_run, tmp_path, monkeypatch, collab, "_receive", range(1, 4),
+                            collab_mode="max")
+    g = exp.pipeline.grid
+    assert len(peaks) == 3 * exp.scenario.n_agents
+    assert max(peaks) < g.nx * g.ny * g.bev_channels * 8, peaks
 
 
 def test_round_peaks_below_16_mib(bench_run, tmp_path, monkeypatch):

@@ -68,9 +68,7 @@ def assert_same_batch(point_sets):
 
 def components_of(mask):
     """_connected_components of a boolean grid, called as detect_local calls it."""
-    xs, ys = np.nonzero(mask)
-    width = mask.shape[1] + 2
-    return _connected_components(((xs + 1) * width + ys + 1).tolist(), width)
+    return _connected_components(*np.nonzero(mask), mask.shape)
 
 
 def assert_same_components(mask):

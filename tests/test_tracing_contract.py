@@ -115,3 +115,25 @@ def test_traced_counters_equal_the_trials_totals(tracing, monkeypatch):
         assert len(written) == len(pairs) == exp.scenario.n_agents
         assert {key: counts[key] for key in want} == want, mode
         assert all(want.values()), mode  # every counter is exercised
+
+
+def test_every_aggregator_result_has_the_grid_shape(monkeypatch):
+    """The traced pass reads `out.shape[:2]` of whichever aggregator runs to
+    count neighbor token slots, so each one's result carries the grid's
+    (nx, ny, F) although it holds only the nonzero rows."""
+    exp, params = _experiment(n_agents=3, comm_range=60.0)
+    grid = exp.pipeline.grid
+    names = {"attention": "aggregate", "max": "aggregate_max", "concat": "aggregate_concat"}
+    for mode, name in names.items():
+        shapes = []
+        aggregator = getattr(collab, name)
+
+        def recorded(*args, aggregator=aggregator, shapes=shapes):
+            out = aggregator(*args)
+            shapes.append(out.shape)
+            return out
+
+        with monkeypatch.context() as m:
+            m.setattr(collab, name, recorded)
+            cli.run_trial(replace(exp, pipeline=replace(exp.pipeline, collab_mode=mode)), 0, None, params)
+        assert shapes == [(grid.nx, grid.ny, grid.bev_channels)] * exp.scenario.n_agents, mode
