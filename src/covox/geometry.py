@@ -133,7 +133,7 @@ class CameraIntrinsics:
     height: int
 
     def __post_init__(self):
-        if self.fx <= 0 or self.fy <= 0:
+        if not (self.fx > 0 and self.fy > 0):
             raise ValueError("focal lengths must be positive")
         if self.width < 1 or self.height < 1:
             raise ValueError("image size must be at least 1x1")

@@ -3,6 +3,7 @@ and all-point average precision on planar oriented boxes."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -19,8 +20,11 @@ class Detection:
     score: float = 1.0
 
     def __post_init__(self):
-        if min(self.extent) <= 0:
+        # Written so that NaN fails each check.
+        if not all(e > 0 for e in self.extent):
             raise ValueError("box extent must be positive")
+        if not all(map(math.isfinite, (*self.center, self.yaw, self.score))):
+            raise ValueError("box center, yaw and score must be finite")
 
     def corners(self) -> np.ndarray:
         """(4, 2) corner coordinates in CCW order."""
@@ -142,17 +146,18 @@ def match_detections(dets: Sequence[Detection], ious: np.ndarray, iou_thresh: fl
     if ious.ndim != 2 or ious.shape[0] != len(dets):
         raise ValueError("ious must be a (len(dets), len(gts)) table")
     order = _by_descending_score(dets)
-    free = np.ones(ious.shape[1], dtype=bool)
+    rows = ious.tolist()
+    free = [True] * ious.shape[1]
     tp = np.zeros(len(dets), dtype=bool)
-    if not free.size:
-        return tp, order
     for rank, di in enumerate(order):
-        # Taken gts read 0.0, below any threshold; argmax takes the first
-        # of equal maxima.
-        row = np.where(free, ious[di], 0.0)
-        j = int(np.argmax(row))
-        if row[j] >= iou_thresh:
-            free[j] = False
+        # A strict `>` keeps the first of equal maxima; a best of 0.0 is
+        # below any threshold.
+        best, best_j = 0.0, -1
+        for j, iou in enumerate(rows[di]):
+            if iou > best and free[j]:
+                best, best_j = iou, j
+        if best >= iou_thresh:
+            free[best_j] = False
             tp[rank] = True
     return tp, order
 

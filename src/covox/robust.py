@@ -30,7 +30,7 @@ class NoiseModel:
     sigma_yaw: float
 
     def __post_init__(self):
-        if self.sigma_xy < 0 or self.sigma_yaw < 0:
+        if not (self.sigma_xy >= 0 and self.sigma_yaw >= 0):
             raise ValueError("noise sigmas must be non-negative")
 
 

@@ -67,7 +67,7 @@ class Wall:
     z0: float = 0.0
 
     def __post_init__(self):
-        if self.height <= 0:
+        if not self.height > 0:
             raise ValueError("wall height must be positive")
 
 
@@ -80,8 +80,10 @@ class BoxObject:
     extent: tuple[float, float, float]
 
     def __post_init__(self):
-        if min(self.extent) <= 0:
+        if not all(e > 0 for e in self.extent):
             raise ValueError("box extent components must be positive")
+        if not all(map(math.isfinite, (*self.center, self.yaw))):
+            raise ValueError("box center and yaw must be finite")
 
 
 @dataclass(frozen=True)
@@ -94,7 +96,7 @@ class LidarSpec:
     def __post_init__(self):
         if self.n_azimuth < 4:
             raise ValueError("need at least 4 azimuth steps")
-        if self.max_range <= 0:
+        if not self.max_range > 0:
             raise ValueError("max_range must be positive")
         object.__setattr__(self, "elevation_angles", tuple(self.elevation_angles))
 
@@ -141,7 +143,7 @@ class ScenarioConfig:
             raise ValueError("need at least one agent")
         if self.n_objects < 0:
             raise ValueError("n_objects cannot be negative")
-        if self.comm_range <= 0:
+        if not self.comm_range > 0:
             raise ValueError("comm_range must be positive")
         object.__setattr__(self, "occluders", tuple(self.occluders))
         object.__setattr__(

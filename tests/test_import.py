@@ -1,5 +1,5 @@
-"""Importing covox fixes glibc's malloc thresholds, so that grids a trial
-frees stay mapped for the next trial instead of being faulted in again."""
+"""Importing covox changes no process-wide setting: the host process's
+allocator behaves after `import covox` as it does without it."""
 
 import os
 import platform
@@ -44,11 +44,14 @@ def faults_per_cycle(setup: str) -> float:
     return float(out.stdout)
 
 
-@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the thresholds are glibc's")
-def test_freed_grids_stay_mapped_after_import():
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the probe reads glibc's thresholds")
+def test_freed_grids_fault_back_in_after_import():
+    """glibc's dynamic thresholds hand the freed grids back to the kernel,
+    so each cycle faults them in again; a library that fixed the malloc
+    thresholds on import would keep them mapped."""
     bare = faults_per_cycle("")
     with_covox = faults_per_cycle("import covox")
     # Twenty grids are 10k pages: measured on Linux x86-64 with glibc 2.36,
-    # a bare process faults in about 10.2k pages per cycle, and none after
-    # the import.
-    assert with_covox < bare / 3, (with_covox, bare)
+    # a process faults in about 10.2k pages per cycle with or without the
+    # import, and none where the import fixes the thresholds.
+    assert with_covox >= bare / 2, (with_covox, bare)

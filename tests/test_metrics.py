@@ -300,6 +300,12 @@ class TestMatchingPrefilter:
     @example(([], []), 0.5)
     @example(([], [box(0, 0)]), 0.5)
     @example(([box(0, 0), box(1, 1, score=2.0)], []), 0.5)
+    # Two free gts of equal IoU (0.6): the first one wins.
+    @example(([box(0, 0)], [box(0.25, 0), box(-0.25, 0)]), 0.5)
+    @example(([box(0, 0), box(0, 0, score=0.5)], [box(0.25, 0), box(-0.25, 0)]), 0.5)
+    # The later det's best gt is taken; its next best (1/3) is free.
+    @example(([box(0.2, 0, score=0.5), box(0, 0, score=0.9)], [box(0, 0), box(0.7, 0)]), 0.3)
+    @example(([box(0.2, 0, score=0.5), box(0, 0, score=0.9)], [box(0, 0), box(0.7, 0)]), 0.5)
     @settings(max_examples=300, deadline=None)
     def test_matches_all_pairs_oracle(self, boxes, thresh):
         """The matching read from one IoU table equals that of matching

@@ -16,6 +16,8 @@ from covox.geometry import (
     project_points,
     transform_points,
 )
+from covox.metrics import Detection
+from covox.robust import NoiseModel
 from covox.scene import (
     DEFAULT_CAMERA_MOUNT,
     DEFAULT_LIDAR_MOUNT,
@@ -41,6 +43,55 @@ INTR = CameraIntrinsics(70.0, 70.0, 48.0, 32.0, 96, 64)
 def still_agent(x=0.0, y=0.0, yaw=0.0, **kw) -> AgentState:
     pose = Pose.from_planar(x, y, yaw)
     return AgentState(0, pose, pose, **kw)
+
+
+NAN = float("nan")
+INF = float("inf")
+
+
+# Each constructor with one size, range or sigma set to NaN, which passes a
+# `<= 0` or `< 0` check.
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Detection((0.0, 0.0), 0.0, (NAN, 1.0)),
+        lambda: Detection((0.0, 0.0), 0.0, (1.0, NAN)),
+        lambda: BoxObject((0.0, 0.0), 0.0, (1.0, 1.0, NAN)),
+        lambda: Wall((0.0, 0.0), (1.0, 0.0), NAN),
+        lambda: LidarSpec(max_range=NAN),
+        lambda: CameraIntrinsics(NAN, 70.0, 48.0, 32.0, 96, 64),
+        lambda: CameraIntrinsics(70.0, NAN, 48.0, 32.0, 96, 64),
+        lambda: NoiseModel(NAN, 0.0),
+        lambda: NoiseModel(0.0, NAN),
+        lambda: ScenarioConfig(comm_range=NAN),
+    ],
+    ids=[
+        "Detection.length", "Detection.width", "BoxObject.height", "Wall.height",
+        "LidarSpec.max_range", "CameraIntrinsics.fx", "CameraIntrinsics.fy",
+        "NoiseModel.sigma_xy", "NoiseModel.sigma_yaw", "ScenarioConfig.comm_range",
+    ],
+)
+def test_nan_size_is_rejected(build):
+    with pytest.raises(ValueError):
+        build()
+
+
+def test_infinite_sizes_are_kept():
+    assert LidarSpec(max_range=INF).max_range == INF
+    assert ScenarioConfig(comm_range=INF).comm_range == INF
+    assert Wall((0.0, 0.0), (1.0, 0.0), INF).height == INF
+    assert BoxObject((0.0, 0.0), 0.0, (1.0, 1.0, INF)).extent[2] == INF
+
+
+@pytest.mark.parametrize("bad", [NAN, INF, -INF], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("field", ["x", "y", "yaw", "score"])
+def test_box_coordinates_must_be_finite(field, bad):
+    kw = {"x": 1.0, "y": 2.0, "yaw": 0.3, "score": 0.5, field: bad}
+    with pytest.raises(ValueError, match="finite"):
+        Detection((kw["x"], kw["y"]), kw["yaw"], (1.0, 1.0), kw["score"])
+    if field != "score":
+        with pytest.raises(ValueError, match="finite"):
+            BoxObject((kw["x"], kw["y"]), kw["yaw"], (1.0, 1.0, 1.0))
 
 
 class TestGenerateScene:

@@ -3,6 +3,7 @@ module-level names in covox.  These tests keep that contract in the tier-1
 suite: a refactor that renames or inlines a traced stage fails here instead
 of silently zeroing a per-layer benchmark metric."""
 
+from collections import Counter
 from dataclasses import replace
 
 from covox import cli, collab
@@ -38,26 +39,40 @@ def _experiment(**scenario_kw):
 
 
 def test_traced_trial_records_every_stage(tracing):
-    exp, params = _experiment()
+    exp, params = _experiment(dropout={2: ("lidar",)})
     scenario = exp.scenario
     originals = [getattr(owner, attr) for owner, attr, _, _ in tracing.TARGETS]
 
     tracer = tracing.Tracer()
     tracer.trial = 0
     with tracing.patched(tracer):
-        cli.run_trial(exp, 0, None, params)
+        outcome = cli.run_trial(exp, 0, None, params)
 
     assert [getattr(owner, attr) for owner, attr, _, _ in tracing.TARGETS] == originals
-    recorded = {span[3] for span in tracer.spans}
+    recorded = Counter(span[3] for span in tracer.spans)
     # This config runs one variant of every stage, so every span name appears.
-    assert {name for _, _, name, _ in tracing.TARGETS} <= recorded
+    assert {name for _, _, name, _ in tracing.TARGETS} <= recorded.keys()
     counts = tracer.counts[0]
     for key in (
         "depth.predict_depth.calls",
         "voxel.lift_camera.calls",
         "collab.aggregate_attention.calls",
+        "metrics.detect_calls",
     ):
         assert counts[key] == scenario.n_agents, key
+    # The box path's per-layer metrics are per call: each agent is scored
+    # by one recall and two APs, and each directed edge between two LiDAR
+    # agents corrects its pose once.
+    assert recorded["metrics.recall_at"] == scenario.n_agents
+    assert recorded["metrics.average_precision"] == 2 * scenario.n_agents
+    rounds = outcome.rounds
+    lidar_edges = sum(
+        rounds[j].state.has_lidar
+        for r in rounds.values() if r.state.has_lidar
+        for j in r.neighbors
+    )
+    assert lidar_edges > 0
+    assert recorded["robust.correct_relative_pose"] == lidar_edges
     assert counts["collab.depth_elements"] > 0
     assert counts["collab.feature_elements"] > 0
     assert counts["collab.detection_elements"] > 0
