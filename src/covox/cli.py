@@ -68,6 +68,14 @@ def _gt_in_view(agent: AgentState, objects, grid) -> list[Detection]:
     return kept
 
 
+def _scored(result: AgentRound, objects, grid):
+    """An agent's detector occupancy at its aggregated cells, its boxes and
+    the ground truth in view, all in its own frame."""
+    occ = occupancy_from_bev(result.aggregated_rows)
+    dets = detect_local(result.aggregated_cells, occ, grid)
+    return occ, dets, _gt_in_view(result.state, objects, grid)
+
+
 def evaluate_round(rounds, objects, grid):
     """Mean detection metrics across agents, each scored in its own frame
     and summed in the order of `rounds`, which `run_round` keys by agent id.
@@ -76,9 +84,7 @@ def evaluate_round(rounds, objects, grid):
     """
     ap50s, ap70s, recs = [], [], []
     for result in rounds.values():
-        occ = occupancy_from_bev(grid, result.aggregated_cells, result.aggregated_rows)
-        dets = detect_local(occ, grid)
-        gts = _gt_in_view(result.state, objects, grid)
+        _, dets, gts = _scored(result, objects, grid)
         ious = iou_table(dets, gts)
         ap50s.append(average_precision(dets, ious, 0.5))
         ap70s.append(average_precision(dets, ious, 0.7))
@@ -168,12 +174,11 @@ def render_outputs(outcome: TrialOutcome, grid, out_dir: Path) -> list[Path]:
             written.append(
                 write_pgm16(out_dir / f"{tag}_depth.pgm", depth_map_gray(result.depth_map))
             )
-        occ = occupancy_from_bev(grid, result.aggregated_cells, result.aggregated_rows)
-        dets = detect_local(occ, grid)
-        gts = _gt_in_view(result.state, outcome.objects, grid)
-        written.append(
-            write_ppm(out_dir / f"{tag}_bev.ppm", render_bev(occ, grid, gts, dets))
-        )
+        occ, dets, gts = _scored(result, outcome.objects, grid)
+        image = np.zeros(grid.nx * grid.ny)
+        image[result.aggregated_cells] = occ
+        bev = render_bev(image.reshape(grid.nx, grid.ny), grid, gts, dets)
+        written.append(write_ppm(out_dir / f"{tag}_bev.ppm", bev))
         written.append(write_ppm(out_dir / f"{tag}_mask.ppm", mask_image(result.mask)))
     return written
 

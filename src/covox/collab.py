@@ -30,8 +30,10 @@ synchronous two-phase exchange round.
    one projection per round of every agent's nonzero BEV rows, and max
    reads the message rows; each returns the aggregated BEV as its nonzero
    cells and their rows (`AggregatedBEV`), which the record keeps
-   (`aggregated_cells`, `aggregated_rows`) and scoring reads.  Only the
-   concat ablation builds (nx, ny, F) planes.
+   (`aggregated_cells`, `aggregated_rows`) and scoring reads.  No stage
+   builds an (nx, ny, F) plane: only the two views that the benchmark's
+   checks read do, a neighbor's plane of `WarpedPlanes` and
+   `AgentRound.aggregated`.
 
 Every list of BEV cells is flat and ascending: cell (ix, iy) is
 ix * ny + iy.  `bev_cells`, a message's `indices`, the warp's `cells` and
@@ -113,11 +115,7 @@ _PAYLOAD_CELL = 0.5
 _REQUEST_ELEMENTS = 3
 
 _AGG_HEADS = 4
-# BLAS multiplies a handful of rows with other kernels (gemv for one row,
-# small-matrix kernels for a few) whose rounding differs from the kernel used
-# on a whole grid, so the token projection and `aggregate`'s output projection
-# multiply at least this many rows, zero rows past those they need, to stay
-# bit-identical to attention over every cell.
+# The fewest rows `_apply_as_grid` multiplies in one BLAS call.
 _MIN_ATTENTION_CELLS = 64
 _CONCAT_SLOTS = 4  # token budget of the concat aggregation ablation
 
@@ -186,9 +184,7 @@ class WarpedPlanes(Sequence):
         """The (n, F) rows neighbor k wrote, one per cell of `cells[k]`."""
         return self.vectors[k][self.rows[k]]
 
-    def __getitem__(self, k):
-        if isinstance(k, slice):
-            return [self[i] for i in range(len(self))[k]]
+    def __getitem__(self, k: int) -> np.ndarray:
         return _plane(self.spec, self.cells[k], self.features(k))
 
 
@@ -232,6 +228,8 @@ class PipelineConfig:
             raise ValueError(f"unknown depth projection {self.depth_projection!r}")
         if self.collab_mode not in COLLAB_MODES:
             raise ValueError(f"unknown collaboration mode {self.collab_mode!r}")
+        if not (self.mass_threshold >= 0 and self.gate_radius >= 0):
+            raise ValueError("mass_threshold and gate_radius must be non-negative")
         # Camera features take 6 channels; the fusion and aggregation heads
         # must divide the channels they attend over.
         g = self.grid
@@ -267,7 +265,7 @@ def build_comm_graph(
     agents: Sequence[AgentState], comm_range: float
 ) -> dict[int, tuple[int, ...]]:
     """Symmetric neighbor sets: planar believed-pose distance <= comm_range."""
-    if comm_range <= 0:
+    if not comm_range > 0:
         raise ValueError("comm_range must be positive")
     graph: dict[int, tuple[int, ...]] = {}
     for a in agents:
@@ -411,26 +409,28 @@ def warp_sparse(
                         int(ix.size - inside.size))
 
 
+def _apply_as_grid(lin: nnkit.LinearMap, rows: np.ndarray, per_call: int) -> np.ndarray:
+    """`lin` applied to the (n, in) `rows`, each with the bits it gets in a
+    product over whole grids, which multiplies `per_call` rows per BLAS
+    call.  A handful of rows take other BLAS kernels (gemv for one row),
+    which round differently, so under `_MIN_ATTENTION_CELLS` rows per call
+    the rows go `per_call` to a call, and otherwise in one call of at least
+    that many; zero rows pad the last call."""
+    n = rows.shape[0]
+    block = per_call if per_call < _MIN_ATTENTION_CELLS else max(n, _MIN_ATTENTION_CELLS)
+    padded = np.zeros((-(-n // block), block, lin.n_in))  # one BLAS call per block
+    padded.reshape(-1, lin.n_in)[:n] = rows
+    return lin.apply(padded).reshape(-1, lin.n_out)[:n]
+
+
 def project_tokens(params: nnkit.MhaParams, rows: np.ndarray, n_cells: int) -> Tokens:
     """Q, K and V of `rows`, the token rows of a round on grids of
-    `n_cells` cells.
-
-    BLAS multiplies a handful of rows with other kernels (gemv for one row,
-    small-matrix kernels for a few) whose rounding differs from the kernel
-    used on a whole grid.  So at least `_MIN_ATTENTION_CELLS` rows are
-    projected, padded with zero rows, and a grid under that many cells
-    projects them `n_cells` rows per BLAS call, as attention over every
-    cell of it does token by token.  Each row then gets the bits that
-    attention over every cell gives it.  The zero row that `Tokens` ends
-    with is one of the padding rows.
-    """
-    n, f = rows.shape
-    block = n_cells if n_cells < _MIN_ATTENTION_CELLS else max(n + 1, _MIN_ATTENTION_CELLS)
-    padded = np.zeros((-(-(n + 1) // block), block, f))  # one BLAS call per block
-    padded.reshape(-1, f)[:n] = rows
-    q, k, v = (lin.apply(padded).reshape(-1, f)[: n + 1] for lin in (params.wq, params.wk, params.wv))
+    `n_cells` cells, and of a zero row after them, each row with the bits
+    that attention over every cell gives it (`_apply_as_grid`)."""
+    stack = np.vstack([rows, np.zeros(rows.shape[1])])
+    q, k, v = (_apply_as_grid(lin, stack, n_cells) for lin in (params.wq, params.wk, params.wv))
     for proj in (q, k, v):
-        proj[n] = 0.0  # +0.0, whatever sign BLAS gives a zero row
+        proj[-1] = 0.0  # +0.0, whatever sign BLAS gives a zero row
     return Tokens(q, k, v)
 
 
@@ -443,6 +443,13 @@ class AggregatedBEV:
     cells: np.ndarray
     rows: np.ndarray
     shape: tuple[int, int, int]
+
+
+def _union(cell_lists: Sequence[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The ascending union of lists of flat cells, and the positions of each
+    list's cells in it."""
+    cells = np.unique(np.concatenate(cell_lists))
+    return cells, [np.searchsorted(cells, c) for c in cell_lists]
 
 
 def _aggregated_bev(grid: GridSpec, cells: np.ndarray, rows: np.ndarray) -> AggregatedBEV:
@@ -476,17 +483,15 @@ def aggregate(
     take every other cell's all-zero stack to a zero output.  The slot of a
     token no neighbor sent reads the zero row of `tokens` and gets zero
     softmax weight.  No plane of `warped` is built.  The output projection
-    runs on zero-padded context rows, as many as `project_tokens` projects.
+    runs as `project_tokens` projects (`_apply_as_grid`).
     """
-    nx, ny, f = grid.nx, grid.ny, grid.bev_channels
     t = len(warped) + 1
-    cells = np.unique(np.concatenate([ego_cells, *warped.cells]))  # ascending
+    cells, at = _union([ego_cells, *warped.cells])
     n = cells.size
     empty = tokens.q.shape[0] - 1  # the zero row
     index = np.full((t, n), empty)
-    index[0, np.searchsorted(cells, ego_cells)] = ego_tokens
-    for token, c, src in zip(range(1, t), warped.cells, sources):
-        index[token, np.searchsorted(cells, c)] = src
+    for token, pos, src in zip(index, at, [ego_tokens, *sources]):
+        token[pos] = src
     valid = index != empty
     valid[0] = True
 
@@ -497,9 +502,8 @@ def aggregate(
     scores = np.einsum("chd,tchd->tch", q, k) / np.sqrt(dh)
     scores[~valid] = -np.inf
     weights = nnkit.softmax(scores, axis=0)
-    ctx = np.zeros((min(max(n, _MIN_ATTENTION_CELLS), nx * ny), f))
-    ctx[:n] = np.einsum("tch,tchd->chd", weights, v).reshape(n, f)
-    return _aggregated_bev(grid, cells, params.wo.apply(ctx)[:n])
+    ctx = np.einsum("tch,tchd->chd", weights, v).reshape(n, grid.bev_channels)
+    return _aggregated_bev(grid, cells, _apply_as_grid(params.wo, ctx, grid.nx * grid.ny))
 
 
 def aggregate_max(
@@ -517,34 +521,35 @@ def aggregate_max(
     `ego_rows`; every other ego cell is +0.0.  The max runs on the rows of
     the cells the ego or a neighbor holds.
     """
-    cells = np.unique(np.concatenate([ego_cells, *warped.cells]))  # ascending
+    cells, (ego_at, *at) = _union([ego_cells, *warped.cells])
     rows = np.zeros((cells.size, grid.bev_channels))
-    rows[np.searchsorted(cells, ego_cells)] = ego_rows
-    for k, written in enumerate(warped.cells):
-        at = np.searchsorted(cells, written)
-        rows[at] = np.maximum(rows[at], warped.features(k))
+    rows[ego_at] = ego_rows
+    for k, pos in enumerate(at):
+        rows[pos] = np.maximum(rows[pos], warped.features(k))
     return _aggregated_bev(grid, cells, rows)
 
 
 def aggregate_concat(
     lin: nnkit.LinearMap,
     grid: GridSpec,
-    warped: Sequence[np.ndarray],
+    warped: WarpedPlanes,
     ego_cells: np.ndarray,
     ego_rows: np.ndarray,
 ) -> AggregatedBEV:
     """Ablation baseline: channel-concatenate a fixed token budget + linear.
 
-    The ego's BEV (nonzero cells `ego_cells`, their `ego_rows`) and the
-    first neighbors' planes of `warped` are spread into dense planes of
-    `grid` first; the result is the nonzero rows of the product.
+    The slots hold the ego's BEV (nonzero cells `ego_cells`, their
+    `ego_rows`), the rows the first neighbors of `warped` wrote, and zeros.
+    Only the cells the ego or one of those neighbors holds are mapped, as
+    one (n, slots x F) row stack, with the bits of the product over the
+    whole (nx, ny, slots x F) stack, which multiplies ny rows per BLAS call.
     """
-    toks = [_plane(grid, ego_cells, ego_rows)]
-    toks += [np.asarray(w, dtype=np.float64) for w in warped[: _CONCAT_SLOTS - 1]]
-    while len(toks) < _CONCAT_SLOTS:
-        toks.append(np.zeros_like(toks[0]))
-    out = lin.apply(np.concatenate(toks, axis=2)).reshape(-1, grid.bev_channels)
-    return _aggregated_bev(grid, np.arange(out.shape[0]), out)
+    sent = min(len(warped), _CONCAT_SLOTS - 1)
+    cells, at = _union([ego_cells, *warped.cells[:sent]])
+    stack = np.zeros((cells.size, _CONCAT_SLOTS, grid.bev_channels))
+    for slot, (pos, rows) in enumerate(zip(at, [ego_rows, *map(warped.features, range(sent))])):
+        stack[pos, slot] = rows
+    return _aggregated_bev(grid, cells, _apply_as_grid(lin, stack.reshape(-1, lin.n_in), grid.ny))
 
 
 @dataclass
@@ -560,8 +565,9 @@ class AgentRound:
     `neighbors`, `lidar_grid`, `detections`, `rel`, `pose_errors`,
     `depth_map`, `bev_cells`, `bev_rows`, `mask`, `message`,
     `aggregated_cells`, `aggregated_rows` and `warp_collisions`.  No field
-    holds a whole (nx, ny, F) plane; `aggregated` builds one on request.
-    No field holds camera images: `_perceive` renders them and drops them.
+    holds a whole (nx, ny, F) plane, and no stage builds one; `aggregated`
+    builds one on request, for the benchmark's checks.  No field holds
+    camera images: `_perceive` renders them and drops them.
     """
 
     state: AgentState
@@ -641,8 +647,7 @@ def _relative_poses(
     if pipe.robust:
         for w in rounds.values():
             if w.state.id in lidar and lidar.intersection(w.neighbors):
-                occupancy = occupancy_from_grid(w.lidar_grid)
-                w.detections = detect_local(occupancy, pipe.grid)
+                w.detections = detect_local(*occupancy_from_grid(w.lidar_grid), pipe.grid)
     inverse = {
         aid: (invert(w.state.believed_pose), invert(w.state.true_pose))
         for aid, w in rounds.items()
@@ -804,11 +809,11 @@ def _receive(
     pass, and aggregate them.  Sets `w.aggregated_cells`,
     `w.aggregated_rows` and `w.warp_collisions`.
 
-    Attention reads the round's `tokens` (`_project_round_tokens`) and max
-    the message rows, so neither builds a neighbor's plane.  Each packed row
-    has a nonzero scalar, so the cells the warp writes are exactly the
-    nonzero cells of each plane.  The record keeps the aggregator's cells
-    and rows as they come.
+    Attention reads the round's `tokens` (`_project_round_tokens`), and max
+    and concat the message rows; none builds a neighbor's plane.  Each
+    packed row has a nonzero scalar, so the cells the warp writes are
+    exactly the nonzero cells of each plane.  The record keeps the
+    aggregator's cells and rows as they come.
     """
     messages = [rounds[j].message for j in w.neighbors]
     warped = warp_sparse(messages, [w.rel[j] for j in w.neighbors], pipe.grid)

@@ -114,32 +114,22 @@ def nearest_per_pixel(
     return key[pick], depth[pick], rows[pick]
 
 
-def _min_depth_image(
-    cloud: np.ndarray, intr: CameraIntrinsics, bins: DepthBins
-) -> np.ndarray:
-    """Per-pixel minimum projected depth of a camera-frame cloud (inf = none)."""
-    img = np.full(intr.height * intr.width, np.inf)
-    flat, depth, _ = nearest_per_pixel(cloud, intr, bins)
-    img[flat] = depth
-    return img.reshape(intr.height, intr.width)
-
-
 def project_cloud_to_depthmap(
     cloud: np.ndarray, intr: CameraIntrinsics, bins: DepthBins
 ) -> DepthMap:
     """Project a camera-frame cloud; pixels keep the minimum depth seen.
 
     A pixel hit by several points takes the smallest depth (nearest surface
-    wins, the rest are occluded).  Hit pixels are tagged EGO_PROJECTED.
+    wins, the rest are occluded, `nearest_per_pixel`).  Hit pixels are
+    tagged EGO_PROJECTED.
     """
     dmap = DepthMap.empty(bins, intr.height, intr.width)
-    img = _min_depth_image(cloud, intr, bins)
-    hit = np.isfinite(img)
-    k, valid = bins.bin_of(img[hit])
+    hit, depth, _ = nearest_per_pixel(cloud, intr, bins)
+    k, valid = bins.bin_of(depth)
     if not np.all(valid):
         raise ValueError("project_cloud_to_depthmap: projected depth outside the bin range")
-    dmap.bin_idx[hit] = k.astype(np.int16)
-    dmap.source[hit] = DepthSource.EGO_PROJECTED
+    dmap.bin_idx.reshape(-1)[hit] = k
+    dmap.source.reshape(-1)[hit] = DepthSource.EGO_PROJECTED
     return dmap
 
 
@@ -252,7 +242,7 @@ class NoisyOraclePredictor:
     blur_radius: int = 0
 
     def __post_init__(self):
-        if self.sigma_bins < 0 or self.blur_radius < 0:
+        if not self.sigma_bins >= 0 or self.blur_radius < 0:
             raise ValueError("noise parameters must be non-negative")
 
 

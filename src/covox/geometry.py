@@ -135,6 +135,8 @@ class CameraIntrinsics:
     def __post_init__(self):
         if not (self.fx > 0 and self.fy > 0):
             raise ValueError("focal lengths must be positive")
+        if not (math.isfinite(self.u0) and math.isfinite(self.v0)):
+            raise ValueError("principal point must be finite")
         if self.width < 1 or self.height < 1:
             raise ValueError("image size must be at least 1x1")
 

@@ -1,6 +1,10 @@
 """Localisation-noise tooling: pose perturbation, a heuristic BEV detector,
 and pairwise relative-pose correction by rigid alignment of detected boxes.
 
+The detector reads a sparse occupancy map, flat BEV cells (ix * ny + iy)
+and a value per cell, from a LiDAR grid (`occupancy_from_grid`) or the rows
+of an aggregated BEV (`occupancy_from_bev`); no (nx, ny) map is built.
+
 The corrector assumes two agents each detected (some of) the same objects.
 Greedy gated matching pairs the box centers; with at least two pairs the
 planar least-squares transform between them is solved in closed form and
@@ -51,32 +55,24 @@ def perturb_pose(pose: Pose, noise: NoiseModel, rng: np.random.Generator) -> Pos
     return Pose(m)
 
 
-def occupancy_from_grid(grid: VoxelGrid) -> np.ndarray:
-    """Column occupancy (nx, ny): channel 0, log(1 + point count) in a
-    voxelized LiDAR grid, summed over z.
+def occupancy_from_grid(grid: VoxelGrid) -> tuple[np.ndarray, np.ndarray]:
+    """Column occupancy of a voxelized LiDAR grid: channel 0, log(1 + point
+    count), summed over z.
 
-    Only the rows `collapse` gives are summed, each over its nz channel-0
-    values, zero for an unlisted voxel; every other column sums to exactly 0.
+    Returns the flat cells of the tagged columns, ascending, as `collapse`
+    gives them, and each one's sum over its nz channel-0 values, zero for
+    an unlisted voxel; every other column sums to exactly 0.
     """
     s = grid.spec
     columns, rows = collapse(grid)
-    occ = np.zeros(s.nx * s.ny)
-    occ[columns] = rows.reshape(-1, s.nz, s.channels)[:, :, 0].sum(axis=1)
-    return occ.reshape(s.nx, s.ny)
+    return columns, rows.reshape(-1, s.nz, s.channels)[:, :, 0].sum(axis=1)
 
 
-def occupancy_from_bev(grid: GridSpec, cells: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Occupancy proxy for an opaque BEV feature plane of `grid`: the
-    (nx, ny) per-cell L2 norm.
-
-    The BEV comes as the flat indices `cells` of its nonzero cells and their
-    (n, F) `rows`.  Only those rows are reduced; the norm of every other
-    cell is exactly 0, and a per-row reduction gives each row the same bits
-    whichever other rows it runs with.
-    """
-    occ = np.zeros(grid.nx * grid.ny)
-    occ[cells] = np.linalg.norm(np.asarray(rows, dtype=np.float64), axis=1)
-    return occ.reshape(grid.nx, grid.ny)
+def occupancy_from_bev(rows: np.ndarray) -> np.ndarray:
+    """Occupancy proxy for an opaque BEV feature plane: the L2 norm of each
+    of its (n, F) `rows`.  A per-row reduction gives each row the same bits
+    whichever other rows it runs with."""
+    return np.linalg.norm(np.asarray(rows, dtype=np.float64), axis=1)
 
 
 def _convex_hull(points: list) -> list:
@@ -199,27 +195,28 @@ def _component_hull(members: list, rows: list, centers: list) -> list:
     return hull
 
 
-def detect_local(bev_occupancy: np.ndarray, spec: GridSpec) -> list[Detection]:
-    """Heuristic box detector on a BEV occupancy map.
+def detect_local(cells: np.ndarray, values: np.ndarray, spec: GridSpec) -> list[Detection]:
+    """Heuristic box detector on a sparse BEV occupancy map of `spec`: the
+    flat cells `cells`, ascending, hold `values`, and every other cell 0.
 
     Cells above _REL_THRESHOLD * max(occupancy) are grouped into 8-connected
     components of at least _MIN_CELLS cells; each component yields the
     minimum-area oriented rectangle of its cell centers, inflated by one cell
     pitch to undo center shrinkage.
     The score is a bounded transform of the component's mean occupancy.
-    Cell centres and occupancies are read once per map, in scan order, which
-    is also the lexicographic order of the centres, and the rectangles of a
-    map are fitted in one batch.
+    Only the listed cells are read, in scan order, which is also the
+    lexicographic order of the centres, and the rectangles of a map are
+    fitted in one batch.
     """
-    occ = np.asarray(bev_occupancy, dtype=np.float64)
-    if occ.shape != (spec.nx, spec.ny):
-        raise ValueError("occupancy shape does not match the grid spec")
+    occ = np.asarray(values, dtype=np.float64)
+    if occ.shape != np.shape(cells):
+        raise ValueError("occupancy needs one value per cell")
     peak = occ.max(initial=0.0)
     if peak <= 0.0:
         return []
     mask = occ > _REL_THRESHOLD * peak
-    xs, ys = np.nonzero(mask)
-    comps = [m for m in _connected_components(xs, ys, mask.shape) if len(m) >= _MIN_CELLS]
+    xs, ys = np.divmod(cells[mask], spec.ny)
+    comps = [m for m in _connected_components(xs, ys, (spec.nx, spec.ny)) if len(m) >= _MIN_CELLS]
     if not comps:
         return []
     rows, centers = xs.tolist(), spec.bev_cell_centers(xs, ys).tolist()

@@ -69,6 +69,8 @@ class Wall:
     def __post_init__(self):
         if not self.height > 0:
             raise ValueError("wall height must be positive")
+        if not all(map(math.isfinite, (*self.p1, *self.p2, self.z0))):
+            raise ValueError("wall end points and z0 must be finite")
 
 
 @dataclass(frozen=True)
@@ -98,6 +100,8 @@ class LidarSpec:
             raise ValueError("need at least 4 azimuth steps")
         if not self.max_range > 0:
             raise ValueError("max_range must be positive")
+        if not self.range_noise_sigma >= 0:
+            raise ValueError("range_noise_sigma must be non-negative")
         object.__setattr__(self, "elevation_angles", tuple(self.elevation_angles))
 
 
@@ -145,6 +149,8 @@ class ScenarioConfig:
             raise ValueError("n_objects cannot be negative")
         if not self.comm_range > 0:
             raise ValueError("comm_range must be positive")
+        if not (self.pose_noise_sigma_xy >= 0 and self.pose_noise_sigma_yaw >= 0):
+            raise ValueError("pose noise sigmas must be non-negative")
         object.__setattr__(self, "occluders", tuple(self.occluders))
         object.__setattr__(
             self, "dropout", {int(k): tuple(v) for k, v in dict(self.dropout).items()}

@@ -11,11 +11,17 @@ what the program's stages do, converting at their edges, so that
 references take sparse grids, and the BEV references take an agent's BEV
 as its nonzero cells and their rows (`collapse_dense`,
 `importance_scores_dense`, `pack_message_dense`, `aggregate_dense`,
-`aggregate_max_dense`, `occupancy_from_bev_dense`), spread them into a
-whole (nx, ny, F) plane and scan that.  `perceive_whole_plane` finds the
-BEV's nonzero cells by a scan of the whole plane (`rows_of`), and
-`receive_fresh` gives the aggregators whole planes and finds the aggregated
-BEV's nonzero cells by a scan of the whole plane.
+`aggregate_max_dense`, `concat_dense`), spread them into a whole
+(nx, ny, F) plane and scan that.  `perceive_whole_plane` finds the BEV's
+nonzero cells by a scan of the whole plane (`rows_of`), and `receive_fresh`
+gives the aggregators whole planes and finds the aggregated BEV's nonzero
+cells by a scan of the whole plane.  The detector's references take its
+sparse occupancy, cells and a value per cell: `occupancy_from_grid_dense`
+finds the cells by a scan of the whole grid, and
+`detect_local_per_component` spreads them into a whole (nx, ny) map;
+`occupancy_from_bev_dense` takes each row's norm by its definition.
+`project_cloud_to_depthmap_by_image` bins a whole (H, W) image of
+minimum depths.
 
 The rule: one reference per stage.  A faster version of a stage adds its
 cases to the tests against the stage's reference here, never a new
@@ -43,7 +49,6 @@ from types import SimpleNamespace
 import numpy as np
 
 from covox import cli, collab, depth, metrics, nnkit, scene
-from covox.collab import aggregate_concat
 from covox.depth import DepthMap, NoisyOraclePredictor, predict_depth
 from covox.fusion import compute_guidance, fuse_hybrid_cells
 from covox.geometry import compose, invert, pixel_rays, planar_parts, project_points, transform_points
@@ -248,13 +253,27 @@ def voxelize_points_dense(cloud, spec):
 
 
 def min_depth_image_by_minimum_at(cloud, intr, bins):
-    """`depth._min_depth_image`: every projected depth scattered with
-    np.minimum.at."""
+    """The (H, W) image of each pixel's minimum projected depth below d_max
+    (inf = none): every projected depth scattered with np.minimum.at."""
     img = np.full(intr.height * intr.width, np.inf)
     pix, dist, _ = project_points(intr, np.asarray(cloud, dtype=np.float64).reshape(-1, 3))
     keep = dist < bins.d_max
     np.minimum.at(img, pix[keep, 1] * intr.width + pix[keep, 0], dist[keep])
     return img.reshape(intr.height, intr.width)
+
+
+def project_cloud_to_depthmap_by_image(cloud, intr, bins):
+    """`depth.project_cloud_to_depthmap`: the bins of the whole image of
+    minimum depths, at the pixels it holds a depth."""
+    dmap = DepthMap.empty(bins, intr.height, intr.width)
+    img = min_depth_image_by_minimum_at(cloud, intr, bins)
+    hit = np.isfinite(img)
+    k, valid = bins.bin_of(img[hit])
+    if not np.all(valid):
+        raise ValueError("project_cloud_to_depthmap: projected depth outside the bin range")
+    dmap.bin_idx[hit] = k.astype(np.int16)
+    dmap.source[hit] = depth.DepthSource.EGO_PROJECTED
+    return dmap
 
 
 def window_counts(true_depth_image, predictor, bins):
@@ -638,6 +657,15 @@ def aggregate_max_dense(grid, warped, ego_cells, ego_rows):
     return np.max(np.stack(tokens), axis=0)
 
 
+def concat_dense(lin, grid, warped, ego_cells, ego_rows):
+    """`collab.aggregate_concat` on whole planes: the ego's and the first
+    three neighbor planes, zero planes for the missing ones, stacked on the
+    channel axis and mapped."""
+    ego = plane_of(grid, ego_cells, ego_rows)
+    planes = [ego, *warped[:3]] + [np.zeros_like(ego)] * (3 - len(warped[:3]))
+    return lin.apply(np.concatenate(planes, axis=2))
+
+
 # --- perceive and receive ------------------------------------------------------------
 
 
@@ -695,9 +723,8 @@ def receive_fresh(w, rounds, pipe, params, ledger, tokens):
         agg = aggregate_dense(params.agg_mha, *ego)
     elif pipe.collab_mode == "max":
         agg = aggregate_max_dense(*ego)
-    else:  # concat has no dense reference: it takes the warped planes as given
-        out = aggregate_concat(params.concat_lin, *ego)
-        agg = plane_of(pipe.grid, out.cells, out.rows)
+    else:
+        agg = concat_dense(params.concat_lin, *ego)
     w.aggregated_cells, w.aggregated_rows = rows_of(agg)
     w.warp_collisions = collisions
 
@@ -706,13 +733,18 @@ def receive_fresh(w, rounds, pipe, params, ledger, tokens):
 
 
 def occupancy_from_grid_dense(grid):
-    """Every column's z-sum."""
-    return dense(grid)[0][:, :, :, 0].sum(axis=2)
+    """Every column's z-sum, and the columns with a tagged voxel, by a scan
+    of the whole grid, with their sums."""
+    feats, category = dense(grid)
+    columns = np.flatnonzero(np.any(category != 0, axis=2))
+    return columns, feats[:, :, :, 0].sum(axis=2).reshape(-1)[columns]
 
 
-def occupancy_from_bev_dense(grid, cells, rows):
-    """Every cell's norm, over the whole plane the rows spread into."""
-    return np.linalg.norm(plane_of(grid, cells, rows), axis=2)
+def occupancy_from_bev_dense(rows):
+    """Each row's norm, by its definition: the square root of its sum of
+    squares."""
+    rows = np.asarray(rows, dtype=np.float64)
+    return np.sqrt(np.sum(rows * rows, axis=1))
 
 
 def components_by_label_array(mask):
@@ -802,12 +834,13 @@ def min_area_rect_per_set(points):
     return center, float(yaw), (float(length), float(width))
 
 
-def detect_local_per_component(bev_occupancy, spec):
-    """`robust.detect_local` with each component's rectangle fitted on its
-    own, from its centres in breadth-first order."""
-    occ = np.asarray(bev_occupancy, dtype=np.float64)
-    if occ.shape != (spec.nx, spec.ny):
-        raise ValueError("occupancy shape does not match the grid spec")
+def detect_local_per_component(cells, values, spec):
+    """`robust.detect_local` on the whole (nx, ny) map that `values` at
+    `cells` spread into, with each component's rectangle fitted on its own,
+    from its centres in breadth-first order."""
+    occ = np.zeros(spec.nx * spec.ny)
+    occ[cells] = values
+    occ = occ.reshape(spec.nx, spec.ny)
     peak = occ.max(initial=0.0)
     if peak <= 0.0:
         return []
@@ -959,6 +992,7 @@ REFERENCE_SWAPS = (
     (collab, "detect_local", detect_local_per_component),
     (collab, "_share_clouds", share_clouds_per_edge),
     (collab, "_perceive", perceive_whole_plane),
+    (collab, "project_cloud_to_depthmap", project_cloud_to_depthmap_by_image),
     (collab, "predict_depth", predict_depth_full_image),
     (collab, "lift_camera", lift_camera_dense),
     (collab, "categorize", categorize_dense),

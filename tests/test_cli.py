@@ -348,8 +348,8 @@ def test_evaluate_round_scores_each_near_pair_once(tmp_path, monkeypatch):
     detect, gt_in_view, iou = cli.detect_local, cli._gt_in_view, metrics._clipped_iou
     corners = metrics.Detection.corners
 
-    def detect_spy(occupancy, grid):
-        boxes.append([detect(occupancy, grid)])
+    def detect_spy(cells, values, grid):
+        boxes.append([detect(cells, values, grid)])
         return boxes[-1][0]
 
     def gt_spy(agent, objects, grid):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from covox import collab, depth, nnkit
+from covox import collab, nnkit
 from covox.collab import (
     Message,
     PipelineConfig,
@@ -42,10 +42,11 @@ from covox.voxel import Category, GridSpec
 from oracles import (
     aggregate_dense,
     aggregate_max_dense,
+    concat_dense,
     dense_zeros,
     mha,
-    min_depth_image_by_minimum_at,
     nonzero_cells,
+    project_cloud_to_depthmap_by_image,
     rows_of,
     share_whole_clouds,
     sparse,
@@ -81,6 +82,24 @@ class TestCommGraph:
         drifted = AgentState(1, Pose.from_planar(10, 0, 0), Pose.from_planar(500, 0, 0))
         graph = build_comm_graph([agent_at(0, 0, 0), drifted], 40.0)
         assert graph == {0: (), 1: ()}
+
+    @pytest.mark.parametrize("comm_range", [0.0, -1.0, float("nan")])
+    def test_range_must_be_positive(self, comm_range):
+        """A NaN range fails the check too, instead of linking no agents."""
+        with pytest.raises(ValueError, match="comm_range"):
+            build_comm_graph([agent_at(0, 0, 0), agent_at(1, 10, 0)], comm_range)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("mass_threshold", float("nan")), ("mass_threshold", -0.1),
+    ("gate_radius", float("nan")), ("gate_radius", -1.0),
+])
+def test_pipeline_rejects_what_the_loader_rejects(field, value):
+    """`mass_threshold` and `gate_radius` must be non-negative numbers, as
+    `load_experiment` reads them; an infinity still constructs."""
+    with pytest.raises(ValueError, match=field):
+        PipelineConfig(grid=GRID, bins=BINS, **{field: value})
+    assert getattr(PipelineConfig(grid=GRID, bins=BINS, **{field: np.inf}), field) == np.inf
 
 
 class TestPreference:
@@ -322,14 +341,6 @@ def assert_same_rows(got, want_plane, atol=None):
         assert np.allclose(got.rows, rows, atol=atol)
 
 
-def concat_dense(lin, ego, warped):
-    """`aggregate_concat`'s definition on whole planes: the ego and the
-    first three neighbor planes, zero planes for the missing ones, stacked
-    on the channel axis and mapped."""
-    planes = [ego, *warped[:3]] + [np.zeros_like(ego)] * (3 - len(warped[:3]))
-    return lin.apply(np.concatenate(planes, axis=2))
-
-
 class TestAggregate:
     def test_no_neighbors_matches_single_token_mha(self, rng):
         bev = np.zeros((4, 4, 64))
@@ -376,7 +387,7 @@ class TestAggregate:
         out_max = aggregate_max(spec, warped_of(spec, [nbr]), *ego)  # every cell busy
         assert_same_rows(out_max, np.maximum(bev, nbr))
         out_cat = aggregate_concat(PARAMS.concat_lin, spec, warped_of(spec, [nbr]), *ego)
-        assert_same_rows(out_cat, concat_dense(PARAMS.concat_lin, bev, [nbr]))
+        assert_same_rows(out_cat, concat_dense(PARAMS.concat_lin, spec, [nbr], *ego))
 
     @pytest.mark.parametrize("mode", collab.COLLAB_MODES)
     @pytest.mark.parametrize("shape, n_neighbors", [((3, 2), 2), ((4, 5), 0), ((9, 9), 0)],
@@ -396,7 +407,7 @@ class TestAggregate:
             want = aggregate_max_dense(spec, warped, *rows)
         else:
             got = aggregate_concat(PARAMS.concat_lin, spec, warped_of(spec, warped), *rows)
-            want = concat_dense(PARAMS.concat_lin, ego, warped)
+            want = concat_dense(PARAMS.concat_lin, spec, warped, *rows)
         assert_same_rows(got, want)
         assert 0 < got.cells.size < shape[0] * shape[1]
 
@@ -517,8 +528,8 @@ def test_cells_with_an_all_zero_stack_aggregate_to_zero(params_seed, seed, shape
     """Every aggregator maps an all-zero token stack to a zero row, so every
     cell outside the ego's nonzero cells and the written cells is 0.0:
     no aggregator returns such a cell, and the dense references give it
-    zeros.  `aggregate` and `aggregate_max` compute only the other cells;
-    a bias or offset in any map breaks this."""
+    zeros.  The aggregators compute only the other cells; a bias or offset
+    in any map breaks this."""
     params = _params_at(params_seed)
     rng = np.random.default_rng(seed)
     shape = shape + (GRID.bev_channels,)
@@ -539,6 +550,7 @@ def test_cells_with_an_all_zero_stack_aggregate_to_zero(params_seed, seed, shape
     for plane in (
         aggregate_dense(params.agg_mha, spec, warped, *rows_of(ego)),
         aggregate_max_dense(spec, warped, *rows_of(ego)),
+        concat_dense(params.concat_lin, spec, warped, *rows_of(ego)),
     ):
         assert np.all(plane.reshape(-1, shape[2])[idle] == 0.0)
 
@@ -758,7 +770,7 @@ class TestPhaseOneOracle:
         got = run_round(agents, objects, (), scn, pipe, PARAMS)
         with monkeypatch.context() as m:
             m.setattr(collab, "_share_clouds", share_whole_clouds)
-            m.setattr(depth, "_min_depth_image", min_depth_image_by_minimum_at)
+            m.setattr(collab, "project_cloud_to_depthmap", project_cloud_to_depthmap_by_image)
             want = run_round(agents, objects, (), scn, pipe, PARAMS)
         return got, want, agents
 

@@ -208,9 +208,9 @@ class TestStagesMatchDenseReferences:
         # or overflow, infinities.
         rows[rng.integers(rows.shape[0])] = special
         ego = (*rows_of(bev), spec_of(bev))
-        occupancy = (spec_of(bev), *rows_of(bev))
+        rows = rows_of(bev)[1]
         with np.errstate(over="ignore"):
-            assert np.array_equal(occupancy_from_bev(*occupancy), occupancy_from_bev_dense(*occupancy))
+            assert np.array_equal(occupancy_from_bev(rows), occupancy_from_bev_dense(rows))
             assert np.array_equal(importance_scores(*ego), importance_scores_dense(*ego))
 
     @given(
@@ -249,7 +249,6 @@ class TestStagesMatchDenseReferences:
         if msgs:
             warped[0][...] = 1.0
             assert np.array_equal(warped[0], want[0][0])
-            assert len(warped[1:]) == len(msgs) - 1
 
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -352,8 +351,10 @@ def test_occupancy_from_grid_matches_dense(seed, shape, nz, density):
     scale = 10.0 ** rng.integers(-8, 9, (int(on.sum()), 1))
     feats[on] = rng.uniform(0.0, 1.0, (int(on.sum()), 5)) * scale
     grid = sparse(spec, feats, category)
-    got = occupancy_from_grid(grid)
-    assert np.array_equal(got, occupancy_from_grid_dense(grid))
+    cells, values = occupancy_from_grid(grid)
+    want_cells, want_values = occupancy_from_grid_dense(grid)
+    assert np.array_equal(cells, want_cells)
+    assert values.tobytes() == want_values.tobytes()
 
 
 @st.composite
@@ -978,12 +979,13 @@ def test_records_keep_no_dense_plane(bench_run, tmp_path, monkeypatch):
     assert max(kept) < plane * 8, kept
 
 
-def test_max_receive_builds_no_plane(bench_run, tmp_path, monkeypatch):
-    """Under max aggregation a receiver works on the rows of the cells it
-    or a neighbor holds: each `_receive` call of the fleet8 shape's trials
-    1-3 peaks below one (nx, ny, F) float64 plane."""
+@pytest.mark.parametrize("collab_mode", ["max", "concat"])
+def test_receive_builds_no_plane(bench_run, tmp_path, monkeypatch, collab_mode):
+    """Under max and concat aggregation a receiver works on the rows of the
+    cells it or a neighbor holds: each `_receive` call of the fleet8
+    shape's trials 1-3 peaks below one (nx, ny, F) float64 plane."""
     exp, peaks = call_peaks(bench_run, tmp_path, monkeypatch, collab, "_receive", range(1, 4),
-                            collab_mode="max")
+                            collab_mode=collab_mode)
     g = exp.pipeline.grid
     assert len(peaks) == 3 * exp.scenario.n_agents
     assert max(peaks) < g.nx * g.ny * g.bev_channels * 8, peaks

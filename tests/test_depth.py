@@ -23,6 +23,7 @@ from oracles import (
     merge_cooperative_pairs,
     min_depth_image_by_minimum_at,
     oracle_noisy_predict,
+    project_cloud_to_depthmap_by_image,
     reply_of,
 )
 
@@ -87,6 +88,20 @@ class TestProjectCloud:
         k, _ = BINS.bin_of(np.array([5.0]))
         assert dmap.bin_idx[3, 3] == k[0]
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_the_minimum_depth_image(self, seed):
+        """Points off the image, beyond d_max, tied and on bin edges."""
+        rng = np.random.default_rng(seed)
+        n = 2000
+        pixels = np.stack([rng.integers(-3, 36, n), rng.integers(-3, 28, n),
+                           rng.choice([0.5, 1.0, 3.0, 5.5, 32.99, 33.0, 40.0], n)], axis=1)
+        cloud = cloud_for_pixels(pixels) * rng.choice([1.0, 1.0 + 1e-9], (n, 1))
+        got = project_cloud_to_depthmap(cloud, INTR, BINS)
+        want = project_cloud_to_depthmap_by_image(cloud, INTR, BINS)
+        assert got.bin_idx.dtype == want.bin_idx.dtype and got.source.dtype == want.source.dtype
+        assert np.array_equal(got.bin_idx, want.bin_idx)
+        assert np.array_equal(got.source, want.source)
+
 
 class TestNearestPerPixel:
     def test_nearest_wins_and_lowest_row_breaks_ties(self):
@@ -149,11 +164,9 @@ def test_out_of_range_depth_raises(monkeypatch, stage):
         return
 
     def beyond_last_bin(cloud, intr, bins):
-        img = np.full((intr.height, intr.width), np.inf)
-        img[3, 4] = bins.d_max
-        return img
+        return np.array([3 * intr.width + 4]), np.array([bins.d_max]), np.array([0])
 
-    monkeypatch.setattr(depth, "_min_depth_image", beyond_last_bin)
+    monkeypatch.setattr(depth, "nearest_per_pixel", beyond_last_bin)
     with pytest.raises(ValueError, match=stage):
         project_cloud_to_depthmap(cloud_for_pixels([(4, 3, 5.0)]), INTR, BINS)
 
@@ -288,6 +301,12 @@ def test_encoded_merge_matches_pairs_merge(seed, n_replies):
 
 
 class TestPredict:
+    @pytest.mark.parametrize("sigma, radius", [(np.nan, 0), (-1.0, 0), (1.0, -1)])
+    def test_bad_noise_is_rejected(self, sigma, radius):
+        """A NaN sigma fails at construction, not in `predict_depth`."""
+        with pytest.raises(ValueError, match="non-negative"):
+            NoisyOraclePredictor(sigma, radius)
+
     def test_uniform(self):
         depth = np.full((4, 4), np.inf)
         dist = predict_depth(depth, UniformPredictor(), DepthBins(1, 9, 4))

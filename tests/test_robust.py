@@ -140,8 +140,14 @@ class TestDetectorOracles:
 
     @staticmethod
     def assert_same_detections(occ, spec=GRID):
-        dets = detect_local(occ, spec)
-        assert dets == detect_local_per_component(occ, spec)
+        """The detector on the nonzero cells of a whole (nx, ny) map and
+        their values, against the reference; listing every cell, zeros
+        included, gives the same boxes."""
+        occ = np.asarray(occ, dtype=np.float64).reshape(-1)
+        cells = np.flatnonzero(occ)
+        dets = detect_local(cells, occ[cells], spec)
+        assert dets == detect_local_per_component(cells, occ[cells], spec)
+        assert detect_local(np.arange(occ.size), occ, spec) == dets
         return dets
 
     @given(
@@ -343,12 +349,18 @@ def rasterize_box(det: Detection, spec: GridSpec, pts_per_edge: int = 400):
 
 class TestDetectLocal:
     def test_empty_grid(self):
-        assert detect_local(np.zeros((GRID.nx, GRID.ny)), GRID) == []
+        assert detect_local(np.zeros(0, dtype=np.int64), np.zeros(0), GRID) == []
+        cells = np.arange(GRID.nx * GRID.ny)
+        assert detect_local(cells, np.zeros(cells.size), GRID) == []
+
+    def test_one_value_per_cell(self):
+        with pytest.raises(ValueError, match="one value per cell"):
+            detect_local(np.array([3, 4]), np.ones(3), GRID)
 
     def test_rasterized_box_recovered(self):
         truth = Detection(center=(4.0, -3.0), yaw=0.5, extent=(4.4, 2.0))
         grid = voxelize_points(rasterize_box(truth, GRID), GRID)
-        dets = detect_local(occupancy_from_grid(grid), GRID)
+        dets = detect_local(*occupancy_from_grid(grid), GRID)
         assert len(dets) == 1
         det = dets[0]
         pitch = (GRID.dx + GRID.dy) / 2
@@ -362,13 +374,13 @@ class TestDetectLocal:
         b = Detection(center=(8.0, 8.0), yaw=1.0, extent=(4.0, 2.0))
         pts = np.vstack([rasterize_box(a, GRID), rasterize_box(b, GRID)])
         grid = voxelize_points(pts, GRID)
-        dets = detect_local(occupancy_from_grid(grid), GRID)
+        dets = detect_local(*occupancy_from_grid(grid), GRID)
         assert len(dets) == 2
 
     def test_scores_in_unit_interval(self):
         truth = Detection(center=(0.0, 0.0), yaw=0.0, extent=(4.0, 2.0))
         grid = voxelize_points(rasterize_box(truth, GRID), GRID)
-        for det in detect_local(occupancy_from_grid(grid), GRID):
+        for det in detect_local(*occupancy_from_grid(grid), GRID):
             assert 0.0 <= det.score <= 1.0
 
 

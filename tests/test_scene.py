@@ -81,6 +81,37 @@ def test_infinite_sizes_are_kept():
     assert ScenarioConfig(comm_range=INF).comm_range == INF
     assert Wall((0.0, 0.0), (1.0, 0.0), INF).height == INF
     assert BoxObject((0.0, 0.0), 0.0, (1.0, 1.0, INF)).extent[2] == INF
+    assert LidarSpec(range_noise_sigma=INF).range_noise_sigma == INF
+    assert ScenarioConfig(pose_noise_sigma_xy=INF, pose_noise_sigma_yaw=INF).pose_noise_sigma_yaw == INF
+
+
+# Fields that `load_experiment` rejects: a sigma that is NaN or negative,
+# and a coordinate that is not finite.
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: ScenarioConfig(pose_noise_sigma_xy=NAN),
+        lambda: ScenarioConfig(pose_noise_sigma_xy=-1.0),
+        lambda: ScenarioConfig(pose_noise_sigma_yaw=NAN),
+        lambda: ScenarioConfig(pose_noise_sigma_yaw=-1.0),
+        lambda: LidarSpec(range_noise_sigma=NAN),
+        lambda: LidarSpec(range_noise_sigma=-1.0),
+        lambda: Wall((NAN, 0.0), (1.0, 0.0), 1.0),
+        lambda: Wall((0.0, 0.0), (1.0, INF), 1.0),
+        lambda: Wall((0.0, 0.0), (1.0, 0.0), 1.0, z0=NAN),
+        lambda: Wall((0.0, 0.0), (1.0, 0.0), 1.0, z0=-INF),
+        lambda: CameraIntrinsics(70.0, 70.0, NAN, 32.0, 96, 64),
+        lambda: CameraIntrinsics(70.0, 70.0, 48.0, INF, 96, 64),
+    ],
+    ids=[
+        "sigma_xy-nan", "sigma_xy-negative", "sigma_yaw-nan", "sigma_yaw-negative",
+        "range_noise_sigma-nan", "range_noise_sigma-negative", "Wall.p1-nan", "Wall.p2-inf",
+        "Wall.z0-nan", "Wall.z0-inf", "CameraIntrinsics.u0-nan", "CameraIntrinsics.v0-inf",
+    ],
+)
+def test_constructors_reject_what_the_loader_rejects(build):
+    with pytest.raises(ValueError):
+        build()
 
 
 @pytest.mark.parametrize("bad", [NAN, INF, -INF], ids=["nan", "inf", "-inf"])

@@ -85,7 +85,10 @@ def test_traced_counters_equal_the_trials_totals(tracing, monkeypatch):
     untraced AgentRounds, feature elements from its ledger, dropped cells
     from each message warped on its own, and, under attention and max,
     the neighbor tokens from each receiver's warp: `collab.agg_valid` its
-    written cells, `collab.agg_pairs` its degree times the grid's cells."""
+    written cells, `collab.agg_pairs` its degree times the grid's cells.
+    Both detectors' counters read only the length of what they return:
+    `robust.detections` must equal the local detections the records keep,
+    and `metrics.dets` the boxes each agent is scored on."""
     exp, params = _experiment(n_agents=5, comm_range=35.0, pose_noise_sigma_xy=0.4,
                               dropout={1: ("camera",), 3: ("lidar",)})
     for mode in ("attention", "max"):
@@ -126,6 +129,8 @@ def test_traced_counters_equal_the_trials_totals(tracing, monkeypatch):
             "collab.feature_elements": int(fields["feature_elements"]),
             "collab.agg_valid": sum(written),
             "collab.agg_pairs": sum(pairs),
+            "robust.detections": sum(len(r.detections) for r in rounds),
+            "metrics.dets": sum(len(cli._scored(r, outcome.objects, grid)[1]) for r in rounds),
         }
         assert len(written) == len(pairs) == exp.scenario.n_agents
         assert {key: counts[key] for key in want} == want, mode
