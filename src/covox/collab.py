@@ -99,7 +99,16 @@ from .scene import (
     simulate_camera,
     simulate_lidar,
 )
-from .voxel import Category, GridSpec, VoxelGrid, categorize, collapse, lift_camera, voxelize_points
+from .voxel import (
+    Category,
+    GridSpec,
+    VoxelGrid,
+    _run_starts,
+    categorize,
+    collapse,
+    lift_camera,
+    voxelize_points,
+)
 
 # Importance surrogate: logistic in the normalised feature norm.
 _IMPORTANCE_GAIN = 4.0
@@ -447,8 +456,10 @@ class AggregatedBEV:
 
 def _union(cell_lists: Sequence[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
     """The ascending union of lists of flat cells, and the positions of each
-    list's cells in it."""
-    cells = np.unique(np.concatenate(cell_lists))
+    list's cells in it.  The union is taken by sorting, as `categorize` does:
+    a plain `np.unique` takes numpy's hash path, which imports `numpy.ma`
+    on its first call."""
+    cells = _run_starts(np.sort(np.concatenate(cell_lists)))
     return cells, [np.searchsorted(cells, c) for c in cell_lists]
 
 

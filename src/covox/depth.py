@@ -9,6 +9,7 @@ pixel so projected ego depths are never overwritten by shared ones.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import NamedTuple, Sequence
@@ -242,8 +243,10 @@ class NoisyOraclePredictor:
     blur_radius: int = 0
 
     def __post_init__(self):
-        if not self.sigma_bins >= 0 or self.blur_radius < 0:
-            raise ValueError("noise parameters must be non-negative")
+        if isinstance(self.blur_radius, bool) or not isinstance(self.blur_radius, (int, np.integer)):
+            raise TypeError(f"blur_radius must be an integer, got {self.blur_radius!r}")
+        if not (math.isfinite(self.sigma_bins) and self.sigma_bins >= 0) or self.blur_radius < 0:
+            raise ValueError("noise parameters must be finite and non-negative")
 
 
 @functools.lru_cache(maxsize=8)

@@ -160,17 +160,18 @@ class CategorizedGrid:
 class LiftResult:
     """A lifted camera grid and the distribution it was lifted from.
 
-    The pipeline reads only `grid`; the mass that fell outside the grid is
-    summed when `dropped_mass` is first read.
+    The pipeline reads only `grid`.  The mass that fell outside the grid is
+    summed when `dropped_mass` is first read, over the entries `inside` does
+    not list, in entry order.
     """
 
     grid: VoxelGrid
     mass: np.ndarray  # the flat distribution; read, never written
-    outside: np.ndarray  # flat indices of its entries whose splat target is out of the grid
+    inside: np.ndarray  # ascending flat indices of its entries whose splat target is in the grid
 
     @functools.cached_property
     def dropped_mass(self) -> float:
-        return float(self.mass[self.outside].sum())
+        return float(np.delete(self.mass, self.inside).sum())
 
 
 def voxelize_points(cloud: np.ndarray, spec: GridSpec) -> VoxelGrid:
@@ -220,15 +221,15 @@ def voxelize_points(cloud: np.ndarray, spec: GridSpec) -> VoxelGrid:
 @functools.lru_cache(maxsize=8)
 def _lift_geometry(
     intr: CameraIntrinsics, pose_matrix: bytes, spec: GridSpec, bin_centers: bytes
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Where each (pixel, depth bin) entry of a distribution lands in the grid.
 
     Takes the camera pose matrix and the bin-center depths as float64 bytes.
-    Returns the flat indices of the in-grid entries, those of the
-    out-of-grid entries, the voxels the in-grid entries reach (flat indices,
-    ascending) and each in-grid entry's rank in that list.  The map depends
-    only on these arguments, so it is computed once per combination and
-    shared read-only.
+    Returns the flat indices of the in-grid entries (ascending), the voxels
+    they reach (flat indices, ascending) and each in-grid entry's rank in
+    that list.  The out-of-grid entries are the rest; no list of them is
+    kept.  The map depends only on these arguments, so it is computed once
+    per combination and shared read-only.
     """
     pose = Pose(np.frombuffer(pose_matrix).reshape(4, 4))
     centers = np.frombuffer(bin_centers)
@@ -236,11 +237,10 @@ def _lift_geometry(
     pts = pixel_rays(intr)[:, :, None, :] * centers[None, None, :, None]
     in_grid, flat = spec.voxel_of(transform_points(pose, pts.reshape(-1, 3)))
     inside = np.flatnonzero(in_grid)
-    outside = np.flatnonzero(~in_grid)
     voxels, rank = np.unique(flat, return_inverse=True)
-    for arr in (inside, outside, voxels, rank):
+    for arr in (inside, voxels, rank):
         arr.setflags(write=False)
-    return inside, outside, voxels, rank
+    return inside, voxels, rank
 
 
 def lift_camera(
@@ -281,7 +281,7 @@ def lift_camera(
     if (intr.height, intr.width) != (h, w):
         raise ValueError("camera intrinsics and depth distribution disagree on size")
 
-    inside, outside, voxels, rank = _lift_geometry(
+    inside, voxels, rank = _lift_geometry(
         intr, cam_pose_in_ego.matrix.tobytes(), spec, bin_centers.tobytes()
     )
     mass = dist.reshape(-1)
@@ -307,7 +307,7 @@ def lift_camera(
         feats.reshape(voxels.size, c)[tagged],
         np.full(int(np.count_nonzero(tagged)), Category.CAMERA, dtype=np.uint8),
     )
-    return LiftResult(grid, mass, outside)
+    return LiftResult(grid, mass, inside)
 
 
 def categorize(lidar_grid: VoxelGrid, camera_grid: VoxelGrid) -> CategorizedGrid:

@@ -301,11 +301,24 @@ def test_encoded_merge_matches_pairs_merge(seed, n_replies):
 
 
 class TestPredict:
-    @pytest.mark.parametrize("sigma, radius", [(np.nan, 0), (-1.0, 0), (1.0, -1)])
+    @pytest.mark.parametrize("sigma, radius", [(np.nan, 0), (np.inf, 0), (-1.0, 0), (1.0, -1)])
     def test_bad_noise_is_rejected(self, sigma, radius):
-        """A NaN sigma fails at construction, not in `predict_depth`."""
+        """A NaN or infinite sigma fails at construction, not in `predict_depth`."""
         with pytest.raises(ValueError, match="non-negative"):
             NoisyOraclePredictor(sigma, radius)
+
+    @pytest.mark.parametrize("radius", [1.5, 1.0, True])
+    def test_radius_must_be_an_integer(self, radius):
+        """As in `load_experiment`, a float or a bool is no blur radius."""
+        with pytest.raises(TypeError, match="integer"):
+            NoisyOraclePredictor(1.0, radius)
+
+    def test_numpy_integer_radius_predicts(self):
+        """A numpy integer is a radius; it predicts as the same int does."""
+        depth = np.array([[2.0, 4.5], [7.0, 8.5]])
+        bins = DepthBins(1.0, 9.0, 4)
+        got = predict_depth(depth, NoisyOraclePredictor(1.0, np.int64(1)), bins)
+        assert np.array_equal(got, predict_depth(depth, NoisyOraclePredictor(1.0, 1), bins))
 
     def test_uniform(self):
         depth = np.full((4, 4), np.inf)

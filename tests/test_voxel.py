@@ -4,19 +4,21 @@ import numpy as np
 import pytest
 
 from covox.depth import DepthBins
-from covox.geometry import CameraIntrinsics, Pose
+from covox.geometry import CameraIntrinsics, Pose, pixel_rays, transform_points
+from covox.scene import DEFAULT_CAMERA_MOUNT, ScenarioConfig
 from covox.voxel import (
     Category,
     GridSpec,
     SpecMismatch,
     VoxelGrid,
+    _lift_geometry,
     categorize,
     collapse,
     lift_camera,
     voxelize_points,
 )
 
-from oracles import dense, dense_zeros, lift_camera_dense, sparse
+from oracles import cell_of, dense, dense_zeros, lift_camera_dense, sparse
 
 SPEC = GridSpec((-8.0, 8.0), (-8.0, 8.0), (0.0, 4.0), 16, 16, 4, 8)
 
@@ -192,6 +194,37 @@ class TestLiftOracle:
                 for pose in self._mounts():
                     feats, dist = self._inputs(rng)
                     self._check(feats, dist, pose, spec, 0.05)
+
+
+class TestLiftCache:
+    """On the benchmark's camera and grid, the map `_lift_geometry` keeps for
+    the whole process holds only what `lift_camera` reads: no list of the
+    out-of-grid entries, which only `dropped_mass` needs."""
+
+    INTR = ScenarioConfig().camera
+    SPEC = GridSpec((-20.0, 20.0), (-20.0, 20.0), (0.5, 3.7), 64, 64, 8, 8)
+    BINS = DepthBins(1.0, 33.0, 16)
+
+    def test_cache_holds_the_in_grid_entries_only(self):
+        cached = _lift_geometry(self.INTR, DEFAULT_CAMERA_MOUNT.matrix.tobytes(), self.SPEC,
+                                self.BINS.centers().tobytes())
+        inside, voxels, rank = cached
+        assert inside.size == rank.size > 0
+        assert np.all(np.diff(inside) > 0) and np.all(np.diff(voxels) > 0)
+        # 0.42 MB; the out-of-grid list made it 1.0 MB.
+        assert sum(arr.nbytes for arr in cached) < 0.5e6
+
+    def test_dropped_mass_sums_the_out_of_grid_entries(self, rng):
+        h, w, d = self.INTR.height, self.INTR.width, self.BINS.n_bins
+        dist = rng.uniform(size=(h, w, d))
+        dist /= dist.sum(axis=2, keepdims=True)
+        feats = rng.standard_normal((h, w, self.SPEC.channels))
+        res = lift_camera(feats, dist, self.INTR, DEFAULT_CAMERA_MOUNT, self.SPEC, 0.05, self.BINS.centers())
+        rays = pixel_rays(self.INTR)[:, :, None, :] * self.BINS.centers()[None, None, :, None]
+        _, in_grid = cell_of(self.SPEC, transform_points(DEFAULT_CAMERA_MOUNT, rays.reshape(-1, 3)))
+        want = float(dist.reshape(-1)[~in_grid].sum())
+        assert want > 0.0
+        assert res.dropped_mass == want
 
 
 def tagged(spec, tag, *cells, features=None):
