@@ -124,8 +124,6 @@ _PAYLOAD_CELL = 0.5
 _REQUEST_ELEMENTS = 3
 
 _AGG_HEADS = 4
-# The fewest rows `_apply_as_grid` multiplies in one BLAS call.
-_MIN_ATTENTION_CELLS = 64
 _CONCAT_SLOTS = 4  # token budget of the concat aggregation ablation
 
 _CAM_FROM_AGENT = invert(DEFAULT_CAMERA_MOUNT)
@@ -418,28 +416,11 @@ def warp_sparse(
                         int(ix.size - inside.size))
 
 
-def _apply_as_grid(lin: nnkit.LinearMap, rows: np.ndarray, per_call: int) -> np.ndarray:
-    """`lin` applied to the (n, in) `rows`, each with the bits it gets in a
-    product over whole grids, which multiplies `per_call` rows per BLAS
-    call.  A handful of rows take other BLAS kernels (gemv for one row),
-    which round differently, so under `_MIN_ATTENTION_CELLS` rows per call
-    the rows go `per_call` to a call, and otherwise in one call of at least
-    that many; zero rows pad the last call."""
-    n = rows.shape[0]
-    block = per_call if per_call < _MIN_ATTENTION_CELLS else max(n, _MIN_ATTENTION_CELLS)
-    padded = np.zeros((-(-n // block), block, lin.n_in))  # one BLAS call per block
-    padded.reshape(-1, lin.n_in)[:n] = rows
-    return lin.apply(padded).reshape(-1, lin.n_out)[:n]
-
-
-def project_tokens(params: nnkit.MhaParams, rows: np.ndarray, n_cells: int) -> Tokens:
-    """Q, K and V of `rows`, the token rows of a round on grids of
-    `n_cells` cells, and of a zero row after them, each row with the bits
-    that attention over every cell gives it (`_apply_as_grid`)."""
-    stack = np.vstack([rows, np.zeros(rows.shape[1])])
-    q, k, v = (_apply_as_grid(lin, stack, n_cells) for lin in (params.wq, params.wk, params.wv))
-    for proj in (q, k, v):
-        proj[-1] = 0.0  # +0.0, whatever sign BLAS gives a zero row
+def project_tokens(params: nnkit.MhaParams, rows: np.ndarray) -> Tokens:
+    """Q, K and V of `rows`, the token rows of a round, and of a zero row
+    after them."""
+    q, k, v = (np.vstack([lin.apply(rows), np.zeros((1, params.dim))])
+               for lin in (params.wq, params.wk, params.wv))
     return Tokens(q, k, v)
 
 
@@ -493,8 +474,7 @@ def aggregate(
     Only the cells with a nonzero token are computed; the bias-free maps
     take every other cell's all-zero stack to a zero output.  The slot of a
     token no neighbor sent reads the zero row of `tokens` and gets zero
-    softmax weight.  No plane of `warped` is built.  The output projection
-    runs as `project_tokens` projects (`_apply_as_grid`).
+    softmax weight.  No plane of `warped` is built.
     """
     t = len(warped) + 1
     cells, at = _union([ego_cells, *warped.cells])
@@ -514,7 +494,7 @@ def aggregate(
     scores[~valid] = -np.inf
     weights = nnkit.softmax(scores, axis=0)
     ctx = np.einsum("tch,tchd->chd", weights, v).reshape(n, grid.bev_channels)
-    return _aggregated_bev(grid, cells, _apply_as_grid(params.wo, ctx, grid.nx * grid.ny))
+    return _aggregated_bev(grid, cells, params.wo.apply(ctx))
 
 
 def aggregate_max(
@@ -552,15 +532,14 @@ def aggregate_concat(
     The slots hold the ego's BEV (nonzero cells `ego_cells`, their
     `ego_rows`), the rows the first neighbors of `warped` wrote, and zeros.
     Only the cells the ego or one of those neighbors holds are mapped, as
-    one (n, slots x F) row stack, with the bits of the product over the
-    whole (nx, ny, slots x F) stack, which multiplies ny rows per BLAS call.
+    one (n, slots x F) row stack.
     """
     sent = min(len(warped), _CONCAT_SLOTS - 1)
     cells, at = _union([ego_cells, *warped.cells[:sent]])
     stack = np.zeros((cells.size, _CONCAT_SLOTS, grid.bev_channels))
     for slot, (pos, rows) in enumerate(zip(at, [ego_rows, *map(warped.features, range(sent))])):
         stack[pos, slot] = rows
-    return _aggregated_bev(grid, cells, _apply_as_grid(lin, stack.reshape(-1, lin.n_in), grid.ny))
+    return _aggregated_bev(grid, cells, lin.apply(stack.reshape(-1, lin.n_in)))
 
 
 @dataclass
@@ -793,9 +772,7 @@ def _nonzero_rows(cells: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.n
     return cells[keep], rows[keep]
 
 
-def _project_round_tokens(
-    rounds: dict[int, AgentRound], grid: GridSpec, params: nnkit.MhaParams
-) -> Tokens:
+def _project_round_tokens(rounds: dict[int, AgentRound], params: nnkit.MhaParams) -> Tokens:
     """Q, K and V of every agent's nonzero BEV rows, projected once per
     round.  Sets each agent's `token_rows` and `sent_rows`: a message row is
     a nonzero BEV row, so it has a token row too."""
@@ -805,7 +782,7 @@ def _project_round_tokens(
         w.token_rows = np.arange(start, start + w.bev_cells.size)
         start += w.bev_cells.size
         w.sent_rows = w.token_rows[np.searchsorted(w.bev_cells, w.message.indices)]
-    return project_tokens(params, np.concatenate(blocks), grid.nx * grid.ny)
+    return project_tokens(params, np.concatenate(blocks))
 
 
 def _receive(
@@ -870,7 +847,7 @@ def run_round(
         _perceive(w, objects, occluders, scenario, pipe, params)
     tokens = None
     if pipe.collab_mode == "attention":
-        tokens = _project_round_tokens(rounds, pipe.grid, params.agg_mha)
+        tokens = _project_round_tokens(rounds, params.agg_mha)
     for w in rounds.values():
         _receive(w, rounds, pipe, params, ledger, tokens)
     for w in rounds.values():

@@ -287,10 +287,7 @@ def predict_depth(true_depth_image: np.ndarray, predictor, bins: DepthBins) -> n
     digits of base b = min((2r+1)^2, H*W) + 1, more than any count, so no
     digit carries: the code of a window is the window sum of b^k over the
     pixels whose bin is k.  The bins are split over as many int64 words as
-    that needs.  The distinct windows are multiplied in a block of the full
-    image's shape, each at the row of one of its pixels, so BLAS computes
-    every row as it would for the whole image: a block of the distinct rows
-    alone can take another kernel, which rounds some bin counts differently.
+    that needs.
     """
     h, w = np.asarray(true_depth_image).shape
     d = bins.n_bins
@@ -322,10 +319,10 @@ def predict_depth(true_depth_image: np.ndarray, predictor, bins: DepthBins) -> n
     for code in codes[1:]:
         key = _ranks(key)[0] * key.size + _ranks(code)[0]
     window, at = _ranks(key)
-    counts = np.zeros((h * w, d))
+    counts = np.zeros((at.size, d))
     for code, word_value, (lo, hi) in zip(codes, value, spans):
-        counts[at, lo:hi] = (code[at, None] // word_value[lo:hi]) % base
-    vol = (counts @ _bin_gaussian_table(predictor.sigma_bins, d))[at]
+        counts[:, lo:hi] = (code[at, None] // word_value[lo:hi]) % base
+    vol = counts @ _bin_gaussian_table(predictor.sigma_bins, d)
     vol /= vol.sum(axis=1, keepdims=True)
     return np.take(vol, window, axis=0).reshape(h, w, d)
 

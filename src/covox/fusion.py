@@ -23,11 +23,8 @@ _GUIDANCE_HEADS = 2
 _GUIDANCE_THRESHOLD = 0.5
 # At most this many LiDAR voxels, drawn at random, query the camera voxels.
 _MAX_TOKENS = 512
-# Guidance attention runs the queries this many rows at a time.  BLAS
-# multiplies in tiles of rows and rounds the rows of an edge tile another
-# way, so a block must start where the whole product starts a tile: 48 is a
-# multiple of the common kernels' tile heights (a 2-core x86-64 host's
-# OpenBLAS uses 12).
+# Guidance attention runs the queries this many rows at a time, which bounds
+# its (H, rows, Nk) temporaries.
 _QUERY_BLOCK = 48
 
 
@@ -85,16 +82,8 @@ def guidance_raw_scores(
     """Per-camera-cell relevance: max over LiDAR queries of head-mean attention.
 
     Queries and keys are projected once.  The scores, softmax weights and
-    head mean then run on blocks of query rows that start at multiples of
-    `_QUERY_BLOCK`, each folded into one running max per key, so no
-    (H, Nq, Nk) array is built.  The last block runs to the last query, so
-    it holds `_QUERY_BLOCK` to 2 * `_QUERY_BLOCK` - 1 rows unless there are
-    fewer queries.  The result is the whole product's, bit for bit, while
-    BLAS runs on one thread: softmax and the head mean act on each query
-    row alone, max neither rounds nor depends on order, and each block's
-    product tiles its rows as the whole product does.  (A threaded BLAS
-    splits a large whole product between threads, which rounds some of its
-    rows otherwise.)
+    head mean then run on blocks of `_QUERY_BLOCK` query rows, each folded
+    into one running max per key, so no (H, Nq, Nk) array is built.
     """
     queries = np.atleast_2d(np.asarray(lidar_cells, dtype=np.float64))
     keys = np.atleast_2d(np.asarray(camera_cells, dtype=np.float64))
@@ -107,15 +96,11 @@ def guidance_raw_scores(
     mha = params.guidance_mha
     q = nnkit.split_heads(mha.wq.apply(queries), mha.n_heads)  # (H, Nq, dh)
     k_t = np.swapaxes(nnkit.split_heads(mha.wk.apply(keys), mha.n_heads), -1, -2)
-    n = queries.shape[0]
     best = np.full(keys.shape[0], -np.inf)
-    lo = 0
-    while lo < n:
-        hi = lo + _QUERY_BLOCK if n - lo >= 2 * _QUERY_BLOCK else n
-        scores = q[:, lo:hi] @ k_t / np.sqrt(mha.head_dim)
+    for lo in range(0, queries.shape[0], _QUERY_BLOCK):
+        scores = q[:, lo : lo + _QUERY_BLOCK] @ k_t / np.sqrt(mha.head_dim)
         weights = nnkit.softmax(scores, axis=-1).mean(axis=0)  # (block, Nk)
         np.maximum(best, weights.max(axis=0), out=best)
-        lo = hi
     return best
 
 

@@ -108,17 +108,8 @@ def planar_parts(pose: Pose) -> tuple[float, float, float]:
 
 
 def transform_points(pose: Pose, pts: np.ndarray) -> np.ndarray:
-    """Apply R.p + t to one (3,) point or an (N, 3) array of points.
-
-    A point gets the same bits whichever batch it is in.  BLAS multiplies a
-    single row with gemv, which rounds differently from the gemm that two
-    or more rows take, so a lone point is multiplied as a pair.
-    """
-    pts = np.asarray(pts, dtype=np.float64)
-    rows = pts.reshape(-1, 3)
-    if rows.shape[0] == 1:
-        return (np.repeat(rows, 2, axis=0) @ pose.rotation.T + pose.translation)[0].reshape(pts.shape)
-    return pts @ pose.rotation.T + pose.translation
+    """Apply R.p + t to one (3,) point or an (N, 3) array of points."""
+    return np.asarray(pts, dtype=np.float64) @ pose.rotation.T + pose.translation
 
 
 @dataclass(frozen=True)

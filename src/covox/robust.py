@@ -195,14 +195,22 @@ def _component_hull(members: list, rows: list, centers: list) -> list:
     return hull
 
 
+def _box_extent(length: float, breadth: float, spec: GridSpec) -> tuple[float, float]:
+    """The extent of a component's box from the rectangle of its cell
+    centres: each side inflated by one cell pitch to undo centre shrinkage,
+    so a one-row component gets a breadth of one pitch."""
+    pitch = (spec.dx + spec.dy) / 2.0
+    return length + pitch, breadth + pitch
+
+
 def detect_local(cells: np.ndarray, values: np.ndarray, spec: GridSpec) -> list[Detection]:
     """Heuristic box detector on a sparse BEV occupancy map of `spec`: the
     flat cells `cells`, ascending, hold `values`, and every other cell 0.
 
     Cells above _REL_THRESHOLD * max(occupancy) are grouped into 8-connected
     components of at least _MIN_CELLS cells; each component yields the
-    minimum-area oriented rectangle of its cell centers, inflated by one cell
-    pitch to undo center shrinkage.
+    minimum-area oriented rectangle of its cell centers, its extent
+    inflated as `_box_extent` says.
     The score is a bounded transform of the component's mean occupancy.
     Only the listed cells are read, in scan order, which is also the
     lexicographic order of the centres, and the rectangles of a map are
@@ -227,12 +235,11 @@ def detect_local(cells: np.ndarray, values: np.ndarray, spec: GridSpec) -> list[
     values = np.split(occ[mask][np.concatenate(comps)], np.cumsum(sizes[:-1]))
     sums = np.array([np.add.reduce(part) for part in values])
     scores = (1.0 - np.exp(-(sums / sizes))).tolist()
-    pitch = (spec.dx + spec.dy) / 2.0
     return [
         Detection(
             center=(float(center[0]), float(center[1])),
             yaw=yaw,
-            extent=(length + pitch, breadth + pitch),
+            extent=_box_extent(length, breadth, spec),
             score=score,
         )
         for (center, yaw, (length, breadth)), score in zip(rects, scores)

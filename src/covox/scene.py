@@ -301,10 +301,7 @@ def _ray_box_t(origin, dirs, objects: Sequence[BoxObject], fan: _AzimuthFan) -> 
     """Each ray's least slab-method entry distance over the boxes (inf where
     it enters none).
 
-    Each box multiplies only its candidate rays into its frame, at least two
-    rows at a time: numpy sends a one-row product through BLAS gemv, which
-    rounds differently from the gemm of a larger bundle, so a ray's
-    box-frame direction does not depend on which rays are asked.  The slab
+    Each box multiplies only its candidate rays into its frame.  The slab
     test then runs over every box's (box, ray) pairs, one axis per row, in
     blocks of _SLAB_PAIRS pairs: its temporaries take about 170 bytes per
     pair, and a camera bundle can hold ten thousand pairs.
@@ -318,9 +315,8 @@ def _ray_box_t(origin, dirs, objects: Sequence[BoxObject], fan: _AzimuthFan) -> 
             continue
         c, s = np.cos(box.yaw), np.sin(box.yaw)
         rot = np.array([[c, s, 0.0], [-s, c, 0.0], [0.0, 0.0, 1.0]])  # world -> box
-        rows = cand if cand.size > 1 else np.repeat(cand, 2)
         rays.append(cand)
-        frame_dirs.append((dirs.take(rows, axis=0) @ rot.T)[: cand.size])
+        frame_dirs.append(dirs.take(cand, axis=0) @ rot.T)
         frame_origins.append(rot @ (origin - np.array([*box.center, 0.0])))
         lo.append((-box.extent[0] / 2, -box.extent[1] / 2, 0.0))
         hi.append((box.extent[0] / 2, box.extent[1] / 2, box.extent[2]))
@@ -357,8 +353,9 @@ def _ray_wall_t(origin, dirs, wall: Wall, rays: np.ndarray) -> np.ndarray:
     rectangle (inf = miss).
 
     The normal components come from one product over every ray, sliced
-    afterwards, and the along-edge product runs on at least two rows, so a
-    ray's distance does not depend on which rays are asked.
+    afterwards, and the along-edge coordinate is summed elementwise, so a
+    ray's distance, and whether it hits at the wall's ends, does not depend
+    on which rays are asked.
     """
     p1 = np.array(wall.p1, dtype=np.float64)
     edge = np.array(wall.p2, dtype=np.float64) - p1
@@ -376,9 +373,7 @@ def _ray_wall_t(origin, dirs, wall: Wall, rays: np.ndarray) -> np.ndarray:
     )
     q = o + np.where(np.isfinite(t), t, 0.0)[:, None] * d
     rel = q[:, :2] - p1
-    if len(rel) == 1:  # a one-row product takes numpy's dot path, which rounds differently
-        rel = np.repeat(rel, 2, axis=0)
-    along = (rel @ edge)[: len(q)] / (edge @ edge)
+    along = (rel * edge).sum(axis=1) / (edge @ edge)
     ok = (
         moving
         & (t > _EPS)

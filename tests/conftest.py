@@ -2,10 +2,12 @@ import importlib.util
 import os
 from pathlib import Path
 
-# The suite compares BLAS products of different shapes bit for bit, which
-# holds only with BLAS on one thread.  OpenBLAS reads this when numpy is
-# first imported, and pytest and Hypothesis import no numpy before this file
-# runs.  A value set in the environment wins.
+# The equivalence contract (tests/oracles.py): a stage matches its
+# reference with integer outputs exact and floats within one tolerance, and
+# whole-trial replays match bit for bit.  The replays hold only with BLAS on
+# one thread.  OpenBLAS reads this when numpy is first imported, and pytest
+# and Hypothesis import no numpy before this file runs.  A value set in the
+# environment wins.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np  # noqa: E402

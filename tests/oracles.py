@@ -4,12 +4,11 @@ Each reference is the plainest version of its stage: it holds every voxel
 of a grid in dense arrays, scans whole grids and planes, predicts depth
 pixel by pixel, tests every box on every ray, fits each rectangle on its
 own, answers each phase-1 request on its own, warps each message into a
-fresh zero plane and runs attention on whole token stacks.
-The program's stages must give their bits.  The references take and return
-what the program's stages do, converting at their edges, so that
-`use_reference_pipeline` can swap them in for a whole trial: the grid
-references take sparse grids, and the BEV references take an agent's BEV
-as its nonzero cells and their rows (`collapse_dense`,
+fresh zero plane and runs attention on whole token stacks.  The
+references take and return what the program's stages do, converting at
+their edges, so that `use_reference_pipeline` can swap them in for a whole
+trial: the grid references take sparse grids, and the BEV references take
+an agent's BEV as its nonzero cells and their rows (`collapse_dense`,
 `importance_scores_dense`, `pack_message_dense`, `aggregate_dense`,
 `aggregate_max_dense`, `concat_dense`), spread them into a whole
 (nx, ny, F) plane and scan that.  `perceive_whole_plane` finds the BEV's
@@ -30,7 +29,7 @@ oracle.  A second function stays only where it checks another behaviour:
 
 - `oracle_noisy_predict` is the written definition of the noisy depth
   oracle (box blur, then a Gaussian over the bins), within 1e-15, beside
-  the bit reference `predict_depth_full_image`;
+  the reference `predict_depth_full_image`;
 - `share_whole_clouds` sends every neighbor its whole cloud, which bounds
   the size of each reply, beside the bit reference `share_clouds_per_edge`,
   which pins the ledger's reply sizes edge by edge.
@@ -38,6 +37,24 @@ oracle.  A second function stays only where it checks another behaviour:
 `merge_cooperative_pairs` is the reference of the cooperative merge: it
 takes each reply as the (pixel, depth) pairs a neighbor found, before they
 are binned and encoded, and keeps the minimum depth per pixel.
+
+The equivalence contract has three levels:
+
+- Same code, config and seed: `metrics.csv` is byte-identical.
+- Program against reference: integer outputs match exactly (cells,
+  counts, categories, hit kinds, the number of detections), and floats
+  match within FLOAT_TOLERANCE (`equivalent`).  A stage may multiply other
+  rows in one product than its reference does, and a product's rounding
+  can depend on its shape.
+- Whole-trial replays (`use_reference_pipeline`) compare bit for bit,
+  with BLAS on one thread (`conftest.py`).
+
+Where one rounding decides a discrete outcome, the program computes it as
+its reference does, and their results are compared exactly:
+`robust._greedy_matches`' (1, 2) @ (2, 1) norms decide which pairs pass
+the gate, `robust._min_area_rects`' stacked product chooses each
+rectangle's edge, and `scene._ray_wall_t` sums a ray's along-edge
+coordinate elementwise, which decides a hit at a wall's end.
 """
 
 from __future__ import annotations
@@ -54,8 +71,35 @@ from covox.fusion import compute_guidance, fuse_hybrid_cells
 from covox.geometry import compose, invert, pixel_rays, planar_parts, project_points, transform_points
 from covox.metrics import Detection, _by_descending_score, clip_polygon, polygon_area
 from covox.nnkit import EmptyKeySet, MhaParams, softmax, split_heads
-from covox.robust import _MIN_CELLS, _REL_THRESHOLD
+from covox.robust import _MIN_CELLS, _REL_THRESHOLD, _box_extent
 from covox.voxel import Category, GridSpec, VoxelGrid
+
+# Program against reference: the largest gap a float may show, as a share of
+# the largest finite magnitude in the reference's array.
+FLOAT_TOLERANCE = 1e-12
+
+
+def equivalent(got, want) -> bool:
+    """Whether `got`, a stage's output, matches `want`, its reference's, as
+    the contract asks: arrays, or sequences of them in the same order.
+    Integer and boolean arrays must be equal.  Float arrays must hold no
+    NaN, the same infinities, and finite values at most FLOAT_TOLERANCE
+    times the largest finite magnitude of `want` apart."""
+    if isinstance(want, (tuple, list)):
+        return len(got) == len(want) and all(map(equivalent, got, want))
+    got, want = np.asarray(got), np.asarray(want)
+    if got.shape != want.shape:
+        return False
+    if want.dtype.kind != "f":
+        return got.dtype.kind in "biu" and np.array_equal(got, want)
+    finite = np.isfinite(want)  # a NaN in either array fails one of the checks below
+    if got.dtype.kind != "f" or not np.array_equal(np.isfinite(got), finite):
+        return False
+    if not np.array_equal(got[~finite], want[~finite]):
+        return False
+    gap = np.abs(got[finite] - want[finite]).max(initial=0.0)
+    return bool(gap <= FLOAT_TOLERANCE * np.abs(want[finite]).max(initial=0.0))
+
 
 # --- dense and sparse grids -------------------------------------------------------
 
@@ -181,7 +225,7 @@ def oracle_ray_wall_t(origin, dirs, wall):
         np.inf,
     )
     q = o + np.where(np.isfinite(t), t, 0.0)[:, None] * d
-    along = ((q[:, :2] - p1) @ edge) / (edge @ edge)
+    along = ((q[:, :2] - p1) * edge).sum(axis=1) / (edge @ edge)
     ok = (
         moving
         & (t > scene._EPS)
@@ -845,7 +889,6 @@ def detect_local_per_component(cells, values, spec):
     if peak <= 0.0:
         return []
     mask = occ > _REL_THRESHOLD * peak
-    pitch = (spec.dx + spec.dy) / 2.0
     dets = []
     for cells in components_by_label_array(mask):
         if cells.shape[0] < _MIN_CELLS:
@@ -857,7 +900,7 @@ def detect_local_per_component(cells, values, spec):
             Detection(
                 center=(float(center[0]), float(center[1])),
                 yaw=yaw,
-                extent=(length + pitch, width + pitch),
+                extent=_box_extent(length, width, spec),
                 score=score,
             )
         )

@@ -377,6 +377,19 @@ class TestDetectLocal:
         dets = detect_local(*occupancy_from_grid(grid), GRID)
         assert len(dets) == 2
 
+    @pytest.mark.parametrize("step", [1, GRID.ny], ids=["one-row", "one-column"])
+    def test_one_line_component_is_a_pitch_broad(self, step):
+        """Five cells in a line have collinear centres, a rectangle of zero
+        breadth; their box, in the detector and in its reference, is still
+        at least one cell pitch broad."""
+        pitch = (GRID.dx + GRID.dy) / 2
+        cells = 10 * GRID.ny + 20 + step * np.arange(5)
+        for dets in (detect_local(cells, np.ones(5), GRID),
+                     detect_local_per_component(cells, np.ones(5), GRID)):
+            (det,) = dets
+            assert det.extent[1] >= pitch
+            assert det.extent[0] >= 4 * pitch
+
     def test_scores_in_unit_interval(self):
         truth = Detection(center=(0.0, 0.0), yaw=0.0, extent=(4.0, 2.0))
         grid = voxelize_points(rasterize_box(truth, GRID), GRID)
