@@ -103,7 +103,7 @@ from .voxel import (
     Category,
     GridSpec,
     VoxelGrid,
-    _run_starts,
+    _union,
     categorize,
     collapse,
     lift_camera,
@@ -435,15 +435,6 @@ class AggregatedBEV:
     shape: tuple[int, int, int]
 
 
-def _union(cell_lists: Sequence[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
-    """The ascending union of lists of flat cells, and the positions of each
-    list's cells in it.  The union is taken by sorting, as `categorize` does:
-    a plain `np.unique` takes numpy's hash path, which imports `numpy.ma`
-    on its first call."""
-    cells = _run_starts(np.sort(np.concatenate(cell_lists)))
-    return cells, [np.searchsorted(cells, c) for c in cell_lists]
-
-
 def _aggregated_bev(grid: GridSpec, cells: np.ndarray, rows: np.ndarray) -> AggregatedBEV:
     """The `AggregatedBEV` of candidate `cells` and their `rows`: only the
     rows with a nonzero scalar are kept."""
@@ -703,7 +694,7 @@ def _share_clouds(
         cams = np.concatenate([
             transform_points(compose(_CAM_FROM_AGENT, w.rel[j]), payload) for w in requesters
         ])
-        key, depth, _ = nearest_per_pixel(cams, scenario.camera, pipe.bins, views=len(requesters))
+        key, depth = nearest_per_pixel(cams, scenario.camera, pipe.bins, views=len(requesters))
         encoded = encode_replies(key, depth, pipe.bins, n_pixels, views=len(requesters))
         for w, reply in zip(requesters, encoded):
             replies[w.state.id, j] = reply

@@ -17,6 +17,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .geometry import CameraIntrinsics, project_points
+from .voxel import _run_firsts
 
 
 class DepthSource(IntEnum):
@@ -90,13 +91,14 @@ class DepthMap:
 def nearest_per_pixel(
     cloud: np.ndarray, intr: CameraIntrinsics, bins: DepthBins, views: int = 1
 ):
-    """The points of a camera-frame cloud that a depth map keeps.
+    """The pixels a camera-frame cloud hits, and the depth a depth map keeps
+    at each.
 
-    These are the points that project into the image with a depth below
-    d_max and are the nearest at their pixel, the lowest row on a tie.
-    `cloud` may stack `views` clouds of equal length, each for a depth map
-    of its own: a point of view k then keys pixel p as k * H * W + p.
-    Returns (key, depth, row) with one entry per hit key, in key order.
+    A point counts where it projects into the image with a depth below
+    d_max, and a pixel keeps the minimum depth of its points.  `cloud` may
+    stack `views` clouds of equal length, each for a depth map of its own:
+    a point of view k then keys pixel p as k * H * W + p.  Returns (key,
+    depth) with one entry per hit key, in key order.
     """
     pts = np.asarray(cloud, dtype=np.float64).reshape(-1, 3)
     pix, depth, rows = project_points(intr, pts)
@@ -108,11 +110,8 @@ def nearest_per_pixel(
         key += rows // (pts.shape[0] // views) * n_pixels
     nearest = np.full(views * n_pixels, np.inf)
     np.minimum.at(nearest, key, depth)
-    ties = np.flatnonzero(depth == nearest[key])
-    first = np.full(nearest.size, rows.size)
-    np.minimum.at(first, key[ties], ties)
-    pick = first[first < rows.size]
-    return key[pick], depth[pick], rows[pick]
+    hit = np.flatnonzero(nearest < np.inf)
+    return hit, nearest[hit]
 
 
 def project_cloud_to_depthmap(
@@ -125,7 +124,7 @@ def project_cloud_to_depthmap(
     tagged EGO_PROJECTED.
     """
     dmap = DepthMap.empty(bins, intr.height, intr.width)
-    hit, depth, _ = nearest_per_pixel(cloud, intr, bins)
+    hit, depth = nearest_per_pixel(cloud, intr, bins)
     k, valid = bins.bin_of(depth)
     if not np.all(valid):
         raise ValueError("project_cloud_to_depthmap: projected depth outside the bin range")
@@ -154,7 +153,7 @@ class DepthReply(NamedTuple):
 
 
 def encode_replies(
-    keys: np.ndarray, depths: np.ndarray, bins: DepthBins, n_pixels: int, views: int = 1
+    keys: np.ndarray, depths: np.ndarray, bins: DepthBins, n_pixels: int, views: int
 ) -> list[DepthReply]:
     """Bin the depths of `views` replies and encode each as a `DepthReply`.
 
@@ -334,15 +333,9 @@ def _ranks(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Only the first key of each run of equal neighbours is sorted: the codes
     of a smooth image come in far fewer runs than pixels.
     """
-    change = np.empty(keys.size, dtype=bool)
-    change[:1] = True
-    np.not_equal(keys[1:], keys[:-1], out=change[1:])
-    start = np.flatnonzero(change)
+    start = np.flatnonzero(_run_firsts(keys))
     order = np.argsort(keys[start])
-    ordered = keys[start[order]]
-    first = np.empty(start.size, dtype=bool)
-    first[:1] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    first = _run_firsts(keys[start[order]])
     rank = np.empty(start.size, dtype=np.intp)
     rank[order] = np.cumsum(first) - 1
     return np.repeat(rank, np.diff(start, append=keys.size)), start[order[first]]

@@ -82,10 +82,10 @@ def clip_polygon(subject: np.ndarray, clipper: np.ndarray) -> np.ndarray:
     return np.array(output) if output else np.zeros((0, 2))
 
 
-def _clipped_iou(a: Detection, b: Detection, ca: np.ndarray, cb: np.ndarray) -> float:
+def _clipped_iou(a: Detection, b: Detection) -> float:
     """Intersection-over-union of two oriented rectangles whose circumscribed
     circles meet, from their `corners()`."""
-    inter = polygon_area(clip_polygon(ca, cb))
+    inter = polygon_area(clip_polygon(a.corners(), b.corners()))
     area_a = a.extent[0] * a.extent[1]
     area_b = b.extent[0] * b.extent[1]
     union = area_a + area_b - inter
@@ -121,15 +121,11 @@ def iou_table(dets: Sequence[Detection], gts: Sequence[Detection]) -> np.ndarray
 
     Only pairs whose circumscribed circles meet are clipped; any other pair
     is disjoint and gets 0.0 without clipping, which could leave a rounding
-    sliver where corners nearly touch.  Each box of a clipped pair computes
-    its corners once.
+    sliver where corners nearly touch.
     """
     ious = np.zeros((len(dets), len(gts)))
-    near = _may_overlap(dets, gts)
-    det_corners = {i: dets[i].corners() for i in np.flatnonzero(near.any(axis=1)).tolist()}
-    gt_corners = {j: gts[j].corners() for j in np.flatnonzero(near.any(axis=0)).tolist()}
-    for i, j in zip(*np.nonzero(near)):
-        ious[i, j] = _clipped_iou(dets[i], gts[j], det_corners[i], gt_corners[j])
+    for i, j in zip(*np.nonzero(_may_overlap(dets, gts))):
+        ious[i, j] = _clipped_iou(dets[i], gts[j])
     return ious
 
 

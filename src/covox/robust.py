@@ -179,22 +179,6 @@ def _connected_components(xs: np.ndarray, ys: np.ndarray, shape: tuple[int, int]
     return comps
 
 
-def _component_hull(members: list, rows: list, centers: list) -> list:
-    """Hull of a component's cell centres, from the first and last cell of
-    each of its grid rows; a cell between them lies on their segment.  When
-    those cells alone are collinear, the hull comes from every cell."""
-    order = sorted(members)
-    ends = [
-        k for prev, k, nxt in zip([None] + order, order, order[1:] + [None])
-        if prev is None or nxt is None or rows[prev] != rows[k] or rows[nxt] != rows[k]
-    ]
-    points = [centers[k] for k in ends]
-    hull = _convex_hull(points)
-    if hull is points and len(ends) < len(order):
-        return _convex_hull([centers[k] for k in order])
-    return hull
-
-
 def _box_extent(length: float, breadth: float, spec: GridSpec) -> tuple[float, float]:
     """The extent of a component's box from the rectangle of its cell
     centres: each side inflated by one cell pitch to undo centre shrinkage,
@@ -227,8 +211,8 @@ def detect_local(cells: np.ndarray, values: np.ndarray, spec: GridSpec) -> list[
     comps = [m for m in _connected_components(xs, ys, (spec.nx, spec.ny)) if len(m) >= _MIN_CELLS]
     if not comps:
         return []
-    rows, centers = xs.tolist(), spec.bev_cell_centers(xs, ys).tolist()
-    rects = _min_area_rects([_component_hull(m, rows, centers) for m in comps])
+    centers = spec.bev_cell_centers(xs, ys).tolist()
+    rects = _min_area_rects([_convex_hull([centers[k] for k in sorted(m)]) for m in comps])
     # Each mean is numpy's pairwise sum of the component's values in
     # breadth-first order, as np.mean takes them.
     sizes = np.array([len(m) for m in comps])
@@ -302,7 +286,7 @@ def correct_relative_pose(
     init_rel: Pose,
     ego_dets: Sequence[Detection],
     neighbor_centers: np.ndarray,
-    gate_radius: float = 2.0,
+    gate_radius: float,
 ) -> Pose:
     """Refine a relative pose from co-detected box centers.
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from enum import IntEnum
+from typing import Sequence
 
 import numpy as np
 
@@ -132,12 +133,26 @@ class VoxelGrid:
         )
 
 
-def _run_starts(keys: np.ndarray) -> np.ndarray:
-    """The distinct values of an ascending array, in order."""
+def _run_firsts(keys: np.ndarray) -> np.ndarray:
+    """Flags the first entry of each run of equal neighbours in `keys`."""
     first = np.empty(keys.size, dtype=bool)
     first[:1] = True
     np.not_equal(keys[1:], keys[:-1], out=first[1:])
-    return keys[first]
+    return first
+
+
+def _run_starts(keys: np.ndarray) -> np.ndarray:
+    """The distinct values of an ascending array, in order."""
+    return keys[_run_firsts(keys)]
+
+
+def _union(cell_lists: Sequence[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The ascending union of lists of flat indices, and the positions of
+    each list's indices in it.  The union is taken by sorting: a plain
+    `np.unique` takes numpy's hash path, which imports `numpy.ma` on its
+    first call."""
+    cells = _run_starts(np.sort(np.concatenate(cell_lists)))
+    return cells, [np.searchsorted(cells, c) for c in cell_lists]
 
 
 @dataclass
@@ -201,9 +216,7 @@ def voxelize_points(cloud: np.ndarray, spec: GridSpec) -> VoxelGrid:
     # Number the occupied voxels in ascending order.  bincount adds each
     # bin's weights in input order; np.add.reduceat would sum runs of 8 or
     # more pairwise, which rounds differently.
-    first = np.empty(flat.size, dtype=bool)
-    first[0] = True
-    np.not_equal(flat[1:], flat[:-1], out=first[1:])
+    first = _run_firsts(flat)
     occupied = flat[first]
     rank = np.cumsum(first) - 1
     counts = np.bincount(rank)
@@ -260,9 +273,9 @@ def lift_camera(
     `mass_threshold` are tagged CAMERA and listed; the rest are left out, so
     they stay untagged and zero.
 
-    Only the entries with nonzero mass are splatted, and only the voxels
-    they reach are numbered: each voxel adds its entries one by one in entry
-    order, as a bincount over the whole grid would.
+    Only the entries with nonzero mass are splatted: each voxel adds its
+    entries one by one in entry order, as a bincount over the whole grid
+    would.
 
     `bin_centers` gives the metric depth of each bin; pass the owning
     DepthBins.centers() (kept as a plain array here to avoid a cycle).
@@ -289,16 +302,12 @@ def lift_camera(
     # Zero-mass entries add exact zeros; skipping them changes no bit.
     keep = weight != 0.0
     entry, rank, weight = inside[keep], rank[keep], weight[keep]
-    reached = np.zeros(voxels.size, dtype=bool)
-    reached[rank] = True
-    voxels = voxels[reached]
-    rank = (np.cumsum(reached) - 1)[rank]
     c = spec.channels
-    voxel_mass = np.bincount(rank, weights=weight)
+    voxel_mass = np.bincount(rank, weights=weight, minlength=voxels.size)
     # One bin per (voxel, channel); each bin sums its entries in entry order.
     contrib = features.reshape(h * w, c)[entry // d] * weight[:, None]
     slot = (rank[:, None] * c + np.arange(c)).reshape(-1)
-    feats = np.bincount(slot, weights=contrib.reshape(-1))
+    feats = np.bincount(slot, weights=contrib.reshape(-1), minlength=voxels.size * c)
 
     tagged = (voxel_mass >= mass_threshold) & (voxel_mass > 0.0)
     grid = VoxelGrid(
@@ -318,10 +327,7 @@ def categorize(lidar_grid: VoxelGrid, camera_grid: VoxelGrid) -> CategorizedGrid
     """
     if lidar_grid.spec != camera_grid.spec:
         raise SpecMismatch("cannot categorize grids with different specs")
-    both = np.concatenate([lidar_grid.voxels, camera_grid.voxels])
-    voxels = _run_starts(np.sort(both))
-    at_l = np.searchsorted(voxels, lidar_grid.voxels)
-    at_c = np.searchsorted(voxels, camera_grid.voxels)
+    voxels, (at_l, at_c) = _union([lidar_grid.voxels, camera_grid.voxels])
     category = np.zeros(voxels.size, dtype=np.uint8)
     category[at_l] = Category.LIDAR
     category[at_c] += np.uint8(Category.CAMERA)  # LIDAR + CAMERA == HYBRID

@@ -17,10 +17,15 @@ gives the aggregators whole planes and finds the aggregated BEV's nonzero
 cells by a scan of the whole plane.  The detector's references take its
 sparse occupancy, cells and a value per cell: `occupancy_from_grid_dense`
 finds the cells by a scan of the whole grid, and
-`detect_local_per_component` spreads them into a whole (nx, ny) map;
-`occupancy_from_bev_dense` takes each row's norm by its definition.
+`detect_local_per_component` spreads them into a whole (nx, ny) map.
 `project_cloud_to_depthmap_by_image` bins a whole (H, W) image of
 minimum depths.
+
+The detector's map is a policy, not a mechanism: the replays run the
+program's `occupancy_from_bev`, as they take `_REL_THRESHOLD`, `_MIN_CELLS`
+and `_box_extent` from `robust`, so that a change of the policy is one
+edit and its own tests.  `occupancy_from_bev_dense` takes each row's norm
+by its definition, and only `test_norms_match_dense` compares it.
 
 The rule: one reference per stage.  A faster version of a stage adds its
 cases to the tests against the stage's reference here, never a new
@@ -567,7 +572,7 @@ def share_clouds_per_edge(works, scenario, pipe, ledger):
                 payloads[j] = collab.downsample_cloud(sender.cloud, collab._PAYLOAD_CELL)
             ledger.add(w.state.id, j, "depth", collab._REQUEST_ELEMENTS)
             cam = collab.transform_points(compose(collab._CAM_FROM_AGENT, w.rel[j]), payloads[j])
-            pixels, depths, _ = depth.nearest_per_pixel(cam, scenario.camera, pipe.bins)
+            pixels, depths = depth.nearest_per_pixel(cam, scenario.camera, pipe.bins)
             ledger.add(j, w.state.id, "depth", pipe.bins.n_bins + pixels.size if pixels.size else 0)
             w.shared.append(reply_of(pixels, depths, pipe.bins))
 
@@ -1027,7 +1032,7 @@ def scores_of_matching(tp, n_gts):
 # --- whole trials --------------------------------------------------------------------
 
 # (module, name, reference): every stage a trial runs, from the ray cast to
-# the clip of its scoring.
+# the clip of its scoring, except the detector's map, a policy.
 REFERENCE_SWAPS = (
     (scene, "raycast", oracle_raycast),
     (collab, "voxelize_points", voxelize_points_dense),
@@ -1046,7 +1051,6 @@ REFERENCE_SWAPS = (
     (collab, "preference_map", preference_map_dense),
     (collab, "pack_message", pack_message_dense),
     (collab, "_receive", receive_fresh),
-    (cli, "occupancy_from_bev", occupancy_from_bev_dense),
     (cli, "detect_local", detect_local_per_component),
     (metrics, "clip_polygon", clip_polygon_of_vectors),
 )

@@ -13,6 +13,7 @@ import covox
 from covox import cli, metrics
 from covox.collab import EdgeRecord, comm_volume_log, make_pipeline_params, run_round
 from covox.config import load_experiment
+from covox.robust import occupancy_from_bev
 from covox.scene import generate_scene
 
 
@@ -328,10 +329,9 @@ def test_failed_write_keeps_previous_metrics(tmp_path, monkeypatch):
     assert not list(out.glob(".metrics.csv.*"))
 
 
-def test_evaluate_round_scores_each_near_pair_once(tmp_path, monkeypatch):
-    """AP50, AP70 and recall50 share one IoU table per agent: each det x gt
-    pair whose circles meet is scored once, and no other pair is.  Each box
-    computes its corners at most once per table."""
+def lidar_round(tmp_path):
+    """One round of four LiDAR-only agents under max aggregation: its
+    experiment, objects and records."""
     tree = {
         "experiment": {"mode": "full", "trials": 1, "render": False},
         "scenario": {"seed": 0, "n_agents": 4, "n_objects": 12},
@@ -343,10 +343,26 @@ def test_evaluate_round_scores_each_near_pair_once(tmp_path, monkeypatch):
     agents, objects = generate_scene(exp.scenario)
     params = make_pipeline_params(exp.pipeline.grid, exp.params_seed)
     rounds, _ = run_round(agents, objects, (), exp.scenario, exp.pipeline, params)
+    return exp, objects, rounds
 
-    boxes, calls, corner_calls = [], [], []
+
+def test_detector_map_is_one_norm_per_aggregated_cell(tmp_path):
+    """The map `_scored` hands the detector holds one value per aggregated
+    cell, the norm of its row (`occupancy_from_bev`)."""
+    exp, objects, rounds = lidar_round(tmp_path)
+    assert all(result.aggregated_cells.size for result in rounds.values())
+    for result in rounds.values():
+        occ, _, _ = cli._scored(result, objects, exp.pipeline.grid)
+        assert occ.shape == result.aggregated_cells.shape
+        assert np.array_equal(occ, occupancy_from_bev(result.aggregated_rows))
+
+
+def test_evaluate_round_scores_each_near_pair_once(tmp_path, monkeypatch):
+    """AP50, AP70 and recall50 share one IoU table per agent: each det x gt
+    pair whose circles meet is scored once, and no other pair is."""
+    exp, objects, rounds = lidar_round(tmp_path)
+    boxes, calls = [], []
     detect, gt_in_view, iou = cli.detect_local, cli._gt_in_view, metrics._clipped_iou
-    corners = metrics.Detection.corners
 
     def detect_spy(cells, values, grid):
         boxes.append([detect(cells, values, grid)])
@@ -356,21 +372,16 @@ def test_evaluate_round_scores_each_near_pair_once(tmp_path, monkeypatch):
         boxes[-1].append(gt_in_view(agent, objects, grid))
         return boxes[-1][1]
 
-    def iou_spy(a, b, ca, cb):
+    def iou_spy(a, b):
         calls.append((len(boxes) - 1, id(a), id(b)))
-        return iou(a, b, ca, cb)
-
-    def corners_spy(box):
-        corner_calls.append((len(boxes) - 1, id(box)))
-        return corners(box)
+        return iou(a, b)
 
     monkeypatch.setattr(cli, "detect_local", detect_spy)
     monkeypatch.setattr(cli, "_gt_in_view", gt_spy)
     monkeypatch.setattr(metrics, "_clipped_iou", iou_spy)
-    monkeypatch.setattr(metrics.Detection, "corners", corners_spy)
     cli.evaluate_round(rounds, objects, exp.pipeline.grid)
 
-    assert len(boxes) == len(agents)
+    assert len(boxes) == len(rounds)
     near = {
         (k, id(dets[i]), id(gts[j]))
         for k, (dets, gts) in enumerate(boxes)
@@ -379,5 +390,3 @@ def test_evaluate_round_scores_each_near_pair_once(tmp_path, monkeypatch):
     assert near, "the scene gives no near pair to score"
     assert len(calls) == len(set(calls))
     assert set(calls) == near
-    assert len(corner_calls) == len(set(corner_calls))
-    assert set(corner_calls) == {(k, i) for k, a, b in near for i in (a, b)}

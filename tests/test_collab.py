@@ -696,7 +696,7 @@ class TestRunRound:
                 invert(DEFAULT_CAMERA_MOUNT),
                 compose(invert(receiver.believed_pose), sender.believed_pose),
             )
-            pixels, _, _ = nearest_per_pixel(
+            pixels, _ = nearest_per_pixel(
                 transform_points(cam_from_sender, cloud), scn.camera, BINS
             )
             assert 0 < reply.elements == BINS.n_bins + len(pixels) < 3 * len(cloud)

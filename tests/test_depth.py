@@ -17,7 +17,7 @@ from covox.depth import (
     predict_depth,
     project_cloud_to_depthmap,
 )
-from covox.geometry import CameraIntrinsics, project_points
+from covox.geometry import CameraIntrinsics
 
 from oracles import (
     merge_cooperative_pairs,
@@ -42,7 +42,7 @@ def reply_for_pixels(pixel_depths):
     """The encoded phase-1 reply of given (u, v, depth)."""
     u, v, d = np.asarray(pixel_depths, dtype=np.float64).reshape(-1, 3).T
     pixels = v.astype(np.int64) * INTR.width + u.astype(np.int64)
-    (reply,) = encode_replies(pixels, d, BINS, N_PIXELS)
+    (reply,) = encode_replies(pixels, d, BINS, N_PIXELS, views=1)
     return reply
 
 
@@ -104,14 +104,14 @@ class TestProjectCloud:
 
 
 class TestNearestPerPixel:
-    def test_nearest_wins_and_lowest_row_breaks_ties(self):
+    def test_nearest_wins(self):
         cloud = cloud_for_pixels(
             [(5, 7, 3.0), (5, 7, 1.5), (2, 2, 4.0), (5, 7, 1.5), (9, 1, 40.0), (2, 2, 4.0)]
         )
-        flat, dist, rows = nearest_per_pixel(cloud, INTR, BINS)
+        flat, dist = nearest_per_pixel(cloud, INTR, BINS)
+        # (9, 1) lies beyond d_max.
         assert flat.tolist() == [2 * INTR.width + 2, 7 * INTR.width + 5]
         assert dist.tolist() == [4.0, 1.5]
-        assert rows.tolist() == [2, 1]  # (9, 1) lies beyond d_max
 
     def test_keeps_the_minimum_depth_image(self, rng):
         # Many points per pixel, exact depth ties, points off the image and
@@ -120,23 +120,17 @@ class TestNearestPerPixel:
         pixels = np.stack([rng.integers(-3, 36, n), rng.integers(-3, 28, n),
                            rng.choice([2.0, 5.5, 9.0, 31.0, 40.0], n)], axis=1)
         cloud = cloud_for_pixels(pixels) * rng.choice([1.0, 1.0 + 1e-9], (n, 1))
-        flat, dist, rows = nearest_per_pixel(cloud, INTR, BINS)
+        flat, dist = nearest_per_pixel(cloud, INTR, BINS)
         assert len(np.unique(flat)) == len(flat)
 
-        pix, dist_all, rows_all = project_points(INTR, cloud)
-        within = dist_all < BINS.d_max
-        flat_all = (pix[:, 1] * INTR.width + pix[:, 0])[within]
-        dist_all, rows_all = dist_all[within], rows_all[within]
         want = min_depth_image_by_minimum_at(cloud, INTR, BINS).reshape(-1)
         got = np.full(INTR.height * INTR.width, np.inf)
         got[flat] = dist
         assert np.array_equal(got, want)
-        for f, row in zip(flat.tolist(), rows.tolist()):
-            assert row == rows_all[(flat_all == f) & (dist_all == want[f])].min()
 
     def test_empty_cloud(self):
-        flat, dist, rows = nearest_per_pixel(np.zeros((0, 3)), INTR, BINS)
-        assert flat.shape == dist.shape == rows.shape == (0,)
+        flat, dist = nearest_per_pixel(np.zeros((0, 3)), INTR, BINS)
+        assert flat.shape == dist.shape == (0,)
 
 
 def reply_past_last_bin(pixel):
@@ -155,7 +149,7 @@ def test_out_of_range_depth_raises(monkeypatch, stage):
     if stage == "encode_replies":
         for d in (BINS.d_max, np.inf, np.nan):
             with pytest.raises(ValueError, match=stage):
-                encode_replies(np.array([4, 7]), np.array([5.0, d]), BINS, N_PIXELS)
+                encode_replies(np.array([4, 7]), np.array([5.0, d]), BINS, N_PIXELS, views=1)
         return
     if stage == "merge_cooperative":
         empty = DepthMap.empty(BINS, INTR.height, INTR.width)
@@ -164,7 +158,7 @@ def test_out_of_range_depth_raises(monkeypatch, stage):
         return
 
     def beyond_last_bin(cloud, intr, bins):
-        return np.array([3 * intr.width + 4]), np.array([bins.d_max]), np.array([0])
+        return np.array([3 * intr.width + 4]), np.array([bins.d_max])
 
     monkeypatch.setattr(depth, "nearest_per_pixel", beyond_last_bin)
     with pytest.raises(ValueError, match=stage):

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from covox import robust
 from covox.geometry import Pose, invert, planar_parts
 from covox.metrics import Detection, iou_table
 from covox.robust import (
@@ -211,25 +210,13 @@ class TestDetectorOracles:
         assert_same_rect(pts)
         assert_same_batch([pts, pts[:3], pts[:2] + 1.0])
 
-    @given(st.integers(1, 40), st.integers(1, 40), st.floats(0.0, 0.8), st.integers(0, 2**32 - 1))
-    @settings(max_examples=100, deadline=None)
-    def test_row_end_hull_equals_hull_of_every_cell(self, nx, ny, density, seed):
-        mask = np.random.default_rng(seed).uniform(size=(nx, ny)) < density
-        xs, ys = np.nonzero(mask)
-        rows, centers = xs.tolist(), GRID.bev_cell_centers(xs, ys).tolist()
-        for members in components_of(mask):
-            want = _convex_hull([centers[k] for k in sorted(members)])
-            assert robust._component_hull(members, rows, centers) == want
-
     @pytest.mark.parametrize("radius, vertices", [(3.5, 9), (11.3, 18), (15.0, 22), (25.0, 30)])
     def test_round_components(self, radius, vertices):
-        """Lattice discs, whose row-end hulls have up to 30 vertices."""
+        """Lattice discs, whose hulls have up to 30 vertices."""
         x, y = np.mgrid[: GRID.nx, : GRID.ny]
         disc = np.hypot(x - 30.2, y - 31.7) <= radius
-        (members,) = components_of(disc)
-        xs, ys = np.nonzero(disc)
-        hull = robust._component_hull(members, xs.tolist(), GRID.bev_cell_centers(xs, ys).tolist())
-        assert len(hull) == vertices
+        xs, ys = np.nonzero(disc)  # scan order: the centres in lexicographic order
+        assert len(_convex_hull(GRID.bev_cell_centers(xs, ys).tolist())) == vertices
         assert len(self.assert_same_detections(disc * (1.0 + 0.01 * x))) == 1
 
     @pytest.mark.parametrize("along", ["row", "column"])
