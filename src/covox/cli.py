@@ -96,9 +96,7 @@ def evaluate_round(rounds, objects, grid):
 def _log_lines(trial: int, mode: str, records) -> list[str]:
     """One JSON line per ledger record, keys sorted, as `json.dumps` writes
     them; `log2` is `comm_volume_log` of the record's elements."""
-    elements = np.array([r.elements for r in records], dtype=np.int64)
-    log2 = np.zeros(elements.size)
-    np.log2(elements, out=log2, where=elements > 0)
+    log2 = comm_volume_log([r.elements for r in records])
     mode = json.dumps(mode)
     phases = {phase: json.dumps(phase) for phase in {r.phase for r in records}}
     return [
@@ -118,9 +116,7 @@ def run_trial(exp: ExperimentSpec, trial: int, sigma_xy: float | None, params) -
     if sigma_xy is not None:
         scenario = replace(scenario, pose_noise_sigma_xy=sigma_xy)
     agents, objects = generate_scene(scenario)
-    rounds, ledger = run_round(
-        agents, objects, scenario.occluders, scenario, exp.pipeline, params
-    )
+    rounds, ledger = run_round(agents, objects, scenario, exp.pipeline, params)
     ap50, ap70, rec = evaluate_round(rounds, objects, exp.pipeline.grid)
 
     errs_before = [e[0][0] for r in rounds.values() for e in r.pose_errors.values()]

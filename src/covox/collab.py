@@ -94,7 +94,6 @@ from .scene import (
     AgentState,
     BoxObject,
     ScenarioConfig,
-    Wall,
     lidar_rng,
     simulate_camera,
     simulate_lidar,
@@ -338,13 +337,13 @@ def pack_message(cells: np.ndarray, rows: np.ndarray, mask: np.ndarray) -> Messa
     )
 
 
-def comm_volume_log(total_elements: int) -> float:
-    """log2 of the element count; 0 maps to 0.0 by convention."""
-    if total_elements < 0:
+def comm_volume_log(elements) -> np.ndarray:
+    """log2 of each element count, an array of the counts' shape; 0 maps to
+    0.0 by convention."""
+    counts = np.asarray(elements, dtype=np.int64)
+    if np.any(counts < 0):
         raise ValueError("element count cannot be negative")
-    if total_elements == 0:
-        return 0.0
-    return float(np.log2(total_elements))
+    return np.log2(counts, out=np.zeros(counts.shape), where=counts > 0)
 
 
 def dense_ratio(directed_edges: int, grid: GridSpec, total_elements: int) -> float:
@@ -402,10 +401,9 @@ def warp_sparse(
     centers = spec.bev_cell_centers(indices // spec.ny, indices % spec.ny)
     px = c * centers[:, 0] - s * centers[:, 1] + x
     py = s * centers[:, 0] + c * centers[:, 1] + y
-    ix = np.floor((px - spec.x_range[0]) / spec.dx).astype(np.int64)
-    iy = np.floor((py - spec.y_range[0]) / spec.dy).astype(np.int64)
-    inside = np.flatnonzero((ix >= 0) & (ix < spec.nx) & (iy >= 0) & (iy < spec.ny))
-    key = plane[inside] * n_cells + ix[inside] * spec.ny + iy[inside]
+    landed, cell = spec.bev_cell_of(px, py)
+    inside = np.flatnonzero(landed)
+    key = plane[inside] * n_cells + cell
     # Later writer wins: keep the last arrival targeting each plane cell.
     uniq, first_in_rev = np.unique(key[::-1], return_index=True)
     src = inside[key.size - 1 - first_in_rev]
@@ -413,7 +411,7 @@ def warp_sparse(
     cells = [u - k * n_cells for k, u in enumerate(np.split(uniq, bounds))]
     rows = [r - starts[k] for k, r in enumerate(np.split(src, bounds))]
     return WarpedPlanes(spec, cells, vectors, rows, int(key.size - uniq.size),
-                        int(ix.size - inside.size))
+                        int(landed.size - inside.size))
 
 
 def project_tokens(params: nnkit.MhaParams, rows: np.ndarray) -> Tokens:
@@ -588,7 +586,6 @@ def _sense(
     agent: AgentState,
     neighbors: tuple[int, ...],
     objects: Sequence[BoxObject],
-    occluders: Sequence[Wall],
     scenario: ScenarioConfig,
     pipe: PipelineConfig,
 ) -> AgentRound:
@@ -597,7 +594,7 @@ def _sense(
     if not agent.has_lidar:
         return AgentRound(agent, neighbors, VoxelGrid.empty(pipe.grid))
     pts = simulate_lidar(
-        agent, objects, occluders, scenario.lidar, lidar_rng(scenario.seed, agent.id)
+        agent, objects, scenario.occluders, scenario.lidar, lidar_rng(scenario.seed, agent.id)
     )
     cloud = transform_points(DEFAULT_LIDAR_MOUNT, pts)
     grid = voxelize_points(cloud, pipe.grid)
@@ -708,7 +705,6 @@ def _share_clouds(
 def _perceive(
     w: AgentRound,
     objects: Sequence[BoxObject],
-    occluders: Sequence[Wall],
     scenario: ScenarioConfig,
     pipe: PipelineConfig,
     params: PipelineParams,
@@ -729,7 +725,7 @@ def _perceive(
     camera_grid = VoxelGrid.empty(pipe.grid)
     if _renders_camera(w.state, pipe):
         depth_img, feat_img = simulate_camera(
-            w.state, objects, occluders, scenario.camera, pipe.grid.channels
+            w.state, objects, scenario.occluders, scenario.camera, pipe.grid.channels
         )
         if pipe.depth_projection != "no" and w.state.has_lidar:
             cloud_cam = transform_points(_CAM_FROM_LIDAR, w.cloud_sensor)
@@ -813,7 +809,6 @@ def _receive(
 def run_round(
     agents: Sequence[AgentState],
     objects: Sequence[BoxObject],
-    occluders: Sequence[Wall],
     scenario: ScenarioConfig,
     pipe: PipelineConfig,
     params: PipelineParams,
@@ -821,21 +816,21 @@ def run_round(
     """Execute one synchronous perception + communication round.
 
     Returns each agent's record, keyed and ordered by agent id, and the
-    round's ledger.  Degraded agents (dropped sensors) follow identity
-    fallbacks instead of aborting; a single agent simply skips both
-    exchange phases.
+    round's ledger.  The sensors see `objects` and the scenario's walls.
+    Degraded agents (dropped sensors) follow identity fallbacks instead of
+    aborting; a single agent simply skips both exchange phases.
     """
     agents = sorted(agents, key=lambda a: a.id)
     graph = build_comm_graph(agents, scenario.comm_range)
     rounds = {
-        a.id: _sense(a, graph[a.id], objects, occluders, scenario, pipe) for a in agents
+        a.id: _sense(a, graph[a.id], objects, scenario, pipe) for a in agents
     }
     ledger = RoundLedger()
     _relative_poses(rounds, pipe, ledger)
     _share_clouds(rounds, scenario, pipe, ledger)
     for w in rounds.values():
         w.cloud = None  # phase 1 was its last reader
-        _perceive(w, objects, occluders, scenario, pipe, params)
+        _perceive(w, objects, scenario, pipe, params)
     tokens = None
     if pipe.collab_mode == "attention":
         tokens = _project_round_tokens(rounds, params.agg_mha)

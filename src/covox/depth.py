@@ -8,7 +8,6 @@ pixel so projected ego depths are never overwritten by shared ones.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from enum import IntEnum
@@ -248,24 +247,19 @@ class NoisyOraclePredictor:
             raise ValueError("noise parameters must be finite and non-negative")
 
 
-@functools.lru_cache(maxsize=8)
 def _bin_gaussian_table(sigma: float, n_bins: int) -> np.ndarray:
     """(D, D) table whose row k is the discrete Gaussian around bin k,
-    truncated at 4 sigma and zero past the bin range (not renormalised).
-    Cached per argument pair, so read-only."""
+    truncated at 4 sigma and zero past the bin range (not renormalised)."""
     if sigma == 0:
-        table = np.eye(n_bins)
-    else:
-        half = min(n_bins - 1, int(np.ceil(4 * sigma)))
-        k = np.arange(-half, half + 1, dtype=np.float64)
-        with np.errstate(over="ignore"):  # a tiny sigma leaves only the centre
-            g = np.exp(-0.5 * (k / sigma) ** 2)
-        g /= g.sum()
-        offset = np.arange(n_bins)[:, None] - np.arange(n_bins)[None, :] + half
-        inside = (offset >= 0) & (offset <= 2 * half)
-        table = np.where(inside, g[np.clip(offset, 0, 2 * half)], 0.0)
-    table.setflags(write=False)
-    return table
+        return np.eye(n_bins)
+    half = min(n_bins - 1, int(np.ceil(4 * sigma)))
+    k = np.arange(-half, half + 1, dtype=np.float64)
+    with np.errstate(over="ignore"):  # a tiny sigma leaves only the centre
+        g = np.exp(-0.5 * (k / sigma) ** 2)
+    g /= g.sum()
+    offset = np.arange(n_bins)[:, None] - np.arange(n_bins)[None, :] + half
+    inside = (offset >= 0) & (offset <= 2 * half)
+    return np.where(inside, g[np.clip(offset, 0, 2 * half)], 0.0)
 
 
 def predict_depth(true_depth_image: np.ndarray, predictor, bins: DepthBins) -> np.ndarray:

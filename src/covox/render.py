@@ -72,10 +72,8 @@ def draw_box(img: np.ndarray, spec: GridSpec, det: Detection, color) -> None:
         a, b = corners[k], corners[(k + 1) % 4]
         ts = np.linspace(0.0, 1.0, 120)
         pts = a[None, :] + ts[:, None] * (b - a)[None, :]
-        ix = np.floor((pts[:, 0] - spec.x_range[0]) / spec.dx).astype(int)
-        iy = np.floor((pts[:, 1] - spec.y_range[0]) / spec.dy).astype(int)
-        inb = (ix >= 0) & (ix < spec.nx) & (iy >= 0) & (iy < spec.ny)
-        img[ix[inb], iy[inb]] = color
+        _, cells = spec.bev_cell_of(pts[:, 0], pts[:, 1])
+        img[np.divmod(cells, spec.ny)] = color
 
 
 def render_bev(

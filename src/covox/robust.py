@@ -13,43 +13,29 @@ composed onto the initial relative pose estimate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .geometry import Pose, compose, planar_parts
-from .metrics import Detection
+from .metrics import Detection, _by_descending_score
 from .voxel import GridSpec, VoxelGrid, collapse
 
 _REL_THRESHOLD = 0.15
 _MIN_CELLS = 2
 
 
-@dataclass(frozen=True)
-class NoiseModel:
-    """Planar Gaussian pose noise (translation in meters, yaw in radians)."""
+def perturb_pose(pose: Pose, sigma_xy: float, sigma_yaw: float, rng: np.random.Generator) -> Pose:
+    """Perturb x, y and yaw by Gaussian noise of the given sigmas (meters,
+    radians); z, roll and pitch stay untouched.
 
-    sigma_xy: float
-    sigma_yaw: float
-
-    def __post_init__(self):
-        if not (self.sigma_xy >= 0 and self.sigma_yaw >= 0):
-            raise ValueError("noise sigmas must be non-negative")
-
-
-def perturb_pose(pose: Pose, noise: NoiseModel, rng: np.random.Generator) -> Pose:
-    """Perturb x, y and yaw; z, roll and pitch stay untouched.
-
-    With all sigmas zero the result is bit-identical to the input.
+    With both sigmas zero the result is bit-identical to the input.
     """
-    dx = rng.normal(0.0, noise.sigma_xy)
-    dy = rng.normal(0.0, noise.sigma_xy)
-    dyaw = rng.normal(0.0, noise.sigma_yaw)
+    dx = rng.normal(0.0, sigma_xy)
+    dy = rng.normal(0.0, sigma_xy)
+    dyaw = rng.normal(0.0, sigma_yaw)
     m = np.array(pose.matrix)
-    c, s = np.cos(dyaw), np.sin(dyaw)
-    yaw_rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-    m[:3, :3] = yaw_rot @ m[:3, :3]
+    m[:3, :3] = Pose.from_planar(0.0, 0.0, dyaw).rotation @ m[:3, :3]
     m[0, 3] += dx
     m[1, 3] += dy
     return Pose(m)
@@ -262,7 +248,6 @@ def _greedy_matches(
     nbr = np.asarray(neighbor_centers, dtype=np.float64).reshape(-1, 2)
     if not ego_dets or not nbr.shape[0]:
         return []
-    ego_order = sorted(range(len(ego_dets)), key=lambda i: -ego_dets[i].score)
     ego = np.array([d.center for d in ego_dets], dtype=np.float64)
     gap = nbr[None, :, :] - ego[:, None, :]
     # The dot product np.linalg.norm takes, as (1, 2) @ (2, 1) products: a
@@ -271,7 +256,7 @@ def _greedy_matches(
     dists = np.sqrt((gap[..., None, :] @ gap[..., :, None])[..., 0, 0]).tolist()
     free = list(range(nbr.shape[0]))
     pairs = []
-    for i in ego_order:
+    for i in _by_descending_score(ego_dets):
         if not free:
             break
         row = dists[i]

@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .geometry import _POSE_TOL, CameraIntrinsics, Pose, compose, pixel_rays, planar_parts
-from .robust import NoiseModel, perturb_pose
+from .robust import perturb_pose
 
 _EPS = 1e-12
 # (box, ray) pairs per block of the box slab test (`_ray_box_t`).
@@ -199,10 +199,10 @@ def generate_scene(cfg: ScenarioConfig) -> tuple[list[AgentState], list[BoxObjec
         budget -= used - 1
         yaw = agent_rng.uniform(-np.pi, np.pi)
         true_pose = Pose.from_planar(x, y, yaw)
-        noise = NoiseModel(cfg.pose_noise_sigma_xy, cfg.pose_noise_sigma_yaw)
         believed = perturb_pose(
             true_pose,
-            noise,
+            cfg.pose_noise_sigma_xy,
+            cfg.pose_noise_sigma_yaw,
             np.random.default_rng((cfg.seed, _STREAM_POSE_NOISE, aid)),
         )
         dropped = cfg.dropout.get(aid, ())
@@ -237,7 +237,7 @@ class _AzimuthFan:
     _EPS / _STEEP; _CULL_PAD absorbs rounding in position.
 
     A sensor's fan is built once over its bundle in the agent frame
-    (`_lidar_fan`, `_camera_bundle`) and turned to each agent's yaw
+    (`_lidar_bundle`, `_camera_bundle`) and turned to each agent's yaw
     (`turned`): in the world, a ray of an agent rotated by `yaw` about +z
     has its agent-frame azimuth plus `yaw`, to within rounding far below
     _CULL_ANGLE.  So the windows still hold every ray that can hit.
@@ -443,11 +443,10 @@ def raycast(
 
 
 @functools.lru_cache(maxsize=8)
-def lidar_directions(spec: LidarSpec) -> np.ndarray:
-    """Unit ray directions in the sensor frame, elevation-major order.
-
-    Computed once per spec and shared read-only.
-    """
+def _lidar_bundle(spec: LidarSpec) -> tuple[np.ndarray, _AzimuthFan]:
+    """Unit ray directions in the sensor frame, elevation-major order and
+    shared read-only, and their fan in the agent frame; the mount does not
+    rotate."""
     az = 2.0 * np.pi * np.arange(spec.n_azimuth) / spec.n_azimuth
     el = np.asarray(spec.elevation_angles, dtype=np.float64)
     ce, se = np.cos(el)[:, None], np.sin(el)[:, None]
@@ -456,13 +455,7 @@ def lidar_directions(spec: LidarSpec) -> np.ndarray:
         [ce * ca, ce * sa, np.broadcast_to(se, (el.size, az.size))], axis=-1
     ).reshape(-1, 3)
     dirs.setflags(write=False)
-    return dirs
-
-
-@functools.lru_cache(maxsize=8)
-def _lidar_fan(spec: LidarSpec) -> _AzimuthFan:
-    """The LiDAR bundle's fan in the agent frame; the mount does not rotate."""
-    return _AzimuthFan(lidar_directions(spec))
+    return dirs, _AzimuthFan(dirs)
 
 
 @functools.lru_cache(maxsize=8)
@@ -490,11 +483,11 @@ def simulate_lidar(
     if not agent.has_lidar:
         raise SensorAbsent(f"agent {agent.id} carries no lidar")
     sensor = compose(agent.true_pose, DEFAULT_LIDAR_MOUNT)
-    dirs_local = lidar_directions(spec)
+    dirs_local, fan = _lidar_bundle(spec)
     dirs_world = dirs_local @ sensor.rotation.T
-    fan = _lidar_fan(spec).turned(planar_parts(agent.true_pose)[2])
     t, kind = raycast(
-        sensor.translation, dirs_world, fan, objects, occluders, spec.max_range
+        sensor.translation, dirs_world, fan.turned(planar_parts(agent.true_pose)[2]),
+        objects, occluders, spec.max_range,
     )
     hit = kind != HIT_NONE
     ranges = t[hit] + rng.normal(0.0, spec.range_noise_sigma, size=int(hit.sum()))

@@ -73,27 +73,28 @@ class GridSpec:
     def bev_channels(self) -> int:
         return self.channels * self.nz
 
+    def bev_cell_of(self, x, y, where=True) -> tuple[np.ndarray, np.ndarray]:
+        """Which of the planar points (x, y) fall inside the grid's columns
+        and pass `where`, as a boolean mask, and the flat BEV cell
+        ix * ny + iy of each of those, in point order.  Cells are half-open:
+        x_range[0] is inside, x_range[1] is not."""
+        ix = np.floor((x - self.x_range[0]) / self.dx).astype(np.int64)
+        iy = np.floor((y - self.y_range[0]) / self.dy).astype(np.int64)
+        inside = (ix >= 0) & (ix < self.nx) & (iy >= 0) & (iy < self.ny) & where
+        return inside, ix[inside] * self.ny + iy[inside]
+
     def voxel_of(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Which of the (N, 3) points fall inside the grid, as a boolean
         mask, and the flat voxel index (ix * ny + iy) * nz + iz of each of
         those, in point order."""
         pts = np.asarray(pts, dtype=np.float64).reshape(-1, 3)
-        ix = np.floor((pts[:, 0] - self.x_range[0]) / self.dx).astype(np.int64)
-        iy = np.floor((pts[:, 1] - self.y_range[0]) / self.dy).astype(np.int64)
         iz = np.floor((pts[:, 2] - self.z_range[0]) / self.dz).astype(np.int64)
-        inside = (
-            (ix >= 0) & (ix < self.nx)
-            & (iy >= 0) & (iy < self.ny)
-            & (iz >= 0) & (iz < self.nz)
-        )
-        return inside, (ix[inside] * self.ny + iy[inside]) * self.nz + iz[inside]
+        inside, cells = self.bev_cell_of(pts[:, 0], pts[:, 1], (iz >= 0) & (iz < self.nz))
+        return inside, cells * self.nz + iz[inside]
 
     def cell_center(self, ix, iy, iz) -> np.ndarray:
-        return np.array([
-            self.x_range[0] + (np.asarray(ix) + 0.5) * self.dx,
-            self.y_range[0] + (np.asarray(iy) + 0.5) * self.dy,
-            self.z_range[0] + (np.asarray(iz) + 0.5) * self.dz,
-        ]).T
+        z = self.z_range[0] + (np.asarray(iz, dtype=np.float64) + 0.5) * self.dz
+        return np.concatenate([self.bev_cell_centers(ix, iy), z[..., None]], axis=-1)
 
     def bev_cell_centers(self, ix, iy) -> np.ndarray:
         """Planar (x, y) centers for BEV cell indices (any matching shapes)."""

@@ -718,14 +718,14 @@ def concat_dense(lin, grid, warped, ego_cells, ego_rows):
 # --- perceive and receive ------------------------------------------------------------
 
 
-def perceive_whole_plane(w, objects, occluders, scenario, pipe, params):
+def perceive_whole_plane(w, objects, scenario, pipe, params):
     """`collab._perceive` with the BEV's nonzero cells, scores, thresholds
     and message read from the whole plane and grid.  It calls its stages by
     their names in `collab`, so a swap of those reaches it."""
     camera_grid = VoxelGrid.empty(pipe.grid)
     if collab._renders_camera(w.state, pipe):
         depth_img, feat_img = collab.simulate_camera(
-            w.state, objects, occluders, scenario.camera, pipe.grid.channels
+            w.state, objects, scenario.occluders, scenario.camera, pipe.grid.channels
         )
         if pipe.depth_projection != "no" and w.state.has_lidar:
             cloud_cam = collab.transform_points(collab._CAM_FROM_LIDAR, w.cloud_sensor)

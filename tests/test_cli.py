@@ -143,7 +143,7 @@ def log_lines_by_json(trial, mode, records):
     return [
         json.dumps(
             {"trial": trial, "mode": mode, "sender": r.sender, "receiver": r.receiver,
-             "phase": r.phase, "elements": r.elements, "log2": comm_volume_log(r.elements)},
+             "phase": r.phase, "elements": r.elements, "log2": float(comm_volume_log(r.elements))},
             sort_keys=True,
         )
         for r in records
@@ -342,7 +342,7 @@ def lidar_round(tmp_path):
     exp = load_experiment(cfg)
     agents, objects = generate_scene(exp.scenario)
     params = make_pipeline_params(exp.pipeline.grid, exp.params_seed)
-    rounds, _ = run_round(agents, objects, (), exp.scenario, exp.pipeline, params)
+    rounds, _ = run_round(agents, objects, exp.scenario, exp.pipeline, params)
     return exp, objects, rounds
 
 

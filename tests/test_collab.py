@@ -577,14 +577,14 @@ class TestRunRound:
     def test_single_agent_ledger_empty(self):
         scn = ScenarioConfig(seed=4, n_agents=1, n_objects=2)
         agents, objects = generate_scene(scn)
-        rounds, ledger = run_round(agents, objects, (), scn, self._pipe(), PARAMS)
+        rounds, ledger = run_round(agents, objects, scn, self._pipe(), PARAMS)
         assert ledger.records == []
         assert rounds[0].aggregated.shape == (GRID.nx, GRID.ny, GRID.bev_channels)
 
     def test_two_agents_exchange(self):
         scn = self._cfg()
         agents, objects = generate_scene(scn)
-        rounds, ledger = run_round(agents, objects, (), scn, self._pipe(), PARAMS)
+        rounds, ledger = run_round(agents, objects, scn, self._pipe(), PARAMS)
         assert ledger.total("feature") > 0
         assert ledger.total("depth") > 0
         senders = {(r.sender, r.receiver) for r in ledger.records}
@@ -593,7 +593,7 @@ class TestRunRound:
     def test_masked_volume_below_full_broadcast(self):
         scn = self._cfg()
         agents, objects = generate_scene(scn)
-        rounds, _ = run_round(agents, objects, (), scn, self._pipe(), PARAMS)
+        rounds, _ = run_round(agents, objects, scn, self._pipe(), PARAMS)
         for r in rounds.values():
             full = pack_message(r.bev_cells, r.bev_rows, np.ones_like(r.mask))
             assert r.message.feature_elements <= full.feature_elements
@@ -601,7 +601,7 @@ class TestRunRound:
     def test_camera_dropout_participates(self):
         scn = self._cfg(dropout={0: ("camera",)})
         agents, objects = generate_scene(scn)
-        rounds, ledger = run_round(agents, objects, (), scn, self._pipe(), PARAMS)
+        rounds, ledger = run_round(agents, objects, scn, self._pipe(), PARAMS)
         assert rounds[0].depth_map is None
         assert rounds[0].message.feature_elements >= 0
         assert ledger.total("feature") > 0
@@ -609,8 +609,8 @@ class TestRunRound:
     def test_deterministic(self):
         scn = self._cfg()
         agents, objects = generate_scene(scn)
-        a, _ = run_round(agents, objects, (), scn, self._pipe(), PARAMS)
-        b, _ = run_round(agents, objects, (), scn, self._pipe(), PARAMS)
+        a, _ = run_round(agents, objects, scn, self._pipe(), PARAMS)
+        b, _ = run_round(agents, objects, scn, self._pipe(), PARAMS)
         for aid in a:
             assert np.array_equal(a[aid].aggregated, b[aid].aggregated)
             assert np.array_equal(a[aid].mask, b[aid].mask)
@@ -619,7 +619,7 @@ class TestRunRound:
         scn = ScenarioConfig(seed=12, n_agents=2, n_objects=5, pose_noise_sigma_xy=0.3)
         agents, objects = generate_scene(scn)
         rounds, ledger = run_round(
-            agents, objects, (), scn, self._pipe(robust=True), PARAMS
+            agents, objects, scn, self._pipe(robust=True), PARAMS
         )
         assert any(r.phase == "detections" for r in ledger.records)
         errs = rounds[0].pose_errors
@@ -632,7 +632,7 @@ class TestRunRound:
         scn = ScenarioConfig(seed=3, n_agents=3, n_objects=6, pose_noise_sigma_xy=0.3,
                              dropout={1: ("lidar",)})
         agents, objects = generate_scene(scn)
-        rounds, ledger = run_round(agents, objects, (), scn, self._pipe(robust=True), PARAMS)
+        rounds, ledger = run_round(agents, objects, scn, self._pipe(robust=True), PARAMS)
         sent = {(r.sender, r.receiver) for r in ledger.records if r.phase == "detections"}
         assert sent == {(0, 2), (2, 0)}
         for a, b in ((0, 1), (1, 0), (1, 2), (2, 1)):
@@ -663,7 +663,7 @@ class TestRunRound:
         monkeypatch.setattr(collab, "warp_sparse", counting("warp", warp))
         monkeypatch.setattr(collab, "nearest_per_pixel", counting("reply", nearest))
         monkeypatch.setattr(nnkit.LinearMap, "apply", recording_apply)
-        rounds, _ = run_round(agents, objects, (), scn, self._pipe(), PARAMS)
+        rounds, _ = run_round(agents, objects, scn, self._pipe(), PARAMS)
         mha = PARAMS.agg_mha
         names = {id(mha.wq): "q", id(mha.wk): "k", id(mha.wv): "v", id(mha.wo): "o"}
         assert calls == {"warp": 4, "reply": 3}  # LiDAR agents 0, 1 and 3
@@ -674,7 +674,7 @@ class TestRunRound:
         agents, objects = generate_scene(scn)
         for mode in ("max", "concat", "attention"):
             rounds, _ = run_round(
-                agents, objects, (), scn, self._pipe(collab_mode=mode), PARAMS
+                agents, objects, scn, self._pipe(collab_mode=mode), PARAMS
             )
             assert rounds[0].aggregated.shape == (GRID.nx, GRID.ny, GRID.bev_channels)
 
@@ -682,7 +682,7 @@ class TestRunRound:
         scn = ScenarioConfig(seed=9, n_agents=3, n_objects=3)
         agents, objects = generate_scene(scn)
         by_id = {a.id: a for a in agents}
-        _, ledger = run_round(agents, objects, (), scn, self._pipe(), PARAMS)
+        _, ledger = run_round(agents, objects, scn, self._pipe(), PARAMS)
         depth = [r for r in ledger.records if r.phase == "depth"]
         # Every ordered pair of three linked agents: a request, then its reply.
         assert len(depth) == 12
@@ -705,8 +705,8 @@ class TestRunRound:
         scn = ScenarioConfig(seed=5, n_agents=3, n_objects=4, pose_noise_sigma_xy=0.2)
         agents, objects = generate_scene(scn)
         pipe = self._pipe(robust=True)
-        a, ledger_a = run_round(agents, objects, (), scn, pipe, PARAMS)
-        b, ledger_b = run_round(agents[::-1], objects, (), scn, pipe, PARAMS)
+        a, ledger_a = run_round(agents, objects, scn, pipe, PARAMS)
+        b, ledger_b = run_round(agents[::-1], objects, scn, pipe, PARAMS)
         assert ledger_a.records == ledger_b.records
         assert list(a) == list(b)
         for aid in a:
@@ -762,11 +762,11 @@ class TestPhaseOneOracle:
 
     def _runs(self, case, monkeypatch):
         agents, objects, scn, pipe = case
-        got = run_round(agents, objects, (), scn, pipe, PARAMS)
+        got = run_round(agents, objects, scn, pipe, PARAMS)
         with monkeypatch.context() as m:
             m.setattr(collab, "_share_clouds", share_whole_clouds)
             m.setattr(collab, "project_cloud_to_depthmap", project_cloud_to_depthmap_by_image)
-            want = run_round(agents, objects, (), scn, pipe, PARAMS)
+            want = run_round(agents, objects, scn, pipe, PARAMS)
         return got, want, agents
 
     def test_rounds_bit_identical(self, case, monkeypatch):
@@ -818,7 +818,7 @@ class TestPhaseOneOracle:
             perceive(w, *args)
 
         monkeypatch.setattr(collab, "_perceive", recording)
-        _, ledger = run_round(agents, objects, (), scn, pipe, PARAMS)
+        _, ledger = run_round(agents, objects, scn, pipe, PARAMS)
         replies = [r for r in ledger.records if r.phase == "depth"][1::2]
         for aid, received in shared.items():
             records = [r for r in replies if r.receiver == aid]
@@ -842,7 +842,7 @@ def robust_round(name):
     scn = ScenarioConfig(**scenario_kw)
     agents, objects = generate_scene(scn)
     pipe = PipelineConfig(grid=GRID, bins=BINS, predictor=NoisyOraclePredictor(1.0, 1), **pipe_kw)
-    return run_round(agents, objects, (), scn, pipe, PARAMS)
+    return run_round(agents, objects, scn, pipe, PARAMS)
 
 
 @pytest.mark.parametrize("name", ROBUST_CASES)
@@ -897,7 +897,7 @@ def test_mode_sweep_keeps_round_invariants(sweep_scene, fusion_mode, depth_proje
         fusion_mode=fusion_mode, depth_projection=depth_projection,
         collab_mode=collab_mode, robust=robust,
     )
-    rounds, ledger = run_round(agents, objects, (), scn, pipe, SWEEP_PARAMS)
+    rounds, ledger = run_round(agents, objects, scn, pipe, SWEEP_PARAMS)
     shape = (SWEEP_GRID.nx, SWEEP_GRID.ny, SWEEP_GRID.bev_channels)
     for r in rounds.values():
         assert r.aggregated.shape == shape

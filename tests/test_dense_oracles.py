@@ -478,7 +478,7 @@ def test_round_cells_are_the_nonzero_cells(collab_mode, params, seed, n_agents):
     with pytest.MonkeyPatch.context() as m:
         m.setattr(collab, "collapse", recorded_collapse)
         m.setattr(collab, name[collab_mode], recorded_aggregator)
-        rounds, _ = run_round(agents, objects, (), scn, pipe, params)
+        rounds, _ = run_round(agents, objects, scn, pipe, params)
     assert len(rounds) == n_agents == len(planes) == len(aggregated)
     for r, plane, agg in zip(rounds.values(), planes, aggregated):
         cells, rows = rows_of(plane)
@@ -506,7 +506,7 @@ def test_round_of_an_empty_cloud_has_no_cells(collab_mode):
     with no BEV cells, no message rows and no aggregated cells."""
     scn, pipe = _small_round(2616, 1, collab_mode)
     agents, objects = generate_scene(scn)
-    rounds, ledger = run_round(agents, objects, (), scn, pipe,
+    rounds, ledger = run_round(agents, objects, scn, pipe,
                                make_pipeline_params(SMALL_GRID, 2024))
     (r,) = rounds.values()
     assert r.lidar_grid.voxels.size == 0
@@ -736,14 +736,14 @@ def test_empty_and_unlanded_messages_match_the_reference(monkeypatch, collab_mod
 
     with monkeypatch.context() as m:
         m.setattr(collab, "warp_sparse", checked_warp)
-        got, _ = run_round(agents, objects, (), scn, pipe, PARAMS)
+        got, _ = run_round(agents, objects, scn, pipe, PARAMS)
     assert (0, 0) in calls  # an empty message
     assert any(sent > 0 and landed == 0 for sent, landed in calls)  # one wholly outside
     assert any(landed > 0 for _, landed in calls)
 
     with monkeypatch.context() as m:
         use_reference_pipeline(m)
-        want, _ = run_round(agents, objects, (), scn, pipe, PARAMS)
+        want, _ = run_round(agents, objects, scn, pipe, PARAMS)
     assert_rounds_equal(got, want, equivalent)
 
 
@@ -768,14 +768,14 @@ def test_replies_per_sender_match_replies_per_edge(monkeypatch):
         perceive(w, *args)
 
     monkeypatch.setattr(collab, "_perceive", recording)
-    got, got_ledger = run_round(agents, objects, (), scn, pipe, PARAMS)
+    got, got_ledger = run_round(agents, objects, scn, pipe, PARAMS)
     got_shared = list(shared)
     shared.clear()
     assert (4, 2, "depth", 0) in {(r.sender, r.receiver, r.phase, r.elements)
                                   for r in got_ledger.records}
     with monkeypatch.context() as m:
         m.setattr(collab, "_share_clouds", share_clouds_per_edge)
-        want, want_ledger = run_round(agents, objects, (), scn, pipe, PARAMS)
+        want, want_ledger = run_round(agents, objects, scn, pipe, PARAMS)
     assert got_ledger.records == want_ledger.records
     assert_rounds_equal(got, want)
     assert len(got_shared) == len(shared) == len(agents)
@@ -790,13 +790,13 @@ def test_second_round_leaves_the_first_unchanged():
     scn, agents, objects = reuse_scene()
     pipe = PipelineConfig(grid=GRID, bins=DepthBins(1.0, 33.0, 16),
                           predictor=NoisyOraclePredictor(1.0, 1), collab_mode="max")
-    first, _ = run_round(agents, objects, (), scn, pipe, PARAMS)
+    first, _ = run_round(agents, objects, scn, pipe, PARAMS)
     kept = {
         aid: [np.copy(a) for a in (r.aggregated, r.bev_rows, r.message.indices, r.message.vectors)]
         for aid, r in first.items()
     }
     moved = [_agent(a.id, *(np.array(planar_parts(a.true_pose)[:2]) + 3.0)) for a in agents]
-    run_round(moved, objects, (), scn, pipe, PARAMS)
+    run_round(moved, objects, scn, pipe, PARAMS)
     for aid, r in first.items():
         now = (r.aggregated, r.bev_rows, r.message.indices, r.message.vectors)
         assert all(np.array_equal(a, b) for a, b in zip(now, kept[aid]))

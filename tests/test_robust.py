@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from covox.geometry import Pose, invert, planar_parts
 from covox.metrics import Detection, iou_table
 from covox.robust import (
-    NoiseModel,
     _connected_components,
     _convex_hull,
     _greedy_matches,
@@ -295,28 +294,24 @@ class TestDetectorOracles:
 class TestPerturbPose:
     def test_zero_sigma_bit_exact(self):
         pose = Pose.from_planar(3.0, -1.0, 0.7)
-        out = perturb_pose(pose, NoiseModel(0.0, 0.0), np.random.default_rng(0))
+        out = perturb_pose(pose, 0.0, 0.0, np.random.default_rng(0))
         assert np.array_equal(out.matrix, pose.matrix)
 
     def test_reproducible(self):
         pose = Pose.from_planar(3.0, -1.0, 0.7)
-        noise = NoiseModel(0.3, 0.05)
-        a = perturb_pose(pose, noise, np.random.default_rng(9))
-        b = perturb_pose(pose, noise, np.random.default_rng(9))
+        a = perturb_pose(pose, 0.3, 0.05, np.random.default_rng(9))
+        b = perturb_pose(pose, 0.3, 0.05, np.random.default_rng(9))
         assert np.array_equal(a.matrix, b.matrix)
 
     def test_sample_std(self):
         pose = Pose(np.eye(4))
-        noise = NoiseModel(0.4, 0.0)
         rng = np.random.default_rng(5)
-        xs = np.array(
-            [perturb_pose(pose, noise, rng).translation[0] for _ in range(10_000)]
-        )
+        xs = np.array([perturb_pose(pose, 0.4, 0.0, rng).translation[0] for _ in range(10_000)])
         assert abs(xs.std() - 0.4) / 0.4 < 0.05
 
     def test_z_and_tilt_untouched(self):
         pose = Pose.from_rt(Pose.from_planar(0.0, 0.0, 0.3).rotation, (1.0, 2.0, 1.5))
-        out = perturb_pose(pose, NoiseModel(0.5, 0.2), np.random.default_rng(2))
+        out = perturb_pose(pose, 0.5, 0.2, np.random.default_rng(2))
         assert out.translation[2] == 1.5
         # The rotated z column must stay (0, 0, 1): yaw-only perturbation.
         assert np.allclose(out.rotation[:, 2], [0, 0, 1], atol=1e-12)
@@ -470,7 +465,7 @@ class TestCorrectRelativePose:
             n = int(rng.integers(3, 7))
             centers = rng.uniform(-15, 15, (n, 2))
             true_rel = Pose.from_planar(*rng.uniform(-5, 5, 2), rng.uniform(-0.3, 0.3))
-            noisy_rel = perturb_pose(true_rel, NoiseModel(0.4, 0.03), rng)
+            noisy_rel = perturb_pose(true_rel, 0.4, 0.03, rng)
             ego_dets = self._dets(centers + rng.normal(0, 0.1, (n, 2)))
             # Neighbor sees the same objects in its own frame, with jitter.
             nbr_local = transform_centers(centers + rng.normal(0, 0.1, (n, 2)), invert(true_rel))

@@ -17,7 +17,6 @@ from covox.geometry import (
     transform_points,
 )
 from covox.metrics import Detection
-from covox.robust import NoiseModel
 from covox.scene import (
     DEFAULT_CAMERA_MOUNT,
     DEFAULT_LIDAR_MOUNT,
@@ -61,14 +60,15 @@ INF = float("inf")
         lambda: LidarSpec(max_range=NAN),
         lambda: CameraIntrinsics(NAN, 70.0, 48.0, 32.0, 96, 64),
         lambda: CameraIntrinsics(70.0, NAN, 48.0, 32.0, 96, 64),
-        lambda: NoiseModel(NAN, 0.0),
-        lambda: NoiseModel(0.0, NAN),
+        lambda: ScenarioConfig(pose_noise_sigma_xy=NAN),
+        lambda: ScenarioConfig(pose_noise_sigma_yaw=NAN),
         lambda: ScenarioConfig(comm_range=NAN),
     ],
     ids=[
         "Detection.length", "Detection.width", "BoxObject.height", "Wall.height",
         "LidarSpec.max_range", "CameraIntrinsics.fx", "CameraIntrinsics.fy",
-        "NoiseModel.sigma_xy", "NoiseModel.sigma_yaw", "ScenarioConfig.comm_range",
+        "ScenarioConfig.pose_noise_sigma_xy", "ScenarioConfig.pose_noise_sigma_yaw",
+        "ScenarioConfig.comm_range",
     ],
 )
 def test_nan_size_is_rejected(build):
@@ -454,7 +454,7 @@ class TestRaycastOracle:
         ]
         spec = LidarSpec(n_azimuth=720, elevation_angles=(-0.3, -0.05, 0.0, 0.2))
         corners = [np.subtract(p, origin) for w in walls for p in _wall_corners(w)]
-        dirs = np.concatenate([scene.lidar_directions(spec), _AWKWARD_RAYS, corners])
+        dirs = np.concatenate([scene._lidar_bundle(spec)[0], _AWKWARD_RAYS, corners])
         t, kind = raycast(origin, dirs, scene._AzimuthFan(dirs), [], walls)
         t_ref, kind_ref = oracle_raycast(origin, dirs, None, [], walls)
         assert np.array_equal(t, t_ref)
@@ -520,7 +520,7 @@ class TestRaycastOracle:
                  BoxObject((4.0, 3.0), -1.0, (4.4, 1.9, 1.5))]
         spec = LidarSpec(n_azimuth=720, elevation_angles=(-0.3, -0.05, 0.0, 0.2))
         corners = [np.subtract(p, origin) for b in boxes for p in _box_corners(b)]
-        dirs = np.concatenate([scene.lidar_directions(spec), _AWKWARD_RAYS, corners])
+        dirs = np.concatenate([scene._lidar_bundle(spec)[0], _AWKWARD_RAYS, corners])
         _, kind = assert_matches_oracle(origin, dirs, boxes, [])
         az = np.arctan2(dirs[:, 1], dirs[:, 0])
         on_box = kind == scene.HIT_OBJECT
@@ -552,7 +552,7 @@ class TestRaycastOracle:
         for agent in agents:
             for mount, local in (
                 (DEFAULT_CAMERA_MOUNT, pixel_rays(INTR).reshape(-1, 3)),
-                (DEFAULT_LIDAR_MOUNT, scene.lidar_directions(cfg.lidar)),
+                (DEFAULT_LIDAR_MOUNT, scene._lidar_bundle(cfg.lidar)[0]),
             ):
                 sensor = compose(agent.true_pose, mount)
                 dirs = local @ sensor.rotation.T
@@ -618,8 +618,9 @@ class TestSensorFans:
         agent, boxes, walls = case
         assert_sensors_match_world_fan(agent, boxes, walls)
         sensor = compose(agent.true_pose, DEFAULT_LIDAR_MOUNT)
-        dirs = scene.lidar_directions(SEAM_LIDAR) @ sensor.rotation.T
-        turned = scene._lidar_fan(SEAM_LIDAR).turned(planar_parts(agent.true_pose)[2])
+        local, fan = scene._lidar_bundle(SEAM_LIDAR)
+        dirs = local @ sensor.rotation.T
+        turned = fan.turned(planar_parts(agent.true_pose)[2])
         world = scene._AzimuthFan(dirs)
         circles = [(b.center, math.hypot(*b.extent[:2]) / 2.0) for b in boxes]
         circles += [(np.add(w.p1, w.p2) / 2.0, math.dist(w.p1, w.p2) / 2.0) for w in walls]
@@ -649,7 +650,7 @@ class TestSensorFans:
                 built.append(len(dirs))
                 super().__init__(dirs)
 
-        caches = (scene.lidar_directions, scene._lidar_fan, scene._camera_bundle)
+        caches = (scene._lidar_bundle, scene._camera_bundle)
         other = LidarSpec(n_azimuth=90, elevation_angles=(-0.1, 0.0))
         with pytest.MonkeyPatch.context() as m:
             m.setattr(scene, "_AzimuthFan", CountedFan)
@@ -671,6 +672,6 @@ class TestSensorFans:
 
     def test_shared_directions_are_read_only(self):
         spec = LidarSpec(n_azimuth=8, elevation_angles=(0.0,))
-        assert scene.lidar_directions(spec) is scene.lidar_directions(spec)
+        assert scene._lidar_bundle(spec) is scene._lidar_bundle(spec)
         with pytest.raises(ValueError):
-            scene.lidar_directions(spec)[0, 0] = 1.0
+            scene._lidar_bundle(spec)[0][0, 0] = 1.0

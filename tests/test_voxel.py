@@ -3,8 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from covox.collab import Message, warp_sparse
 from covox.depth import DepthBins
 from covox.geometry import CameraIntrinsics, Pose, pixel_rays, transform_points
+from covox.metrics import Detection
+from covox.render import draw_box
 from covox.scene import DEFAULT_CAMERA_MOUNT, ScenarioConfig
 from covox.voxel import (
     Category,
@@ -57,6 +60,27 @@ class TestVoxelize:
     def test_out_of_range_points_ignored(self):
         grid = voxelize_points(np.array([[100.0, 0.0, 1.0]]), SPEC)
         assert grid.voxels.size == 0
+
+
+def test_grid_lookup_is_half_open():
+    """x_range[0] lies in the first column and x_range[1] in none, for the
+    voxelizer, the warp and the box renderer alike."""
+    inside, flat = SPEC.voxel_of(np.array([[-8.0, 0.5, 1.0], [8.0, 0.5, 1.0]]))
+    assert inside.tolist() == [True, False] and flat.tolist() == [(0 * 16 + 8) * 4 + 1]
+
+    # Cells (0, 8) and (15, 8) have centres at x = -7.5 and 7.5: a half-pitch
+    # shift puts one of them on each edge.
+    cells = np.array([0 * 16 + 8, 15 * 16 + 8])
+    msg = Message(cells, np.ones((2, 1)), 2)
+    warped = warp_sparse([msg, msg], [Pose.from_planar(-0.5, 0.0, 0.0),
+                                      Pose.from_planar(0.5, 0.0, 0.0)], SPEC)
+    assert warped.cells[0].tolist() == [0 * 16 + 8, 15 * 16 + 8]
+    assert warped.cells[1].tolist() == [1 * 16 + 8] and warped.dropped == 1
+
+    # A box whose short sides lie on x = -8 and x = 8.
+    img = np.zeros((16, 16, 3), dtype=np.uint8)
+    draw_box(img, SPEC, Detection((0.0, 0.0), 0.0, (16.0, 2.0)), (255, 255, 255))
+    assert img[0, 8].tolist() == [255, 255, 255] and img[15, 8].tolist() == [0, 0, 0]
 
 
 class TestLift:
