@@ -27,7 +27,7 @@ from .config import MODES, ConfigError, ExperimentSpec, load_experiment, read_se
 from .geometry import invert
 from .metrics import Detection, average_precision, iou_table, recall_at
 from .render import depth_map_gray, mask_image, render_bev, write_pgm16, write_ppm
-from .robust import detect_local, occupancy_from_bev, transform_detections
+from .robust import detect_local, transform_detections
 from .scene import AgentState, BoxObject, generate_scene
 
 CSV_HEADER = (
@@ -69,9 +69,9 @@ def _gt_in_view(agent: AgentState, objects, grid) -> list[Detection]:
 
 
 def _scored(result: AgentRound, objects, grid):
-    """An agent's detector occupancy at its aggregated cells, its boxes and
-    the ground truth in view, all in its own frame."""
-    occ = occupancy_from_bev(result.aggregated_rows)
+    """An agent's detector map, 1.0 at each of its aggregated cells, its
+    boxes and the ground truth in view, all in its own frame."""
+    occ = np.ones(result.aggregated_cells.size)
     dets = detect_local(result.aggregated_cells, occ, grid)
     return occ, dets, _gt_in_view(result.state, objects, grid)
 

@@ -2,13 +2,17 @@
 and pairwise relative-pose correction by rigid alignment of detected boxes.
 
 The detector reads a sparse occupancy map, flat BEV cells (ix * ny + iy)
-and a value per cell, from a LiDAR grid (`occupancy_from_grid`) or the rows
-of an aggregated BEV (`occupancy_from_bev`); no (nx, ny) map is built.
+and a value per cell: a LiDAR grid's column sums (`occupancy_from_grid`),
+or 1.0 at each cell of an aggregated BEV; no (nx, ny) map is built.
 
 The corrector assumes two agents each detected (some of) the same objects.
-Greedy gated matching pairs the box centers; with at least two pairs the
-planar least-squares transform between them is solved in closed form and
-composed onto the initial relative pose estimate.
+Greedy gated matching pairs the box centers, and the planar least-squares
+transform between them is solved in closed form.  The fit is composed onto
+the initial relative pose estimate only when it explains a real offset:
+with at least _MIN_MATCHES pairs, the mean offset of the matched centers
+must exceed _GATE_SIGMAS times the spread such a mean has from the fit's
+noise alone (`correct_relative_pose`).  Otherwise the estimate stands, so
+an exact pose is not moved by the jitter of the box centers.
 """
 
 from __future__ import annotations
@@ -23,6 +27,12 @@ from .voxel import GridSpec, VoxelGrid, collapse
 
 _REL_THRESHOLD = 0.15
 _MIN_CELLS = 2
+# The correction gate (`correct_relative_pose`): fewest matches, the
+# offset's margin in standard errors, and the least per-pair noise assumed,
+# in meters.
+_MIN_MATCHES = 3
+_GATE_SIGMAS = 3.0
+_NOISE_FLOOR = 0.25
 
 
 def perturb_pose(pose: Pose, sigma_xy: float, sigma_yaw: float, rng: np.random.Generator) -> Pose:
@@ -52,13 +62,6 @@ def occupancy_from_grid(grid: VoxelGrid) -> tuple[np.ndarray, np.ndarray]:
     s = grid.spec
     columns, rows = collapse(grid)
     return columns, rows.reshape(-1, s.nz, s.channels)[:, :, 0].sum(axis=1)
-
-
-def occupancy_from_bev(rows: np.ndarray) -> np.ndarray:
-    """Occupancy proxy for an opaque BEV feature plane: the L2 norm of each
-    of its (n, F) `rows`.  A per-row reduction gives each row the same bits
-    whichever other rows it runs with."""
-    return np.linalg.norm(np.asarray(rows, dtype=np.float64), axis=1)
 
 
 def _convex_hull(points: list) -> list:
@@ -167,10 +170,10 @@ def _connected_components(xs: np.ndarray, ys: np.ndarray, shape: tuple[int, int]
 
 def _box_extent(length: float, breadth: float, spec: GridSpec) -> tuple[float, float]:
     """The extent of a component's box from the rectangle of its cell
-    centres: each side inflated by one cell pitch to undo centre shrinkage,
-    so a one-row component gets a breadth of one pitch."""
+    centres: each side floored at one cell pitch, so a one-row component
+    gets a breadth of one pitch and a longer side keeps its length."""
     pitch = (spec.dx + spec.dy) / 2.0
-    return length + pitch, breadth + pitch
+    return max(length, pitch), max(breadth, pitch)
 
 
 def detect_local(cells: np.ndarray, values: np.ndarray, spec: GridSpec) -> list[Detection]:
@@ -180,7 +183,7 @@ def detect_local(cells: np.ndarray, values: np.ndarray, spec: GridSpec) -> list[
     Cells above _REL_THRESHOLD * max(occupancy) are grouped into 8-connected
     components of at least _MIN_CELLS cells; each component yields the
     minimum-area oriented rectangle of its cell centers, its extent
-    inflated as `_box_extent` says.
+    floored as `_box_extent` says.
     The score is a bounded transform of the component's mean occupancy.
     Only the listed cells are read, in scan order, which is also the
     lexicographic order of the centres, and the rectangles of a map are
@@ -276,16 +279,26 @@ def correct_relative_pose(
     """Refine a relative pose from co-detected box centers.
 
     `neighbor_centers` are the neighbor's (n, 2) box centers, already
-    mapped through init_rel (`transform_centers`).  Fewer than two gated
-    matches leave the estimate unchanged.
+    mapped through init_rel (`transform_centers`).  The planar fit of the n
+    gated matches src -> dst is composed onto init_rel only when it moves
+    the pose by more than its noise: n >= _MIN_MATCHES, and
+    ||mean(dst - src)|| > _GATE_SIGMAS * sqrt(2) * max(RMS fit residual,
+    _NOISE_FLOOR) / sqrt(n).  Otherwise the estimate is returned unchanged.
     """
     nbr = np.asarray(neighbor_centers, dtype=np.float64).reshape(-1, 2)
     pairs = _greedy_matches(ego_dets, nbr, gate_radius)
-    if len(pairs) < 2:
+    if len(pairs) < _MIN_MATCHES:
         return init_rel
     dst = np.array([ego_dets[i].center for i, _ in pairs])
     src = nbr[[j for _, j in pairs]]
     rot, t = fit_planar_alignment(src, dst)
+    # The RMS residual estimates each pair's planar jitter, floored because
+    # a fit of few pairs can leave almost none; a mean of n jittered
+    # offsets spreads by that over sqrt(n).
+    residual = np.sqrt(np.mean(np.sum((src @ rot.T + t - dst) ** 2, axis=1)))
+    shift = np.hypot(*np.mean(dst - src, axis=0))
+    if shift <= _GATE_SIGMAS * np.sqrt(2.0) * max(residual, _NOISE_FLOOR) / np.sqrt(len(pairs)):
+        return init_rel
     yaw = float(np.arctan2(rot[1, 0], rot[0, 0]))
     correction = Pose.from_planar(float(t[0]), float(t[1]), yaw)
     return compose(correction, init_rel)

@@ -22,10 +22,9 @@ finds the cells by a scan of the whole grid, and
 minimum depths.
 
 The detector's map is a policy, not a mechanism: the replays run the
-program's `occupancy_from_bev`, as they take `_REL_THRESHOLD`, `_MIN_CELLS`
-and `_box_extent` from `robust`, so that a change of the policy is one
-edit and its own tests.  `occupancy_from_bev_dense` takes each row's norm
-by its definition, and only `test_norms_match_dense` compares it.
+program's map, 1.0 at each aggregated cell (`cli._scored`), as they take
+`_REL_THRESHOLD`, `_MIN_CELLS` and `_box_extent` from `robust`, so that a
+change of the policy is one edit and its own tests.
 
 The rule: one reference per stage.  A faster version of a stage adds its
 cases to the tests against the stage's reference here, never a new
@@ -787,13 +786,6 @@ def occupancy_from_grid_dense(grid):
     feats, category = dense(grid)
     columns = np.flatnonzero(np.any(category != 0, axis=2))
     return columns, feats[:, :, :, 0].sum(axis=2).reshape(-1)[columns]
-
-
-def occupancy_from_bev_dense(rows):
-    """Each row's norm, by its definition: the square root of its sum of
-    squares."""
-    rows = np.asarray(rows, dtype=np.float64)
-    return np.sqrt(np.sum(rows * rows, axis=1))
 
 
 def components_by_label_array(mask):

@@ -13,7 +13,6 @@ import covox
 from covox import cli, metrics
 from covox.collab import EdgeRecord, comm_volume_log, make_pipeline_params, run_round
 from covox.config import load_experiment
-from covox.robust import occupancy_from_bev
 from covox.scene import generate_scene
 
 
@@ -346,15 +345,15 @@ def lidar_round(tmp_path):
     return exp, objects, rounds
 
 
-def test_detector_map_is_one_norm_per_aggregated_cell(tmp_path):
-    """The map `_scored` hands the detector holds one value per aggregated
-    cell, the norm of its row (`occupancy_from_bev`)."""
+def test_detector_map_is_binary_on_aggregated_cells(tmp_path):
+    """The map `_scored` hands the detector holds 1.0 at each aggregated
+    cell, whatever the cell's row, and lists no other cell."""
     exp, objects, rounds = lidar_round(tmp_path)
     assert all(result.aggregated_cells.size for result in rounds.values())
     for result in rounds.values():
         occ, _, _ = cli._scored(result, objects, exp.pipeline.grid)
         assert occ.shape == result.aggregated_cells.shape
-        assert np.array_equal(occ, occupancy_from_bev(result.aggregated_rows))
+        assert np.array_equal(occ, np.ones(result.aggregated_cells.size))
 
 
 def test_evaluate_round_scores_each_near_pair_once(tmp_path, monkeypatch):

@@ -859,7 +859,9 @@ def test_detection_records_charge_two_per_box(name):
 def test_corrections_from_centers_match_whole_boxes(name):
     """Each pose the round uses is, bit for bit, the correction of the
     neighbor's whole boxes moved through the believed pose by
-    `transform_detections`: sending only the centers changes no pose."""
+    `transform_detections`: sending only the centers changes no pose.
+    Under noise some correction moves a pose; with exact poses the gate
+    moves none."""
     rounds, _ = robust_round(name)
     changed = 0
     for w in rounds.values():
@@ -869,7 +871,10 @@ def test_corrections_from_centers_match_whole_boxes(name):
             want = correct_relative_pose(believed, w.detections, [b.center for b in boxes], 2.0)
             assert w.rel[j].matrix.tobytes() == want.matrix.tobytes()
             changed += not np.array_equal(want.matrix, believed.matrix)
-    assert changed
+    if name == "robust":
+        assert changed == 0
+    else:
+        assert changed
 
 
 SWEEP_GRID = GridSpec((-20.0, 20.0), (-20.0, 20.0), (0.5, 3.7), 32, 32, 4, 8)

@@ -42,7 +42,7 @@ from covox.fusion import (
     make_fusion_params,
 )
 from covox.geometry import Pose, planar_parts
-from covox.robust import occupancy_from_bev, occupancy_from_grid
+from covox.robust import occupancy_from_grid
 from covox.scene import AgentState, BoxObject, LidarSpec, ScenarioConfig, generate_scene
 from covox.voxel import Category, GridSpec, categorize, collapse, voxelize_points
 
@@ -58,7 +58,6 @@ from oracles import (
     fuse_modalities_masked,
     importance_scores_dense,
     nonzero_cells,
-    occupancy_from_bev_dense,
     occupancy_from_grid_dense,
     pack_message_dense,
     plane_of,
@@ -259,9 +258,7 @@ class TestStagesMatchDenseReferences:
         # or overflow, infinities.
         rows[rng.integers(rows.shape[0])] = special
         ego = (*rows_of(bev), spec_of(bev))
-        rows = rows_of(bev)[1]
         with np.errstate(over="ignore"):
-            assert np.array_equal(occupancy_from_bev(rows), occupancy_from_bev_dense(rows))
             assert np.array_equal(importance_scores(*ego), importance_scores_dense(*ego))
 
     @given(

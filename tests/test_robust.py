@@ -449,6 +449,25 @@ class TestCorrectRelativePose:
         )
         assert np.array_equal(out.matrix, init.matrix)
 
+    def test_two_matches_fall_back(self):
+        """Two pairs fit any rigid offset exactly; the gate needs three."""
+        init = Pose.from_planar(1.0, 1.0, 0.1)
+        ego = self._dets([(0, 0), (8, 3)])
+        out = correct_relative_pose(init, ego, [(-1, 0), (7, 3)], gate_radius=2.0)
+        assert np.array_equal(out.matrix, init.matrix)
+
+    def test_zero_mean_jitter_falls_back(self, rng):
+        """Matched centers that differ only by zero-mean jitter leave the
+        pose as it is, although their fit is not the identity."""
+        centers = rng.uniform(-15, 15, (6, 2))
+        jitter = rng.normal(0.0, 0.3, (6, 2))
+        nbr = centers + jitter - jitter.mean(axis=0)
+        rot, t = fit_planar_alignment(nbr, centers)
+        assert abs(np.arctan2(rot[1, 0], rot[0, 0])) > 1e-4 or np.hypot(*t) > 1e-4
+        init = Pose.from_planar(2.0, -1.0, 0.2)
+        out = correct_relative_pose(init, self._dets(centers), nbr, gate_radius=2.0)
+        assert np.array_equal(out.matrix, init.matrix)
+
     def test_out_of_gate_ignored(self):
         init = Pose(np.eye(4))
         ego = self._dets([(0, 0), (10, 0)])
