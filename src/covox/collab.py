@@ -126,7 +126,6 @@ _AGG_HEADS = 4
 _CONCAT_SLOTS = 4  # token budget of the concat aggregation ablation
 
 _CAM_FROM_AGENT = invert(DEFAULT_CAMERA_MOUNT)
-_CAM_FROM_LIDAR = compose(_CAM_FROM_AGENT, DEFAULT_LIDAR_MOUNT)
 
 FUSION_MODES = ("none", "equal", "biased")
 DEPTH_PROJECTIONS = ("no", "ego", "all")
@@ -538,11 +537,10 @@ class AgentRound:
 
     A field is set back to None once its last reader is done, so that a
     round holds no agent's sensor data or token rows longer than it needs
-    them: `cloud_sensor` and `shared` at the end of `_perceive`,
-    `cloud` after phase 1, `token_rows` and `sent_rows` at the end of the
-    round.  The records `run_round` returns keep the rest: `state`,
-    `neighbors`, `lidar_grid`, `detections`, `rel`, `pose_errors`,
-    `depth_map`, `bev_cells`, `bev_rows`, `mask`, `message`,
+    them: `cloud` and `shared` at the end of `_perceive`, `token_rows` and
+    `sent_rows` at the end of the round.  The records `run_round` returns
+    keep the rest: `state`, `neighbors`, `lidar_grid`, `detections`, `rel`,
+    `pose_errors`, `depth_map`, `bev_cells`, `bev_rows`, `mask`, `message`,
     `aggregated_cells`, `aggregated_rows` and `warp_collisions`.  No field
     holds a whole (nx, ny, F) plane, and no stage builds one; `aggregated`
     builds one on request, for the benchmark's checks.  No field holds
@@ -552,8 +550,7 @@ class AgentRound:
     state: AgentState
     neighbors: tuple[int, ...]
     lidar_grid: VoxelGrid  # the voxelized LiDAR cloud; empty without a LiDAR
-    cloud_sensor: Optional[np.ndarray] = None  # LiDAR hits, sensor frame
-    cloud: Optional[np.ndarray] = None  # the same hits, agent frame
+    cloud: Optional[np.ndarray] = None  # LiDAR hits, agent frame
     detections: list = field(default_factory=list)
     rel: dict[int, Pose] = field(default_factory=dict)  # neighbor -> pose used
     # per neighbor id: (error of believed rel pose, error of the pose used)
@@ -597,8 +594,7 @@ def _sense(
         agent, objects, scenario.occluders, scenario.lidar, lidar_rng(scenario.seed, agent.id)
     )
     cloud = transform_points(DEFAULT_LIDAR_MOUNT, pts)
-    grid = voxelize_points(cloud, pipe.grid)
-    return AgentRound(agent, neighbors, grid, cloud_sensor=pts, cloud=cloud)
+    return AgentRound(agent, neighbors, voxelize_points(cloud, pipe.grid), cloud=cloud)
 
 
 def _renders_camera(agent: AgentState, pipe: PipelineConfig) -> bool:
@@ -719,8 +715,8 @@ def _perceive(
     because unlisted voxels hold zeros, so `collapse` gives only their rows.
     Those rows are checked one by one; the nonzero ones and their cells are
     the agent's BEV (`w.bev_rows`, `w.bev_cells`), which the importance
-    scores and the message read.  The LiDAR hits in the sensor frame and
-    the phase-1 replies have no reader after this stage and are dropped.
+    scores and the message read.  The LiDAR cloud and the phase-1 replies
+    have no reader after this stage and are dropped.
     """
     camera_grid = VoxelGrid.empty(pipe.grid)
     if _renders_camera(w.state, pipe):
@@ -728,7 +724,7 @@ def _perceive(
             w.state, objects, scenario.occluders, scenario.camera, pipe.grid.channels
         )
         if pipe.depth_projection != "no" and w.state.has_lidar:
-            cloud_cam = transform_points(_CAM_FROM_LIDAR, w.cloud_sensor)
+            cloud_cam = transform_points(_CAM_FROM_AGENT, w.cloud)
             dmap = project_cloud_to_depthmap(cloud_cam, scenario.camera, pipe.bins)
         else:
             dmap = DepthMap.empty(pipe.bins, scenario.camera.height, scenario.camera.width)
@@ -750,7 +746,7 @@ def _perceive(
     scores = importance_scores(w.bev_cells, w.bev_rows, pipe.grid)
     w.mask = confidence_mask(scores, preference_map(fused))
     w.message = pack_message(w.bev_cells, w.bev_rows, w.mask)
-    w.cloud_sensor = w.shared = None
+    w.cloud = w.shared = None
 
 
 def _nonzero_rows(cells: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -829,7 +825,6 @@ def run_round(
     _relative_poses(rounds, pipe, ledger)
     _share_clouds(rounds, scenario, pipe, ledger)
     for w in rounds.values():
-        w.cloud = None  # phase 1 was its last reader
         _perceive(w, objects, scenario, pipe, params)
     tokens = None
     if pipe.collab_mode == "attention":

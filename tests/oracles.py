@@ -727,7 +727,7 @@ def perceive_whole_plane(w, objects, scenario, pipe, params):
             w.state, objects, scenario.occluders, scenario.camera, pipe.grid.channels
         )
         if pipe.depth_projection != "no" and w.state.has_lidar:
-            cloud_cam = collab.transform_points(collab._CAM_FROM_LIDAR, w.cloud_sensor)
+            cloud_cam = collab.transform_points(collab._CAM_FROM_AGENT, w.cloud)
             dmap = collab.project_cloud_to_depthmap(cloud_cam, scenario.camera, pipe.bins)
         else:
             dmap = DepthMap.empty(pipe.bins, scenario.camera.height, scenario.camera.width)
@@ -750,7 +750,7 @@ def perceive_whole_plane(w, objects, scenario, pipe, params):
         collab.importance_scores(w.bev_cells, w.bev_rows, pipe.grid),
         collab.preference_map(fused))
     w.message = collab.pack_message(w.bev_cells, w.bev_rows, w.mask)
-    w.cloud_sensor = w.shared = None
+    w.cloud = w.shared = None
 
 
 def receive_fresh(w, rounds, pipe, params, ledger, tokens):
