@@ -59,13 +59,9 @@ def gt_detections(objects: Sequence[BoxObject]) -> list[Detection]:
 def _gt_in_view(agent: AgentState, objects, grid) -> list[Detection]:
     """Ground truth restricted to boxes whose center lies in the agent's grid."""
     local = transform_detections(gt_detections(objects), invert(agent.true_pose))
-    kept = [
-        det
-        for det in local
-        if grid.x_range[0] <= det.center[0] < grid.x_range[1]
-        and grid.y_range[0] <= det.center[1] < grid.y_range[1]
-    ]
-    return kept
+    centers = np.array([det.center for det in local]).reshape(-1, 2)
+    inside, _ = grid.bev_cell_of(centers[:, 0], centers[:, 1])
+    return [det for det, keep in zip(local, inside) if keep]
 
 
 def _scored(result: AgentRound, objects, grid):
