@@ -16,7 +16,6 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .geometry import CameraIntrinsics, project_points
-from .voxel import _run_firsts
 
 
 class DepthSource(IntEnum):
@@ -310,29 +309,15 @@ def predict_depth(true_depth_image: np.ndarray, predictor, bins: DepthBins) -> n
 
     key = codes[0]
     for code in codes[1:]:
-        key = _ranks(key)[0] * key.size + _ranks(code)[0]
-    window, at = _ranks(key)
+        key = (np.unique(key, return_inverse=True)[1] * key.size
+               + np.unique(code, return_inverse=True)[1])
+    _, at, window = np.unique(key, return_index=True, return_inverse=True)
     counts = np.zeros((at.size, d))
     for code, word_value, (lo, hi) in zip(codes, value, spans):
         counts[:, lo:hi] = (code[at, None] // word_value[lo:hi]) % base
     vol = counts @ _bin_gaussian_table(predictor.sigma_bins, d)
     vol /= vol.sum(axis=1, keepdims=True)
     return np.take(vol, window, axis=0).reshape(h, w, d)
-
-
-def _ranks(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each key's rank among the distinct keys, and for each distinct key,
-    ascending, the position of one key equal to it.
-
-    Only the first key of each run of equal neighbours is sorted: the codes
-    of a smooth image come in far fewer runs than pixels.
-    """
-    start = np.flatnonzero(_run_firsts(keys))
-    order = np.argsort(keys[start])
-    first = _run_firsts(keys[start[order]])
-    rank = np.empty(start.size, dtype=np.intp)
-    rank[order] = np.cumsum(first) - 1
-    return np.repeat(rank, np.diff(start, append=keys.size)), start[order[first]]
 
 
 def finalize_distribution(dmap: DepthMap, predicted: np.ndarray) -> np.ndarray:
