@@ -7,9 +7,10 @@ synchronous two-phase exchange round.
 
 1. sense — LiDAR capture and voxelization;
 2. relative poses — believed relative poses, optionally corrected by
-   matching the local detections that two LiDAR agents share.  Believed
-   poses are read from the agent states: they are not sent in any message
-   and not charged;
+   matching the local detections of two LiDAR agents.  Each link is solved
+   once, by its lower id, from the box centres the higher id sends it; the
+   higher id uses the inverse.  Believed poses are read from the agent
+   states: they are not sent in any message and not charged;
 3. phase 1 — with cooperative depth, each agent that will render its
    camera sends each LiDAR neighbor a request carrying the pose it projects
    that neighbor with.  The neighbor projects its downsampled cloud into
@@ -42,13 +43,13 @@ ix * ny + iy.  `bev_cells`, a message's `indices`, the warp's `cells` and
 The `RoundLedger` is the only place communication is counted, per edge and
 phase, in the order detections, depth, feature.  Each exchange sends only
 the scalars its receiver reads.  Detections and phase-1 replies are
-charged every scalar, pixel index included: a `detections` record 2 per
-box (its centre), a `depth` record either a request (the receiver's planar
-pose for the edge, 3 scalars, receiver to neighbor) or the neighbor's reply
-to it (D + P for D depth bins and P pixels: its per-bin pixel counts and
-the pixel indices; a reply without pixels is not sent and charged 0).  A
-`feature` record is charged the message's nonzero values, not the indices
-of its cells.
+charged every scalar, pixel index included: a `detections` record, one per
+LiDAR link from the higher id to the lower, 2 per box (its centre), a
+`depth` record either a request (the receiver's planar pose for the edge,
+3 scalars, receiver to neighbor) or the neighbor's reply to it (D + P for
+D depth bins and P pixels: its per-bin pixel counts and the pixel indices;
+a reply without pixels is not sent and charged 0).  A `feature` record is
+charged the message's nonzero values, not the indices of its cells.
 """
 
 from __future__ import annotations
@@ -609,33 +610,35 @@ def _relative_poses(
 ) -> None:
     """Set the relative pose each agent uses per neighbor, and its error.
 
-    With `robust`, connected LiDAR agents share their local detections and
-    each believed relative pose between two of them is corrected by
-    matching them.  A neighbor sends only its box centers, which is all the
-    corrector reads; the receiver moves them into its frame with the
-    believed pose.  An agent without LiDAR has no detections to send or to
-    match against, so its edges send none.  Each agent's believed and true
-    poses are inverted once, not once per edge.
+    With `robust`, each link between two LiDAR agents i < j is solved once,
+    by i: j sends its box centers, all the corrector reads, and i moves them
+    into its frame with the believed pose and matches its own detections.
+    Where the fit moves i's pose, j uses its inverse; where the gate
+    declines, j keeps its believed pose.  `rounds` is ordered by ascending
+    id and the graph is symmetric, so i has solved the link when j reaches
+    it.  An agent without LiDAR has no detections to send or to match
+    against, so its edges send none.
     """
     lidar = {aid for aid, w in rounds.items() if w.state.has_lidar}
     if pipe.robust:
         for w in rounds.values():
             if w.state.id in lidar and lidar.intersection(w.neighbors):
                 w.detections = detect_local(*occupancy_from_grid(w.lidar_grid), pipe.grid)
-    inverse = {
-        aid: (invert(w.state.believed_pose), invert(w.state.true_pose))
-        for aid, w in rounds.items()
-    }
-    for w in rounds.values():
-        inv_believed, inv_true = inverse[w.state.id]
+    moved = set()  # links (i, j), i < j, whose fit moved i's pose for j
+    for i, w in rounds.items():
+        inv_believed, inv_true = invert(w.state.believed_pose), invert(w.state.true_pose)
         for j in w.neighbors:
             other = rounds[j]
             believed = compose(inv_believed, other.state.believed_pose)
             used = believed
-            if pipe.robust and {w.state.id, j} <= lidar:
+            if pipe.robust and {i, j} <= lidar and i < j:
                 nbr = transform_centers([d.center for d in other.detections], believed)
                 used = correct_relative_pose(believed, w.detections, nbr, pipe.gate_radius)
-                ledger.add(j, w.state.id, "detections", _DETECTION_ELEMENTS * len(nbr))
+                ledger.add(j, i, "detections", _DETECTION_ELEMENTS * len(nbr))
+                if used is not believed:
+                    moved.add((i, j))
+            elif (j, i) in moved:
+                used = invert(other.rel[i])
             truth = compose(inv_true, other.state.true_pose)
             w.rel[j] = used
             w.pose_errors[j] = (

@@ -1,11 +1,14 @@
 import functools
+import json
+import runpy
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from covox import collab, nnkit
+from covox import cli, collab, nnkit
 from covox.collab import (
     Message,
     PipelineConfig,
@@ -25,6 +28,7 @@ from covox.collab import (
     run_round,
     warp_sparse,
 )
+from covox.config import load_experiment
 from covox.depth import DepthBins, NoisyOraclePredictor, nearest_per_pixel
 from covox.geometry import Pose, compose, invert, transform_points
 from covox.robust import correct_relative_pose, transform_detections
@@ -634,7 +638,7 @@ class TestRunRound:
         agents, objects = generate_scene(scn)
         rounds, ledger = run_round(agents, objects, scn, self._pipe(robust=True), PARAMS)
         sent = {(r.sender, r.receiver) for r in ledger.records if r.phase == "detections"}
-        assert sent == {(0, 2), (2, 0)}
+        assert sent == {(2, 0)}
         for a, b in ((0, 1), (1, 0), (1, 2), (2, 1)):
             before, after = rounds[a].pose_errors[b]
             assert before == after
@@ -857,16 +861,23 @@ def test_detection_records_charge_two_per_box(name):
 
 @pytest.mark.parametrize("name", ["robust", "noisy_poses_robust"])
 def test_corrections_from_centers_match_whole_boxes(name):
-    """Each pose the round uses is, bit for bit, the correction of the
+    """The lower id i of each link uses, bit for bit, the correction of the
     neighbor's whole boxes moved through the believed pose by
-    `transform_detections`: sending only the centers changes no pose.
-    Under noise some correction moves a pose; with exact poses the gate
-    moves none."""
+    `transform_detections`: sending only the centers changes no pose.  The
+    higher id uses the inverse of i's pose where the correction moved it,
+    and its own believed pose where it did not.  Under noise some
+    correction moves a pose; with exact poses the gate moves none."""
     rounds, _ = robust_round(name)
     changed = 0
-    for w in rounds.values():
+    for i, w in rounds.items():
         for j in w.neighbors:
             believed = compose(invert(w.state.believed_pose), rounds[j].state.believed_pose)
+            if i > j:
+                theirs = rounds[j].rel[i]
+                unmoved = compose(invert(rounds[j].state.believed_pose), w.state.believed_pose)
+                want = believed if np.array_equal(theirs.matrix, unmoved.matrix) else invert(theirs)
+                assert w.rel[j].matrix.tobytes() == want.matrix.tobytes()
+                continue
             boxes = transform_detections(rounds[j].detections, believed)
             want = correct_relative_pose(believed, w.detections, [b.center for b in boxes], 2.0)
             assert w.rel[j].matrix.tobytes() == want.matrix.tobytes()
@@ -875,6 +886,30 @@ def test_corrections_from_centers_match_whole_boxes(name):
         assert changed == 0
     else:
         assert changed
+
+
+BENCH_RUN = Path(__file__).resolve().parent.parent / "bench" / "run.py"
+
+
+def test_each_link_has_one_pose(tmp_path):
+    """Each LiDAR link is solved once: the poses its two ends use compose
+    to the identity, and one detections record travels per link.  Trial 45
+    of the benchmark's lidar4 workload at seed 0 has a link whose ends,
+    each solving it on its own, used poses 1.75 m apart."""
+    bench = runpy.run_path(str(BENCH_RUN), run_name="covox_bench_run")
+    path = tmp_path / "lidar4.json"
+    path.write_text(json.dumps(bench["experiment_config"](bench["WORKLOADS"]["lidar4"], 0)))
+    exp = load_experiment(path)
+    outcome = cli.run_trial(exp, 45, None, make_pipeline_params(exp.pipeline.grid, exp.params_seed))
+    rounds = outcome.rounds
+    links = sorted((i, j) for i, w in rounds.items() for j in w.neighbors if i < j)
+    assert len(links) == 6
+    for i, j in links:
+        loop = compose(rounds[i].rel[j], rounds[j].rel[i])
+        assert np.allclose(loop.matrix, np.eye(4), rtol=0.0, atol=1e-9), (i, j)
+    records = [json.loads(line) for line in outcome.log_lines]
+    sent = [(r["receiver"], r["sender"]) for r in records if r["phase"] == "detections"]
+    assert sorted(sent) == links
 
 
 SWEEP_GRID = GridSpec((-20.0, 20.0), (-20.0, 20.0), (0.5, 3.7), 32, 32, 4, 8)

@@ -61,18 +61,18 @@ def test_traced_trial_records_every_stage(tracing):
     ):
         assert counts[key] == scenario.n_agents, key
     # The box path's per-layer metrics are per call: each agent is scored
-    # by one recall and two APs, and each directed edge between two LiDAR
-    # agents corrects its pose once.
+    # by one recall and two APs, and each link between two LiDAR agents is
+    # corrected once, by its lower id.
     assert recorded["metrics.recall_at"] == scenario.n_agents
     assert recorded["metrics.average_precision"] == 2 * scenario.n_agents
     rounds = outcome.rounds
-    lidar_edges = sum(
+    lidar_links = sum(
         rounds[j].state.has_lidar
-        for r in rounds.values() if r.state.has_lidar
-        for j in r.neighbors
+        for i, r in rounds.items() if r.state.has_lidar
+        for j in r.neighbors if i < j
     )
-    assert lidar_edges > 0
-    assert recorded["robust.correct_relative_pose"] == lidar_edges
+    assert lidar_links > 0
+    assert recorded["robust.correct_relative_pose"] == lidar_links
     assert counts["collab.depth_elements"] > 0
     assert counts["collab.feature_elements"] > 0
     assert counts["collab.detection_elements"] > 0
