@@ -490,7 +490,9 @@ def simulate_lidar(
         objects, occluders, spec.max_range,
     )
     hit = kind != HIT_NONE
-    ranges = t[hit] + rng.normal(0.0, spec.range_noise_sigma, size=int(hit.sum()))
+    ranges = t[hit]
+    if spec.range_noise_sigma > 0:  # a zero-sigma draw would add +0.0 to every range
+        ranges = ranges + rng.normal(0.0, spec.range_noise_sigma, size=ranges.size)
     return dirs_local[hit] * ranges[:, None]
 
 
