@@ -8,9 +8,11 @@ synchronous two-phase exchange round.
 1. sense — LiDAR capture and voxelization;
 2. relative poses — believed relative poses, optionally corrected by
    matching the local detections of two LiDAR agents.  Each link is solved
-   once, by its lower id, from the box centres the higher id sends it; the
-   higher id uses the inverse.  Believed poses are read from the agent
-   states: they are not sent in any message and not charged;
+   once, by its lower id, from the box centres the higher id sends it;
+   where the fit moves the pose, the lower id sends its solution back and
+   the higher id uses the inverse.  Believed poses are read from the agent
+   states: they are not sent in any message and not charged.  So each
+   agent knows the pose each neighbor will warp its message with;
 3. phase 1 — with cooperative depth, each agent that will render its
    camera sends each LiDAR neighbor a request carrying the pose it projects
    that neighbor with.  The neighbor projects its downsampled cloud into
@@ -20,10 +22,13 @@ synchronous two-phase exchange round.
    answers all of its requesters in one pass;
 4. perceive — camera render, cooperative depth, camera lift, modal fusion,
    the collapse to BEV rows, then the confidence mask and the sparse
-   message.  Each agent's camera images live only while it perceives, so a
-   round holds one agent's at a time.  An agent's BEV is its nonzero rows
-   and their cells (`bev_rows`, `bev_cells`); no stage before the
-   aggregation builds an (nx, ny, F) plane of it;
+   message.  The message holds only the masked cells that land in at
+   least one neighbor's grid under the pose that neighbor warps them with,
+   found as the warp finds them (`_landing`): the rows every receiver
+   would drop are not sent.  Each agent's camera images live only while it
+   perceives, so a round holds one agent's at a time.  An agent's BEV is
+   its nonzero rows and their cells (`bev_rows`, `bev_cells`); no stage
+   before the aggregation builds an (nx, ny, F) plane of it;
 5. phase 2 / receive — each agent warps all of its neighbors' messages
    into its own frame in one pass, as the cells they land on and the
    message rows written there (`WarpedPlanes`), and aggregates them on
@@ -43,13 +48,18 @@ ix * ny + iy.  `bev_cells`, a message's `indices`, the warp's `cells` and
 The `RoundLedger` is the only place communication is counted, per edge and
 phase, in the order detections, depth, feature.  Each exchange sends only
 the scalars its receiver reads.  Detections and phase-1 replies are
-charged every scalar, pixel index included: a `detections` record, one per
-LiDAR link from the higher id to the lower, 2 per box (its centre), a
-`depth` record either a request (the receiver's planar pose for the edge,
-3 scalars, receiver to neighbor) or the neighbor's reply to it (D + P for
-D depth bins and P pixels: its per-bin pixel counts and the pixel indices;
-a reply without pixels is not sent and charged 0).  A `feature` record is
-charged the message's nonzero values, not the indices of its cells.
+charged every scalar, pixel index included.  A `detections` record is
+either the box centres of a LiDAR link, one per link from the higher id to
+the lower, 2 per box, or the link's solution, the lower id's planar pose
+for the higher (3 scalars), sent back only where the fit moved it: a link
+the gate declines sends nothing, and the higher id keeps its believed
+pose.  A `depth` record is either a request (the receiver's planar pose
+for the edge, 3 scalars, receiver to neighbor) or the neighbor's reply to
+it (D + P for D depth bins and P pixels: its per-bin pixel counts and the
+pixel indices; a reply without pixels is not sent and charged 0).  A
+`feature` record is charged the message's nonzero values, not the indices
+of its cells; the message is one broadcast, charged on every edge it
+leaves by.
 """
 
 from __future__ import annotations
@@ -120,8 +130,9 @@ _DETECTION_ELEMENTS = 2
 
 # Phase 1 draws on one point per cube of this edge length (m).
 _PAYLOAD_CELL = 0.5
-# A phase-1 request carries the requester's planar pose (x, y, yaw).
-_REQUEST_ELEMENTS = 3
+# Scalars of a planar pose (x, y, yaw), all that a phase-1 request and a
+# link solution carry.
+_POSE_ELEMENTS = 3
 
 _AGG_HEADS = 4
 _CONCAT_SLOTS = 4  # token budget of the concat aggregation ablation
@@ -135,11 +146,12 @@ COLLAB_MODES = ("max", "concat", "attention")
 
 @dataclass
 class Message:
-    """One broadcast payload: the sender's masked sparse BEV cells, as flat
-    indices into its own grid, and their rows.
+    """One broadcast payload: the sender's masked sparse BEV cells that some
+    neighbor places in its grid, as flat indices into the sender's grid,
+    and their rows.
 
-    It carries no pose: a receiver reads the sender's believed pose from the
-    agent states, and the ledger charges only `feature_elements`.
+    It carries no pose: a receiver warps it with its own `rel` pose of the
+    sender, and the ledger charges only `feature_elements`.
     """
 
     indices: np.ndarray  # (K,) flat BEV cells, ascending
@@ -372,6 +384,42 @@ def downsample_cloud(points: np.ndarray, cell: float) -> np.ndarray:
     return pts[np.sort(first)]
 
 
+def _landing(
+    cells: Sequence[np.ndarray], poses: Sequence[Pose], spec: GridSpec
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Where the flat cells of each `cells[k]`, read on the lattice of `spec`,
+    land in a grid of `spec` when their centers are mapped through the
+    planar part of `poses[k]`, in one pass over all k.
+
+    Returns, for the entries of all `cells` in order, the k of each, whether
+    it landed inside the grid, and the flat cell of each entry that did.
+    The cos and sin of each yaw are taken on their own, so a sender that
+    tests its cells and the receiver that warps them get the same bits.
+    """
+    sizes = [c.size for c in cells]
+    flat = np.concatenate(cells)
+    k = np.repeat(np.arange(len(cells)), sizes)
+    x, y, yaw = np.array([planar_parts(p) for p in poses]).T
+    c = np.array([np.cos(a) for a in yaw])
+    s = np.array([np.sin(a) for a in yaw])
+    c, s, x, y = (a[k] for a in (c, s, x, y))
+    centers = spec.bev_cell_centers(flat // spec.ny, flat % spec.ny)
+    px = c * centers[:, 0] - s * centers[:, 1] + x
+    py = s * centers[:, 0] + c * centers[:, 1] + y
+    landed, cell = spec.bev_cell_of(px, py)
+    return k, landed, cell
+
+
+def _placeable(cells: np.ndarray, poses: Sequence[Pose], spec: GridSpec) -> np.ndarray:
+    """Which of a sender's flat `cells` land in at least one receiver's grid
+    of `spec`, each receiver warping them with its pose of `poses`; none
+    does without a receiver."""
+    if not poses:
+        return np.zeros(cells.size, dtype=bool)
+    _, landed, _ = _landing([cells] * len(poses), poses, spec)
+    return landed.reshape(len(poses), cells.size).any(axis=0)
+
+
 def warp_sparse(
     messages: Sequence[Message], rel_poses: Sequence[Pose], spec: GridSpec
 ) -> WarpedPlanes:
@@ -379,29 +427,18 @@ def warp_sparse(
 
     Message k's flat cells, read on the lattice of `spec`, have their
     centers mapped through the planar part of `rel_poses[k]` to the
-    containing cell of the receiver's grid; on collision the later entry
-    wins (collisions are counted), out-of-grid cells are dropped.  All
-    messages go in one pass, keyed on message x cell.  Nothing is written:
-    the result lists, per message, the flat cells it lands on, ascending,
-    and the message row that lands on each.
+    containing cell of the receiver's grid (`_landing`); on collision the
+    later entry wins (collisions are counted), out-of-grid cells are
+    dropped.  All messages go in one pass, keyed on message x cell.  Nothing
+    is written: the result lists, per message, the flat cells it lands on,
+    ascending, and the message row that lands on each.
     """
     vectors = [m.vectors for m in messages]
     if not messages:
         return WarpedPlanes(spec, [], vectors, [], 0, 0)
     n_cells = spec.nx * spec.ny
-    sizes = [m.indices.size for m in messages]
-    starts = np.cumsum([0] + sizes)
-    indices = np.concatenate([m.indices for m in messages])
-    plane = np.repeat(np.arange(len(messages)), sizes)
-    x, y, yaw = np.array([planar_parts(p) for p in rel_poses]).T
-    # cos and sin of each yaw on its own, as a single message takes them.
-    c = np.array([np.cos(a) for a in yaw])
-    s = np.array([np.sin(a) for a in yaw])
-    c, s, x, y = (a[plane] for a in (c, s, x, y))
-    centers = spec.bev_cell_centers(indices // spec.ny, indices % spec.ny)
-    px = c * centers[:, 0] - s * centers[:, 1] + x
-    py = s * centers[:, 0] + c * centers[:, 1] + y
-    landed, cell = spec.bev_cell_of(px, py)
+    starts = np.cumsum([0] + [m.indices.size for m in messages])
+    plane, landed, cell = _landing([m.indices for m in messages], rel_poses, spec)
     inside = np.flatnonzero(landed)
     key = plane[inside] * n_cells + cell
     # Later writer wins: keep the last arrival targeting each plane cell.
@@ -536,16 +573,23 @@ class AgentRound:
     """One agent's record of a round: the stages fill it in, in order, and
     `run_round` returns it.
 
+    `rel` holds the pose the agent warps each neighbor's message with, and
+    `placed_by` the pose each neighbor warps this agent's message with,
+    that neighbor's `rel` of it.  `mask` is the (nx, ny) mask the message
+    was packed with: the confidence mask less the cells that no neighbor
+    places in its grid under its `placed_by` pose.
+
     A field is set back to None once its last reader is done, so that a
     round holds no agent's sensor data or token rows longer than it needs
     them: `cloud` and `shared` at the end of `_perceive`, `token_rows` and
     `sent_rows` at the end of the round.  The records `run_round` returns
     keep the rest: `state`, `neighbors`, `lidar_grid`, `detections`, `rel`,
-    `pose_errors`, `depth_map`, `bev_cells`, `bev_rows`, `mask`, `message`,
-    `aggregated_cells`, `aggregated_rows` and `warp_collisions`.  No field
-    holds a whole (nx, ny, F) plane, and no stage builds one; `aggregated`
-    builds one on request, for the benchmark's checks.  No field holds
-    camera images: `_perceive` renders them and drops them.
+    `placed_by`, `pose_errors`, `depth_map`, `bev_cells`, `bev_rows`,
+    `mask`, `message`, `aggregated_cells`, `aggregated_rows` and
+    `warp_collisions`.  No field holds a whole (nx, ny, F) plane, and no
+    stage builds one; `aggregated` builds one on request, for the
+    benchmark's checks.  No field holds camera images: `_perceive` renders
+    them and drops them.
     """
 
     state: AgentState
@@ -554,6 +598,7 @@ class AgentRound:
     cloud: Optional[np.ndarray] = None  # LiDAR hits, agent frame
     detections: list = field(default_factory=list)
     rel: dict[int, Pose] = field(default_factory=dict)  # neighbor -> pose used
+    placed_by: dict[int, Pose] = field(default_factory=dict)  # neighbor -> pose it uses for us
     # per neighbor id: (error of believed rel pose, error of the pose used)
     pose_errors: dict[int, tuple[tuple[float, float], tuple[float, float]]] = field(
         default_factory=dict
@@ -608,16 +653,18 @@ def _renders_camera(agent: AgentState, pipe: PipelineConfig) -> bool:
 def _relative_poses(
     rounds: dict[int, AgentRound], pipe: PipelineConfig, ledger: RoundLedger
 ) -> None:
-    """Set the relative pose each agent uses per neighbor, and its error.
+    """Set the relative pose each agent uses per neighbor (`rel`), its
+    error, and the pose each neighbor uses for it (`placed_by`).
 
     With `robust`, each link between two LiDAR agents i < j is solved once,
     by i: j sends its box centers, all the corrector reads, and i moves them
     into its frame with the believed pose and matches its own detections.
-    Where the fit moves i's pose, j uses its inverse; where the gate
-    declines, j keeps its believed pose.  `rounds` is ordered by ascending
-    id and the graph is symmetric, so i has solved the link when j reaches
-    it.  An agent without LiDAR has no detections to send or to match
-    against, so its edges send none.
+    Where the fit moves i's pose, i sends it to j, which uses its inverse;
+    where the gate declines, nothing is sent and j keeps its believed pose.
+    Either way each end knows the pose the other uses.  `rounds` is ordered
+    by ascending id and the graph is symmetric, so i has solved the link
+    when j reaches it.  An agent without LiDAR has no detections to send or
+    to match against, so its edges send none.
     """
     lidar = {aid for aid, w in rounds.items() if w.state.has_lidar}
     if pipe.robust:
@@ -637,10 +684,12 @@ def _relative_poses(
                 ledger.add(j, i, "detections", _DETECTION_ELEMENTS * len(nbr))
                 if used is not believed:
                     moved.add((i, j))
+                    ledger.add(i, j, "detections", _POSE_ELEMENTS)
             elif (j, i) in moved:
-                used = invert(other.rel[i])
+                used = invert(w.placed_by[j])  # j's solution, which j sent
             truth = compose(inv_true, other.state.true_pose)
             w.rel[j] = used
+            other.placed_by[i] = used
             w.pose_errors[j] = (
                 relative_pose_error(believed, truth),
                 relative_pose_error(used, truth),
@@ -696,7 +745,7 @@ def _share_clouds(
             replies[w.state.id, j] = reply
     for w, j in requests:
         reply = replies[w.state.id, j]
-        ledger.add(w.state.id, j, "depth", _REQUEST_ELEMENTS)
+        ledger.add(w.state.id, j, "depth", _POSE_ELEMENTS)
         ledger.add(j, w.state.id, "depth", reply.elements)
         w.shared.append(reply)
 
@@ -718,8 +767,10 @@ def _perceive(
     because unlisted voxels hold zeros, so `collapse` gives only their rows.
     Those rows are checked one by one; the nonzero ones and their cells are
     the agent's BEV (`w.bev_rows`, `w.bev_cells`), which the importance
-    scores and the message read.  The LiDAR cloud and the phase-1 replies
-    have no reader after this stage and are dropped.
+    scores and the message read.  The message packs the masked cells that
+    land in some neighbor's grid under its `placed_by` pose; `w.mask` keeps
+    only those.  The LiDAR cloud and the phase-1 replies have no reader
+    after this stage and are dropped.
     """
     camera_grid = VoxelGrid.empty(pipe.grid)
     if _renders_camera(w.state, pipe):
@@ -748,6 +799,8 @@ def _perceive(
     w.bev_cells, w.bev_rows = _nonzero_rows(*collapse(fused))
     scores = importance_scores(w.bev_cells, w.bev_rows, pipe.grid)
     w.mask = confidence_mask(scores, preference_map(fused))
+    on = np.flatnonzero(w.mask)
+    w.mask.flat[on] = _placeable(on, [w.placed_by[j] for j in w.neighbors], pipe.grid)
     w.message = pack_message(w.bev_cells, w.bev_rows, w.mask)
     w.cloud = w.shared = None
 

@@ -12,7 +12,9 @@ an agent's BEV as its nonzero cells and their rows (`collapse_dense`,
 `importance_scores_dense`, `pack_message_dense`, `aggregate_dense`,
 `aggregate_max_dense`, `concat_dense`), spread them into a whole
 (nx, ny, F) plane and scan that.  `perceive_whole_plane` finds the BEV's
-nonzero cells by a scan of the whole plane (`rows_of`), and `receive_fresh`
+nonzero cells by a scan of the whole plane (`rows_of`), and the cells some
+neighbor places by mapping every cell of the lattice under each
+neighbor's pose on its own (`land_fresh`); `receive_fresh`
 gives the aggregators whole planes and finds the aggregated BEV's nonzero
 cells by a scan of the whole plane.  The detector's references take its
 sparse occupancy, cells and a value per cell: `occupancy_from_grid_dense`
@@ -569,7 +571,7 @@ def share_clouds_per_edge(works, scenario, pipe, ledger):
                 continue
             if j not in payloads:
                 payloads[j] = collab.downsample_cloud(sender.cloud, collab._PAYLOAD_CELL)
-            ledger.add(w.state.id, j, "depth", collab._REQUEST_ELEMENTS)
+            ledger.add(w.state.id, j, "depth", collab._POSE_ELEMENTS)
             cam = collab.transform_points(compose(collab._CAM_FROM_AGENT, w.rel[j]), payloads[j])
             pixels, depths = depth.nearest_per_pixel(cam, scenario.camera, pipe.bins)
             ledger.add(j, w.state.id, "depth", pipe.bins.n_bins + pixels.size if pixels.size else 0)
@@ -604,6 +606,21 @@ def share_whole_clouds(works, scenario, pipe, ledger):
                     reply_of(pix[keep, 1] * intr.width + pix[keep, 0], dist[keep], pipe.bins))
 
 
+def land_fresh(indices, rel_pose, spec):
+    """The receiver's cell (ix, iy) of each flat cell of `indices` of a
+    sender's lattice of `spec`, its center mapped through the planar part of
+    `rel_pose`, and whether that cell is inside the receiver's grid."""
+    ix, iy = np.unravel_index(indices, (spec.nx, spec.ny))
+    centers = spec.bev_cell_centers(ix, iy)
+    x, y, yaw = planar_parts(rel_pose)
+    c, s = np.cos(yaw), np.sin(yaw)
+    px = c * centers[:, 0] - s * centers[:, 1] + x
+    py = s * centers[:, 0] + c * centers[:, 1] + y
+    ix = np.floor((px - spec.x_range[0]) / spec.dx).astype(np.int64)
+    iy = np.floor((py - spec.y_range[0]) / spec.dy).astype(np.int64)
+    return ix, iy, (ix >= 0) & (ix < spec.nx) & (iy >= 0) & (iy < spec.ny)
+
+
 def warp_message_fresh(message, rel_pose, spec):
     """One message warped on its own into a fresh zero plane: the plane and
     the `collab.WarpedPlanes` of that message alone."""
@@ -618,15 +635,7 @@ def warp_message_fresh(message, rel_pose, spec):
 
     if indices.size == 0:
         return result(no_cells, no_cells, 0, 0)
-    ix, iy = np.unravel_index(indices, (spec.nx, spec.ny))
-    centers = spec.bev_cell_centers(ix, iy)
-    x, y, yaw = planar_parts(rel_pose)
-    c, s = np.cos(yaw), np.sin(yaw)
-    px = c * centers[:, 0] - s * centers[:, 1] + x
-    py = s * centers[:, 0] + c * centers[:, 1] + y
-    ix = np.floor((px - spec.x_range[0]) / spec.dx).astype(np.int64)
-    iy = np.floor((py - spec.y_range[0]) / spec.dy).astype(np.int64)
-    inb = (ix >= 0) & (ix < spec.nx) & (iy >= 0) & (iy < spec.ny)
+    ix, iy, inb = land_fresh(indices, rel_pose, spec)
     dropped = int(np.count_nonzero(~inb))
     rows = np.flatnonzero(inb)
     if rows.size == 0:
@@ -719,8 +728,10 @@ def concat_dense(lin, grid, warped, ego_cells, ego_rows):
 
 def perceive_whole_plane(w, objects, scenario, pipe, params):
     """`collab._perceive` with the BEV's nonzero cells, scores, thresholds
-    and message read from the whole plane and grid.  It calls its stages by
-    their names in `collab`, so a swap of those reaches it."""
+    and message read from the whole plane and grid, and the cells a
+    neighbor places from every cell of the lattice, neighbor by neighbor.
+    It calls its stages by their names in `collab`, so a swap of those
+    reaches it."""
     camera_grid = VoxelGrid.empty(pipe.grid)
     if collab._renders_camera(w.state, pipe):
         depth_img, feat_img = collab.simulate_camera(
@@ -746,9 +757,15 @@ def perceive_whole_plane(w, objects, scenario, pipe, params):
     else:
         fused = collab.fuse_modalities(params.fusion, cat)
     w.bev_cells, w.bev_rows = rows_of(plane_of(pipe.grid, *collab.collapse(fused)))
-    w.mask = collab.confidence_mask(
+    mask = collab.confidence_mask(
         collab.importance_scores(w.bev_cells, w.bev_rows, pipe.grid),
         collab.preference_map(fused))
+    # Only the cells some neighbor places inside its grid are sent.
+    every_cell = np.arange(pipe.grid.nx * pipe.grid.ny)
+    placed = np.zeros(every_cell.size, dtype=bool)
+    for j in w.neighbors:
+        placed |= land_fresh(every_cell, w.placed_by[j], pipe.grid)[2]
+    w.mask = np.where(placed.reshape(mask.shape), mask, 0).astype(np.uint8)
     w.message = collab.pack_message(w.bev_cells, w.bev_rows, w.mask)
     w.cloud = w.shared = None
 

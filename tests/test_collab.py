@@ -849,14 +849,30 @@ def robust_round(name):
     return run_round(agents, objects, scn, pipe, PARAMS)
 
 
+def moved_links(rounds):
+    """The LiDAR links (i, j), i < j, whose fit moved i's pose for j off the
+    believed one."""
+    return sorted(
+        (i, j) for i, w in rounds.items() for j in w.neighbors if i < j
+        and not np.array_equal(
+            w.rel[j].matrix,
+            compose(invert(w.state.believed_pose), rounds[j].state.believed_pose).matrix)
+    )
+
+
 @pytest.mark.parametrize("name", ROBUST_CASES)
 def test_detection_records_charge_two_per_box(name):
-    """A neighbor sends its box centers: 2 scalars per box it detected."""
+    """The higher id of a link sends its box centers, 2 scalars per box it
+    detected.  The lower id sends back its solution, a planar pose of 3
+    scalars, once per link whose fit moved the pose, and nothing else."""
     rounds, ledger = robust_round(name)
     records = [r for r in ledger.records if r.phase == "detections"]
     assert records
     for r in records:
-        assert r.elements == 2 * len(rounds[r.sender].detections)
+        if r.sender > r.receiver:
+            assert r.elements == 2 * len(rounds[r.sender].detections)
+    solutions = [(r.sender, r.receiver, r.elements) for r in records if r.sender < r.receiver]
+    assert solutions == [(i, j, 3) for i, j in moved_links(rounds)]
 
 
 @pytest.mark.parametrize("name", ["robust", "noisy_poses_robust"])
@@ -893,8 +909,9 @@ BENCH_RUN = Path(__file__).resolve().parent.parent / "bench" / "run.py"
 
 def test_each_link_has_one_pose(tmp_path):
     """Each LiDAR link is solved once: the poses its two ends use compose
-    to the identity, and one detections record travels per link.  Trial 45
-    of the benchmark's lidar4 workload at seed 0 has a link whose ends,
+    to the identity.  One centers record travels up each link, and one
+    solution record down each link whose fit moved the pose.  Trial 45 of
+    the benchmark's lidar4 workload at seed 0 has a moved link whose ends,
     each solving it on its own, used poses 1.75 m apart."""
     bench = runpy.run_path(str(BENCH_RUN), run_name="covox_bench_run")
     path = tmp_path / "lidar4.json"
@@ -908,8 +925,11 @@ def test_each_link_has_one_pose(tmp_path):
         loop = compose(rounds[i].rel[j], rounds[j].rel[i])
         assert np.allclose(loop.matrix, np.eye(4), rtol=0.0, atol=1e-9), (i, j)
     records = [json.loads(line) for line in outcome.log_lines]
-    sent = [(r["receiver"], r["sender"]) for r in records if r["phase"] == "detections"]
-    assert sorted(sent) == links
+    sent = [(r["sender"], r["receiver"], r["elements"]) for r in records if r["phase"] == "detections"]
+    assert sorted((r, s) for s, r, _ in sent if s > r) == links
+    moved = moved_links(rounds)
+    assert moved
+    assert sorted((s, r, n) for s, r, n in sent if s < r) == [(i, j, 3) for i, j in moved]
 
 
 SWEEP_GRID = GridSpec((-20.0, 20.0), (-20.0, 20.0), (0.5, 3.7), 32, 32, 4, 8)

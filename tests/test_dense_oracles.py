@@ -57,6 +57,7 @@ from oracles import (
     fuse_modalities_equal_masked,
     fuse_modalities_masked,
     importance_scores_dense,
+    land_fresh,
     nonzero_cells,
     occupancy_from_grid_dense,
     pack_message_dense,
@@ -797,6 +798,55 @@ def test_second_round_leaves_the_first_unchanged():
     for aid, r in first.items():
         now = (r.aggregated, r.bev_rows, r.message.indices, r.message.vectors)
         assert all(np.array_equal(a, b) for a, b in zip(now, kept[aid]))
+
+
+# --- only rows some neighbor places go on the wire --------------------------------
+
+
+def test_every_packed_row_lands_in_some_neighbors_grid(bench_run, tmp_path):
+    """A sender packs only the cells that land in at least one neighbor's
+    grid under the pose that neighbor warps them with.  Trial 2 of lidar4 at
+    seed 0 once packed 41 rows that every receiver dropped."""
+    exp, params = experiment(bench_run, tmp_path, "lidar4", 0)
+    rounds = cli.run_trial(exp, 2, None, params).rounds
+    for i, w in rounds.items():
+        placed = np.zeros(w.message.indices.size, dtype=bool)
+        for j in w.neighbors:
+            placed |= land_fresh(w.message.indices, rounds[j].rel[i], exp.pipeline.grid)[2]
+        assert placed.all(), i
+
+
+COMM_COLUMNS = ("feature_elements", "total_elements", "comm_log2", "dense_ratio")
+
+
+@pytest.mark.parametrize("name, trials", [("fleet8", (0, 1)), ("lidar4", (0, 2, 45))])
+def test_unplaced_rows_change_only_the_feature_charge(bench_run, tmp_path, name, trials):
+    """Receivers drop the rows no neighbor places, so leaving them out of
+    the message changes nothing but the message, the mask it was packed
+    with and the communication columns: every other array of the records,
+    the collisions and the rest of the CSV row are those of a message that
+    keeps every masked cell."""
+    exp, params = experiment(bench_run, tmp_path, name, 0)
+    names = cli.CSV_HEADER.split(",")
+    lost = 0
+    for trial in trials:
+        got = cli.run_trial(exp, trial, None, params)
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(collab, "_placeable", lambda cells, poses, spec: np.ones(cells.size, bool))
+            full = cli.run_trial(exp, trial, None, params)
+        for aid, r in got.rounds.items():
+            ref = full.rounds[aid]
+            assert np.all(r.mask <= ref.mask)
+            kept = np.isin(ref.message.indices, r.message.indices)
+            assert np.array_equal(ref.message.indices[kept], r.message.indices)
+            assert np.array_equal(ref.message.vectors[kept], r.message.vectors)
+            lost += np.count_nonzero(~kept)
+            ref.mask, ref.message = r.mask, r.message
+        assert_rounds_equal(got.rounds, full.rounds)
+        rows = [{k: v for k, v in zip(names, o.row.split(",")) if k not in COMM_COLUMNS}
+                for o in (got, full)]
+        assert rows[0] == rows[1]
+    assert lost
 
 
 # --- one depth distribution per distinct window ----------------------------------
