@@ -171,7 +171,9 @@ def render_outputs(outcome: TrialOutcome, grid, out_dir: Path) -> list[Path]:
         image[result.aggregated_cells] = occ
         bev = render_bev(image.reshape(grid.nx, grid.ny), grid, gts, dets)
         written.append(write_ppm(out_dir / f"{tag}_bev.ppm", bev))
-        written.append(write_ppm(out_dir / f"{tag}_mask.ppm", mask_image(result.mask)))
+        sent = np.zeros((grid.nx, grid.ny))  # the cells the message carried
+        sent.flat[result.message.indices] = 1
+        written.append(write_ppm(out_dir / f"{tag}_mask.ppm", mask_image(sent)))
     return written
 
 

@@ -21,14 +21,15 @@ synchronous two-phase exchange round.
    falls in, which is all the requester reads, and no depth.  A sender
    answers all of its requesters in one pass;
 4. perceive — camera render, cooperative depth, camera lift, modal fusion,
-   the collapse to BEV rows, then the confidence mask and the sparse
-   message.  The message holds only the masked cells that land in at
-   least one neighbor's grid under the pose that neighbor warps them with,
-   found as the warp finds them (`_landing`): the rows every receiver
-   would drop are not sent.  Each agent's camera images live only while it
-   perceives, so a round holds one agent's at a time.  An agent's BEV is
-   its nonzero rows and their cells (`bev_rows`, `bev_cells`); no stage
-   before the aggregation builds an (nx, ny, F) plane of it;
+   the collapse to BEV rows, then the sparse message: the rows whose score
+   beats their column's threshold and that land in at least one neighbor's
+   grid under the pose that neighbor warps them with (its `rel` of the
+   sender), found as the warp finds them (`_landing`).  Rows every
+   receiver would drop are not sent.  Each agent's camera images live
+   only while it perceives, so a round holds one agent's at a time.  An
+   agent's BEV is its nonzero rows and their cells (`bev_rows`,
+   `bev_cells`); no stage before the aggregation builds an (nx, ny, F)
+   plane of it;
 5. phase 2 / receive — each agent warps all of its neighbors' messages
    into its own frame in one pass, as the cells they land on and the
    message rows written there (`WarpedPlanes`), and aggregates them on
@@ -146,9 +147,9 @@ COLLAB_MODES = ("max", "concat", "attention")
 
 @dataclass
 class Message:
-    """One broadcast payload: the sender's masked sparse BEV cells that some
-    neighbor places in its grid, as flat indices into the sender's grid,
-    and their rows.
+    """One broadcast payload: the sender's kept BEV cells that some neighbor
+    places in its grid, as flat indices into the sender's grid, and their
+    rows.
 
     It carries no pose: a receiver warps it with its own `rel` pose of the
     sender, and the ledger charges only `feature_elements`.
@@ -299,48 +300,40 @@ def build_comm_graph(
     return graph
 
 
-def preference_map(grid: VoxelGrid) -> np.ndarray:
-    """Per-column transmission threshold: 0 for columns with a hybrid voxel
-    (always worth sharing), 0.5 for everything else."""
-    s = grid.spec
-    pref = np.full(s.nx * s.ny, 0.5)
-    pref[grid.voxels[grid.category == Category.HYBRID] // s.nz] = 0.0
-    return pref.reshape(s.nx, s.ny)
+def preference_map(grid: VoxelGrid, cells: np.ndarray) -> np.ndarray:
+    """The transmission threshold of each flat BEV cell of `cells`: 0 in a
+    column with a hybrid voxel (always worth sharing), 0.5 elsewhere."""
+    hybrid = grid.voxels[grid.category == Category.HYBRID] // grid.spec.nz  # ascending
+    found = np.searchsorted(hybrid, cells, "right") > np.searchsorted(hybrid, cells)
+    return np.where(found, 0.0, 0.5)
 
 
-def importance_scores(cells: np.ndarray, rows: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Surrogate classification head: logistic in the cell's RMS feature size.
-
-    Returns the (nx, ny) scores of a BEV whose nonzero cells are `cells`
-    (flat indices) with their (n, F) `rows`; only those are scored one by
-    one.  Every other cell scores sigma(-1) ~ 0.269, the score of a zero
-    row.  Scores always lie in (0, 1).
+def importance_scores(rows: np.ndarray) -> np.ndarray:
+    """Surrogate classification head: logistic in each BEV row's RMS feature
+    size, one score per row of the (n, F) `rows`.  A zero row scores
+    sigma(-1) ~ 0.269.  Scores lie in (0, 1]: a row with RMS >= ~9.4
+    saturates to 1.0.
     """
     rows = np.asarray(rows, dtype=np.float64)
-    level = np.zeros(cells.size + 1)  # the last entry is the zero row's
-    level[:-1] = np.linalg.norm(rows, axis=1) / np.sqrt(rows.shape[1])
-    score = 1.0 / (1.0 + np.exp(-(_IMPORTANCE_GAIN * level - _IMPORTANCE_SHIFT)))
-    scores = np.full(grid.nx * grid.ny, score[-1])
-    scores[cells] = score[:-1]
-    return scores.reshape(grid.nx, grid.ny)
+    level = np.linalg.norm(rows, axis=1) / np.sqrt(rows.shape[1])
+    return 1.0 / (1.0 + np.exp(-(_IMPORTANCE_GAIN * level - _IMPORTANCE_SHIFT)))
 
 
 def confidence_mask(scores: np.ndarray, preference: np.ndarray) -> np.ndarray:
-    """Transmit a cell iff its importance strictly exceeds its threshold."""
+    """Transmit a row iff its importance strictly exceeds its threshold."""
     if scores.shape != preference.shape:
         raise ValueError("scores and preference map must share a shape")
-    return (scores > preference).astype(np.uint8)
+    return scores > preference
 
 
-def pack_message(cells: np.ndarray, rows: np.ndarray, mask: np.ndarray) -> Message:
-    """Sparse-pack the masked BEV cells and tally the transmitted scalars.
+def pack_message(cells: np.ndarray, rows: np.ndarray, keep: np.ndarray) -> Message:
+    """Sparse-pack the kept BEV rows and tally the transmitted scalars.
 
     `cells` holds the flat indices of the nonzero cells of a BEV, ascending,
-    and `rows` their rows.  Only those with mask=1 in the (nx, ny) `mask`
-    are included, in that order; `feature_elements` counts their nonzero
+    `rows` their rows and `keep` one flag per row.  The kept ones are
+    included, in that order; `feature_elements` counts their nonzero
     scalars.
     """
-    keep = np.asarray(mask).reshape(-1)[cells] == 1
     vecs = rows[keep]
     return Message(
         indices=cells[keep],
@@ -573,23 +566,19 @@ class AgentRound:
     """One agent's record of a round: the stages fill it in, in order, and
     `run_round` returns it.
 
-    `rel` holds the pose the agent warps each neighbor's message with, and
-    `placed_by` the pose each neighbor warps this agent's message with,
-    that neighbor's `rel` of it.  `mask` is the (nx, ny) mask the message
-    was packed with: the confidence mask less the cells that no neighbor
-    places in its grid under its `placed_by` pose.
+    `rel` holds the pose the agent warps each neighbor's message with;
+    neighbor j warps this agent's message with `rel` of j's record.
 
     A field is set back to None once its last reader is done, so that a
     round holds no agent's sensor data or token rows longer than it needs
     them: `cloud` and `shared` at the end of `_perceive`, `token_rows` and
     `sent_rows` at the end of the round.  The records `run_round` returns
     keep the rest: `state`, `neighbors`, `lidar_grid`, `detections`, `rel`,
-    `placed_by`, `pose_errors`, `depth_map`, `bev_cells`, `bev_rows`,
-    `mask`, `message`, `aggregated_cells`, `aggregated_rows` and
-    `warp_collisions`.  No field holds a whole (nx, ny, F) plane, and no
-    stage builds one; `aggregated` builds one on request, for the
-    benchmark's checks.  No field holds camera images: `_perceive` renders
-    them and drops them.
+    `pose_errors`, `depth_map`, `bev_cells`, `bev_rows`, `message`,
+    `aggregated_cells`, `aggregated_rows` and `warp_collisions`.  No field
+    holds a whole (nx, ny, F) plane, and no stage builds one; `aggregated`
+    builds one on request, for the benchmark's checks.  No field holds
+    camera images: `_perceive` renders them and drops them.
     """
 
     state: AgentState
@@ -598,7 +587,6 @@ class AgentRound:
     cloud: Optional[np.ndarray] = None  # LiDAR hits, agent frame
     detections: list = field(default_factory=list)
     rel: dict[int, Pose] = field(default_factory=dict)  # neighbor -> pose used
-    placed_by: dict[int, Pose] = field(default_factory=dict)  # neighbor -> pose it uses for us
     # per neighbor id: (error of believed rel pose, error of the pose used)
     pose_errors: dict[int, tuple[tuple[float, float], tuple[float, float]]] = field(
         default_factory=dict
@@ -608,7 +596,6 @@ class AgentRound:
     depth_map: Optional[DepthMap] = None
     bev_cells: Optional[np.ndarray] = None  # own BEV: flat indices of its nonzero cells, ascending
     bev_rows: Optional[np.ndarray] = None  # (n, F): the BEV row of each of `bev_cells`
-    mask: Optional[np.ndarray] = None
     message: Optional[Message] = None
     token_rows: Optional[np.ndarray] = None  # round token row of each of `bev_cells`
     sent_rows: Optional[np.ndarray] = None  # round token row of each message row
@@ -653,8 +640,7 @@ def _renders_camera(agent: AgentState, pipe: PipelineConfig) -> bool:
 def _relative_poses(
     rounds: dict[int, AgentRound], pipe: PipelineConfig, ledger: RoundLedger
 ) -> None:
-    """Set the relative pose each agent uses per neighbor (`rel`), its
-    error, and the pose each neighbor uses for it (`placed_by`).
+    """Set each agent's relative pose per neighbor (`rel`) and its error.
 
     With `robust`, each link between two LiDAR agents i < j is solved once,
     by i: j sends its box centers, all the corrector reads, and i moves them
@@ -686,10 +672,9 @@ def _relative_poses(
                     moved.add((i, j))
                     ledger.add(i, j, "detections", _POSE_ELEMENTS)
             elif (j, i) in moved:
-                used = invert(w.placed_by[j])  # j's solution, which j sent
+                used = invert(other.rel[i])  # j's solution, which j sent
             truth = compose(inv_true, other.state.true_pose)
             w.rel[j] = used
-            other.placed_by[i] = used
             w.pose_errors[j] = (
                 relative_pose_error(believed, truth),
                 relative_pose_error(used, truth),
@@ -752,12 +737,13 @@ def _share_clouds(
 
 def _perceive(
     w: AgentRound,
+    poses: Sequence[Pose],
     objects: Sequence[BoxObject],
     scenario: ScenarioConfig,
     pipe: PipelineConfig,
     params: PipelineParams,
 ) -> None:
-    """Render -> depth -> lift -> fuse -> collapse, then mask and pack the
+    """Render -> depth -> lift -> fuse -> collapse, then decide and pack the
     message.
 
     An agent that renders its camera (`_renders_camera`) renders it here,
@@ -766,11 +752,11 @@ def _perceive(
     grid.  Only the fused grid's tagged columns can be nonzero in the BEV,
     because unlisted voxels hold zeros, so `collapse` gives only their rows.
     Those rows are checked one by one; the nonzero ones and their cells are
-    the agent's BEV (`w.bev_rows`, `w.bev_cells`), which the importance
-    scores and the message read.  The message packs the masked cells that
-    land in some neighbor's grid under its `placed_by` pose; `w.mask` keeps
-    only those.  The LiDAR cloud and the phase-1 replies have no reader
-    after this stage and are dropped.
+    the agent's BEV (`w.bev_rows`, `w.bev_cells`).  Each row is scored and
+    thresholded on its own, and the message packs the rows that pass and
+    land in some neighbor's grid under `poses`, the pose each of
+    `w.neighbors` warps them with.  The LiDAR cloud and the phase-1 replies
+    have no reader after this stage and are dropped.
     """
     camera_grid = VoxelGrid.empty(pipe.grid)
     if _renders_camera(w.state, pipe):
@@ -797,11 +783,9 @@ def _perceive(
     else:
         fused = fuse_modalities(params.fusion, cat)
     w.bev_cells, w.bev_rows = _nonzero_rows(*collapse(fused))
-    scores = importance_scores(w.bev_cells, w.bev_rows, pipe.grid)
-    w.mask = confidence_mask(scores, preference_map(fused))
-    on = np.flatnonzero(w.mask)
-    w.mask.flat[on] = _placeable(on, [w.placed_by[j] for j in w.neighbors], pipe.grid)
-    w.message = pack_message(w.bev_cells, w.bev_rows, w.mask)
+    keep = confidence_mask(importance_scores(w.bev_rows), preference_map(fused, w.bev_cells))
+    keep[keep] = _placeable(w.bev_cells[keep], poses, pipe.grid)
+    w.message = pack_message(w.bev_cells, w.bev_rows, keep)
     w.cloud = w.shared = None
 
 
@@ -880,8 +864,8 @@ def run_round(
     ledger = RoundLedger()
     _relative_poses(rounds, pipe, ledger)
     _share_clouds(rounds, scenario, pipe, ledger)
-    for w in rounds.values():
-        _perceive(w, objects, scenario, pipe, params)
+    for i, w in rounds.items():
+        _perceive(w, [rounds[j].rel[i] for j in w.neighbors], objects, scenario, pipe, params)
     tokens = None
     if pipe.collab_mode == "attention":
         tokens = _project_round_tokens(rounds, params.agg_mha)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import os
+import re
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -368,6 +369,15 @@ def resolve_out_dir(raw: str) -> Path:
     return path
 
 
+class _Loader(yaml.SafeLoader):
+    """The safe loader, but `1e-3`, `5e2`, `1E+3` and `1.5e3` read as floats,
+    as in YAML 1.2: YAML 1.1 wants a dot and a signed exponent."""
+
+
+_Loader.add_implicit_resolver("tag:yaml.org,2002:float", re.compile(
+    r"^[-+]?[0-9][0-9_]*(?:\.[0-9_]*)?[eE][-+]?[0-9]+$"), list("-+0123456789"))
+
+
 def load_experiment(path) -> ExperimentSpec:
     """Parse a YAML experiment file into a validated ExperimentSpec."""
     path = Path(path)
@@ -376,7 +386,7 @@ def load_experiment(path) -> ExperimentSpec:
     except OSError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     try:
-        tree = yaml.safe_load(raw)
+        tree = yaml.load(raw, Loader=_Loader)
     except yaml.YAMLError as exc:
         raise ConfigError(f"{path}: invalid YAML: {exc}") from exc
     with _at(str(path)):

@@ -9,13 +9,14 @@ references take and return what the program's stages do, converting at
 their edges, so that `use_reference_pipeline` can swap them in for a whole
 trial: the grid references take sparse grids, and the BEV references take
 an agent's BEV as its nonzero cells and their rows (`collapse_dense`,
-`importance_scores_dense`, `pack_message_dense`, `aggregate_dense`,
-`aggregate_max_dense`, `concat_dense`), spread them into a whole
-(nx, ny, F) plane and scan that.  `perceive_whole_plane` finds the BEV's
-nonzero cells by a scan of the whole plane (`rows_of`), and the cells some
-neighbor places by mapping every cell of the lattice under each
-neighbor's pose on its own (`land_fresh`); `receive_fresh`
-gives the aggregators whole planes and finds the aggregated BEV's nonzero
+`aggregate_dense`, `aggregate_max_dense`, `concat_dense`), spread them
+into a whole (nx, ny, F) plane and scan that; `importance_scores_dense`
+and `pack_message_dense` take the rows one by one, and
+`preference_map_dense` reads every column of the dense grid.
+`perceive_whole_plane` finds the BEV's nonzero cells by a scan of the
+whole plane (`rows_of`), and the cells some neighbor places by mapping
+every cell of the lattice under each neighbor's pose on its own
+(`land_fresh`); `receive_fresh` gives the aggregators whole planes and finds the aggregated BEV's nonzero
 cells by a scan of the whole plane.  The detector's references take its
 sparse occupancy, cells and a value per cell: `occupancy_from_grid_dense`
 finds the cells by a scan of the whole grid, and
@@ -527,28 +528,29 @@ def collapse_dense(grid):
 # --- mask and message ----------------------------------------------------------------
 
 
-def importance_scores_dense(cells, rows, grid):
-    """Every cell's score, read from the whole plane."""
-    bev = plane_of(grid, cells, rows)
-    level = np.linalg.norm(bev, axis=2) / np.sqrt(bev.shape[2])
-    return 1.0 / (1.0 + np.exp(-(collab._IMPORTANCE_GAIN * level - collab._IMPORTANCE_SHIFT)))
+def importance_scores_dense(rows):
+    """Each row's score, row by row."""
+    scores = []
+    for row in np.asarray(rows, dtype=np.float64):
+        level = np.sqrt(np.sum(row * row)) / np.sqrt(row.size)
+        scores.append(1.0 / (1.0 + np.exp(-(collab._IMPORTANCE_GAIN * level
+                                             - collab._IMPORTANCE_SHIFT))))
+    return np.array(scores, dtype=np.float64)
 
 
-def preference_map_dense(grid):
-    """Every column's threshold."""
-    return np.where(np.any(dense(grid)[1] == Category.HYBRID, axis=2), 0.0, 0.5)
+def preference_map_dense(grid, cells):
+    """Every column's threshold, read at `cells`."""
+    hybrid = np.any(dense(grid)[1] == Category.HYBRID, axis=2).reshape(-1)
+    return np.where(hybrid, 0.0, 0.5)[cells]
 
 
-def pack_message_dense(cells, rows, mask):
-    """Every masked cell of the whole plane, then its nonzero rows."""
-    mask = np.asarray(mask)
-    bev = np.zeros(mask.shape + (np.shape(rows)[1],))
-    bev.reshape(-1, bev.shape[2])[cells] = rows
-    idx = np.flatnonzero(mask == 1)
-    vecs = bev.reshape(-1, bev.shape[2])[idx]
-    keep = np.any(vecs != 0.0, axis=1) if vecs.size else np.zeros(0, dtype=bool)
-    idx, vecs = idx[keep], vecs[keep]
-    return collab.Message(idx, np.array(vecs), int(np.count_nonzero(vecs)))
+def pack_message_dense(cells, rows, keep):
+    """The kept rows and their cells, picked one by one."""
+    rows = np.asarray(rows)
+    picked = [k for k in range(len(cells)) if keep[k]]
+    vecs = np.array([rows[k] for k in picked]).reshape(len(picked), rows.shape[1])
+    idx = np.array([cells[k] for k in picked], dtype=np.asarray(cells).dtype)
+    return collab.Message(idx, vecs, int(np.count_nonzero(vecs)))
 
 
 # --- exchange ------------------------------------------------------------------------
@@ -726,10 +728,10 @@ def concat_dense(lin, grid, warped, ego_cells, ego_rows):
 # --- perceive and receive ------------------------------------------------------------
 
 
-def perceive_whole_plane(w, objects, scenario, pipe, params):
-    """`collab._perceive` with the BEV's nonzero cells, scores, thresholds
-    and message read from the whole plane and grid, and the cells a
-    neighbor places from every cell of the lattice, neighbor by neighbor.
+def perceive_whole_plane(w, poses, objects, scenario, pipe, params):
+    """`collab._perceive` with the BEV's nonzero cells read from the whole
+    plane, and the cells a neighbor places from every cell of the lattice,
+    neighbor by neighbor, each under its pose of `poses`.
     It calls its stages by their names in `collab`, so a swap of those
     reaches it."""
     camera_grid = VoxelGrid.empty(pipe.grid)
@@ -757,16 +759,14 @@ def perceive_whole_plane(w, objects, scenario, pipe, params):
     else:
         fused = collab.fuse_modalities(params.fusion, cat)
     w.bev_cells, w.bev_rows = rows_of(plane_of(pipe.grid, *collab.collapse(fused)))
-    mask = collab.confidence_mask(
-        collab.importance_scores(w.bev_cells, w.bev_rows, pipe.grid),
-        collab.preference_map(fused))
+    keep = collab.confidence_mask(collab.importance_scores(w.bev_rows),
+                                  collab.preference_map(fused, w.bev_cells))
     # Only the cells some neighbor places inside its grid are sent.
     every_cell = np.arange(pipe.grid.nx * pipe.grid.ny)
     placed = np.zeros(every_cell.size, dtype=bool)
-    for j in w.neighbors:
-        placed |= land_fresh(every_cell, w.placed_by[j], pipe.grid)[2]
-    w.mask = np.where(placed.reshape(mask.shape), mask, 0).astype(np.uint8)
-    w.message = collab.pack_message(w.bev_cells, w.bev_rows, w.mask)
+    for pose in poses:
+        placed |= land_fresh(every_cell, pose, pipe.grid)[2]
+    w.message = collab.pack_message(w.bev_cells, w.bev_rows, keep & placed[w.bev_cells])
     w.cloud = w.shared = None
 
 

@@ -242,6 +242,40 @@ def test_uncreatable_out_dir_exits_1_in_one_line(tmp_path, capsys, below_file):
     assert "Traceback" not in err
 
 
+def read_ppm(path):
+    """The (H, W, 3) uint8 pixels of a binary P6 file `write_ppm` wrote."""
+    magic, size, maxval, pixels = path.read_bytes().split(b"\n", 3)
+    assert magic == b"P6" and maxval == b"255"
+    w, h = map(int, size.split())
+    return np.frombuffer(pixels, dtype=np.uint8).reshape(h, w, 3)
+
+
+def test_mask_image_is_white_exactly_at_the_message_cells(tmp_path, monkeypatch):
+    """Each agent's mask image of a rendered trial is the cells its message
+    carried: white there and black everywhere else."""
+    outcomes = []
+    run_trial = cli.run_trial
+
+    def kept(*args):
+        outcomes.append(run_trial(*args))
+        return outcomes[-1]
+
+    monkeypatch.setattr(cli, "run_trial", kept)
+    tree = experiment_tree(trials=1, render=True)
+    tree["pipeline"]["grid"] = {"nx": 24, "ny": 16, "nz": 4, "channels": 8}
+    cfg = tmp_path / "exp.yaml"
+    cfg.write_text(yaml.safe_dump(tree))
+    out = tmp_path / "out"
+    assert cli.main([str(cfg), "--out", str(out)]) == 0
+    (outcome,) = outcomes
+    assert any(r.message.indices.size for r in outcome.rounds.values())
+    for aid, r in outcome.rounds.items():
+        img = read_ppm(out / "trial_000" / f"agent_{aid}_mask.ppm")
+        assert img.shape == (24, 16, 3)
+        assert set(np.unique(img)) <= {0, 255}
+        assert np.array_equal(img, np.repeat(img[:, :, :1], 3, axis=2))
+        assert np.array_equal(np.flatnonzero(img[:, :, 0]), r.message.indices), aid
+
 
 # (experiment overrides, the output path taken, what takes it)
 BLOCKED_OUTPUTS = [

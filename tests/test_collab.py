@@ -116,82 +116,90 @@ class TestPreference:
 
     def test_hybrid_column_zero_threshold(self):
         grid = self._grid_with_column([Category.HYBRID, Category.CAMERA, Category.NORMAL])
-        assert preference_map(grid)[0, 0] == 0.0
+        assert preference_map(grid, np.array([0])).tolist() == [0.0]
 
     def test_lidar_column_half_threshold(self):
         grid = self._grid_with_column([Category.LIDAR, Category.NORMAL, Category.NORMAL])
-        assert preference_map(grid)[0, 0] == 0.5
+        assert preference_map(grid, np.array([0])).tolist() == [0.5]
 
     def test_all_normal(self):
         grid = self._grid_with_column([Category.NORMAL] * 3)
-        assert preference_map(grid)[0, 0] == 0.5
+        assert preference_map(grid, np.array([0])).tolist() == [0.5]
 
     def test_uniform_when_no_hybrid(self):
         feats, category = dense_zeros(GRID)
         category[:10, :10, 0] = Category.LIDAR
         category[20:30, 20:30, 1] = Category.CAMERA
         grid = sparse(GRID, feats, category)
-        assert np.all(preference_map(grid) == 0.5)
+        assert np.all(preference_map(grid, np.arange(GRID.nx * GRID.ny)) == 0.5)
 
-
-def scores_of(bev):
-    """`importance_scores` of an (nx, ny, F) plane."""
-    return importance_scores(*rows_of(bev), spec_of(bev))
+    def test_one_threshold_per_cell_in_order(self):
+        feats, category = dense_zeros(GRID)
+        category[1, 2, [0, 3]] = Category.HYBRID
+        category[1, 3, 0] = Category.LIDAR
+        category[5, 0, GRID.nz - 1] = Category.HYBRID
+        grid = sparse(GRID, feats, category)
+        cells = np.array([5 * GRID.ny, 1 * GRID.ny + 3, 1 * GRID.ny + 2, 0])
+        assert preference_map(grid, cells).tolist() == [0.0, 0.5, 0.0, 0.5]
+        assert preference_map(grid, np.zeros(0, dtype=np.int64)).shape == (0,)
 
 
 class TestImportance:
     def test_zero_cell_value(self):
-        scores = scores_of(np.zeros((2, 2, 64)))
-        assert scores.shape == (2, 2)
+        scores = importance_scores(np.zeros((4, 64)))
+        assert scores.shape == (4,)
         assert np.allclose(scores, 0.26894, atol=1e-5)
 
     def test_monotone_in_norm(self, rng):
         v = rng.standard_normal(64)
-        small = scores_of(v[None, None, :] * 0.5)
-        large = scores_of(v[None, None, :] * 5.0)
-        assert large[0, 0] > small[0, 0]
+        small, large = importance_scores(np.stack([v * 0.5, v * 5.0]))
+        assert large > small
 
     def test_range_open_unit(self, rng):
-        scores = scores_of(rng.standard_normal((8, 8, 64)) * 5)
+        scores = importance_scores(rng.standard_normal((64, 64)) * 5)
         assert np.all(scores > 0.0) and np.all(scores < 1.0)
-        # Extreme norms saturate to 1.0 in float64 but never exceed it.
-        assert scores_of(np.full((1, 1, 64), 1e9))[0, 0] <= 1.0
+        # A row with RMS >= ~9.4 saturates to 1.0 in float64; none exceeds it.
+        below, above, extreme = importance_scores(np.full((3, 64), [[9.3], [9.5], [1e9]]))
+        assert below < 1.0 and above == extreme == 1.0
 
 
 class TestConfidenceMask:
     def test_above_threshold(self):
-        mask = confidence_mask(np.array([[0.6]]), np.array([[0.5]]))
-        assert mask[0, 0] == 1
+        keep = confidence_mask(np.array([0.6]), np.array([0.5]))
+        assert keep.tolist() == [True]
 
     def test_zero_cell_with_zero_threshold(self):
-        mask = confidence_mask(scores_of(np.zeros((1, 1, 64))), np.zeros((1, 1)))
-        assert mask[0, 0] == 1
+        keep = confidence_mask(importance_scores(np.zeros((1, 64))), np.zeros(1))
+        assert keep.tolist() == [True]
 
     def test_equality_is_excluded(self):
-        mask = confidence_mask(np.array([[0.5]]), np.array([[0.5]]))
-        assert mask[0, 0] == 0
+        keep = confidence_mask(np.array([0.5]), np.array([0.5]))
+        assert keep.tolist() == [False]
 
 
 class TestPackMessage:
     def test_zero_mask_empty(self, rng):
         bev = rng.standard_normal((GRID.nx, GRID.ny, GRID.bev_channels))
-        msg = pack_message(*rows_of(bev), np.zeros((GRID.nx, GRID.ny)))
+        cells, rows = rows_of(bev)
+        msg = pack_message(cells, rows, np.zeros(cells.size, dtype=bool))
         assert msg.indices.shape[0] == 0
         assert msg.feature_elements == 0
 
     def test_counts_nonzero_scalars(self):
         bev = np.zeros((GRID.nx, GRID.ny, GRID.bev_channels))
         bev[3, 4, [0, 7, 20]] = 1.5
-        mask = np.zeros((GRID.nx, GRID.ny))
-        mask[3, 4] = 1
-        msg = pack_message(*rows_of(bev), mask)
+        bev[5, 6, 1] = 2.0
+        cells, rows = rows_of(bev)
+        msg = pack_message(cells, rows, cells == 3 * GRID.ny + 4)
+        assert msg.indices.tolist() == [3 * GRID.ny + 4]
         assert msg.feature_elements == 3
 
     def test_full_mask_equals_l0(self, rng):
         bev = np.zeros((GRID.nx, GRID.ny, GRID.bev_channels))
         sparse = rng.uniform(size=bev.shape) < 0.01
         bev[sparse] = rng.standard_normal(int(sparse.sum()))
-        msg = pack_message(*rows_of(bev), np.ones((GRID.nx, GRID.ny)))
+        cells, rows = rows_of(bev)
+        msg = pack_message(cells, rows, np.ones(cells.size, dtype=bool))
         assert msg.feature_elements == np.count_nonzero(bev)
 
 
@@ -599,7 +607,7 @@ class TestRunRound:
         agents, objects = generate_scene(scn)
         rounds, _ = run_round(agents, objects, scn, self._pipe(), PARAMS)
         for r in rounds.values():
-            full = pack_message(r.bev_cells, r.bev_rows, np.ones_like(r.mask))
+            full = pack_message(r.bev_cells, r.bev_rows, np.ones(r.bev_cells.size, dtype=bool))
             assert r.message.feature_elements <= full.feature_elements
 
     def test_camera_dropout_participates(self):
@@ -617,7 +625,7 @@ class TestRunRound:
         b, _ = run_round(agents, objects, scn, self._pipe(), PARAMS)
         for aid in a:
             assert np.array_equal(a[aid].aggregated, b[aid].aggregated)
-            assert np.array_equal(a[aid].mask, b[aid].mask)
+            assert np.array_equal(a[aid].message.indices, b[aid].message.indices)
 
     def test_robust_mode_records_corrections(self):
         scn = ScenarioConfig(seed=12, n_agents=2, n_objects=5, pose_noise_sigma_xy=0.3)
@@ -782,8 +790,9 @@ class TestPhaseOneOracle:
             else:
                 assert np.array_equal(r.depth_map.bin_idx, ref[aid].depth_map.bin_idx)
                 assert np.array_equal(r.depth_map.source, ref[aid].depth_map.source)
-            for name in ("bev_cells", "bev_rows", "aggregated", "mask"):
+            for name in ("bev_cells", "bev_rows", "aggregated"):
                 assert np.array_equal(getattr(r, name), getattr(ref[aid], name)), name
+            assert np.array_equal(r.message.indices, ref[aid].message.indices)
             assert np.array_equal(r.message.vectors, ref[aid].message.vectors)
 
     def test_ledger_against_whole_clouds(self, case, monkeypatch):

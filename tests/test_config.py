@@ -245,6 +245,34 @@ def test_integer_beyond_the_float_range_names_full_path(tmp_path):
     assert str(info.value).startswith("scenario.comm_range:"), str(info.value)
 
 
+@pytest.mark.parametrize("text, number", [("1e-3", 1e-3), ("5e2", 500.0), ("1E+3", 1000.0),
+                                          ("1.5e3", 1500.0)])
+def test_exponent_without_a_dot_reads_as_a_float(tmp_path, text, number):
+    """YAML 1.1 reads these as strings, the last for its unsigned exponent;
+    the loader reads them as floats."""
+    cfg = tmp_path / "exp.yaml"
+    cfg.write_text(f"scenario:\n  pose_noise: {{sigma_xy: {text}}}\n")
+    value = load_experiment(cfg).scenario.pose_noise_sigma_xy
+    assert type(value) is float and value == number
+
+
+def test_quoted_exponent_is_still_rejected(tmp_path):
+    cfg = tmp_path / "exp.yaml"
+    cfg.write_text("scenario:\n  pose_noise: {sigma_xy: '1e-3'}\n")
+    with pytest.raises(ConfigError) as info:
+        load_experiment(cfg)
+    assert str(info.value) == "scenario.pose_noise.sigma_xy: expected a number, got '1e-3'"
+
+
+def test_exponent_beyond_the_float_range_names_full_path(tmp_path):
+    cfg = tmp_path / "exp.yaml"
+    cfg.write_text("scenario:\n  comm_range: 1e400\n")
+    with pytest.raises(ConfigError) as info:
+        load_experiment(cfg)
+    assert str(info.value).startswith("scenario.comm_range:"), str(info.value)
+    assert "finite" in str(info.value), str(info.value)
+
+
 def test_unquoted_depth_projection_no(tmp_path):
     cfg = tmp_path / "exp.yaml"
     cfg.write_text("pipeline:\n  depth_projection: no\n")

@@ -82,7 +82,7 @@ def assert_rounds_equal(got, want, same=np.array_equal):
     assert list(got) == list(want)
     for aid, r in got.items():
         ref = want[aid]
-        for name in ("bev_cells", "bev_rows", "aggregated_cells", "aggregated_rows", "mask"):
+        for name in ("bev_cells", "bev_rows", "aggregated_cells", "aggregated_rows"):
             assert same(getattr(r, name), getattr(ref, name)), (aid, name)
         assert same(r.message.indices, ref.message.indices)
         assert same(r.message.vectors, ref.message.vectors)
@@ -251,16 +251,14 @@ class TestStagesMatchDenseReferences:
     @settings(max_examples=80, deadline=None)
     def test_norms_match_dense(self, seed, shape, density, special):
         rng = np.random.default_rng(seed)
-        bev = np.zeros(shape)
-        rows = bev.reshape(-1, shape[2])
+        rows = np.zeros((shape[0] * shape[1], shape[2]))
         on = rng.uniform(size=rows.shape[0]) < density
         rows[on] = rng.standard_normal((int(on.sum()), shape[2]))
         # A row of the special value: signed zeros, squares that underflow
         # or overflow, infinities.
         rows[rng.integers(rows.shape[0])] = special
-        ego = (*rows_of(bev), spec_of(bev))
         with np.errstate(over="ignore"):
-            assert np.array_equal(importance_scores(*ego), importance_scores_dense(*ego))
+            assert np.array_equal(importance_scores(rows), importance_scores_dense(rows))
 
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -350,30 +348,35 @@ class TestStagesMatchDenseReferences:
         seed=st.integers(0, 2**32 - 1),
         shape=st.tuples(st.integers(1, 9), st.integers(1, 9), st.integers(1, 8)),
         density=DENSITIES,
-        mask_density=DENSITIES,
+        keep_density=DENSITIES,
         p_hybrid=DENSITIES,
     )
     @settings(max_examples=60, deadline=None)
-    def test_mask_path_matches_dense(self, seed, shape, density, mask_density, p_hybrid):
-        """The preference map reads only tagged columns and the message
-        packs only nonzero cells; both must equal the whole-grid scans."""
+    def test_mask_path_matches_dense(self, seed, shape, density, keep_density, p_hybrid):
+        """The preference map reads only hybrid columns and the message packs
+        the kept rows; both must equal the row-by-row and whole-grid
+        references."""
         rng = np.random.default_rng(seed)
         bev = np.zeros(shape)
         on = rng.uniform(size=shape[:2]) < density
         bev[on] = rng.standard_normal((int(on.sum()), shape[2]))
         bev[on & (rng.uniform(size=shape[:2]) < 0.2)] = -0.0
-        mask = (rng.uniform(size=shape[:2]) < mask_density).astype(np.uint8)
-        got = collab.pack_message(*rows_of(bev), mask)
-        want = pack_message_dense(*rows_of(bev), mask)
+        cells, rows = rows_of(bev)
+        keep = rng.uniform(size=cells.size) < keep_density
+        got = collab.pack_message(cells, rows, keep)
+        want = pack_message_dense(cells, rows, keep)
         assert np.array_equal(got.indices, want.indices) and got.indices.dtype == want.indices.dtype
         assert np.array_equal(got.vectors, want.vectors)
+        assert got.vectors.shape == want.vectors.shape
         assert got.feature_elements == want.feature_elements
         spec = GridSpec((-3.0, 3.0), (-3.0, 3.0), (0.0, 2.0), shape[0], shape[1], 3, 2)
         feats, category = dense_zeros(spec)
         category[rng.uniform(size=category.shape) < density] = Category.LIDAR
         category[rng.uniform(size=category.shape) < p_hybrid] = Category.HYBRID
         grid = sparse(spec, feats, category)
-        assert np.array_equal(collab.preference_map(grid), preference_map_dense(grid))
+        # Every cell, and the cells of a BEV: ascending, some of them hybrid.
+        for at in (np.arange(shape[0] * shape[1]), cells):
+            assert np.array_equal(collab.preference_map(grid, at), preference_map_dense(grid, at))
 
 
 # --- nonzero cells carried with the planes -------------------------------------
@@ -822,10 +825,10 @@ COMM_COLUMNS = ("feature_elements", "total_elements", "comm_log2", "dense_ratio"
 @pytest.mark.parametrize("name, trials", [("fleet8", (0, 1)), ("lidar4", (0, 2, 45))])
 def test_unplaced_rows_change_only_the_feature_charge(bench_run, tmp_path, name, trials):
     """Receivers drop the rows no neighbor places, so leaving them out of
-    the message changes nothing but the message, the mask it was packed
-    with and the communication columns: every other array of the records,
-    the collisions and the rest of the CSV row are those of a message that
-    keeps every masked cell."""
+    the message changes nothing but the message and the communication
+    columns: every other array of the records, the collisions and the rest
+    of the CSV row are those of a message that keeps every row that beats
+    its threshold."""
     exp, params = experiment(bench_run, tmp_path, name, 0)
     names = cli.CSV_HEADER.split(",")
     lost = 0
@@ -836,12 +839,11 @@ def test_unplaced_rows_change_only_the_feature_charge(bench_run, tmp_path, name,
             full = cli.run_trial(exp, trial, None, params)
         for aid, r in got.rounds.items():
             ref = full.rounds[aid]
-            assert np.all(r.mask <= ref.mask)
             kept = np.isin(ref.message.indices, r.message.indices)
             assert np.array_equal(ref.message.indices[kept], r.message.indices)
             assert np.array_equal(ref.message.vectors[kept], r.message.vectors)
             lost += np.count_nonzero(~kept)
-            ref.mask, ref.message = r.mask, r.message
+            ref.message = r.message
         assert_rounds_equal(got.rounds, full.rounds)
         rows = [{k: v for k, v in zip(names, o.row.split(",")) if k not in COMM_COLUMNS}
                 for o in (got, full)]
